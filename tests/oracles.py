@@ -104,3 +104,83 @@ def best_feasible_tracking(p, t0, ref_states, dt, level=0):
         if ok:
             best = min(best, worst)
     return best
+
+
+# ---------------------------------------------------------------------------
+# scalar constraint-geometry references: one constraint at a time, one node
+# at a time, one bisection step at a time
+# ---------------------------------------------------------------------------
+
+def max_h(p, t, x):
+    """max_i h_i(t, x) at one point; -inf when there are no constraints."""
+    x = np.asarray(x, dtype=float)
+    vals = [float(np.asarray(c.h(t, x), dtype=float)) for c in p.constraints]
+    return max(vals) if vals else -np.inf
+
+
+def violations_along_loop(p, times, states):
+    """Per-node max_i h_i, one node at a time."""
+    return np.array([max_h(p, float(t), x) for t, x in zip(times, states)])
+
+
+def feasible_mask_loop(p, t, pts, tol=geo.TOL_FEAS):
+    return np.array([max_h(p, t, x) <= tol for x in pts], dtype=bool)
+
+
+def clearance_loop(p, times, states):
+    """Per-node min_i (-h_i) / grad_bound_i."""
+    out = []
+    for t, x in zip(times, states):
+        vals = [-float(np.asarray(c.h(float(t), x), dtype=float)) / max(c.grad_bound, 1e-12)
+                for c in p.constraints]
+        out.append(min(vals) if vals else np.inf)
+    return np.array(out)
+
+
+def segment_refine_loop(p, t, x, y, iters=60):
+    """Pull a feasible y toward x along the segment, staying feasible."""
+    lo, hi = 0.0, 1.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if max_h(p, t, x + mid * (y - x)) <= geo.TOL_FEAS:
+            hi = mid
+        else:
+            lo = mid
+    return x + hi * (y - x)
+
+
+def distances_upper_loop(p, times, states):
+    """Per-node bisection from a violating node toward the anchor (50 levels)."""
+    out = np.zeros(len(times))
+    for j, (t, x) in enumerate(zip(times, states)):
+        if max_h(p, float(t), x) <= geo.TOL_FEAS:
+            continue
+        a = np.asarray(p.anchor(float(t)), dtype=float)
+        lo, hi = 0.0, 1.0
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            if max_h(p, float(t), x + mid * (a - x)) <= geo.TOL_FEAS:
+                hi = mid
+            else:
+                lo = mid
+        out[j] = hi * np.linalg.norm((a - x)[None, :], axis=1)[0]
+    return out
+
+
+def boundary_points_loop(p, t, dirs, ray_factor=1.5):
+    """Scalar ray bisection from the anchor toward each direction."""
+    a = np.asarray(p.anchor(t), dtype=float)
+    R = ray_factor * float(np.linalg.norm(p.box[:, 1] - p.box[:, 0]))
+    out = []
+    for d in dirs:
+        if max_h(p, t, a + R * d) <= 0.0:
+            continue
+        lo, hi = 0.0, R
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if max_h(p, t, a + mid * d) <= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        out.append(a + lo * d)
+    return out

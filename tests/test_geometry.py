@@ -7,6 +7,7 @@ from feastube import geometry as geo
 from feastube import problem as pb
 from feastube.errors import EmptySourceSet, InfeasibleInput, NonFiniteConstraint
 
+import oracles
 from util import simple_problem, unit_velocity, zero_cost, affine_constraint
 
 
@@ -173,3 +174,41 @@ def test_distance_projection_failed_on_empty_set():
                        anchor=lambda t: np.array([0.0]))
     with pytest.raises(ProjectionFailed):
         geo.distance_to_omega(p, 0.0, [0.0], budget=64)
+
+
+@pytest.mark.parametrize("name", pb.registered_problems())
+def test_geometry_matches_scalar_references(name):
+    """The geometry layer reproduces, bit for bit, scalar per-node loops."""
+    p = pb.get_problem(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    lo, hi = p.box[:, 0], p.box[:, 1]
+    times = rng.uniform(0.0, 2 * math.pi, 300)
+    pts = lo + rng.random((300, p.n)) * (hi - lo)
+
+    assert np.array_equal(geo.violations_along(p, times, pts),
+                          oracles.violations_along_loop(p, times, pts))
+    assert np.array_equal(geo.distances_upper_along(p, times, pts),
+                          oracles.distances_upper_loop(p, times, pts))
+    for t in times[:6]:
+        assert np.array_equal(geo.feasible_mask(p, float(t), pts),
+                              oracles.feasible_mask_loop(p, float(t), pts))
+        for n_dirs in (2, 8, 24):
+            got = geo.sample_boundary_points(p, float(t), n_dirs)
+            want = oracles.boundary_points_loop(p, float(t), geo._directions(p.n, n_dirs))
+            assert len(got) == len(want)
+            assert np.array_equal(np.array(got), np.array(want))
+        assert want  # 24 rays from the anchor always meet the boundary
+
+    inside = geo.feasible_mask(p, 0.0, pts) & (geo.violations_along(p, times, pts) <= 0)
+    want = oracles.clearance_loop(p, times[inside], pts[inside])
+    got = np.array([geo.clearance_proxy(p, float(t), x)
+                    for t, x in zip(times[inside], pts[inside])])
+    assert np.array_equal(got, want)
+
+    for t, x in zip(times[:40], pts[:40]):
+        a = np.asarray(p.anchor(float(t)), dtype=float)
+        if geo.is_feasible(p, float(t), x):
+            assert geo.distance_upper(p, float(t), x) == 0.0
+            continue
+        y = oracles.segment_refine_loop(p, float(t), x, a)
+        assert geo.distance_upper(p, float(t), x) == float(np.linalg.norm(y - x))
