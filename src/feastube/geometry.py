@@ -1,9 +1,16 @@
 """Constraint-set geometry: membership, active sets, distances, moving-set rate.
 
 The feasible set at time ``t`` is the intersection of the sublevel sets
-``h_i(t, .) <= 0``.  Distances to it are computed as certified upper bounds
-(multi-start descent plus segment refinement); upper bounds only strengthen
-every downstream hypothesis that consumes them.
+``h_i(t, .) <= 0``.  Everything here is read off one kernel,
+``constraint_values``, the only place that evaluates a constraint.  It takes
+points of shape ``(..., n)`` and a time that is a scalar or an array
+broadcasting against their leading axes, so every ``h(t, X)`` must broadcast
+over an array ``t`` as well as over points; a constraint that does not is
+rejected with a ``ValueError`` naming it.  Any non-finite constraint value,
+``-inf`` included, raises ``NonFiniteConstraint``.  Boundary points and
+distances come from one row-batched bisection.  Distances to the set are
+certified upper bounds (multi-start descent plus segment refinement); upper
+bounds only strengthen every downstream hypothesis that consumes them.
 """
 
 from __future__ import annotations
@@ -27,22 +34,52 @@ TOL_BOUNDARY = 1e-8
 Array = np.ndarray
 
 
+def constraint_values(p: ProblemDefinition, t, X) -> Array:
+    """``h_i(t, X)`` stacked on a last axis: ``X`` of shape ``(..., n)`` gives ``(..., m)``.
+
+    ``t`` is a scalar or an array broadcasting against the leading axes of
+    ``X``; each ``h`` must return exactly the broadcast shape.
+    """
+    X = np.asarray(X, dtype=float)
+    lead = X.shape[:-1]
+    if getattr(t, "ndim", 0):
+        lead = np.broadcast_shapes(t.shape, lead)
+    out = np.empty(lead + (p.m,))
+    for i, c in enumerate(p.constraints):
+        try:
+            hv = c.h(t, X)
+            if getattr(hv, "shape", ()) != lead:
+                raise ValueError(f"h returned shape {np.shape(hv)}, expected {lead}")
+            out[..., i] = hv
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"constraint {c.name or i!r} does not broadcast over t of shape "
+                f"{np.shape(t)} and x of shape {X.shape}: {exc}"
+            ) from exc
+    # a finite sum proves every value finite; only an overflow needs the full test
+    if not math.isfinite(out.sum()) and not np.isfinite(out).all():
+        *node, i = np.argwhere(~np.isfinite(out))[0]
+        x = np.broadcast_to(X, lead + X.shape[-1:])[tuple(node)]
+        raise NonFiniteConstraint(
+            f"constraint {p.constraints[i].name or i!r} is {out[tuple(node) + (i,)]} at "
+            f"t={np.broadcast_to(t, lead)[tuple(node)]}, x={x!r}"
+        )
+    return out
+
+
+def _worst(p: ProblemDefinition, t, X) -> Array:
+    """max_i h_i over the last axis; -inf when there are no constraints."""
+    return constraint_values(p, t, X).max(axis=-1, initial=-np.inf)
+
+
 def eval_constraints(p: ProblemDefinition, t: float, x) -> Array:
     """Vector of constraint values ``h_i(t, x)``; membership iff max <= 0."""
-    x = np.asarray(x, dtype=float)
-    if p.m == 0:
-        return np.empty(0)
-    out = np.array([float(np.asarray(c.h(t, x), dtype=float)) for c in p.constraints])
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteConstraint(f"non-finite constraint value at t={t}, x={x!r}")
-    return out
+    return constraint_values(p, t, x)
 
 
 def max_violation(p: ProblemDefinition, t: float, x) -> float:
     """max_i h_i(t, x); -inf when there are no constraints."""
-    if p.m == 0:
-        return -math.inf
-    return float(eval_constraints(p, t, x).max())
+    return float(constraint_values(p, t, x).max()) if p.m else -math.inf
 
 
 def is_feasible(p: ProblemDefinition, t: float, x, tol: float = TOL_FEAS) -> bool:
@@ -51,40 +88,30 @@ def is_feasible(p: ProblemDefinition, t: float, x, tol: float = TOL_FEAS) -> boo
 
 def feasible_mask(p: ProblemDefinition, t: float, pts: Array, tol: float = TOL_FEAS) -> Array:
     """Vectorized membership over points of shape (P, n)."""
-    pts = np.asarray(pts, dtype=float)
-    if p.m == 0:
-        return np.ones(pts.shape[0], dtype=bool)
-    worst = np.full(pts.shape[0], -np.inf)
-    for c in p.constraints:
-        hv = np.asarray(c.h(t, pts), dtype=float)
-        if not np.all(np.isfinite(hv)):
-            raise NonFiniteConstraint(f"non-finite constraint value at t={t}")
-        worst = np.maximum(worst, hv)
-    return worst <= tol
+    return _worst(p, t, pts) <= tol
 
 
 def violations_along(p: ProblemDefinition, times, states) -> Array:
-    """Per-node max_i h_i along a path; tries vectorized-in-time evaluation.
+    """Per-node max_i h_i along a path, one kernel call over all nodes."""
+    return _worst(p, np.asarray(times, dtype=float), states)
 
-    Benchmark constraints broadcast over a time vector; anything that does
-    not falls back to a per-node loop.
+
+def _bisect(p: ProblemDefinition, t, base, direction, s_in: float, s_out: float,
+            iters: int, tol: float) -> Array:
+    """Row-batched bisection of ``s`` along the rays ``base + s * direction``.
+
+    Every row starts from the feasible parameter ``s_in`` (max_i h_i <= tol)
+    and the infeasible ``s_out``; each of the ``iters`` levels halves every
+    bracket with one kernel call.  Returns the final feasible parameters.
     """
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=float)
-    if p.m == 0:
-        return np.full(len(times), -np.inf)
-    try:
-        worst = np.full(len(times), -np.inf)
-        for c in p.constraints:
-            hv = np.asarray(c.h(times, states), dtype=float)
-            if hv.shape != times.shape:
-                raise ValueError("constraint did not broadcast over time")
-            worst = np.maximum(worst, hv)
-    except Exception:
-        worst = np.array([max_violation(p, float(t), x) for t, x in zip(times, states)])
-    if not np.all(np.isfinite(worst) | np.isneginf(worst)):
-        raise NonFiniteConstraint("non-finite constraint value along path")
-    return worst
+    s_in = np.full(len(direction), float(s_in))
+    s_out = np.full(len(direction), float(s_out))
+    for _ in range(iters):
+        mid = 0.5 * (s_in + s_out)
+        feas = _worst(p, t, base + mid[:, None] * direction) <= tol
+        s_in = np.where(feas, mid, s_in)
+        s_out = np.where(feas, s_out, mid)
+    return s_in
 
 
 def distances_upper_along(p: ProblemDefinition, times, states) -> Array:
@@ -96,35 +123,25 @@ def distances_upper_along(p: ProblemDefinition, times, states) -> Array:
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     out = np.zeros(len(times))
-    worst = violations_along(p, times, states)
-    bad = np.where(worst > TOL_FEAS)[0]
-    if bad.size == 0:
-        return out
-    xs = states[bad]
-    ts = times[bad]
-    anchors = np.stack([np.asarray(p.anchor(float(t)), dtype=float) for t in ts])
-    lo = np.zeros(bad.size)
-    hi = np.ones(bad.size)
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        pts = xs + mid[:, None] * (anchors - xs)
-        feas = violations_along(p, ts, pts) <= TOL_FEAS
-        hi = np.where(feas, mid, hi)
-        lo = np.where(feas, lo, mid)
-    out[bad] = hi * np.linalg.norm(anchors - xs, axis=1)
+    bad = np.where(violations_along(p, times, states) > TOL_FEAS)[0]
+    if bad.size:
+        xs, ts = states[bad], times[bad]
+        span = np.stack([np.asarray(p.anchor(float(t)), dtype=float) for t in ts]) - xs
+        hi = _bisect(p, ts, xs, span, 1.0, 0.0, 50, TOL_FEAS)
+        out[bad] = hi * np.linalg.norm(span, axis=1)
     return out
 
 
-def clearance_proxy(p: ProblemDefinition, t: float, x) -> float:
+def clearance_proxy(p: ProblemDefinition, t, x):
     """Certified lower bound on the distance from a feasible x to the boundary.
 
-    Uses min_i (-h_i)/grad_bound_i; exact for affine constraints.
+    Uses min_i (-h_i)/grad_bound_i; exact for affine constraints.  One point
+    gives a float; points of shape ``(..., n)``, with ``t`` broadcasting
+    against their leading axes, give an array.
     """
-    if p.m == 0:
-        return math.inf
-    hv = eval_constraints(p, t, x)
     gb = np.maximum(p.grad_bounds(), 1e-12)
-    return float(np.min(-hv / gb))
+    clear = np.min(-constraint_values(p, t, x) / gb, axis=-1, initial=np.inf)
+    return float(clear) if clear.ndim == 0 else clear
 
 
 @dataclass(frozen=True)
@@ -178,16 +195,10 @@ class DistanceResult:
         }
 
 
-def _segment_refine(p, t, x, y, iters: int = 60) -> Array:
-    """Pull a feasible y toward x along the segment, staying feasible."""
-    lo, hi = 0.0, 1.0  # x + s*(y-x): infeasible at 0, feasible at 1
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if is_feasible(p, t, x + mid * (y - x)):
-            hi = mid
-        else:
-            lo = mid
-    return x + hi * (y - x)
+def _segment_refine(p, t, x, Y, iters: int = 60) -> Array:
+    """Pull feasible rows of Y toward x along their segments, staying feasible."""
+    span = Y - x  # x + s*span: infeasible at s = 0, feasible at s = 1
+    return x + _bisect(p, t, x, span, 1.0, 0.0, iters, TOL_FEAS)[:, None] * span
 
 
 def distance_to_omega(
@@ -217,7 +228,7 @@ def distance_to_omega(
     starts = [x] + [x + r * d for r, d in zip(np.linspace(0.1, 0.9, 7) * extent, dirs)]
     starts.append(np.asarray(p.anchor(t), dtype=float))
 
-    best: Array | None = None
+    hits = []
     per_start = max(budget // len(starts), 8)
     for y0 in starts:
         y = np.array(y0, dtype=float)
@@ -232,11 +243,11 @@ def distance_to_omega(
                 break
             y = y - (hv[i] / gg) * g  # Newton step onto the level set
         if is_feasible(p, t, y):
-            y = _segment_refine(p, t, x, y)
-            if best is None or np.linalg.norm(y - x) < np.linalg.norm(best - x):
-                best = y
-    if best is None:
+            hits.append(y)
+    if not hits:
         raise ProjectionFailed(f"no feasible witness found at t={t} within budget")
+    refined = _segment_refine(p, t, x, np.array(hits))
+    best = refined[int(np.argmin([np.linalg.norm(y - x) for y in refined]))]
 
     dist = float(np.linalg.norm(best - x))
     certified = False
@@ -269,7 +280,7 @@ def distance_upper(p: ProblemDefinition, t: float, x) -> float:
     a = np.asarray(p.anchor(t), dtype=float)
     if not is_feasible(p, t, a):  # anchor contract violated
         return distance_to_omega(p, t, x).distance
-    y = _segment_refine(p, t, x, a)
+    y = _segment_refine(p, t, x, a[None, :])[0]
     return float(np.linalg.norm(y - x))
 
 
@@ -304,10 +315,7 @@ def boundary_tube_membership(p: ProblemDefinition, t: float, x, eta: float) -> b
     # Analytic prescreen: no boundary can be closer than min_i (-h_i)/L_i.
     if clearance_proxy(p, t, x) > eta:
         return False
-    for d in _directions(p.n):
-        if max_violation(p, t, x + eta * d) > 0.0:
-            return True
-    return False
+    return bool((_worst(p, t, x + eta * _directions(p.n)) > 0.0).any())
 
 
 def excess(A, B, t: float | None = None) -> float:
@@ -395,16 +403,6 @@ def sample_boundary_points(
     if max_violation(p, t, a) > TOL_FEAS:
         raise InfeasibleInput(f"anchor infeasible at t={t}")
     R = ray_factor * float(np.linalg.norm(p.box[:, 1] - p.box[:, 0]))
-    out = []
-    for d in _directions(p.n, n_dirs):
-        if max_violation(p, t, a + R * d) <= 0.0:
-            continue
-        lo, hi = 0.0, R
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if max_violation(p, t, a + mid * d) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        out.append(a + lo * d)
-    return out
+    dirs = _directions(p.n, n_dirs)
+    dirs = dirs[_worst(p, t, a + R * dirs) > 0.0]
+    return list(a + _bisect(p, t, a, dirs, 0.0, R, 60, 0.0)[:, None] * dirs)

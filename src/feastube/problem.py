@@ -10,8 +10,11 @@ freely across workers.
 
 Dynamics, costs, constraint values and gradients must broadcast over leading
 axes: ``f(t, X, U)`` with ``X`` of shape ``(..., n)`` and ``U`` of shape
-``(..., d)`` returns shape ``(..., n)``.  The shipped benchmarks follow this
-convention and the solvers rely on it.
+``(..., d)`` returns shape ``(..., n)``.  A constraint ``h(t, X)`` must also
+broadcast over an array ``t`` whose shape broadcasts against the leading axes
+of ``X``, returning exactly that broadcast shape.  Any non-finite constraint
+value, ``-inf`` included, is rejected.  The shipped benchmarks follow these
+conventions and the solvers rely on them.
 """
 
 from __future__ import annotations

@@ -423,10 +423,7 @@ class NftResult:
 
 def _strictly_inside(p, times, states, skip_first=True) -> bool:
     lo = 1 if skip_first else 0
-    for t, x in zip(times[lo:], states[lo:]):
-        if geo.clearance_proxy(p, float(t), x) <= 1e-12:
-            return False
-    return True
+    return bool(np.all(geo.clearance_proxy(p, times[lo:], states[lo:]) > 1e-12))
 
 
 def _measure_rho(p, times, states) -> float:
@@ -455,7 +452,6 @@ def _case_push_and_replay(p, cert, cons, t_a, ref_states, rho_c, dt, level):
         t = t_a + j * dt
         if j < s:
             u = p.controls.at(t, level)[mux.pick(mr.alpha)]
-            _, vels = p.velocities(t, states[j], level)
         else:
             u, _ = _select_control(p, t, states[j], w[j], z[j + 1], dt, level)
         ctrl[j] = u
@@ -508,7 +504,7 @@ def nft_correct(
 
     # Fast path: a strictly feasible input is already its own repair.
     if rho_measured <= 0.0 and _strictly_inside(p, times, cur):
-        clear = min(geo.clearance_proxy(p, float(t), x) for t, x in zip(times[1:], cur[1:]))
+        clear = np.min(geo.clearance_proxy(p, times[1:], cur[1:]))
         return NftResult(xhat, rho_eff, 0.0, cons.beta, float(clear), cons)
 
     bounds = list(range(0, N, steps_per_piece)) + [N]
@@ -566,7 +562,7 @@ def nft_correct(
         )
     if not np.array_equal(cur[0], ref0[0]):
         raise CorrectionFailed("repair moved the anchor point")
-    clear = min(geo.clearance_proxy(p, float(t), x) for t, x in zip(times[1:], cur[1:]))
+    clear = np.min(geo.clearance_proxy(p, times[1:], cur[1:]))
     corrected = Trajectory(times, cur, ctrl if bool(have_ctrl.all()) else None, dt)
     return NftResult(corrected, rho_eff, sup_dist, cons.beta, float(clear), cons)
 

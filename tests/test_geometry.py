@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feastube import geometry as geo
 from feastube import problem as pb
@@ -204,6 +206,7 @@ def test_geometry_matches_scalar_references(name):
     got = np.array([geo.clearance_proxy(p, float(t), x)
                     for t, x in zip(times[inside], pts[inside])])
     assert np.array_equal(got, want)
+    assert np.array_equal(geo.clearance_proxy(p, times[inside], pts[inside]), want)
 
     for t, x in zip(times[:40], pts[:40]):
         a = np.asarray(p.anchor(float(t)), dtype=float)
@@ -212,3 +215,74 @@ def test_geometry_matches_scalar_references(name):
             continue
         y = oracles.segment_refine_loop(p, float(t), x, a)
         assert geo.distance_upper(p, float(t), x) == float(np.linalg.norm(y - x))
+
+
+def _time_scalar_only(name):
+    """A wall that reads ``t`` as a Python scalar, so it cannot take a time vector."""
+    def h(t, x):
+        return np.asarray(x, dtype=float)[..., 0] - 1.0 - 0.4 * math.sin(t)
+
+    def grad(t, x):
+        return np.ones_like(np.asarray(x, dtype=float))
+
+    return pb.ConstraintFunction(h=h, grad=grad, holder_theta=0.5, holder_const=0.0,
+                                 grad_bound=1.0, name=name)
+
+
+def _first_node_only(name):
+    """A wall that evaluates only the first point of a batch."""
+    def h(t, x):
+        return np.asarray(x, dtype=float).reshape(-1, 1)[0, 0] - 1.0 + 0.0 * np.sum(t)
+
+    def grad(t, x):
+        return np.ones_like(np.asarray(x, dtype=float))
+
+    return pb.ConstraintFunction(h=h, grad=grad, holder_theta=0.5, holder_const=0.0,
+                                 grad_bound=1.0, name=name)
+
+
+@pytest.mark.parametrize("make", [_time_scalar_only, _first_node_only])
+def test_kernel_rejects_constraint_without_time_broadcast(make):
+    p = simple_problem(unit_velocity, zero_cost, constraints=(make("stiff-wall"),))
+    times = np.linspace(0.0, 1.0, 5)
+    states = np.full((5, 1), 3.0)
+    with pytest.raises(ValueError, match="stiff-wall"):
+        geo.violations_along(p, times, states)
+    with pytest.raises(ValueError, match="stiff-wall"):
+        geo.distances_upper_along(p, times, states)
+
+
+def test_feasible_mask_names_the_nonfinite_constraint():
+    def h(t, x):
+        x = np.asarray(x, dtype=float)[..., 0]
+        return np.where(x > 1.5, np.inf, x - 1.0) + 0.0 * t
+
+    bad = pb.ConstraintFunction(h=h, grad=lambda t, x: np.ones_like(x), holder_theta=0.5,
+                                holder_const=0.0, grad_bound=1.0, name="cliff")
+    p = simple_problem(unit_velocity, zero_cost, constraints=(bad,))
+    pts = np.array([[0.0], [1.0], [1.75], [-0.5]])
+    msg = r"'cliff' is inf at t=0\.25, x=array\(\[1\.75\]\)"
+    with pytest.raises(NonFiniteConstraint, match=msg):
+        geo.feasible_mask(p, 0.25, pts)
+
+
+def test_violations_along_rejects_negative_infinity():
+    floor = affine_constraint("abyss", [1.0], lambda t: -np.inf + 0.0 * t)
+    p = simple_problem(unit_velocity, zero_cost, constraints=(floor,))
+    with pytest.raises(NonFiniteConstraint, match="abyss"):
+        geo.violations_along(p, np.zeros(3), np.zeros((3, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(pb.registered_problems()),
+       t=st.floats(-10.0, 10.0),
+       u=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+def test_membership_views_agree(name, t, u):
+    p = pb.get_problem(name)
+    x = p.box[:, 0] - 0.5 + (p.box[:, 1] - p.box[:, 0] + 1.0) * np.asarray(u[: p.n])
+    hv = geo.eval_constraints(p, t, x)
+    worst = float(hv.max())
+    assert worst == geo.max_violation(p, t, x)
+    assert (worst <= geo.TOL_FEAS) == geo.is_feasible(p, t, x)
+    assert geo.feasible_mask(p, t, x[None, :])[0] == geo.is_feasible(p, t, x)
+    assert geo.violations_along(p, [t, t], [x, x]).tolist() == [worst, worst]
