@@ -282,6 +282,23 @@ class TimeLipschitzResult:
         }
 
 
+def velocity_cost_sup(field: ValueField, p: ProblemDefinition, probes, level: int = 0) -> float:
+    """Sampled sup of ``|f| + |L|`` over the probes, the sampled controls and
+    9 times spanning the field's horizon."""
+    sup = 0.0
+    for t in np.linspace(field.t0, field.T, 9):
+        u = p.controls.at(float(t), level)
+        for x in np.atleast_2d(np.asarray(probes, dtype=float)):
+            fv = np.broadcast_to(
+                np.asarray(p.f(float(t), x, u), dtype=float), (u.shape[0], p.n)
+            )
+            lv = np.broadcast_to(
+                np.asarray(p.running_cost(float(t), x, u), dtype=float), (u.shape[0],)
+            )
+            sup = max(sup, float((np.linalg.norm(fv, axis=-1) + np.abs(lv)).max()))
+    return sup
+
+
 def time_lipschitz_check(
     field: ValueField,
     p: ProblemDefinition,
@@ -298,17 +315,7 @@ def time_lipschitz_check(
     """
     b, K = _envelope_rate(field, constants)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    sup = 0.0
-    for t in np.linspace(field.t0, field.T, 9):
-        u = p.controls.at(float(t), level)
-        for x in probes:
-            fv = np.broadcast_to(
-                np.asarray(p.f(float(t), x, u), dtype=float), (u.shape[0], p.n)
-            )
-            lv = np.broadcast_to(
-                np.asarray(p.running_cost(float(t), x, u), dtype=float), (u.shape[0],)
-            )
-            sup = max(sup, float((np.linalg.norm(fv, axis=-1) + np.abs(lv)).max()))
+    sup = velocity_cost_sup(field, p, probes, level)
     tol = scheme_tolerance(field)
     if bound_N < sup:
         return TimeLipschitzResult(False, sup, bound_N, probes, (), {}, tol)

@@ -52,21 +52,24 @@ def write_trajectory_csv(path: Path, p, traj: tj.Trajectory) -> None:
     ana.write_csv(path, cols)
 
 
-def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
+def read_trajectory_like(path: Path) -> dict[str, np.ndarray]:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         data = np.array([[float(v) for v in line.split(",")] for line in fh])
-    cols = {name: data[:, j] for j, name in enumerate(header)}
-    xcols = [c for c in header if c.startswith("x_")]
-    ucols = [c for c in header if c.startswith("u_")]
+    return {name: data[:, j] for j, name in enumerate(header)}
+
+
+def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
+    cols = read_trajectory_like(path)
     out = {
         "t": cols["t"],
-        "states": np.column_stack([cols[c] for c in xcols]),
+        "states": np.column_stack([v for k, v in cols.items() if k.startswith("x_")]),
         "maxh": cols["maxh"],
         "dist": cols["dist"],
     }
+    ucols = [v for k, v in cols.items() if k.startswith("u_")]
     if ucols:
-        out["controls"] = np.column_stack([cols[c] for c in ucols])
+        out["controls"] = np.column_stack(ucols)
     return out
 
 
@@ -110,13 +113,6 @@ def read_field(outdir: Path, name: str) -> ValueField:
         x0_bound=header["x0_bound"], problem_name=header["problem"],
         level=header["level"], mixture_grid=header["mixture_grid"],
     )
-
-
-def read_trajectory_like(path: Path) -> dict[str, np.ndarray]:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.array([[float(v) for v in line.split(",")] for line in fh])
-    return {name: data[:, j] for j, name in enumerate(header)}
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +429,7 @@ def _cmd_analyze(cfg: dict, action: str) -> int:
 
 
 def _time_lip_bound(p, field, probes, level) -> float:
-    sup = 0.0
-    for t in np.linspace(field.t0, field.T, 9):
-        u = p.controls.at(float(t), level)
-        for x in probes:
-            fv = np.broadcast_to(np.asarray(p.f(float(t), x, u), dtype=float),
-                                 (u.shape[0], p.n))
-            lv = np.broadcast_to(np.asarray(p.running_cost(float(t), x, u), dtype=float),
-                                 (u.shape[0],))
-            sup = max(sup, float((np.linalg.norm(fv, axis=-1) + np.abs(lv)).max()))
-    return sup * 1.05 + 0.1
+    return ana.velocity_cost_sup(field, p, probes, level) * 1.05 + 0.1
 
 
 def _cmd_pipeline(cfg: dict) -> int:

@@ -143,6 +143,12 @@ def relaxed_velocity_set(
 # value fields
 # ---------------------------------------------------------------------------
 
+def _mesh_nodes(axes) -> Array:
+    """Grid nodes of the axes' product, shape (P, n), last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
+
+
 @dataclass(frozen=True, eq=False)
 class GridSpec:
     """Uniform space grid (per-dimension bounds and point counts) plus dt."""
@@ -171,8 +177,7 @@ class GridSpec:
         )
 
     def nodes(self) -> Array:
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
+        return _mesh_nodes(self.axes())
 
 
 def grid_for(p: ProblemDefinition, points: int | tuple[int, ...], dt: float, t0: float = 0.0) -> GridSpec:
@@ -250,8 +255,7 @@ class ValueField:
         return self.values[i]
 
     def grid_nodes(self) -> Array:
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
+        return _mesh_nodes(self.axes)
 
     def compatible_with(self, other: "ValueField") -> bool:
         return (
