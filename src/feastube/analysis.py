@@ -283,12 +283,12 @@ class TimeLipschitzResult:
 
 
 def velocity_cost_sup(field: ValueField, p: ProblemDefinition, probes, level: int = 0) -> float:
-    """Sampled sup of ``|f| + |L|`` over the probes, the sampled controls and
-    9 times spanning the field's horizon."""
+    """Sampled sup of ``|f| + |L|`` over the probes (shape ``(k, n)``), the
+    sampled controls and 9 times spanning the field's horizon."""
     sup = 0.0
     for t in np.linspace(field.t0, field.T, 9):
         u = p.controls.at(float(t), level)
-        for x in np.atleast_2d(np.asarray(probes, dtype=float)):
+        for x in probes:
             fv = np.broadcast_to(
                 np.asarray(p.f(float(t), x, u), dtype=float), (u.shape[0], p.n)
             )

@@ -1,16 +1,14 @@
 """Constraint-set geometry: membership, active sets, distances, moving-set rate.
 
 The feasible set at time ``t`` is the intersection of the sublevel sets
-``h_i(t, .) <= 0``.  Everything here is read off one kernel,
-``constraint_values``, the only place that evaluates a constraint.  It takes
-points of shape ``(..., n)`` and a time that is a scalar or an array
-broadcasting against their leading axes, so every ``h(t, X)`` must broadcast
-over an array ``t`` as well as over points; a constraint that does not is
-rejected with a ``ValueError`` naming it.  Any non-finite constraint value,
-``-inf`` included, raises ``NonFiniteConstraint``.  Boundary points and
-distances come from one row-batched bisection.  Distances to the set are
-certified upper bounds (multi-start descent plus segment refinement); upper
-bounds only strengthen every downstream hypothesis that consumes them.
+``h_i(t, .) <= 0``.  Everything here derives from one kernel,
+``constraint_values``, the only caller of ``h``: it evaluates points of shape
+``(..., n)`` at a scalar ``t`` or at an array ``t`` broadcasting against their
+leading axes, so each ``h`` must broadcast over an array ``t`` too (one that
+does not raises ``ValueError`` naming it), and any non-finite value, ``-inf``
+included, raises ``NonFiniteConstraint``.  Distances are certified upper
+bounds (multi-start descent plus segment refinement); upper bounds only
+strengthen every downstream hypothesis that consumes them.
 """
 
 from __future__ import annotations
@@ -48,23 +46,26 @@ def constraint_values(p: ProblemDefinition, t, X) -> Array:
     for i, c in enumerate(p.constraints):
         try:
             hv = c.h(t, X)
-            if getattr(hv, "shape", ()) != lead:
-                raise ValueError(f"h returned shape {np.shape(hv)}, expected {lead}")
-            out[..., i] = hv
         except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"constraint {c.name or i!r} does not broadcast over t of shape "
-                f"{np.shape(t)} and x of shape {X.shape}: {exc}"
-            ) from exc
+            raise _no_broadcast(c, i, t, X, exc) from exc
+        if getattr(hv, "shape", ()) != lead:
+            raise _no_broadcast(c, i, t, X, f"h returned shape {np.shape(hv)}, expected {lead}")
+        out[..., i] = hv
     # a finite sum proves every value finite; only an overflow needs the full test
     if not math.isfinite(out.sum()) and not np.isfinite(out).all():
-        *node, i = np.argwhere(~np.isfinite(out))[0]
-        x = np.broadcast_to(X, lead + X.shape[-1:])[tuple(node)]
+        *node, i = (int(k) for k in np.argwhere(~np.isfinite(out))[0])
+        node = tuple(node)
+        x = np.broadcast_to(X, lead + X.shape[-1:])[node]
         raise NonFiniteConstraint(
-            f"constraint {p.constraints[i].name or i!r} is {out[tuple(node) + (i,)]} at "
-            f"t={np.broadcast_to(t, lead)[tuple(node)]}, x={x!r}"
+            f"constraint {p.constraints[i].name or i!r} is {out[node + (i,)]} at "
+            f"t={np.broadcast_to(t, lead)[node]}, x={x!r}"
         )
     return out
+
+
+def _no_broadcast(c, i: int, t, X: Array, why) -> ValueError:
+    return ValueError(f"constraint {c.name or i!r} does not broadcast over t of shape "
+                      f"{np.shape(t)} and x of shape {X.shape}: {why}")
 
 
 def _worst(p: ProblemDefinition, t, X) -> Array:

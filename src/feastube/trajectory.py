@@ -421,9 +421,9 @@ class NftResult:
         }
 
 
-def _strictly_inside(p, times, states, skip_first=True) -> bool:
-    lo = 1 if skip_first else 0
-    return bool(np.all(geo.clearance_proxy(p, times[lo:], states[lo:]) > 1e-12))
+def _strictly_inside(p, times, states) -> bool:
+    """Positive clearance at every node after the first."""
+    return bool(np.all(geo.clearance_proxy(p, times[1:], states[1:]) > 1e-12))
 
 
 def _measure_rho(p, times, states) -> float:
