@@ -185,3 +185,130 @@ def boundary_points_loop(p, t, dirs, ray_factor=1.5):
                 hi = mid
         out.append(a + lo * d)
     return out
+
+
+# ---------------------------------------------------------------------------
+# step-loop references: one hand-written fixed-step RK4 sweep per trajectory
+# construction, each with its per-step control rule inlined
+# ---------------------------------------------------------------------------
+
+def rk4_step(f, t, x, u, dt):
+    k1 = np.asarray(f(t, x, u), dtype=float)
+    k2 = np.asarray(f(t + dt / 2, x + dt / 2 * k1, u), dtype=float)
+    k3 = np.asarray(f(t + dt / 2, x + dt / 2 * k2, u), dtype=float)
+    k4 = np.asarray(f(t + dt, x + dt * k3, u), dtype=float)
+    return x + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def nearest_control(p, t, x, target_v, z_next, dt, level):
+    """Nearest sampled velocity; ties toward z_next, then lowest index."""
+    u = p.controls.at(t, level)
+    vels = np.broadcast_to(np.asarray(p.f(t, x, u), dtype=float), (len(u), p.n))
+    mism = np.linalg.norm(vels - target_v, axis=1)
+    tie = np.where(mism <= float(mism.min()) + 1e-12)[0]
+    if tie.size > 1:
+        pos = np.linalg.norm(x + dt * vels[tie] - z_next, axis=1)
+        tie = tie[pos <= pos.min() + 1e-12]
+    return u[int(tie[0])]
+
+
+class MixtureCredit:
+    """Proportional scheduling of mixture support controls."""
+
+    def __init__(self, k):
+        self.credit = np.zeros(k)
+
+    def pick(self, alpha):
+        if len(alpha) != len(self.credit):
+            self.credit = np.zeros(len(alpha))
+        self.credit += alpha
+        j = int(np.argmax(self.credit))
+        self.credit[j] -= 1.0
+        return j
+
+
+def integrate_loop(p, t0, x0, schedule, steps, dt, level=0):
+    states = np.empty((steps + 1, p.n))
+    ctrl = np.empty((steps, p.controls.dim))
+    states[0] = np.asarray(x0, dtype=float).reshape(-1)
+    for j in range(steps):
+        t = t0 + j * dt
+        ctrl[j] = p.controls.at(t, level)[int(schedule[j])]
+        states[j + 1] = rk4_step(p.f, t, states[j], ctrl[j], dt)
+    return states, ctrl
+
+
+def integrate_controls_loop(p, t0, x0, controls, dt):
+    controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    states = np.empty((len(controls) + 1, p.n))
+    states[0] = np.asarray(x0, dtype=float).reshape(-1)
+    for j in range(len(controls)):
+        states[j + 1] = rk4_step(p.f, t0 + j * dt, states[j], controls[j], dt)
+    return states, controls
+
+
+def _nearest_sweep(p, t0, x0, w, dt, level, push=0, push_pick=None):
+    z = x0 + np.vstack([np.zeros(w.shape[1]), np.cumsum(w * dt, axis=0)])
+    steps = len(w)
+    states = np.empty((steps + 1, p.n))
+    ctrl = np.empty((steps, p.controls.dim))
+    states[0] = x0
+    for j in range(steps):
+        t = t0 + j * dt
+        if j < push:
+            ctrl[j] = push_pick(t)
+        else:
+            ctrl[j] = nearest_control(p, t, states[j], w[j], z[j + 1], dt, level)
+        states[j + 1] = rk4_step(p.f, t, states[j], ctrl[j], dt)
+    return states, ctrl
+
+
+def filippov_project_loop(p, t0, x0, w, steps, dt, level=0):
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    w = np.asarray(w, dtype=float).reshape(steps, -1)
+    return _nearest_sweep(p, t0, x0, w, dt, level)
+
+
+def viable_trajectory_loop(p, cert, t0, x0, t1, dt, level=0, steps=None, tube_radius=None):
+    from feastube.ipc import inward_margin
+
+    if steps is None:
+        steps = max(1, int(round((t1 - t0) / dt)))
+    trig = tube_radius
+    if trig is None:
+        trig = min(cert.eta, 1.5 * (p.data.M + p.data.omega_lip) * dt)
+    gb = np.maximum(p.grad_bounds(), 1e-12)
+    mux = MixtureCredit(1)
+    states = np.empty((steps + 1, p.n))
+    ctrl = np.empty((steps, p.controls.dim))
+    states[0] = np.asarray(x0, dtype=float).reshape(-1)
+    for j in range(steps):
+        t = t0 + j * dt
+        hv = geo.eval_constraints(p, t, states[j])
+        assert float(hv.max()) <= geo.TOL_FEAS
+        u = p.default_control
+        if np.any(hv >= -trig * gb):
+            mr = inward_margin(p, t, states[j], cert.delta, level)
+            if np.isfinite(mr.r):
+                u = p.controls.at(t, level)[mux.pick(mr.alpha)]
+        ctrl[j] = u
+        states[j + 1] = rk4_step(p.f, t, states[j], u, dt)
+    return states, ctrl
+
+
+def push_and_replay_loop(p, cert, cons, t_a, ref_states, rho_c, dt, level=0):
+    """Inward mixture for ceil(k rho / dt) steps, then the nearest-velocity
+    replay of the reference derivative shifted by that many steps."""
+    from feastube.ipc import inward_margin
+
+    steps = len(ref_states) - 1
+    start = ref_states[0]
+    mr = inward_margin(p, t_a, start, cert.delta, level)
+    s = min(int(np.ceil(cons.k_shift * rho_c / dt)), steps) if np.isfinite(mr.r) else 0
+    refvel = np.diff(ref_states, axis=0) / dt
+    w = np.vstack([np.repeat(mr.v[None, :], s, axis=0), refvel[: steps - s]])
+    mux = MixtureCredit(len(mr.alpha))
+    return _nearest_sweep(
+        p, t_a, start, w, dt, level, push=s,
+        push_pick=lambda t: p.controls.at(t, level)[mux.pick(mr.alpha)],
+    )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from feastube.errors import (
     ViabilityLost,
 )
 
+import oracles
 from oracles import best_feasible_tracking
 from util import simple_problem, zero_cost
 
@@ -286,3 +288,60 @@ def test_filippov_integrated_tracking_bound():
     growth = math.exp(p.data.phi.theta(steps * dt))
     bound = growth * float(mismatch.sum()) * dt + 5 * (1 + p.data.M) * dt
     assert float(np.max(np.abs(proj.states - z))) <= bound
+
+
+# --- one march for every construction -------------------------------------------------
+
+_CERT_OF = {"moving_wall": "mw_cert", "corridor": "corridor_cert",
+            "hover": "hover_cert", "quadratic": "quadratic_cert"}
+
+
+def _assert_same_path(traj, ref_states, ref_ctrl):
+    assert np.array_equal(traj.states, ref_states)
+    assert np.array_equal(traj.controls, ref_ctrl)
+
+
+@pytest.mark.parametrize("name", sorted(_CERT_OF))
+def test_constructions_match_loop_references(name, request):
+    """Every step-loop construction reproduces its hand-written RK4 sweep bit
+    for bit, starting a small depth inside the boundary and drifting out."""
+    p = request.getfixturevalue(name)
+    cert = request.getfixturevalue(_CERT_OF[name])
+    rng = np.random.default_rng(47)
+    t0, dt, steps = 0.4, 0.01, 60
+    xb = geo.sample_boundary_points(p, t0, 8)[0]
+    hv = geo.eval_constraints(p, t0, xb)
+    g = np.asarray(p.constraints[int(np.argmax(hv))].grad(t0, xb), dtype=float).reshape(-1)
+    g /= np.linalg.norm(g)
+    x0 = xb - 0.05 * g
+    u0 = p.controls.at(t0, 0)
+    outward = int(np.argmax(u0 @ g))
+    idx = np.where(rng.random(steps) < 0.8, outward, rng.integers(0, len(u0), steps))
+
+    ref = tj.integrate(p, t0, x0, idx.tolist(), steps, dt)
+    _assert_same_path(ref, *oracles.integrate_loop(p, t0, x0, idx, steps, dt))
+
+    U = rng.uniform(-1.0, 1.0, (steps, p.controls.dim))
+    _assert_same_path(tj.integrate_controls(p, t0, x0, U, dt),
+                      *oracles.integrate_controls_loop(p, t0, x0, U, dt))
+
+    for w in (ref.velocities() + 0.3 * rng.standard_normal((steps, p.n)),
+              np.zeros((steps, p.n)), 0.5 * ref.velocities()):
+        _assert_same_path(tj.filippov_project(p, t0, x0, w, steps, dt),
+                          *oracles.filippov_project_loop(p, t0, x0, w, steps, dt))
+
+    for radius in (None, 0.06):
+        traj = tj.viable_trajectory(p, cert, t0, x0, t0 + 1.0, dt, tube_radius=radius)
+        _assert_same_path(traj, *oracles.viable_trajectory_loop(
+            p, cert, t0, x0, t0 + 1.0, dt, tube_radius=radius))
+
+    cons = tj.derive_nft_constants(p, cert, 1.0)
+    rho = float(geo.distances_upper_along(p, ref.times, ref.states).max())
+    shallow = dataclasses.replace(cert, delta=1e-6)
+    # a finite margin pushes for s > 0 steps; an infinite one replays at once
+    assert math.isfinite(ipc.inward_margin(p, t0, x0, cert.delta).r)
+    assert ipc.inward_margin(p, t0, x0, shallow.delta).r == math.inf
+    for c, rho_c in ((cert, max(rho, 1e-3)), (cert, 1e-8), (shallow, max(rho, 1e-3))):
+        got = tj._case_push_and_replay(p, c, cons, t0, ref.states, rho_c, dt, 0)
+        want = oracles.push_and_replay_loop(p, c, cons, t0, ref.states, rho_c, dt)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
