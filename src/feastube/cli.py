@@ -280,6 +280,8 @@ def _cmd_nft(cfg: dict) -> int:
     t1 = cfg["t1"] if cfg["t1"] is not None else t0 + 1.0
     x0 = _vector(cfg["x0"], p.n, np.asarray(p.anchor(t0)))
     uref = _vector(cfg["uref"], p.controls.dim, p.default_control)
+    if not cfg["dt"] > 0:
+        raise ValueError(f"need dt > 0, got dt={cfg['dt']}")
     steps = int(round((t1 - t0) / cfg["dt"]))
     ref = tj.integrate_controls(p, t0, x0, np.tile(uref, (steps, 1)), cfg["dt"])
     ver = _ipc_certificate(cfg, p, (t0, t1 + 1.0))

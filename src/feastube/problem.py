@@ -244,8 +244,9 @@ class ProblemDefinition:
     def velocities(self, t: float, x: Array, level: int = 0) -> tuple[Array, Array]:
         """Sampled controls and their velocities at ``(t, x)``: ``(k,d), (k,n)``."""
         u = self.controls.at(t, level)
-        v = np.asarray(self.f(t, np.asarray(x, dtype=float), u), dtype=float)
-        return u, np.broadcast_to(v, (u.shape[0], self.n)).astype(float)
+        v = np.empty((u.shape[0], self.n))
+        v[...] = self.f(t, np.asarray(x, dtype=float), u)
+        return u, v
 
     def grad_bounds(self) -> Array:
         return np.array([c.grad_bound for c in self.constraints], dtype=float)
@@ -545,7 +546,8 @@ def verify_data_assumptions(
     Checks boundedness of ``(f, L)`` on the boundary tube, the state-Lipschitz
     ratio against ``k(t)``, the growth envelope ``c(t)(1+|x|)``, boundedness
     of the running average of ``c + k``, and the affine majorant ``a1*t+a2``
-    of the integral of ``c``.  Failures are report entries, never raises;
+    of the integral of ``c``; a non-finite constraint value at a sampled
+    point fails the tube check.  Failures are report entries, never raises;
     sampling at a higher density keeps every failure found at a lower one
     (point sequences are prefixes of a seeded stream).
     """
@@ -572,6 +574,9 @@ def verify_data_assumptions(
             hv = np.stack(
                 [np.asarray(c.h(t, pts), dtype=float) for c in p.constraints], axis=-1
             )
+            if not np.all(np.isfinite(hv)):  # a NaN h would drop the point from the tube
+                ok, worst_w = False, _witness(t, pts[np.argmin(np.isfinite(hv).all(axis=-1))])
+                break
             proxy = np.min(np.abs(hv) / np.maximum(gb, 1e-12), axis=-1)
             tube = pts[proxy <= p.data.alpha]
             if tube.size == 0:

@@ -1,11 +1,13 @@
 """Trajectory construction: integration, velocity projection, repair, tracking.
 
 All constructed paths live on a uniform time grid with one sampled control
-per step, so the per-step dynamics residual contract is exact.  Mixture
-velocities are realized by deterministic proportional multiplexing of their
-support controls across consecutive steps (discrete chattering); for the
-shipped benchmarks the optimal margin mixtures are pure controls and the
-multiplexer degenerates to a constant choice.
+per step, so the per-step dynamics residual contract is exact.  Every path is
+one RK4 march (``_march``) under a per-step control rule: a control index, an
+explicit control row, the nearest velocity to a target, or the viability
+rule.  Mixture velocities are realized by deterministic proportional
+multiplexing of their support controls across consecutive steps (discrete
+chattering); for the shipped benchmarks the optimal margin mixtures are pure
+controls and the multiplexer degenerates to a constant choice.
 """
 
 from __future__ import annotations
@@ -91,14 +93,16 @@ class Trajectory:
     def velocities(self) -> Array:
         return np.diff(self.states, axis=0) / self.step
 
-    def state_at(self, t: float) -> Array:
-        """Linear interpolation inside the grid; endpoints clamp within tol."""
+    def state_at(self, t) -> Array:
+        """Linear interpolation at a time or an array of times; endpoints clamp within tol."""
         ts = self.times
-        if t < ts[0] - 1e-9 or t > ts[-1] + 1e-9:
-            raise ValueError(f"t={t} outside [{ts[0]}, {ts[-1]}]")
+        t = np.asarray(t, dtype=float)
+        outside = ~((t >= ts[0] - 1e-9) & (t <= ts[-1] + 1e-9))
+        if np.any(outside):
+            raise ValueError(f"t={t[outside][0]} outside [{ts[0]}, {ts[-1]}]")
         pos = np.clip((t - ts[0]) / self.step, 0.0, len(ts) - 1.0)
-        j = min(int(pos), len(ts) - 2)
-        frac = pos - j
+        j = np.minimum(pos.astype(int), len(ts) - 2)
+        frac = (pos - j)[..., None]
         return (1 - frac) * self.states[j] + frac * self.states[j + 1]
 
 
@@ -108,9 +112,33 @@ def _rk4_step(f: Callable, t: float, x: Array, u: Array, dt: float) -> Array:
     k3 = np.asarray(f(t + dt / 2, x + dt / 2 * k2, u), dtype=float)
     k4 = np.asarray(f(t + dt, x + dt * k3, u), dtype=float)
     out = x + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(out)) or np.max(np.abs(out)) > 1e12:
+    if not np.abs(out).max() <= 1e12:  # NaN fails the comparison too
         raise NonFiniteState(f"state blow-up near t={t}")
     return out
+
+
+def _check_grid(dt: float, steps: int = 1) -> None:
+    if not dt > 0:
+        raise ValueError(f"need dt > 0, got dt={dt}")
+    if steps < 1:
+        raise ValueError(f"need steps >= 1, got steps={steps}")
+
+
+def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float,
+           choose: Callable[[int, float, Array], Array]) -> tuple[Array, Array]:
+    """Fixed-step RK4 from ``x0`` holding ``choose(j, t, x)`` over step ``j``.
+
+    Returns the ``(steps + 1, n)`` states and the ``(steps, d)`` controls.
+    """
+    _check_grid(dt, steps)
+    states = np.empty((steps + 1, p.n))
+    ctrl = np.empty((steps, p.controls.dim))
+    states[0] = np.asarray(x0, dtype=float).reshape(-1)
+    for j in range(steps):
+        t = t0 + j * dt
+        ctrl[j] = u = choose(j, t, states[j])
+        states[j + 1] = _rk4_step(p.f, t, states[j], u, dt)
+    return states, ctrl
 
 
 def integrate(
@@ -122,32 +150,18 @@ def integrate(
     dt: float,
     level: int = 0,
 ) -> Trajectory:
-    """Fixed-step RK4 under a per-step control-index schedule."""
-    if dt <= 0 or steps < 1:
-        raise ValueError("need dt > 0 and steps >= 1")
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    pick = schedule if callable(schedule) else (lambda j: schedule[j])
-    states = np.empty((steps + 1, p.n))
-    ctrl = np.empty((steps, p.controls.dim))
-    states[0] = x
-    for j in range(steps):
-        t = t0 + j * dt
-        u = p.controls.at(t, level)[int(pick(j))]
-        ctrl[j] = u
-        states[j + 1] = _rk4_step(p.f, t, states[j], u, dt)
-    times = t0 + dt * np.arange(steps + 1)
-    return Trajectory(times, states, ctrl, dt)
+    """Fixed-step RK4 under a per-step sequence of control indices."""
+    return Trajectory(t0 + dt * np.arange(steps + 1), *_march(
+        p, t0, x0, steps, dt, lambda j, t, x: p.controls.at(t, level)[int(schedule[j])]
+    ), dt)
 
 
 def integrate_controls(p: ProblemDefinition, t0: float, x0, controls, dt: float) -> Trajectory:
     """RK4 under explicit per-step control vectors (shape (N, d))."""
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     steps = len(controls)
-    states = np.empty((steps + 1, p.n))
-    states[0] = np.asarray(x0, dtype=float).reshape(-1)
-    for j in range(steps):
-        states[j + 1] = _rk4_step(p.f, t0 + j * dt, states[j], controls[j], dt)
-    return Trajectory(t0 + dt * np.arange(steps + 1), states, controls, dt)
+    return Trajectory(t0 + dt * np.arange(steps + 1),
+                      *_march(p, t0, x0, steps, dt, lambda j, t, x: controls[j]), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +177,18 @@ def _select_control(p, t, x, target_v, z_next, dt, level):
     """
     u, vels = p.velocities(t, x, level)
     mism = np.linalg.norm(vels - target_v, axis=1)
-    best = float(mism.min())
-    tie = np.where(mism <= best + 1e-12)[0]
-    if tie.size > 1 and z_next is not None:
+    tie = np.where(mism <= mism.min() + 1e-12)[0]
+    if tie.size > 1:
         pos = np.linalg.norm(x + dt * vels[tie] - z_next, axis=1)
         tie = tie[pos <= pos.min() + 1e-12]
-    j = int(tie[0])
-    return u[j], vels[j]
+    return u[int(tie[0])]
+
+
+def _nearest_rule(p, x0: Array, w: Array, dt: float, level: int) -> Callable:
+    """Step rule of the projection: the sampled velocity nearest ``w[j]``,
+    ties toward the target path ``z[j + 1] = x0 + dt * sum_{i <= j} w[i]``."""
+    z = x0 + np.vstack([np.zeros(w.shape[1]), np.cumsum(w * dt, axis=0)])
+    return lambda j, t, x: _select_control(p, t, x, w[j], z[j + 1], dt, level)
 
 
 class _MixtureMultiplexer:
@@ -198,28 +217,17 @@ def filippov_project(
 ) -> Trajectory:
     """Forward sweep choosing, per step, the sampled velocity nearest a target.
 
-    ``ref_velocity`` maps step index to a target velocity (callable or an
-    ``(N, n)`` array).  The realized path stays within
+    ``ref_velocity`` is an ``(N, n)`` array of per-step target velocities.
+    The realized path stays within
     ``exp(theta_phi(T)) * sum_j mismatch_j * dt + O(dt)`` of the target path
     started at the same point.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if callable(ref_velocity):
-        w = np.stack([np.asarray(ref_velocity(j), dtype=float).reshape(-1) for j in range(steps)])
-    else:
-        w = np.asarray(ref_velocity, dtype=float).reshape(steps, -1)
+    w = np.asarray(ref_velocity, dtype=float).reshape(steps, -1)
     if not np.all(np.isfinite(w)):
         raise ValueError("reference velocities must be finite")
-    z = x0 + np.vstack([np.zeros(w.shape[1]), np.cumsum(w * dt, axis=0)])
-    states = np.empty((steps + 1, p.n))
-    ctrl = np.empty((steps, p.controls.dim))
-    states[0] = x0
-    for j in range(steps):
-        t = t0 + j * dt
-        u, _ = _select_control(p, t, states[j], w[j], z[j + 1], dt, level)
-        ctrl[j] = u
-        states[j + 1] = _rk4_step(p.f, t, states[j], u, dt)
-    return Trajectory(t0 + dt * np.arange(steps + 1), states, ctrl, dt)
+    return Trajectory(t0 + dt * np.arange(steps + 1),
+                      *_march(p, t0, x0, steps, dt, _nearest_rule(p, x0, w, dt, level)), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +254,7 @@ def viable_trajectory(
     the tube wall instead of retreating eta-deep.
     """
     if steps is None:
+        _check_grid(dt)
         steps = max(1, int(round((t1 - t0) / dt)))
     x = np.asarray(x0, dtype=float).reshape(-1)
     if not geo.is_feasible(p, t0, x):
@@ -255,28 +264,21 @@ def viable_trajectory(
         trig = min(cert.eta, 1.5 * (p.data.M + p.data.omega_lip) * dt)
     gb = np.maximum(p.grad_bounds(), 1e-12)
     mux = _MixtureMultiplexer(1)
-    states = np.empty((steps + 1, p.n))
-    ctrl = np.empty((steps, p.controls.dim))
-    states[0] = x
-    for j in range(steps):
-        t = t0 + j * dt
-        hv = geo.eval_constraints(p, t, states[j])
+
+    def choose(j, t, x):
+        hv = geo.eval_constraints(p, t, x)
         viol = float(hv.max()) if p.m else -math.inf
         if viol > geo.TOL_FEAS:
             raise ViabilityLost(f"feasibility lost at t={t} (max h = {viol:.3e}); dt too coarse?")
-        in_tube = p.m > 0 and bool(np.any(hv >= -trig * gb))
-        if in_tube:
-            mr = inward_margin(p, t, states[j], cert.delta, level)
+        if p.m > 0 and bool(np.any(hv >= -trig * gb)):
+            mr = inward_margin(p, t, x, cert.delta, level)
             if math.isfinite(mr.r) and mr.r <= 0:
                 raise ViabilityLost(f"nonpositive inward margin at t={t}")
             if math.isfinite(mr.r):
-                u = p.controls.at(t, level)[mux.pick(mr.alpha)]
-            else:
-                u = p.default_control
-        else:
-            u = p.default_control
-        ctrl[j] = u
-        states[j + 1] = _rk4_step(p.f, t, states[j], u, dt)
+                return p.controls.at(t, level)[mux.pick(mr.alpha)]
+        return p.default_control
+
+    states, ctrl = _march(p, t0, x, steps, dt, choose)
     if not geo.is_feasible(p, t0 + steps * dt, states[-1]):
         raise ViabilityLost("feasibility lost at the final node; dt too coarse?")
     return Trajectory(t0 + dt * np.arange(steps + 1), states, ctrl, dt)
@@ -443,20 +445,15 @@ def _case_push_and_replay(p, cert, cons, t_a, ref_states, rho_c, dt, level):
     if math.isfinite(mr.r):
         s = min(int(math.ceil(cons.k_shift * rho_c / dt)), steps)
     w = np.vstack([np.repeat(mr.v[None, :], s, axis=0), refvel[: steps - s]])
-    z = start + np.vstack([np.zeros(p.n), np.cumsum(w * dt, axis=0)])
+    replay = _nearest_rule(p, start, w, dt, level)
     mux = _MixtureMultiplexer(len(mr.alpha))
-    states = np.empty((steps + 1, p.n))
-    ctrl = np.empty((steps, p.controls.dim))
-    states[0] = start
-    for j in range(steps):
-        t = t_a + j * dt
+
+    def choose(j, t, x):
         if j < s:
-            u = p.controls.at(t, level)[mux.pick(mr.alpha)]
-        else:
-            u, _ = _select_control(p, t, states[j], w[j], z[j + 1], dt, level)
-        ctrl[j] = u
-        states[j + 1] = _rk4_step(p.f, t, states[j], u, dt)
-    return states, ctrl
+            return p.controls.at(t, level)[mux.pick(mr.alpha)]
+        return replay(j, t, x)
+
+    return _march(p, t_a, start, steps, dt, choose)
 
 
 def nft_correct(
@@ -671,10 +668,7 @@ def track_feasible(
     while remaining > 1e-9:
         span = min(1.0, remaining)
         steps = max(1, int(round(span / dt)))
-        refvel = np.stack([
-            (ref.state_at(t + (j + 1) * dt) - ref.state_at(t + j * dt)) / dt
-            for j in range(steps)
-        ])
+        refvel = np.diff(ref.state_at(t + np.arange(steps + 1) * dt), axis=0) / dt
         proj = filippov_project(p, t, cur, refvel, steps, dt, level)
         repaired = nft_correct(p, cert, proj, level, constants=cons)
         all_states.append(repaired.corrected.states[1:])
@@ -690,8 +684,5 @@ def track_feasible(
     ctrl = np.vstack(all_ctrl)
     times = t0 + dt * np.arange(len(states))
     traj = Trajectory(times, states, ctrl, dt)
-    devs = np.array([
-        float(np.linalg.norm(traj.states[j] - ref.state_at(float(times[j]))))
-        for j in range(len(times))
-    ])
+    devs = np.linalg.norm(traj.states - ref.state_at(times), axis=1)
     return TrackingRun(traj, tc, devs, offset)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from feastube import cli
+from feastube.problem import registered_problems
 from feastube import value as val
 
 
@@ -142,3 +143,17 @@ def test_pipeline_artifacts_parse_back(tmp_path, capsys):
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["ok"]
     assert (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("name", registered_problems())
+@pytest.mark.parametrize("cmd", ["nft", "track"])
+def test_run_defaults_on_every_problem(cmd, name, capsys):
+    assert cli.run([cmd, "run", "--problem", name]) == 0
+    assert _capture(capsys)["cmd"] == f"{cmd} run"
+
+
+@pytest.mark.parametrize("dt", ["0", "-0.001"])
+@pytest.mark.parametrize("cmd", ["nft", "track"])
+def test_run_rejects_nonpositive_dt(cmd, dt, capsys):
+    assert cli.run([cmd, "run", "--problem", "moving-wall-1d", "--dt", dt]) == 1
+    assert "dt" in _capture(capsys)["error"]

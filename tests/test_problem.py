@@ -11,7 +11,7 @@ from feastube.errors import (
     UnsupportedModulusForm,
 )
 
-from util import simple_problem, unit_velocity, zero_cost
+from util import _affine, simple_problem, unit_velocity, zero_cost
 
 
 # --- registry ---------------------------------------------------------------
@@ -171,6 +171,28 @@ def test_assumptions_vacuous_tube_without_constraints():
     p = simple_problem(unit_velocity, zero_cost)
     rep = pb.verify_data_assumptions(p, seed=0)
     assert rep["tube-bounded"].status == "vacuous"
+
+
+def test_assumptions_nan_constraint_fails_tube_check():
+    # a NaN h used to drop every point from the tube, which then passed empty
+    wall = _affine("nan-wall", [1.0], lambda t: np.nan + 0.0 * np.asarray(t))
+    p = simple_problem(unit_velocity, zero_cost, constraints=[wall])
+    rep = pb.verify_data_assumptions(p, seed=0)
+    check = rep["tube-bounded"]
+    assert check.status == "fail" and not rep.ok
+    assert check.worst_witness["t"] == 0.0
+    assert check.worst_witness["x"] is not None
+
+
+def test_velocities_broadcast_and_shape_error(moving_wall):
+    u, v = moving_wall.velocities(0.0, [0.3])
+    assert v.shape == (len(u), 1) and np.array_equal(v, u)
+    const = simple_problem(lambda t, x, u: np.array([0.5]), zero_cost)
+    u, v = const.velocities(0.0, [0.0])
+    assert v.shape == (len(u), 1) and np.all(v == 0.5)
+    bad = simple_problem(lambda t, x, u: np.ones(3), zero_cost)
+    with pytest.raises(ValueError):
+        bad.velocities(0.0, [0.0])
 
 
 def test_assumptions_failures_monotone_in_density():

@@ -60,6 +60,44 @@ def test_trajectory_residual_contract(moving_wall):
         assert np.linalg.norm(traj.states[j + 1] - step) <= tj.TOL_ODE
 
 
+def test_rk4_step_rejects_nan_state():
+    def f(t, x, u):
+        return np.full_like(np.asarray(x, dtype=float), np.nan)
+
+    with pytest.raises(NonFiniteState, match="blow-up"):
+        tj._rk4_step(f, 0.0, np.zeros(1), np.zeros(1), 0.1)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+def test_every_construction_rejects_nonpositive_dt(moving_wall, mw_cert, dt):
+    with pytest.raises(ValueError, match="dt"):
+        tj.integrate(moving_wall, 0.0, [0.0], [1] * 10, 10, dt)
+    with pytest.raises(ValueError, match="dt"):
+        tj.integrate_controls(moving_wall, 0.0, [0.0], np.zeros((10, 1)), dt)
+    with pytest.raises(ValueError, match="dt"):
+        tj.filippov_project(moving_wall, 0.0, [0.0], np.zeros((10, 1)), 10, dt)
+    for steps in (None, 10):
+        with pytest.raises(ValueError, match="dt"):
+            tj.viable_trajectory(moving_wall, mw_cert, 0.0, [0.0], 1.0, dt, steps=steps)
+
+
+def test_integrate_controls_rejects_no_steps(moving_wall):
+    with pytest.raises(ValueError, match="steps"):
+        tj.integrate_controls(moving_wall, 0.0, [0.0], np.zeros((0, 1)), 0.1)
+
+
+def test_state_at_array_matches_scalar(corridor):
+    ref = tj.integrate(corridor, 0.3, [0.1, -0.2], [0, 5, 7, 3, 8] * 8, 40, 0.025)
+    ts = 0.3 + np.array([0.0, 0.0123, 0.5, 0.77, 1.0 + 5e-10])
+    got = ref.state_at(ts)
+    assert got.shape == (len(ts), 2)
+    for row, t in zip(got, ts):
+        assert np.array_equal(row, ref.state_at(float(t)))
+    assert ref.state_at(0.3).shape == (2,)
+    with pytest.raises(ValueError, match="outside"):
+        ref.state_at(np.array([0.5, 1.4]))
+
+
 # --- velocity projection ------------------------------------------------------------
 
 def test_filippov_reproduces_realizable_reference(moving_wall):
