@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: the game oracle
 enumerates equalizing square subsystems and simplex grids instead of running
 a simplex method; the value oracle walks the full control tree; the repair
 oracle enumerates every coarse control sequence; the geometry references
-evaluate one constraint at one point at a time and bisect one ray at a time.
+evaluate one constraint at one point at a time and bisect one ray at a time;
+the step-loop references write out one RK4 loop per trajectory construction.
 """
 
 from itertools import combinations, product
