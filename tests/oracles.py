@@ -5,14 +5,17 @@ enumerates equalizing square subsystems and simplex grids instead of running
 a simplex method; the value oracle walks the full control tree; the repair
 oracle enumerates every coarse control sequence; the geometry references
 evaluate one constraint at one point at a time and bisect one ray at a time;
-the step-loop references write out one RK4 loop per trajectory construction.
+the step-loop references write out one RK4 loop per trajectory construction;
+the backstep reference interpolates once per velocity/cost candidate.
 """
 
+import math
 from itertools import combinations, product
 
 import numpy as np
 
 from feastube import geometry as geo
+from feastube import value as val
 
 
 def game_value_enum(Q):
@@ -313,3 +316,21 @@ def push_and_replay_loop(p, cert, cons, t_a, ref_states, rho_c, dt, level=0):
         p, t_a, start, w, dt, level, push=s,
         push_pick=lambda t: p.controls.at(t, level)[mux.pick(mr.alpha)],
     )
+
+
+# ---------------------------------------------------------------------------
+# backstep reference: one interpolation per velocity/cost candidate
+# ---------------------------------------------------------------------------
+
+def backstep_loop(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level,
+                  relaxed, mixture_grid):
+    """Semi-Lagrangian backstep with the signature of ``value._backstep``:
+    every candidate's foot points are interpolated on their own."""
+    f_all, L_all = val._candidates(p, t, nodes, level, relaxed, mixture_grid)
+    best = np.full(nodes.shape[0], np.inf)
+    disc = math.exp(-lam * t)
+    grid_next = next_slice.reshape(shape)
+    for r in range(f_all.shape[0]):
+        vn = val._interp_clipped(axes, grid_next, nodes + dt * f_all[r])
+        best = np.minimum(best, disc * L_all[r] * dt + vn)
+    return np.where(feas_now, best, np.inf)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feastube import problem as pb
 from feastube import value as val
 from feastube.errors import DiscountTooSmall, GridMismatch, GridTooCoarse, OutOfGrid
 
-from oracles import tree_value
+from oracles import backstep_loop, tree_value
 from util import constant_cost_problem, simple_problem, unit_velocity, zero_cost
 
 
@@ -264,3 +266,81 @@ def test_terminal_slice_zero(moving_wall):
     f = val.solve_value(moving_wall, 2.0, g, relaxed=False, horizon=1.0)
     last = f.values[-1].ravel()
     assert np.all(last[np.isfinite(last)] == 0.0)
+
+
+# --- backstep against the per-candidate reference ------------------------------------
+
+MIXTURES = ((False, 4), (True, 1), (True, 2), (True, 4))   # (relaxed, mixture grid)
+
+
+def _small_grid(p, t0, stretch, size):
+    """A grid over the working box with one step reaching ``stretch`` >= 1
+    space steps, so that no feasible node is stranded.  ``size`` nodes per
+    axis in 1-D (13 to 41 keep the box M*dt beyond the feasible set);
+    corridor-2d gets ``size`` (9 to 13) along x and ``2 size - 5`` along y."""
+    shape = (size,) if p.n == 1 else (size, 2 * size - 5)
+    dx = max((p.box[d, 1] - p.box[d, 0]) / (shape[d] - 1) for d in range(p.n))
+    return val.grid_for(p, shape, float(stretch * dx / p.data.M), t0)
+
+
+def _size_range(p):
+    return (13, 41) if p.n == 1 else (9, 13)
+
+
+@pytest.mark.parametrize("name", pb.registered_problems())
+def test_backstep_matches_loop_reference(name, monkeypatch):
+    p = pb.get_problem(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for _ in range(2):
+        lo, hi = _size_range(p)
+        size = int(rng.integers(lo, hi + 1))
+        g = _small_grid(p, float(rng.uniform(0.0, 2 * math.pi)), rng.uniform(1.0, 1.5), size)
+        horizon = g.t0 + 5 * g.dt
+        nodes, axes = g.nodes(), g.axes()
+        P = nodes.shape[0]
+        for relaxed, mg in MIXTURES:
+            f = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg, horizon=horizon)
+            noisy = val.ValueField(**{**f.__dict__,
+                                      "values": f.values + rng.uniform(0.0, 1e-3, f.values.shape)})
+            residuals = [val.bellman_residual(p, noisy, i) for i in range(5)]
+            # an arbitrary next slice with infeasible holes and a ragged feasible set
+            nxt = np.where(rng.random(P) < 0.2, np.inf, rng.uniform(0.0, 2.0, P))
+            feas = rng.random(P) < 0.9
+            args = (p, p.lam, axes, g.shape, nodes, float(g.t0 + g.dt), g.dt, nxt, feas, 0,
+                    relaxed, mg)
+            step = val._backstep(*args)
+            with monkeypatch.context() as m:
+                m.setattr(val, "_backstep", backstep_loop)
+                ref = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg,
+                                      horizon=horizon)
+                assert [val.bellman_residual(p, noisy, i) for i in range(5)] == residuals
+            assert np.array_equal(f.values, ref.values)
+            assert max(residuals) > 0.0
+            assert np.array_equal(step, backstep_loop(*args))
+
+
+_REGISTERED = {name: pb.get_problem(name) for name in pb.registered_problems()}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_REGISTERED)),
+    t0=st.floats(min_value=0.0, max_value=2 * math.pi),
+    stretch=st.floats(min_value=1.0, max_value=1.5),
+    data=st.data(),
+)
+def test_relaxed_fields_nest_with_mixture_grid(name, t0, stretch, data):
+    # grid 1 holds only the sampled controls; grid 2's weights are grid 4's
+    p = _REGISTERED[name]
+    lo, hi = _size_range(p)
+    g = _small_grid(p, t0, stretch, data.draw(st.integers(lo, hi), label="size"))
+    horizon = g.t0 + 4 * g.dt
+    plain, *relaxed = (
+        val.solve_value(p, p.lam, g, relaxed=r, mixture_grid=mg, horizon=horizon)
+        for r, mg in MIXTURES
+    )
+    assert np.array_equal(relaxed[0].values, plain.values)
+    for fine, coarse in ((relaxed[2], relaxed[1]), (relaxed[1], relaxed[0])):
+        finite = np.isfinite(coarse.values)
+        assert np.all(np.isfinite(fine.values[finite]))
+        assert np.all(fine.values[finite] <= coarse.values[finite] + val.TOL_DP)
