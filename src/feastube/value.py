@@ -9,6 +9,12 @@ corner is infeasible, so feasibility information propagates exactly.
 The relaxed variant minimizes over simplex mixtures of up to n+1 sampled
 controls on a barycentric weight grid; the plain variant uses the sampled
 controls alone (identical to mixture resolution 1).
+
+Each backward step interpolates once per distinct candidate velocity array:
+candidates with equal velocities are grouped exactly (hash of the bytes,
+confirmed by comparison) under their per-node minimum cost, which leaves
+every field bit-identical to one interpolation per candidate.  The groups'
+foot points are interpolated in batches of a bounded point count.
 """
 
 from __future__ import annotations
@@ -109,33 +115,27 @@ def relaxed_velocity_set(
     level: int = 0,
     mixture_grid: int = 4,
 ) -> list[RelaxedVelocity]:
-    """Mixture velocities and costs at (t, x), deduplicated within 1e-12.
+    """Mixture velocities and costs at (t, x), one per distinct (f*, L*).
 
+    These are the relaxed solver's candidates at the single node ``x``.
     Resolution 1 returns exactly the unrelaxed sampled velocities.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u, vels = p.velocities(t, x, level)
-    costs = np.broadcast_to(
-        np.asarray(p.running_cost(t, x, u), dtype=float), (u.shape[0],)
-    ).astype(float)
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    u = p.controls.at(t, level)
     W = _mixture_matrix(u.shape[0], p.n + 1, mixture_grid)
-    f_star = W @ vels
-    L_star = W @ costs
+    f_star, L_star = _candidates(p, t, x, level, True, mixture_grid)
+    slot = np.arange(p.n + 1)
     out: list[RelaxedVelocity] = []
     seen: set[tuple] = set()
-    for row, fs, ls in zip(W, f_star, L_star):
-        key = tuple(np.round(fs, 12)) + (round(float(ls), 12),)
+    for row, fs, ls in zip(W, f_star[:, 0], L_star[:, 0]):
+        key = (*fs.tolist(), float(ls))
         if key in seen:
             continue
         seen.add(key)
-        sup = np.where(row > 0)[0]
-        ctrl = np.zeros((p.n + 1, p.controls.dim))
-        wts = np.zeros(p.n + 1)
-        for slot in range(p.n + 1):
-            j = sup[min(slot, len(sup) - 1)]
-            ctrl[slot] = u[j]
-            wts[slot] = row[j] if slot < len(sup) else 0.0
-        out.append(RelaxedVelocity(ctrl, wts, fs, float(ls)))
+        sup = np.flatnonzero(row)
+        pick = sup[np.minimum(slot, len(sup) - 1)]    # pad with the last support control
+        out.append(RelaxedVelocity(u[pick], np.where(slot < len(sup), row[pick], 0.0),
+                                   fs, float(ls)))
     return out
 
 
@@ -301,7 +301,7 @@ def evaluate_value(field: ValueField, t: float, x) -> float:
 
 
 def _candidates(p, t, nodes, level, relaxed, mixture_grid):
-    """Velocity/cost candidates at a time slice: arrays (R, P, n) and (R, P)."""
+    """Velocity/cost candidates at a time slice: fresh arrays (R, P, n) and (R, P)."""
     u = p.controls.at(t, level)
     k = u.shape[0]
     P = nodes.shape[0]
@@ -320,17 +320,43 @@ def _candidates(p, t, nodes, level, relaxed, mixture_grid):
     return np.tensordot(W, f_all, axes=(1, 0)), np.tensordot(W, L_all, axes=(1, 0))
 
 
+# Foot points per _interp_clipped call in a backstep; bounds its temporaries.
+_INTERP_CHUNK = 8192
+
+
 def _backstep(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level, relaxed, mixture_grid):
-    f_all, L_all = _candidates(p, t, nodes, level, relaxed, mixture_grid)
-    best = np.full(nodes.shape[0], np.inf)
-    disc = math.exp(-lam * t)
-    grid_next = next_slice.reshape(shape)
+    """Minimum over candidates of discounted running cost plus the next slice
+    interpolated at the candidate's foot point; +inf off ``feas_now``.
+
+    Candidates with equal velocity arrays share their foot points, so each
+    such group is interpolated once, against its per-node minimum cost.  This
+    is exact: ``fl(c + v)`` is monotone in ``c``.  The groups' foot points go
+    through ``_interp_clipped`` together, ``_INTERP_CHUNK`` points at a time.
+    """
+    f_all, cost = _candidates(p, t, nodes, level, relaxed, mixture_grid)
+    cost *= math.exp(-lam * t)            # disc * L * dt, rounded in that order
+    cost *= dt
+    reps: list[int] = []                  # first candidate of each velocity group
+    buckets: dict[int, list[int]] = {}    # hash of velocity bytes -> its reps
     for r in range(f_all.shape[0]):
-        xn = nodes + dt * f_all[r]
-        vn = _interp_clipped(axes, grid_next, xn)
-        best = np.minimum(best, disc * L_all[r] * dt + vn)
-    best = np.where(feas_now, best, np.inf)
-    return best
+        bucket = buckets.setdefault(hash(f_all[r].tobytes()), [])
+        for g in bucket:
+            if np.array_equal(f_all[g], f_all[r]):
+                np.minimum(cost[g], cost[r], out=cost[g])
+                break
+        else:
+            bucket.append(r)
+            reps.append(r)
+    P = nodes.shape[0]
+    grid_next = next_slice.reshape(shape)
+    per_call = max(1, _INTERP_CHUNK // P)
+    best = np.full(P, np.inf)
+    for lo in range(0, len(reps), per_call):
+        group = reps[lo:lo + per_call]
+        feet = (nodes + dt * f_all[group]).reshape(-1, nodes.shape[1])
+        vn = _interp_clipped(axes, grid_next, feet).reshape(len(group), P)
+        np.minimum(best, (cost[group] + vn).min(axis=0), out=best)
+    return np.where(feas_now, best, np.inf)
 
 
 def solve_value(
