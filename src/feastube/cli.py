@@ -282,6 +282,8 @@ def _cmd_nft(cfg: dict) -> int:
     uref = _vector(cfg["uref"], p.controls.dim, p.default_control)
     if not cfg["dt"] > 0:
         raise ValueError(f"need dt > 0, got dt={cfg['dt']}")
+    if not t1 > t0:
+        raise ValueError(f"need t1 > t0, got t0={t0}, t1={t1}")
     steps = int(round((t1 - t0) / cfg["dt"]))
     ref = tj.integrate_controls(p, t0, x0, np.tile(uref, (steps, 1)), cfg["dt"])
     ver = _ipc_certificate(cfg, p, (t0, t1 + 1.0))

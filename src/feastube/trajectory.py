@@ -222,6 +222,7 @@ def filippov_project(
     ``exp(theta_phi(T)) * sum_j mismatch_j * dt + O(dt)`` of the target path
     started at the same point.
     """
+    _check_grid(dt, steps)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     w = np.asarray(ref_velocity, dtype=float).reshape(steps, -1)
     if not np.all(np.isfinite(w)):

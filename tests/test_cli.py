@@ -157,3 +157,11 @@ def test_run_defaults_on_every_problem(cmd, name, capsys):
 def test_run_rejects_nonpositive_dt(cmd, dt, capsys):
     assert cli.run([cmd, "run", "--problem", "moving-wall-1d", "--dt", dt]) == 1
     assert "dt" in _capture(capsys)["error"]
+
+
+@pytest.mark.parametrize("t1", ["0.5", "1"])
+def test_nft_run_rejects_t1_not_after_t0(t1, capsys):
+    args = ["nft", "run", "--problem", "moving-wall-1d", "--t0", "1", "--t1", t1]
+    assert cli.run(args) == 1
+    err = _capture(capsys)["error"]
+    assert "t0=1.0" in err and f"t1={float(t1)}" in err

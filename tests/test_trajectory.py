@@ -86,6 +86,12 @@ def test_integrate_controls_rejects_no_steps(moving_wall):
         tj.integrate_controls(moving_wall, 0.0, [0.0], np.zeros((0, 1)), 0.1)
 
 
+@pytest.mark.parametrize("steps", [0, -2])
+def test_filippov_project_rejects_no_steps(moving_wall, steps):
+    with pytest.raises(ValueError, match=f"need steps >= 1, got steps={steps}"):
+        tj.filippov_project(moving_wall, 0.0, [0.0], np.zeros((0, 1)), steps, 0.1)
+
+
 def test_state_at_array_matches_scalar(corridor):
     ref = tj.integrate(corridor, 0.3, [0.1, -0.2], [0, 5, 7, 3, 8] * 8, 40, 0.025)
     ts = 0.3 + np.array([0.0, 0.0123, 0.5, 0.77, 1.0 + 5e-10])
