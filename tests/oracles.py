@@ -6,16 +6,24 @@ a simplex method; the value oracle walks the full control tree; the repair
 oracle enumerates every coarse control sequence; the geometry references
 evaluate one constraint at one point at a time and bisect one ray at a time;
 the step-loop references write out one RK4 loop per trajectory construction;
-the backstep reference interpolates once per velocity/cost candidate.
+the backstep reference interpolates once per velocity/cost candidate;
+the CLI references keep ``analyze`` and ``pipeline`` as two separate copies
+of the four value-function checks.
 """
 
 import math
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 
+from feastube import analysis as ana
+from feastube import cli
 from feastube import geometry as geo
+from feastube import trajectory as tj
 from feastube import value as val
+from feastube.errors import DiscountBelowThreshold
+from feastube.problem import SamplingSpec, verify_data_assumptions
 
 
 def game_value_enum(Q):
@@ -334,3 +342,161 @@ def backstep_loop(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level
         vn = val._interp_clipped(axes, grid_next, nodes + dt * f_all[r])
         best = np.minimum(best, disc * L_all[r] * dt + vn)
     return np.where(feas_now, best, np.inf)
+
+
+# ---------------------------------------------------------------------------
+# CLI references: ``analyze`` and ``pipeline`` with their own check code
+# ---------------------------------------------------------------------------
+
+def _tracking_constants(cfg, p, ver, horizon):
+    cons = tj.derive_nft_constants(p, ver.certificate, 1.0)
+    return tj.derive_tracking_constants(p, cons.beta, horizon), cons
+
+
+def _time_lip_bound(p, field, probes, level):
+    return ana.velocity_cost_sup(field, p, probes, level) * 1.05 + 0.1
+
+
+def cli_analyze(cfg, action):
+    """``feastube analyze <action>`` with one branch per check."""
+    p = cli._problem_from(cfg)
+    lam = cfg["lam"] if cfg["lam"] is not None else p.lam
+    ver = cli._ipc_certificate(cfg, p)
+    if not ver.ok:
+        cli._emit({"cmd": f"analyze {action}", "ok": False,
+                   "reason": "margin verification failed"})
+        return 2
+    grid = cli._grid_from(cfg, p)
+    results = {}
+    skipped = None
+    if action == "lipschitz":
+        field = val.solve_value(p, lam, grid, relaxed=True, tol=cfg["tol"],
+                                level=cfg["level"], mixture_grid=cfg["mixture_grid"],
+                                horizon=cli._horizon_arg(cfg))
+        tc, _ = _tracking_constants(cfg, p, ver, field.T)
+        try:
+            prof = ana.lipschitz_profile(field, tc, pair_budget=cfg["pair_budget"],
+                                         seed=cfg["seed"])
+            results["lipschitz"] = prof
+            ok = prof.passed
+        except DiscountBelowThreshold as exc:
+            skipped, ok = str(exc), True
+    elif action == "decay":
+        field = val.solve_value(p, lam, grid, relaxed=True, tol=cfg["tol"],
+                                level=cfg["level"], mixture_grid=cfg["mixture_grid"],
+                                horizon=cli._horizon_arg(cfg))
+        traj = tj.viable_trajectory(p, ver.certificate, field.t0,
+                                    np.asarray(p.anchor(field.t0)), field.T, field.dt)
+        dec = ana.decay_check(p, field, traj, tol_decay=cfg["tol_decay"])
+        results["decay"] = dec
+        ok = dec.passed
+    elif action == "relax":
+        fV = val.solve_value(p, lam, grid, relaxed=False, tol=cfg["tol"],
+                             level=cfg["level"], horizon=cli._horizon_arg(cfg))
+        fVs = val.solve_value(p, lam, grid, relaxed=True, tol=cfg["tol"],
+                              level=cfg["level"], mixture_grid=cfg["mixture_grid"],
+                              horizon=cli._horizon_arg(cfg))
+        gap = ana.relaxation_gap(fV, fVs)
+        results["relaxation"] = gap
+        ok = gap.passed
+    elif action == "time-lip":
+        field = val.solve_value(p, lam, grid, relaxed=True, tol=cfg["tol"],
+                                level=cfg["level"], mixture_grid=cfg["mixture_grid"],
+                                horizon=cli._horizon_arg(cfg))
+        tc, _ = _tracking_constants(cfg, p, ver, field.T)
+        probes = (np.array([cli._vector(s, p.n) for s in str(cfg["probes"]).split(";")])
+                  if cfg["probes"] else np.asarray(p.anchor(field.t0))[None, :])
+        N = _time_lip_bound(p, field, probes, cfg["level"])
+        try:
+            tl = ana.time_lipschitz_check(field, p, tc, N, probes, level=cfg["level"])
+            results["time_lipschitz"] = tl
+            ok = tl.passed
+        except DiscountBelowThreshold as exc:
+            skipped, ok = str(exc), True
+    else:
+        raise ValueError(f"unknown analyze action {action!r}")
+    if cfg["out"]:
+        emitted = {k: v for k, v in results.items()}
+        if skipped:
+            emitted["skipped"] = {"reason": skipped}
+        ana.emit_report(emitted, Path(cfg["out"]))
+    line = {"cmd": f"analyze {action}", "ok": ok}
+    if skipped:
+        line["skipped"] = skipped
+    cli._emit(line)
+    return 0 if ok else 2
+
+
+def cli_pipeline(cfg):
+    """``feastube pipeline`` repeating the four checks; the time check runs
+    at the anchor only, whatever ``probes`` says."""
+    if not cfg["out"]:
+        raise ValueError("pipeline needs --out")
+    outdir = Path(cfg["out"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    p = cli._problem_from(cfg)
+    lam = cfg["lam"] if cfg["lam"] is not None else p.lam
+    ana.write_json(outdir / "config.json",
+                   {k: (list(v) if isinstance(v, (list, tuple)) else v)
+                    for k, v in sorted(cfg.items()) if k != "out"})
+
+    report = verify_data_assumptions(p, SamplingSpec(), seed=cfg["seed"])
+    ana.write_json(outdir / "assumptions.json", report.to_jsonable())
+    verdicts = {"assumptions": report.ok}
+
+    ver = cli._ipc_certificate(cfg, p)
+    ana.write_json(outdir / "certificate.json", ver.to_jsonable())
+    verdicts["ipc"] = ver.ok
+    if not ver.ok:
+        ana.write_json(outdir / "verdicts.json", verdicts)
+        cli._emit({"cmd": "pipeline", "ok": False, "verdicts": verdicts})
+        return 2
+
+    cons = tj.derive_nft_constants(p, ver.certificate, 1.0)
+    ana.write_json(outdir / "nft_constants.json", cons.to_jsonable())
+
+    grid = cli._grid_from(cfg, p)
+    fV = val.solve_value(p, lam, grid, relaxed=False, tol=cfg["tol"],
+                         level=cfg["level"], horizon=cli._horizon_arg(cfg))
+    fVs = val.solve_value(p, lam, grid, relaxed=True, tol=cfg["tol"],
+                          level=cfg["level"], mixture_grid=cfg["mixture_grid"],
+                          horizon=cli._horizon_arg(cfg))
+    cli.write_field(outdir, "field", fV)
+    cli.write_field(outdir, "field_relaxed", fVs)
+
+    tc = tj.derive_tracking_constants(p, cons.beta, fVs.T)
+    ana.write_json(outdir / "tracking_constants.json", tc.to_jsonable())
+
+    results = {}
+    try:
+        prof = ana.lipschitz_profile(fVs, tc, pair_budget=cfg["pair_budget"],
+                                     seed=cfg["seed"])
+        results["lipschitz"] = prof
+        verdicts["lipschitz"] = prof.passed
+    except DiscountBelowThreshold as exc:
+        verdicts["lipschitz"] = f"skipped: {exc}"
+
+    traj = tj.viable_trajectory(p, ver.certificate, fVs.t0,
+                                np.asarray(p.anchor(fVs.t0)), fVs.T, fVs.dt)
+    dec = ana.decay_check(p, fVs, traj, tol_decay=cfg["tol_decay"])
+    results["decay"] = dec
+    verdicts["decay"] = dec.passed
+
+    gap = ana.relaxation_gap(fV, fVs)
+    results["relaxation"] = gap
+    verdicts["relaxation"] = gap.passed
+
+    probes = np.asarray(p.anchor(fVs.t0))[None, :]
+    try:
+        tl = ana.time_lipschitz_check(fVs, p, tc, _time_lip_bound(p, fVs, probes, cfg["level"]),
+                                      probes, level=cfg["level"])
+        results["time_lipschitz"] = tl
+        verdicts["time_lipschitz"] = tl.passed
+    except DiscountBelowThreshold as exc:
+        verdicts["time_lipschitz"] = f"skipped: {exc}"
+
+    ana.emit_report(results, outdir)
+    ana.write_json(outdir / "verdicts.json", verdicts)
+    ok = all(v is True or isinstance(v, str) for v in verdicts.values())
+    cli._emit({"cmd": "pipeline", "ok": ok, "verdicts": verdicts})
+    return 0 if ok else 2

@@ -8,6 +8,29 @@ from feastube import cli
 from feastube.problem import registered_problems
 from feastube import value as val
 
+import oracles
+
+# The certify benchmark's settings: --lambda 120 (above every problem's
+# tracking rate, so no check is skipped) with an explicit grid and horizon.
+CERTIFY_GRID = {               # problem: (--grid DX,DT, horizon length)
+    "moving-wall-1d": ("0.05,0.05", 4.0),
+    "quadratic-cost-1d": ("0.05,0.05", 4.0),
+    "hover-1d": ("0.01,0.01", 2.0),
+    "corridor-2d": ("0.1,0.1", 1.0),
+}
+CERTIFY_T0 = 1.25
+
+
+def _certify_args(name):
+    grid, length = CERTIFY_GRID[name]
+    return ["--problem", name, "--lambda", "120", "--grid", grid,
+            "--t0", repr(CERTIFY_T0), "--horizon", repr(CERTIFY_T0 + length),
+            "--seed", "7"]
+
+
+# lambda 6 sits below moving-wall's tracking rate: lipschitz and time-lip skip.
+SKIPPING_ARGS = ["--problem", "moving-wall-1d", "--lambda", "6", "--points", "61"]
+
 
 def _capture(capsys):
     out = capsys.readouterr().out.strip().splitlines()
@@ -165,3 +188,36 @@ def test_nft_run_rejects_t1_not_after_t0(t1, capsys):
     assert cli.run(args) == 1
     err = _capture(capsys)["error"]
     assert "t0=1.0" in err and f"t1={float(t1)}" in err
+
+
+def _tree(root):
+    return {str(fp.relative_to(root)): fp.read_bytes()
+            for fp in sorted(root.rglob("*")) if fp.is_file()}
+
+
+def _oracle_run(argv):
+    args = cli._build_parser().parse_args(argv)
+    cfg = cli.resolve_config(args)
+    if args.command == "pipeline":
+        return oracles.cli_pipeline(cfg)
+    return oracles.cli_analyze(cfg, args.action)
+
+
+@pytest.mark.parametrize("command", ["pipeline", "analyze lipschitz", "analyze decay",
+                                     "analyze relax", "analyze time-lip"])
+@pytest.mark.parametrize("case", sorted(CERTIFY_GRID) + ["skipping"])
+def test_checks_match_separate_copies(case, command, tmp_path, capsys):
+    """analyze and pipeline give the same exit code, stdout and artifact bytes
+    as the reference copies in which each command carries its own checks."""
+    args = SKIPPING_ARGS if case == "skipping" else _certify_args(case)
+    argv = command.split() + args
+    want_code = _oracle_run(argv + ["--out", str(tmp_path / "old")])
+    want_out = capsys.readouterr().out
+    got_code = cli.run(argv + ["--out", str(tmp_path / "new")])
+    got_out = capsys.readouterr().out
+    assert got_code == want_code
+    assert got_out == want_out
+    want, got = _tree(tmp_path / "old"), _tree(tmp_path / "new")
+    assert want and sorted(got) == sorted(want)
+    for rel in want:
+        assert got[rel] == want[rel], rel
