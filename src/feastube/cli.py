@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +25,7 @@ from . import analysis as ana
 from . import geometry as geo
 from . import trajectory as tj
 from . import value as val
-from .errors import (
-    CorrectionFailed,
-    DiscountBelowThreshold,
-    FeastubeError,
-    ViabilityLost,
-)
+from .errors import CorrectionFailed, DiscountBelowThreshold, FeastubeError, ViabilityLost
 from .ipc import verify_ipc
 from .problem import SamplingSpec, get_problem, verify_data_assumptions
 from .value import GridSpec, ValueField
@@ -159,27 +155,20 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
-def _coerce_like(default, raw):
-    if raw is None or not isinstance(raw, str):
-        return raw
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS)
     file_cfg = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    types = _option_types() if file_cfg else {}
     for k, v in file_cfg.items():
         if k in ("set", "sets"):
             continue
         if k not in cfg:
             raise ValueError(f"unknown config key {k!r}")
-        cfg[k] = _coerce_like(_DEFAULTS.get(k), v)
+        try:
+            cfg[k] = types.get(k, str)(v)
+        except ValueError:
+            raise ValueError(
+                f"config key {k!r}: cannot read {v!r} as {types[k].__name__}") from None
     overrides = []
     if "set" in file_cfg:
         overrides.extend(s.strip() for s in file_cfg["set"].split(";") if s.strip())
@@ -233,24 +222,30 @@ def _emit(line: dict) -> None:
     print(json.dumps(line, sort_keys=True))
 
 
+def _outdir(cfg: dict) -> Path:
+    outdir = Path(cfg["out"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_geom(cfg: dict, action: str) -> int:
+def _cmd_geom(cfg: dict, args) -> int:
     p = _problem_from(cfg)
     x = _vector(cfg["x0"], p.n, np.asarray(p.anchor(cfg["t0"])))
-    if action == "dist":
+    if args.action == "dist":
         res = geo.distance_to_omega(p, cfg["t0"], x, oracle=p.n <= 2)
         _emit({"cmd": "geom dist", "t": cfg["t0"], "x": list(map(float, x)),
                **res.to_jsonable()})
         return 0
-    if action == "active":
+    if args.action == "active":
         rep = geo.active_set(p, cfg["t0"], x, cfg["delta"])
         _emit({"cmd": "geom active", "t": cfg["t0"], "x": list(map(float, x)),
                **rep.to_jsonable()})
         return 0
-    raise ValueError(f"unknown geom action {action!r}")
+    raise ValueError(f"unknown geom action {args.action!r}")
 
 
 def _ipc_certificate(cfg: dict, p, horizon=None):
@@ -261,20 +256,18 @@ def _ipc_certificate(cfg: dict, p, horizon=None):
     )
 
 
-def _cmd_ipc(cfg: dict) -> int:
+def _cmd_ipc(cfg: dict, args) -> int:
     p = _problem_from(cfg)
     ver = _ipc_certificate(cfg, p)
     if cfg["out"]:
-        outdir = Path(cfg["out"])
-        outdir.mkdir(parents=True, exist_ok=True)
-        ana.write_json(outdir / "certificate.json", ver.to_jsonable())
+        ana.write_json(_outdir(cfg) / "certificate.json", ver.to_jsonable())
     _emit({"cmd": "ipc verify", "ok": ver.ok,
            "r": None if ver.certificate is None else ver.certificate.r,
            "worst": ver.worst, "n_samples": ver.n_samples})
     return 0 if ver.ok else 2
 
 
-def _cmd_nft(cfg: dict) -> int:
+def _cmd_nft(cfg: dict, args) -> int:
     p = _problem_from(cfg)
     t0 = cfg["t0"]
     t1 = cfg["t1"] if cfg["t1"] is not None else t0 + 1.0
@@ -285,6 +278,9 @@ def _cmd_nft(cfg: dict) -> int:
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got t0={t0}, t1={t1}")
     steps = int(round((t1 - t0) / cfg["dt"]))
+    if steps < 1:
+        raise ValueError(f"--t1 - --t0 = {t1 - t0} is under half a step of "
+                         f"--dt={cfg['dt']}; lengthen the interval or lower --dt")
     ref = tj.integrate_controls(p, t0, x0, np.tile(uref, (steps, 1)), cfg["dt"])
     ver = _ipc_certificate(cfg, p, (t0, t1 + 1.0))
     if not ver.ok:
@@ -297,8 +293,7 @@ def _cmd_nft(cfg: dict) -> int:
         _emit({"cmd": "nft run", "ok": False, "reason": str(exc)})
         return 2
     if cfg["out"]:
-        outdir = Path(cfg["out"])
-        outdir.mkdir(parents=True, exist_ok=True)
+        outdir = _outdir(cfg)
         write_trajectory_csv(outdir / "reference.csv", p, ref)
         write_trajectory_csv(outdir / "corrected.csv", p, res.corrected)
         ana.write_json(outdir / "nft_constants.json", res.constants.to_jsonable())
@@ -307,7 +302,7 @@ def _cmd_nft(cfg: dict) -> int:
     return 0
 
 
-def _cmd_track(cfg: dict) -> int:
+def _cmd_track(cfg: dict, args) -> int:
     p = _problem_from(cfg)
     t0 = cfg["t0"]
     horizon = 5.0 if cfg["horizon"] in (None, "auto") else float(cfg["horizon"])
@@ -326,8 +321,7 @@ def _cmd_track(cfg: dict) -> int:
     bound = run.bound(run.trajectory.times)
     ok = bool(np.all(run.deviations <= bound + 1e-12))
     if cfg["out"]:
-        outdir = Path(cfg["out"])
-        outdir.mkdir(parents=True, exist_ok=True)
+        outdir = _outdir(cfg)
         write_trajectory_csv(outdir / "reference.csv", p, ref)
         write_trajectory_csv(outdir / "tracking.csv", p, run.trajectory)
         ana.write_csv(outdir / "deviations.csv",
@@ -338,19 +332,41 @@ def _cmd_track(cfg: dict) -> int:
     return 0 if ok else 2
 
 
-def _cmd_value(cfg: dict) -> int:
-    p = _problem_from(cfg)
-    lam = cfg["lam"] if cfg["lam"] is not None else p.lam
-    grid = _grid_from(cfg, p)
-    field = val.solve_value(
-        p, lam, grid, relaxed=bool(cfg.get("relaxed")), tol=cfg["tol"],
-        level=cfg["level"], mixture_grid=cfg["mixture_grid"],
-        horizon=_horizon_arg(cfg),
-    )
+class _Run:
+    """One run's inputs, each built at most once and only when first asked for."""
+
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
+        self.p = _problem_from(cfg)
+        self._fields: dict[bool, ValueField] = {}
+
+    @cached_property
+    def ver(self):
+        return _ipc_certificate(self.cfg, self.p)
+
+    def field(self, relaxed: bool) -> ValueField:
+        if relaxed not in self._fields:
+            cfg = self.cfg
+            self._fields[relaxed] = val.solve_value(
+                self.p, self.p.lam, _grid_from(cfg, self.p), relaxed=relaxed,
+                tol=cfg["tol"], level=cfg["level"], mixture_grid=cfg["mixture_grid"],
+                horizon=_horizon_arg(cfg),
+            )
+        return self._fields[relaxed]
+
+    @cached_property
+    def nft(self):
+        return tj.derive_nft_constants(self.p, self.ver.certificate, 1.0)
+
+    @cached_property
+    def tracking(self):
+        return tj.derive_tracking_constants(self.p, self.nft.beta, self.field(True).T)
+
+
+def _cmd_value(cfg: dict, args) -> int:
+    field = _Run(cfg).field(bool(args.relaxed))
     if cfg["out"]:
-        outdir = Path(cfg["out"])
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_field(outdir, "field_relaxed" if field.relaxed else "field", field)
+        write_field(_outdir(cfg), "field_relaxed" if field.relaxed else "field", field)
     finite = int(np.isfinite(field.values[0]).sum())
     _emit({"cmd": "value solve", "ok": True, "T": field.T,
            "tail_bound": field.tail_bound, "finite_at_t0": finite,
@@ -358,149 +374,102 @@ def _cmd_value(cfg: dict) -> int:
     return 0
 
 
-def _tracking_constants(cfg: dict, p, ver, horizon: float):
-    cons = tj.derive_nft_constants(p, ver.certificate, 1.0)
-    return tj.derive_tracking_constants(p, cons.beta, horizon), cons
+# ---------------------------------------------------------------------------
+# the four checks of the value function: one analyze action, one pipeline stage
+# ---------------------------------------------------------------------------
+
+def _check_lipschitz(run: _Run):
+    return ana.lipschitz_profile(run.field(True), run.tracking,
+                                 pair_budget=run.cfg["pair_budget"], seed=run.cfg["seed"])
 
 
-def _cmd_analyze(cfg: dict, action: str) -> int:
-    p = _problem_from(cfg)
-    lam = cfg["lam"] if cfg["lam"] is not None else p.lam
-    ver = _ipc_certificate(cfg, p)
-    if not ver.ok:
-        _emit({"cmd": f"analyze {action}", "ok": False,
-               "reason": "margin verification failed"})
+def _check_decay(run: _Run):
+    p, field = run.p, run.field(True)
+    traj = tj.viable_trajectory(p, run.ver.certificate, field.t0,
+                                np.asarray(p.anchor(field.t0)), field.T, field.dt)
+    return ana.decay_check(p, field, traj, tol_decay=run.cfg["tol_decay"])
+
+
+def _check_relax(run: _Run):
+    return ana.relaxation_gap(run.field(False), run.field(True))
+
+
+def _check_time_lip(run: _Run):
+    p, field, level = run.p, run.field(True), run.cfg["level"]
+    probes = (np.array([_vector(s, p.n) for s in str(run.cfg["probes"]).split(";")])
+              if run.cfg["probes"] else np.asarray(p.anchor(field.t0))[None, :])
+    bound_N = ana.velocity_cost_sup(field, p, probes, level) * 1.05 + 0.1
+    return ana.time_lipschitz_check(field, p, run.tracking, bound_N, probes, level=level)
+
+
+# analyze action: (summary key, check, skipped at or below the growth threshold?),
+# in pipeline order; decay raises DiscountBelowThreshold instead of skipping
+_STAGES = {
+    "lipschitz": ("lipschitz", _check_lipschitz, True),
+    "decay": ("decay", _check_decay, False),
+    "relax": ("relaxation", _check_relax, False),
+    "time-lip": ("time_lipschitz", _check_time_lip, True),
+}
+
+
+def _run_stage(run: _Run, action: str):
+    """``(summary key, result, None)``, or ``(summary key, None, reason)`` when skipped."""
+    key, check, skippable = _STAGES[action]
+    try:
+        return key, check(run), None
+    except DiscountBelowThreshold as exc:
+        if not skippable:
+            raise
+        return key, None, str(exc)
+
+
+def _cmd_analyze(cfg: dict, args) -> int:
+    cmd = f"analyze {args.action}"
+    run = _Run(cfg)
+    if not run.ver.ok:
+        _emit({"cmd": cmd, "ok": False, "reason": "margin verification failed"})
         return 2
-    grid = _grid_from(cfg, p)
-    results: dict[str, object] = {}
-    skipped = None
-    if action == "lipschitz":
-        field = val.solve_value(p, lam, grid, relaxed=True, tol=cfg["tol"],
-                                level=cfg["level"], mixture_grid=cfg["mixture_grid"],
-                                horizon=_horizon_arg(cfg))
-        tc, _ = _tracking_constants(cfg, p, ver, field.T)
-        try:
-            prof = ana.lipschitz_profile(field, tc, pair_budget=cfg["pair_budget"],
-                                         seed=cfg["seed"])
-            results["lipschitz"] = prof
-            ok = prof.passed
-        except DiscountBelowThreshold as exc:
-            skipped, ok = str(exc), True
-    elif action == "decay":
-        field = val.solve_value(p, lam, grid, relaxed=True, tol=cfg["tol"],
-                                level=cfg["level"], mixture_grid=cfg["mixture_grid"],
-                                horizon=_horizon_arg(cfg))
-        traj = tj.viable_trajectory(p, ver.certificate, field.t0,
-                                    np.asarray(p.anchor(field.t0)), field.T, field.dt)
-        dec = ana.decay_check(p, field, traj, tol_decay=cfg["tol_decay"])
-        results["decay"] = dec
-        ok = dec.passed
-    elif action == "relax":
-        fV = val.solve_value(p, lam, grid, relaxed=False, tol=cfg["tol"],
-                             level=cfg["level"], horizon=_horizon_arg(cfg))
-        fVs = val.solve_value(p, lam, grid, relaxed=True, tol=cfg["tol"],
-                              level=cfg["level"], mixture_grid=cfg["mixture_grid"],
-                              horizon=_horizon_arg(cfg))
-        gap = ana.relaxation_gap(fV, fVs)
-        results["relaxation"] = gap
-        ok = gap.passed
-    elif action == "time-lip":
-        field = val.solve_value(p, lam, grid, relaxed=True, tol=cfg["tol"],
-                                level=cfg["level"], mixture_grid=cfg["mixture_grid"],
-                                horizon=_horizon_arg(cfg))
-        tc, _ = _tracking_constants(cfg, p, ver, field.T)
-        probes = (np.array([_vector(s, p.n) for s in str(cfg["probes"]).split(";")])
-                  if cfg["probes"] else np.asarray(p.anchor(field.t0))[None, :])
-        N = _time_lip_bound(p, field, probes, cfg["level"])
-        try:
-            tl = ana.time_lipschitz_check(field, p, tc, N, probes, level=cfg["level"])
-            results["time_lipschitz"] = tl
-            ok = tl.passed
-        except DiscountBelowThreshold as exc:
-            skipped, ok = str(exc), True
-    else:
-        raise ValueError(f"unknown analyze action {action!r}")
+    key, res, skipped = _run_stage(run, args.action)
     if cfg["out"]:
-        emitted = {k: v for k, v in results.items()}
-        if skipped:
-            emitted["skipped"] = {"reason": skipped}
-        ana.emit_report(emitted, Path(cfg["out"]))
-    line = {"cmd": f"analyze {action}", "ok": ok}
-    if skipped:
-        line["skipped"] = skipped
-    _emit(line)
+        ana.emit_report({"skipped": {"reason": skipped}} if skipped else {key: res},
+                        Path(cfg["out"]))
+    ok = True if skipped else res.passed
+    _emit({"cmd": cmd, "ok": ok, **({"skipped": skipped} if skipped else {})})
     return 0 if ok else 2
 
 
-def _time_lip_bound(p, field, probes, level) -> float:
-    return ana.velocity_cost_sup(field, p, probes, level) * 1.05 + 0.1
-
-
-def _cmd_pipeline(cfg: dict) -> int:
+def _cmd_pipeline(cfg: dict, args) -> int:
     if not cfg["out"]:
         raise ValueError("pipeline needs --out")
-    outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    p = _problem_from(cfg)
-    lam = cfg["lam"] if cfg["lam"] is not None else p.lam
+    outdir = _outdir(cfg)
+    run = _Run(cfg)
     ana.write_json(outdir / "config.json",
                    {k: (list(v) if isinstance(v, (list, tuple)) else v)
                     for k, v in sorted(cfg.items()) if k != "out"})
 
-    report = verify_data_assumptions(p, SamplingSpec(), seed=cfg["seed"])
+    report = verify_data_assumptions(run.p, SamplingSpec(), seed=cfg["seed"])
     ana.write_json(outdir / "assumptions.json", report.to_jsonable())
     verdicts = {"assumptions": report.ok}
 
-    ver = _ipc_certificate(cfg, p)
-    ana.write_json(outdir / "certificate.json", ver.to_jsonable())
-    verdicts["ipc"] = ver.ok
-    if not ver.ok:
+    ana.write_json(outdir / "certificate.json", run.ver.to_jsonable())
+    verdicts["ipc"] = run.ver.ok
+    if not run.ver.ok:
         ana.write_json(outdir / "verdicts.json", verdicts)
         _emit({"cmd": "pipeline", "ok": False, "verdicts": verdicts})
         return 2
 
-    cons = tj.derive_nft_constants(p, ver.certificate, 1.0)
-    ana.write_json(outdir / "nft_constants.json", cons.to_jsonable())
-
-    grid = _grid_from(cfg, p)
-    fV = val.solve_value(p, lam, grid, relaxed=False, tol=cfg["tol"],
-                         level=cfg["level"], horizon=_horizon_arg(cfg))
-    fVs = val.solve_value(p, lam, grid, relaxed=True, tol=cfg["tol"],
-                          level=cfg["level"], mixture_grid=cfg["mixture_grid"],
-                          horizon=_horizon_arg(cfg))
-    write_field(outdir, "field", fV)
-    write_field(outdir, "field_relaxed", fVs)
-
-    tc = tj.derive_tracking_constants(p, cons.beta, fVs.T)
-    ana.write_json(outdir / "tracking_constants.json", tc.to_jsonable())
+    ana.write_json(outdir / "nft_constants.json", run.nft.to_jsonable())
+    write_field(outdir, "field", run.field(False))
+    write_field(outdir, "field_relaxed", run.field(True))
+    ana.write_json(outdir / "tracking_constants.json", run.tracking.to_jsonable())
 
     results: dict[str, object] = {}
-    try:
-        prof = ana.lipschitz_profile(fVs, tc, pair_budget=cfg["pair_budget"],
-                                     seed=cfg["seed"])
-        results["lipschitz"] = prof
-        verdicts["lipschitz"] = prof.passed
-    except DiscountBelowThreshold as exc:
-        verdicts["lipschitz"] = f"skipped: {exc}"
-
-    traj = tj.viable_trajectory(p, ver.certificate, fVs.t0,
-                                np.asarray(p.anchor(fVs.t0)), fVs.T, fVs.dt)
-    dec = ana.decay_check(p, fVs, traj, tol_decay=cfg["tol_decay"])
-    results["decay"] = dec
-    verdicts["decay"] = dec.passed
-
-    gap = ana.relaxation_gap(fV, fVs)
-    results["relaxation"] = gap
-    verdicts["relaxation"] = gap.passed
-
-    probes = np.asarray(p.anchor(fVs.t0))[None, :]
-    try:
-        tl = ana.time_lipschitz_check(fVs, p, tc, _time_lip_bound(p, fVs, probes, cfg["level"]),
-                                      probes, level=cfg["level"])
-        results["time_lipschitz"] = tl
-        verdicts["time_lipschitz"] = tl.passed
-    except DiscountBelowThreshold as exc:
-        verdicts["time_lipschitz"] = f"skipped: {exc}"
+    for action in _STAGES:
+        key, res, skipped = _run_stage(run, action)
+        if skipped:
+            verdicts[key] = f"skipped: {skipped}"
+        else:
+            results[key], verdicts[key] = res, res.passed
 
     ana.emit_report(results, outdir)
     ana.write_json(outdir / "verdicts.json", verdicts)
@@ -513,65 +482,80 @@ def _cmd_pipeline(cfg: dict) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _add_common(sp) -> None:
+    """The options every subcommand takes; each dest is a config key."""
+    sp.add_argument("--problem")
+    sp.add_argument("--set", action="append", metavar="KEY=VALUE")
+    sp.add_argument("--lambda", dest="lam", type=float)
+    sp.add_argument("--grid", metavar="DX,DT")
+    sp.add_argument("--horizon")
+    sp.add_argument("--tol", type=float)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--out")
+    sp.add_argument("--config")
+    sp.add_argument("--level", type=int)
+    sp.add_argument("--points", type=int)
+    sp.add_argument("--dt", type=float)
+    sp.add_argument("--t0", type=float)
+    sp.add_argument("--t1", type=float)
+    sp.add_argument("--delta", type=float)
+    sp.add_argument("--rmin", type=float)
+    sp.add_argument("--ntime", type=int)
+    sp.add_argument("--ndirs", type=int)
+    sp.add_argument("--mixture-grid", dest="mixture_grid", type=int)
+    sp.add_argument("--x0")
+    sp.add_argument("--x1")
+    sp.add_argument("--uref")
+    sp.add_argument("--probes")
+    sp.add_argument("--pair-budget", dest="pair_budget", type=int)
+    sp.add_argument("--tol-decay", dest="tol_decay", type=float)
+
+
+def _option_types() -> dict:
+    """Config key -> the ``type`` its command-line option parses with."""
+    sp = argparse.ArgumentParser()
+    _add_common(sp)
+    return {a.dest: a.type for a in sp._actions if a.type is not None}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="feastube", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--problem")
-        sp.add_argument("--set", action="append", metavar="KEY=VALUE")
-        sp.add_argument("--lambda", dest="lam", type=float)
-        sp.add_argument("--grid", metavar="DX,DT")
-        sp.add_argument("--horizon")
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out")
-        sp.add_argument("--config")
-        sp.add_argument("--level", type=int)
-        sp.add_argument("--points", type=int)
-        sp.add_argument("--dt", type=float)
-        sp.add_argument("--t0", type=float)
-        sp.add_argument("--t1", type=float)
-        sp.add_argument("--delta", type=float)
-        sp.add_argument("--rmin", type=float)
-        sp.add_argument("--ntime", type=int)
-        sp.add_argument("--ndirs", type=int)
-        sp.add_argument("--mixture-grid", dest="mixture_grid", type=int)
-        sp.add_argument("--x0")
-        sp.add_argument("--x1")
-        sp.add_argument("--uref")
-        sp.add_argument("--probes")
-        sp.add_argument("--pair-budget", dest="pair_budget", type=int)
-        sp.add_argument("--tol-decay", dest="tol_decay", type=float)
-
     g = sub.add_parser("geom", help="constraint-set geometry queries")
     g.add_argument("action", choices=["dist", "active"])
-    common(g)
+    _add_common(g)
 
     i = sub.add_parser("ipc", help="inward-margin verification")
     i.add_argument("action", choices=["verify"])
-    common(i)
+    _add_common(i)
 
     n = sub.add_parser("nft", help="feasibility repair of a reference path")
     n.add_argument("action", choices=["run"])
-    common(n)
+    _add_common(n)
 
     t = sub.add_parser("track", help="exponential tracking between starts")
     t.add_argument("action", choices=["run"])
-    common(t)
+    _add_common(t)
 
     v = sub.add_parser("value", help="discounted value field solving")
     v.add_argument("action", choices=["solve"])
     v.add_argument("--relaxed", action="store_true", default=None)
-    common(v)
+    _add_common(v)
 
     a = sub.add_parser("analyze", help="theorem-envelope certification")
     a.add_argument("action", choices=["lipschitz", "decay", "relax", "time-lip"])
-    common(a)
+    _add_common(a)
 
     pl = sub.add_parser("pipeline", help="full chained run with artifacts")
-    common(pl)
+    _add_common(pl)
     return ap
+
+
+_COMMANDS = {
+    "geom": _cmd_geom, "ipc": _cmd_ipc, "nft": _cmd_nft, "track": _cmd_track,
+    "value": _cmd_value, "analyze": _cmd_analyze, "pipeline": _cmd_pipeline,
+}
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -581,24 +565,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        cfg = resolve_config(args)
-        if args.command == "geom":
-            return _cmd_geom(cfg, args.action)
-        if args.command == "ipc":
-            return _cmd_ipc(cfg)
-        if args.command == "nft":
-            return _cmd_nft(cfg)
-        if args.command == "track":
-            return _cmd_track(cfg)
-        if args.command == "value":
-            cfg["relaxed"] = bool(getattr(args, "relaxed", False))
-            return _cmd_value(cfg)
-        if args.command == "analyze":
-            return _cmd_analyze(cfg, args.action)
-        if args.command == "pipeline":
-            return _cmd_pipeline(cfg)
-        parser.print_usage()
-        return 1
+        return _COMMANDS[args.command](resolve_config(args), args)
     except (ValueError, KeyError, OSError) as exc:
         _emit({"error": str(exc)})
         return 1

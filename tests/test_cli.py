@@ -169,6 +169,35 @@ def test_pipeline_artifacts_parse_back(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", registered_problems())
+def test_pipeline_deterministic_on_every_problem(name, tmp_path, capsys):
+    args = ["pipeline"] + _certify_args(name)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert cli.run(args + ["--out", str(out1)]) == 0
+    assert cli.run(args + ["--out", str(out2)]) == 0
+    tree = _tree(out1)
+    assert "summary.json" in tree and tree == _tree(out2)
+
+
+@pytest.mark.parametrize("action", ["lipschitz", "decay", "relax", "time-lip"])
+@pytest.mark.parametrize("lam", ["6", "120"])
+def test_analyze_action(action, lam, tmp_path, capsys):
+    """Below the tracking rate the lipschitz and time-lip checks skip with a
+    reason; decay and relax still run.  At lambda 120 every check runs."""
+    args = SKIPPING_ARGS if lam == "6" else _certify_args("moving-wall-1d")
+    assert cli.run(["analyze", action] + args + ["--out", str(tmp_path)]) == 0
+    line = _capture(capsys)
+    assert line["cmd"] == f"analyze {action}" and line["ok"] is True
+    results = json.loads((tmp_path / "summary.json").read_text())["results"]
+    if lam == "6" and action in ("lipschitz", "time-lip"):
+        assert "lambda=6.0" in line["skipped"]
+        assert results == {"skipped": {"reason": line["skipped"]}}
+    else:
+        assert "skipped" not in line
+        [(key, entry)] = results.items()
+        assert entry["passed"] is True
+
+
+@pytest.mark.parametrize("name", registered_problems())
 @pytest.mark.parametrize("cmd", ["nft", "track"])
 def test_run_defaults_on_every_problem(cmd, name, capsys):
     assert cli.run([cmd, "run", "--problem", name]) == 0
@@ -221,3 +250,62 @@ def test_checks_match_separate_copies(case, command, tmp_path, capsys):
     assert want and sorted(got) == sorted(want)
     for rel in want:
         assert got[rel] == want[rel], rel
+
+
+def test_pipeline_honours_probes(tmp_path, capsys):
+    """pipeline's time check runs at every --probes point, as analyze time-lip
+    does; the reference copy checked the anchor only.  Nothing else moves."""
+    args = _certify_args("moving-wall-1d") + ["--probes", "0.1;-0.5"]
+    assert cli.run(["pipeline"] + args + ["--out", str(tmp_path / "pipe")]) == 0
+    assert cli.run(["analyze", "time-lip"] + args + ["--out", str(tmp_path / "tl")]) == 0
+    assert _oracle_run(["pipeline"] + args + ["--out", str(tmp_path / "old")]) == 0
+
+    def summary(name):
+        return json.loads((tmp_path / name / "summary.json").read_text())["results"]
+
+    entry = summary("pipe")["time_lipschitz"]
+    assert entry == summary("tl")["time_lipschitz"]
+    assert entry["probe_passed"] == [True, True]
+    old = summary("old")
+    assert len(old["time_lipschitz"]["probe_passed"]) == 1
+    assert {k: v for k, v in summary("pipe").items() if k != "time_lipschitz"} == \
+        {k: v for k, v in old.items() if k != "time_lipschitz"}
+    new_tree, old_tree = _tree(tmp_path / "pipe"), _tree(tmp_path / "old")
+    assert sorted(new_tree) == sorted(old_tree)
+    assert [k for k in new_tree if new_tree[k] != old_tree[k]] == ["summary.json"]
+
+
+def _config_file(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_config_numbers_without_default(tmp_path, capsys):
+    """lam and t1 default to None; a config file still gives them as numbers."""
+    solve = ["value", "solve", "--problem", "moving-wall-1d", "--points", "46",
+             "--horizon", "2"]
+    assert cli.run(solve + ["--lambda", "6"]) == 0
+    want = _capture(capsys)
+    assert cli.run(solve + ["--config", _config_file(tmp_path, "lam = 6\n")]) == 0
+    assert _capture(capsys) == want
+
+    nft = ["nft", "run", "--problem", "moving-wall-1d", "--dt", "2e-3"]
+    assert cli.run(nft + ["--t1", "2"]) == 0
+    want = _capture(capsys)
+    assert cli.run(nft + ["--config", _config_file(tmp_path, "t1 = 2\n")]) == 0
+    assert _capture(capsys) == want
+
+
+def test_config_number_unreadable(tmp_path, capsys):
+    cfg = _config_file(tmp_path, "lam = abc\n")
+    assert cli.run(["value", "solve", "--config", cfg]) == 1
+    err = _capture(capsys)["error"]
+    assert "'lam'" in err and "'abc'" in err
+
+
+def test_nft_run_rejects_interval_under_half_step(capsys):
+    args = ["nft", "run", "--problem", "moving-wall-1d", "--t0", "0", "--t1", "0.0004"]
+    assert cli.run(args) == 1
+    err = _capture(capsys)["error"]
+    assert "--t0" in err and "--t1" in err and "--dt=0.001" in err
