@@ -1,7 +1,8 @@
 """Command-line entry point: reproducible runs with serialized artifacts.
 
 Precedence for settings is built-in defaults < config file < command-line
-flags.  The config file is flat ``key = value`` text with ``#`` comments.
+flags.  The config file is flat ``key = value`` text with ``#`` comments;
+each value is read with the type of the option of the same name.
 A run is a pure function of its resolved configuration (seeded sampling,
 deterministic solvers, stable serialization), so identical configurations
 produce byte-identical artifact directories.
@@ -158,7 +159,7 @@ def _parse_config_file(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS)
     file_cfg = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    types = _option_types() if file_cfg else {}
+    types = _option_types()
     for k, v in file_cfg.items():
         if k in ("set", "sets"):
             continue
@@ -483,7 +484,7 @@ def _cmd_pipeline(cfg: dict, args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(sp) -> None:
-    """The options every subcommand takes; each dest is a config key."""
+    """The options every subcommand takes; every dest but ``config`` is a config key."""
     sp.add_argument("--problem")
     sp.add_argument("--set", action="append", metavar="KEY=VALUE")
     sp.add_argument("--lambda", dest="lam", type=float)
