@@ -6,6 +6,7 @@ a simplex method; the value oracle walks the full control tree; the repair
 oracle enumerates every coarse control sequence; the geometry references
 evaluate one constraint at one point at a time and bisect one ray at a time;
 the step-loop references write out one RK4 loop per trajectory construction;
+the repair reference re-projects the whole tail after every corrected piece;
 the backstep reference interpolates once per velocity/cost candidate;
 the CLI references keep ``analyze`` and ``pipeline`` as two separate copies
 of the four value-function checks.
@@ -324,6 +325,74 @@ def push_and_replay_loop(p, cert, cons, t_a, ref_states, rho_c, dt, level=0):
         p, t_a, start, w, dt, level, push=s,
         push_pick=lambda t: p.controls.at(t, level)[mux.pick(mr.alpha)],
     )
+
+
+def nft_correct_reprojecting(p, cert, xhat, level=0, constants=None):
+    """Piece-by-piece repair that re-projects the whole remaining tail after
+    every corrected piece and re-measures the violation over the whole path.
+
+    Returns ``(states, controls or None, rho_in, sup_dist, interior_clearance)``.
+    """
+    times = np.asarray(xhat.times, dtype=float)
+    ref0 = np.asarray(xhat.states, dtype=float)
+    N = len(times) - 1
+    dt = xhat.step
+    cons = constants or tj.derive_nft_constants(p, cert, float(times[-1] - times[0]))
+    steps_per_piece = int(cons.Delta / dt)
+    assert steps_per_piece >= 1
+
+    def rho_of(states):
+        return float(geo.distances_upper_along(p, times, states).max())
+
+    def strictly_inside(ts, xs):
+        return bool(np.all(geo.clearance_proxy(p, ts[1:], xs[1:]) > 1e-12))
+
+    rho_measured = rho_of(ref0)
+    rho_eff = max(rho_measured, 1e-8)
+    cur = ref0.copy()
+    ctrl = np.zeros((N, p.controls.dim))
+    have_ctrl = np.zeros(N, dtype=bool)
+    if xhat.controls is not None:
+        ctrl[:] = xhat.controls
+        have_ctrl[:] = True
+    if rho_measured <= 0.0 and strictly_inside(times, cur):
+        clear = float(np.min(geo.clearance_proxy(p, times[1:], cur[1:])))
+        return ref0, xhat.controls, rho_eff, 0.0, clear
+
+    bounds = list(range(0, N, steps_per_piece)) + [N]
+    rho_prev = rho_eff
+    for ja, jb in zip(bounds[:-1], bounds[1:]):
+        t_a = float(times[ja])
+        piece_clear = strictly_inside(times[ja:jb + 1], cur[ja:jb + 1])
+        deep = geo.clearance_proxy(p, t_a, cur[ja]) > cons.eta_hat / 2
+        feas_now = geo.violations_along(p, times[ja:jb + 1], cur[ja:jb + 1]).max() <= geo.TOL_FEAS
+        if feas_now and (piece_clear or deep):
+            continue
+        if deep or rho_prev > cons.rho_bar:
+            ref_piece = tj.viable_trajectory(
+                p, cert, t_a, cur[ja], float(times[jb]), dt, level, steps=jb - ja).states
+            rho_c = 1e-8
+        else:
+            ref_piece = cur[ja:jb + 1].copy()
+            rho_c = max(rho_prev, 1e-8)
+        piece_states, piece_ctrl = tj._case_push_and_replay(
+            p, cert, cons, t_a, ref_piece, rho_c, dt, level)
+        assert geo.violations_along(p, times[ja:jb + 1], piece_states).max() <= geo.TOL_FEAS
+        old_jb = cur[jb].copy()
+        cur[ja:jb + 1] = piece_states
+        ctrl[ja:jb] = piece_ctrl
+        have_ctrl[ja:jb] = True
+        if jb < N:
+            oldvel = np.diff(np.vstack([old_jb[None, :], cur[jb + 1:]]), axis=0) / dt
+            tail = tj.filippov_project(p, float(times[jb]), cur[jb], oldvel, N - jb, dt, level)
+            cur[jb:] = tail.states
+            ctrl[jb:] = tail.controls
+            have_ctrl[jb:] = True
+        rho_prev = max(rho_eff, rho_of(cur))
+
+    sup_dist = float(np.max(np.linalg.norm(cur - ref0, axis=1)))
+    clear = float(np.min(geo.clearance_proxy(p, times[1:], cur[1:])))
+    return cur, (ctrl if bool(have_ctrl.all()) else None), rho_eff, sup_dist, clear
 
 
 # ---------------------------------------------------------------------------
