@@ -4,7 +4,9 @@ All constructed paths live on a uniform time grid with one sampled control
 per step, so the per-step dynamics residual contract is exact.  Every path is
 one RK4 march (``_march``) under a per-step control rule: a control index, an
 explicit control row, the nearest velocity to a target, or the viability
-rule.  Mixture velocities are realized by deterministic proportional
+rule.  A march can be continued from a later step into given arrays, which
+is how the repair extends its projection one piece at a time in a single
+forward sweep.  Mixture velocities are realized by deterministic proportional
 multiplexing of their support controls across consecutive steps (discrete
 chattering); for the shipped benchmarks the optimal margin mixtures are pure
 controls and the multiplexer degenerates to a constant choice.
@@ -125,19 +127,24 @@ def _check_grid(dt: float, steps: int = 1) -> None:
 
 
 def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float,
-           choose: Callable[[int, float, Array], Array]) -> tuple[Array, Array]:
-    """Fixed-step RK4 from ``x0`` holding ``choose(j, t, x)`` over step ``j``.
+           choose: Callable[[int, float, Array], Array], start: int = 0,
+           out: tuple[Array, Array] | None = None) -> tuple[Array, Array]:
+    """Fixed-step RK4 from ``x0`` holding ``choose(j, t, x)`` over step ``j``
+    at ``t = t0 + j * dt``, for ``j`` from ``start`` on.
 
-    Returns the ``(steps + 1, n)`` states and the ``(steps, d)`` controls.
+    Returns the ``(steps + 1, n)`` states and the ``(steps, d)`` controls,
+    written into ``out`` when given.  A march continued from its own state
+    at a later ``start`` is bit-identical to the one long march.
     """
     _check_grid(dt, steps)
-    states = np.empty((steps + 1, p.n))
-    ctrl = np.empty((steps, p.controls.dim))
+    if out is None:
+        out = np.empty((steps + 1, p.n)), np.empty((steps, p.controls.dim))
+    states, ctrl = out
     states[0] = np.asarray(x0, dtype=float).reshape(-1)
-    for j in range(steps):
-        t = t0 + j * dt
-        ctrl[j] = u = choose(j, t, states[j])
-        states[j + 1] = _rk4_step(p.f, t, states[j], u, dt)
+    for i in range(steps):
+        t = t0 + (start + i) * dt
+        ctrl[i] = u = choose(start + i, t, states[i])
+        states[i + 1] = _rk4_step(p.f, t, states[i], u, dt)
     return states, ctrl
 
 
@@ -413,6 +420,7 @@ class NftResult:
     beta_used: float
     interior_clearance: float
     constants: NftConstants
+    pieces: dict[str, int]     # pieces per branch: "pass", "push", "restart"
 
     def to_jsonable(self) -> dict:
         return {
@@ -421,6 +429,7 @@ class NftResult:
             "beta_used": float(self.beta_used),
             "interior_clearance": float(self.interior_clearance),
             "bound": float(self.beta_used * self.rho_in),
+            "pieces": dict(self.pieces),
         }
 
 
@@ -466,15 +475,16 @@ def nft_correct(
 ) -> NftResult:
     """Repair a violating reference into a strictly feasible neighbor.
 
-    Works piece by piece on a partition finer than the ledger step: pieces
-    that are already strictly inside pass through unchanged; a piece whose
-    running violation is small gets the inward push with time-shifted
-    replay; larger violations first replace the reference with a viable
-    path from the same start.  After each corrected piece the remaining
-    tail is re-projected from the new junction and the running violation is
-    re-measured.  The output shares the reference's start, is strictly
-    inside on the open interval, and stays within ``beta * rho`` of the
-    reference.
+    Works piece by piece on a partition finer than the ledger step, in one
+    forward sweep: pieces that are already strictly inside pass through
+    unchanged; a piece whose running violation is small gets the inward push
+    with time-shifted replay; larger violations first replace the reference
+    with a viable path from the same start.  From the end of each corrected
+    piece the path follows the reference's velocities (nearest sampled
+    velocity), marched one piece ahead of the sweep, and the running
+    violation is the largest distance measured on that projection so far.
+    The output shares the reference's start, is strictly inside on the open
+    interval, and stays within ``beta * rho`` of the reference.
     """
     times = np.asarray(xhat.times, dtype=float)
     ref0 = np.asarray(xhat.states, dtype=float)
@@ -499,32 +509,41 @@ def nft_correct(
     if xhat.controls is not None:
         ctrl[:] = xhat.controls
         have_ctrl[:] = True
+    bounds = list(range(0, N, steps_per_piece)) + [N]
+    pieces = {"pass": 0, "push": 0, "restart": 0}
 
     # Fast path: a strictly feasible input is already its own repair.
     if rho_measured <= 0.0 and _strictly_inside(p, times, cur):
         clear = np.min(geo.clearance_proxy(p, times[1:], cur[1:]))
-        return NftResult(xhat, rho_eff, 0.0, cons.beta, float(clear), cons)
+        pieces["pass"] = len(bounds) - 1
+        return NftResult(xhat, rho_eff, 0.0, cons.beta, float(clear), cons, pieces)
 
-    bounds = list(range(0, N, steps_per_piece)) + [N]
+    refvel = np.diff(ref0, axis=0) / dt
     rho_prev = rho_eff
-    for piece in range(len(bounds) - 1):
-        ja, jb = bounds[piece], bounds[piece + 1]
-        if jb <= ja:
-            continue
+    origin, project = None, None   # the pending projection: junction and step rule
+    for ja, jb in zip(bounds[:-1], bounds[1:]):
         t_a = float(times[ja])
+        if project is not None:
+            _march(p, float(times[origin]), cur[ja], jb - ja, dt, project,
+                   start=ja - origin, out=(cur[ja:jb + 1], ctrl[ja:jb]))
+            have_ctrl[ja:jb] = True
+            rho_prev = max(rho_prev, _measure_rho(p, times[ja + 1:jb + 1], cur[ja + 1:jb + 1]))
         piece_clear = _strictly_inside(p, times[ja:jb + 1], cur[ja:jb + 1])
         deep = geo.clearance_proxy(p, t_a, cur[ja]) > cons.eta_hat / 2
         feas_now = geo.violations_along(p, times[ja:jb + 1], cur[ja:jb + 1]).max() <= geo.TOL_FEAS
         if feas_now and (piece_clear or deep):
+            pieces["pass"] += 1
             continue
         if deep or rho_prev > cons.rho_bar:
             # violation too large for the push construction: restart the piece
             # from a viable path with (numerically) zero violation
+            pieces["restart"] += 1
             ref_piece = viable_trajectory(
                 p, cert, t_a, cur[ja], float(times[jb]), dt, level, steps=jb - ja
             ).states
             rho_c = _RHO_FLOOR
         else:
+            pieces["push"] += 1
             ref_piece = cur[ja:jb + 1].copy()
             rho_c = max(rho_prev, _RHO_FLOOR)
         piece_states, piece_ctrl = _case_push_and_replay(
@@ -535,18 +554,11 @@ def nft_correct(
             raise CorrectionFailed(
                 f"piece [{t_a:.4f}, {times[jb]:.4f}] still violates by {pv.max():.3e}"
             )
-        old_jb = cur[jb].copy()
         cur[ja:jb + 1] = piece_states
         ctrl[ja:jb] = piece_ctrl
         have_ctrl[ja:jb] = True
-        if jb < N:
-            old_tail = np.vstack([old_jb[None, :], cur[jb + 1:]])
-            oldvel = np.diff(old_tail, axis=0) / dt
-            tail = filippov_project(p, float(times[jb]), cur[jb], oldvel, N - jb, dt, level)
-            cur[jb:] = tail.states
-            ctrl[jb:] = tail.controls
-            have_ctrl[jb:] = True
-        rho_prev = max(rho_eff, _measure_rho(p, times, cur))
+        origin, project = jb, _nearest_rule(p, cur[jb], refvel[jb:], dt, level)
+        rho_prev = rho_eff
 
     worst = geo.violations_along(p, times, cur)
     if worst.max() > geo.TOL_FEAS:
@@ -562,7 +574,7 @@ def nft_correct(
         raise CorrectionFailed("repair moved the anchor point")
     clear = np.min(geo.clearance_proxy(p, times[1:], cur[1:]))
     corrected = Trajectory(times, cur, ctrl if bool(have_ctrl.all()) else None, dt)
-    return NftResult(corrected, rho_eff, sup_dist, cons.beta, float(clear), cons)
+    return NftResult(corrected, rho_eff, sup_dist, cons.beta, float(clear), cons, pieces)
 
 
 # ---------------------------------------------------------------------------
