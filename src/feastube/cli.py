@@ -403,24 +403,22 @@ def _check_time_lip(run: _Run):
     return ana.time_lipschitz_check(field, p, run.tracking, bound_N, probes, level=level)
 
 
-# analyze action: (summary key, check, skipped at or below the growth threshold?),
-# in pipeline order; decay raises DiscountBelowThreshold instead of skipping
+# analyze action: (summary key, check), in pipeline order
 _STAGES = {
-    "lipschitz": ("lipschitz", _check_lipschitz, True),
-    "decay": ("decay", _check_decay, False),
-    "relax": ("relaxation", _check_relax, False),
-    "time-lip": ("time_lipschitz", _check_time_lip, True),
+    "lipschitz": ("lipschitz", _check_lipschitz),
+    "decay": ("decay", _check_decay),
+    "relax": ("relaxation", _check_relax),
+    "time-lip": ("time_lipschitz", _check_time_lip),
 }
 
 
 def _run_stage(run: _Run, action: str):
-    """``(summary key, result, None)``, or ``(summary key, None, reason)`` when skipped."""
-    key, check, skippable = _STAGES[action]
+    """``(summary key, result, None)``, or ``(summary key, None, reason)`` when
+    the discount is too low for the check (``DiscountBelowThreshold``)."""
+    key, check = _STAGES[action]
     try:
         return key, check(run), None
     except DiscountBelowThreshold as exc:
-        if not skippable:
-            raise
         return key, None, str(exc)
 
 

@@ -309,3 +309,30 @@ def test_nft_run_rejects_interval_under_half_step(capsys):
     assert cli.run(args) == 1
     err = _capture(capsys)["error"]
     assert "--t0" in err and "--t1" in err and "--dt=0.001" in err
+
+
+def test_nft_run_reports_branch_per_piece(tmp_path, capsys):
+    args = ["nft", "run", "--problem", "moving-wall-1d", "--t0", repr(math.pi),
+            "--t1", repr(math.pi + 1), "--x0", "0.95", "--uref", "0.0", "--dt", "2e-3"]
+    assert cli.run(args + ["--out", str(tmp_path)]) == 0
+    pieces = _capture(capsys)["pieces"]
+    assert set(pieces) == {"pass", "push", "restart"} and pieces["restart"] >= 1
+    assert json.loads((tmp_path / "nft_result.json").read_text())["pieces"] == pieces
+
+
+# lambda 0.1 sits below moving-wall's growth threshold a1 = 2.8.
+LOW_DISCOUNT_ARGS = ["--problem", "moving-wall-1d", "--lambda", "0.1", "--horizon", "2",
+                     "--points", "41"]
+
+
+def test_pipeline_skips_decay_below_threshold(tmp_path, capsys):
+    assert cli.run(["pipeline"] + LOW_DISCOUNT_ARGS + ["--out", str(tmp_path)]) == 0
+    verdicts = json.loads((tmp_path / "verdicts.json").read_text())
+    assert verdicts["decay"] == "skipped: need lambda > a1 (2.8)"
+    assert (tmp_path / "summary.json").exists()
+
+
+def test_analyze_decay_skips_below_threshold(tmp_path, capsys):
+    assert cli.run(["analyze", "decay"] + LOW_DISCOUNT_ARGS + ["--out", str(tmp_path)]) == 0
+    line = _capture(capsys)
+    assert line["ok"] is True and line["skipped"] == "need lambda > a1 (2.8)"
