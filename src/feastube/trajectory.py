@@ -141,9 +141,9 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float,
         out = np.empty((steps + 1, p.n)), np.empty((steps, p.controls.dim))
     states, ctrl = out
     states[0] = np.asarray(x0, dtype=float).reshape(-1)
-    for i in range(steps):
-        t = t0 + (start + i) * dt
-        ctrl[i] = u = choose(start + i, t, states[i])
+    for i, j in enumerate(range(start, start + steps)):
+        t = t0 + j * dt
+        ctrl[i] = u = choose(j, t, states[i])
         states[i + 1] = _rk4_step(p.f, t, states[i], u, dt)
     return states, ctrl
 
@@ -331,16 +331,20 @@ class NftConstants:
         tphi, tgam = p.data.phi.theta(D), p.data.gamma.theta(D)
         drift = math.exp(tphi) * (tgam + tphi * M)
         checks += [drift < eps, 2 * drift * k < k * eps - 1]
-        b3 = math.expm1(self.m * math.log1p(self.K_growth * self.beta_tilde))
-        checks += [
-            abs(self.beta - max(self.beta_tilde, b3)) <= 1e-9 * max(1.0, self.beta),
-        ]
+        want = max(self.beta_tilde, _beta3(self.m, self.K_growth, self.beta_tilde))
+        checks += [self.beta == want or abs(self.beta - want) <= 1e-9 * max(1.0, self.beta)]
         if not all(checks):
             raise ConstantsInfeasible(f"constants ledger inconsistent: {checks}")
 
     def to_jsonable(self) -> dict:
         return {k: (float(v) if not isinstance(v, int) else v)
                 for k, v in self.__dict__.items()}
+
+
+def _beta3(m: int, K_growth: float, beta_tilde: float) -> float:
+    """``(1 + K_growth * beta_tilde)^m - 1``, or inf once its logarithm passes 700."""
+    log_b3 = m * math.log1p(K_growth * beta_tilde)
+    return math.inf if log_b3 > 700 else math.expm1(log_b3)
 
 
 def derive_nft_constants(
@@ -396,8 +400,7 @@ def derive_nft_constants(
     beta2 = 2 * M * D / rho_bar if M > 0 else 0.0
     beta_tilde = max(beta1, beta2)
     K_growth = math.exp(phi.theta(delta_interval))
-    log_b3 = m * math.log1p(K_growth * beta_tilde)
-    beta3 = math.inf if log_b3 > 700 else math.expm1(log_b3)
+    beta3 = _beta3(m, K_growth, beta_tilde)
     cons = NftConstants(
         eps=eps, k_shift=k, Delta=D, rho_bar=rho_bar, m=m,
         beta_tilde=beta_tilde, beta=max(beta_tilde, beta3),

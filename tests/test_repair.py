@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feastube import geometry as geo
@@ -225,14 +225,23 @@ def _wall_problem(normal, a, b, sway):
                           box=np.tile([[-2.5, 2.5]], (n, 1)), name="random-wall")
 
 
+def test_ledger_beta_overflows_to_inf():
+    """A ledger whose ``(1 + K beta~)^m - 1`` passes exp(709) derives and
+    validates with beta = inf instead of raising OverflowError."""
+    p = _wall_problem(np.array([math.cos(0.8), math.sin(0.8)]), 1.0, 0.2, sway=True)
+    ver = ipc.verify_ipc(p, (0.0, 1.0), r_min=0.3, delta=0.5, n_time=12, n_dirs=8)
+    cons = tj.derive_nft_constants(p, ver.certificate, 1.0)
+    assert cons.m * math.log1p(cons.K_growth * cons.beta_tilde) > 710
+    assert cons.beta3 == cons.beta == math.inf
+    cons.validate(p, 1.0)
+
+
 @settings(max_examples=12, deadline=None)
 @given(n=st.sampled_from([1, 2]), angle=st.floats(0.0, 2 * math.pi),
        a=st.floats(0.6, 1.2), b=st.floats(0.0, 0.4), t0=st.floats(0.0, 2 * math.pi),
        depth=st.floats(1e-3, 0.3), drift=st.integers(0, 8), seed=st.integers(0, 2**16),
        sway=st.booleans())
 def test_repair_on_random_moving_walls(n, angle, a, b, t0, depth, drift, seed, sway):
-    # (two-dimensional sway overflows the ledger's beta; see CHANGES.md)
-    assume(not (sway and n == 2))
     normal = np.array([math.cos(angle), math.sin(angle)][:n])
     if n == 1:
         normal = np.sign(normal) + (normal == 0)
