@@ -19,10 +19,9 @@ from feastube.problem import ControlSamples
 
 import oracles
 from test_acceptance import _violating_reference
+from test_trajectory import _CERT_OF
 from util import affine_constraint, simple_problem, zero_cost
 
-_CERT_OF = {"moving_wall": "mw_cert", "corridor": "corridor_cert",
-            "hover": "hover_cert", "quadratic": "quadratic_cert"}
 
 
 def hold_reference(p, rng, steps, dt=1e-3):
@@ -239,8 +238,8 @@ def test_ledger_beta_overflows_to_inf():
 @settings(max_examples=12, deadline=None)
 @given(n=st.sampled_from([1, 2]), angle=st.floats(0.0, 2 * math.pi),
        a=st.floats(0.6, 1.2), b=st.floats(0.0, 0.4), t0=st.floats(0.0, 2 * math.pi),
-       depth=st.floats(1e-3, 0.3), drift=st.integers(0, 8), seed=st.integers(0, 2**16),
-       sway=st.booleans())
+       depth=st.floats(1e-3, 0.3), drift=st.none() | st.integers(0, 8),
+       seed=st.integers(0, 2**16), sway=st.booleans())
 def test_repair_on_random_moving_walls(n, angle, a, b, t0, depth, drift, seed, sway):
     normal = np.array([math.cos(angle), math.sin(angle)][:n])
     if n == 1:
@@ -249,9 +248,9 @@ def test_repair_on_random_moving_walls(n, angle, a, b, t0, depth, drift, seed, s
     ver = ipc.verify_ipc(p, (t0, t0 + 1.0), r_min=0.3, delta=0.5, n_time=12, n_dirs=8)
     assert ver.ok, ver.worst
     # start ``depth`` inside the wall and mostly hold one control: the
-    # outward one, or any other when drift names it
+    # outward one, or the one drift names
     u0 = p.controls.at(t0, 0)
-    hold = int(np.argmax(u0 @ normal)) if drift >= len(u0) else drift
+    hold = int(np.argmax(u0 @ normal)) if drift is None else drift % len(u0)
     rng = np.random.default_rng(seed)
     steps, dt = 500, 2e-3
     idx = np.where(rng.random(steps) < 0.85, hold, rng.integers(0, len(u0), steps))
