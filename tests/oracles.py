@@ -7,7 +7,9 @@ oracle enumerates every coarse control sequence; the geometry references
 evaluate one constraint at one point at a time and bisect one ray at a time;
 the step-loop references write out one RK4 loop per trajectory construction;
 the repair reference re-projects the whole tail after every corrected piece;
-the backstep reference interpolates once per velocity/cost candidate;
+the backstep reference builds its candidates one control at a time and
+interpolates once per velocity/cost candidate; the assumption reference
+evaluates the data one sampled point at a time;
 the CLI references keep ``analyze`` and ``pipeline`` as two separate copies
 of the four value-function checks.
 """
@@ -24,7 +26,13 @@ from feastube import geometry as geo
 from feastube import trajectory as tj
 from feastube import value as val
 from feastube.errors import DiscountBelowThreshold
-from feastube.problem import SamplingSpec, verify_data_assumptions
+from feastube.problem import (
+    AssumptionCheck,
+    AssumptionReport,
+    SamplingSpec,
+    _witness,
+    verify_data_assumptions,
+)
 
 
 def game_value_enum(Q):
@@ -399,11 +407,32 @@ def nft_correct_reprojecting(p, cert, xhat, level=0, constants=None):
 # backstep reference: one interpolation per velocity/cost candidate
 # ---------------------------------------------------------------------------
 
+def candidates_loop(p, t, nodes, level, relaxed, mixture_grid):
+    """Velocity/cost candidates at a time slice, one ``f``/``L`` call per control:
+    fresh arrays (R, P, n) and (R, P)."""
+    u = p.controls.at(t, level)
+    k = u.shape[0]
+    P = nodes.shape[0]
+    f_all = np.empty((k, P, p.n))
+    L_all = np.empty((k, P))
+    for j in range(k):
+        f_all[j] = np.broadcast_to(
+            np.asarray(p.f(t, nodes, u[j]), dtype=float), (P, p.n)
+        )
+        L_all[j] = np.broadcast_to(
+            np.asarray(p.running_cost(t, nodes, u[j]), dtype=float), (P,)
+        )
+    if not relaxed:
+        return f_all, L_all
+    W = val._mixture_matrix(k, p.n + 1, mixture_grid)
+    return np.tensordot(W, f_all, axes=(1, 0)), np.tensordot(W, L_all, axes=(1, 0))
+
+
 def backstep_loop(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level,
                   relaxed, mixture_grid):
     """Semi-Lagrangian backstep with the signature of ``value._backstep``:
     every candidate's foot points are interpolated on their own."""
-    f_all, L_all = val._candidates(p, t, nodes, level, relaxed, mixture_grid)
+    f_all, L_all = candidates_loop(p, t, nodes, level, relaxed, mixture_grid)
     best = np.full(nodes.shape[0], np.inf)
     disc = math.exp(-lam * t)
     grid_next = next_slice.reshape(shape)
@@ -411,6 +440,118 @@ def backstep_loop(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level
         vn = val._interp_clipped(axes, grid_next, nodes + dt * f_all[r])
         best = np.minimum(best, disc * L_all[r] * dt + vn)
     return np.where(feas_now, best, np.inf)
+
+
+# ---------------------------------------------------------------------------
+# assumption reference: one (f, L) evaluation per sampled point
+# ---------------------------------------------------------------------------
+
+def verify_data_assumptions_loop(p, samples=None, seed=0):
+    """``problem.verify_data_assumptions`` with per-point loops over the
+    sampled states and one ``h`` call per constraint."""
+    spec = samples or SamplingSpec()
+    rng = np.random.default_rng(seed)
+    lo, hi = p.box[:, 0], p.box[:, 1]
+    times = np.linspace(0.0, spec.horizon, spec.time_points)
+    pts = lo + rng.random((spec.space_points, p.n)) * (hi - lo)
+    checks = []
+
+    def eval_fl(t, x, u):
+        fv = np.asarray(p.f(t, x, u), dtype=float)
+        lv = np.asarray(p.running_cost(t, x, u), dtype=float)
+        return fv, lv
+
+    if p.m == 0:
+        checks.append(AssumptionCheck("tube-bounded", "vacuous", _witness()))
+    else:
+        worst, worst_w = -math.inf, _witness()
+        ok = True
+        gb = p.grad_bounds()
+        for t in times:
+            hv = np.stack(
+                [np.asarray(c.h(t, pts), dtype=float) for c in p.constraints], axis=-1
+            )
+            if not np.all(np.isfinite(hv)):
+                ok, worst_w = False, _witness(t, pts[np.argmin(np.isfinite(hv).all(axis=-1))])
+                break
+            proxy = np.min(np.abs(hv) / np.maximum(gb, 1e-12), axis=-1)
+            tube = pts[proxy <= p.data.alpha]
+            if tube.size == 0:
+                continue
+            u = p.controls.at(t, spec.level)
+            for x in tube:
+                fv, lv = eval_fl(t, x, u)
+                mag = np.abs(np.broadcast_to(fv, (u.shape[0], p.n))).sum(axis=-1) + np.abs(lv)
+                j = int(np.argmax(mag))
+                if not np.all(np.isfinite(fv)) or not np.all(np.isfinite(lv)):
+                    ok = False
+                    worst_w = _witness(t, x, u[j], math.inf, None)
+                    break
+                if mag[j] > worst:
+                    worst, worst_w = float(mag[j]), _witness(t, x, u[j], mag[j], None)
+        checks.append(AssumptionCheck("tube-bounded", "pass" if ok else "fail", worst_w))
+
+    worst_slack, worst_w, ok = -math.inf, _witness(value=0.0, bound=p.data.k.sup()), True
+    for t in times:
+        u = p.controls.at(t, spec.level)
+        kt = p.data.k.value(t)
+        for a, b in zip(pts[:-1], pts[1:]):
+            dist = float(np.linalg.norm(a - b))
+            if dist < 1e-12:
+                continue
+            fa, la = eval_fl(t, a, u)
+            fb, lb = eval_fl(t, b, u)
+            diff = (
+                np.linalg.norm(
+                    np.broadcast_to(fa, (u.shape[0], p.n))
+                    - np.broadcast_to(fb, (u.shape[0], p.n)),
+                    axis=-1,
+                )
+                + np.abs(la - lb)
+            )
+            j = int(np.argmax(diff))
+            ratio = float(diff[j]) / dist
+            if ratio - kt > worst_slack:
+                worst_slack, worst_w = ratio - kt, _witness(t, a, u[j], ratio, kt)
+            if ratio > kt + 1e-9:
+                ok = False
+    checks.append(AssumptionCheck("lipschitz-x", "pass" if ok else "fail", worst_w))
+
+    worst_slack, worst_w, ok = -math.inf, _witness(), True
+    for t in times:
+        u = p.controls.at(t, spec.level)
+        ct = p.data.c.value(t)
+        for x in pts:
+            fv, lv = eval_fl(t, x, u)
+            mag = np.linalg.norm(np.broadcast_to(fv, (u.shape[0], p.n)), axis=-1) + np.abs(lv)
+            bound = ct * (1.0 + float(np.linalg.norm(x)))
+            j = int(np.argmax(mag))
+            slack = float(mag[j]) - bound
+            if slack > worst_slack:
+                worst_slack, worst_w = slack, _witness(t, x, u[j], mag[j], bound)
+            if slack > 1e-9:
+                ok = False
+    checks.append(AssumptionCheck("growth", "pass" if ok else "fail", worst_w))
+
+    avg_ts = times[times > 1e-9]
+    if avg_ts.size == 0:
+        avg_ts = np.array([spec.horizon])
+    avgs = [(p.data.c.integral(0, t) + p.data.k.integral(0, t)) / t for t in avg_ts]
+    j = int(np.argmax(avgs))
+    ok = math.isfinite(avgs[j])
+    checks.append(AssumptionCheck("avg-modulus", "pass" if ok else "fail",
+                                  _witness(avg_ts[j], None, None, avgs[j], None)))
+
+    worst_slack, worst_w, ok = -math.inf, _witness(), True
+    for t in times:
+        lhs = p.data.c.integral(0, t)
+        rhs = p.data.a1 * t + p.data.a2
+        if lhs - rhs > worst_slack:
+            worst_slack, worst_w = lhs - rhs, _witness(t, None, None, lhs, rhs)
+        if lhs > rhs + 1e-9:
+            ok = False
+    checks.append(AssumptionCheck("affine-majorant", "pass" if ok else "fail", worst_w))
+    return AssumptionReport(tuple(checks))
 
 
 # ---------------------------------------------------------------------------

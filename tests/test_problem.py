@@ -11,7 +11,8 @@ from feastube.errors import (
     UnsupportedModulusForm,
 )
 
-from util import _affine, simple_problem, unit_velocity, zero_cost
+from oracles import verify_data_assumptions_loop
+from util import _affine, simple_problem, sway_problem, unit_velocity, x2u_problem, zero_cost
 
 
 # --- registry ---------------------------------------------------------------
@@ -154,12 +155,7 @@ def test_assumptions_pass_on_all_benchmarks():
 
 
 def test_assumptions_catch_lipschitz_violation():
-    def f(t, x, u):
-        x = np.asarray(x, dtype=float)
-        return x ** 2 * np.asarray(u, dtype=float)
-
-    p = simple_problem(f, zero_cost, k=1.0, c=100.0,
-                       box=[[-50.0, 50.0]], name="x2u")
+    p = x2u_problem()
     rep = pb.verify_data_assumptions(p, seed=0)
     check = rep["lipschitz-x"]
     assert check.status == "fail"
@@ -184,6 +180,19 @@ def test_assumptions_nan_constraint_fails_tube_check():
     assert check.worst_witness["x"] is not None
 
 
+def _problem(name):
+    return {"x2u": x2u_problem, "sway-1d": sway_problem}.get(name, lambda: pb.get_problem(name))()
+
+
+@pytest.mark.parametrize("name", pb.registered_problems() + ("x2u", "sway-1d"))
+def test_assumptions_match_loop_reference(name):
+    p = _problem(name)
+    for spec in (pb.SamplingSpec(), pb.SamplingSpec(horizon=3.0, time_points=5, space_points=17)):
+        for seed in range(4):
+            assert (pb.verify_data_assumptions(p, spec, seed).to_jsonable()
+                    == verify_data_assumptions_loop(p, spec, seed).to_jsonable())
+
+
 def test_velocities_broadcast_and_shape_error(moving_wall):
     u, v = moving_wall.velocities(0.0, [0.3])
     assert v.shape == (len(u), 1) and np.array_equal(v, u)
@@ -196,11 +205,7 @@ def test_velocities_broadcast_and_shape_error(moving_wall):
 
 
 def test_assumptions_failures_monotone_in_density():
-    def f(t, x, u):
-        x = np.asarray(x, dtype=float)
-        return x ** 2 * np.asarray(u, dtype=float)
-
-    p = simple_problem(f, zero_cost, k=1.0, c=100.0, box=[[-50.0, 50.0]])
+    p = x2u_problem()
     coarse = pb.verify_data_assumptions(p, pb.SamplingSpec(space_points=24), seed=7)
     fine = pb.verify_data_assumptions(p, pb.SamplingSpec(space_points=48), seed=7)
     assert coarse["lipschitz-x"].status == "fail"

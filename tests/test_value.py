@@ -10,7 +10,7 @@ from feastube import value as val
 from feastube.errors import DiscountTooSmall, GridMismatch, GridTooCoarse, OutOfGrid
 
 from oracles import backstep_loop, tree_value
-from util import constant_cost_problem, simple_problem, unit_velocity, zero_cost
+from util import constant_cost_problem, simple_problem, sway_problem, unit_velocity, zero_cost
 
 
 # --- truncation -----------------------------------------------------------------
@@ -287,25 +287,9 @@ def _size_range(p):
     return (13, 41) if p.n == 1 else (9, 13)
 
 
-def _sway_problem():
-    """Speed that depends on x and stops at the box's left edge, so that
-    velocity arrays can agree at one node and differ elsewhere, and a concave
-    cost, so that the cheapest of several equal-velocity mixtures (say, half
-    -1 and half +1 against u = 0) is not the first in weight order."""
-    def f(t, x, u):
-        x = np.asarray(x, dtype=float)
-        return np.asarray(u, dtype=float) * (x + 2.0) * (1.0 + 0.5 * np.sin(3.0 * x + t)) / 2
-
-    def cost(t, x, u):
-        x = np.asarray(x, dtype=float)[..., 0]
-        return 1.0 - np.asarray(u, dtype=float)[..., 0] ** 2 + 0.1 * (1.0 + np.cos(x))
-
-    return simple_problem(f, cost, M=3.0, name="sway-1d")
-
-
 @pytest.mark.parametrize("name", pb.registered_problems() + ("sway-1d",))
 def test_backstep_matches_loop_reference(name, monkeypatch):
-    p = _sway_problem() if name == "sway-1d" else pb.get_problem(name)
+    p = sway_problem() if name == "sway-1d" else pb.get_problem(name)
     rng = np.random.default_rng(sum(map(ord, name)))
     lo, hi = _size_range(p)
     for _ in range(2):

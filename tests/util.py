@@ -91,3 +91,27 @@ def two_wall_1d(width=0.01):
 
 def affine_constraint(name, coeff, offset):
     return _affine(name, coeff, offset)
+
+
+def x2u_problem(name="x2u"):
+    """Velocity ``x**2 * u``: not Lipschitz in x on its wide box."""
+    def f(t, x, u):
+        return np.asarray(x, dtype=float) ** 2 * np.asarray(u, dtype=float)
+
+    return simple_problem(f, zero_cost, k=1.0, c=100.0, box=[[-50.0, 50.0]], name=name)
+
+
+def sway_problem():
+    """Speed that depends on x and stops at the box's left edge, so that
+    velocity arrays can agree at one node and differ elsewhere, and a concave
+    cost, so that the cheapest of several equal-velocity mixtures (say, half
+    -1 and half +1 against u = 0) is not the first in weight order."""
+    def f(t, x, u):
+        x = np.asarray(x, dtype=float)
+        return np.asarray(u, dtype=float) * (x + 2.0) * (1.0 + 0.5 * np.sin(3.0 * x + t)) / 2
+
+    def cost(t, x, u):
+        x = np.asarray(x, dtype=float)[..., 0]
+        return 1.0 - np.asarray(u, dtype=float)[..., 0] ** 2 + 0.1 * (1.0 + np.cos(x))
+
+    return simple_problem(f, cost, M=3.0, name="sway-1d")
