@@ -287,15 +287,9 @@ def velocity_cost_sup(field: ValueField, p: ProblemDefinition, probes, level: in
     sampled controls and 9 times spanning the field's horizon."""
     sup = 0.0
     for t in np.linspace(field.t0, field.T, 9):
-        u = p.controls.at(float(t), level)
-        for x in probes:
-            fv = np.broadcast_to(
-                np.asarray(p.f(float(t), x, u), dtype=float), (u.shape[0], p.n)
-            )
-            lv = np.broadcast_to(
-                np.asarray(p.running_cost(float(t), x, u), dtype=float), (u.shape[0],)
-            )
-            sup = max(sup, float((np.linalg.norm(fv, axis=-1) + np.abs(lv)).max()))
+        _, fv = p.velocities(float(t), probes, level)
+        lv = p.costs(float(t), probes, level)
+        sup = max(sup, float((np.linalg.norm(fv, axis=-1) + np.abs(lv)).max()))
     return sup
 
 

@@ -30,7 +30,11 @@ class EmptyControlSet(FeastubeError, ValueError):
 # --- geometry ----------------------------------------------------------------
 
 class NonFiniteConstraint(FeastubeError, ValueError):
-    pass
+    """A constraint value that is NaN or infinite; ``t`` and ``x`` name the point."""
+
+    def __init__(self, message: str, t=None, x=None) -> None:
+        super().__init__(message)
+        self.t, self.x = t, x
 
 
 class ProjectionFailed(FeastubeError, RuntimeError):

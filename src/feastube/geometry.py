@@ -2,13 +2,10 @@
 
 The feasible set at time ``t`` is the intersection of the sublevel sets
 ``h_i(t, .) <= 0``.  Everything here derives from one kernel,
-``constraint_values``, the only caller of ``h``: it evaluates points of shape
-``(..., n)`` at a scalar ``t`` or at an array ``t`` broadcasting against their
-leading axes, so each ``h`` must broadcast over an array ``t`` too (one that
-does not raises ``ValueError`` naming it), and any non-finite value, ``-inf``
-included, raises ``NonFiniteConstraint``.  Distances are certified upper
-bounds (multi-start descent plus segment refinement); upper bounds only
-strengthen every downstream hypothesis that consumes them.
+``ProblemDefinition.constraint_values`` (see ``problem``), the only caller of
+``h``.  Distances are certified upper bounds (multi-start descent plus
+segment refinement); upper bounds only strengthen every downstream hypothesis
+that consumes them.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ import numpy as np
 from .errors import (
     EmptySourceSet,
     InfeasibleInput,
-    NonFiniteConstraint,
     ProjectionFailed,
 )
 from .problem import ProblemDefinition
@@ -32,55 +28,19 @@ TOL_BOUNDARY = 1e-8
 Array = np.ndarray
 
 
-def constraint_values(p: ProblemDefinition, t, X) -> Array:
-    """``h_i(t, X)`` stacked on a last axis: ``X`` of shape ``(..., n)`` gives ``(..., m)``.
-
-    ``t`` is a scalar or an array broadcasting against the leading axes of
-    ``X``; each ``h`` must return exactly the broadcast shape.
-    """
-    X = np.asarray(X, dtype=float)
-    lead = X.shape[:-1]
-    if getattr(t, "ndim", 0):
-        lead = np.broadcast_shapes(t.shape, lead)
-    out = np.empty(lead + (p.m,))
-    for i, c in enumerate(p.constraints):
-        try:
-            hv = c.h(t, X)
-        except (TypeError, ValueError) as exc:
-            raise _no_broadcast(c, i, t, X, exc) from exc
-        if getattr(hv, "shape", ()) != lead:
-            raise _no_broadcast(c, i, t, X, f"h returned shape {np.shape(hv)}, expected {lead}")
-        out[..., i] = hv
-    # a finite sum proves every value finite; only an overflow needs the full test
-    if not math.isfinite(out.sum()) and not np.isfinite(out).all():
-        *node, i = (int(k) for k in np.argwhere(~np.isfinite(out))[0])
-        node = tuple(node)
-        x = np.broadcast_to(X, lead + X.shape[-1:])[node]
-        raise NonFiniteConstraint(
-            f"constraint {p.constraints[i].name or i!r} is {out[node + (i,)]} at "
-            f"t={np.broadcast_to(t, lead)[node]}, x={x!r}"
-        )
-    return out
-
-
-def _no_broadcast(c, i: int, t, X: Array, why) -> ValueError:
-    return ValueError(f"constraint {c.name or i!r} does not broadcast over t of shape "
-                      f"{np.shape(t)} and x of shape {X.shape}: {why}")
-
-
 def _worst(p: ProblemDefinition, t, X) -> Array:
     """max_i h_i over the last axis; -inf when there are no constraints."""
-    return constraint_values(p, t, X).max(axis=-1, initial=-np.inf)
+    return p.constraint_values(t, X).max(axis=-1, initial=-np.inf)
 
 
 def eval_constraints(p: ProblemDefinition, t: float, x) -> Array:
     """Vector of constraint values ``h_i(t, x)``; membership iff max <= 0."""
-    return constraint_values(p, t, x)
+    return p.constraint_values(t, x)
 
 
 def max_violation(p: ProblemDefinition, t: float, x) -> float:
     """max_i h_i(t, x); -inf when there are no constraints."""
-    return float(constraint_values(p, t, x).max()) if p.m else -math.inf
+    return float(p.constraint_values(t, x).max()) if p.m else -math.inf
 
 
 def is_feasible(p: ProblemDefinition, t: float, x, tol: float = TOL_FEAS) -> bool:
@@ -119,7 +79,8 @@ def distances_upper_along(p: ProblemDefinition, times, states) -> Array:
     """Per-node upper bound on the feasible-set distance along a path.
 
     Violating nodes are bisected toward the anchor simultaneously (one
-    vectorized constraint evaluation per bisection level).
+    vectorized constraint evaluation per bisection level); an infeasible
+    anchor at one of their times raises ``InfeasibleInput``.
     """
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
@@ -127,7 +88,11 @@ def distances_upper_along(p: ProblemDefinition, times, states) -> Array:
     bad = np.where(violations_along(p, times, states) > TOL_FEAS)[0]
     if bad.size:
         xs, ts = states[bad], times[bad]
-        span = np.stack([np.asarray(p.anchor(float(t)), dtype=float) for t in ts]) - xs
+        anchors = np.stack([np.asarray(p.anchor(float(t)), dtype=float) for t in ts])
+        off = _worst(p, ts, anchors) > TOL_FEAS
+        if off.any():
+            raise InfeasibleInput(f"anchor infeasible at t={ts[np.argmax(off)]}")
+        span = anchors - xs
         hi = _bisect(p, ts, xs, span, 1.0, 0.0, 50, TOL_FEAS)
         out[bad] = hi * np.linalg.norm(span, axis=1)
     return out
@@ -141,7 +106,7 @@ def clearance_proxy(p: ProblemDefinition, t, x):
     against their leading axes, give an array.
     """
     gb = np.maximum(p.grad_bounds(), 1e-12)
-    clear = np.min(-constraint_values(p, t, x) / gb, axis=-1, initial=np.inf)
+    clear = np.min(-p.constraint_values(t, x) / gb, axis=-1, initial=np.inf)
     return float(clear) if clear.ndim == 0 else clear
 
 

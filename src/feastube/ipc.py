@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundarySamplingFailed, EmptyControlSet, NoFeasibleConstants
+from .errors import BoundarySamplingFailed, NoFeasibleConstants
 from .geometry import active_set, sample_boundary_points
 from .problem import ProblemDefinition
 from .simplex import solve_matrix_game
@@ -49,8 +49,6 @@ def inward_margin(
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     u, vels = p.velocities(t, x, level)
-    if u.shape[0] == 0:
-        raise EmptyControlSet("no sampled controls")
     act = sorted(active_set(p, t, x, delta).indices)
     if not act:
         alpha = np.zeros(u.shape[0])

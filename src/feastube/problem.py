@@ -12,9 +12,12 @@ Dynamics, costs, constraint values and gradients must broadcast over leading
 axes: ``f(t, X, U)`` with ``X`` of shape ``(..., n)`` and ``U`` of shape
 ``(..., d)`` returns shape ``(..., n)``.  A constraint ``h(t, X)`` must also
 broadcast over an array ``t`` whose shape broadcasts against the leading axes
-of ``X``, returning exactly that broadcast shape.  Any non-finite constraint
-value, ``-inf`` included, is rejected.  The shipped benchmarks follow these
-conventions and the solvers rely on them.
+of ``X``, returning exactly that broadcast shape.  The shipped benchmarks
+follow these conventions.  Only ``ProblemDefinition`` methods evaluate the
+data: ``velocities`` and ``costs`` put the sampled controls on a leading axis
+(``(k, ..., n)`` and ``(k, ...)``), ``constraint_values`` stacks every ``h``
+on a last axis.  A result of the wrong shape raises ``ValueError``; a
+non-finite constraint value, ``-inf`` included, raises ``NonFiniteConstraint``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 from .errors import (
     EmptyControlSet,
     InvalidOverrideValue,
+    NonFiniteConstraint,
     UnknownOverrideKey,
     UnknownProblem,
     UnsupportedModulusForm,
@@ -241,15 +245,66 @@ class ProblemDefinition:
     def m(self) -> int:
         return len(self.constraints)
 
-    def velocities(self, t: float, x: Array, level: int = 0) -> tuple[Array, Array]:
-        """Sampled controls and their velocities at ``(t, x)``: ``(k,d), (k,n)``."""
+    def velocities(self, t: float, X, level: int = 0) -> tuple[Array, Array]:
+        """Sampled controls and their velocities at points ``X`` of shape
+        ``(..., n)``: ``(k, d)`` and ``(k, ..., n)``; one point gives ``(k, n)``."""
         u = self.controls.at(t, level)
-        v = np.empty((u.shape[0], self.n))
-        v[...] = self.f(t, np.asarray(x, dtype=float), u)
-        return u, v
+        return u, _per_control(self.f, t, X, u, (self.n,))
+
+    def costs(self, t: float, X, level: int = 0) -> Array:
+        """Running costs of the sampled controls at points ``X`` of shape
+        ``(..., n)``: ``(k, ...)``."""
+        return _per_control(self.running_cost, t, X, self.controls.at(t, level), ())
+
+    def constraint_values(self, t, X) -> Array:
+        """``h_i(t, X)`` stacked on a last axis: ``X`` of shape ``(..., n)`` gives ``(..., m)``.
+
+        ``t`` is a scalar or an array broadcasting against the leading axes of
+        ``X``; each ``h`` must return exactly the broadcast shape.
+        """
+        X = np.asarray(X, dtype=float)
+        lead = X.shape[:-1]
+        if getattr(t, "ndim", 0):
+            lead = np.broadcast_shapes(t.shape, lead)
+        out = np.empty(lead + (self.m,))
+        for i, c in enumerate(self.constraints):
+            try:
+                hv = c.h(t, X)
+            except (TypeError, ValueError) as exc:
+                raise _no_broadcast(c, i, t, X, exc) from exc
+            if getattr(hv, "shape", ()) != lead:
+                raise _no_broadcast(c, i, t, X, f"h returned shape {np.shape(hv)}, expected {lead}")
+            out[..., i] = hv
+        # a finite sum proves every value finite; only an overflow needs the full test
+        if not math.isfinite(out.sum()) and not np.isfinite(out).all():
+            *node, i = (int(k) for k in np.argwhere(~np.isfinite(out))[0])
+            node = tuple(node)
+            x = np.broadcast_to(X, lead + X.shape[-1:])[node]
+            t = np.broadcast_to(t, lead)[node]
+            raise NonFiniteConstraint(
+                f"constraint {self.constraints[i].name or i!r} is {out[node + (i,)]} at "
+                f"t={t}, x={x!r}", t, x
+            )
+        return out
 
     def grad_bounds(self) -> Array:
         return np.array([c.grad_bound for c in self.constraints], dtype=float)
+
+
+def _per_control(fn, t, X, u: Array, tail: tuple) -> Array:
+    """``fn(t, X, u_j)`` for every control row, controls on a leading axis,
+    assigned into a fresh array (a result that does not broadcast raises)."""
+    X = np.asarray(X, dtype=float)
+    out = np.empty(u.shape[:1] + X.shape[:-1] + tail)
+    if X.ndim > 1:
+        u = u.reshape(u.shape[:1] + (1,) * (X.ndim - 1) + u.shape[1:])
+    out[...] = fn(t, X, u)
+    return out
+
+
+def _no_broadcast(c, i: int, t, X: Array, why) -> ValueError:
+    return ValueError(f"constraint {c.name or i!r} does not broadcast over t of shape "
+                      f"{np.shape(t)} and x of shape {X.shape}: {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -547,96 +602,86 @@ def verify_data_assumptions(
     ratio against ``k(t)``, the growth envelope ``c(t)(1+|x|)``, boundedness
     of the running average of ``c + k``, and the affine majorant ``a1*t+a2``
     of the integral of ``c``; a non-finite constraint value at a sampled
-    point fails the tube check.  Failures are report entries, never raises;
-    sampling at a higher density keeps every failure found at a lower one
-    (point sequences are prefixes of a seeded stream).
+    point fails the tube check, and a non-finite ``f`` or ``L`` fails the
+    first three, each naming its first failing sample.  Otherwise a witness
+    is the first worst sample in (t, x) order.  Failures are report entries,
+    never raises; sampling at a higher density keeps every failure found at
+    a lower one (point sequences are prefixes of a seeded stream).
     """
     spec = samples or SamplingSpec()
     rng = np.random.default_rng(seed)
     lo, hi = p.box[:, 0], p.box[:, 1]
     times = np.linspace(0.0, spec.horizon, spec.time_points)
     pts = lo + rng.random((spec.space_points, p.n)) * (hi - lo)
+    # per time: the controls (k, d), f of shape (k, P, n) and L of shape (k, P)
+    fl = [(*p.velocities(t, pts, spec.level), p.costs(t, pts, spec.level)) for t in times]
     checks: list[AssumptionCheck] = []
 
-    def eval_fl(t, x, u):
-        fv = np.asarray(p.f(t, x, u), dtype=float)
-        lv = np.asarray(p.running_cost(t, x, u), dtype=float)
-        return fv, lv
+    def nonfinite(where) -> dict | None:
+        """Witness at the first sample, in (t, x, u) order, with a non-finite f or
+        L among the points ``where`` selects at each time (a mask or True)."""
+        for t, w, (u, fv, lv) in zip(times, where, fl):
+            bad = ~(np.isfinite(fv).all(axis=-1) & np.isfinite(lv)) & w
+            if bad.any():
+                q = int(np.argmax(bad.any(axis=0)))
+                return _witness(t, pts[q], u[int(np.argmax(bad[:, q]))], math.inf)
+        return None
+
+    def first_max(score, per_control, value, bound=None, default=None) -> dict:
+        """Witness at the first maximum of ``score`` (T, P) in (t, x) order and
+        the first worst control there under ``per_control`` (per time, (k, P))."""
+        i, q = np.unravel_index(int(np.argmax(score)), score.shape)
+        if not score[i, q] > -math.inf:
+            return default or _witness()
+        u = fl[i][0][int(np.argmax(per_control[i][:, q]))]
+        return _witness(times[i], pts[q], u, value[i, q], None if bound is None else bound[i, q])
 
     # (f, L) bounded on the alpha-tube around the constraint boundary.
     if p.m == 0:
         checks.append(AssumptionCheck("tube-bounded", "vacuous", _witness()))
     else:
-        worst, worst_w = -math.inf, _witness()
-        ok = True
-        gb = p.grad_bounds()
-        for t in times:
-            hv = np.stack(
-                [np.asarray(c.h(t, pts), dtype=float) for c in p.constraints], axis=-1
-            )
-            if not np.all(np.isfinite(hv)):  # a NaN h would drop the point from the tube
-                ok, worst_w = False, _witness(t, pts[np.argmin(np.isfinite(hv).all(axis=-1))])
+        gb = np.maximum(p.grad_bounds(), 1e-12)
+        tube, h_failure = np.zeros((len(times), len(pts)), dtype=bool), None
+        for i, t in enumerate(times):
+            try:
+                hv = p.constraint_values(t, pts)
+            except NonFiniteConstraint as exc:  # a NaN h would drop the point from the tube
+                h_failure = _witness(exc.t, exc.x)
                 break
-            proxy = np.min(np.abs(hv) / np.maximum(gb, 1e-12), axis=-1)
-            tube = pts[proxy <= p.data.alpha]
-            if tube.size == 0:
-                continue
-            u = p.controls.at(t, spec.level)
-            for x in tube:
-                fv, lv = eval_fl(t, x, u)
-                mag = np.abs(np.broadcast_to(fv, (u.shape[0], p.n))).sum(axis=-1) + np.abs(lv)
-                j = int(np.argmax(mag))
-                if not np.all(np.isfinite(fv)) or not np.all(np.isfinite(lv)):
-                    ok = False
-                    worst_w = _witness(t, x, u[j], math.inf, None)
-                    break
-                if mag[j] > worst:
-                    worst, worst_w = float(mag[j]), _witness(t, x, u[j], mag[j], None)
-        checks.append(AssumptionCheck("tube-bounded", "pass" if ok else "fail", worst_w))
+            tube[i] = np.min(np.abs(hv) / gb, axis=-1) <= p.data.alpha
+        failure = nonfinite(tube) or h_failure
+        if failure:
+            checks.append(AssumptionCheck("tube-bounded", "fail", failure))
+        else:
+            mag = [np.abs(fv).sum(axis=-1) + np.abs(lv) for _, fv, lv in fl]
+            top = np.array([m.max(axis=0) for m in mag])
+            checks.append(AssumptionCheck(
+                "tube-bounded", "pass", first_max(np.where(tube, top, -math.inf), mag, top)))
 
-    # Lipschitz in x: |f(t,x,u)-f(t,y,u)| + |L(t,x,u)-L(t,y,u)| <= k(t)|x-y|.
-    worst_slack, worst_w, ok = -math.inf, _witness(value=0.0, bound=p.data.k.sup()), True
-    for t in times:
-        u = p.controls.at(t, spec.level)
-        kt = p.data.k.value(t)
-        for a, b in zip(pts[:-1], pts[1:]):
-            dist = float(np.linalg.norm(a - b))
-            if dist < 1e-12:
-                continue
-            fa, la = eval_fl(t, a, u)
-            fb, lb = eval_fl(t, b, u)
-            diff = (
-                np.linalg.norm(
-                    np.broadcast_to(fa, (u.shape[0], p.n))
-                    - np.broadcast_to(fb, (u.shape[0], p.n)),
-                    axis=-1,
-                )
-                + np.abs(la - lb)
-            )
-            j = int(np.argmax(diff))
-            ratio = float(diff[j]) / dist
-            if ratio - kt > worst_slack:
-                worst_slack, worst_w = ratio - kt, _witness(t, a, u[j], ratio, kt)
-            if ratio > kt + 1e-9:
-                ok = False
-    checks.append(AssumptionCheck("lipschitz-x", "pass" if ok else "fail", worst_w))
+    failure = nonfinite([True] * len(times))
+    if failure:
+        checks += [AssumptionCheck(cid, "fail", failure) for cid in ("lipschitz-x", "growth")]
+    else:
+        # Lipschitz in x: |f(t,x,u)-f(t,y,u)| + |L(t,x,u)-L(t,y,u)| <= k(t)|x-y| over
+        # consecutive sampled points (the witness names the first of a pair).  Each
+        # distance is a 1-D norm, rounded as for a single pair.
+        dist = np.array([np.linalg.norm(a - b) for a, b in zip(pts[:-1], pts[1:])])
+        kt = np.repeat([[p.data.k.value(t)] for t in times], len(dist), axis=1)
+        diff = [np.linalg.norm(fv[:, :-1] - fv[:, 1:], axis=-1) + np.abs(lv[:, :-1] - lv[:, 1:])
+                for _, fv, lv in fl]
+        ratio = np.array([np.divide(d.max(axis=0), dist, out=np.full(dist.shape, -math.inf),
+                                    where=dist >= 1e-12) for d in diff])
+        checks.append(AssumptionCheck(
+            "lipschitz-x", "fail" if (ratio > kt + 1e-9).any() else "pass",
+            first_max(ratio - kt, diff, ratio, kt, _witness(value=0.0, bound=p.data.k.sup()))))
 
-    # Growth: |f| + |L| <= c(t)(1 + |x|).
-    worst_slack, worst_w, ok = -math.inf, _witness(), True
-    for t in times:
-        u = p.controls.at(t, spec.level)
-        ct = p.data.c.value(t)
-        for x in pts:
-            fv, lv = eval_fl(t, x, u)
-            mag = np.linalg.norm(np.broadcast_to(fv, (u.shape[0], p.n)), axis=-1) + np.abs(lv)
-            bound = ct * (1.0 + float(np.linalg.norm(x)))
-            j = int(np.argmax(mag))
-            slack = float(mag[j]) - bound
-            if slack > worst_slack:
-                worst_slack, worst_w = slack, _witness(t, x, u[j], mag[j], bound)
-            if slack > 1e-9:
-                ok = False
-    checks.append(AssumptionCheck("growth", "pass" if ok else "fail", worst_w))
+        # Growth: |f| + |L| <= c(t)(1 + |x|).
+        mag = [np.linalg.norm(fv, axis=-1) + np.abs(lv) for _, fv, lv in fl]
+        top = np.array([m.max(axis=0) for m in mag])
+        bound = np.array([[p.data.c.value(t)] for t in times]) * (
+            1.0 + np.array([np.linalg.norm(x) for x in pts]))
+        checks.append(AssumptionCheck("growth", "fail" if (top - bound > 1e-9).any() else "pass",
+                                      first_max(top - bound, mag, top, bound)))
 
     # Running average of c + k stays bounded over the sampled horizon.
     avg_ts = times[times > 1e-9]

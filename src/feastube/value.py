@@ -302,21 +302,11 @@ def evaluate_value(field: ValueField, t: float, x) -> float:
 
 def _candidates(p, t, nodes, level, relaxed, mixture_grid):
     """Velocity/cost candidates at a time slice: fresh arrays (R, P, n) and (R, P)."""
-    u = p.controls.at(t, level)
-    k = u.shape[0]
-    P = nodes.shape[0]
-    f_all = np.empty((k, P, p.n))
-    L_all = np.empty((k, P))
-    for j in range(k):
-        f_all[j] = np.broadcast_to(
-            np.asarray(p.f(t, nodes, u[j]), dtype=float), (P, p.n)
-        )
-        L_all[j] = np.broadcast_to(
-            np.asarray(p.running_cost(t, nodes, u[j]), dtype=float), (P,)
-        )
+    _, f_all = p.velocities(t, nodes, level)
+    L_all = p.costs(t, nodes, level)
     if not relaxed:
         return f_all, L_all
-    W = _mixture_matrix(k, p.n + 1, mixture_grid)
+    W = _mixture_matrix(len(f_all), p.n + 1, mixture_grid)
     return np.tensordot(W, f_all, axes=(1, 0)), np.tensordot(W, L_all, axes=(1, 0))
 
 

@@ -286,3 +286,13 @@ def test_membership_views_agree(name, t, u):
     assert (worst <= geo.TOL_FEAS) == geo.is_feasible(p, t, x)
     assert geo.feasible_mask(p, t, x[None, :])[0] == geo.is_feasible(p, t, x)
     assert geo.violations_along(p, [t, t], [x, x]).tolist() == [worst, worst]
+
+
+def test_distances_upper_along_rejects_infeasible_anchor():
+    # wall x <= -0.5 with the anchor at 0: bisecting toward the anchor would
+    # stop at x = 0.5 and report 1.0 from x = 1, below the true distance 1.5
+    wall = affine_constraint("wall", [1.0], lambda t: 0.5 + 0.0 * np.asarray(t))
+    p = simple_problem(unit_velocity, zero_cost, constraints=(wall,))
+    assert geo.distance_upper(p, 0.0, [1.0]) == pytest.approx(1.5)
+    with pytest.raises(InfeasibleInput, match=r"anchor infeasible at t=0\.25"):
+        geo.distances_upper_along(p, [0.0, 0.25], [[-1.0], [1.0]])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,15 +195,60 @@ def test_assumptions_match_loop_reference(name):
                     == verify_data_assumptions_loop(p, spec, seed).to_jsonable())
 
 
+@pytest.mark.parametrize("datum", ["f", "running_cost"])
+def test_assumptions_nonfinite_data_fail_at_first_sample(datum):
+    # NaN left of x = -2, inside the tube around the floor: every check on
+    # f and L fails, each naming the first NaN sample (t = 0, not the last t)
+    base = pb.get_problem("moving-wall-1d")
+    fn = getattr(base, datum)
+
+    def nan_left(t, x, u):
+        x0 = np.asarray(x, dtype=float) if datum == "f" else np.asarray(x, dtype=float)[..., 0]
+        return np.where(x0 < -2.0, np.nan, fn(t, x, u))
+
+    p = dataclasses.replace(base, **{datum: nan_left})
+    rep = pb.verify_data_assumptions(p, seed=0)
+    for cid in ("tube-bounded", "lipschitz-x", "growth"):
+        check = rep[cid]
+        w = check.worst_witness
+        assert check.status == "fail", cid
+        assert w["t"] == 0.0 and w["x"] < -2.0 and w["u"] is not None, (cid, w)
+    assert rep["avg-modulus"].status == "pass" and not rep.ok
+
+
 def test_velocities_broadcast_and_shape_error(moving_wall):
     u, v = moving_wall.velocities(0.0, [0.3])
     assert v.shape == (len(u), 1) and np.array_equal(v, u)
-    const = simple_problem(lambda t, x, u: np.array([0.5]), zero_cost)
+    const = simple_problem(lambda t, x, u: np.array([0.5]), lambda t, x, u: 2.0)
     u, v = const.velocities(0.0, [0.0])
     assert v.shape == (len(u), 1) and np.all(v == 0.5)
-    bad = simple_problem(lambda t, x, u: np.ones(3), zero_cost)
+    c = const.costs(0.0, np.zeros((4, 1)))
+    assert c.shape == (len(u), 4) and np.all(c == 2.0)
+    bad = simple_problem(lambda t, x, u: np.ones(7), lambda t, x, u: np.ones(7))
     with pytest.raises(ValueError):
         bad.velocities(0.0, [0.0])
+    with pytest.raises(ValueError):
+        bad.costs(0.0, [0.0])
+
+
+@pytest.mark.parametrize("name", pb.registered_problems() + ("x2u", "sway-1d"))
+def test_kernel_matches_per_point_and_per_control_calls(name):
+    p = _problem(name)
+    rng = np.random.default_rng(5)
+    X = p.box[:, 0] + rng.random((2, 3, p.n)) * (p.box[:, 1] - p.box[:, 0])
+    for t in (0.0, 1.7):
+        u, V = p.velocities(t, X, 1)
+        C = p.costs(t, X, 1)
+        assert V.shape == (len(u), 2, 3, p.n) and C.shape == (len(u), 2, 3)
+        _, V2 = p.velocities(t, X.reshape(6, p.n), 1)
+        assert np.array_equal(V2, V.reshape(len(u), 6, p.n))
+        for idx in np.ndindex(2, 3):
+            x = X[idx]
+            u1, v1 = p.velocities(t, x, 1)
+            assert np.array_equal(u1, u) and np.array_equal(v1, V[(slice(None),) + idx])
+            for j, uj in enumerate(u):
+                assert np.array_equal(np.asarray(p.f(t, x, uj), dtype=float), V[(j,) + idx])
+                assert float(p.running_cost(t, x, uj)) == C[(j,) + idx]
 
 
 def test_assumptions_failures_monotone_in_density():
