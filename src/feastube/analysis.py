@@ -284,12 +284,14 @@ class TimeLipschitzResult:
 
 def velocity_cost_sup(field: ValueField, p: ProblemDefinition, probes, level: int = 0) -> float:
     """Sampled sup of ``|f| + |L|`` over the probes (shape ``(k, n)``), the
-    sampled controls and 9 times spanning the field's horizon."""
+    sampled controls and 9 times spanning the field's horizon; a NaN counts
+    as unbounded."""
     sup = 0.0
     for t in np.linspace(field.t0, field.T, 9):
         _, fv = p.velocities(float(t), probes, level)
         lv = p.costs(float(t), probes, level)
-        sup = max(sup, float((np.linalg.norm(fv, axis=-1) + np.abs(lv)).max()))
+        mag = np.linalg.norm(fv, axis=-1) + np.abs(lv)
+        sup = max(sup, float(np.where(np.isnan(mag), np.inf, mag).max()))
     return sup
 
 

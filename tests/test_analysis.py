@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -143,6 +144,17 @@ def test_time_lipschitz_gate_skips():
     assert not res.gate_ok
     assert res.probe_passed == ()
     assert not res.passed
+
+
+def test_time_lipschitz_gate_fails_on_nan_velocity():
+    # a NaN velocity at one probe must not drop out of the sampled sup
+    p, f = _zero_cost_field()
+    nan_left = dataclasses.replace(
+        p, f=lambda t, x, u: np.where(np.asarray(x) < 0.25, np.nan, unit_velocity(t, x, u)))
+    assert ana.velocity_cost_sup(f, p, np.array([[0.0], [0.5]])) == 1.0
+    assert ana.velocity_cost_sup(f, nan_left, np.array([[0.0], [0.5]])) == math.inf
+    res = ana.time_lipschitz_check(f, nan_left, _tc(), bound_N=2.0, probes=[[0.0], [0.5]])
+    assert not res.gate_ok and not res.passed
 
 
 def test_time_lipschitz_infeasible_probe(moving_wall, mw_tracking_constants):
