@@ -9,7 +9,8 @@ the step-loop references write out one RK4 loop per trajectory construction;
 the repair reference re-projects the whole tail after every corrected piece;
 the backstep reference builds its candidates one control at a time and
 interpolates once per velocity/cost candidate; the assumption reference
-evaluates the data one sampled point at a time;
+evaluates the data one sampled point at a time; the certify references take
+one Lipschitz quotient per node pair and write one CSV row at a time;
 the CLI references keep ``analyze`` and ``pipeline`` as two separate copies
 of the four value-function checks.
 """
@@ -552,6 +553,69 @@ def verify_data_assumptions_loop(p, samples=None, seed=0):
             ok = False
     checks.append(AssumptionCheck("affine-majorant", "pass" if ok else "fail", worst_w))
     return AssumptionReport(tuple(checks))
+
+
+# ---------------------------------------------------------------------------
+# certify references: one Lipschitz quotient per pair, one CSV row at a time
+# ---------------------------------------------------------------------------
+
+def slice_pairs_loop(field, i, budget, rng):
+    """Node-index pairs: grid neighbors first, then seeded random pairs."""
+    flat = field.values[i].ravel()
+    fin = np.where(np.isfinite(flat))[0]
+    if fin.size < 2:
+        return []
+    shape = field.values[i].shape
+    pairs = []
+    finite_set = np.zeros(flat.size, dtype=bool)
+    finite_set[fin] = True
+    for d in range(len(shape)):
+        stride = int(np.prod(shape[d + 1:], dtype=int))
+        for a in fin:
+            b = a + stride
+            idx_d = (a // stride) % shape[d]
+            if idx_d + 1 < shape[d] and b < flat.size and finite_set[b]:
+                pairs.append((int(a), int(b)))
+    while len(pairs) < budget and fin.size >= 2:
+        extra = rng.choice(fin, size=(budget - len(pairs), 2))
+        pairs.extend((int(a), int(b)) for a, b in extra if a != b)
+        if not np.any(extra[:, 0] != extra[:, 1]):
+            break
+    return pairs[:budget]
+
+
+def lipschitz_profile_loop(field, constants, pair_budget=2000, tol=None, seed=0):
+    """``analysis.lipschitz_profile`` with one 1-D ``np.linalg.norm`` per pair."""
+    b, K = ana._envelope_rate(field, constants)
+    tol = ana.scheme_tolerance(field) if tol is None else tol
+    rng = np.random.default_rng(seed)
+    nodes = field.grid_nodes()
+    times = field.times
+    emp = np.zeros(len(times))
+    for i in range(len(times)):
+        flat = field.values[i].ravel()
+        best = 0.0
+        for a, bdx in slice_pairs_loop(field, i, pair_budget, rng):
+            dist = float(np.linalg.norm(nodes[a] - nodes[bdx]))
+            if dist < 1e-14:
+                continue
+            q = abs(flat[a] - flat[bdx]) / dist
+            if q > best:
+                best = q
+        emp[i] = best
+    bound = b * np.exp(-(field.lam - K) * times)
+    passed = bool(np.all(emp <= bound * (1.0 + tol) + 1e-15))
+    return ana.LipschitzProfile(times, emp, bound, b, constants.C, K, tol, passed)
+
+
+def write_csv_rows(path, columns):
+    """``analysis.write_csv`` one row at a time, ``repr(float(v))`` per value."""
+    names = list(columns)
+    rows = np.column_stack([np.asarray(columns[c], dtype=float) for c in names])
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,22 @@ import dataclasses
 import json
 import math
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feastube import analysis as ana
+from feastube import problem as pb
 from feastube import trajectory as tj
 from feastube import value as val
 from feastube.errors import DiscountBelowThreshold, ProbeInfeasible
 
-from util import constant_cost_problem, simple_problem, unit_velocity, zero_cost
+from oracles import lipschitz_profile_loop, write_csv_rows
+from util import constant_cost_problem, simple_problem, sway_problem, unit_velocity, zero_cost
 
 
 def _zero_cost_field(lam=3.0, horizon=2.0):
@@ -49,6 +56,58 @@ def test_lipschitz_profile_monotone_in_budget(moving_wall, mw_tracking_constants
                                          pair_budget=b, seed=3).empirical)
             for b in (50, 200, 800)]
     assert vals[0] <= vals[1] + 1e-15 <= vals[2] + 2e-15
+
+
+@pytest.fixture(scope="module")
+def certify_fields():
+    """Plain and relaxed fields of every registered problem and sway-1d, on
+    grids whose boxes reach past the feasible set (so slices hold +inf), plus
+    one field thinned to 2, 1 and 0 finite nodes in its first three slices."""
+    fields = {}
+    for name in pb.registered_problems() + ("sway-1d",):
+        p = sway_problem() if name == "sway-1d" else pb.get_problem(name)
+        g = val.grid_for(p, (11, 17) if p.n == 2 else 41, dt=0.05 if p.n == 2 else 0.1)
+        for relaxed in (False, True):
+            fields[name, relaxed] = val.solve_value(p, 6.0, g, relaxed=relaxed, horizon=0.2)
+    base = fields["sway-1d", False]
+    thin = base.values.copy()
+    thin[0, 2:], thin[1, 1:], thin[2] = np.inf, np.inf, np.inf
+    fields["thinned", False] = dataclasses.replace(base, values=thin)
+    return fields
+
+
+@pytest.mark.parametrize("budget", [1, 50, 400, 5000])
+def test_lipschitz_profile_matches_loop_reference(certify_fields, budget):
+    """Budget 1 and 50 cut the neighbor pairs short; 400 and 5000 add
+    seeded random pairs past them.  Every empirical quotient is equal bit for
+    bit to one 1-D ``np.linalg.norm`` per pair."""
+    for key, field in certify_fields.items():
+        for seed in range(4):
+            got = ana.lipschitz_profile(field, _tc(), pair_budget=budget, seed=seed)
+            want = lipschitz_profile_loop(field, _tc(), pair_budget=budget, seed=seed)
+            assert got.empirical.tobytes() == want.empirical.tobytes(), (key, seed)
+            assert got.to_jsonable() == want.to_jsonable(), (key, seed)
+
+
+def test_lipschitz_profile_rounds_distances_like_1d_norm(certify_fields):
+    """The quotients of the registered fields peak on axis neighbors, whose
+    distances round alike under any sum of squares.  Here each slice keeps
+    2-4 finite nodes on an off-lattice 2-D grid, so every pair is diagonal and
+    a summed square rounds differently from the 1-D ``np.linalg.norm`` on
+    some of them."""
+    base = certify_fields["corridor-2d", False]
+    axes = (np.linspace(-2.3, 1.9, 23), np.linspace(-1.7, 1.3, 29))
+    rng = np.random.default_rng(0)
+    values = np.full((64, 23 * 29), np.inf)
+    for row in values:
+        k = rng.integers(2, 5)
+        row[rng.choice(row.size, k, replace=False)] = rng.random(k)
+    field = dataclasses.replace(base, axes=axes, values=values.reshape(64, 23, 29))
+    for budget in (1, 8, 50):
+        for seed in range(4):
+            got = ana.lipschitz_profile(field, _tc(), pair_budget=budget, seed=seed)
+            want = lipschitz_profile_loop(field, _tc(), pair_budget=budget, seed=seed)
+            assert got.empirical.tobytes() == want.empirical.tobytes(), (budget, seed)
 
 
 def test_lipschitz_envelope_blows_up_near_threshold():
@@ -189,6 +248,44 @@ def test_emit_report_schema_and_determinism(tmp_path):
     header = (out1 / "lipschitz.csv").read_text().splitlines()[0]
     assert header == "t,empirical,bound"
     assert (out1 / "plot_lipschitz_empirical.csv").exists()
+
+
+# Values on both sides of repr's switch to exponent form (1e-05 and 1e16),
+# signed zeros and NaNs, infinities and subnormals.
+_CSV_EDGES = [
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+    5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e-05, 9.999999999999999e-06, 1.0000000000000001e-05, 0.0001,
+    1e16, 9999999999999998.0, 1.0000000000000002e16, 1e15, 0.1, -1.5, 2.0,
+    float(np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(), np.float64)[0]),
+]
+_csv_values = st.one_of(st.sampled_from(_CSV_EDGES), st.floats(),
+                        st.floats(5e-324, 1e-300), st.floats(1e-6, 1e-4),
+                        st.floats(1e15, 1e17))
+# More rows than write_csv formats in one block.
+_CSV_MANY_ROWS = 2 * 8192 + 3
+
+
+@st.composite
+def _csv_columns(draw):
+    """Columns drawn from small pools of values, so that values repeat."""
+    n_rows = draw(st.one_of(st.integers(0, 12), st.just(_CSV_MANY_ROWS)))
+    cols = {}
+    for j in range(draw(st.integers(1, 4))):
+        pool = np.array(draw(st.lists(_csv_values, min_size=1, max_size=8)))
+        pick = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        cols[f"c{j}"] = pool[pick.integers(0, pool.size, n_rows)]
+    return cols
+
+
+@settings(max_examples=40, deadline=None)
+@given(_csv_columns())
+def test_write_csv_matches_row_loop(cols):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        ana.write_csv(got, cols)
+        write_csv_rows(want, cols)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_emit_report_empty(tmp_path):

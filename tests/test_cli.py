@@ -9,6 +9,7 @@ from feastube.problem import registered_problems
 from feastube import value as val
 
 import oracles
+from oracles import write_csv_rows
 
 # The certify benchmark's settings: --lambda 120 (above every problem's
 # tracking rate, so no check is skipped) with an explicit grid and horizon.
@@ -176,6 +177,16 @@ def test_pipeline_deterministic_on_every_problem(name, tmp_path, capsys):
     assert cli.run(args + ["--out", str(out2)]) == 0
     tree = _tree(out1)
     assert "summary.json" in tree and tree == _tree(out2)
+    # The bytes are those of the row-at-a-time writer, not only stable.
+    csvs = [rel for rel in tree if rel.endswith(".csv")]
+    assert "field.csv" in csvs and "field_relaxed.csv" in csvs
+    for rel in csvs:
+        lines = tree[rel].decode().splitlines()
+        names = lines[0].split(",")
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        data = np.array(rows).reshape(len(rows), len(names))
+        write_csv_rows(tmp_path / "rows.csv", {c: data[:, j] for j, c in enumerate(names)})
+        assert (tmp_path / "rows.csv").read_bytes() == tree[rel], rel
 
 
 @pytest.mark.parametrize("action", ["lipschitz", "decay", "relax", "time-lip"])
