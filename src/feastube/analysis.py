@@ -82,29 +82,33 @@ class LipschitzProfile:
         }
 
 
-def _slice_pairs(field: ValueField, i: int, budget: int, rng) -> list[tuple[int, int]]:
-    """Node-index pairs: grid neighbors first, then seeded random pairs."""
+def _slice_pairs(field: ValueField, i: int, budget: int, rng) -> tuple[Array, Array]:
+    """Node-index pairs ``(a, b)``: grid neighbors axis by axis, then seeded
+    random pairs up to the budget, cut to ``budget`` pairs in that order."""
     flat = field.values[i].ravel()
-    fin = np.where(np.isfinite(flat))[0]
+    fin = np.flatnonzero(np.isfinite(flat))
     if fin.size < 2:
-        return []
+        return fin[:0], fin[:0]
     shape = field.values[i].shape
-    pairs: list[tuple[int, int]] = []
     finite_set = np.zeros(flat.size, dtype=bool)
     finite_set[fin] = True
+    firsts, seconds = [], []
     for d in range(len(shape)):
         stride = int(np.prod(shape[d + 1:], dtype=int))
-        for a in fin:
-            b = a + stride
-            idx_d = (a // stride) % shape[d]
-            if idx_d + 1 < shape[d] and b < flat.size and finite_set[b]:
-                pairs.append((int(a), int(b)))
-    while len(pairs) < budget and fin.size >= 2:
-        extra = rng.choice(fin, size=(budget - len(pairs), 2))
-        pairs.extend((int(a), int(b)) for a, b in extra if a != b)
-        if not np.any(extra[:, 0] != extra[:, 1]):
+        a = fin[(fin // stride) % shape[d] + 1 < shape[d]]
+        a = a[finite_set[a + stride]]
+        firsts.append(a)
+        seconds.append(a + stride)
+    n = sum(a.size for a in firsts)
+    while n < budget:
+        extra = rng.choice(fin, size=(budget - n, 2))
+        distinct = extra[:, 0] != extra[:, 1]
+        if not distinct.any():
             break
-    return pairs[:budget]
+        firsts.append(extra[distinct, 0])
+        seconds.append(extra[distinct, 1])
+        n += int(distinct.sum())
+    return np.concatenate(firsts)[:budget], np.concatenate(seconds)[:budget]
 
 
 def lipschitz_profile(
@@ -118,8 +122,11 @@ def lipschitz_profile(
 
     Quotients are maximized over feasible node pairs (nearest neighbors
     first, then seeded random pairs up to the budget) and must stay below
-    ``b * exp(-(lam - K) t) * (1 + tol)``.
+    ``b * exp(-(lam - K) t) * (1 + tol)``.  A time with no pair at least
+    1e-14 apart scores 0.
     """
+    if pair_budget < 1:
+        raise ValueError(f"need pair_budget >= 1, got pair_budget={pair_budget}")
     b, K = _envelope_rate(field, constants)
     tol = scheme_tolerance(field) if tol is None else tol
     rng = np.random.default_rng(seed)
@@ -128,15 +135,14 @@ def lipschitz_profile(
     emp = np.zeros(len(times))
     for i in range(len(times)):
         flat = field.values[i].ravel()
-        best = 0.0
-        for a, bdx in _slice_pairs(field, i, pair_budget, rng):
-            dist = float(np.linalg.norm(nodes[a] - nodes[bdx]))
-            if dist < 1e-14:
-                continue
-            q = abs(flat[a] - flat[bdx]) / dist
-            if q > best:
-                best = q
-        emp[i] = best
+        a, bdx = _slice_pairs(field, i, pair_budget, rng)
+        diff = nodes[a] - nodes[bdx]
+        # Each squared length is one dot product, as in the 1-D
+        # np.linalg.norm; a sum of squares can round differently in 2-D.
+        dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+        far = dist >= 1e-14
+        q = np.abs(flat[a[far]] - flat[bdx[far]]) / dist[far]
+        emp[i] = np.max(q, initial=0.0)
     bound = b * np.exp(-(field.lam - K) * times)
     passed = bool(np.all(emp <= bound * (1.0 + tol) + 1e-15))
     return LipschitzProfile(times, emp, bound, b, constants.C, K, tol, passed)
@@ -346,17 +352,43 @@ def time_lipschitz_check(
 # deterministic report emission
 # ---------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    return repr(float(v))
+# Rows formatted and written at a time, so that memory stays flat in the
+# length of the file.
+_CSV_BLOCK = 4096
+
+
+def _column_text(a: Array) -> list[str]:
+    """``repr`` of each value of a 1-D float column, each distinct bit
+    pattern formatted once (keying on bits keeps -0.0 apart from 0.0)."""
+    bits, inverse = np.unique(np.ascontiguousarray(a).view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def write_csv(path: Path, columns: Mapping[str, Array]) -> None:
+    """Write equal-length 1-D columns as CSV.
+
+    The first line is the column names joined by ``,``; each following line
+    is one row, the Python ``repr`` of each value as a float joined by ``,``.
+    Every line ends with ``\\n``.  Raises ``ValueError`` naming a column that
+    is not 1-D or whose length differs from the first column's.
+    """
     names = list(columns)
-    rows = np.column_stack([np.asarray(columns[c], dtype=float) for c in names])
+    if not names:
+        raise ValueError("write_csv needs at least one column")
+    cols = [np.asarray(columns[c], dtype=float) for c in names]
+    for name, a in zip(names, cols):
+        if a.ndim != 1:
+            raise ValueError(f"column {name!r} has shape {a.shape}; need a 1-D column")
+        if a.size != cols[0].size:
+            raise ValueError(f"column {name!r} has {a.size} rows; "
+                             f"column {names[0]!r} has {cols[0].size}")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, cols[0].size, _CSV_BLOCK):
+            texts = [_column_text(a[start:start + _CSV_BLOCK]) for a in cols]
+            fh.write("\n".join(map(",".join, zip(*texts))))
+            fh.write("\n")
 
 
 def write_json(path: Path, obj) -> None:

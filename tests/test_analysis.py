@@ -110,6 +110,13 @@ def test_lipschitz_profile_rounds_distances_like_1d_norm(certify_fields):
             assert got.empirical.tobytes() == want.empirical.tobytes(), (budget, seed)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_lipschitz_profile_rejects_empty_budget(budget):
+    p, f = _zero_cost_field()
+    with pytest.raises(ValueError, match=f"pair_budget={budget}"):
+        ana.lipschitz_profile(f, _tc(), pair_budget=budget)
+
+
 def test_lipschitz_envelope_blows_up_near_threshold():
     p, f = _zero_cost_field(lam=3.0)
     tc = _tc(beta=1.0)
@@ -263,7 +270,7 @@ _csv_values = st.one_of(st.sampled_from(_CSV_EDGES), st.floats(),
                         st.floats(5e-324, 1e-300), st.floats(1e-6, 1e-4),
                         st.floats(1e15, 1e17))
 # More rows than write_csv formats in one block.
-_CSV_MANY_ROWS = 2 * 8192 + 3
+_CSV_MANY_ROWS = 2 * ana._CSV_BLOCK + 3
 
 
 @st.composite
@@ -286,6 +293,27 @@ def test_write_csv_matches_row_loop(cols):
         ana.write_csv(got, cols)
         write_csv_rows(want, cols)
         assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_write_csv_block_edges(block, tmp_path, monkeypatch):
+    monkeypatch.setattr(ana, "_CSV_BLOCK", block)
+    for n_rows in range(0, 12):
+        cols = {"t": np.repeat([0.0, -0.0, 1e16], 4)[:n_rows], "v": np.arange(n_rows) * 1e-05}
+        ana.write_csv(tmp_path / "got.csv", cols)
+        write_csv_rows(tmp_path / "want.csv", cols)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cols, named", [
+    ({"t": np.arange(3.0), "x": np.ones((3, 2))}, "'x' has shape (3, 2)"),
+    ({"t": np.arange(3.0), "x": 1.0}, "'x' has shape ()"),
+    ({"t": np.arange(3.0), "x": np.ones(2)}, "'x' has 2 rows; column 't' has 3"),
+])
+def test_write_csv_rejects_malformed_column(cols, named, tmp_path):
+    with pytest.raises(ValueError) as err:
+        ana.write_csv(tmp_path / "bad.csv", cols)
+    assert named in str(err.value)
 
 
 def test_emit_report_empty(tmp_path):

@@ -208,6 +208,15 @@ def test_analyze_action(action, lam, tmp_path, capsys):
         assert entry["passed"] is True
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_analyze_lipschitz_rejects_empty_pair_budget(budget, tmp_path, capsys):
+    args = ["--problem", "moving-wall-1d", "--lambda", "120", "--grid", "0.05,0.05",
+            "--pair-budget", budget, "--out", str(tmp_path)]
+    assert cli.run(["analyze", "lipschitz"] + args) == 1
+    assert f"pair_budget={budget}" in _capture(capsys)["error"]
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("name", registered_problems())
 @pytest.mark.parametrize("cmd", ["nft", "track"])
 def test_run_defaults_on_every_problem(cmd, name, capsys):
