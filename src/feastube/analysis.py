@@ -360,7 +360,7 @@ _CSV_BLOCK = 4096
 def _column_text(a: Array) -> list[str]:
     """``repr`` of each value of a 1-D float column, each distinct bit
     pattern formatted once (keying on bits keeps -0.0 apart from 0.0)."""
-    bits, inverse = np.unique(np.ascontiguousarray(a).view(np.int64), return_inverse=True)
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
     texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     return texts[inverse].tolist()
 

@@ -275,14 +275,17 @@ _CSV_MANY_ROWS = 2 * ana._CSV_BLOCK + 3
 
 @st.composite
 def _csv_columns(draw):
-    """Columns drawn from small pools of values, so that values repeat."""
+    """Columns drawn from small pools of values and their negations, so that
+    values repeat and -0.0 meets 0.0.  The columns are strided views of one
+    row-major table, as a trajectory's state columns are."""
     n_rows = draw(st.one_of(st.integers(0, 12), st.just(_CSV_MANY_ROWS)))
-    cols = {}
+    table = []
     for j in range(draw(st.integers(1, 4))):
         pool = np.array(draw(st.lists(_csv_values, min_size=1, max_size=8)))
+        pool = np.concatenate([pool, -pool])
         pick = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-        cols[f"c{j}"] = pool[pick.integers(0, pool.size, n_rows)]
-    return cols
+        table.append(pool[pick.integers(0, pool.size, n_rows)])
+    return {f"c{j}": col for j, col in enumerate(np.column_stack(table).T)}
 
 
 @settings(max_examples=40, deadline=None)
