@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-
 import tempfile
 from pathlib import Path
 
