@@ -11,8 +11,9 @@ the backstep reference builds its candidates one control at a time and
 interpolates once per velocity/cost candidate; the assumption reference
 evaluates the data one sampled point at a time; the certify references take
 one Lipschitz quotient per node pair and write one CSV row at a time;
-the CLI references keep ``analyze`` and ``pipeline`` as two separate copies
-of the four value-function checks.
+the certificate reference samples the boundary one time at a time and solves
+one LP per boundary point; the CLI references keep ``analyze`` and
+``pipeline`` as two separate copies of the four value-function checks.
 """
 
 import math
@@ -24,9 +25,10 @@ import numpy as np
 from feastube import analysis as ana
 from feastube import cli
 from feastube import geometry as geo
+from feastube import ipc
 from feastube import trajectory as tj
 from feastube import value as val
-from feastube.errors import DiscountBelowThreshold
+from feastube.errors import BoundarySamplingFailed, DiscountBelowThreshold, InfeasibleInput
 from feastube.problem import (
     AssumptionCheck,
     AssumptionReport,
@@ -34,6 +36,7 @@ from feastube.problem import (
     _witness,
     verify_data_assumptions,
 )
+from feastube.simplex import solve_matrix_game
 
 
 def game_value_enum(Q):
@@ -616,6 +619,79 @@ def write_csv_rows(path, columns):
         fh.write(",".join(names) + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# certificate references: one boundary sampling per time, one LP per
+# boundary point
+# ---------------------------------------------------------------------------
+
+def boundary_points_per_time(p, t, n_dirs=24, ray_factor=1.5):
+    """Boundary points at one time: one leave test and one ray-batched
+    bisection per call."""
+    if p.m == 0:
+        return []
+    a = np.asarray(p.anchor(t), dtype=float)
+    if geo.max_violation(p, t, a) > geo.TOL_FEAS:
+        raise InfeasibleInput(f"anchor infeasible at t={t}")
+    R = ray_factor * float(np.linalg.norm(p.box[:, 1] - p.box[:, 0]))
+    dirs = geo._directions(p.n, n_dirs)
+    dirs = dirs[geo._worst(p, t, a + R * dirs) > 0.0]
+    return list(a + geo._bisect(p, t, a, dirs, 0.0, R, 60, 0.0)[:, None] * dirs)
+
+
+def inward_margin_unmemoised(p, t, x, delta, level=0):
+    """``ipc.inward_margin`` solving a fresh LP at every call."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    u, vels = p.velocities(t, x, level)
+    act = sorted(geo.active_set(p, t, x, delta).indices)
+    if not act:
+        alpha = np.zeros(u.shape[0])
+        alpha[0] = 1.0
+        return ipc.MarginResult(math.inf, alpha, vels[0], ())
+    grads = np.stack(
+        [np.asarray(p.constraints[i].grad(t, x), dtype=float).reshape(-1) for i in act]
+    )
+    r, alpha = solve_matrix_game(-grads @ vels.T)
+    return ipc.MarginResult(float(r), alpha, alpha @ vels, tuple(act))
+
+
+def verify_ipc_per_time(p, horizon, r_min, delta=0.5, n_time=64, n_dirs=24,
+                        level=0, max_witnesses=8):
+    """``ipc.verify_ipc`` sampling the boundary one time at a time and
+    solving one LP per boundary point."""
+    if r_min <= 0:
+        raise ValueError("r_min must be positive")
+    if p.m == 0:
+        raise BoundarySamplingFailed("no constraints: the margin condition is vacuous")
+    times = np.linspace(horizon[0], horizon[1], n_time)
+    records = []
+    for t in times:
+        for x in boundary_points_per_time(p, float(t), n_dirs):
+            mr = inward_margin_unmemoised(p, float(t), x, delta, level)
+            if math.isfinite(mr.r):
+                records.append((mr.r, float(t), x, mr.alpha, mr.v))
+    if not records:
+        raise BoundarySamplingFailed("boundary sampler found no boundary points")
+    records.sort(key=lambda rec: rec[0])
+    r_obs = records[0][0]
+    worst = {
+        "t": records[0][1],
+        "x": [float(a) for a in records[0][2]],
+        "r": float(r_obs),
+        "alpha": [float(a) for a in records[0][3]],
+        "v": [float(a) for a in records[0][4]],
+    }
+    if r_obs < r_min:
+        return ipc.IpcVerification(False, None, worst, len(records), r_min)
+    eps, eta = ipc.synthesize_ipc_constants(p, r_obs, delta)
+    cert = ipc.IpcCertificate(
+        r=float(r_obs), delta=float(delta), eps=eps, eta=eta,
+        witnesses=tuple((t, x, al, v) for _, t, x, al, v in records[:max_witnesses]),
+        n_samples=len(records),
+    )
+    cert.validate(p)
+    return ipc.IpcVerification(True, cert, worst, len(records), r_min)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,8 +11,16 @@ from feastube import problem as pb
 from feastube.errors import BoundarySamplingFailed, NoFeasibleConstants
 from feastube.simplex import solve_lp, solve_matrix_game
 
+import oracles
 from oracles import game_value_enum, game_value_grid
-from util import simple_problem, two_wall_1d, unit_velocity, zero_cost
+from util import (
+    affine_constraint,
+    simple_problem,
+    sway_problem,
+    two_wall_1d,
+    unit_velocity,
+    zero_cost,
+)
 
 
 # --- LP / matrix games --------------------------------------------------------
@@ -137,6 +147,63 @@ def test_verify_ipc_needs_constraints():
         ipc.verify_ipc(p, (0.0, 1.0), r_min=0.5)
 
 
+# --- differential: batched sampling and memoised games against the loops -------
+
+def _sway_walls():
+    """``sway-1d`` between two moving walls: its games differ from point to point."""
+    walls = (affine_constraint("upper", [1.0], lambda t: -(0.8 + 0.4 * np.sin(t))),
+             affine_constraint("lower", [-1.0], lambda t: -(1.2 + 0.3 * np.cos(t))))
+    return dataclasses.replace(sway_problem(), constraints=walls)
+
+
+def _same_verification(p, horizon, **kw):
+    got = ipc.verify_ipc(p, horizon, **kw)
+    want = oracles.verify_ipc_per_time(p, horizon, **kw)
+    assert json.dumps(got.to_jsonable()) == json.dumps(want.to_jsonable())
+    return got
+
+
+# CLI defaults of ``ipc verify``
+_CLI = dict(r_min=0.5, delta=0.5, n_time=40, n_dirs=24)
+
+
+@pytest.mark.parametrize("horizon", [(0.0, 2 * math.pi), (2.5, 6.5)])
+@pytest.mark.parametrize("name", pb.registered_problems())
+def test_verify_ipc_matches_per_time_reference(name, horizon):
+    assert _same_verification(pb.get_problem(name), horizon, **_CLI).ok
+
+
+def test_verify_ipc_matches_reference_on_pinched_corridor():
+    p = pb.get_problem("corridor-2d", {"width": 0.01})
+    assert not _same_verification(p, (0.0, 2 * math.pi), **_CLI).ok
+    assert not _same_verification(p, (0.0, 2 * math.pi), r_min=0.5, delta=0.1,
+                                  n_time=10, n_dirs=8).ok
+
+
+def test_verify_ipc_matches_reference_on_state_dependent_games():
+    ver = _same_verification(_sway_walls(), (0.0, 2 * math.pi), r_min=0.05, delta=0.5,
+                             n_time=40, n_dirs=24, max_witnesses=40)
+    assert ver.ok
+    speeds = {tuple(w["v"]) for w in ver.to_jsonable()["witnesses"]}
+    assert len(speeds) > 30
+
+
+@pytest.mark.parametrize("name", ["moving-wall-1d", "corridor-2d"])
+def test_verify_ipc_matches_reference_at_level_1(name):
+    _same_verification(pb.get_problem(name), (0.0, 2 * math.pi), level=1, **_CLI)
+
+
+def test_margin_results_share_no_alpha(moving_wall):
+    want = oracles.inward_margin_unmemoised(moving_wall, 0.0, [1.0], 0.1)
+    first = ipc.inward_margin(moving_wall, 0.0, [1.0], 0.1)
+    first.alpha[:] = 7.0
+    second = ipc.inward_margin(moving_wall, 0.0, [1.0], 0.1)
+    assert second.alpha is not first.alpha
+    assert np.array_equal(second.alpha, want.alpha)
+    assert (second.r, second.active) == (want.r, want.active)
+    assert np.array_equal(second.v, want.v)
+
+
 # --- synthesized constants --------------------------------------------------------
 
 def test_synthesize_moving_wall(moving_wall):
@@ -252,3 +319,48 @@ def test_matrix_game_value_property(Q):
     v_lp, alpha = solve_matrix_game(Q)
     assert abs(v_lp - game_value_enum(Q)) <= 1e-9
     assert float((Q @ alpha).min()) >= v_lp - 1e-9
+
+
+_CIRCLE = np.column_stack([np.cos(np.arange(8) * math.pi / 4), np.sin(np.arange(8) * math.pi / 4)])
+
+
+def _sway(t, x, u):
+    x = np.asarray(x, dtype=float)
+    return np.asarray(u, dtype=float) * (x + 2.0) * (1.0 + 0.5 * np.sin(3.0 * x + t)) / 2
+
+
+@st.composite
+def _walled_problems(draw):
+    """Walls ``c.x <= a + b sin t`` in 1-D or 2-D under ``f = u`` or ``sway``."""
+    n = draw(st.sampled_from([1, 2]))
+    walls = []
+    for i in range(draw(st.integers(1, 3))):
+        turn, size = draw(st.floats(0, 2 * math.pi)), draw(st.floats(0.1, 1))
+        c = size * (np.array([math.copysign(1.0, math.pi - turn)]) if n == 1
+                    else np.array([math.cos(turn), math.sin(turn)]))
+        a, b = draw(st.floats(-0.2, 1.5)), draw(st.floats(-0.8, 0.8))
+        walls.append(affine_constraint(f"wall{i}", c, lambda t, a=a, b=b: -(a + b * np.sin(t))))
+    controls = None
+    if n == 2:
+        controls = pb.ControlSamples(2, lambda t, l: _CIRCLE)
+    f = draw(st.sampled_from([unit_velocity, _sway]))
+    return simple_problem(f, zero_cost, constraints=walls, n=n, controls=controls, M=3.0)
+
+
+def _outcome(verify, p, horizon, **kw):
+    try:
+        return json.dumps(verify(p, horizon, **kw).to_jsonable())
+    except Exception as exc:  # the error type is the outcome to compare
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=_walled_problems(), t0=st.floats(0, 2 * math.pi), length=st.floats(0, 3),
+       r_min=st.floats(0.01, 1), delta=st.floats(0.01, 1),
+       n_time=st.integers(1, 12), n_dirs=st.integers(1, 12))
+def test_verify_ipc_matches_reference_on_random_walls(p, t0, length, r_min, delta,
+                                                      n_time, n_dirs):
+    kw = dict(r_min=r_min, delta=delta, n_time=n_time, n_dirs=n_dirs)
+    horizon = (t0, t0 + length)
+    assert (_outcome(ipc.verify_ipc, p, horizon, **kw)
+            == _outcome(oracles.verify_ipc_per_time, p, horizon, **kw))
