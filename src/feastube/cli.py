@@ -499,8 +499,11 @@ def _add_common(sp) -> None:
     sp.add_argument("--t1", type=float)
     sp.add_argument("--delta", type=float)
     sp.add_argument("--rmin", type=float)
-    sp.add_argument("--ntime", type=int)
-    sp.add_argument("--ndirs", type=int)
+    sp.add_argument("--ntime", type=int, help="times sampled by the margin check (>= 1)")
+    sp.add_argument("--ndirs", type=int,
+                    help="boundary rays per sampled time (>= 1): ignored in 1-D, which "
+                         "always casts two; equally spaced angles in 2-D; for n >= 3, "
+                         "max(NDIRS, 4n) random directions plus the 2n axis directions")
     sp.add_argument("--mixture-grid", dest="mixture_grid", type=int)
     sp.add_argument("--x0")
     sp.add_argument("--x1")

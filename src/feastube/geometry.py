@@ -354,21 +354,46 @@ def omega_lipschitz_estimate(
     return OmegaLipschitzReport(L_hat, p.data.omega_lip, passed, worst)
 
 
+def boundary_samples(
+    p: ProblemDefinition, times, n_dirs: int = 24, ray_factor: float = 1.5
+) -> tuple[Array, Array]:
+    """Boundary points of the feasible set at every time in ``times``.
+
+    Casts rays from the problem anchor at each time toward sampled
+    directions and bisects the sign change of max_i h_i; rays that never
+    leave the set within ``ray_factor`` times the box diagonal are skipped.
+    Works for the star-shaped benchmark sets.  ``n_dirs`` is ignored in 1-D
+    (always the two rays +-1); in 2-D it is the number of equally spaced
+    angles; for n >= 3 the rays are the 2n axis directions plus
+    ``max(n_dirs, 4n)`` seeded random ones.
+
+    Returns ``(ts, X)``: row ``j`` of ``X`` is a boundary point at time
+    ``ts[j]``, in time-major order (all rays of the first time, in direction
+    order, then the next time).  Every ray of every time is bisected in one
+    row-batched ``_bisect``.  An infeasible anchor raises
+    ``InfeasibleInput`` naming the first such time.
+    """
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if p.m == 0 or times.size == 0:
+        return np.empty(0), np.empty((0, p.n))
+    anchors = np.stack([np.asarray(p.anchor(float(t)), dtype=float).reshape(p.n)
+                        for t in times])
+    off = _worst(p, times, anchors) > TOL_FEAS
+    if off.any():
+        raise InfeasibleInput(f"anchor infeasible at t={times[np.argmax(off)]}")
+    R = ray_factor * float(np.linalg.norm(p.box[:, 1] - p.box[:, 0]))
+    dirs = _directions(p.n, n_dirs)
+    ts = np.repeat(times, len(dirs))
+    base = np.repeat(anchors, len(dirs), axis=0)
+    rays = np.tile(dirs, (len(times), 1))
+    leave = _worst(p, ts, base + R * rays) > 0.0
+    ts, base, rays = ts[leave], base[leave], rays[leave]
+    return ts, base + _bisect(p, ts, base, rays, 0.0, R, 60, 0.0)[:, None] * rays
+
+
 def sample_boundary_points(
     p: ProblemDefinition, t: float, n_dirs: int = 24, ray_factor: float = 1.5
 ) -> list[Array]:
-    """Boundary points of the feasible set at time t.
-
-    Casts rays from the problem anchor toward sampled directions and bisects
-    the sign change of max_i h_i.  Works for the star-shaped benchmark sets;
-    rays that never leave the set are skipped.
-    """
-    if p.m == 0:
-        return []
-    a = np.asarray(p.anchor(t), dtype=float)
-    if max_violation(p, t, a) > TOL_FEAS:
-        raise InfeasibleInput(f"anchor infeasible at t={t}")
-    R = ray_factor * float(np.linalg.norm(p.box[:, 1] - p.box[:, 0]))
-    dirs = _directions(p.n, n_dirs)
-    dirs = dirs[_worst(p, t, a + R * dirs) > 0.0]
-    return list(a + _bisect(p, t, a, dirs, 0.0, R, 60, 0.0)[:, None] * dirs)
+    """Boundary points of the feasible set at time t, as a list of rows of
+    ``boundary_samples(p, [t], n_dirs, ray_factor)``."""
+    return list(boundary_samples(p, [t], n_dirs, ray_factor)[1])

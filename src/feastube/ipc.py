@@ -5,21 +5,23 @@ At a boundary point, the inward margin is the value of the matrix game
     max over mixtures alpha of sampled velocities,
     min over near-active constraints i of  -<grad h_i, sum_j alpha_j f(t,x,u_j)>,
 
-solved exactly by a dense simplex.  A positive uniform margin over sampled
-boundary points yields a certificate carrying the geometric constants
-(eps, eta) under which short inward moves from any near-boundary point stay
-feasible.
+solved exactly by a dense simplex; each distinct game is solved once per
+process (a bounded memo keyed on the payoff matrix's bytes).  A positive
+uniform margin over sampled boundary points yields a certificate carrying
+the geometric constants (eps, eta) under which short inward moves from any
+near-boundary point stay feasible.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundarySamplingFailed, NoFeasibleConstants
-from .geometry import active_set, sample_boundary_points
+from .geometry import active_set, boundary_samples
 from .problem import ProblemDefinition
 from .simplex import solve_matrix_game
 
@@ -58,8 +60,22 @@ def inward_margin(
         [np.asarray(p.constraints[i].grad(t, x), dtype=float).reshape(-1) for i in act]
     )
     Q = -grads @ vels.T  # rows: active constraints, cols: sampled controls
-    r, alpha = solve_matrix_game(Q)
-    return MarginResult(float(r), alpha, alpha @ vels, tuple(act))
+    r, alpha = _solved_game(Q.shape, Q.tobytes())
+    alpha = alpha.copy()
+    return MarginResult(r, alpha, alpha @ vels, tuple(act))
+
+
+@functools.lru_cache(maxsize=1024)
+def _solved_game(shape: tuple[int, ...], payoff: bytes) -> tuple[float, Array]:
+    """``solve_matrix_game`` memoised on the payoff matrix's shape and bytes.
+
+    Exact: the LP is a deterministic function of ``Q`` alone, and few
+    distinct games occur (one per active set when ``f`` does not depend on
+    ``x``).  The cached ``alpha`` is read-only; callers take a copy.
+    """
+    r, alpha = solve_matrix_game(np.frombuffer(payoff).reshape(shape))
+    alpha.flags.writeable = False
+    return float(r), alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,22 +227,34 @@ def verify_ipc(
 ) -> IpcVerification:
     """Check the inward margin over sampled boundary points of the horizon.
 
+    The boundary is sampled at ``n_time`` equally spaced times by
+    ``geometry.boundary_samples``: ``n_dirs`` is ignored in 1-D (always two
+    rays), gives the number of equally spaced angles in 2-D, and for n >= 3
+    gives ``max(n_dirs, 4n)`` random directions plus the 2n axis
+    directions.  ``delta`` is the active-set ball radius.
+
     Succeeds iff the smallest observed margin reaches ``r_min``; the
     certificate then carries r = that minimum and the synthesized
     ``(eps, eta)``.  On failure the worst (t, x, r) witness is reported.
+    Ties go to the earliest sample in time-major, direction order.
     """
     if r_min <= 0:
         raise ValueError("r_min must be positive")
+    if n_time < 1:
+        raise ValueError(f"n_time must be >= 1, got n_time={n_time}")
+    if n_dirs < 1:
+        raise ValueError(f"n_dirs must be >= 1, got n_dirs={n_dirs}")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got delta={delta}")
     if p.m == 0:
         raise BoundarySamplingFailed("no constraints: the margin condition is vacuous")
     t0, t1 = horizon
-    times = np.linspace(t0, t1, n_time)
+    ts, X = boundary_samples(p, np.linspace(t0, t1, n_time), n_dirs)
     records: list[tuple[float, float, Array, Array, Array]] = []
-    for t in times:
-        for x in sample_boundary_points(p, float(t), n_dirs):
-            mr = inward_margin(p, float(t), x, delta, level)
-            if math.isfinite(mr.r):
-                records.append((mr.r, float(t), x, mr.alpha, mr.v))
+    for t, x in zip(ts.tolist(), X):
+        mr = inward_margin(p, t, x, delta, level)
+        if math.isfinite(mr.r):
+            records.append((mr.r, t, x, mr.alpha, mr.v))
     if not records:
         raise BoundarySamplingFailed("boundary sampler found no boundary points")
     records.sort(key=lambda rec: rec[0])

@@ -208,6 +208,18 @@ def test_analyze_action(action, lam, tmp_path, capsys):
         assert entry["passed"] is True
 
 
+@pytest.mark.parametrize("option, value, problem", [
+    ("--ntime", "0", "moving-wall-1d"),
+    ("--ntime", "-3", "moving-wall-1d"),
+    ("--ndirs", "0", "corridor-2d"),
+    ("--delta", "0", "moving-wall-1d"),
+])
+def test_ipc_verify_names_bad_sampling_option(option, value, problem, capsys):
+    assert cli.run(["ipc", "verify", "--problem", problem, option, value]) == 1
+    key = {"--ntime": "n_time", "--ndirs": "n_dirs", "--delta": "delta"}[option]
+    assert f"{key}={value}" in _capture(capsys)["error"]
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_analyze_lipschitz_rejects_empty_pair_budget(budget, tmp_path, capsys):
     args = ["--problem", "moving-wall-1d", "--lambda", "120", "--grid", "0.05,0.05",

@@ -296,3 +296,45 @@ def test_distances_upper_along_rejects_infeasible_anchor():
     assert geo.distance_upper(p, 0.0, [1.0]) == pytest.approx(1.5)
     with pytest.raises(InfeasibleInput, match=r"anchor infeasible at t=0\.25"):
         geo.distances_upper_along(p, [0.0, 0.25], [[-1.0], [1.0]])
+
+
+def _wall_3d():
+    """Two moving walls in 3-D, so that every sampled ray leaves the set."""
+    walls = (affine_constraint("upper", [0.6, 0.0, 0.8], lambda t: -(1.0 + 0.3 * np.sin(t))),
+             affine_constraint("lower", [-0.6, 0.0, -0.8], lambda t: -1.0 + 0.0 * t))
+    side = affine_constraint("side", [0.0, 1.0, 0.0], lambda t: -1.5 + 0.0 * t)
+    back = affine_constraint("back", [0.0, -1.0, 0.0], lambda t: -1.5 + 0.0 * t)
+    return simple_problem(unit_velocity, zero_cost, constraints=walls + (side, back), n=3,
+                          controls=pb.ControlSamples(3, lambda t, l: np.eye(3)))
+
+
+@pytest.mark.parametrize("name", pb.registered_problems() + ("wall-3d",))
+def test_boundary_samples_match_per_time_loop(name):
+    """One batched bisection over every (time, ray) row reproduces the
+    per-time sampler bit for bit, rows in time-major order."""
+    p = _wall_3d() if name == "wall-3d" else pb.get_problem(name)
+    times = np.random.default_rng(5).uniform(0.0, 2 * math.pi, 25)
+    for n_dirs in (1, 2, 8, 24):
+        ts, X = geo.boundary_samples(p, times, n_dirs)
+        want = [oracles.boundary_points_per_time(p, float(t), n_dirs) for t in times]
+        assert np.array_equal(ts, np.repeat(times, [len(w) for w in want]))
+        assert np.array_equal(X, np.array([x for w in want for x in w]).reshape(-1, p.n))
+        for t, w in zip(times[:3], want):
+            got = geo.sample_boundary_points(p, float(t), n_dirs)
+            assert len(got) == len(w) and all(map(np.array_equal, got, w))
+
+
+@pytest.mark.parametrize("n_dirs, rays", [(1, 12 + 6), (24, 24 + 6)])
+def test_boundary_samples_ray_count_in_3d(n_dirs, rays):
+    # n >= 3: max(n_dirs, 4n) random directions plus the 2n axis directions
+    ts, X = geo.boundary_samples(_wall_3d(), [0.0, 1.0], n_dirs)
+    assert ts.tolist() == [0.0] * rays + [1.0] * rays
+
+
+def test_boundary_samples_name_first_infeasible_anchor_time():
+    wall = affine_constraint("wall", [1.0], lambda t: np.sin(t) - 0.5)
+    p = simple_problem(unit_velocity, zero_cost, constraints=(wall,))
+    with pytest.raises(InfeasibleInput, match=r"anchor infeasible at t=1\.0$"):
+        geo.boundary_samples(p, [0.0, 1.0, 2.0, 3.0], 2)
+    ts, X = geo.boundary_samples(p, [], 2)
+    assert ts.shape == (0,) and X.shape == (0, 1)

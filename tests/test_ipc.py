@@ -204,6 +204,36 @@ def test_margin_results_share_no_alpha(moving_wall):
     assert np.array_equal(second.v, want.v)
 
 
+@pytest.mark.parametrize("name, kw, message", [
+    ("moving-wall-1d", {"n_time": 0}, "n_time=0"),
+    ("moving-wall-1d", {"n_time": -3}, "n_time=-3"),
+    ("corridor-2d", {"n_dirs": 0}, "n_dirs=0"),
+    ("moving-wall-1d", {"n_dirs": -2}, "n_dirs=-2"),
+    ("moving-wall-1d", {"delta": -1.0}, "delta=-1.0"),
+    ("moving-wall-1d", {"delta": 0.0}, "delta=0.0"),
+    ("moving-wall-1d", {"delta": math.nan}, "delta=nan"),
+])
+def test_verify_ipc_names_bad_sampling_parameter(name, kw, message):
+    with pytest.raises(ValueError, match=message):
+        ipc.verify_ipc(pb.get_problem(name), (0.0, 2 * math.pi), r_min=0.5, **kw)
+
+
+def test_verify_ipc_solves_each_distinct_game_once(monkeypatch):
+    games = []
+
+    def counted(Q):
+        games.append(np.asarray(Q).tobytes())
+        return solve_matrix_game(Q)
+
+    monkeypatch.setattr(ipc, "solve_matrix_game", counted)
+    for name in pb.registered_problems():
+        ipc.verify_ipc(pb.get_problem(name), (0.0, 2 * math.pi), **_CLI)
+    # 1,120 boundary points at these settings, but f = u makes a game depend
+    # on the active set only
+    assert 0 < len(games) == len(set(games)) <= 6
+    assert ipc._solved_game.cache_info().currsize == len(games)
+
+
 # --- synthesized constants --------------------------------------------------------
 
 def test_synthesize_moving_wall(moving_wall):
