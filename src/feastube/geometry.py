@@ -376,8 +376,7 @@ def boundary_samples(
     times = np.asarray(times, dtype=float).reshape(-1)
     if p.m == 0 or times.size == 0:
         return np.empty(0), np.empty((0, p.n))
-    anchors = np.stack([np.asarray(p.anchor(float(t)), dtype=float).reshape(p.n)
-                        for t in times])
+    anchors = np.stack([np.asarray(p.anchor(float(t)), dtype=float) for t in times])
     off = _worst(p, times, anchors) > TOL_FEAS
     if off.any():
         raise InfeasibleInput(f"anchor infeasible at t={times[np.argmax(off)]}")
