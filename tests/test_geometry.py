@@ -299,7 +299,8 @@ def test_distances_upper_along_rejects_infeasible_anchor():
 
 
 def _wall_3d():
-    """Two moving walls in 3-D, so that every sampled ray leaves the set."""
+    """A 3-D slab under a moving wall, closed by two fixed sides: every
+    sampled ray leaves it."""
     walls = (affine_constraint("upper", [0.6, 0.0, 0.8], lambda t: -(1.0 + 0.3 * np.sin(t))),
              affine_constraint("lower", [-0.6, 0.0, -0.8], lambda t: -1.0 + 0.0 * t))
     side = affine_constraint("side", [0.0, 1.0, 0.0], lambda t: -1.5 + 0.0 * t)
