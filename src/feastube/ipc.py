@@ -5,16 +5,15 @@ At a boundary point, the inward margin is the value of the matrix game
     max over mixtures alpha of sampled velocities,
     min over near-active constraints i of  -<grad h_i, sum_j alpha_j f(t,x,u_j)>,
 
-solved exactly by a dense simplex; each distinct game is solved once per
-process (a bounded memo keyed on the payoff matrix's bytes).  A positive
-uniform margin over sampled boundary points yields a certificate carrying
-the geometric constants (eps, eta) under which short inward moves from any
-near-boundary point stay feasible.
+solved exactly by a dense simplex; a sweep over many points solves each
+distinct game once (a memo keyed on the payoff matrix's bytes that lives
+for that sweep only).  A positive uniform margin over sampled boundary
+points yields a certificate carrying the geometric constants (eps, eta)
+under which short inward moves from any near-boundary point stay feasible.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -41,13 +40,19 @@ class MarginResult:
 
 
 def inward_margin(
-    p: ProblemDefinition, t: float, x, delta: float, level: int = 0
+    p: ProblemDefinition, t: float, x, delta: float, level: int = 0,
+    *, games: dict | None = None,
 ) -> MarginResult:
     """Best uniform inward margin at a feasible point.
 
     Returns +inf (with an arbitrary sampled velocity) when no constraint is
     delta-active; a nonpositive margin signals failure of the inward-pointing
     condition at (t, x).
+
+    ``games`` is an optional memo that a caller keeps over one sweep of
+    calls: each distinct payoff matrix is then solved once within it.  This
+    is exact, since the LP is a deterministic function of the matrix alone.
+    Every result owns its ``alpha``.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     u, vels = p.velocities(t, x, level)
@@ -60,22 +65,15 @@ def inward_margin(
         [np.asarray(p.constraints[i].grad(t, x), dtype=float).reshape(-1) for i in act]
     )
     Q = -grads @ vels.T  # rows: active constraints, cols: sampled controls
-    r, alpha = _solved_game(Q.shape, Q.tobytes())
-    alpha = alpha.copy()
-    return MarginResult(r, alpha, alpha @ vels, tuple(act))
-
-
-@functools.lru_cache(maxsize=1024)
-def _solved_game(shape: tuple[int, ...], payoff: bytes) -> tuple[float, Array]:
-    """``solve_matrix_game`` memoised on the payoff matrix's shape and bytes.
-
-    Exact: the LP is a deterministic function of ``Q`` alone, and few
-    distinct games occur (one per active set when ``f`` does not depend on
-    ``x``).  The cached ``alpha`` is read-only; callers take a copy.
-    """
-    r, alpha = solve_matrix_game(np.frombuffer(payoff).reshape(shape))
-    alpha.flags.writeable = False
-    return float(r), alpha
+    if games is None:
+        r, alpha = solve_matrix_game(Q)
+    else:
+        key = (Q.shape, Q.tobytes())
+        if key not in games:
+            games[key] = solve_matrix_game(Q)
+        r, alpha = games[key]
+        alpha = alpha.copy()
+    return MarginResult(float(r), alpha, alpha @ vels, tuple(act))
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +249,9 @@ def verify_ipc(
     t0, t1 = horizon
     ts, X = boundary_samples(p, np.linspace(t0, t1, n_time), n_dirs)
     records: list[tuple[float, float, Array, Array, Array]] = []
+    games: dict = {}
     for t, x in zip(ts.tolist(), X):
-        mr = inward_margin(p, t, x, delta, level)
+        mr = inward_margin(p, t, x, delta, level, games=games)
         if math.isfinite(mr.r):
             records.append((mr.r, t, x, mr.alpha, mr.v))
     if not records:

@@ -252,6 +252,8 @@ def viable_trajectory(
     level: int = 0,
     steps: int | None = None,
     tube_radius: float | None = None,
+    *,
+    games: dict | None = None,
 ) -> Trajectory:
     """Feasible path: margin mixture inside a boundary sub-tube, default outside.
 
@@ -259,7 +261,8 @@ def viable_trajectory(
     (radius ``min(eta, 1.5 (M + omega_lip) dt)`` by default): the certificate
     guarantees the margin mixture everywhere in the eta-tube, and acting only
     where one step could reach the boundary keeps the path within O(dt) of
-    the tube wall instead of retreating eta-deep.
+    the tube wall instead of retreating eta-deep.  ``games`` is the margin
+    game memo of ``ipc.inward_margin``; by default the path keeps its own.
     """
     if steps is None:
         _check_grid(dt)
@@ -272,6 +275,7 @@ def viable_trajectory(
         trig = min(cert.eta, 1.5 * (p.data.M + p.data.omega_lip) * dt)
     gb = np.maximum(p.grad_bounds(), 1e-12)
     mux = _MixtureMultiplexer(1)
+    games = {} if games is None else games
 
     def choose(j, t, x):
         hv = geo.eval_constraints(p, t, x)
@@ -279,7 +283,7 @@ def viable_trajectory(
         if viol > geo.TOL_FEAS:
             raise ViabilityLost(f"feasibility lost at t={t} (max h = {viol:.3e}); dt too coarse?")
         if p.m > 0 and bool(np.any(hv >= -trig * gb)):
-            mr = inward_margin(p, t, x, cert.delta, level)
+            mr = inward_margin(p, t, x, cert.delta, level, games=games)
             if math.isfinite(mr.r) and mr.r <= 0:
                 raise ViabilityLost(f"nonpositive inward margin at t={t}")
             if math.isfinite(mr.r):
@@ -445,13 +449,13 @@ def _measure_rho(p, times, states) -> float:
     return float(geo.distances_upper_along(p, times, states).max())
 
 
-def _case_push_and_replay(p, cert, cons, t_a, ref_states, rho_c, dt, level):
+def _case_push_and_replay(p, cert, cons, t_a, ref_states, rho_c, dt, level, games=None):
     """Insert the inward mixture for k*rho time, then replay the reference
     derivative with that time shift; project onto sampled controls."""
     steps = len(ref_states) - 1
     refvel = np.diff(ref_states, axis=0) / dt
     start = ref_states[0]
-    mr = inward_margin(p, t_a, start, cert.delta, level)
+    mr = inward_margin(p, t_a, start, cert.delta, level, games=games)
     if math.isfinite(mr.r) and mr.r <= 0:
         raise CorrectionFailed(f"inward margin nonpositive at t={t_a}")
     s = 0
@@ -524,6 +528,7 @@ def nft_correct(
     refvel = np.diff(ref0, axis=0) / dt
     rho_prev = rho_eff
     origin, project = None, None   # the pending projection: junction and step rule
+    games: dict = {}               # margin games solved so far in this repair
     for ja, jb in zip(bounds[:-1], bounds[1:]):
         t_a = float(times[ja])
         if project is not None:
@@ -542,7 +547,8 @@ def nft_correct(
             # from a viable path with (numerically) zero violation
             pieces["restart"] += 1
             ref_piece = viable_trajectory(
-                p, cert, t_a, cur[ja], float(times[jb]), dt, level, steps=jb - ja
+                p, cert, t_a, cur[ja], float(times[jb]), dt, level, steps=jb - ja,
+                games=games,
             ).states
             rho_c = _RHO_FLOOR
         else:
@@ -550,7 +556,7 @@ def nft_correct(
             ref_piece = cur[ja:jb + 1].copy()
             rho_c = max(rho_prev, _RHO_FLOOR)
         piece_states, piece_ctrl = _case_push_and_replay(
-            p, cert, cons, t_a, ref_piece, rho_c, dt, level
+            p, cert, cons, t_a, ref_piece, rho_c, dt, level, games
         )
         pv = geo.violations_along(p, times[ja:jb + 1], piece_states)
         if pv.max() > geo.TOL_FEAS:

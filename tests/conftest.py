@@ -4,14 +4,6 @@ import pytest
 
 from feastube import ipc, problem as pb, trajectory as tj
 
-
-@pytest.fixture(autouse=True)
-def cold_game_memo():
-    """Start every test with an empty matrix-game memo, so that no result or
-    timing depends on the games an earlier test happened to solve."""
-    ipc._solved_game.cache_clear()
-
-
 # Session-scoped heavy artifacts shared across test modules.
 
 

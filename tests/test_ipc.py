@@ -195,9 +195,11 @@ def test_verify_ipc_matches_reference_at_level_1(name):
 
 def test_margin_results_share_no_alpha(moving_wall):
     want = oracles.inward_margin_unmemoised(moving_wall, 0.0, [1.0], 0.1)
-    first = ipc.inward_margin(moving_wall, 0.0, [1.0], 0.1)
+    games = {}
+    first = ipc.inward_margin(moving_wall, 0.0, [1.0], 0.1, games=games)
     first.alpha[:] = 7.0
-    second = ipc.inward_margin(moving_wall, 0.0, [1.0], 0.1)
+    second = ipc.inward_margin(moving_wall, 0.0, [1.0], 0.1, games=games)
+    assert len(games) == 1
     assert second.alpha is not first.alpha
     assert np.array_equal(second.alpha, want.alpha)
     assert (second.r, second.active) == (want.r, want.active)
@@ -220,7 +222,7 @@ def test_verify_ipc_names_bad_sampling_parameter(name, kw, message):
     assert err.type is ValueError
 
 
-def test_verify_ipc_solves_each_distinct_game_once(monkeypatch):
+def _counting_lps(monkeypatch):
     games = []
 
     def counted(Q):
@@ -228,13 +230,26 @@ def test_verify_ipc_solves_each_distinct_game_once(monkeypatch):
         return solve_matrix_game(Q)
 
     monkeypatch.setattr(ipc, "solve_matrix_game", counted)
-    for name in pb.registered_problems():
-        ipc.verify_ipc(pb.get_problem(name), (0.0, 2 * math.pi), **_CLI)
-    # 1,120 boundary points at these settings, but f = u makes a game depend
-    # on the active set only
-    assert 0 < len(games) == len(set(games)) <= 6
-    assert ipc._solved_game.cache_info().currsize == len(games)
+    return games
 
+
+def test_verify_ipc_solves_each_distinct_game_once(monkeypatch):
+    games = _counting_lps(monkeypatch)
+    for name in pb.registered_problems():
+        p = pb.get_problem(name)
+        counts = []
+        for _ in range(2):
+            games.clear()
+            ipc.verify_ipc(p, (0.0, 2 * math.pi), **_CLI)
+            counts.append(len(games))
+            # up to 24 x 40 boundary points at these settings, but f = u makes
+            # a game depend on the active set only
+            assert 0 < len(games) == len(set(games)) <= 6
+        # the memo lives for one call: a repeat solves the same games again
+        assert counts[0] == counts[1]
+
+
+# --- synthesized constants --------------------------------------------------------
 
 # --- synthesized constants --------------------------------------------------------
 

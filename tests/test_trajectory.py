@@ -15,6 +15,7 @@ from feastube.errors import (
     NonFiniteState,
     ViabilityLost,
 )
+from feastube.simplex import solve_matrix_game
 
 import oracles
 from oracles import best_feasible_tracking
@@ -239,6 +240,27 @@ def test_nft_wall_dip(moving_wall, mw_cert):
     assert res.sup_dist <= res.beta_used * res.rho_in
     # the corrected path dips below the wall level
     assert corrected.states[-1, 0] < 0.9
+
+
+def test_nft_solves_each_margin_game_once_per_call(moving_wall, mw_cert, monkeypatch):
+    games = []
+
+    def counted(Q):
+        games.append(np.asarray(Q).tobytes())
+        return solve_matrix_game(Q)
+
+    monkeypatch.setattr(ipc, "solve_matrix_game", counted)
+    t_end = math.pi + math.asin(0.25)
+    ref = _violating_reference(moving_wall, t_end - 1.0, [0.95], 1000, 1e-3, 1)
+    counts = []
+    for _ in range(2):
+        games.clear()
+        res = tj.nft_correct(moving_wall, mw_cert, ref)
+        counts.append(len(games))
+        assert res.pieces["push"] + res.pieces["restart"] > 0
+        assert 0 < len(games) == len(set(games))
+    # the memo lives for one repair: a repeat solves the same games again
+    assert counts[0] == counts[1]
 
 
 def test_nft_matches_brute_force_scale(moving_wall, mw_cert):
