@@ -8,7 +8,8 @@ evaluate one constraint at one point at a time and bisect one ray at a time;
 the step-loop references write out one RK4 loop per trajectory construction;
 the repair reference re-projects the whole tail after every corrected piece;
 the backstep reference builds its candidates one control at a time and
-interpolates once per velocity/cost candidate; the assumption reference
+interpolates once per velocity/cost candidate, with a pinned copy of the
+point-by-point multilinear interpolation; the assumption reference
 evaluates the data one sampled point at a time; the certify references take
 one Lipschitz quotient per node pair and write one CSV row at a time;
 the certificate reference samples the boundary one time at a time and solves
@@ -432,16 +433,52 @@ def candidates_loop(p, t, nodes, level, relaxed, mixture_grid):
     return np.tensordot(W, f_all, axes=(1, 0)), np.tensordot(W, L_all, axes=(1, 0))
 
 
+def interp_clipped_pointwise(axes, grid_vals, pts):
+    """Multilinear interpolation of ``grid_vals`` at each row of ``pts`` from
+    the point's own coordinates: +inf wherever a contributing corner is +inf
+    or the point leaves the grid; weights below 1e-9 of a cell do not
+    contribute.  A pinned copy of ``value._interp_clipped`` as it was before
+    node-independent velocities got shared per-axis stencils."""
+    n = len(axes)
+    P = len(pts)
+    idx, frac = [], []
+    infmask = np.zeros(P, dtype=bool)
+    for d in range(n):
+        ax = axes[d]
+        step = ax[1] - ax[0]
+        x = pts[:, d]
+        infmask |= (x < ax[0] - 1e-9 * step) | (x > ax[-1] + 1e-9 * step)
+        pos = np.clip((x - ax[0]) / step, 0.0, len(ax) - 1.0)
+        i = np.minimum(pos.astype(int), len(ax) - 2)
+        fr = pos - i
+        fr = np.where(fr < 1e-9, 0.0, np.where(fr > 1 - 1e-9, 1.0, fr))
+        idx.append(i)
+        frac.append(fr)
+    total = np.zeros(P)
+    for corner in product((0, 1), repeat=n):
+        w = np.ones(P)
+        ii = []
+        for d, c in enumerate(corner):
+            w = w * (frac[d] if c else 1.0 - frac[d])
+            ii.append(idx[d] + c)
+        v = grid_vals[tuple(ii)]
+        contributes = w > 1e-15
+        infmask |= contributes & ~np.isfinite(v)
+        total += np.where(contributes, w * np.where(np.isfinite(v), v, 0.0), 0.0)
+    return np.where(infmask, np.inf, total)
+
+
 def backstep_loop(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level,
-                  relaxed, mixture_grid):
+                  relaxed, mixture_grid, memo=None):
     """Semi-Lagrangian backstep with the signature of ``value._backstep``:
-    every candidate's foot points are interpolated on their own."""
+    every candidate's foot points are interpolated on their own.  ``memo`` is
+    accepted and ignored."""
     f_all, L_all = candidates_loop(p, t, nodes, level, relaxed, mixture_grid)
     best = np.full(nodes.shape[0], np.inf)
     disc = math.exp(-lam * t)
     grid_next = next_slice.reshape(shape)
     for r in range(f_all.shape[0]):
-        vn = val._interp_clipped(axes, grid_next, nodes + dt * f_all[r])
+        vn = interp_clipped_pointwise(axes, grid_next, nodes + dt * f_all[r])
         best = np.minimum(best, disc * L_all[r] * dt + vn)
     return np.where(feas_now, best, np.inf)
 

@@ -9,8 +9,15 @@ from feastube import problem as pb
 from feastube import value as val
 from feastube.errors import DiscountTooSmall, GridMismatch, GridTooCoarse, OutOfGrid
 
-from oracles import backstep_loop, tree_value
-from util import constant_cost_problem, simple_problem, sway_problem, unit_velocity, zero_cost
+from oracles import backstep_loop, interp_clipped_pointwise, tree_value
+from util import (
+    constant_cost_problem,
+    drift_problem,
+    simple_problem,
+    sway_problem,
+    unit_velocity,
+    zero_cost,
+)
 
 
 # --- truncation -----------------------------------------------------------------
@@ -268,9 +275,47 @@ def test_terminal_slice_zero(moving_wall):
     assert np.all(last[np.isfinite(last)] == 0.0)
 
 
+# --- interpolation against the pointwise reference -----------------------------------
+
+def _shifts(axes, rng):
+    """Node-independent velocities for ``dt = 0.1``: off-lattice shifts, exact
+    node hits, hits within 1e-9 of a cell (fr < 1e-9 and fr > 1 - 1e-9) and
+    shifts that leave the grid, one row each."""
+    steps = np.array([a[1] - a[0] for a in axes])
+    n = len(axes)
+    hits = rng.integers(-2, 3, (4, n)) * steps
+    rows = [
+        rng.uniform(-1.7, 1.7, (6, n)) * steps,
+        hits,
+        hits * (1 + 1e-12) + 1e-13 * steps,
+        hits * (1 - 1e-12) - 1e-13 * steps,
+        np.where(np.arange(n) == n - 1, 2.5, 0.3) * (steps * np.array([len(a) for a in axes])),
+        -0.6 * steps * np.array([len(a) for a in axes]),
+    ]
+    return np.vstack(rows) / 0.1
+
+
+@pytest.mark.parametrize("shape", [(9,), (6, 8), (4, 5, 6)])
+def test_interpolation_matches_pointwise_reference(shape):
+    rng = np.random.default_rng(len(shape))
+    axes = tuple(np.linspace(-1.0 - 0.3 * d, 2.0 + 0.5 * d, s) for d, s in enumerate(shape))
+    nodes = val._mesh_nodes(axes)
+    grid = np.where(rng.random(shape) < 0.15, np.inf, rng.uniform(-1.0, 1.0, shape))
+    V = _shifts(axes, rng)
+    want = np.stack([interp_clipped_pointwise(axes, grid, nodes + 0.1 * v) for v in V])
+    got = np.stack([val._interp_clipped(axes, grid, nodes + 0.1 * v) for v in V])
+    assert np.array_equal(got, want)
+    # the cases reach finite values, infeasible corners and out-of-grid feet
+    assert np.isfinite(want[:-2]).any(axis=1).all() and np.isinf(want[:-2]).any()
+    assert np.isinf(want[-2]).all()
+    assert np.isinf(want[-1]).any() and np.isfinite(want[-1]).any()
+
+
 # --- backstep against the per-candidate reference ------------------------------------
 
 MIXTURES = ((False, 4), (True, 1), (True, 2), (True, 4))   # (relaxed, mixture grid)
+# weights such as 1/3 and 1/5 times non-dyadic velocities round
+DRIFT_MIXTURES = MIXTURES + ((True, 3), (True, 5))
 
 
 def _small_grid(p, t0, stretch, size):
@@ -287,9 +332,13 @@ def _size_range(p):
     return (13, 41) if p.n == 1 else (9, 13)
 
 
-@pytest.mark.parametrize("name", pb.registered_problems() + ("sway-1d",))
+_TEST_PROBLEMS = {"sway-1d": sway_problem, "drift-1d": lambda: drift_problem(1),
+                  "drift-2d": lambda: drift_problem(2)}
+
+
+@pytest.mark.parametrize("name", pb.registered_problems() + tuple(_TEST_PROBLEMS))
 def test_backstep_matches_loop_reference(name, monkeypatch):
-    p = sway_problem() if name == "sway-1d" else pb.get_problem(name)
+    p = _TEST_PROBLEMS[name]() if name in _TEST_PROBLEMS else pb.get_problem(name)
     rng = np.random.default_rng(sum(map(ord, name)))
     lo, hi = _size_range(p)
     for _ in range(2):
@@ -298,7 +347,7 @@ def test_backstep_matches_loop_reference(name, monkeypatch):
         horizon = g.t0 + 5 * g.dt
         nodes, axes = g.nodes(), g.axes()
         P = nodes.shape[0]
-        for relaxed, mg in MIXTURES:
+        for relaxed, mg in DRIFT_MIXTURES if name.startswith("drift") else MIXTURES:
             f = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg, horizon=horizon)
             noisy = val.ValueField(**{**f.__dict__,
                                       "values": f.values + rng.uniform(0.0, 1e-3, f.values.shape)})

@@ -115,3 +115,30 @@ def sway_problem():
         return 1.0 - np.asarray(u, dtype=float)[..., 0] ** 2 + 0.1 * (1.0 + np.cos(x))
 
     return simple_problem(f, cost, M=3.0, name="sway-1d")
+
+
+def drift_problem(n):
+    """Velocity ``0.7 u + (0.1 sin t, 0.05)`` (first entry alone in 1-D): the
+    same at every node, changing with time, and not dyadic, so that mixture
+    weights such as 1/3 give products that round.  The 1-D problem keeps the
+    three default controls; the 2-D one has 9 random controls, one near each
+    point of {-0.9, 0, 0.9}^2, so that every corner of the box has an inward
+    velocity.  No constraints: every node is feasible."""
+    drift = np.array([0.0, 0.05])[:n]
+
+    def f(t, x, u):
+        shift = drift + np.where(np.arange(n) == 0, 0.1 * np.sin(t), 0.0)
+        return 0.7 * np.asarray(u, dtype=float) + shift + 0.0 * np.asarray(x, dtype=float)
+
+    def cost(t, x, u):
+        x = np.asarray(x, dtype=float)[..., 0]
+        return 0.3 + 0.45 * (np.asarray(u, dtype=float) ** 2).sum(axis=-1) + 0.2 * np.sin(x + t)
+
+    if n == 1:
+        return simple_problem(f, cost, lam=3.0, M=0.8, name="drift-1d")
+    rng = np.random.default_rng(7)
+    grid = 0.9 * np.array([[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)], dtype=float)
+    u = grid + rng.uniform(-0.1, 0.1, grid.shape)
+    u.setflags(write=False)
+    return simple_problem(f, cost, lam=3.0, n=2, M=1.2, controls=ControlSamples(2, lambda t, l: u),
+                          box=[[-2.0, 2.0], [-1.5, 1.5]], name="drift-2d")
