@@ -11,10 +11,18 @@ controls on a barycentric weight grid; the plain variant uses the sampled
 controls alone (identical to mixture resolution 1).
 
 Each backward step interpolates once per distinct candidate velocity array:
-candidates with equal velocities are grouped exactly (hash of the bytes,
-confirmed by comparison) under their per-node minimum cost, which leaves
-every field bit-identical to one interpolation per candidate.  The groups'
-foot points are interpolated in batches of a bounded point count.
+candidates whose velocity arrays have equal bytes share one interpolation
+under their per-node minimum cost, which leaves every field bit-identical to
+one interpolation per candidate.  The groups' foot points are interpolated in
+batches of a bounded point count.
+
+When every candidate velocity is the same at every node, as in the
+semi-Lagrangian scheme on a structured grid (Falcone & Ferretti, SIAM 2013),
+each foot point is its node shifted by one offset per group.  The cell index,
+fraction and corner weights of a batch then follow from the grid's 1-D axes,
+and they repeat from slice to slice: a sweep builds the batch's stencil once
+its velocities recur, and later slices apply it with one gather per
+contributing corner, rounding as the pointwise interpolation does.
 """
 
 from __future__ import annotations
@@ -121,9 +129,9 @@ def relaxed_velocity_set(
     Resolution 1 returns exactly the unrelaxed sampled velocities.
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    u = p.controls.at(t, level)
+    u, f_all = p.velocities(t, x, level)
     W = _mixture_matrix(u.shape[0], p.n + 1, mixture_grid)
-    f_star, L_star = _candidates(p, t, x, level, True, mixture_grid)
+    f_star, L_star = _mix(W, f_all), _mix(W, p.costs(t, x, level))
     slot = np.arange(p.n + 1)
     out: list[RelaxedVelocity] = []
     seen: set[tuple] = set()
@@ -186,6 +194,19 @@ def grid_for(p: ProblemDefinition, points: int | tuple[int, ...], dt: float, t0:
     return GridSpec(p.box[:, 0], p.box[:, 1], shape, dt, t0)
 
 
+def _axis_cells(ax: Array, x: Array) -> tuple[Array, Array, Array]:
+    """Cell index, fraction and out-of-grid flag of coordinates ``x`` on the
+    uniform 1-D axis ``ax``.  Fractions within 1e-9 of a node snap to it."""
+    step = ax[1] - ax[0]
+    out = (x < ax[0] - 1e-9 * step) | (x > ax[-1] + 1e-9 * step)
+    pos = np.minimum(np.maximum((x - ax[0]) / step, 0.0), len(ax) - 1.0)
+    i = np.minimum(pos.astype(int), len(ax) - 2)
+    fr = pos - i
+    fr[fr < 1e-9] = 0.0
+    fr[fr > 1 - 1e-9] = 1.0
+    return i, fr, out
+
+
 def _interp_clipped(axes: tuple[Array, ...], grid_vals: Array, pts: Array) -> Array:
     """Multilinear interpolation; +inf wherever a contributing corner is +inf
     or the point leaves the grid.  Weights below 1e-9 of a cell do not
@@ -195,28 +216,83 @@ def _interp_clipped(axes: tuple[Array, ...], grid_vals: Array, pts: Array) -> Ar
     idx, frac = [], []
     infmask = np.zeros(P, dtype=bool)
     for d in range(n):
-        ax = axes[d]
-        step = ax[1] - ax[0]
-        x = pts[:, d]
-        infmask |= (x < ax[0] - 1e-9 * step) | (x > ax[-1] + 1e-9 * step)
-        pos = np.clip((x - ax[0]) / step, 0.0, len(ax) - 1.0)
-        i = np.minimum(pos.astype(int), len(ax) - 2)
-        fr = pos - i
-        fr = np.where(fr < 1e-9, 0.0, np.where(fr > 1 - 1e-9, 1.0, fr))
+        i, fr, out = _axis_cells(axes[d], pts[:, d])
+        infmask |= out
         idx.append(i)
         frac.append(fr)
+    weights = [(1.0 - fr, fr) for fr in frac]
     total = np.zeros(P)
     for corner in product((0, 1), repeat=n):
-        w = np.ones(P)
-        ii = []
+        w = weights[0][corner[0]]          # 1.0 * w is w: the product starts here
+        for d in range(1, n):
+            w = w * weights[d][corner[d]]
+        v = grid_vals[tuple(i + c for i, c in zip(idx, corner))]
+        finite = np.isfinite(v)
+        contributes = w > 1e-15
+        infmask |= contributes & ~finite
+        total += np.where(contributes, w * np.where(finite, v, 0.0), 0.0)
+    return np.where(infmask, np.inf, total)
+
+
+def _stencil(axes: tuple[Array, ...], shifts: Array) -> tuple[Array, Array]:
+    """``_interp_clipped`` at ``node + s`` for every grid node and every row
+    ``s`` of ``shifts`` (G, n), prepared once for any slice.
+
+    Index and fraction come from the 1-D axes, and corner weights are their
+    outer products, rounded in ``_interp_clipped``'s order.  Returns terms
+    ``(flat, w)`` of shape (G, P): the k-th term of a point is its k-th
+    contributing corner (weight above 1e-15) in corner order, so that the
+    terms add in ``_interp_clipped``'s order and a point needs as many terms
+    as it has contributing corners.  ``flat`` indexes the slice extended by
+    two pads (see ``_apply_stencil``): a point with fewer contributing
+    corners than terms reads pad ``P`` (0.0, finite) in the rest, and a point
+    off the grid reads pad ``P + 1`` (not finite) in the first.
+    """
+    G, n = shifts.shape
+    sizes = tuple(len(a) for a in axes)
+    full = (G,) + sizes
+    P = math.prod(sizes)
+    idx, frac = [], []
+    out = np.zeros(full, dtype=bool)
+    for d, ax in enumerate(axes):
+        i, fr, o = _axis_cells(ax, ax + shifts[:, d:d + 1])
+        along = (G,) + tuple(sizes[d] if e == d else 1 for e in range(n))
+        idx.append(i.reshape(along))
+        frac.append(fr.reshape(along))
+        out |= o.reshape(along)
+    flat_k = np.full((2 ** n,) + full, P)   # k-th contributing corner of each point
+    w_k = np.zeros((2 ** n,) + full)
+    seen = np.zeros(full, dtype=np.int8)    # contributing corners so far
+    for corner in product((0, 1), repeat=n):
+        w, flat = 1.0, 0
         for d, c in enumerate(corner):
             w = w * (frac[d] if c else 1.0 - frac[d])
-            ii.append(idx[d] + c)
-        v = grid_vals[tuple(ii)]
-        contributes = w > 1e-15
-        infmask |= contributes & ~np.isfinite(v)
-        total += np.where(contributes, w * np.where(np.isfinite(v), v, 0.0), 0.0)
-    return np.where(infmask, np.inf, total)
+            flat = flat + (idx[d] + c) * math.prod(sizes[d + 1:])
+        live = w > 1e-15
+        for k in range(int(seen.max()) + 1):
+            put = live & (seen == k)
+            np.copyto(flat_k[k], flat, where=put)
+            np.copyto(w_k[k], w, where=put)
+        seen += live
+    flat_k[0][out] = P + 1
+    K = int(seen.max())
+    return flat_k[:K].reshape(K, G, P).copy(), w_k[:K].reshape(K, G, P).copy()
+
+
+def _apply_stencil(terms: tuple[Array, Array], vals: Array, ok: Array) -> Array:
+    """A stencil's interpolation of one slice, bit for bit ``_interp_clipped``.
+
+    ``vals`` is the slice with 0.0 at its infeasible nodes, then the pads
+    0.0 and 0.0; ``ok`` flags its finite nodes, then True and False.  A term
+    that reads pad ``P`` adds +0.0, as a corner that does not contribute does
+    in ``_interp_clipped``.
+    """
+    total = np.zeros(terms[1].shape[1:])
+    fine = np.ones(total.shape, dtype=bool)
+    for flat, w in zip(*terms):
+        total += w * vals[flat]
+        fine &= ok[flat]
+    return np.where(fine, total, np.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,53 +376,139 @@ def evaluate_value(field: ValueField, t: float, x) -> float:
     return float(out[0]) if out.size == 1 else out
 
 
-def _candidates(p, t, nodes, level, relaxed, mixture_grid):
-    """Velocity/cost candidates at a time slice: fresh arrays (R, P, n) and (R, P)."""
-    _, f_all = p.velocities(t, nodes, level)
-    L_all = p.costs(t, nodes, level)
-    if not relaxed:
-        return f_all, L_all
-    W = _mixture_matrix(len(f_all), p.n + 1, mixture_grid)
-    return np.tensordot(W, f_all, axes=(1, 0)), np.tensordot(W, L_all, axes=(1, 0))
-
-
-# Foot points per _interp_clipped call in a backstep; bounds its temporaries.
+# Foot points per interpolation in a backstep; bounds its temporaries.
 _INTERP_CHUNK = 8192
 
 
-def _backstep(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level, relaxed, mixture_grid):
+def _mix(W: Array | None, a: Array) -> Array:
+    """Mixtures of per-control arrays ``a`` (k, ...) under weights ``W`` (R, k);
+    the sampled controls' own arrays when ``W`` is None."""
+    return a if W is None else np.tensordot(W, a, axes=(1, 0))
+
+
+def _node_independent(f: Array) -> bool:
+    """Whether every candidate's velocity array (``f`` is (R, P, n)) is the
+    same at every node, compared by bytes so that -0.0 and 0.0 stay apart;
+    ``_INTERP_CHUNK`` values at a time."""
+    bits = f.view(np.uint64)
+    rows = max(1, _INTERP_CHUNK // (f.shape[1] * f.shape[2]))
+    for lo in range(0, len(bits), rows):
+        if not (bits[lo:lo + rows] == bits[lo:lo + rows, :1]).all():
+            return False
+    return True
+
+
+@dataclass(eq=False)
+class _Groups:
+    """Candidates grouped by equal velocity arrays, in chunks interpolated together."""
+
+    vel: Array                # (R, P, n), or (R, 1, n) when the same at every node
+    group: list[int]          # each candidate's group: its first candidate
+    chunks: list[list[int]]   # groups' first candidates, _INTERP_CHUNK foot points each
+    stencils: list | None = None   # one per chunk, once (R, 1, n) velocities recur
+
+
+def _groups(vel: Array, P: int) -> _Groups:
+    """Group candidates whose velocity arrays have equal bytes (bucketed by
+    the hash of the bytes)."""
+    group: list[int] = []
+    reps: list[int] = []
+    buckets: dict[int, list[int]] = {}    # hash of velocity bytes -> its reps
+    for r in range(vel.shape[0]):
+        here = vel[r].tobytes()
+        bucket = buckets.setdefault(hash(here), [])
+        for g in bucket:
+            if vel[g].tobytes() == here:
+                break
+        else:
+            g = r
+            bucket.append(r)
+            reps.append(r)
+        group.append(g)
+    per_call = max(1, _INTERP_CHUNK // P)
+    return _Groups(vel, group, [reps[lo:lo + per_call] for lo in range(0, len(reps), per_call)])
+
+
+def _backstep(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level, relaxed,
+              mixture_grid, memo=None):
     """Minimum over candidates of discounted running cost plus the next slice
     interpolated at the candidate's foot point; +inf off ``feas_now``.
 
     Candidates with equal velocity arrays share their foot points, so each
     such group is interpolated once, against its per-node minimum cost.  This
-    is exact: ``fl(c + v)`` is monotone in ``c``.  The groups' foot points go
-    through ``_interp_clipped`` together, ``_INTERP_CHUNK`` points at a time.
+    is exact: ``fl(c + v)`` is monotone in ``c``.  The groups' foot points are
+    interpolated together, ``_INTERP_CHUNK`` points at a time.
+
+    When every sampled velocity is the same at every node and so are their
+    mixtures, the candidates are grouped on one row of the mixtures.  The
+    sweep's ``memo`` (one grid and dt) keeps those groups for the last
+    sampled velocities seen; when they recur, each chunk of groups gets a
+    stencil built on the 1-D axes (``_stencil``), which later slices apply.
+    Otherwise the feet go through ``_interp_clipped``.
     """
-    f_all, cost = _candidates(p, t, nodes, level, relaxed, mixture_grid)
+    _, f_all = p.velocities(t, nodes, level)
+    cost = p.costs(t, nodes, level)
+    W = _mixture_matrix(len(f_all), p.n + 1, mixture_grid) if relaxed else None
+    cost = _mix(W, cost)
     cost *= math.exp(-lam * t)            # disc * L * dt, rounded in that order
     cost *= dt
-    reps: list[int] = []                  # first candidate of each velocity group
-    buckets: dict[int, list[int]] = {}    # hash of velocity bytes -> its reps
-    for r in range(f_all.shape[0]):
-        bucket = buckets.setdefault(hash(f_all[r].tobytes()), [])
-        for g in bucket:
-            if np.array_equal(f_all[g], f_all[r]):
-                np.minimum(cost[g], cost[r], out=cost[g])
-                break
-        else:
-            bucket.append(r)
-            reps.append(r)
     P = nodes.shape[0]
-    grid_next = next_slice.reshape(shape)
-    per_call = max(1, _INTERP_CHUNK // P)
+    groups = f = None
+    if _node_independent(f_all):
+        key = (f_all.shape, f_all[:, 0].tobytes())
+        if memo is not None and key in memo:
+            groups = memo[key]
+            if groups is not None and groups.stencils is None:
+                groups.stencils = [_stencil(axes, dt * groups.vel[chunk, 0])
+                                   for chunk in groups.chunks]
+        else:
+            # Mixtures from the (R, P, n) product as everywhere else: a
+            # product over one row may round differently.
+            f = _mix(W, f_all)
+            if W is None or _node_independent(f):
+                groups, f = _groups(f[:, :1].copy(), P), None
+            if memo is not None:
+                memo.clear()
+                memo[key] = groups
+    if groups is None:
+        groups = _groups(_mix(W, f_all) if f is None else f, P)
+    for r, g in enumerate(groups.group):
+        if g != r:
+            np.minimum(cost[g], cost[r], out=cost[g])
+
     best = np.full(P, np.inf)
-    for lo in range(0, len(reps), per_call):
-        group = reps[lo:lo + per_call]
-        feet = (nodes + dt * f_all[group]).reshape(-1, nodes.shape[1])
-        vn = _interp_clipped(axes, grid_next, feet).reshape(len(group), P)
-        np.minimum(best, (cost[group] + vn).min(axis=0), out=best)
+    if groups.stencils is None:
+        grid_next = next_slice.reshape(shape)
+        for chunk in groups.chunks:
+            feet = (nodes + dt * groups.vel[chunk]).reshape(-1, nodes.shape[1])
+            vn = _interp_clipped(axes, grid_next, feet).reshape(len(chunk), P)
+            np.minimum(best, (cost[chunk] + vn).min(axis=0), out=best)
+    else:
+        ok = np.isfinite(next_slice)
+        vals = np.concatenate([np.where(ok, next_slice, 0.0), [0.0, 0.0]])
+        ok = np.concatenate([ok, [True, False]])
+        for chunk, corners in zip(groups.chunks, groups.stencils):
+            vn = _apply_stencil(corners, vals, ok)
+            np.minimum(best, (cost[chunk] + vn).min(axis=0), out=best)
     return np.where(feas_now, best, np.inf)
+
+
+def _coarse_hint(p: ProblemDefinition, axes, constrained: Array, dt: float) -> str:
+    """What a GridTooCoarse error tells the user: ``M*dt`` against the space
+    step of each constrained axis, and which of them is longer."""
+    margin = p.data.M * dt
+    steps = {int(d): float(axes[d][1] - axes[d][0]) for d in np.flatnonzero(constrained)}
+    short = [d for d, dx in steps.items() if margin < dx - 1e-12]
+    listed = ", ".join(f"{dx:.4g} along axis {d}" for d, dx in steps.items())
+    head = (f"one step moves at most M*dt = {margin:.4g} (M = {p.data.M:.4g}, dt = {dt:.4g}); "
+            f"space step of each constrained axis: {listed or 'none'}; ")
+    if not short:
+        return head + "M*dt covers every constrained space step: widen the grid"
+    need = max(steps[d] for d in short)
+    axes_named = ", ".join(str(d) for d in short)
+    return head + (f"M*dt is shorter than the space step along axis {axes_named}: raise dt to "
+                   f"at least {need / p.data.M:.4g}, or refine axis {axes_named} to a step "
+                   f"of at most {margin:.4g}")
 
 
 def solve_value(
@@ -410,18 +572,19 @@ def solve_value(
 
     values = np.full((nt + 1, nodes.shape[0]), np.inf)
     values[nt][feas[nt]] = 0.0
+    memo: dict = {}
     for i in range(nt - 1, -1, -1):
         t = float(times[i])
         vals = _backstep(
             p, lam, axes, shape, nodes, t, grid.dt, values[i + 1], feas[i],
-            level, relaxed, mixture_grid,
+            level, relaxed, mixture_grid, memo,
         )
         dead = feas[i] & ~np.isfinite(vals)
         if dead.any():
             j = int(np.where(dead)[0][0])
             raise GridTooCoarse(
-                f"feasible node {nodes[j]} at t={t} has no stencil-feasible "
-                f"velocity; adjust dt (M*dt vs dx) or widen the grid"
+                f"feasible node {nodes[j]} at t={t} has no stencil-feasible velocity; "
+                + _coarse_hint(p, axes, constrained, grid.dt)
             )
         values[i] = vals
 

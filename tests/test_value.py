@@ -194,6 +194,21 @@ def test_grid_too_coarse_detected(moving_wall):
         val.solve_value(moving_wall, 2.0, g, relaxed=False, horizon=3.0)
 
 
+def test_grid_too_coarse_names_the_short_axis(corridor):
+    # 21 x 31 nodes solve at dt 0.1; at dt 0.05 one step (M*dt = 0.0707) is
+    # shorter than the constrained y step (0.1) and a node by the wall is stranded
+    val.solve_value(corridor, 6.0, val.grid_for(corridor, (21, 31), 0.1), relaxed=False,
+                    horizon=0.2)
+    with pytest.raises(GridTooCoarse) as err:
+        val.solve_value(corridor, 6.0, val.grid_for(corridor, (21, 31), 0.05), relaxed=False,
+                        horizon=0.2)
+    msg = str(err.value)
+    assert "feasible node [-2.  -0.5] at t=0.0" in msg
+    assert "M*dt = 0.07071" in msg and "0.1 along axis 1" in msg
+    assert "along axis 0" not in msg                      # x is not constrained
+    assert "shorter than the space step along axis 1: raise dt to at least 0.07071" in msg
+
+
 # --- evaluation ---------------------------------------------------------------------
 
 def test_evaluate_exact_node(moving_wall):
@@ -305,6 +320,15 @@ def test_interpolation_matches_pointwise_reference(shape):
     want = np.stack([interp_clipped_pointwise(axes, grid, nodes + 0.1 * v) for v in V])
     got = np.stack([val._interp_clipped(axes, grid, nodes + 0.1 * v) for v in V])
     assert np.array_equal(got, want)
+    # the stencil of all shifts at once, and of each alone
+    ok = np.isfinite(grid.ravel())
+    vals = np.concatenate([np.where(ok, grid.ravel(), 0.0), [0.0, 0.0]])
+    ok = np.concatenate([ok, [True, False]])
+    terms = val._stencil(axes, 0.1 * V)
+    assert np.array_equal(val._apply_stencil(terms, vals, ok), want)
+    assert len(val._stencil(axes, 0.1 * V[6:18])[0]) == 1      # node hits: one corner each
+    for v, row in zip(V, want):
+        assert np.array_equal(val._apply_stencil(val._stencil(axes, 0.1 * v[None]), vals, ok)[0], row)
     # the cases reach finite values, infeasible corners and out-of-grid feet
     assert np.isfinite(want[:-2]).any(axis=1).all() and np.isinf(want[:-2]).any()
     assert np.isinf(want[-2]).all()
@@ -368,6 +392,56 @@ def test_backstep_matches_loop_reference(name, monkeypatch):
             assert np.array_equal(f.values, ref.values)
             assert max(residuals) > 0.0
             assert np.array_equal(step, backstep_loop(*args))
+
+
+def _count_stencils(monkeypatch):
+    """Record the number of velocities of every stencil built from now on."""
+    built = []
+    build = val._stencil
+
+    def counting(axes, shifts):
+        built.append(len(shifts))
+        return build(axes, shifts)
+
+    monkeypatch.setattr(val, "_stencil", counting)
+    return built
+
+
+def test_stencils_built_once_per_solve(corridor, monkeypatch):
+    built = _count_stencils(monkeypatch)
+    g = _small_grid(corridor, 0.3, 1.2, 11)
+    horizon = g.t0 + 6 * g.dt
+    nodes = g.nodes()
+    _, f_all = corridor.velocities(g.t0, nodes)
+    mixtures = np.tensordot(val._mixture_matrix(len(f_all), 3, 4), f_all, axes=(1, 0))
+    distinct = len(np.unique(mixtures[:, 0], axis=0))
+    chunks = -(-distinct // (val._INTERP_CHUNK // len(nodes)))
+    first = val.solve_value(corridor, corridor.lam, g, relaxed=True, mixture_grid=4,
+                            horizon=horizon)
+    assert (len(built), sum(built)) == (chunks, distinct) and chunks > 1
+    # nothing outlives a call: a second solve builds them all again
+    second = val.solve_value(corridor, corridor.lam, g, relaxed=True, mixture_grid=4,
+                             horizon=horizon)
+    assert (len(built), sum(built)) == (2 * chunks, 2 * distinct)
+    assert np.array_equal(first.values, second.values)
+
+
+def test_velocities_met_once_build_no_stencil(monkeypatch):
+    # drift-1d's velocities change every slice: each slice interpolates its
+    # feet directly, and so does a lone backstep
+    built = _count_stencils(monkeypatch)
+    p = drift_problem(1)
+    g = val.grid_for(p, 41, 0.1)
+    for relaxed in (False, True):
+        f = val.solve_value(p, p.lam, g, relaxed=relaxed, horizon=3.0)
+        assert f.values.shape[0] == 31 and np.isfinite(f.values).any()
+    assert built == []
+    corridor = pb.get_problem("corridor-2d")
+    field = val.solve_value(corridor, corridor.lam, _small_grid(corridor, 0.0, 1.0, 9),
+                            relaxed=True, horizon=0.5)
+    built.clear()
+    assert val.bellman_residual(corridor, field, 0) <= val.TOL_DP
+    assert built == []
 
 
 _REGISTERED = {name: pb.get_problem(name) for name in pb.registered_problems()}
