@@ -481,13 +481,22 @@ def _cmd_pipeline(cfg: dict, args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp) -> None:
+_HORIZON_END = ("end time of the value sweep, on the clock of --t0: the sweep takes "
+                "(HORIZON - t0) / dt steps; 'auto' (the default) picks it from the tail "
+                "envelope at --tol")
+_HORIZON_HELP = {
+    "value": _HORIZON_END, "analyze": _HORIZON_END, "pipeline": _HORIZON_END,
+    "track": "length of the tracked path: it runs from --t0 to --t0 + HORIZON (default 5)",
+}
+
+
+def _add_common(sp, command: str = "") -> None:
     """The options every subcommand takes; every dest but ``config`` is a config key."""
     sp.add_argument("--problem")
     sp.add_argument("--set", action="append", metavar="KEY=VALUE")
     sp.add_argument("--lambda", dest="lam", type=float)
     sp.add_argument("--grid", metavar="DX,DT")
-    sp.add_argument("--horizon")
+    sp.add_argument("--horizon", help=_HORIZON_HELP.get(command, "not used by this command"))
     sp.add_argument("--tol", type=float)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--out")
@@ -526,31 +535,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("geom", help="constraint-set geometry queries")
     g.add_argument("action", choices=["dist", "active"])
-    _add_common(g)
+    _add_common(g, "geom")
 
     i = sub.add_parser("ipc", help="inward-margin verification")
     i.add_argument("action", choices=["verify"])
-    _add_common(i)
+    _add_common(i, "ipc")
 
     n = sub.add_parser("nft", help="feasibility repair of a reference path")
     n.add_argument("action", choices=["run"])
-    _add_common(n)
+    _add_common(n, "nft")
 
     t = sub.add_parser("track", help="exponential tracking between starts")
     t.add_argument("action", choices=["run"])
-    _add_common(t)
+    _add_common(t, "track")
 
     v = sub.add_parser("value", help="discounted value field solving")
     v.add_argument("action", choices=["solve"])
     v.add_argument("--relaxed", action="store_true", default=None)
-    _add_common(v)
+    _add_common(v, "value")
 
     a = sub.add_parser("analyze", help="theorem-envelope certification")
     a.add_argument("action", choices=["lipschitz", "decay", "relax", "time-lip"])
-    _add_common(a)
+    _add_common(a, "analyze")
 
     pl = sub.add_parser("pipeline", help="full chained run with artifacts")
-    _add_common(pl)
+    _add_common(pl, "pipeline")
     return ap
 
 

@@ -46,6 +46,21 @@ def test_missing_command_is_usage_error():
     assert cli.run([]) == 1
 
 
+@pytest.mark.parametrize("command, meaning", [
+    ("value", "end time of the value sweep"),
+    ("analyze", "end time of the value sweep"),
+    ("pipeline", "end time of the value sweep"),
+    ("track", "length of the tracked path: it runs from --t0 to --t0 + HORIZON"),
+    ("geom", "not used by this command"),
+    ("ipc", "not used by this command"),
+    ("nft", "not used by this command"),
+])
+def test_horizon_help_says_what_it_means(command, meaning, capsys):
+    assert cli.run([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"--horizon HORIZON {meaning}" in text
+
+
 def test_geom_dist_line(capsys):
     code = cli.run(["geom", "dist", "--problem", "moving-wall-1d",
                     "--t0", "0", "--x0", "1.3"])
