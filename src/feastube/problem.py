@@ -251,10 +251,12 @@ class ProblemDefinition:
         u = self.controls.at(t, level)
         return u, _per_control(self.f, t, X, u, (self.n,))
 
-    def costs(self, t: float, X, level: int = 0) -> Array:
+    def costs(self, t: float, X, level: int = 0, u: Array | None = None) -> Array:
         """Running costs of the sampled controls at points ``X`` of shape
-        ``(..., n)``: ``(k, ...)``."""
-        return _per_control(self.running_cost, t, X, self.controls.at(t, level), ())
+        ``(..., n)``: ``(k, ...)``.  A caller that holds the samples from
+        ``velocities`` at the same ``(t, level)`` passes them as ``u``."""
+        u = self.controls.at(t, level) if u is None else u
+        return _per_control(self.running_cost, t, X, u, ())
 
     def constraint_values(self, t, X) -> Array:
         """``h_i(t, X)`` stacked on a last axis: ``X`` of shape ``(..., n)`` gives ``(..., m)``.

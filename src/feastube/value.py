@@ -131,7 +131,7 @@ def relaxed_velocity_set(
     x = np.asarray(x, dtype=float).reshape(1, -1)
     u, f_all = p.velocities(t, x, level)
     W = _mixture_matrix(u.shape[0], p.n + 1, mixture_grid)
-    f_star, L_star = _mix(W, f_all), _mix(W, p.costs(t, x, level))
+    f_star, L_star = _mix(W, f_all), _mix(W, p.costs(t, x, level, u))
     slot = np.arange(p.n + 1)
     out: list[RelaxedVelocity] = []
     seen: set[tuple] = set()
@@ -446,8 +446,8 @@ def _backstep(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level, re
     stencil built on the 1-D axes (``_stencil``), which later slices apply.
     Otherwise the feet go through ``_interp_clipped``.
     """
-    _, f_all = p.velocities(t, nodes, level)
-    cost = p.costs(t, nodes, level)
+    u, f_all = p.velocities(t, nodes, level)
+    cost = p.costs(t, nodes, level, u)
     W = _mixture_matrix(len(f_all), p.n + 1, mixture_grid) if relaxed else None
     cost = _mix(W, cost)
     cost *= math.exp(-lam * t)            # disc * L * dt, rounded in that order
