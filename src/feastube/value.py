@@ -487,8 +487,8 @@ def _backstep(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level, re
         ok = np.isfinite(next_slice)
         vals = np.concatenate([np.where(ok, next_slice, 0.0), [0.0, 0.0]])
         ok = np.concatenate([ok, [True, False]])
-        for chunk, corners in zip(groups.chunks, groups.stencils):
-            vn = _apply_stencil(corners, vals, ok)
+        for chunk, terms in zip(groups.chunks, groups.stencils):
+            vn = _apply_stencil(terms, vals, ok)
             np.minimum(best, (cost[chunk] + vn).min(axis=0), out=best)
     return np.where(feas_now, best, np.inf)
 
