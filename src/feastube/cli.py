@@ -26,7 +26,13 @@ from . import analysis as ana
 from . import geometry as geo
 from . import trajectory as tj
 from . import value as val
-from .errors import CorrectionFailed, DiscountBelowThreshold, FeastubeError, ViabilityLost
+from .errors import (
+    CorrectionFailed,
+    DiscountBelowThreshold,
+    DiscountTooSmall,
+    FeastubeError,
+    ViabilityLost,
+)
 from .ipc import verify_ipc
 from .problem import SamplingSpec, get_problem, verify_data_assumptions
 from .value import GridSpec, ValueField
@@ -347,12 +353,19 @@ class _Run:
 
     def field(self, relaxed: bool) -> ValueField:
         if relaxed not in self._fields:
-            cfg = self.cfg
-            self._fields[relaxed] = val.solve_value(
-                self.p, self.p.lam, _grid_from(cfg, self.p), relaxed=relaxed,
-                tol=cfg["tol"], level=cfg["level"], mixture_grid=cfg["mixture_grid"],
-                horizon=_horizon_arg(cfg),
-            )
+            cfg, p = self.cfg, self.p
+            horizon = _horizon_arg(cfg)
+            try:
+                self._fields[relaxed] = val.solve_value(
+                    p, p.lam, _grid_from(cfg, p), relaxed=relaxed,
+                    tol=cfg["tol"], level=cfg["level"], mixture_grid=cfg["mixture_grid"],
+                    horizon=horizon,
+                )
+            except DiscountTooSmall as exc:  # only the automatic horizon needs lambda > a1
+                raise DiscountTooSmall(
+                    f"{exc}: raise --lambda above {p.name}'s a1 = {p.data.a1}, or give "
+                    f"--horizon to end the sweep at a set time (its tail is then uncertified)"
+                ) from exc
         return self._fields[relaxed]
 
     @cached_property

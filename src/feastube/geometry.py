@@ -137,14 +137,17 @@ def active_set(
     -tol_boundary``; any constraint whose boundary meets B(x, delta) passes
     this test, so the report is a superset of the exact delta-active set.
     """
+    idx = _active_indices(p, eval_constraints(p, t, x), delta, tol_boundary)
+    return ActiveSetReport(frozenset(idx), float(delta))
+
+
+def _active_indices(p: ProblemDefinition, hv: Array, delta: float,
+                    tol_boundary: float = TOL_BOUNDARY) -> list[int]:
+    """``active_set``'s indices, ascending, from the constraint values ``hv``."""
     if delta < 0 or tol_boundary < 0:
         raise ValueError("delta and tol_boundary must be nonnegative")
-    hv = eval_constraints(p, t, x)
-    idx = {
-        i for i, c in enumerate(p.constraints)
-        if hv[i] + delta * c.grad_bound >= -tol_boundary
-    }
-    return ActiveSetReport(frozenset(idx), float(delta))
+    return [i for i, c in enumerate(p.constraints)
+            if hv[i] + delta * c.grad_bound >= -tol_boundary]
 
 
 @dataclass(frozen=True)

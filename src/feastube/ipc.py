@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundarySamplingFailed, NoFeasibleConstants
-from .geometry import active_set, boundary_samples
+from .geometry import _active_indices, active_set, boundary_samples, eval_constraints
 from .problem import ProblemDefinition
 from .simplex import solve_matrix_game
 
@@ -55,12 +55,20 @@ def inward_margin(
     Every result owns its ``alpha``.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
+    return _margin(p, t, x, eval_constraints(p, t, x), delta, level, games)[0]
+
+
+def _margin(p: ProblemDefinition, t: float, x: Array, hv: Array, delta: float,
+            level: int, games: dict | None) -> tuple[MarginResult, Array, Array]:
+    """``inward_margin`` at the point ``x`` of shape ``(n,)`` whose constraint
+    values ``hv`` the caller already holds, together with the sampled
+    controls ``(k, d)`` and velocities ``(k, n)`` the game was built from."""
     u, vels = p.velocities(t, x, level)
-    act = sorted(active_set(p, t, x, delta).indices)
+    act = _active_indices(p, hv, delta)
     if not act:
         alpha = np.zeros(u.shape[0])
         alpha[0] = 1.0
-        return MarginResult(math.inf, alpha, vels[0], ())
+        return MarginResult(math.inf, alpha, vels[0], ()), u, vels
     grads = np.stack(
         [np.asarray(p.constraints[i].grad(t, x), dtype=float).reshape(-1) for i in act]
     )
@@ -73,7 +81,7 @@ def inward_margin(
             games[key] = solve_matrix_game(Q)
         r, alpha = games[key]
         alpha = alpha.copy()
-    return MarginResult(float(r), alpha, alpha @ vels, tuple(act))
+    return MarginResult(float(r), alpha, alpha @ vels, tuple(act)), u, vels
 
 
 @dataclass(frozen=True, eq=False)

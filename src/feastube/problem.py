@@ -18,6 +18,18 @@ data: ``velocities`` and ``costs`` put the sampled controls on a leading axis
 (``(k, ..., n)`` and ``(k, ...)``), ``constraint_values`` stacks every ``h``
 on a last axis.  A result of the wrong shape raises ``ValueError``; a
 non-finite constraint value, ``-inf`` included, raises ``NonFiniteConstraint``.
+
+Each row of a batched evaluation should be byte for byte the same row
+evaluated alone: row ``j`` of ``velocities(t, x)`` is ``f(t, x, u_j)``, and
+each point's row of ``constraint_values`` over a batch is that point's
+values.  The repair march reuses the chosen velocity row as RK4's first
+stage, and the batched geometry kernels stand in for per-point loops, on
+this basis.  Elementwise numpy code has it.  A BLAS product such as
+``x @ c`` may round a row differently in a batch; ``(x * c).sum(axis=-1)``
+does not.  The shipped walls keep ``x @ c``, because their coefficients
+are 0 and +-1: every product is exact, so no summation order can change a
+row.  Data without the property keep every guarantee within its tolerance,
+but not bit-identity.
 """
 
 from __future__ import annotations
@@ -266,7 +278,7 @@ class ProblemDefinition:
         """
         X = np.asarray(X, dtype=float)
         lead = X.shape[:-1]
-        if getattr(t, "ndim", 0):
+        if getattr(t, "ndim", 0) and t.shape != lead:
             lead = np.broadcast_shapes(t.shape, lead)
         out = np.empty(lead + (self.m,))
         for i, c in enumerate(self.constraints):

@@ -4,12 +4,15 @@ All constructed paths live on a uniform time grid with one sampled control
 per step, so the per-step dynamics residual contract is exact.  Every path is
 one RK4 march (``_march``) under a per-step control rule: a control index, an
 explicit control row, the nearest velocity to a target, or the viability
-rule.  A march can be continued from a later step into given arrays, which
-is how the repair extends its projection one piece at a time in a single
-forward sweep.  Mixture velocities are realized by deterministic proportional
-multiplexing of their support controls across consecutive steps (discrete
-chattering); for the shipped benchmarks the optimal margin mixtures are pure
-controls and the multiplexer degenerates to a constant choice.
+rule.  A rule that has already evaluated the chosen control's velocity at
+the step's start hands that row to RK4 as its first stage, so the step
+costs one velocity evaluation fewer.  A march can be continued from a later
+step into given arrays, which is how the repair extends its projection one
+piece at a time in a single forward sweep.  Mixture velocities are realized
+by deterministic proportional multiplexing of their support controls across
+consecutive steps (discrete chattering); for the shipped benchmarks the
+optimal margin mixtures are pure controls and the multiplexer degenerates to
+a constant choice.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     NonFiniteState,
     ViabilityLost,
 )
-from .ipc import IpcCertificate, inward_margin
+from .ipc import IpcCertificate, _margin, inward_margin
 from .problem import ProblemDefinition
 
 Array = np.ndarray
@@ -108,13 +111,25 @@ class Trajectory:
         return (1 - frac) * self.states[j] + frac * self.states[j + 1]
 
 
-def _rk4_step(f: Callable, t: float, x: Array, u: Array, dt: float) -> Array:
-    k1 = np.asarray(f(t, x, u), dtype=float)
-    k2 = np.asarray(f(t + dt / 2, x + dt / 2 * k1, u), dtype=float)
-    k3 = np.asarray(f(t + dt / 2, x + dt / 2 * k2, u), dtype=float)
+def _rk4_step(f: Callable, t: float, x: Array, u: Array, dt: float,
+              k1: Array | None = None) -> Array:
+    """One classical RK4 step under the held control ``u``.
+
+    ``k1`` is ``f(t, x, u)`` when the caller already holds it, for instance
+    as row ``j`` of ``ProblemDefinition.velocities(t, x)`` for ``u = u_j``;
+    it is then not evaluated again.  That row is bit for bit ``f(t, x, u)``
+    when ``f`` computes each row alone (the convention in ``problem``); an
+    ``f`` that does not still gives a step within ``TOL_ODE`` of the one
+    evaluated here.
+    """
+    half = dt / 2
+    t_half = t + half
+    k1 = np.asarray(f(t, x, u) if k1 is None else k1, dtype=float)
+    k2 = np.asarray(f(t_half, x + half * k1, u), dtype=float)
+    k3 = np.asarray(f(t_half, x + half * k2, u), dtype=float)
     k4 = np.asarray(f(t + dt, x + dt * k3, u), dtype=float)
     out = x + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.abs(out).max() <= 1e12:  # NaN fails the comparison too
+    if not np.maximum.reduce(np.abs(out)) <= 1e12:  # NaN fails the comparison too
         raise NonFiniteState(f"state blow-up near t={t}")
     return out
 
@@ -127,10 +142,15 @@ def _check_grid(dt: float, steps: int = 1) -> None:
 
 
 def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float,
-           choose: Callable[[int, float, Array], Array], start: int = 0,
+           choose: Callable[[int, float, Array], tuple[Array, Array | None]],
+           start: int = 0,
            out: tuple[Array, Array] | None = None) -> tuple[Array, Array]:
-    """Fixed-step RK4 from ``x0`` holding ``choose(j, t, x)`` over step ``j``
-    at ``t = t0 + j * dt``, for ``j`` from ``start`` on.
+    """Fixed-step RK4 from ``x0`` over steps ``j`` from ``start`` on, at
+    ``t = t0 + j * dt``.
+
+    ``choose(j, t, x)`` returns the control ``u`` held over step ``j`` and
+    the velocity ``f(t, x, u)`` when the rule has already evaluated it
+    (``None`` otherwise); ``_rk4_step`` uses that row as its first stage.
 
     Returns the ``(steps + 1, n)`` states and the ``(steps, d)`` controls,
     written into ``out`` when given.  A march continued from its own state
@@ -143,8 +163,9 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float,
     states[0] = np.asarray(x0, dtype=float).reshape(-1)
     for i, j in enumerate(range(start, start + steps)):
         t = t0 + j * dt
-        ctrl[i] = u = choose(j, t, states[i])
-        states[i + 1] = _rk4_step(p.f, t, states[i], u, dt)
+        u, k1 = choose(j, t, states[i])
+        ctrl[i] = u
+        states[i + 1] = _rk4_step(p.f, t, states[i], u, dt, k1)
     return states, ctrl
 
 
@@ -159,7 +180,7 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step RK4 under a per-step sequence of control indices."""
     return Trajectory(t0 + dt * np.arange(steps + 1), *_march(
-        p, t0, x0, steps, dt, lambda j, t, x: p.controls.at(t, level)[int(schedule[j])]
+        p, t0, x0, steps, dt, lambda j, t, x: (p.controls.at(t, level)[int(schedule[j])], None)
     ), dt)
 
 
@@ -168,27 +189,33 @@ def integrate_controls(p: ProblemDefinition, t0: float, x0, controls, dt: float)
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     steps = len(controls)
     return Trajectory(t0 + dt * np.arange(steps + 1),
-                      *_march(p, t0, x0, steps, dt, lambda j, t, x: controls[j]), dt)
+                      *_march(p, t0, x0, steps, dt, lambda j, t, x: (controls[j], None)), dt)
 
 
 # ---------------------------------------------------------------------------
 # velocity selection
 # ---------------------------------------------------------------------------
 
+def _row_norms(d: Array) -> Array:
+    """``np.linalg.norm(d, axis=1)`` as numpy computes it, without its dispatch."""
+    return np.sqrt(np.add.reduce(d * d, axis=1))
+
+
 def _select_control(p, t, x, target_v, z_next, dt, level):
-    """Sampled control with the nearest velocity to the target.
+    """Sampled control with the nearest velocity to the target, and that velocity.
 
     Ties in velocity mismatch are broken by proximity of the induced next
     position to the target path node (this is what lets opposing controls
     cancel drift around an unrealizable target), then by lowest index.
     """
     u, vels = p.velocities(t, x, level)
-    mism = np.linalg.norm(vels - target_v, axis=1)
+    mism = _row_norms(vels - target_v)
     tie = np.where(mism <= mism.min() + 1e-12)[0]
     if tie.size > 1:
-        pos = np.linalg.norm(x + dt * vels[tie] - z_next, axis=1)
+        pos = _row_norms(x + dt * vels[tie] - z_next)
         tie = tie[pos <= pos.min() + 1e-12]
-    return u[int(tie[0])]
+    i = int(tie[0])
+    return u[i], vels[i]
 
 
 def _nearest_rule(p, x0: Array, w: Array, dt: float, level: int) -> Callable:
@@ -273,22 +300,24 @@ def viable_trajectory(
     trig = tube_radius
     if trig is None:
         trig = min(cert.eta, 1.5 * (p.data.M + p.data.omega_lip) * dt)
-    gb = np.maximum(p.grad_bounds(), 1e-12)
+    near = -trig * np.maximum(p.grad_bounds(), 1e-12)   # h_i at or above: in the tube
+    m = p.m
     mux = _MixtureMultiplexer(1)
     games = {} if games is None else games
 
     def choose(j, t, x):
         hv = geo.eval_constraints(p, t, x)
-        viol = float(hv.max()) if p.m else -math.inf
+        viol = float(hv.max()) if m else -math.inf
         if viol > geo.TOL_FEAS:
             raise ViabilityLost(f"feasibility lost at t={t} (max h = {viol:.3e}); dt too coarse?")
-        if p.m > 0 and bool(np.any(hv >= -trig * gb)):
-            mr = inward_margin(p, t, x, cert.delta, level, games=games)
+        if m and bool((hv >= near).any()):
+            mr, u, vels = _margin(p, t, x, hv, cert.delta, level, games)
             if math.isfinite(mr.r) and mr.r <= 0:
                 raise ViabilityLost(f"nonpositive inward margin at t={t}")
             if math.isfinite(mr.r):
-                return p.controls.at(t, level)[mux.pick(mr.alpha)]
-        return p.default_control
+                k = mux.pick(mr.alpha)
+                return u[k], vels[k]
+        return p.default_control, None
 
     states, ctrl = _march(p, t0, x, steps, dt, choose)
     if not geo.is_feasible(p, t0 + steps * dt, states[-1]):
@@ -467,7 +496,7 @@ def _case_push_and_replay(p, cert, cons, t_a, ref_states, rho_c, dt, level, game
 
     def choose(j, t, x):
         if j < s:
-            return p.controls.at(t, level)[mux.pick(mr.alpha)]
+            return p.controls.at(t, level)[mux.pick(mr.alpha)], None
         return replay(j, t, x)
 
     return _march(p, t_a, start, steps, dt, choose)

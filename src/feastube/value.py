@@ -493,22 +493,29 @@ def _backstep(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level, re
     return np.where(feas_now, best, np.inf)
 
 
-def _coarse_hint(p: ProblemDefinition, axes, constrained: Array, dt: float) -> str:
-    """What a GridTooCoarse error tells the user: ``M*dt`` against the space
-    step of each constrained axis, and which of them is longer."""
-    margin = p.data.M * dt
-    steps = {int(d): float(axes[d][1] - axes[d][0]) for d in np.flatnonzero(constrained)}
-    short = [d for d, dx in steps.items() if margin < dx - 1e-12]
-    listed = ", ".join(f"{dx:.4g} along axis {d}" for d, dx in steps.items())
-    head = (f"one step moves at most M*dt = {margin:.4g} (M = {p.data.M:.4g}, dt = {dt:.4g}); "
-            f"space step of each constrained axis: {listed or 'none'}; ")
+def _coarse_hint(p: ProblemDefinition, axes, constrained: Array, dt: float, t: float,
+                 x: Array, level: int) -> str:
+    """What a GridTooCoarse error at node ``x`` and time ``t`` tells the user:
+    how far one step reaches along each constrained axis (the largest speed
+    along it among the sampled controls there, times dt) against that axis's
+    space step, and which of them is longer."""
+    speed = np.abs(p.velocities(t, x, level)[1]).max(axis=0)
+    axis_of = {int(d): (float(speed[d]), float(axes[d][1] - axes[d][0]))
+               for d in np.flatnonzero(constrained)}
+    short = [d for d, (v, dx) in axis_of.items() if v * dt < dx - 1e-12]
+    listed = ", ".join(f"axis {d} reach {v * dt:.4g} against step {dx:.4g}"
+                       for d, (v, dx) in axis_of.items())
+    head = (f"one step of dt = {dt:.4g} under the fastest sampled control along each "
+            f"constrained axis: {listed or 'none'}; ")
     if not short:
-        return head + "M*dt covers every constrained space step: widen the grid"
-    need = max(steps[d] for d in short)
-    axes_named = ", ".join(str(d) for d in short)
-    return head + (f"M*dt is shorter than the space step along axis {axes_named}: raise dt to "
-                   f"at least {need / p.data.M:.4g}, or refine axis {axes_named} to a step "
-                   f"of at most {margin:.4g}")
+        return head + "every constrained space step is within one step's reach: widen the grid"
+    named = ", ".join(str(d) for d in short)
+    refine = ", ".join(f"axis {d} to a step of at most {axis_of[d][0] * dt:.4g}" for d in short)
+    if any(axis_of[d][0] == 0.0 for d in short):
+        return head + f"no sampled control moves along axis {named}: refine {refine}"
+    need = max(dx / v for v, dx in (axis_of[d] for d in short))
+    return head + (f"the reach is shorter than the space step along axis {named}: raise dt "
+                   f"to at least {need:.4g}, or refine {refine}")
 
 
 def solve_value(
@@ -527,8 +534,9 @@ def solve_value(
     ``horizon=None`` selects the horizon automatically from the tail
     envelope at tolerance ``tol``.  Raises GridTooCoarse when some feasible
     node has no candidate velocity whose interpolation stencil stays
-    feasible (one step must be able to reach the next grid cell: keep
-    ``M * dt`` at or above the space step when constraints sweep the grid).
+    feasible (one step must be able to reach the next grid cell: keep the
+    fastest sampled speed along each constrained axis times ``dt`` at or
+    above that axis's space step when constraints sweep the grid).
     """
     if x0_bound is None:
         x0_bound = float(np.max(np.abs(np.concatenate([grid.lo, grid.hi]))))
@@ -584,7 +592,7 @@ def solve_value(
             j = int(np.where(dead)[0][0])
             raise GridTooCoarse(
                 f"feasible node {nodes[j]} at t={t} has no stencil-feasible velocity; "
-                + _coarse_hint(p, axes, constrained, grid.dt)
+                + _coarse_hint(p, axes, constrained, grid.dt, t, nodes[j], level)
             )
         values[i] = vals
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from feastube import cli
-from feastube.problem import registered_problems
+from feastube.problem import get_problem, registered_problems
 from feastube import value as val
 
 import oracles
@@ -247,6 +247,35 @@ def test_analyze_lipschitz_rejects_empty_pair_budget(budget, tmp_path, capsys):
 def test_run_defaults_on_every_problem(cmd, name, capsys):
     assert cli.run([cmd, "run", "--problem", name]) == 0
     assert _capture(capsys)["cmd"] == f"{cmd} run"
+
+
+@pytest.mark.parametrize("name", registered_problems())
+@pytest.mark.parametrize("cmd", ["value solve", "pipeline"])
+def test_value_paths_at_defaults_run_or_name_lambda(cmd, name, tmp_path, capsys):
+    """At defaults, a discount at or below a1 leaves the automatic horizon
+    undefined: the error names the option to raise and the threshold."""
+    code = cli.run(cmd.split() + ["--problem", name, "--out", str(tmp_path)])
+    line = _capture(capsys)
+    if code != 0:
+        a1 = get_problem(name).data.a1
+        assert code == 1
+        assert f"raise --lambda above {name}'s a1 = {a1}" in line["error"]
+        assert "--horizon" in line["error"]
+    else:
+        assert line["cmd"] == cmd and line["ok"] is True
+
+
+def test_grid_too_coarse_hint_uses_the_per_axis_reach(tmp_path, capsys):
+    # the default grid's dt is sized by the Euclidean M = sqrt 2, but the
+    # fastest sampled control moves only 1 * dt along the constrained axis
+    args = ["pipeline", "--problem", "corridor-2d", "--lambda", "6", "--out", str(tmp_path)]
+    assert cli.run(args) == 2
+    line = _capture(capsys)
+    assert line["kind"] == "GridTooCoarse"
+    assert "feasible node [-2.      0.3375] at t=4.0658" in line["error"]
+    assert "axis 1 reach 0.03536 against step 0.0375" in line["error"]
+    assert "axis 0" not in line["error"]
+    assert "raise dt to at least 0.0375, or refine axis 1 to a step of at most 0.03536" in line["error"]
 
 
 @pytest.mark.parametrize("dt", ["0", "-0.001"])

@@ -352,7 +352,7 @@ def test_constants_with_holder_curvature():
     assert 0 < eta <= min(eta_cap, 0.4 - eps * (ball + eps)) * (1 + 1e-12)
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -396,6 +396,18 @@ def _outcome(verify, p, horizon, **kw):
         return type(exc)
 
 
+def _one_wall_2d(turn, size, a, b):
+    c = size * np.array([math.cos(turn), math.sin(turn)])
+    wall = affine_constraint("wall0", c, lambda t: -(a + b * np.sin(t)))
+    return simple_problem(unit_velocity, zero_cost, constraints=[wall], n=2, M=3.0,
+                          controls=pb.ControlSamples(2, lambda t, l: _CIRCLE))
+
+
+# one wall whose worst witness came out a last bit apart between the batched
+# sampler and the per-time reference while the wall was a BLAS product
+@example(p=_one_wall_2d(4.76095074766721, 0.5476804259388571, 0.6998306723345096,
+                        0.45725712114209194),
+         t0=0.0, length=0.0, r_min=1.0, delta=1.0, n_time=2, n_dirs=3)
 @settings(max_examples=40, deadline=None)
 @given(p=_walled_problems(), t0=st.floats(0, 2 * math.pi), length=st.floats(0, 3),
        r_min=st.floats(0.01, 1), delta=st.floats(0.01, 1),

@@ -14,7 +14,17 @@ from feastube.errors import (
 )
 
 from oracles import verify_data_assumptions_loop
-from util import _affine, simple_problem, sway_problem, unit_velocity, x2u_problem, zero_cost
+from util import (
+    _affine,
+    constant_cost_problem,
+    drift_problem,
+    simple_problem,
+    sway_problem,
+    two_wall_1d,
+    unit_velocity,
+    x2u_problem,
+    zero_cost,
+)
 
 
 # --- registry ---------------------------------------------------------------
@@ -249,6 +259,52 @@ def test_kernel_matches_per_point_and_per_control_calls(name):
             for j, uj in enumerate(u):
                 assert np.array_equal(np.asarray(p.f(t, x, uj), dtype=float), V[(j,) + idx])
                 assert float(p.running_cost(t, x, uj)) == C[(j,) + idx]
+
+
+_ROWWISE = {
+    **{name: (lambda name=name: pb.get_problem(name)) for name in pb.registered_problems()},
+    "const-cost-1d": constant_cost_problem, "thin-corridor-1d": two_wall_1d,
+    "x2u": x2u_problem, "sway-1d": sway_problem,
+    "drift-1d": lambda: drift_problem(1), "drift-2d": lambda: drift_problem(2),
+}
+
+
+@st.composite
+def _rowwise_cases(draw):
+    """A problem (each one above, or 2-D walls with random coefficients), a
+    time, a batch of points in its box and per-point times."""
+    name = draw(st.sampled_from(sorted(_ROWWISE) + ["random-walls-2d"]))
+    if name == "random-walls-2d":
+        coeff = st.floats(-2, 2, allow_subnormal=False)
+        walls = [_affine(f"w{i}", [draw(coeff), draw(coeff)],
+                         lambda t, a=draw(st.floats(-1, 1)): a + 0.3 * np.sin(t))
+                 for i in range(draw(st.integers(1, 3)))]
+        p = simple_problem(unit_velocity, zero_cost, constraints=walls, n=2,
+                           controls=pb.ControlSamples(2, lambda t, l: np.eye(2)))
+    else:
+        p = _ROWWISE[name]()
+    P = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    X = p.box[:, 0] + rng.random((P, p.n)) * (p.box[:, 1] - p.box[:, 0])
+    return p, draw(st.floats(0, 7)), X, rng.uniform(0, 7, P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_rowwise_cases())
+def test_batched_rows_equal_rows_evaluated_alone(case):
+    """Each row of a batched evaluation is byte for byte the row evaluated
+    alone: constraint values over a batch of points (at one time and at
+    per-point times), and velocity row j against f(t, x, u_j).  The repair's
+    RK4 reuses the chosen velocity row as its first stage on this basis."""
+    p, t, X, ts = case
+    H, Ht = p.constraint_values(t, X), p.constraint_values(ts, X)
+    for q, x in enumerate(X):
+        assert H[q].tobytes() == p.constraint_values(t, x).tobytes()
+        assert Ht[q].tobytes() == p.constraint_values(ts[q], x).tobytes()
+        u, V = p.velocities(t, x)
+        for j, uj in enumerate(u):
+            assert V[j].tobytes() == np.asarray(p.f(t, x, uj), dtype=float).tobytes()
 
 
 def test_assumptions_failures_monotone_in_density():

@@ -19,7 +19,7 @@ from feastube.simplex import solve_matrix_game
 
 import oracles
 from oracles import best_feasible_tracking
-from util import simple_problem, zero_cost
+from util import affine_constraint, drift_problem, simple_problem, sway_problem, zero_cost
 
 
 # --- integration -----------------------------------------------------------------
@@ -411,3 +411,83 @@ def test_constructions_match_loop_references(name, request):
         got = tj._case_push_and_replay(p, c, cons, t0, ref.states, rho_c, dt, 0)
         want = oracles.push_and_replay_loop(p, c, cons, t0, ref.states, rho_c, dt)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# --- one velocity evaluation per step -------------------------------------------------
+
+def _counting_f(p):
+    """Copy of ``p`` whose ``f`` counts its batched calls (a ``(k, d)`` control
+    array) and its single-control calls."""
+    calls = {"batched": 0, "single": 0}
+
+    def f(t, x, u):
+        calls["batched" if np.ndim(u) == 2 else "single"] += 1
+        return p.f(t, x, u)
+
+    return dataclasses.replace(p, f=f), calls
+
+
+@pytest.mark.parametrize("name", sorted(_CERT_OF))
+def test_projection_evaluates_velocities_once_per_step(name, request):
+    # each step: one velocities call for the nearest rule, whose chosen row is
+    # RK4's first stage, and three single-control stages
+    p, calls = _counting_f(request.getfixturevalue(name))
+    steps = 37
+    w = np.full((steps, p.n), 0.3)
+    tj.filippov_project(p, 0.2, p.anchor(0.2), w, steps, 0.01)
+    assert calls == {"batched": steps, "single": 3 * steps}
+
+
+_PROJECTED = {"sway-1d": sway_problem, "drift-1d": lambda: drift_problem(1),
+              "drift-2d": lambda: drift_problem(2)}
+
+
+@pytest.mark.parametrize("name", sorted(_PROJECTED))
+def test_projection_matches_loop_reference_when_f_varies(name):
+    """The reused first stage is bit for bit the loop's ``f(t, x, u)`` when f
+    depends on x (sway) or on t (drift)."""
+    p = _PROJECTED[name]()
+    rng = np.random.default_rng(11)
+    t0, dt, steps = 0.3, 0.02, 80
+    x0 = 0.5 * rng.uniform(-1.0, 1.0, p.n)
+    for w in (rng.standard_normal((steps, p.n)), np.zeros((steps, p.n)),
+              np.tile(0.7 * p.controls.at(t0)[-1] + 0.05, (steps, 1))):
+        _assert_same_path(tj.filippov_project(p, t0, x0, w, steps, dt),
+                          *oracles.filippov_project_loop(p, t0, x0, w, steps, dt))
+
+
+def _batch_dependent_problem():
+    """Velocity ``u @ B.T`` with a non-dyadic ``B``: a BLAS product that may
+    round a control's row differently in a batch than alone, between two
+    walls ``|y| <= 0.5``."""
+    B = np.array([[0.93, 0.17], [-0.11, 1.07]])
+
+    def f(t, x, u):
+        return np.asarray(u, dtype=float) @ B.T + 0.0 * np.asarray(x, dtype=float)
+
+    ring = np.column_stack([np.cos(np.arange(8) * math.pi / 4), np.sin(np.arange(8) * math.pi / 4)])
+    walls = (affine_constraint("upper", [0.0, 1.0], lambda t: -0.5 + 0.0 * t),
+             affine_constraint("lower", [0.0, -1.0], lambda t: -0.5 + 0.0 * t))
+    return simple_problem(f, zero_cost, constraints=walls, n=2, M=1.5,
+                          controls=pb.ControlSamples(2, lambda t, l: ring),
+                          box=[[-2.0, 2.0], [-1.0, 1.0]], name="batch-dependent-2d")
+
+
+def test_residual_contract_when_rows_depend_on_the_batch():
+    p = _batch_dependent_problem()
+    cert = ipc.verify_ipc(p, (0.0, 2.0), r_min=0.1, delta=0.3, n_time=4, n_dirs=8).certificate
+    t0, dt, steps = 0.0, 0.01, 150
+    x0 = np.array([0.1, 0.45])
+    w = np.tile([0.2, 1.0], (steps, 1))
+    paths = [tj.filippov_project(p, t0, x0, w, steps, dt),
+             tj.viable_trajectory(p, cert, t0, x0, t0 + steps * dt, dt, tube_radius=0.05)]
+    stepped = 0
+    for traj in paths:
+        for j in range(traj.n_steps):
+            want = oracles.rk4_step(p.f, float(traj.times[j]), traj.states[j],
+                                    traj.controls[j], dt)
+            assert np.abs(traj.states[j + 1] - want).max() <= tj.TOL_ODE
+            stepped += 1
+    # the viable path met the wall: some steps took the margin mixture
+    assert np.any(np.abs(paths[1].controls - p.default_control).max(axis=1) > 0)
+    assert stepped == 2 * steps

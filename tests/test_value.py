@@ -195,8 +195,9 @@ def test_grid_too_coarse_detected(moving_wall):
 
 
 def test_grid_too_coarse_names_the_short_axis(corridor):
-    # 21 x 31 nodes solve at dt 0.1; at dt 0.05 one step (M*dt = 0.0707) is
-    # shorter than the constrained y step (0.1) and a node by the wall is stranded
+    # 21 x 31 nodes solve at dt 0.1; at dt 0.05 one step reaches 0.05 along y
+    # (the fastest control moves at speed 1 along it), shorter than the
+    # constrained y step (0.1), and a node by the wall is stranded
     val.solve_value(corridor, 6.0, val.grid_for(corridor, (21, 31), 0.1), relaxed=False,
                     horizon=0.2)
     with pytest.raises(GridTooCoarse) as err:
@@ -204,9 +205,10 @@ def test_grid_too_coarse_names_the_short_axis(corridor):
                         horizon=0.2)
     msg = str(err.value)
     assert "feasible node [-2.  -0.5] at t=0.0" in msg
-    assert "M*dt = 0.07071" in msg and "0.1 along axis 1" in msg
-    assert "along axis 0" not in msg                      # x is not constrained
-    assert "shorter than the space step along axis 1: raise dt to at least 0.07071" in msg
+    assert "axis 1 reach 0.05 against step 0.1" in msg
+    assert "axis 0" not in msg                            # x is not constrained
+    assert ("shorter than the space step along axis 1: raise dt to at least 0.1, "
+            "or refine axis 1 to a step of at most 0.05") in msg
 
 
 # --- evaluation ---------------------------------------------------------------------

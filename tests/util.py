@@ -15,7 +15,9 @@ def _affine(name, coeff, offset):
     cvec = np.asarray(coeff, dtype=float)
 
     def h(t, x):
-        return np.asarray(x, dtype=float) @ cvec + offset(t)
+        # an elementwise product and a sum round each row alone; ``x @ cvec``
+        # goes through BLAS, whose rounding of a row depends on the batch
+        return (np.asarray(x, dtype=float) * cvec).sum(axis=-1) + offset(t)
 
     def grad(t, x):
         return np.broadcast_to(cvec, np.asarray(x, dtype=float).shape).copy()
