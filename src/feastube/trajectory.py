@@ -210,7 +210,7 @@ def _select_control(p, t, x, target_v, z_next, dt, level):
     """
     u, vels = p.velocities(t, x, level)
     mism = _row_norms(vels - target_v)
-    tie = np.where(mism <= mism.min() + 1e-12)[0]
+    tie = (mism <= np.minimum.reduce(mism) + 1e-12).nonzero()[0]
     if tie.size > 1:
         pos = _row_norms(x + dt * vels[tie] - z_next)
         tie = tie[pos <= pos.min() + 1e-12]
