@@ -430,7 +430,13 @@ def candidates_loop(p, t, nodes, level, relaxed, mixture_grid):
     if not relaxed:
         return f_all, L_all
     W = val._mixture_matrix(k, p.n + 1, mixture_grid)
-    return np.tensordot(W, f_all, axes=(1, 0)), np.tensordot(W, L_all, axes=(1, 0))
+    return mixtures_tensordot(W, f_all), mixtures_tensordot(W, L_all)
+
+
+def mixtures_tensordot(W, a):
+    """Mixtures of the per-control arrays ``a`` (k, ...) under the weights
+    ``W`` (R, k), through ``np.tensordot`` as the backstep formed them first."""
+    return np.tensordot(W, a, axes=(1, 0))
 
 
 def interp_clipped_pointwise(axes, grid_vals, pts):

@@ -9,7 +9,7 @@ from feastube import problem as pb
 from feastube import value as val
 from feastube.errors import DiscountTooSmall, GridMismatch, GridTooCoarse, OutOfGrid
 
-from oracles import backstep_loop, interp_clipped_pointwise, tree_value
+from oracles import backstep_loop, interp_clipped_pointwise, mixtures_tensordot, tree_value
 from util import (
     constant_cost_problem,
     drift_problem,
@@ -394,6 +394,42 @@ def test_backstep_matches_loop_reference(name, monkeypatch):
             assert np.array_equal(f.values, ref.values)
             assert max(residuals) > 0.0
             assert np.array_equal(step, backstep_loop(*args))
+
+
+def _mixture_grids(p):
+    """A small and a large grid of each problem: 1-D 13 and 241 nodes,
+    2-D 9 x 13 and 21 x 31 (wide products round their last columns apart)."""
+    small = val.grid_for(p, (13,) if p.n == 1 else (9, 13), 0.1)
+    return small, val.grid_for(p, (241,) if p.n == 1 else (21, 31), 0.1)
+
+
+@pytest.mark.parametrize("name", pb.registered_problems() + tuple(_TEST_PROBLEMS))
+def test_mixture_products_match_tensordot_reference(name, monkeypatch):
+    # The field tests cannot see a last-bit change in a mixture velocity (a
+    # foot point absorbs it), so the mixtures themselves are compared: every
+    # velocity (R, P, n) and cost (R, P) product, and the velocities the
+    # backstep groups its candidates on.
+    p = _TEST_PROBLEMS[name]() if name in _TEST_PROBLEMS else pb.get_problem(name)
+    rng = np.random.default_rng(sum(map(ord, name)) + 1)
+    grouped = []
+    groups = val._groups
+    monkeypatch.setattr(val, "_groups", lambda vel, P: grouped.append(vel) or groups(vel, P))
+    for g in _mixture_grids(p):
+        nodes, P = g.nodes(), g.nodes().shape[0]
+        for t in (0.0, *rng.uniform(0.0, 2 * math.pi, 2)):
+            u, f_all = p.velocities(t, nodes)
+            costs = p.costs(t, nodes, 0, u)
+            for mg in range(1, 6):
+                W = val._mixture_matrix(len(u), p.n + 1, mg)
+                want = mixtures_tensordot(W, f_all)
+                assert val._mix(W, f_all).tobytes() == want.tobytes()
+                assert val._mix(W, costs).tobytes() == mixtures_tensordot(W, costs).tobytes()
+                grouped.clear()
+                val._backstep(p, p.lam, g.axes(), g.shape, nodes, float(t), g.dt,
+                              np.zeros(P), np.ones(P, dtype=bool), 0, True, mg)
+                if val._node_independent(want):
+                    want = want[:, :1]
+                assert [(v.shape, v.tobytes()) for v in grouped] == [(want.shape, want.tobytes())]
 
 
 def _count_stencils(monkeypatch):
