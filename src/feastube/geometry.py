@@ -47,8 +47,15 @@ def is_feasible(p: ProblemDefinition, t: float, x, tol: float = TOL_FEAS) -> boo
     return max_violation(p, t, x) <= tol
 
 
-def feasible_mask(p: ProblemDefinition, t: float, pts: Array, tol: float = TOL_FEAS) -> Array:
-    """Vectorized membership over points of shape (P, n)."""
+def feasible_mask(p: ProblemDefinition, t: float | Array, pts: Array,
+                  tol: float = TOL_FEAS) -> Array:
+    """Vectorized membership over points of shape (..., n).
+
+    ``t`` is a scalar or an array that broadcasts against the points' leading
+    axes, so that one call covers many times: ``t`` of shape (k, 1) with
+    ``pts`` of shape (1, P, n) gives the (k, P) membership of P points at k
+    times.
+    """
     return _worst(p, t, pts) <= tol
 
 

@@ -21,8 +21,14 @@ semi-Lagrangian scheme on a structured grid (Falcone & Ferretti, SIAM 2013),
 each foot point is its node shifted by one offset per group.  The cell index,
 fraction and corner weights of a batch then follow from the grid's 1-D axes,
 and they repeat from slice to slice: a sweep builds the batch's stencil once
-its velocities recur, and later slices apply it with one gather per
-contributing corner, rounding as the pointwise interpolation does.
+its velocities recur, and later slices apply it by gathering each slice
+once from the stencil's flat indices, rounding as the pointwise
+interpolation does.
+
+A sweep decides the feasibility of every node at every time slice before
+it steps: one constraint-kernel call per chunk of whole slices, of at most
+``_FEAS_CHUNK`` points each.  Each slice then pays only for the work that
+depends on its values.
 """
 
 from __future__ import annotations
@@ -194,6 +200,30 @@ def grid_for(p: ProblemDefinition, points: int | tuple[int, ...], dt: float, t0:
     return GridSpec(p.box[:, 0], p.box[:, 1], shape, dt, t0)
 
 
+def cell_crossing_dt(p: ProblemDefinition, shape: tuple[int, ...], t0: float = 0.0,
+                     level: int = 0) -> float:
+    """The time step at which one step of the fastest sampled control along
+    each constrained axis reaches that axis's space step, on ``shape`` nodes
+    over the working box: the largest over the constrained axes of the box
+    width over ``shape[d] - 1``, divided by the largest ``|velocity
+    component|`` along the axis among the sampled controls at
+    ``(t0, anchor(t0))``.  Every axis counts when none is constrained.
+    Raises ValueError naming a counted axis that no sampled control moves
+    along."""
+    a = np.asarray(p.anchor(float(t0)), dtype=float)
+    speed = _axis_speeds(p, float(t0), a, level)
+    counted = _constrained_axes(p, [t0])
+    axes = np.flatnonzero(counted) if counted.any() else range(p.n)
+    for d in axes:
+        if speed[d] == 0.0:
+            raise ValueError(
+                f"no sampled control of {p.name} moves along constrained axis {d} at "
+                f"t={float(t0)}, x={a}: no time step crosses a cell along it; choose the "
+                f"grid and dt explicitly"
+            )
+    return float(max((p.box[d, 1] - p.box[d, 0]) / (shape[d] - 1) / speed[d] for d in axes))
+
+
 def _axis_cells(ax: Array, x: Array) -> tuple[Array, Array, Array]:
     """Cell index, fraction and out-of-grid flag of coordinates ``x`` on the
     uniform 1-D axis ``ax``.  Fractions within 1e-9 of a node snap to it."""
@@ -285,14 +315,16 @@ def _apply_stencil(terms: tuple[Array, Array], vals: Array, ok: Array) -> Array:
     ``vals`` is the slice with 0.0 at its infeasible nodes, then the pads
     0.0 and 0.0; ``ok`` flags its finite nodes, then True and False.  A term
     that reads pad ``P`` adds +0.0, as a corner that does not contribute does
-    in ``_interp_clipped``.
+    in ``_interp_clipped``.  Each of ``vals`` and ``ok`` is gathered once,
+    for all terms; the weighted terms add one by one, in term order.
     """
-    total = np.zeros(terms[1].shape[1:])
-    fine = np.ones(total.shape, dtype=bool)
-    for flat, w in zip(*terms):
-        total += w * vals[flat]
-        fine &= ok[flat]
-    return np.where(fine, total, np.inf)
+    flat, w = terms
+    part = vals.take(flat)
+    part *= w
+    total = np.zeros(w.shape[1:])
+    for term in part:
+        total += term
+    return np.where(np.logical_and.reduce(ok.take(flat), axis=0), total, np.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,8 +414,11 @@ _INTERP_CHUNK = 8192
 
 def _mix(W: Array | None, a: Array) -> Array:
     """Mixtures of per-control arrays ``a`` (k, ...) under weights ``W`` (R, k);
-    the sampled controls' own arrays when ``W`` is None."""
-    return a if W is None else np.tensordot(W, a, axes=(1, 0))
+    the sampled controls' own arrays when ``W`` is None.  One gemm, the one
+    ``np.tensordot`` makes, without its wrapper."""
+    if W is None:
+        return a
+    return (W @ a.reshape(len(a), -1)).reshape(W.shape[:1] + a.shape[1:])
 
 
 def _node_independent(f: Array) -> bool:
@@ -403,15 +438,29 @@ class _Groups:
     """Candidates grouped by equal velocity arrays, in chunks interpolated together."""
 
     vel: Array                # (R, P, n), or (R, 1, n) when the same at every node
-    group: list[int]          # each candidate's group: its first candidate
+    merges: list[tuple[int, int]]  # (group, candidate) for each candidate after a group's first
     chunks: list[list[int]]   # groups' first candidates, _INTERP_CHUNK foot points each
     stencils: list | None = None   # one per chunk, once (R, 1, n) velocities recur
+    pads: tuple[Array, Array] | None = None   # the stencils' vals and ok, reused per slice
+
+    def padded(self, next_slice: Array) -> tuple[Array, Array]:
+        """``_apply_stencil``'s ``vals`` and ``ok`` for a slice, written into
+        buffers that the sweep's slices share."""
+        P = len(next_slice)
+        if self.pads is None:
+            self.pads = np.zeros(P + 2), np.ones(P + 2, dtype=bool)
+            self.pads[1][P + 1] = False
+        vals, ok = self.pads
+        np.isfinite(next_slice, out=ok[:P])
+        np.copyto(vals[:P], 0.0)
+        np.copyto(vals[:P], next_slice, where=ok[:P])
+        return vals, ok
 
 
 def _groups(vel: Array, P: int) -> _Groups:
     """Group candidates whose velocity arrays have equal bytes (bucketed by
     the hash of the bytes)."""
-    group: list[int] = []
+    merges: list[tuple[int, int]] = []
     reps: list[int] = []
     buckets: dict[int, list[int]] = {}    # hash of velocity bytes -> its reps
     for r in range(vel.shape[0]):
@@ -424,9 +473,10 @@ def _groups(vel: Array, P: int) -> _Groups:
             g = r
             bucket.append(r)
             reps.append(r)
-        group.append(g)
+        if g != r:
+            merges.append((g, r))
     per_call = max(1, _INTERP_CHUNK // P)
-    return _Groups(vel, group, [reps[lo:lo + per_call] for lo in range(0, len(reps), per_call)])
+    return _Groups(vel, merges, [reps[lo:lo + per_call] for lo in range(0, len(reps), per_call)])
 
 
 def _backstep(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level, relaxed,
@@ -472,25 +522,28 @@ def _backstep(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level, re
                 memo[key] = groups
     if groups is None:
         groups = _groups(_mix(W, f_all) if f is None else f, P)
-    for r, g in enumerate(groups.group):
-        if g != r:
-            np.minimum(cost[g], cost[r], out=cost[g])
+    for g, r in groups.merges:
+        np.minimum(cost[g], cost[r], out=cost[g])
 
-    best = np.full(P, np.inf)
     if groups.stencils is None:
         grid_next = next_slice.reshape(shape)
-        for chunk in groups.chunks:
-            feet = (nodes + dt * groups.vel[chunk]).reshape(-1, nodes.shape[1])
-            vn = _interp_clipped(axes, grid_next, feet).reshape(len(chunk), P)
-            np.minimum(best, (cost[chunk] + vn).min(axis=0), out=best)
+        feet = (nodes + dt * groups.vel[chunk] for chunk in groups.chunks)
+        vns = (_interp_clipped(axes, grid_next, x.reshape(-1, nodes.shape[1])) for x in feet)
     else:
-        ok = np.isfinite(next_slice)
-        vals = np.concatenate([np.where(ok, next_slice, 0.0), [0.0, 0.0]])
-        ok = np.concatenate([ok, [True, False]])
-        for chunk, terms in zip(groups.chunks, groups.stencils):
-            vn = _apply_stencil(terms, vals, ok)
-            np.minimum(best, (cost[chunk] + vn).min(axis=0), out=best)
-    return np.where(feas_now, best, np.inf)
+        vals, ok = groups.padded(next_slice)
+        vns = (_apply_stencil(terms, vals, ok) for terms in groups.stencils)
+    best = None
+    for chunk, vn in zip(groups.chunks, vns):
+        low = (cost[chunk] + vn.reshape(len(chunk), P)).min(axis=0)
+        best = low if best is None else np.minimum(best, low, out=best)
+    best[~feas_now] = np.inf
+    return best
+
+
+def _axis_speeds(p: ProblemDefinition, t: float, x: Array, level: int) -> Array:
+    """The largest ``|velocity component|`` along each axis among the sampled
+    controls at the node ``x`` (n,) and time ``t``."""
+    return np.abs(p.velocities(t, x, level)[1]).max(axis=0)
 
 
 def _coarse_hint(p: ProblemDefinition, axes, constrained: Array, dt: float, t: float,
@@ -499,7 +552,7 @@ def _coarse_hint(p: ProblemDefinition, axes, constrained: Array, dt: float, t: f
     how far one step reaches along each constrained axis (the largest speed
     along it among the sampled controls there, times dt) against that axis's
     space step, and which of them is longer."""
-    speed = np.abs(p.velocities(t, x, level)[1]).max(axis=0)
+    speed = _axis_speeds(p, t, x, level)
     axis_of = {int(d): (float(speed[d]), float(axes[d][1] - axes[d][0]))
                for d in np.flatnonzero(constrained)}
     short = [d for d, (v, dx) in axis_of.items() if v * dt < dx - 1e-12]
@@ -516,6 +569,54 @@ def _coarse_hint(p: ProblemDefinition, axes, constrained: Array, dt: float, t: f
     need = max(dx / v for v, dx in (axis_of[d] for d in short))
     return head + (f"the reach is shorter than the space step along axis {named}: raise dt "
                    f"to at least {need:.4g}, or refine {refine}")
+
+
+# Points per feasibility call in a sweep; bounds its temporaries.
+_FEAS_CHUNK = 4 * _INTERP_CHUNK
+
+
+def _feasible_slices(p: ProblemDefinition, times: Array, nodes: Array) -> Array:
+    """Feasibility of every node (P, n) at every time, (len(times), P): one
+    kernel call per chunk of whole slices of at most ``_FEAS_CHUNK`` points."""
+    rows = max(1, _FEAS_CHUNK // len(nodes))
+    feas = np.empty((len(times), len(nodes)), dtype=bool)
+    for lo in range(0, len(times), rows):
+        feas[lo:lo + rows] = geo.feasible_mask(p, times[lo:lo + rows, None], nodes[None])
+    return feas
+
+
+def _constrained_axes(p: ProblemDefinition, times) -> Array:
+    """Axes along which some constraint's gradient at the anchor is nonzero
+    at one of ``times``; the other axes are an artificial window."""
+    constrained = np.zeros(p.n, dtype=bool)
+    for t in times:
+        a = np.asarray(p.anchor(float(t)), dtype=float)
+        for c in p.constraints:
+            g = np.asarray(c.grad(float(t), a), dtype=float).reshape(-1)
+            constrained |= np.abs(g) > 1e-12
+    return constrained
+
+
+def _check_margin(p: ProblemDefinition, grid: GridSpec, nodes: Array, times: Array,
+                  feas: Array, constrained: Array) -> None:
+    """Raise unless every feasible node lies at least M*dt inside the box
+    along every constrained axis; the error names the first time, the first
+    such node then and the constrained axis it is closest to the edge on."""
+    if not constrained.any():
+        return
+    margin = p.data.M * grid.dt
+    axis = np.flatnonzero(constrained)
+    edge = np.minimum(nodes[:, axis] - grid.lo[axis], grid.hi[axis] - nodes[:, axis])
+    near = feas & (edge.min(axis=1) < margin - 1e-12)
+    if near.any():
+        i, j = np.argwhere(near)[0]
+        d = int(edge[j].argmin())
+        raise ValueError(
+            f"grid must extend beyond the feasible set by M*dt={margin:.3g} "
+            f"(violated at t={float(times[i])}: feasible node {nodes[j]} is "
+            f"{edge[j, d]:.3g} from the box edge along constrained axis {axis[d]}; "
+            f"widen the box along axis {axis[d]} or lower dt)"
+        )
 
 
 def solve_value(
@@ -536,7 +637,9 @@ def solve_value(
     node has no candidate velocity whose interpolation stencil stays
     feasible (one step must be able to reach the next grid cell: keep the
     fastest sampled speed along each constrained axis times ``dt`` at or
-    above that axis's space step when constraints sweep the grid).
+    above that axis's space step when constraints sweep the grid), and
+    ValueError when a feasible node lies within ``M*dt`` of the box edge
+    along a constrained axis (``_check_margin``).
     """
     if x0_bound is None:
         x0_bound = float(np.max(np.abs(np.concatenate([grid.lo, grid.hi]))))
@@ -555,31 +658,13 @@ def solve_value(
     shape = grid.shape
 
     times = grid.t0 + grid.dt * np.arange(nt + 1)
-    feas = [geo.feasible_mask(p, float(t), nodes) for t in times]
-
-    # The grid must extend beyond the feasible set by M*dt along every
-    # dimension the constraints act on (free directions are an artificial
-    # window and are exempt).
-    margin = p.data.M * grid.dt
-    constrained = np.zeros(p.n, dtype=bool)
-    for t in times[:: max(1, nt // 8)]:
-        a = np.asarray(p.anchor(float(t)), dtype=float)
-        for c in p.constraints:
-            g = np.asarray(c.grad(float(t), a), dtype=float).reshape(-1)
-            constrained |= np.abs(g) > 1e-12
-    for t, mask in zip(times, feas):
-        if not mask.any() or not constrained.any():
-            continue
-        sel = nodes[mask][:, constrained]
-        dist_edge = np.minimum(sel - grid.lo[constrained], grid.hi[constrained] - sel).min()
-        if dist_edge < margin - 1e-12:
-            raise ValueError(
-                f"grid must extend beyond the feasible set by M*dt={margin:.3g} "
-                f"(violated at t={t})"
-            )
+    feas = _feasible_slices(p, times, nodes)
+    constrained = _constrained_axes(p, times[:: max(1, nt // 8)])
+    _check_margin(p, grid, nodes, times, feas, constrained)
 
     values = np.full((nt + 1, nodes.shape[0]), np.inf)
     values[nt][feas[nt]] = 0.0
+    n_feas = np.count_nonzero(feas, axis=1)
     memo: dict = {}
     for i in range(nt - 1, -1, -1):
         t = float(times[i])
@@ -587,9 +672,10 @@ def solve_value(
             p, lam, axes, shape, nodes, t, grid.dt, values[i + 1], feas[i],
             level, relaxed, mixture_grid, memo,
         )
-        dead = feas[i] & ~np.isfinite(vals)
-        if dead.any():
-            j = int(np.where(dead)[0][0])
+        # vals is +inf off feas[i], so fewer finite values than feasible
+        # nodes means a feasible node without a finite candidate
+        if np.count_nonzero(np.isfinite(vals)) != n_feas[i]:
+            j = int(np.flatnonzero(feas[i] & ~np.isfinite(vals))[0])
             raise GridTooCoarse(
                 f"feasible node {nodes[j]} at t={t} has no stencil-feasible velocity; "
                 + _coarse_hint(p, axes, constrained, grid.dt, t, nodes[j], level)

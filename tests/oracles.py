@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: the game oracle
 enumerates equalizing square subsystems and simplex grids instead of running
 a simplex method; the value oracle walks the full control tree; the repair
 oracle enumerates every coarse control sequence; the geometry references
-evaluate one constraint at one point at a time and bisect one ray at a time;
+evaluate one constraint at one point at a time and bisect one ray at a time,
+and the value sweep's feasibility takes one call per time slice;
 the step-loop references write out one RK4 loop per trajectory construction;
 the repair reference re-projects the whole tail after every corrected piece;
 the backstep reference builds its candidates one control at a time and
@@ -152,6 +153,12 @@ def violations_along_loop(p, times, states):
 
 def feasible_mask_loop(p, t, pts, tol=geo.TOL_FEAS):
     return np.array([max_h(p, t, x) <= tol for x in pts], dtype=bool)
+
+
+def feasible_slices_loop(p, times, nodes):
+    """Feasibility of every node at every time, one ``feasible_mask`` call
+    per time: the sweep's per-slice loop before it batched its slices."""
+    return np.stack([geo.feasible_mask(p, float(t), nodes) for t in times])
 
 
 def clearance_loop(p, times, states):

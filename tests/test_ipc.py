@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -17,6 +16,7 @@ from util import (
     affine_constraint,
     simple_problem,
     sway_problem,
+    sway_walls,
     two_wall_1d,
     unit_velocity,
     zero_cost,
@@ -149,13 +149,6 @@ def test_verify_ipc_needs_constraints():
 
 # --- differential: batched sampling and memoised games against the loops -------
 
-def _sway_walls():
-    """``sway-1d`` between two moving walls: its games differ from point to point."""
-    walls = (affine_constraint("upper", [1.0], lambda t: -(0.8 + 0.4 * np.sin(t))),
-             affine_constraint("lower", [-1.0], lambda t: -(1.2 + 0.3 * np.cos(t))))
-    return dataclasses.replace(sway_problem(), constraints=walls)
-
-
 def _same_verification(p, horizon, **kw):
     got = ipc.verify_ipc(p, horizon, **kw)
     want = oracles.verify_ipc_per_time(p, horizon, **kw)
@@ -181,7 +174,7 @@ def test_verify_ipc_matches_reference_on_pinched_corridor():
 
 
 def test_verify_ipc_matches_reference_on_state_dependent_games():
-    ver = _same_verification(_sway_walls(), (0.0, 2 * math.pi), r_min=0.05, delta=0.5,
+    ver = _same_verification(sway_walls(), (0.0, 2 * math.pi), r_min=0.05, delta=0.5,
                              n_time=40, n_dirs=24, max_witnesses=40)
     assert ver.ok
     speeds = {tuple(w["v"]) for w in ver.to_jsonable()["witnesses"]}

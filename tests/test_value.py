@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,16 +6,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feastube import geometry as geo
 from feastube import problem as pb
 from feastube import value as val
-from feastube.errors import DiscountTooSmall, GridMismatch, GridTooCoarse, OutOfGrid
+from feastube.errors import (
+    DiscountTooSmall,
+    GridMismatch,
+    GridTooCoarse,
+    NonFiniteConstraint,
+    OutOfGrid,
+)
 
-from oracles import backstep_loop, interp_clipped_pointwise, mixtures_tensordot, tree_value
+from oracles import (
+    backstep_loop,
+    feasible_slices_loop,
+    interp_clipped_pointwise,
+    mixtures_tensordot,
+    tree_value,
+)
 from util import (
+    affine_constraint,
     constant_cost_problem,
     drift_problem,
     simple_problem,
     sway_problem,
+    sway_walls,
+    two_wall_1d,
     unit_velocity,
     zero_cost,
 )
@@ -430,6 +447,138 @@ def test_mixture_products_match_tensordot_reference(name, monkeypatch):
                 if val._node_independent(want):
                     want = want[:, :1]
                 assert [(v.shape, v.tobytes()) for v in grouped] == [(want.shape, want.tobytes())]
+
+
+# --- feasibility of every slice, batched ---------------------------------------------
+
+_WALLED = {"two-wall-1d": lambda: two_wall_1d(0.3), "sway-walls": sway_walls}
+
+
+def _walled(name):
+    return _WALLED[name]() if name in _WALLED else pb.get_problem(name)
+
+
+@pytest.mark.parametrize("name", pb.registered_problems() + tuple(_WALLED))
+def test_feasible_slices_match_per_slice_loop(name, monkeypatch):
+    p = _walled(name)
+    g = val.grid_for(p, 41 if p.n == 1 else (21, 31), 0.05, t0=0.7)
+    times = g.t0 + g.dt * np.arange(126)        # two periods of the walls
+    nodes, P = g.nodes(), g.nodes().shape[0]
+    want = feasible_slices_loop(p, times, nodes)
+    assert want.any() and not want.all()
+    for chunk in (1, P - 1, P, 3 * P + 5, val._FEAS_CHUNK):
+        monkeypatch.setattr(val, "_FEAS_CHUNK", chunk)
+        got = val._feasible_slices(p, times, nodes)
+        assert got.shape == (len(times), P) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", pb.registered_problems())
+def test_sweep_masks_match_per_slice_loop(name, monkeypatch):
+    # the sweep's own (nt + 1, P) mask, and the finite set of its field
+    p = pb.get_problem(name)
+    g = _small_grid(p, 1.1, 1.2, _size_range(p)[1])
+    masks = []
+    batched = val._feasible_slices
+    monkeypatch.setattr(val, "_feasible_slices",
+                        lambda *a: masks.append(batched(*a)) or masks[-1])
+    f = val.solve_value(p, p.lam, g, relaxed=True, horizon=g.t0 + 12 * g.dt)
+    want = feasible_slices_loop(p, f.times, g.nodes())
+    assert len(masks) == 1 and np.array_equal(masks[0], want)
+    assert np.array_equal(np.isfinite(f.values).reshape(len(f.times), -1), want)
+
+
+@st.composite
+def _moving_walls(draw):
+    """One to three walls ``c.x <= a + b sin(w t)`` in 1-D or 2-D."""
+    n = draw(st.sampled_from([1, 2]))
+    walls = []
+    for i in range(draw(st.integers(1, 3))):
+        turn = draw(st.floats(0, 2 * math.pi))
+        c = (np.array([math.copysign(1.0, math.pi - turn)]) if n == 1
+             else np.array([math.cos(turn), math.sin(turn)]))
+        a, b, w = draw(st.floats(-0.2, 1.5)), draw(st.floats(-0.8, 0.8)), draw(st.floats(0, 5))
+        walls.append(affine_constraint(f"wall{i}", c,
+                                       lambda t, a=a, b=b, w=w: -(a + b * np.sin(w * t))))
+    return simple_problem(unit_velocity, zero_cost, constraints=walls, n=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=_moving_walls(), t0=st.floats(-3.0, 3.0), dt=st.floats(1e-3, 0.5),
+       slices=st.integers(1, 60), points=st.integers(2, 15), chunk=st.integers(1, 400))
+def test_feasible_slices_match_loop_on_moving_walls(p, t0, dt, slices, points, chunk):
+    g = val.grid_for(p, points, dt, t0)
+    times = g.t0 + g.dt * np.arange(slices)
+    want = feasible_slices_loop(p, times, g.nodes())
+    old = val._FEAS_CHUNK
+    try:
+        val._FEAS_CHUNK = chunk
+        assert np.array_equal(val._feasible_slices(p, times, g.nodes()), want)
+    finally:
+        val._FEAS_CHUNK = old
+
+
+def _counted_walls(p):
+    """``p`` with every constraint's ``h`` counting its calls."""
+    calls = [0] * p.m
+
+    def counted(i, h):
+        def h_counted(t, x):
+            calls[i] += 1
+            return h(t, x)
+        return h_counted
+
+    walls = tuple(dataclasses.replace(c, h=counted(i, c.h)) for i, c in enumerate(p.constraints))
+    return dataclasses.replace(p, constraints=walls), calls
+
+
+def test_sweep_evaluates_constraints_once_per_slice_chunk(monkeypatch):
+    p, calls = _counted_walls(pb.get_problem("moving-wall-1d"))
+    g = val.grid_for(p, 41, 0.1125)
+    f = val.solve_value(p, 6.0, g, relaxed=False, horizon=3.0)
+    nt = f.values.shape[0] - 1
+    assert nt == 27 and calls == [1, 1]         # 28 slices of 41 points: one chunk
+    monkeypatch.setattr(val, "_FEAS_CHUNK", 100)    # two slices per call
+    calls[:] = [0, 0]
+    again = val.solve_value(p, 6.0, g, relaxed=False, horizon=3.0)
+    assert calls == [14, 14] and np.array_equal(again.values, f.values)
+
+
+def test_nonfinite_wall_named_as_the_per_slice_loop_named_it():
+    times = 0.3 + 0.1 * np.arange(21)
+    bad = [(times[12], 2), (times[5], 30), (times[5], 31)]   # the first slice counts
+
+    def h(t, x):
+        x = np.asarray(x, dtype=float)[..., 0]
+        hole = np.zeros(np.broadcast_shapes(np.shape(t), x.shape))
+        j = np.arange(x.shape[-1])
+        for tb, jb in bad:
+            hole[(np.broadcast_to(t, hole.shape) == tb) & (j == jb)] = np.nan
+        return x - 1.5 + 0.0 * t + hole
+
+    wall = pb.ConstraintFunction(h=h, grad=lambda t, x: np.ones_like(x), holder_theta=0.5,
+                                 holder_const=0.0, grad_bound=1.0, name="leaky")
+    p = simple_problem(unit_velocity, zero_cost, constraints=(wall,), lam=3.0)
+    g = val.grid_for(p, 41, 0.1, t0=0.3)
+    with pytest.raises(NonFiniteConstraint) as loop:
+        feasible_slices_loop(p, times, g.nodes())
+    with pytest.raises(NonFiniteConstraint) as sweep:
+        val.solve_value(p, p.lam, g, relaxed=False, horizon=2.3)
+    assert str(sweep.value) == str(loop.value)
+    assert f"'leaky' is nan at t={float(times[5])!r}, x=array([1.])" in str(sweep.value)
+    assert float(sweep.value.t) == float(times[5]) and np.array_equal(sweep.value.x, [1.0])
+
+
+def test_margin_error_names_time_node_and_axis(corridor):
+    # along y (axis 1) the box [-1, 1] leaves the lowest feasible node at
+    # t = 0, y = -0.4, 0.6 from its edge, short of M*dt = 0.707; x is a free
+    # direction and exempt
+    g = val.GridSpec(lo=[-2.0, -1.0], hi=[2.0, 1.0], shape=(9, 11), dt=0.5, t0=0.0)
+    with pytest.raises(ValueError) as err:
+        val.solve_value(corridor, 6.0, g, relaxed=False, horizon=1.0)
+    msg = str(err.value)
+    assert "grid must extend beyond the feasible set by M*dt=0.707" in msg
+    assert "violated at t=0.0: feasible node [-2.  -0.4] is 0.6 from the box edge" in msg
+    assert "along constrained axis 1" in msg and "axis 0" not in msg
 
 
 def _count_stencils(monkeypatch):

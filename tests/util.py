@@ -1,5 +1,7 @@
 """Ad-hoc problem definitions used only by tests."""
 
+import dataclasses
+
 import numpy as np
 
 from feastube.problem import (
@@ -117,6 +119,13 @@ def sway_problem():
         return 1.0 - np.asarray(u, dtype=float)[..., 0] ** 2 + 0.1 * (1.0 + np.cos(x))
 
     return simple_problem(f, cost, M=3.0, name="sway-1d")
+
+
+def sway_walls():
+    """``sway-1d`` between two moving walls: its games differ from point to point."""
+    walls = (affine_constraint("upper", [1.0], lambda t: -(0.8 + 0.4 * np.sin(t))),
+             affine_constraint("lower", [-1.0], lambda t: -(1.2 + 0.3 * np.cos(t))))
+    return dataclasses.replace(sway_problem(), constraints=walls)
 
 
 def drift_problem(n):
