@@ -212,10 +212,9 @@ def _grid_from(cfg: dict, p) -> GridSpec:
             max(2, int(round((p.box[d, 1] - p.box[d, 0]) / dx)) + 1) for d in range(p.n)
         )
         return GridSpec(p.box[:, 0], p.box[:, 1], shape, dt, cfg["t0"])
-    extent = float(np.max(p.box[:, 1] - p.box[:, 0]))
-    pts = int(cfg["points"])
-    dt = extent / (pts - 1) / max(p.data.M, 1e-9)  # keep one step >= one cell
-    return GridSpec(p.box[:, 0], p.box[:, 1], (pts,) * p.n, dt, cfg["t0"])
+    shape = (int(cfg["points"]),) * p.n
+    dt = val.cell_crossing_dt(p, shape, cfg["t0"], cfg["level"])   # one step >= one cell
+    return GridSpec(p.box[:, 0], p.box[:, 1], shape, dt, cfg["t0"])
 
 
 def _horizon_arg(cfg: dict):

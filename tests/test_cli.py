@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from feastube import cli
-from feastube.problem import get_problem, registered_problems
+from feastube.errors import GridTooCoarse
+from feastube.problem import ControlSamples, get_problem, registered_problems
 from feastube import value as val
 
 import oracles
@@ -266,16 +268,38 @@ def test_value_paths_at_defaults_run_or_name_lambda(cmd, name, tmp_path, capsys)
 
 
 def test_grid_too_coarse_hint_uses_the_per_axis_reach(tmp_path, capsys):
-    # the default grid's dt is sized by the Euclidean M = sqrt 2, but the
-    # fastest sampled control moves only 1 * dt along the constrained axis
+    # The default dt lets the fastest sampled control along the constrained
+    # axis 1 (speed 1) cross one of its 0.0375 steps: the default run passes.
     args = ["pipeline", "--problem", "corridor-2d", "--lambda", "6", "--out", str(tmp_path)]
-    assert cli.run(args) == 2
+    assert cli.run(args) == 0
     line = _capture(capsys)
-    assert line["kind"] == "GridTooCoarse"
-    assert "feasible node [-2.      0.3375] at t=4.0658" in line["error"]
-    assert "axis 1 reach 0.03536 against step 0.0375" in line["error"]
-    assert "axis 0" not in line["error"]
-    assert "raise dt to at least 0.0375, or refine axis 1 to a step of at most 0.03536" in line["error"]
+    assert line["ok"] and all(v is True or v.startswith("skipped")
+                              for v in line["verdicts"].values())
+    assert json.loads((tmp_path / "field.json").read_text())["dt"] == 0.0375
+    # The dt that the Euclidean M = sqrt 2 gave moves 1 * dt along axis 1
+    # only; the hint names that axis's reach against its step.
+    p = get_problem("corridor-2d")
+    with pytest.raises(GridTooCoarse) as err:
+        val.solve_value(p, 6.0, val.grid_for(p, 81, 4 / 80 / math.sqrt(2)), relaxed=True)
+    msg = str(err.value)
+    assert "feasible node [-2.      0.3375] at t=4.0658" in msg
+    assert "axis 1 reach 0.03536 against step 0.0375" in msg
+    assert "axis 0" not in msg
+    assert "raise dt to at least 0.0375, or refine axis 1 to a step of at most 0.03536" in msg
+
+
+def test_default_dt_crosses_one_cell_per_step():
+    # 1-D: the box width over 80 steps over speed 1, as the Euclidean rule
+    # gave (a linspace step would read 0.05624999999999991 on moving-wall)
+    for name, dt in (("moving-wall-1d", 0.05625), ("quadratic-cost-1d", 0.0625),
+                     ("hover-1d", 0.015)):
+        assert val.cell_crossing_dt(get_problem(name), (81,)) == dt
+    assert val.cell_crossing_dt(get_problem("corridor-2d"), (81, 81)) == 0.0375
+    # a constrained axis that no sampled control moves along is named
+    still = get_problem("corridor-2d")
+    still = dataclasses.replace(still, controls=ControlSamples(2, lambda t, l: np.array([[1.0, 0.0]])))
+    with pytest.raises(ValueError, match="constrained axis 1 at t=0.0"):
+        val.cell_crossing_dt(still, (81, 81))
 
 
 @pytest.mark.parametrize("dt", ["0", "-0.001"])
