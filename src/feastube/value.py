@@ -497,11 +497,7 @@ def _backstep(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level, re
     Otherwise the feet go through ``_interp_clipped``.
     """
     u, f_all = p.velocities(t, nodes, level)
-    cost = p.costs(t, nodes, level, u)
     W = _mixture_matrix(len(f_all), p.n + 1, mixture_grid) if relaxed else None
-    cost = _mix(W, cost)
-    cost *= math.exp(-lam * t)            # disc * L * dt, rounded in that order
-    cost *= dt
     P = nodes.shape[0]
     groups = f = None
     if _node_independent(f_all):
@@ -522,6 +518,10 @@ def _backstep(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level, re
                 memo[key] = groups
     if groups is None:
         groups = _groups(_mix(W, f_all) if f is None else f, P)
+    # the cost mixtures only now, after any velocity mixtures are dropped
+    cost = _mix(W, p.costs(t, nodes, level, u))
+    cost *= math.exp(-lam * t)            # disc * L * dt, rounded in that order
+    cost *= dt
     for g, r in groups.merges:
         np.minimum(cost[g], cost[r], out=cost[g])
 
