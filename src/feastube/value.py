@@ -518,7 +518,8 @@ def _backstep(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level, re
                 memo[key] = groups
     if groups is None:
         groups = _groups(_mix(W, f_all) if f is None else f, P)
-    # the cost mixtures only now, after any velocity mixtures are dropped
+    # formed after grouping, when a node-independent set's full velocity
+    # mixtures are already dropped: the two never coexist
     cost = _mix(W, p.costs(t, nodes, level, u))
     cost *= math.exp(-lam * t)            # disc * L * dt, rounded in that order
     cost *= dt

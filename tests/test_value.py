@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feastube import geometry as geo
 from feastube import problem as pb
 from feastube import value as val
 from feastube.errors import (
@@ -454,13 +453,9 @@ def test_mixture_products_match_tensordot_reference(name, monkeypatch):
 _WALLED = {"two-wall-1d": lambda: two_wall_1d(0.3), "sway-walls": sway_walls}
 
 
-def _walled(name):
-    return _WALLED[name]() if name in _WALLED else pb.get_problem(name)
-
-
 @pytest.mark.parametrize("name", pb.registered_problems() + tuple(_WALLED))
 def test_feasible_slices_match_per_slice_loop(name, monkeypatch):
-    p = _walled(name)
+    p = _WALLED[name]() if name in _WALLED else pb.get_problem(name)
     g = val.grid_for(p, 41 if p.n == 1 else (21, 31), 0.05, t0=0.7)
     times = g.t0 + g.dt * np.arange(126)        # two periods of the walls
     nodes, P = g.nodes(), g.nodes().shape[0]
