@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -328,6 +329,33 @@ def _shifts(axes, rng):
     return np.vstack(rows) / 0.1
 
 
+def _scattered(axes, rng):
+    """Points from their own coordinates rather than node plus shift, as
+    ``(inside, outside)`` rows.  Inside: off-lattice points, exact node hits,
+    fractions within 1e-9 of a node on either side, the grid's corners,
+    points within 1e-9 of a step beyond its faces, and mixtures of these
+    across axes.  Outside: points 1e-6 of a step and three widths beyond a
+    face along one axis, in-grid along the others."""
+    n = len(axes)
+    lo, hi = np.array([a[0] for a in axes]), np.array([a[-1] for a in axes])
+    steps = np.array([a[1] - a[0] for a in axes])
+    off = lo + rng.random((12, n)) * (hi - lo)
+    hits = np.column_stack([a[rng.integers(0, len(a), 12)] for a in axes])
+    sign = rng.choice([-1.0, 1.0], (12, n))
+    near = hits + sign * rng.uniform(1e-12, 9e-10, (12, n)) * steps
+    corners = np.array(list(product(*zip(lo, hi))))
+    faces = np.where(sign > 0, hi + 5e-10 * steps, lo - 5e-10 * steps)
+    pick = rng.random((3, 12, n)) < 0.5
+    mixed = np.where(pick[0], hits, np.where(pick[1], near, off))
+    inside = np.vstack([off, hits, near, corners, np.where(pick[2], faces, off), mixed])
+    out = off[:8].copy()
+    for k in range(8):
+        d = (k // 2) % n
+        dist = 1e-6 * steps[d] if k % 2 == 0 else 3.0 * (hi[d] - lo[d])
+        out[k, d] = hi[d] + dist if k < 4 else lo[d] - dist
+    return inside, out
+
+
 @pytest.mark.parametrize("shape", [(9,), (6, 8), (4, 5, 6)])
 def test_interpolation_matches_pointwise_reference(shape):
     rng = np.random.default_rng(len(shape))
@@ -351,6 +379,30 @@ def test_interpolation_matches_pointwise_reference(shape):
     assert np.isfinite(want[:-2]).any(axis=1).all() and np.isinf(want[:-2]).any()
     assert np.isinf(want[-2]).all()
     assert np.isinf(want[-1]).any() and np.isfinite(want[-1]).any()
+    # scattered points on slices with +inf, NaN and -inf corners, directly and
+    # through evaluate_value at each slice time, in a batch and one by one
+    inside, out = _scattered(axes, rng)
+    pts = np.vstack([inside, out])
+    holes = rng.random(shape) < 0.15
+    holes.flat[rng.choice(np.flatnonzero(np.isfinite(grid)))] = True
+    slices = np.stack([grid, np.where(holes, np.nan, grid), -grid])
+    field = val.ValueField(relaxed=False, lam=1.0, t0=0.3, dt=0.1, T=0.5, axes=axes,
+                           values=slices, tail_bound=0.0, a1=0.0, a2=0.0, x0_bound=0.0,
+                           problem_name="slices", level=0, mixture_grid=1)
+    wants = [interp_clipped_pointwise(axes, s, pts) for s in slices]
+    for t, s, want in zip(field.times, slices, wants):
+        assert val._interp_clipped(axes, s, pts).tobytes() == want.tobytes()
+        assert np.asarray(val.evaluate_value(field, float(t), inside)).tobytes() == \
+            want[:len(inside)].tobytes()
+        for x, w in zip(inside, want):
+            assert np.float64(val.evaluate_value(field, float(t), x)).tobytes() == w.tobytes()
+        for x in out:
+            with pytest.raises(OutOfGrid):
+                val.evaluate_value(field, float(t), x)
+        assert np.isinf(want[len(inside):]).all()
+        assert np.isfinite(want[:len(inside)]).any() and np.isinf(want[:len(inside)]).any()
+    # the NaN corners turn points that are finite on the first slice to +inf
+    assert (np.isfinite(wants[0]) & np.isinf(wants[1])).any()
 
 
 # --- backstep against the per-candidate reference ------------------------------------
