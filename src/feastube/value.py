@@ -10,6 +10,15 @@ The relaxed variant minimizes over simplex mixtures of up to n+1 sampled
 controls on a barycentric weight grid; the plain variant uses the sampled
 controls alone (identical to mixture resolution 1).
 
+Every spatial interpolation goes through one kernel.  ``_terms`` turns
+points, given as per-axis coordinate arrays, into terms: each point's
+contributing corners in corner order, as flat indices into the slice and
+weights, with pads that mark a point off the grid or short of terms.
+``_apply_stencil`` gathers a slice padded by ``_padded`` once for all terms
+and adds them in order, +inf wherever a term reads a value that is not
+finite.  ``evaluate_value`` builds the terms of its points once for both
+bracketing slices.
+
 Each backward step interpolates once per distinct candidate velocity array:
 candidates whose velocity arrays have equal bytes share one interpolation
 under their per-node minimum cost, which leaves every field bit-identical to
@@ -18,12 +27,10 @@ batches of a bounded point count.
 
 When every candidate velocity is the same at every node, as in the
 semi-Lagrangian scheme on a structured grid (Falcone & Ferretti, SIAM 2013),
-each foot point is its node shifted by one offset per group.  The cell index,
-fraction and corner weights of a batch then follow from the grid's 1-D axes,
-and they repeat from slice to slice: a sweep builds the batch's stencil once
-its velocities recur, and later slices apply it by gathering each slice
-once from the stencil's flat indices, rounding as the pointwise
-interpolation does.
+each foot point is its node shifted by one offset per group.  A batch's terms
+then follow from the grid's 1-D axes and repeat from slice to slice: a sweep
+builds them once its velocities recur (``_stencil``), and later slices only
+apply them.  Otherwise each slice builds the terms of its feet.
 
 A sweep decides the feasibility of every node at every time slice before
 it steps: one constraint-kernel call per chunk of whole slices, of at most
@@ -237,86 +244,76 @@ def _axis_cells(ax: Array, x: Array) -> tuple[Array, Array, Array]:
     return i, fr, out
 
 
-def _interp_clipped(axes: tuple[Array, ...], grid_vals: Array, pts: Array) -> Array:
-    """Multilinear interpolation; +inf wherever a contributing corner is +inf
-    or the point leaves the grid.  Weights below 1e-9 of a cell do not
-    contribute (exact node hits ignore the far corner)."""
-    n = len(axes)
-    P = len(pts)
-    idx, frac = [], []
-    infmask = np.zeros(P, dtype=bool)
-    for d in range(n):
-        i, fr, out = _axis_cells(axes[d], pts[:, d])
-        infmask |= out
-        idx.append(i)
-        frac.append(fr)
-    weights = [(1.0 - fr, fr) for fr in frac]
-    total = np.zeros(P)
-    for corner in product((0, 1), repeat=n):
-        w = weights[0][corner[0]]          # 1.0 * w is w: the product starts here
-        for d in range(1, n):
-            w = w * weights[d][corner[d]]
-        v = grid_vals[tuple(i + c for i, c in zip(idx, corner))]
-        finite = np.isfinite(v)
-        contributes = w > 1e-15
-        infmask |= contributes & ~finite
-        total += np.where(contributes, w * np.where(finite, v, 0.0), 0.0)
-    return np.where(infmask, np.inf, total)
+def _terms(axes: tuple[Array, ...], coords) -> tuple[Array, Array]:
+    """Multilinear interpolation terms on the grid of ``axes`` at the points
+    whose coordinates along each axis are ``coords[d]``; the coordinate
+    arrays broadcast to one shape S.
 
-
-def _stencil(axes: tuple[Array, ...], shifts: Array) -> tuple[Array, Array]:
-    """``_interp_clipped`` at ``node + s`` for every grid node and every row
-    ``s`` of ``shifts`` (G, n), prepared once for any slice.
-
-    Index and fraction come from the 1-D axes, and corner weights are their
-    outer products, rounded in ``_interp_clipped``'s order.  Returns terms
-    ``(flat, w)`` of shape (G, P): the k-th term of a point is its k-th
-    contributing corner (weight above 1e-15) in corner order, so that the
-    terms add in ``_interp_clipped``'s order and a point needs as many terms
-    as it has contributing corners.  ``flat`` indexes the slice extended by
-    two pads (see ``_apply_stencil``): a point with fewer contributing
-    corners than terms reads pad ``P`` (0.0, finite) in the rest, and a point
-    off the grid reads pad ``P + 1`` (not finite) in the first.
+    A point's cell index and fraction along each axis come from
+    ``_axis_cells`` (fractions within 1e-9 of a node snap to it), and its
+    corner weights are their products in corner order, last axis fastest.
+    Returns terms ``(flat, w)`` of shape (K,) + S: the k-th term of a point
+    is its k-th contributing corner (weight above 1e-15), so that the terms
+    add in corner order and a point needs as many terms as it has
+    contributing corners.  ``flat`` indexes the flattened slice extended by
+    two pads (``_padded``): a point with fewer contributing corners than
+    terms reads pad ``P`` (0.0, finite) in the rest, and a point off the
+    grid reads pad ``P + 1`` (not finite) in the first.
     """
-    G, n = shifts.shape
     sizes = tuple(len(a) for a in axes)
-    full = (G,) + sizes
     P = math.prod(sizes)
-    idx, frac = [], []
-    out = np.zeros(full, dtype=bool)
-    for d, ax in enumerate(axes):
-        i, fr, o = _axis_cells(ax, ax + shifts[:, d:d + 1])
-        along = (G,) + tuple(sizes[d] if e == d else 1 for e in range(n))
-        idx.append(i.reshape(along))
-        frac.append(fr.reshape(along))
-        out |= o.reshape(along)
-    flat_k = np.full((2 ** n,) + full, P)   # k-th contributing corner of each point
-    w_k = np.zeros((2 ** n,) + full)
-    seen = np.zeros(full, dtype=np.int8)    # contributing corners so far
-    for corner in product((0, 1), repeat=n):
+    cells = [_axis_cells(ax, x) for ax, x in zip(axes, coords, strict=True)]
+    full = np.broadcast_shapes(*(i.shape for i, _, _ in cells))
+    flat_k = np.full((2 ** len(axes),) + full, P)   # k-th contributing corner of each point
+    w_k = np.zeros((2 ** len(axes),) + full)
+    seen = np.zeros(full, dtype=np.int8)            # contributing corners so far
+    for corner in product((0, 1), repeat=len(axes)):
         w, flat = 1.0, 0
-        for d, c in enumerate(corner):
-            w = w * (frac[d] if c else 1.0 - frac[d])
-            flat = flat + (idx[d] + c) * math.prod(sizes[d + 1:])
+        for d, ((i, fr, _), c) in enumerate(zip(cells, corner)):
+            w = w * (fr if c else 1.0 - fr)
+            flat = flat + (i + c) * math.prod(sizes[d + 1:])
         live = w > 1e-15
         for k in range(int(seen.max()) + 1):
             put = live & (seen == k)
             np.copyto(flat_k[k], flat, where=put)
             np.copyto(w_k[k], w, where=put)
         seen += live
-    flat_k[0][out] = P + 1
+    for _, _, out in cells:
+        np.copyto(flat_k[0], P + 1, where=out)
     K = int(seen.max())
-    return flat_k[:K].reshape(K, G, P).copy(), w_k[:K].reshape(K, G, P).copy()
+    return flat_k[:K].copy(), w_k[:K].copy()
+
+
+def _stencil(axes: tuple[Array, ...], shifts: Array) -> tuple[Array, Array]:
+    """The terms (K, G, P) of ``node + s`` for every grid node and every row
+    ``s`` of ``shifts`` (G, n), built on the 1-D axes."""
+    G, n = shifts.shape
+    coords = [(ax + shifts[:, d:d + 1]).reshape((G,) + (1,) * d + (-1,) + (1,) * (n - 1 - d))
+              for d, ax in enumerate(axes)]
+    flat, w = _terms(axes, coords)
+    return flat.reshape(len(flat), G, -1), w.reshape(len(w), G, -1)
+
+
+def _padded(slice_vals: Array) -> tuple[Array, Array]:
+    """``_apply_stencil``'s ``vals`` and ``ok`` for a slice of any shape, read
+    flat: the slice with 0.0 at its nodes that are not finite, then the pads
+    0.0 and 0.0; its finiteness, then True and False."""
+    flat = slice_vals.ravel()
+    P = len(flat)
+    ok = np.ones(P + 2, dtype=bool)
+    ok[P + 1] = False
+    np.isfinite(flat, out=ok[:P])
+    vals = np.zeros(P + 2)
+    np.copyto(vals[:P], flat, where=ok[:P])
+    return vals, ok
 
 
 def _apply_stencil(terms: tuple[Array, Array], vals: Array, ok: Array) -> Array:
-    """A stencil's interpolation of one slice, bit for bit ``_interp_clipped``.
-
-    ``vals`` is the slice with 0.0 at its infeasible nodes, then the pads
-    0.0 and 0.0; ``ok`` flags its finite nodes, then True and False.  A term
-    that reads pad ``P`` adds +0.0, as a corner that does not contribute does
-    in ``_interp_clipped``.  Each of ``vals`` and ``ok`` is gathered once,
-    for all terms; the weighted terms add one by one, in term order.
+    """The interpolation of one slice, padded by ``_padded``, at the points of
+    ``terms`` (``_terms``): +inf wherever a term reads a node that is not
+    finite or pad ``P + 1``.  A term that reads pad ``P`` adds +0.0.  Each of
+    ``vals`` and ``ok`` is gathered once, for all terms; the weighted terms
+    add one by one, in term order.
     """
     flat, w = terms
     part = vals.take(flat)
@@ -325,6 +322,15 @@ def _apply_stencil(terms: tuple[Array, Array], vals: Array, ok: Array) -> Array:
     for term in part:
         total += term
     return np.where(np.logical_and.reduce(ok.take(flat), axis=0), total, np.inf)
+
+
+def _interp_clipped(axes: tuple[Array, ...], grid_vals: Array, pts: Array) -> Array:
+    """Multilinear interpolation of the slice ``grid_vals`` at the rows of
+    ``pts`` (m, n); +inf wherever a contributing corner is not finite or the
+    point leaves the grid by more than 1e-9 of a step.  Fractions within
+    1e-9 of a node snap to it, and corners of weight at or below 1e-15 do
+    not contribute."""
+    return _apply_stencil(_terms(axes, pts.T), *_padded(grid_vals))
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,6 +385,8 @@ def evaluate_value(field: ValueField, t: float, x) -> float:
     """Interpolated value; +inf sentinel when any stencil corner is infeasible.
 
     Multilinear in space on the two bracketing time slices, linear in time.
+    Raises OutOfGrid, naming the point and the axis, for a point more than
+    1e-9 of a step beyond the grid along some axis.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     ts = field.times
@@ -390,21 +398,19 @@ def evaluate_value(field: ValueField, t: float, x) -> float:
     if fr < 1e-9:
         fr = 0.0
     if fr > 1 - 1e-9:
-        fr = 1.0
-    for d in range(x.shape[1]):
+        i, fr = i + 1, 0.0
+    terms = _terms(field.axes, x.T)
+    off = terms[0][0] == field.values[0].size + 1
+    if off.any():
+        j = int(off.argmax())
+        d = next(d for d, ax in enumerate(field.axes) if _axis_cells(ax, x[j:j + 1, d])[2][0])
         ax = field.axes[d]
-        if np.any(x[:, d] < ax[0] - 1e-9) or np.any(x[:, d] > ax[-1] + 1e-9):
-            raise OutOfGrid(f"x outside the grid along dimension {d}")
-    v0 = _interp_clipped(field.axes, field.values[i], x)
-    v1 = _interp_clipped(field.axes, field.values[i + 1], x)
-    if fr == 0.0:
-        out = v0
-    elif fr == 1.0:
-        out = v1
-    else:
-        out = np.where(
-            np.isfinite(v0) & np.isfinite(v1), (1 - fr) * v0 + fr * v1, np.inf
-        )
+        raise OutOfGrid(f"x={x[j].tolist()} outside the grid along axis {d}, "
+                        f"[{float(ax[0])}, {float(ax[-1])}]")
+    out = _apply_stencil(terms, *_padded(field.values[i]))
+    if fr > 0.0:
+        v1 = _apply_stencil(terms, *_padded(field.values[i + 1]))
+        out = np.where(np.isfinite(out) & np.isfinite(v1), (1 - fr) * out + fr * v1, np.inf)
     return float(out[0]) if out.size == 1 else out
 
 
@@ -440,21 +446,7 @@ class _Groups:
     vel: Array                # (R, P, n), or (R, 1, n) when the same at every node
     merges: list[tuple[int, int]]  # (group, candidate) for each candidate after a group's first
     chunks: list[list[int]]   # groups' first candidates, _INTERP_CHUNK foot points each
-    stencils: list | None = None   # one per chunk, once (R, 1, n) velocities recur
-    pads: tuple[Array, Array] | None = None   # the stencils' vals and ok, reused per slice
-
-    def padded(self, next_slice: Array) -> tuple[Array, Array]:
-        """``_apply_stencil``'s ``vals`` and ``ok`` for a slice, written into
-        buffers that the sweep's slices share."""
-        P = len(next_slice)
-        if self.pads is None:
-            self.pads = np.zeros(P + 2), np.ones(P + 2, dtype=bool)
-            self.pads[1][P + 1] = False
-        vals, ok = self.pads
-        np.isfinite(next_slice, out=ok[:P])
-        np.copyto(vals[:P], 0.0)
-        np.copyto(vals[:P], next_slice, where=ok[:P])
-        return vals, ok
+    stencils: list | None = None   # terms per chunk, once (R, 1, n) velocities recur
 
 
 def _groups(vel: Array, P: int) -> _Groups:
@@ -479,7 +471,7 @@ def _groups(vel: Array, P: int) -> _Groups:
     return _Groups(vel, merges, [reps[lo:lo + per_call] for lo in range(0, len(reps), per_call)])
 
 
-def _backstep(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level, relaxed,
+def _backstep(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed,
               mixture_grid, memo=None):
     """Minimum over candidates of discounted running cost plus the next slice
     interpolated at the candidate's foot point; +inf off ``feas_now``.
@@ -492,9 +484,9 @@ def _backstep(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level, re
     When every sampled velocity is the same at every node and so are their
     mixtures, the candidates are grouped on one row of the mixtures.  The
     sweep's ``memo`` (one grid and dt) keeps those groups for the last
-    sampled velocities seen; when they recur, each chunk of groups gets a
-    stencil built on the 1-D axes (``_stencil``), which later slices apply.
-    Otherwise the feet go through ``_interp_clipped``.
+    sampled velocities seen; when they recur, each chunk of groups gets its
+    terms built on the 1-D axes (``_stencil``), which later slices apply.
+    Otherwise each chunk's terms are built for its feet (``_terms``).
     """
     u, f_all = p.velocities(t, nodes, level)
     W = _mixture_matrix(len(f_all), p.n + 1, mixture_grid) if relaxed else None
@@ -526,16 +518,13 @@ def _backstep(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level, re
     for g, r in groups.merges:
         np.minimum(cost[g], cost[r], out=cost[g])
 
-    if groups.stencils is None:
-        grid_next = next_slice.reshape(shape)
-        feet = (nodes + dt * groups.vel[chunk] for chunk in groups.chunks)
-        vns = (_interp_clipped(axes, grid_next, x.reshape(-1, nodes.shape[1])) for x in feet)
-    else:
-        vals, ok = groups.padded(next_slice)
-        vns = (_apply_stencil(terms, vals, ok) for terms in groups.stencils)
+    stencils = groups.stencils if groups.stencils is not None else (
+        _terms(axes, np.moveaxis(nodes + dt * groups.vel[chunk], -1, 0))
+        for chunk in groups.chunks)
+    padded = _padded(next_slice)
     best = None
-    for chunk, vn in zip(groups.chunks, vns):
-        low = (cost[chunk] + vn.reshape(len(chunk), P)).min(axis=0)
+    for chunk, terms in zip(groups.chunks, stencils):
+        low = (cost[chunk] + _apply_stencil(terms, *padded)).min(axis=0)
         best = low if best is None else np.minimum(best, low, out=best)
     best[~feas_now] = np.inf
     return best
@@ -656,7 +645,6 @@ def solve_value(
     nt = max(1, int(round((T - grid.t0) / grid.dt)))
     axes = grid.axes()
     nodes = grid.nodes()
-    shape = grid.shape
 
     times = grid.t0 + grid.dt * np.arange(nt + 1)
     feas = _feasible_slices(p, times, nodes)
@@ -670,7 +658,7 @@ def solve_value(
     for i in range(nt - 1, -1, -1):
         t = float(times[i])
         vals = _backstep(
-            p, lam, axes, shape, nodes, t, grid.dt, values[i + 1], feas[i],
+            p, lam, axes, nodes, t, grid.dt, values[i + 1], feas[i],
             level, relaxed, mixture_grid, memo,
         )
         # vals is +inf off feas[i], so fewer finite values than feasible
@@ -685,7 +673,7 @@ def solve_value(
 
     return ValueField(
         relaxed=relaxed, lam=float(lam), t0=float(grid.t0), dt=float(grid.dt),
-        T=float(T), axes=axes, values=values.reshape((nt + 1,) + shape),
+        T=float(T), axes=axes, values=values.reshape((nt + 1,) + grid.shape),
         tail_bound=float(tail), a1=p.data.a1, a2=p.data.a2,
         x0_bound=float(x0_bound), problem_name=p.name, level=int(level),
         mixture_grid=int(mixture_grid) if relaxed else 1,
@@ -700,9 +688,8 @@ def bellman_residual(p: ProblemDefinition, field: ValueField, i: int) -> float:
     t = float(field.times[i])
     flat = field.values[i].ravel()
     feas_now = np.isfinite(flat)
-    shape = field.values[i].shape
     vals = _backstep(
-        p, field.lam, field.axes, shape, nodes, t, field.dt,
+        p, field.lam, field.axes, nodes, t, field.dt,
         field.values[i + 1].ravel(), feas_now, field.level, field.relaxed,
         field.mixture_grid,
     )

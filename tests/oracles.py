@@ -448,10 +448,12 @@ def mixtures_tensordot(W, a):
 
 def interp_clipped_pointwise(axes, grid_vals, pts):
     """Multilinear interpolation of ``grid_vals`` at each row of ``pts`` from
-    the point's own coordinates: +inf wherever a contributing corner is +inf
-    or the point leaves the grid; weights below 1e-9 of a cell do not
-    contribute.  A pinned copy of ``value._interp_clipped`` as it was before
-    node-independent velocities got shared per-axis stencils."""
+    the point's own coordinates: +inf wherever a contributing corner is not
+    finite or the point leaves the grid by more than 1e-9 of a step.
+    Fractions within 1e-9 of a node snap to it, and corners of weight at or
+    below 1e-15 do not contribute.  A pinned copy of
+    ``value._interp_clipped`` as it was before node-independent velocities
+    got shared per-axis stencils."""
     n = len(axes)
     P = len(pts)
     idx, frac = [], []
@@ -481,7 +483,7 @@ def interp_clipped_pointwise(axes, grid_vals, pts):
     return np.where(infmask, np.inf, total)
 
 
-def backstep_loop(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level,
+def backstep_loop(p, lam, axes, nodes, t, dt, next_slice, feas_now, level,
                   relaxed, mixture_grid, memo=None):
     """Semi-Lagrangian backstep with the signature of ``value._backstep``:
     every candidate's foot points are interpolated on their own.  ``memo`` is
@@ -489,7 +491,7 @@ def backstep_loop(p, lam, axes, shape, nodes, t, dt, next_slice, feas_now, level
     f_all, L_all = candidates_loop(p, t, nodes, level, relaxed, mixture_grid)
     best = np.full(nodes.shape[0], np.inf)
     disc = math.exp(-lam * t)
-    grid_next = next_slice.reshape(shape)
+    grid_next = next_slice.reshape(tuple(len(a) for a in axes))
     for r in range(f_all.shape[0]):
         vn = interp_clipped_pointwise(axes, grid_next, nodes + dt * f_all[r])
         best = np.minimum(best, disc * L_all[r] * dt + vn)

@@ -270,6 +270,20 @@ def test_evaluate_out_of_grid(moving_wall):
         val.evaluate_value(f, 0.0, [5.0])
 
 
+def test_evaluate_names_a_point_just_beyond_the_grid(corridor):
+    # a point beyond an axis by more than 1e-9 of its step (0.1 along axis 0)
+    # is off the grid, however small the excess, and the error names it
+    g = val.grid_for(corridor, (41, 61), 0.05)
+    f = val.solve_value(corridor, 6.0, g, relaxed=False, horizon=0.2)
+    assert val.evaluate_value(f, 0.1, [2.0 + 5e-11, 0.0]) == 0.0
+    for x, d, span in (([2.0 + 5e-10, 0.0], 0, "[-2.0, 2.0]"),
+                       ([2.0 + 2e-9, 0.0], 0, "[-2.0, 2.0]"),
+                       ([0.0, -1.5 - 1e-9], 1, "[-1.5, 1.5]")):
+        with pytest.raises(OutOfGrid) as err:
+            val.evaluate_value(f, 0.1, [[0.0, 0.0], x])
+        assert f"x={x} outside the grid along axis {d}, {span}" in str(err.value)
+
+
 def test_gap_requires_matching_grids(hover):
     g1 = val.GridSpec(lo=[-0.6], hi=[0.6], shape=(25,), dt=0.05)
     g2 = val.GridSpec(lo=[-0.6], hi=[0.6], shape=(13,), dt=0.05)
@@ -449,8 +463,7 @@ def test_backstep_matches_loop_reference(name, monkeypatch):
             # an arbitrary next slice with infeasible holes and a ragged feasible set
             nxt = np.where(rng.random(P) < 0.2, np.inf, rng.uniform(0.0, 2.0, P))
             feas = rng.random(P) < 0.9
-            args = (p, p.lam, axes, g.shape, nodes, float(g.t0 + g.dt), g.dt, nxt, feas, 0,
-                    relaxed, mg)
+            args = (p, p.lam, axes, nodes, float(g.t0 + g.dt), g.dt, nxt, feas, 0, relaxed, mg)
             step = val._backstep(*args)
             with monkeypatch.context() as m:
                 m.setattr(val, "_INTERP_CHUNK", 1)      # one velocity group per call
@@ -493,7 +506,7 @@ def test_mixture_products_match_tensordot_reference(name, monkeypatch):
                 assert val._mix(W, f_all).tobytes() == want.tobytes()
                 assert val._mix(W, costs).tobytes() == mixtures_tensordot(W, costs).tobytes()
                 grouped.clear()
-                val._backstep(p, p.lam, g.axes(), g.shape, nodes, float(t), g.dt,
+                val._backstep(p, p.lam, g.axes(), nodes, float(t), g.dt,
                               np.zeros(P), np.ones(P, dtype=bool), 0, True, mg)
                 if val._node_independent(want):
                     want = want[:, :1]
