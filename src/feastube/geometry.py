@@ -64,21 +64,20 @@ def violations_along(p: ProblemDefinition, times, states) -> Array:
     return _worst(p, np.asarray(times, dtype=float), states)
 
 
-def _bisect(p: ProblemDefinition, t, base, direction, s_in: float, s_out: float,
-            iters: int, tol: float) -> Array:
-    """Row-batched bisection of ``s`` along the rays ``base + s * direction``.
+def _bisect(holds, s_in, s_out, iters: int) -> Array:
+    """Batched bisection of parameters from ``s_in``, where ``holds`` is true,
+    and ``s_out``, where it is false (the two broadcast to one shape).
 
-    Every row starts from the feasible parameter ``s_in`` (max_i h_i <= tol)
-    and the infeasible ``s_out``; each of the ``iters`` levels halves every
-    bracket with one kernel call.  Returns the final feasible parameters.
+    Each of the ``iters`` levels halves every bracket with one call of
+    ``holds`` on the array of midpoints, which says where it holds.  Returns
+    the final parameters where it holds.
     """
-    s_in = np.full(len(direction), float(s_in))
-    s_out = np.full(len(direction), float(s_out))
+    s_in, s_out = (np.array(s, dtype=float) for s in np.broadcast_arrays(s_in, s_out))
     for _ in range(iters):
         mid = 0.5 * (s_in + s_out)
-        feas = _worst(p, t, base + mid[:, None] * direction) <= tol
-        s_in = np.where(feas, mid, s_in)
-        s_out = np.where(feas, s_out, mid)
+        ok = np.asarray(holds(mid))
+        np.copyto(s_in, mid, where=ok)
+        np.copyto(s_out, mid, where=~ok)
     return s_in
 
 
@@ -100,7 +99,8 @@ def distances_upper_along(p: ProblemDefinition, times, states) -> Array:
         if off.any():
             raise InfeasibleInput(f"anchor infeasible at t={ts[np.argmax(off)]}")
         span = anchors - xs
-        hi = _bisect(p, ts, xs, span, 1.0, 0.0, 50, TOL_FEAS)
+        hi = _bisect(lambda s: _worst(p, ts, xs + s[:, None] * span) <= TOL_FEAS,
+                     np.ones(len(span)), 0.0, 50)
         out[bad] = hi * np.linalg.norm(span, axis=1)
     return out
 
@@ -174,7 +174,9 @@ class DistanceResult:
 def _segment_refine(p, t, x, Y, iters: int = 60) -> Array:
     """Pull feasible rows of Y toward x along their segments, staying feasible."""
     span = Y - x  # x + s*span: infeasible at s = 0, feasible at s = 1
-    return x + _bisect(p, t, x, span, 1.0, 0.0, iters, TOL_FEAS)[:, None] * span
+    s = _bisect(lambda s: _worst(p, t, x + s[:, None] * span) <= TOL_FEAS,
+                np.ones(len(span)), 0.0, iters)
+    return x + s[:, None] * span
 
 
 def distance_to_omega(
@@ -397,7 +399,9 @@ def boundary_samples(
     rays = np.tile(dirs, (len(times), 1))
     leave = _worst(p, ts, base + R * rays) > 0.0
     ts, base, rays = ts[leave], base[leave], rays[leave]
-    return ts, base + _bisect(p, ts, base, rays, 0.0, R, 60, 0.0)[:, None] * rays
+    s = _bisect(lambda s: _worst(p, ts, base + s[:, None] * rays) <= 0.0,
+                np.zeros(len(rays)), R, 60)
+    return ts, base + s[:, None] * rays
 
 
 def sample_boundary_points(

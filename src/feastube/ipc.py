@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundarySamplingFailed, NoFeasibleConstants
-from .geometry import _active_indices, active_set, boundary_samples, eval_constraints
+from .geometry import _active_indices, _bisect, active_set, boundary_samples, eval_constraints
 from .problem import ProblemDefinition
 from .simplex import solve_matrix_game
 
@@ -187,14 +187,7 @@ def synthesize_ipc_constants(p: ProblemDefinition, r: float, delta: float) -> tu
 
     eps = eps_max
     if eta_of(eps) <= 0:
-        lo, hi = 0.0, eps_max
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if delta - mid * (ball + mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        eps = 0.5 * lo
+        eps = 0.5 * float(_bisect(lambda e: delta - e * (ball + e) > 0, 0.0, eps_max, 80))
     eta = eta_of(eps)
     if not (eps > 0 and eta > 0):
         raise NoFeasibleConstants(f"delta={delta} admits no positive (eps, eta)")

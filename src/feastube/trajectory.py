@@ -414,14 +414,7 @@ def derive_nft_constants(
     if ok(hi):
         D = hi
     else:
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        D = lo * (1 - 1e-9)
+        D = float(geo._bisect(lambda D: ok(float(D)), 0.0, hi, 200)) * (1 - 1e-9)
     if not ok(D):
         raise ConstantsInfeasible("no positive step length satisfies the repair conditions")
 
@@ -723,11 +716,7 @@ def track_feasible(
         proj = filippov_project(p, t, cur, refvel, steps, dt, level)
         repaired = nft_correct(p, cert, proj, level, constants=cons)
         all_states.append(repaired.corrected.states[1:])
-        all_ctrl.append(
-            repaired.corrected.controls
-            if repaired.corrected.controls is not None
-            else proj.controls
-        )
+        all_ctrl.append(repaired.corrected.controls)
         cur = repaired.corrected.states[-1]
         t += steps * dt
         remaining -= steps * dt

@@ -23,14 +23,13 @@ Each backward step interpolates once per distinct candidate velocity array:
 candidates whose velocity arrays have equal bytes share one interpolation
 under their per-node minimum cost, which leaves every field bit-identical to
 one interpolation per candidate.  The groups' foot points are interpolated in
-batches of a bounded point count.
-
-When every candidate velocity is the same at every node, as in the
+batches of a bounded point count, and every batch's terms are built from its
+feet (``_terms``).  A sweep keeps the groups of the last sampled velocities
+it met; a slice whose sampled velocities have the same bytes reuses them,
+and the second such slice stores each batch's terms, which later slices
+only apply.  Groups whose velocities are the same at every node, as in the
 semi-Lagrangian scheme on a structured grid (Falcone & Ferretti, SIAM 2013),
-each foot point is its node shifted by one offset per group.  A batch's terms
-then follow from the grid's 1-D axes and repeat from slice to slice: a sweep
-builds them once its velocities recur (``_stencil``), and later slices only
-apply them.  Otherwise each slice builds the terms of its feet.
+keep one row per group.
 
 A sweep decides the feasibility of every node at every time slice before
 it steps: one constraint-kernel call per chunk of whole slices, of at most
@@ -284,16 +283,6 @@ def _terms(axes: tuple[Array, ...], coords) -> tuple[Array, Array]:
     return flat_k[:K].copy(), w_k[:K].copy()
 
 
-def _stencil(axes: tuple[Array, ...], shifts: Array) -> tuple[Array, Array]:
-    """The terms (K, G, P) of ``node + s`` for every grid node and every row
-    ``s`` of ``shifts`` (G, n), built on the 1-D axes."""
-    G, n = shifts.shape
-    coords = [(ax + shifts[:, d:d + 1]).reshape((G,) + (1,) * d + (-1,) + (1,) * (n - 1 - d))
-              for d, ax in enumerate(axes)]
-    flat, w = _terms(axes, coords)
-    return flat.reshape(len(flat), G, -1), w.reshape(len(w), G, -1)
-
-
 def _padded(slice_vals: Array) -> tuple[Array, Array]:
     """``_apply_stencil``'s ``vals`` and ``ok`` for a slice of any shape, read
     flat: the slice with 0.0 at its nodes that are not finite, then the pads
@@ -441,12 +430,13 @@ def _node_independent(f: Array) -> bool:
 
 @dataclass(eq=False)
 class _Groups:
-    """Candidates grouped by equal velocity arrays, in chunks interpolated together."""
+    """Candidates grouped by equal velocity arrays, in chunks interpolated
+    together; a sweep keeps them while its sampled velocities recur."""
 
     vel: Array                # (R, P, n), or (R, 1, n) when the same at every node
     merges: list[tuple[int, int]]  # (group, candidate) for each candidate after a group's first
     chunks: list[list[int]]   # groups' first candidates, _INTERP_CHUNK foot points each
-    stencils: list | None = None   # terms per chunk, once (R, 1, n) velocities recur
+    terms: list | None = None     # terms per chunk, once a sweep meets the velocities again
 
 
 def _groups(vel: Array, P: int) -> _Groups:
@@ -479,37 +469,37 @@ def _backstep(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed,
     Candidates with equal velocity arrays share their foot points, so each
     such group is interpolated once, against its per-node minimum cost.  This
     is exact: ``fl(c + v)`` is monotone in ``c``.  The groups' foot points are
-    interpolated together, ``_INTERP_CHUNK`` points at a time.
+    interpolated together, ``_INTERP_CHUNK`` points at a time, each chunk's
+    terms built from its feet (``_terms``).
 
-    When every sampled velocity is the same at every node and so are their
-    mixtures, the candidates are grouped on one row of the mixtures.  The
-    sweep's ``memo`` (one grid and dt) keeps those groups for the last
-    sampled velocities seen; when they recur, each chunk of groups gets its
-    terms built on the 1-D axes (``_stencil``), which later slices apply.
-    Otherwise each chunk's terms are built for its feet (``_terms``).
+    The sweep's ``memo`` (one grid and dt) holds the last sampled velocities
+    and their groups, and serves a slice whose sampled velocities have the
+    same bytes.  Such a slice stores each chunk's terms in the groups, and
+    later slices apply them; a slice that meets its velocities for the first
+    time builds its terms without storing them.  Groups whose mixture
+    velocities are the same at every node keep one row each.
     """
     u, f_all = p.velocities(t, nodes, level)
     W = _mixture_matrix(len(f_all), p.n + 1, mixture_grid) if relaxed else None
-    P = nodes.shape[0]
-    groups = f = None
-    if _node_independent(f_all):
-        key = (f_all.shape, f_all[:, 0].tobytes())
-        if memo is not None and key in memo:
-            groups = memo[key]
-            if groups is not None and groups.stencils is None:
-                groups.stencils = [_stencil(axes, dt * groups.vel[chunk, 0])
-                                   for chunk in groups.chunks]
-        else:
-            # Mixtures from the (R, P, n) product as everywhere else: a
-            # product over one row may round differently.
-            f = _mix(W, f_all)
-            if W is None or _node_independent(f):
-                groups, f = _groups(f[:, :1].copy(), P), None
-            if memo is not None:
-                memo.clear()
-                memo[key] = groups
-    if groups is None:
-        groups = _groups(_mix(W, f_all) if f is None else f, P)
+    last = memo.get("f_all") if memo is not None else None
+    seen = (last is not None and last.shape == f_all.shape
+            and bool((last.view(np.uint64) == f_all.view(np.uint64)).all()))
+    if seen:
+        groups = memo["groups"]
+    else:
+        if memo is not None:
+            memo.clear()                  # drop the last groups before forming these
+        f = _mix(W, f_all)             # a product over one row may round differently
+        groups = _groups(f[:, :1].copy() if _node_independent(f) else f, nodes.shape[0])
+        del f
+        if memo is not None:
+            memo.update(f_all=f_all, groups=groups)
+    terms = groups.terms
+    if terms is None:
+        terms = (_terms(axes, np.moveaxis(nodes + dt * groups.vel[chunk], -1, 0))
+                 for chunk in groups.chunks)
+        if seen:                          # met again: store them, before the costs exist
+            terms = groups.terms = list(terms)
     # formed after grouping, when a node-independent set's full velocity
     # mixtures are already dropped: the two never coexist
     cost = _mix(W, p.costs(t, nodes, level, u))
@@ -518,13 +508,10 @@ def _backstep(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed,
     for g, r in groups.merges:
         np.minimum(cost[g], cost[r], out=cost[g])
 
-    stencils = groups.stencils if groups.stencils is not None else (
-        _terms(axes, np.moveaxis(nodes + dt * groups.vel[chunk], -1, 0))
-        for chunk in groups.chunks)
     padded = _padded(next_slice)
     best = None
-    for chunk, terms in zip(groups.chunks, stencils):
-        low = (cost[chunk] + _apply_stencil(terms, *padded)).min(axis=0)
+    for chunk, chunk_terms in zip(groups.chunks, terms):
+        low = (cost[chunk] + _apply_stencil(chunk_terms, *padded)).min(axis=0)
         best = low if best is None else np.minimum(best, low, out=best)
     best[~feas_now] = np.inf
     return best

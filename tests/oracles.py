@@ -689,7 +689,9 @@ def boundary_points_per_time(p, t, n_dirs=24, ray_factor=1.5):
     R = ray_factor * float(np.linalg.norm(p.box[:, 1] - p.box[:, 0]))
     dirs = geo._directions(p.n, n_dirs)
     dirs = dirs[geo._worst(p, t, a + R * dirs) > 0.0]
-    return list(a + geo._bisect(p, t, a, dirs, 0.0, R, 60, 0.0)[:, None] * dirs)
+    s = geo._bisect(lambda s: geo._worst(p, t, a + s[:, None] * dirs) <= 0.0,
+                    np.zeros(len(dirs)), R, 60)
+    return list(a + s[:, None] * dirs)
 
 
 def inward_margin_unmemoised(p, t, x, delta, level=0):

@@ -29,6 +29,7 @@ from util import (
     constant_cost_problem,
     drift_problem,
     simple_problem,
+    steady_sway_problem,
     sway_problem,
     sway_walls,
     two_wall_1d,
@@ -380,15 +381,21 @@ def test_interpolation_matches_pointwise_reference(shape):
     want = np.stack([interp_clipped_pointwise(axes, grid, nodes + 0.1 * v) for v in V])
     got = np.stack([val._interp_clipped(axes, grid, nodes + 0.1 * v) for v in V])
     assert np.array_equal(got, want)
-    # the stencil of all shifts at once, and of each alone
+    # the backstep's terms of the feet of all shifts at once, as one row per
+    # group and as full rows, and of each shift alone
     ok = np.isfinite(grid.ravel())
     vals = np.concatenate([np.where(ok, grid.ravel(), 0.0), [0.0, 0.0]])
     ok = np.concatenate([ok, [True, False]])
-    terms = val._stencil(axes, 0.1 * V)
-    assert np.array_equal(val._apply_stencil(terms, vals, ok), want)
-    assert len(val._stencil(axes, 0.1 * V[6:18])[0]) == 1      # node hits: one corner each
+
+    def feet_terms(vel):
+        return val._terms(axes, np.moveaxis(nodes + 0.1 * vel, -1, 0))
+
+    assert np.array_equal(val._apply_stencil(feet_terms(V[:, None]), vals, ok), want)
+    rows = np.broadcast_to(V[:, None], (len(V),) + nodes.shape)
+    assert np.array_equal(val._apply_stencil(feet_terms(rows), vals, ok), want)
+    assert len(feet_terms(V[6:18, None])[0]) == 1      # node hits: one corner each
     for v, row in zip(V, want):
-        assert np.array_equal(val._apply_stencil(val._stencil(axes, 0.1 * v[None]), vals, ok)[0], row)
+        assert np.array_equal(val._apply_stencil(feet_terms(v[None, None]), vals, ok)[0], row)
     # the cases reach finite values, infeasible corners and out-of-grid feet
     assert np.isfinite(want[:-2]).any(axis=1).all() and np.isinf(want[:-2]).any()
     assert np.isinf(want[-2]).all()
@@ -641,54 +648,107 @@ def test_margin_error_names_time_node_and_axis(corridor):
     assert "along constrained axis 1" in msg and "axis 0" not in msg
 
 
-def _count_stencils(monkeypatch):
-    """Record the number of velocities of every stencil built from now on."""
-    built = []
-    build = val._stencil
+def _count_terms(monkeypatch):
+    """Record every backstep from now on as ``(built, stored)``: the group
+    count of each chunk whose terms it built, and whether the sweep's memo
+    holds stored terms after it (False without a memo)."""
+    steps = []
+    build, backstep = val._terms, val._backstep
 
-    def counting(axes, shifts):
-        built.append(len(shifts))
-        return build(axes, shifts)
+    def counting(axes, coords):
+        steps[-1][0].append(len(coords[0]))
+        return build(axes, coords)
 
-    monkeypatch.setattr(val, "_stencil", counting)
-    return built
+    def recording(*args):
+        steps.append(([], False))
+        with monkeypatch.context() as m:
+            m.setattr(val, "_terms", counting)
+            out = backstep(*args)
+        memo = args[11] if len(args) > 11 else None
+        steps[-1] = (steps[-1][0], bool(memo) and memo["groups"].terms is not None)
+        return out
+
+    monkeypatch.setattr(val, "_backstep", recording)
+    return steps
+
+
+def _chunk_sizes(groups, P):
+    """Groups per chunk of a backstep over ``groups`` velocity arrays of P nodes."""
+    per_call = max(1, val._INTERP_CHUNK // P)
+    return [min(per_call, groups - lo) for lo in range(0, groups, per_call)]
 
 
 def test_stencils_built_once_per_solve(corridor, monkeypatch):
-    built = _count_stencils(monkeypatch)
+    steps = _count_terms(monkeypatch)
     g = _small_grid(corridor, 0.3, 1.2, 11)
     horizon = g.t0 + 6 * g.dt
     nodes = g.nodes()
     _, f_all = corridor.velocities(g.t0, nodes)
     mixtures = np.tensordot(val._mixture_matrix(len(f_all), 3, 4), f_all, axes=(1, 0))
     distinct = len(np.unique(mixtures[:, 0], axis=0))
-    chunks = -(-distinct // (val._INTERP_CHUNK // len(nodes)))
+    chunks = _chunk_sizes(distinct, len(nodes))
+    # the first slice builds every chunk's terms without storing them, the
+    # second builds and stores them, and the later slices only apply them
+    once = [(chunks, False), (chunks, True)] + [([], True)] * 4
     first = val.solve_value(corridor, corridor.lam, g, relaxed=True, mixture_grid=4,
                             horizon=horizon)
-    assert (len(built), sum(built)) == (chunks, distinct) and chunks > 1
+    assert steps == once and len(chunks) > 1 and sum(chunks) == distinct
     # nothing outlives a call: a second solve builds them all again
+    steps.clear()
     second = val.solve_value(corridor, corridor.lam, g, relaxed=True, mixture_grid=4,
                              horizon=horizon)
-    assert (len(built), sum(built)) == (2 * chunks, 2 * distinct)
+    assert steps == once
     assert np.array_equal(first.values, second.values)
 
 
 def test_velocities_met_once_build_no_stencil(monkeypatch):
-    # drift-1d's velocities change every slice: each slice interpolates its
-    # feet directly, and so does a lone backstep
-    built = _count_stencils(monkeypatch)
+    # drift-1d's velocities change every slice: each slice builds its feet's
+    # terms and stores none, and so does a lone backstep
+    steps = _count_terms(monkeypatch)
     p = drift_problem(1)
     g = val.grid_for(p, 41, 0.1)
     for relaxed in (False, True):
+        steps.clear()
         f = val.solve_value(p, p.lam, g, relaxed=relaxed, horizon=3.0)
         assert f.values.shape[0] == 31 and np.isfinite(f.values).any()
-    assert built == []
+        assert len(steps) == 30
+        assert all(built and not stored for built, stored in steps)
     corridor = pb.get_problem("corridor-2d")
     field = val.solve_value(corridor, corridor.lam, _small_grid(corridor, 0.0, 1.0, 9),
                             relaxed=True, horizon=0.5)
-    built.clear()
+    steps.clear()
     assert val.bellman_residual(corridor, field, 0) <= val.TOL_DP
-    assert built == []
+    assert val.bellman_residual(corridor, field, 0) <= val.TOL_DP
+    assert len(steps) == 2 and steps[0] == steps[1] and steps[0][0] and not steps[0][1]
+
+
+def test_steady_node_dependent_velocities_store_terms_once(monkeypatch):
+    # sway-1d without its time term: velocity arrays that differ from node to
+    # node and recur from slice to slice.  Every field equals the per-candidate
+    # reference, and a sweep stores each chunk's terms once.
+    p = steady_sway_problem()
+    g = _small_grid(p, 0.4, 1.2, 41)
+    horizon = g.t0 + 6 * g.dt
+    nodes = g.nodes()
+    u, f_all = p.velocities(g.t0, nodes)
+    assert not val._node_independent(f_all)
+    for relaxed, mg in ((False, 4),) + tuple((True, k) for k in range(1, 6)):
+        f = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg, horizon=horizon)
+        with monkeypatch.context() as m:
+            m.setattr(val, "_backstep", backstep_loop)
+            ref = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg,
+                                  horizon=horizon)
+        assert f.values.tobytes() == ref.values.tobytes()
+        assert np.isfinite(f.values).all()
+        with monkeypatch.context() as m:
+            m.setattr(val, "_INTERP_CHUNK", 2 * len(nodes))     # two groups per chunk
+            steps = _count_terms(m)
+            again = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg,
+                                    horizon=horizon)
+            W = val._mixture_matrix(len(u), 2, mg) if relaxed else None
+            chunks = _chunk_sizes(len({v.tobytes() for v in val._mix(W, f_all)}), len(nodes))
+        assert steps == [(chunks, False), (chunks, True)] + [([], True)] * 4 and len(chunks) > 1
+        assert again.values.tobytes() == f.values.tobytes()
 
 
 _REGISTERED = {name: pb.get_problem(name) for name in pb.registered_problems()}

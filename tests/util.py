@@ -121,6 +121,16 @@ def sway_problem():
     return simple_problem(f, cost, M=3.0, name="sway-1d")
 
 
+def steady_sway_problem():
+    """``sway-1d`` without the time term in its velocity: velocity arrays that
+    differ from node to node and do not change with time."""
+    def f(t, x, u):
+        x = np.asarray(x, dtype=float)
+        return np.asarray(u, dtype=float) * (x + 2.0) * (1.0 + 0.5 * np.sin(3.0 * x)) / 2
+
+    return dataclasses.replace(sway_problem(), f=f, name="steady-sway-1d")
+
+
 def sway_walls():
     """``sway-1d`` between two moving walls: its games differ from point to point."""
     walls = (affine_constraint("upper", [1.0], lambda t: -(0.8 + 0.4 * np.sin(t))),
