@@ -1,8 +1,9 @@
 """Command-line entry point: reproducible runs with serialized artifacts.
 
-Precedence for settings is built-in defaults < config file < command-line
-flags.  The config file is flat ``key = value`` text with ``#`` comments;
-each value is read with the type of the option of the same name.
+Each subcommand accepts only the options it reads (``_OPTIONS``).  Precedence
+for settings is built-in defaults < config file < command-line flags.  The
+config file is flat ``key = value`` text with ``#`` comments; each key names
+an option of the subcommand, and its value is read with that option's type.
 A run is a pure function of its resolved configuration (seeded sampling,
 deterministic solvers, stable serialization), so identical configurations
 produce byte-identical artifact directories.
@@ -19,6 +20,7 @@ import math
 import sys
 from functools import cached_property
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -122,31 +124,79 @@ def read_field(outdir: Path, name: str) -> ValueField:
 # configuration
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "problem": "moving-wall-1d",
-    "lam": None,          # None: use the problem's own discount
-    "seed": 0,
-    "out": None,
-    "t0": 0.0,
-    "t1": None,
-    "horizon": "auto",
-    "tol": 1e-3,
-    "grid": None,         # "dx,dt"
-    "points": 81,
-    "dt": 1e-3,
-    "delta": 0.5,
-    "rmin": 0.5,
-    "ntime": 40,
-    "ndirs": 24,
-    "level": 0,
-    "mixture_grid": 4,
-    "x0": None,
-    "x1": None,
-    "uref": None,
-    "probes": None,
-    "pair_budget": 400,
-    "tol_decay": 1e-2,
-}
+# One row per option: its flag, the subcommands that read it, its default, its
+# type, which also reads its config-file value (``bool``: a switch; ``list``: a
+# repeatable flag, ``;``-separated in a config file), its help and metavar.
+_FIELD = ("value", "analyze", "pipeline")          # solve value fields
+_CHECKS = ("analyze", "pipeline")                  # check them
+_MARGIN = ("ipc", "nft", "track") + _CHECKS        # verify inward margins
+_ALL = ("geom",) + _MARGIN + ("value",)
+
+
+class _Option(NamedTuple):
+    flag: str
+    commands: tuple[str, ...]
+    default: object
+    type: Callable
+    help: str
+    metavar: str | None = None
+
+    @property
+    def key(self) -> str:
+        """The config key, which is also the argparse dest."""
+        return "lam" if self.flag == "--lambda" else self.flag[2:].replace("-", "_")
+
+
+_OPTIONS = (
+    _Option("--problem", _ALL, "moving-wall-1d", str, "registered problem name"),
+    _Option("--set", _ALL, (), list, "override a problem datum; repeatable", "KEY=VALUE"),
+    _Option("--lambda", _ALL, None, float, "discount rate; the problem's own by default"),
+    _Option("--config", _ALL, None, str, "file of 'key = value' lines and '#' comments; a "
+            "key is an option of this subcommand without dashes ('lam' for --lambda)"),
+    _Option("--t0", ("geom", "nft", "track") + _FIELD, 0.0, float,
+            "start time of the path or value field; time of the geom query"),
+    _Option("--t1", ("nft",), None, float, "end time of the reference; T0 + 1 by default"),
+    _Option("--x0", ("geom", "nft", "track"), None, str,
+            "start state or geom query point X,...; the anchor at --t0 by default"),
+    _Option("--x1", ("track",), None, str,
+            "start X,... of the tracking run; half the anchor at --t0 by default"),
+    _Option("--uref", ("nft",), None, str,
+            "constant reference control U,...; the problem's default control by default"),
+    _Option("--dt", ("nft", "track"), 1e-3, float, "RK4 step of the path"),
+    _Option("--horizon", ("track",), 5.0, float,
+            "length of the tracked path: it runs from --t0 to --t0 + HORIZON"),
+    _Option("--horizon", _FIELD, "auto", str, "end time of the value sweep, on the clock "
+            "of --t0: the sweep takes (HORIZON - t0) / dt steps; 'auto' picks it from the "
+            "tail envelope at --tol"),
+    _Option("--grid", _FIELD, None, str, "space step DX on every axis of the working box "
+            "and time step DT of the value grid; by default --points nodes per axis and "
+            "the dt at which one step of the fastest sampled control along each "
+            "constrained axis (at --t0 and the anchor) crosses one space step (--dt is the "
+            "path step of nft and track only)", "DX,DT"),
+    _Option("--points", _FIELD, 81, int,
+            "value grid nodes per axis when --grid is not given; dt as --grid says"),
+    _Option("--tol", _FIELD, 1e-3, float, "tail tolerance of the automatic horizon"),
+    _Option("--mixture-grid", _FIELD, 4, int, "resolution of relaxed mixture weights"),
+    _Option("--relaxed", ("value",), False, bool, "solve the mixture-relaxed field"),
+    _Option("--delta", ("geom",) + _MARGIN, 0.5, float, "radius of the active set"),
+    _Option("--rmin", _MARGIN, 0.5, float, "inward margin the margin check must reach"),
+    _Option("--ntime", _MARGIN, 40, int, "times sampled by the margin check (>= 1)"),
+    _Option("--ndirs", _MARGIN, 24, int, "boundary rays per sampled time (>= 1): ignored "
+            "in 1-D, which always casts two; equally spaced angles in 2-D; for n >= 3, "
+            "max(NDIRS, 4n) random directions plus the 2n axis directions"),
+    _Option("--level", _MARGIN + ("value",), 0, int, "control sampling level"),
+    _Option("--out", _MARGIN + ("value",), None, str, "directory for the run's artifacts"),
+    _Option("--seed", _CHECKS, 0, int, "seed of the sampled checks"),
+    _Option("--pair-budget", _CHECKS, 400, int, "random node pairs of the Lipschitz check"),
+    _Option("--probes", _CHECKS, None, str,
+            "points X,...;X,... of the time-regularity check; the anchor by default"),
+    _Option("--tol-decay", _CHECKS, 1e-2, float, "bound on the decay check's last sample"),
+)
+
+
+def _options(command: str) -> dict[str, _Option]:
+    """The options ``command`` reads, by config key."""
+    return {o.key: o for o in _OPTIONS if command in o.commands}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -162,30 +212,33 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
+def _read(o: _Option, text: str):
+    """A config-file value, read as the option's type."""
+    if o.type is list:
+        return [s.strip() for s in text.split(";") if s.strip()]
+    try:
+        return o.type(text) if o.type is not bool else {"true": True, "false": False}[text]
+    except (KeyError, ValueError):
+        raise ValueError(
+            f"config key {o.key!r}: cannot read {text!r} as {o.type.__name__}") from None
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
-    file_cfg = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    types = _option_types()
-    for k, v in file_cfg.items():
-        if k in ("set", "sets"):
-            continue
-        if k not in cfg:
-            raise ValueError(f"unknown config key {k!r}")
-        try:
-            cfg[k] = types.get(k, str)(v)
-        except ValueError:
-            raise ValueError(
-                f"config key {k!r}: cannot read {v!r} as {types[k].__name__}") from None
-    overrides = []
-    if "set" in file_cfg:
-        overrides.extend(s.strip() for s in file_cfg["set"].split(";") if s.strip())
-    for k, v in vars(args).items():
-        if k in ("command", "action", "config"):
-            continue
-        if v is not None and k in cfg:
-            cfg[k] = v
-    overrides.extend(getattr(args, "set", None) or [])
-    cfg["set"] = overrides
+    """Every option the subcommand reads except ``config``: its default, else
+    the config file's value, else the flag's; ``set`` lists the file's
+    overrides, then the flags'."""
+    options = _options(args.command)
+    del options["config"]
+    cfg = {k: o.default for k, o in options.items()}
+    given = vars(args)
+    if "config" in given:
+        for k, v in _parse_config_file(given["config"]).items():
+            if k not in options:
+                raise ValueError(f"config key {k!r} is not an option of {args.command!r}, "
+                                 f"which reads: {', '.join(sorted(options))}")
+            cfg[k] = _read(options[k], v)
+    cfg.update((k, given[k]) for k in options.keys() & given.keys() if k != "set")
+    cfg["set"] = [*cfg["set"], *given.get("set", ())]
     return cfg
 
 
@@ -219,9 +272,7 @@ def _grid_from(cfg: dict, p) -> GridSpec:
 
 def _horizon_arg(cfg: dict):
     h = cfg["horizon"]
-    if h in (None, "auto"):
-        return None
-    return float(h)
+    return None if h == "auto" else float(h)
 
 
 def _emit(line: dict) -> None:
@@ -311,7 +362,7 @@ def _cmd_nft(cfg: dict, args) -> int:
 def _cmd_track(cfg: dict, args) -> int:
     p = _problem_from(cfg)
     t0 = cfg["t0"]
-    horizon = 5.0 if cfg["horizon"] in (None, "auto") else float(cfg["horizon"])
+    horizon = cfg["horizon"]
     x0 = _vector(cfg["x0"], p.n, np.asarray(p.anchor(t0)))
     x1 = _vector(cfg["x1"], p.n, np.asarray(p.anchor(t0)) * 0.5)
     ver = _ipc_certificate(cfg, p, (t0, t0 + horizon + 1.0))
@@ -377,7 +428,7 @@ class _Run:
 
 
 def _cmd_value(cfg: dict, args) -> int:
-    field = _Run(cfg).field(bool(args.relaxed))
+    field = _Run(cfg).field(cfg["relaxed"])
     if cfg["out"]:
         write_field(_outdir(cfg), "field_relaxed" if field.relaxed else "field", field)
     finite = int(np.isfinite(field.values[0]).sum())
@@ -455,8 +506,7 @@ def _cmd_pipeline(cfg: dict, args) -> int:
     outdir = _outdir(cfg)
     run = _Run(cfg)
     ana.write_json(outdir / "config.json",
-                   {k: (list(v) if isinstance(v, (list, tuple)) else v)
-                    for k, v in sorted(cfg.items()) if k != "out"})
+                   {k: v for k, v in sorted(cfg.items()) if k != "out"})
 
     report = verify_data_assumptions(run.p, SamplingSpec(), seed=cfg["seed"])
     ana.write_json(outdir / "assumptions.json", report.to_jsonable())
@@ -493,92 +543,36 @@ def _cmd_pipeline(cfg: dict, args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-_HORIZON_END = ("end time of the value sweep, on the clock of --t0: the sweep takes "
-                "(HORIZON - t0) / dt steps; 'auto' (the default) picks it from the tail "
-                "envelope at --tol")
-_HORIZON_HELP = {
-    "value": _HORIZON_END, "analyze": _HORIZON_END, "pipeline": _HORIZON_END,
-    "track": "length of the tracked path: it runs from --t0 to --t0 + HORIZON (default 5)",
+_COMMANDS = {   # subcommand: (handler, actions, help)
+    "geom": (_cmd_geom, ["dist", "active"], "constraint-set geometry queries"),
+    "ipc": (_cmd_ipc, ["verify"], "inward-margin verification"),
+    "nft": (_cmd_nft, ["run"], "feasibility repair of a reference path"),
+    "track": (_cmd_track, ["run"], "exponential tracking between starts"),
+    "value": (_cmd_value, ["solve"], "discounted value field solving"),
+    "analyze": (_cmd_analyze, list(_STAGES), "theorem-envelope certification"),
+    "pipeline": (_cmd_pipeline, [], "full chained run with artifacts"),
 }
-
-
-def _add_common(sp, command: str = "") -> None:
-    """The options every subcommand takes; every dest but ``config`` is a config key."""
-    sp.add_argument("--problem")
-    sp.add_argument("--set", action="append", metavar="KEY=VALUE")
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--grid", metavar="DX,DT")
-    sp.add_argument("--horizon", help=_HORIZON_HELP.get(command, "not used by this command"))
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out")
-    sp.add_argument("--config")
-    sp.add_argument("--level", type=int)
-    sp.add_argument("--points", type=int)
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--t0", type=float)
-    sp.add_argument("--t1", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--rmin", type=float)
-    sp.add_argument("--ntime", type=int, help="times sampled by the margin check (>= 1)")
-    sp.add_argument("--ndirs", type=int,
-                    help="boundary rays per sampled time (>= 1): ignored in 1-D, which "
-                         "always casts two; equally spaced angles in 2-D; for n >= 3, "
-                         "max(NDIRS, 4n) random directions plus the 2n axis directions")
-    sp.add_argument("--mixture-grid", dest="mixture_grid", type=int)
-    sp.add_argument("--x0")
-    sp.add_argument("--x1")
-    sp.add_argument("--uref")
-    sp.add_argument("--probes")
-    sp.add_argument("--pair-budget", dest="pair_budget", type=int)
-    sp.add_argument("--tol-decay", dest="tol_decay", type=float)
-
-
-def _option_types() -> dict:
-    """Config key -> the ``type`` its command-line option parses with."""
-    sp = argparse.ArgumentParser()
-    _add_common(sp)
-    return {a.dest: a.type for a in sp._actions if a.type is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand's parser takes only the options it reads; a flag left
+    out leaves no attribute, so ``resolve_config`` sees only flags given."""
     ap = argparse.ArgumentParser(prog="feastube", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("geom", help="constraint-set geometry queries")
-    g.add_argument("action", choices=["dist", "active"])
-    _add_common(g, "geom")
-
-    i = sub.add_parser("ipc", help="inward-margin verification")
-    i.add_argument("action", choices=["verify"])
-    _add_common(i, "ipc")
-
-    n = sub.add_parser("nft", help="feasibility repair of a reference path")
-    n.add_argument("action", choices=["run"])
-    _add_common(n, "nft")
-
-    t = sub.add_parser("track", help="exponential tracking between starts")
-    t.add_argument("action", choices=["run"])
-    _add_common(t, "track")
-
-    v = sub.add_parser("value", help="discounted value field solving")
-    v.add_argument("action", choices=["solve"])
-    v.add_argument("--relaxed", action="store_true", default=None)
-    _add_common(v, "value")
-
-    a = sub.add_parser("analyze", help="theorem-envelope certification")
-    a.add_argument("action", choices=["lipschitz", "decay", "relax", "time-lip"])
-    _add_common(a, "analyze")
-
-    pl = sub.add_parser("pipeline", help="full chained run with artifacts")
-    _add_common(pl, "pipeline")
+    for command, (_, actions, summary) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
+        if actions:
+            sp.add_argument("action", choices=actions)
+        for o in _options(command).values():
+            if o.type is bool:
+                kind = {"action": "store_true"}
+            else:
+                kind = {"action": "append"} if o.type is list else {"type": o.type}
+                kind["metavar"] = o.metavar
+            plain = o.default is None or o.type in (bool, list)
+            default = "" if plain else f" (default {o.default})"
+            sp.add_argument(o.flag, dest=o.key, help=o.help + default, **kind)
     return ap
-
-
-_COMMANDS = {
-    "geom": _cmd_geom, "ipc": _cmd_ipc, "nft": _cmd_nft, "track": _cmd_track,
-    "value": _cmd_value, "analyze": _cmd_analyze, "pipeline": _cmd_pipeline,
-}
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -588,7 +582,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return _COMMANDS[args.command](resolve_config(args), args)
+        return _COMMANDS[args.command][0](resolve_config(args), args)
     except (ValueError, KeyError, OSError) as exc:
         _emit({"error": str(exc)})
         return 1

@@ -34,10 +34,6 @@ class MarginResult:
     v: Array              # mixed velocity sum_j alpha_j f(t, x, u_j)
     active: tuple[int, ...]
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.where(self.alpha > 1e-12)[0])
-
 
 def inward_margin(
     p: ProblemDefinition, t: float, x, delta: float, level: int = 0,

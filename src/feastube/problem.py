@@ -89,10 +89,6 @@ class Modulus:
     def piecewise(breaks: Sequence[float], levels: Sequence[float]) -> "Modulus":
         return Modulus(tuple(float(b) for b in breaks), tuple(float(v) for v in levels))
 
-    @property
-    def is_constant(self) -> bool:
-        return len(self.levels) == 1
-
     def value(self, t: float) -> float:
         idx = int(np.searchsorted(self.breaks, t, side="right")) - 1
         return self.levels[max(idx, 0)]

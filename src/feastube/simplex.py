@@ -7,6 +7,10 @@ import numpy as np
 from .errors import LpFailure
 
 _TOL = 1e-11
+# Smallest pivot the ratio test takes, relative to the column's largest entry
+# (at least 1): a smaller entry can be cancellation noise of an exact zero,
+# and pivoting on it wrecks the tableau.
+_PIVOT_TOL = 1e-9
 
 
 def _run(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, max_iter: int) -> None:
@@ -18,7 +22,7 @@ def _run(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, max_iter: int) -> N
             return
         j = int(entering[0])  # Bland: smallest improving index
         col = T[:, j]
-        rows = np.where(col > _TOL)[0]
+        rows = np.where(col > _PIVOT_TOL * max(1.0, float(np.abs(col).max())))[0]
         if rows.size == 0:
             raise LpFailure("LP unbounded; the margin game must be bounded")
         ratios = T[rows, -1] / col[rows]

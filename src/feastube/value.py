@@ -354,9 +354,6 @@ class ValueField:
     def dx_max(self) -> float:
         return max(float(a[1] - a[0]) for a in self.axes)
 
-    def slice_at(self, i: int) -> Array:
-        return self.values[i]
-
     def grid_nodes(self) -> Array:
         return _mesh_nodes(self.axes)
 
@@ -477,23 +474,23 @@ def _backstep(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed,
     same bytes.  Such a slice stores each chunk's terms in the groups, and
     later slices apply them; a slice that meets its velocities for the first
     time builds its terms without storing them.  Groups whose mixture
-    velocities are the same at every node keep one row each.
+    velocities are the same at every node keep one row each.  Without a
+    ``memo`` (one slice alone) every term is built.
     """
+    memo = {} if memo is None else memo
     u, f_all = p.velocities(t, nodes, level)
     W = _mixture_matrix(len(f_all), p.n + 1, mixture_grid) if relaxed else None
-    last = memo.get("f_all") if memo is not None else None
+    last = memo.get("f_all")
     seen = (last is not None and last.shape == f_all.shape
             and bool((last.view(np.uint64) == f_all.view(np.uint64)).all()))
     if seen:
         groups = memo["groups"]
     else:
-        if memo is not None:
-            memo.clear()                  # drop the last groups before forming these
+        memo.clear()                      # drop the last groups before forming these
         f = _mix(W, f_all)             # a product over one row may round differently
         groups = _groups(f[:, :1].copy() if _node_independent(f) else f, nodes.shape[0])
         del f
-        if memo is not None:
-            memo.update(f_all=f_all, groups=groups)
+        memo.update(f_all=f_all, groups=groups)
     terms = groups.terms
     if terms is None:
         terms = (_terms(axes, np.moveaxis(nodes + dt * groups.vel[chunk], -1, 0))

@@ -1,6 +1,8 @@
+import argparse
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from feastube import value as val
 
 import oracles
 from oracles import write_csv_rows
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # The certify benchmark's settings: --lambda 120 (above every problem's
 # tracking rate, so no check is skipped) with an explicit grid and horizon.
@@ -60,7 +64,105 @@ def test_missing_command_is_usage_error():
 def test_horizon_help_says_what_it_means(command, meaning, capsys):
     assert cli.run([command, "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
-    assert f"--horizon HORIZON {meaning}" in text
+    if meaning == "not used by this command":     # neither offered nor accepted
+        assert "--horizon" not in text
+        assert cli.run([command, *ACTIONS[command], "--horizon", "9"]) == 1
+        assert "--horizon" in capsys.readouterr().err
+    else:
+        assert f"--horizon HORIZON {meaning}" in text
+
+
+# One action of each subcommand, and the options each one reads during a run.
+ACTIONS = {"geom": ["dist"], "ipc": ["verify"], "nft": ["run"], "track": ["run"],
+           "value": ["solve"], "analyze": ["decay"], "pipeline": []}
+_MARGIN_OPTIONS = {"problem", "set", "lambda", "config",
+                   "rmin", "delta", "ntime", "ndirs", "level", "out"}
+_FIELD_OPTIONS = {"problem", "set", "lambda", "config", "grid", "points", "t0", "level",
+                  "tol", "mixture-grid", "horizon", "out"}
+_CHECK_OPTIONS = _FIELD_OPTIONS | {"rmin", "delta", "ntime", "ndirs", "seed", "pair-budget",
+                                   "probes", "tol-decay"}
+OPTIONS = {
+    "geom": {"problem", "set", "lambda", "config", "t0", "x0", "delta"},
+    "ipc": _MARGIN_OPTIONS,
+    "nft": _MARGIN_OPTIONS | {"t0", "t1", "x0", "uref", "dt"},
+    "track": _MARGIN_OPTIONS | {"t0", "horizon", "x0", "x1", "dt"},
+    "value": _FIELD_OPTIONS | {"relaxed"},
+    "analyze": _CHECK_OPTIONS,
+    "pipeline": _CHECK_OPTIONS,
+}
+
+
+def _accepted_flags(command):
+    [sub] = [a for a in cli._build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return {a.option_strings[0][2:] for a in sub.choices[command]._actions
+            if a.option_strings and a.dest != "help"}
+
+
+def _config_key(option):
+    return "lam" if option == "lambda" else option.replace("-", "_")
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_subcommand_accepts_and_resolves_only_its_options(command):
+    assert _accepted_flags(command) == OPTIONS[command]
+    args = cli._build_parser().parse_args([command, *ACTIONS[command]])
+    resolved = {_config_key(o) for o in OPTIONS[command]} - {"config"}
+    assert set(cli.resolve_config(args)) == resolved
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_flag_the_subcommand_does_not_read_is_refused(command, capsys):
+    """Covers ``value solve --dt 0.5`` and ``ipc verify --t0 3``, which once
+    ran at the default dt and on [0, 2 pi]."""
+    unread = sorted(set().union(*OPTIONS.values()) - OPTIONS[command])
+    assert unread
+    for option in unread:
+        assert cli.run([command, *ACTIONS[command], f"--{option}", "0.5"]) == 1
+        assert f"--{option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [
+    ("geom", "out"), ("ipc", "t0"), ("nft", "horizon"), ("track", "t1"),
+    ("value", "dt"), ("analyze", "relaxed"), ("pipeline", "x0"),
+])
+def test_config_key_the_subcommand_does_not_read_is_refused(command, key, tmp_path, capsys):
+    cfg = _config_file(tmp_path, f"problem = moving-wall-1d\n{key} = 1\n")
+    assert cli.run([command, *ACTIONS[command], "--config", cfg]) == 1
+    err = _capture(capsys)["error"]
+    assert f"config key {key!r}" in err and repr(command) in err
+
+
+def test_config_file_switches_relaxed(tmp_path, capsys):
+    solve = ["value", "solve", "--problem", "moving-wall-1d", "--lambda", "6",
+             "--points", "46", "--horizon", "2"]
+    assert cli.run(solve + ["--relaxed"]) == 0
+    want = _capture(capsys)
+    assert want["relaxed"] is True
+    assert cli.run(solve + ["--config", _config_file(tmp_path, "relaxed = true\n")]) == 0
+    assert _capture(capsys) == want
+    assert cli.run(solve + ["--config", _config_file(tmp_path, "relaxed = yes\n")]) == 1
+    assert "'relaxed'" in _capture(capsys)["error"]
+
+
+def test_pipeline_records_the_options_it_reads(tmp_path, capsys):
+    assert cli.run(["pipeline"] + SKIPPING_ARGS + ["--out", str(tmp_path)]) == 0
+    recorded = json.loads((tmp_path / "config.json").read_text())
+    assert set(recorded) == {_config_key(o) for o in OPTIONS["pipeline"]} - {"config", "out"}
+    assert len(recorded) == 18 and recorded["horizon"] == "auto" and recorded["set"] == []
+
+
+def test_readme_command_lines_parse():
+    lines = [line.split("#", 1)[0].split()
+             for line in (ROOT / "README.md").read_text().splitlines()
+             if line.startswith("feastube ")]
+    assert len(lines) >= 8
+    parser = cli._build_parser()
+    for words in lines:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {' '.join(words)}")
 
 
 def test_geom_dist_line(capsys):
@@ -249,6 +351,13 @@ def test_analyze_lipschitz_rejects_empty_pair_budget(budget, tmp_path, capsys):
 def test_run_defaults_on_every_problem(cmd, name, capsys):
     assert cli.run([cmd, "run", "--problem", name]) == 0
     assert _capture(capsys)["cmd"] == f"{cmd} run"
+
+
+@pytest.mark.parametrize("name", registered_problems())
+@pytest.mark.parametrize("cmd", ["geom dist", "geom active", "ipc verify"])
+def test_queries_at_defaults_on_every_problem(cmd, name, capsys):
+    assert cli.run(cmd.split() + ["--problem", name]) == 0
+    assert _capture(capsys)["cmd"] == cmd
 
 
 @pytest.mark.parametrize("name", registered_problems())

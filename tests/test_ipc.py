@@ -353,6 +353,15 @@ from hypothesis.extra.numpy import arrays
 @settings(max_examples=40, deadline=None)
 @given(Q=arrays(np.float64, (3, 4),
                 elements=st.floats(-5, 5).map(lambda v: round(v, 4))))
+# a ratio test that pivoted on cancellation noise (1.5e-11, 1.4e-9 beside
+# 1.9e3) raised "LP unbounded" on the first, gave a value 0.0066 too high on
+# the second and one 4.9e-6 too low on the third
+@example(Q=np.array([[0.0, 1.0, 0.0, 0.0039], [4.7812, 0.0312, 0.0, 4.5],
+                     [2.0, 0.0, 0.0078, 0.0]]))
+@example(Q=np.array([[0.0, 0.0, 1.0, 0.0], [0.0039, 0.0312, 0.0, 1.0],
+                     [4.5, 0.0, 0.0156, 0.0]]))
+@example(Q=np.array([[0.001, 0.0, 1.8594, 0.0], [5.0, 0.0, 0.001, 0.0],
+                     [1.0, 0.0, 0.001, 0.0]]))
 def test_matrix_game_value_property(Q):
     # entries at 1e-4 granularity: payoffs at the float noise floor are out
     # of scope for the margin games this solver serves
