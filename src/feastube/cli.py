@@ -249,18 +249,24 @@ def _problem_from(cfg: dict):
     return get_problem(cfg["problem"], overrides)
 
 
-def _vector(text, n, fallback=None):
+def _vector(text, n, flag, fallback=None):
+    """``text`` read as ``n`` comma-separated numbers; errors name ``flag``."""
     if text is None:
         return fallback
-    vals = [float(v) for v in str(text).split(",")]
-    if len(vals) != n:
-        raise ValueError(f"expected {n} components, got {text!r}")
+    try:
+        vals = [float(v) for v in str(text).split(",")]
+    except ValueError:
+        vals = None
+    if vals is None or len(vals) != n:
+        raise ValueError(f"{flag} expects {n} number(s) separated by commas, got {text!r}")
     return np.array(vals)
 
 
 def _grid_from(cfg: dict, p) -> GridSpec:
     if cfg["grid"]:
-        dx, dt = (float(v) for v in str(cfg["grid"]).split(","))
+        dx, dt = map(float, _vector(cfg["grid"], 2, "--grid DX,DT"))
+        if not (0 < dx < math.inf and 0 < dt < math.inf):
+            raise ValueError(f"--grid DX,DT expects two positive finite steps, got {cfg['grid']!r}")
         shape = tuple(
             max(2, int(round((p.box[d, 1] - p.box[d, 0]) / dx)) + 1) for d in range(p.n)
         )
@@ -272,7 +278,10 @@ def _grid_from(cfg: dict, p) -> GridSpec:
 
 def _horizon_arg(cfg: dict):
     h = cfg["horizon"]
-    return None if h == "auto" else float(h)
+    try:
+        return None if h == "auto" else float(h)
+    except ValueError:
+        raise ValueError(f"--horizon expects a number or 'auto', got {h!r}") from None
 
 
 def _emit(line: dict) -> None:
@@ -291,7 +300,7 @@ def _outdir(cfg: dict) -> Path:
 
 def _cmd_geom(cfg: dict, args) -> int:
     p = _problem_from(cfg)
-    x = _vector(cfg["x0"], p.n, np.asarray(p.anchor(cfg["t0"])))
+    x = _vector(cfg["x0"], p.n, "--x0", np.asarray(p.anchor(cfg["t0"])))
     if args.action == "dist":
         res = geo.distance_to_omega(p, cfg["t0"], x, oracle=p.n <= 2)
         _emit({"cmd": "geom dist", "t": cfg["t0"], "x": list(map(float, x)),
@@ -328,8 +337,8 @@ def _cmd_nft(cfg: dict, args) -> int:
     p = _problem_from(cfg)
     t0 = cfg["t0"]
     t1 = cfg["t1"] if cfg["t1"] is not None else t0 + 1.0
-    x0 = _vector(cfg["x0"], p.n, np.asarray(p.anchor(t0)))
-    uref = _vector(cfg["uref"], p.controls.dim, p.default_control)
+    x0 = _vector(cfg["x0"], p.n, "--x0", np.asarray(p.anchor(t0)))
+    uref = _vector(cfg["uref"], p.controls.dim, "--uref", p.default_control)
     if not cfg["dt"] > 0:
         raise ValueError(f"need dt > 0, got dt={cfg['dt']}")
     if not t1 > t0:
@@ -363,8 +372,8 @@ def _cmd_track(cfg: dict, args) -> int:
     p = _problem_from(cfg)
     t0 = cfg["t0"]
     horizon = cfg["horizon"]
-    x0 = _vector(cfg["x0"], p.n, np.asarray(p.anchor(t0)))
-    x1 = _vector(cfg["x1"], p.n, np.asarray(p.anchor(t0)) * 0.5)
+    x0 = _vector(cfg["x0"], p.n, "--x0", np.asarray(p.anchor(t0)))
+    x1 = _vector(cfg["x1"], p.n, "--x1", np.asarray(p.anchor(t0)) * 0.5)
     ver = _ipc_certificate(cfg, p, (t0, t0 + horizon + 1.0))
     if not ver.ok:
         _emit({"cmd": "track run", "ok": False, "reason": "margin verification failed"})
@@ -460,7 +469,8 @@ def _check_relax(run: _Run):
 
 def _check_time_lip(run: _Run):
     p, field, level = run.p, run.field(True), run.cfg["level"]
-    probes = (np.array([_vector(s, p.n) for s in str(run.cfg["probes"]).split(";")])
+    probes = (np.array([_vector(s, p.n, "--probes")
+                        for s in str(run.cfg["probes"]).split(";")])
               if run.cfg["probes"] else np.asarray(p.anchor(field.t0))[None, :])
     bound_N = ana.velocity_cost_sup(field, p, probes, level) * 1.05 + 0.1
     return ana.time_lipschitz_check(field, p, run.tracking, bound_N, probes, level=level)
@@ -554,11 +564,22 @@ _COMMANDS = {   # subcommand: (handler, actions, help)
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Refuses an argument it does not know itself, so the usage printed with
+    the error lists the subcommand's own options."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        known, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return known, extra
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """Each subcommand's parser takes only the options it reads; a flag left
     out leaves no attribute, so ``resolve_config`` sees only flags given."""
     ap = argparse.ArgumentParser(prog="feastube", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     for command, (_, actions, summary) in _COMMANDS.items():
         sp = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
         if actions:

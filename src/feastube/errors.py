@@ -52,7 +52,8 @@ class EmptySourceSet(FeastubeError, ValueError):
 # --- margin verification -----------------------------------------------------
 
 class LpFailure(FeastubeError, RuntimeError):
-    """Internal LP failure (unbounded or infeasible game); must not occur."""
+    """Internal LP failure (unbounded, cycling, or a duality gap above
+    tolerance); must not occur."""
 
 
 class BoundarySamplingFailed(FeastubeError, RuntimeError):

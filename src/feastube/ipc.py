@@ -5,7 +5,10 @@ At a boundary point, the inward margin is the value of the matrix game
     max over mixtures alpha of sampled velocities,
     min over near-active constraints i of  -<grad h_i, sum_j alpha_j f(t,x,u_j)>,
 
-solved exactly by a dense simplex; a sweep over many points solves each
+solved by a one-phase simplex on the row player's LP, whose final tableau
+gives both players' strategies; the margin is the value the returned mixture
+alpha guarantees, so an LP error can only lower it, and a duality gap above
+tolerance raises ``LpFailure``.  A sweep over many points solves each
 distinct game once (a memo keyed on the payoff matrix's bytes that lives
 for that sweep only).  A positive uniform margin over sampled boundary
 points yields a certificate carrying the geometric constants (eps, eta)

@@ -1,4 +1,4 @@
-"""Dense two-phase simplex with Bland's rule, sized for tiny matrix games."""
+"""One-phase dense simplex with Bland's rule, sized for tiny matrix games."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ _TOL = 1e-11
 # (at least 1): a smaller entry can be cancellation noise of an exact zero,
 # and pivoting on it wrecks the tableau.
 _PIVOT_TOL = 1e-9
+_MAX_ITER = 10_000
 
 
 def _run(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, max_iter: int) -> None:
@@ -36,69 +37,32 @@ def _run(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, max_iter: int) -> N
     raise LpFailure("simplex iteration cap reached (cycling should be impossible)")
 
 
-def solve_lp(c, A, b, max_iter: int = 10_000) -> tuple[np.ndarray, float]:
-    """Maximize ``c @ x`` subject to ``A x = b`` and ``x >= 0``."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    c = np.asarray(c, dtype=float).reshape(-1)
-    m, n = A.shape
-    flip = b < 0
-    A = np.where(flip[:, None], -A, A)
-    b = np.where(flip, -b, b)
-
-    # Phase 1: drive artificial variables to zero.
-    T = np.hstack([A, np.eye(m), b[:, None]])
-    basis = np.arange(n, n + m)
-    cost1 = np.concatenate([np.zeros(n), -np.ones(m)])
-    _run(T, basis, cost1, max_iter)
-    if -(cost1[basis] @ T[:, -1]) > 1e-9:
-        raise LpFailure("LP infeasible; the margin game must be feasible")
-    # Pivot any degenerate artificial out of the basis; drop redundant rows.
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            cols = np.where(np.abs(T[i, :n]) > _TOL)[0]
-            if cols.size == 0:
-                continue
-            j = int(cols[0])
-            T[i] /= T[i, j]
-            for k in range(T.shape[0]):
-                if k != i and T[k, j] != 0.0:
-                    T[k] -= T[k, j] * T[i]
-            basis[i] = j
-        keep.append(i)
-    T = np.hstack([T[keep, :n], T[keep, -1:]])
-    basis = basis[keep]
-
-    cost2 = c.copy()
-    _run(T, basis, cost2, max_iter)
-    x = np.zeros(n)
-    x[basis] = T[:, -1]
-    return x, float(c @ x)
-
-
 def solve_matrix_game(Q) -> tuple[float, np.ndarray]:
     """Value and optimal column mixture of ``max_alpha min_row (Q @ alpha)``.
 
-    Encoded as the LP max r subject to ``Q @ alpha - s - r = 0`` per row,
-    ``sum(alpha) = 1``, with slack ``s >= 0`` and ``r`` free.
+    One phase: with ``P = Q + (1 - min Q) >= 1`` the row player's LP ``max
+    sum(w)`` s.t. ``P.T @ w <= 1``, ``w >= 0`` starts at its slack basis.  Its
+    final tableau gives the row mixture (the basic ``w``) and, as the dual,
+    ``alpha``.  The value is the one ``alpha`` guarantees, ``min(Q @ alpha)``;
+    a duality gap above ``1e-9 * max(1, max|Q|)`` raises :class:`LpFailure`.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     m, n = Q.shape
-    if n == 0:
-        raise LpFailure("game with no columns")
-    # variables: alpha (n), s (m), r_plus, r_minus
-    A = np.zeros((m + 1, n + m + 2))
-    A[:m, :n] = Q
-    A[:m, n:n + m] = -np.eye(m)
-    A[:m, n + m] = -1.0
-    A[:m, n + m + 1] = 1.0
-    A[m, :n] = 1.0
-    b = np.zeros(m + 1)
-    b[m] = 1.0
-    c = np.zeros(n + m + 2)
-    c[n + m], c[n + m + 1] = 1.0, -1.0
-    x, value = solve_lp(c, A, b)
-    alpha = np.clip(x[:n], 0.0, None)
-    alpha /= alpha.sum()
-    return value, alpha
+    if Q.size == 0:
+        raise LpFailure(f"matrix game of shape {m}x{n} has no payoffs")
+    T = np.hstack([(Q + (1.0 - Q.min())).T, np.eye(n), np.ones((n, 1))])
+    basis = np.arange(m, m + n)
+    cost = np.concatenate([np.ones(m), np.zeros(n)])
+    _run(T, basis, cost, _MAX_ITER)
+    y = np.zeros(m)
+    y[basis[basis < m]] = T[basis < m, -1]
+    alpha = np.clip(cost[basis] @ T[:, m:m + n], 0.0, None)
+    r, gap = -np.inf, np.inf
+    if y.sum() > 0 and alpha.sum() > 0:  # else the solve stopped before any pivot
+        y, alpha = y / y.sum(), alpha / alpha.sum()
+        r = float((Q @ alpha).min())
+        gap = float((y @ Q).max()) - r
+    tol = 1e-9 * max(1.0, float(np.abs(Q).max()))
+    if not gap <= tol:
+        raise LpFailure(f"matrix game of shape {m}x{n}: duality gap {gap:.3g} exceeds {tol:.3g}")
+    return r, alpha

@@ -808,7 +808,8 @@ def cli_analyze(cfg, action):
                                 level=cfg["level"], mixture_grid=cfg["mixture_grid"],
                                 horizon=cli._horizon_arg(cfg))
         tc, _ = _tracking_constants(cfg, p, ver, field.T)
-        probes = (np.array([cli._vector(s, p.n) for s in str(cfg["probes"]).split(";")])
+        probes = (np.array([cli._vector(s, p.n, "--probes")
+                            for s in str(cfg["probes"]).split(";")])
                   if cfg["probes"] else np.asarray(p.anchor(field.t0))[None, :])
         N = _time_lip_bound(p, field, probes, cfg["level"])
         try:

@@ -122,6 +122,29 @@ def test_flag_the_subcommand_does_not_read_is_refused(command, capsys):
         assert f"--{option}" in capsys.readouterr().err
 
 
+def test_unread_flag_prints_the_subcommands_usage(capsys):
+    assert cli.run(["value", "solve", "--dt", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert "--dt" in err
+    assert err.startswith("usage: feastube value ") and "--mixture-grid" in err
+    assert "{geom," not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["value", "solve", "--horizon", "abc"], "--horizon expects a number or 'auto', got 'abc'"),
+    (["geom", "dist", "--x0", "abc"], "--x0 expects 1 number(s) separated by commas, got 'abc'"),
+    (["value", "solve", "--grid", "0.1"],
+     "--grid DX,DT expects 2 number(s) separated by commas, got '0.1'"),
+    (["value", "solve", "--grid", "0,0.1"],
+     "--grid DX,DT expects two positive finite steps, got '0,0.1'"),
+])
+def test_malformed_value_names_its_option(argv, message, capsys):
+    """These once printed ``could not convert string to float: 'abc'``,
+    ``not enough values to unpack`` and an ``OverflowError`` traceback."""
+    assert cli.run(argv) == 1
+    assert _capture(capsys) == {"error": message}
+
+
 @pytest.mark.parametrize("command, key", [
     ("geom", "out"), ("ipc", "t0"), ("nft", "horizon"), ("track", "t1"),
     ("value", "dt"), ("analyze", "relaxed"), ("pipeline", "x0"),

@@ -7,8 +7,9 @@ import pytest
 from feastube import geometry as geo
 from feastube import ipc
 from feastube import problem as pb
-from feastube.errors import BoundarySamplingFailed, NoFeasibleConstants
-from feastube.simplex import solve_lp, solve_matrix_game
+from feastube import simplex
+from feastube.errors import BoundarySamplingFailed, LpFailure, NoFeasibleConstants
+from feastube.simplex import solve_matrix_game
 
 import oracles
 from oracles import game_value_enum, game_value_grid
@@ -24,15 +25,6 @@ from util import (
 
 
 # --- LP / matrix games --------------------------------------------------------
-
-def test_solve_lp_basic():
-    # max x1 + x2 s.t. x1 + 2 x2 + s = 4, x1 + s2 = 3
-    c = [1.0, 1.0, 0.0, 0.0]
-    A = [[1.0, 2.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]]
-    x, v = solve_lp(c, A, [4.0, 3.0])
-    assert v == pytest.approx(3.5)
-    assert x[0] == pytest.approx(3.0) and x[1] == pytest.approx(0.5)
-
 
 def test_matrix_game_known_value():
     # matching pennies: value 0 at the even mixture
@@ -60,6 +52,52 @@ def test_matrix_game_dominates_simplex_grid():
         Q = rng.uniform(-1, 1, size=(3, 4))
         v_lp, _ = solve_matrix_game(Q)
         assert v_lp >= game_value_grid(Q, resolution=16) - 1e-12
+
+
+def _uniform_game(rng):
+    return rng.integers(-50_000, 50_001, (3, 4)) / 1e4      # [-5, 5] in steps of 1e-4
+
+
+def _sparse_game(rng):
+    """40% zeros, 30% small entries of 1e-4 to 3e-2, the rest up to 5: the
+    ties at 0 that once misled the ratio test's leaving-row rule."""
+    big = rng.integers(0, 50_001, (3, 4)) / 1e4
+    small = rng.integers(1, 301, (3, 4)) / 1e4
+    u = rng.random((3, 4))
+    return np.where(u < 0.4, 0.0, np.where(u < 0.7, small, big))
+
+
+@pytest.mark.parametrize("draw", [_uniform_game, _sparse_game], ids=["uniform", "sparse"])
+def test_matrix_game_value_on_seeded_games(draw):
+    rng = np.random.default_rng(16)
+    for _ in range(1000):
+        Q = draw(rng)
+        r, alpha = solve_matrix_game(Q)
+        exact = game_value_enum(Q)
+        assert abs(r - exact) <= 1e-9
+        assert float((Q @ alpha).min()) >= exact - 1e-9
+        assert r <= exact + 1e-12
+
+
+@pytest.mark.parametrize("Q, r, alpha", [
+    # the six distinct margin games the benchmark workloads solve
+    ([[1.0, 0.0, -1.0]], 1.0, [1, 0, 0]),
+    ([[-1.0, 0.0, 1.0]], 1.0, [0, 0, 1]),
+    ([[1.0, 0.0, -1.0] * 3], 1.0, [1] + [0] * 8),
+    ([[-1.0, 0.0, 1.0] * 3], 1.0, [0, 0, 1] + [0] * 6),
+    ([[1.0, -1.0]], 1.0, [1, 0]),
+    ([[-1.0, 1.0]], 1.0, [0, 1]),
+])
+def test_matrix_game_pins_benchmark_games(Q, r, alpha):
+    got_r, got_alpha = solve_matrix_game(Q)
+    assert got_r == r
+    assert got_alpha.tolist() == alpha
+
+
+def test_matrix_game_gap_names_shape(monkeypatch):
+    monkeypatch.setattr(simplex, "_run", lambda *args: None)
+    with pytest.raises(LpFailure, match=r"shape 2x3: duality gap inf exceeds 2e-09"):
+        solve_matrix_game([[1.0, 2.0, 0.0], [0.0, -1.0, 1.5]])
 
 
 # --- inward margins -------------------------------------------------------------
@@ -368,6 +406,7 @@ def test_matrix_game_value_property(Q):
     v_lp, alpha = solve_matrix_game(Q)
     assert abs(v_lp - game_value_enum(Q)) <= 1e-9
     assert float((Q @ alpha).min()) >= v_lp - 1e-9
+    assert v_lp <= game_value_enum(Q) + 1e-12
 
 
 _CIRCLE = np.column_stack([np.cos(np.arange(8) * math.pi / 4), np.sin(np.arange(8) * math.pi / 4)])
