@@ -271,6 +271,8 @@ def _grid_from(cfg: dict, p) -> GridSpec:
             max(2, int(round((p.box[d, 1] - p.box[d, 0]) / dx)) + 1) for d in range(p.n)
         )
         return GridSpec(p.box[:, 0], p.box[:, 1], shape, dt, cfg["t0"])
+    if cfg["points"] < 2:
+        raise ValueError(f"--points expects an integer >= 2, got {cfg['points']}")
     shape = (int(cfg["points"]),) * p.n
     dt = val.cell_crossing_dt(p, shape, cfg["t0"], cfg["level"])   # one step >= one cell
     return GridSpec(p.box[:, 0], p.box[:, 1], shape, dt, cfg["t0"])
@@ -414,6 +416,10 @@ class _Run:
         if relaxed not in self._fields:
             cfg, p = self.cfg, self.p
             horizon = _horizon_arg(cfg)
+            if not cfg["tol"] > 0:
+                raise ValueError(f"--tol expects a positive number, got {cfg['tol']}")
+            if cfg["mixture_grid"] < 1:
+                raise ValueError(f"--mixture-grid expects an integer >= 1, got {cfg['mixture_grid']}")
             try:
                 self._fields[relaxed] = val.solve_value(
                     p, p.lam, _grid_from(cfg, p), relaxed=relaxed,

@@ -8,17 +8,18 @@ rule.  A rule that has already evaluated the chosen control's velocity at
 the step's start hands that row to RK4 as its first stage, so the step
 costs one velocity evaluation fewer.  A march can be continued from a later
 step into given arrays, which is how the repair extends its projection one
-piece at a time in a single forward sweep.  Mixture velocities are realized
-by deterministic proportional multiplexing of their support controls across
-consecutive steps (discrete chattering); for the shipped benchmarks the
-optimal margin mixtures are pure controls and the multiplexer degenerates to
-a constant choice.
+piece, or one doubling chunk, at a time in a single forward sweep.  Mixture
+velocities are realized by deterministic proportional multiplexing of their
+support controls across consecutive steps (discrete chattering); for the
+shipped benchmarks the optimal margin mixtures are pure controls and the
+multiplexer degenerates to a constant choice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -471,6 +472,24 @@ def _measure_rho(p, times, states) -> float:
     return float(geo.distances_upper_along(p, times, states).max())
 
 
+def _march_while(p, t0, times, dt, choose, start, out, holds) -> bool:
+    """``_march`` continued into ``out`` in chunks of 1, 2, 4, ... steps while
+    ``holds(times, states)`` is true of each chunk's nodes, its start node
+    included.  ``out`` holds the start state in its first row and ``times``
+    its node times.  Returns False at the first chunk where ``holds`` fails,
+    with the steps after that chunk left unmarched."""
+    states, ctrl = out
+    a, size, steps = 0, 1, len(ctrl)
+    while a < steps:
+        b = min(a + size, steps)
+        _march(p, t0, states[a], b - a, dt, choose, start=start + a,
+               out=(states[a:b + 1], ctrl[a:b]))
+        if not holds(times[a:b + 1], states[a:b + 1]):
+            return False
+        a, size = b, 2 * size
+    return True
+
+
 def _case_push_and_replay(p, cert, cons, t_a, ref_states, rho_c, dt, level, games=None):
     """Insert the inward mixture for k*rho time, then replay the reference
     derivative with that time shift; project onto sampled controls."""
@@ -512,6 +531,11 @@ def nft_correct(
     piece the path follows the reference's velocities (nearest sampled
     velocity), marched one piece ahead of the sweep, and the running
     violation is the largest distance measured on that projection so far.
+    The violation is measured only while a push is still possible: once it
+    exceeds ``rho_bar``, and on a piece that starts deep inside, a projected
+    piece either passes or restarts.  Such a piece is marched in chunks of
+    1, 2, 4, ... steps and stops at the first chunk that cannot pass; the
+    restart overwrites it.  So a skipped tail or measurement cannot raise.
     The output shares the reference's start, is strictly inside on the open
     interval, and stays within ``beta * rho`` of the reference.
     """
@@ -553,17 +577,29 @@ def nft_correct(
     games: dict = {}               # margin games solved so far in this repair
     for ja, jb in zip(bounds[:-1], bounds[1:]):
         t_a = float(times[ja])
-        if project is not None:
-            _march(p, float(times[origin]), cur[ja], jb - ja, dt, project,
-                   start=ja - origin, out=(cur[ja:jb + 1], ctrl[ja:jb]))
-            have_ctrl[ja:jb] = True
-            rho_prev = max(rho_prev, _measure_rho(p, times[ja + 1:jb + 1], cur[ja + 1:jb + 1]))
-        piece_clear = _strictly_inside(p, times[ja:jb + 1], cur[ja:jb + 1])
         deep = geo.clearance_proxy(p, t_a, cur[ja]) > cons.eta_hat / 2
-        feas_now = geo.violations_along(p, times[ja:jb + 1], cur[ja:jb + 1]).max() <= geo.TOL_FEAS
-        if feas_now and (piece_clear or deep):
-            pieces["pass"] += 1
-            continue
+        projected = True   # whether cur[ja:jb + 1] holds the whole piece
+        if project is not None:
+            out = (cur[ja:jb + 1], ctrl[ja:jb])
+            have_ctrl[ja:jb] = True
+            if deep or rho_prev > cons.rho_bar:
+                # the piece passes or restarts: stop at the first chunk that
+                # cannot pass, and the restart overwrites it
+                holds = ((lambda ts, xs: geo.violations_along(p, ts, xs).max() <= geo.TOL_FEAS)
+                         if deep else partial(_strictly_inside, p))
+                projected = _march_while(p, float(times[origin]), times[ja:jb + 1], dt,
+                                         project, ja - origin, out, holds)
+            else:
+                _march(p, float(times[origin]), cur[ja], jb - ja, dt, project,
+                       start=ja - origin, out=out)
+            if projected and rho_prev <= cons.rho_bar:   # above rho_bar it cannot matter
+                rho_prev = max(rho_prev, _measure_rho(p, times[ja + 1:jb + 1], cur[ja + 1:jb + 1]))
+        if projected:
+            piece_clear = _strictly_inside(p, times[ja:jb + 1], cur[ja:jb + 1])
+            feas_now = geo.violations_along(p, times[ja:jb + 1], cur[ja:jb + 1]).max() <= geo.TOL_FEAS
+            if feas_now and (piece_clear or deep):
+                pieces["pass"] += 1
+                continue
         if deep or rho_prev > cons.rho_bar:
             # violation too large for the push construction: restart the piece
             # from a viable path with (numerically) zero violation

@@ -137,10 +137,16 @@ def test_unread_flag_prints_the_subcommands_usage(capsys):
      "--grid DX,DT expects 2 number(s) separated by commas, got '0.1'"),
     (["value", "solve", "--grid", "0,0.1"],
      "--grid DX,DT expects two positive finite steps, got '0,0.1'"),
+    (["value", "solve", "--points", "1"], "--points expects an integer >= 2, got 1"),
+    (["value", "solve", "--relaxed", "--mixture-grid", "0"],
+     "--mixture-grid expects an integer >= 1, got 0"),
+    (["value", "solve", "--tol", "0"], "--tol expects a positive number, got 0.0"),
 ])
 def test_malformed_value_names_its_option(argv, message, capsys):
     """These once printed ``could not convert string to float: 'abc'``,
-    ``not enough values to unpack`` and an ``OverflowError`` traceback."""
+    ``not enough values to unpack``, an ``OverflowError`` traceback,
+    ``degenerate grid`` after a divide-by-zero warning, ``mixture resolution
+    must be >= 1`` and ``tol and dt must be positive``."""
     assert cli.run(argv) == 1
     assert _capture(capsys) == {"error": message}
 
