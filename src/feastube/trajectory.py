@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -585,8 +584,11 @@ def nft_correct(
             if deep or rho_prev > cons.rho_bar:
                 # the piece passes or restarts: stop at the first chunk that
                 # cannot pass, and the restart overwrites it
-                holds = ((lambda ts, xs: geo.violations_along(p, ts, xs).max() <= geo.TOL_FEAS)
-                         if deep else partial(_strictly_inside, p))
+                def holds(ts, xs):
+                    if deep:
+                        return geo.violations_along(p, ts, xs).max() <= geo.TOL_FEAS
+                    return _strictly_inside(p, ts, xs)
+
                 projected = _march_while(p, float(times[origin]), times[ja:jb + 1], dt,
                                          project, ja - origin, out, holds)
             else:

@@ -200,17 +200,20 @@ def test_piece_counts_cover_every_piece(moving_wall, mw_cert, mw_nft_constants):
     branch, and the projection that follows it, is checked against it."""
     t_cross = math.pi + math.asin(0.25)
     hold = [1] * 1000
-    # 0.002 above the wall's lowest level: under rho_bar, so the push case
-    # with every projected piece marched and measured; 0.05 above it: over
-    # rho_bar, so the piece restarts from a viable path, and the projection
-    # of the next piece stops at the first node that cannot pass
+    # 0.002 above the wall's lowest level: under rho_bar, so the push case;
+    # 0.05 above it: over rho_bar, so the piece restarts from a viable path,
+    # and the projection of the next piece stops at its first chunk that
+    # cannot pass
     refs = [(t_cross - 1.0, 0.902, hold, "push"), (t_cross - 1.0, 0.95, hold, "restart")]
     # from the wall's lowest point: a peak 0.0005 over the wall, a fall 0.15
-    # deep, then a rise over the rising wall: push, passes (the deep ones
-    # marched chunk by chunk to their end), push
+    # deep, then a rise 0.0022 over the rising wall: push, passes (the deep
+    # ones marched chunk by chunk to their end), push.  The two steps held
+    # after the first peak leave the projection 0.002 below the reference,
+    # so a push that read unprojected nodes would differ.
     t_low = 1.5 * math.pi
-    peaks = [1] * 120 + [2] * 10 + [0] * 150 + [1] * 250 + [2] * 267 + [0] * 60 + [1] * 143
-    refs.append((t_low, 1 + 0.4 * math.sin(t_low + 0.13) + 0.0005 - 0.01, peaks, "push"))
+    peaks = [1] * 110 + [2] * 10 + [1] * 2 + [0] * 150 + [1] * 250 + [2] * 267 + [0] * 60
+    peaks += [1] * (1000 - len(peaks))
+    refs.append((t_low, 1 + 0.4 * math.sin(t_low + 0.12) + 0.0005 - 0.01, peaks, "push"))
     for t0, x0, schedule, branch in refs:
         ref = tj.integrate(moving_wall, t0, [x0], schedule, 1000, 1e-3)
         res = _same_repair(moving_wall, mw_cert, ref, mw_nft_constants)
