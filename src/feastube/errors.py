@@ -96,6 +96,10 @@ class GridTooCoarse(FeastubeError, RuntimeError):
     pass
 
 
+class NonFiniteCost(FeastubeError, ValueError):
+    pass
+
+
 class OutOfGrid(FeastubeError, ValueError):
     pass
 

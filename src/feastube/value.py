@@ -3,7 +3,7 @@
 The infinite-horizon cost is truncated at a horizon where the closed-form
 tail envelope drops below a tolerance; the terminal value is zero and the
 certified tail bound travels with the field.  Infeasible nodes carry the
-+inf sentinel, and spatial interpolation clips to +inf whenever a stencil
++inf sentinel, which flows through spatial interpolation whenever a stencil
 corner is infeasible, so feasibility information propagates exactly.
 
 The relaxed variant minimizes over simplex mixtures of up to n+1 sampled
@@ -15,8 +15,8 @@ points, given as per-axis coordinate arrays, into terms: each point's
 contributing corners in corner order, as flat indices into the slice and
 weights, with pads that mark a point off the grid or short of terms.
 ``_apply_stencil`` gathers a slice padded by ``_padded`` once for all terms
-and adds them in order, +inf wherever a term reads a value that is not
-finite.  ``evaluate_value`` builds the terms of its points once for both
+and adds them in order; +inf at a node or pad flows through the weighted
+sum.  ``evaluate_value`` builds the terms of its points once for both
 bracketing slices.
 
 Each backward step interpolates once per distinct candidate velocity array:
@@ -47,7 +47,7 @@ from itertools import combinations, product
 import numpy as np
 
 from . import geometry as geo
-from .errors import DiscountTooSmall, GridTooCoarse, OutOfGrid
+from .errors import DiscountTooSmall, GridTooCoarse, NonFiniteCost, OutOfGrid
 from .problem import ProblemDefinition
 
 Array = np.ndarray
@@ -256,8 +256,8 @@ def _terms(axes: tuple[Array, ...], coords) -> tuple[Array, Array]:
     add in corner order and a point needs as many terms as it has
     contributing corners.  ``flat`` indexes the flattened slice extended by
     two pads (``_padded``): a point with fewer contributing corners than
-    terms reads pad ``P`` (0.0, finite) in the rest, and a point off the
-    grid reads pad ``P + 1`` (not finite) in the first.
+    terms reads pad ``P`` (0.0) at weight 0 in the rest, and a point off the
+    grid reads pad ``P + 1`` (+inf) at its first corner's weight, above 1e-15.
     """
     sizes = tuple(len(a) for a in axes)
     P = math.prod(sizes)
@@ -283,26 +283,23 @@ def _terms(axes: tuple[Array, ...], coords) -> tuple[Array, Array]:
     return flat_k[:K].copy(), w_k[:K].copy()
 
 
-def _padded(slice_vals: Array) -> tuple[Array, Array]:
-    """``_apply_stencil``'s ``vals`` and ``ok`` for a slice of any shape, read
-    flat: the slice with 0.0 at its nodes that are not finite, then the pads
-    0.0 and 0.0; its finiteness, then True and False."""
-    flat = slice_vals.ravel()
-    P = len(flat)
-    ok = np.ones(P + 2, dtype=bool)
-    ok[P + 1] = False
-    np.isfinite(flat, out=ok[:P])
-    vals = np.zeros(P + 2)
-    np.copyto(vals[:P], flat, where=ok[:P])
-    return vals, ok
+_PADS = np.array([0.0, np.inf])     # pads P and P + 1 of every padded slice
 
 
-def _apply_stencil(terms: tuple[Array, Array], vals: Array, ok: Array) -> Array:
+def _padded(slice_vals: Array) -> Array:
+    """``_apply_stencil``'s ``vals`` for a slice of any shape, read flat: the
+    slice with +inf at its nodes that are not finite (NaN and -inf too), then
+    the pads 0.0 and +inf."""
+    vals = np.concatenate((slice_vals.ravel(), _PADS))
+    vals[~(vals > -np.inf)] = np.inf
+    return vals
+
+
+def _apply_stencil(terms: tuple[Array, Array], vals: Array) -> Array:
     """The interpolation of one slice, padded by ``_padded``, at the points of
-    ``terms`` (``_terms``): +inf wherever a term reads a node that is not
-    finite or pad ``P + 1``.  A term that reads pad ``P`` adds +0.0.  Each of
-    ``vals`` and ``ok`` is gathered once, for all terms; the weighted terms
-    add one by one, in term order.
+    ``terms`` (``_terms``), gathered once and added term by term in order.  A
+    term that reads +inf weighs above 1e-15, so the sum is +inf there and no
+    ``inf * 0`` or ``inf - inf`` arises; a term that reads pad ``P`` adds +0.0.
     """
     flat, w = terms
     part = vals.take(flat)
@@ -310,7 +307,7 @@ def _apply_stencil(terms: tuple[Array, Array], vals: Array, ok: Array) -> Array:
     total = np.zeros(w.shape[1:])
     for term in part:
         total += term
-    return np.where(np.logical_and.reduce(ok.take(flat), axis=0), total, np.inf)
+    return total
 
 
 def _interp_clipped(axes: tuple[Array, ...], grid_vals: Array, pts: Array) -> Array:
@@ -319,7 +316,7 @@ def _interp_clipped(axes: tuple[Array, ...], grid_vals: Array, pts: Array) -> Ar
     point leaves the grid by more than 1e-9 of a step.  Fractions within
     1e-9 of a node snap to it, and corners of weight at or below 1e-15 do
     not contribute."""
-    return _apply_stencil(_terms(axes, pts.T), *_padded(grid_vals))
+    return _apply_stencil(_terms(axes, pts.T), _padded(grid_vals))
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,10 +390,9 @@ def evaluate_value(field: ValueField, t: float, x) -> float:
         ax = field.axes[d]
         raise OutOfGrid(f"x={x[j].tolist()} outside the grid along axis {d}, "
                         f"[{float(ax[0])}, {float(ax[-1])}]")
-    out = _apply_stencil(terms, *_padded(field.values[i]))
-    if fr > 0.0:
-        v1 = _apply_stencil(terms, *_padded(field.values[i + 1]))
-        out = np.where(np.isfinite(out) & np.isfinite(v1), (1 - fr) * out + fr * v1, np.inf)
+    out = _apply_stencil(terms, _padded(field.values[i]))
+    if fr > 0.0:                          # 0 < fr < 1: +inf in either slice stays +inf
+        out = (1 - fr) * out + fr * _apply_stencil(terms, _padded(field.values[i + 1]))
     return float(out[0]) if out.size == 1 else out
 
 
@@ -508,7 +504,7 @@ def _backstep(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed,
     padded = _padded(next_slice)
     best = None
     for chunk, chunk_terms in zip(groups.chunks, terms):
-        low = (cost[chunk] + _apply_stencil(chunk_terms, *padded)).min(axis=0)
+        low = (cost[chunk] + _apply_stencil(chunk_terms, padded)).min(axis=0)
         best = low if best is None else np.minimum(best, low, out=best)
     best[~feas_now] = np.inf
     return best
@@ -649,6 +645,9 @@ def solve_value(
         # nodes means a feasible node without a finite candidate
         if np.count_nonzero(np.isfinite(vals)) != n_feas[i]:
             j = int(np.flatnonzero(feas[i] & ~np.isfinite(vals))[0])
+            if not vals[j] > 0.0:         # NaN or -inf: interpolation gives neither, the cost did
+                raise NonFiniteCost(f"running cost of {p.name} at feasible node {nodes[j]} at "
+                                    f"t={t} is not finite: {p.costs(t, nodes[j], level).tolist()}")
             raise GridTooCoarse(
                 f"feasible node {nodes[j]} at t={t} has no stencil-feasible velocity; "
                 + _coarse_hint(p, axes, constrained, grid.dt, t, nodes[j], level)

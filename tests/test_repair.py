@@ -223,6 +223,43 @@ def test_piece_counts_cover_every_piece(moving_wall, mw_cert, mw_nft_constants):
     assert res.pieces == {"pass": 11, "push": 2, "restart": 0}
 
 
+def test_push_reads_the_violation_measured_on_the_projection(monkeypatch):
+    """A static wall under state-dependent velocity, crossed twice: out for
+    51 steps, in for 11, out for 14, then in.  The start is set so that the
+    larger crossing, the second, violates by just under 3 dt / k_shift,
+    where the push length ceil(k_shift rho / dt) goes from 3 steps to 4.
+    The projection from the first push runs about 0.5% of rho outside the
+    reference at the second crossing, so that push takes 4 steps: only a
+    sweep that measures the violation on projected pieces gets it right."""
+    normal = np.array([math.cos(5.5), math.sin(5.5)])
+    p = _wall_problem(normal, 1.0, 0.0, sway=True)
+    ver = ipc.verify_ipc(p, (0.0, 2 * math.pi), r_min=0.3, delta=0.5, n_time=24, n_dirs=8)
+    steps, dt, t0 = 400, 1e-3, 0.1606428205481547
+    cons = tj.derive_nft_constants(p, ver.certificate, steps * dt)
+    un = p.controls.at(t0, 0) @ normal
+    out, into = int(np.argmax(un)), int(np.argmin(un))
+    schedule = ([out] * 51 + [into] * 11 + [out] * 14 + [into] * steps)[:steps]
+    target = 3 * dt / cons.k_shift * (1 - 1e-3)
+    x0 = 0.9 * normal
+    for _ in range(8):
+        ref = tj.integrate(p, t0, x0, schedule, steps, dt)
+        x0 = x0 - (np.max(ref.states @ normal - 1.0) - target) * normal
+    ref = tj.integrate(p, t0, x0, schedule, steps, dt)
+    measured = []
+    measure = tj._measure_rho
+    monkeypatch.setattr(tj, "_measure_rho",
+                        lambda *a: measured.append(measure(*a)) or measured[-1])
+    res = _same_repair(p, ver.certificate, ref, cons)
+    _assert_guarantees(p, ref, res)
+    assert res.pieces == {"pass": 78, "push": 2, "restart": 0}
+    assert math.ceil(cons.k_shift * res.rho_in / dt) == 3
+    # the first value is the reference's own violation; the projection's is
+    # above it and below rho_bar, and it lengthens the second push
+    assert measured[0] == res.rho_in
+    assert res.rho_in < max(measured[1:]) <= cons.rho_bar
+    assert math.ceil(cons.k_shift * max(measured[1:]) / dt) == 4
+
+
 # --- random affine moving walls ------------------------------------------------------
 
 def _wall_problem(normal, a, b, sway):

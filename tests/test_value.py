@@ -14,6 +14,7 @@ from feastube.errors import (
     GridMismatch,
     GridTooCoarse,
     NonFiniteConstraint,
+    NonFiniteCost,
     OutOfGrid,
 )
 
@@ -229,6 +230,23 @@ def test_grid_too_coarse_names_the_short_axis(corridor):
             "or refine axis 1 to a step of at most 0.05") in msg
 
 
+def test_nonfinite_running_cost_is_named_not_grid_too_coarse(hover):
+    # a cost that is NaN or -inf near x = 0 reaches the node 0 at the first
+    # backstep; the sweep names the cost there, not the grid
+    def spoiled(bad):
+        def cost(t, x, u):
+            near = np.abs(np.asarray(x, dtype=float)[..., 0]) < 0.01
+            return np.where(near, bad, hover.running_cost(t, x, u))
+        return dataclasses.replace(hover, running_cost=cost)
+
+    for bad, relaxed in ((np.nan, False), (np.nan, True), (-np.inf, False)):
+        p = spoiled(bad)
+        with pytest.raises(NonFiniteCost) as err:
+            val.solve_value(p, p.lam, val.grid_for(p, 61, 0.01), relaxed=relaxed, horizon=0.1)
+        assert (f"running cost of hover-1d at feasible node [0.] at t=0.09 is not finite: "
+                f"[{bad}, {bad}]") in str(err.value)
+
+
 # --- evaluation ---------------------------------------------------------------------
 
 def test_evaluate_exact_node(moving_wall):
@@ -383,19 +401,17 @@ def test_interpolation_matches_pointwise_reference(shape):
     assert np.array_equal(got, want)
     # the backstep's terms of the feet of all shifts at once, as one row per
     # group and as full rows, and of each shift alone
-    ok = np.isfinite(grid.ravel())
-    vals = np.concatenate([np.where(ok, grid.ravel(), 0.0), [0.0, 0.0]])
-    ok = np.concatenate([ok, [True, False]])
+    vals = val._padded(grid)
 
     def feet_terms(vel):
         return val._terms(axes, np.moveaxis(nodes + 0.1 * vel, -1, 0))
 
-    assert np.array_equal(val._apply_stencil(feet_terms(V[:, None]), vals, ok), want)
+    assert np.array_equal(val._apply_stencil(feet_terms(V[:, None]), vals), want)
     rows = np.broadcast_to(V[:, None], (len(V),) + nodes.shape)
-    assert np.array_equal(val._apply_stencil(feet_terms(rows), vals, ok), want)
+    assert np.array_equal(val._apply_stencil(feet_terms(rows), vals), want)
     assert len(feet_terms(V[6:18, None])[0]) == 1      # node hits: one corner each
     for v, row in zip(V, want):
-        assert np.array_equal(val._apply_stencil(feet_terms(v[None, None]), vals, ok)[0], row)
+        assert np.array_equal(val._apply_stencil(feet_terms(v[None, None]), vals)[0], row)
     # the cases reach finite values, infeasible corners and out-of-grid feet
     assert np.isfinite(want[:-2]).any(axis=1).all() and np.isinf(want[:-2]).any()
     assert np.isinf(want[-2]).all()
@@ -424,6 +440,63 @@ def test_interpolation_matches_pointwise_reference(shape):
         assert np.isfinite(want[:len(inside)]).any() and np.isinf(want[:len(inside)]).any()
     # the NaN corners turn points that are finite on the first slice to +inf
     assert (np.isfinite(wants[0]) & np.isinf(wants[1])).any()
+
+
+_NODE_VALUES = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([np.inf, -np.inf, np.nan]))
+
+
+@st.composite
+def _slices_and_points(draw):
+    """Axes of one to three dimensions, two slices whose nodes mix finite
+    values, +inf, -inf and NaN, and points inside the grid, on or within
+    1e-9 of a step of a node, and up to one step beyond the grid."""
+    n = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(2, 5)) for _ in range(n))
+    axes = tuple(np.linspace(lo, lo + step * (s - 1), s) for s, lo, step in zip(
+        shape, draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)),
+        draw(st.lists(st.floats(0.05, 1.5), min_size=n, max_size=n))))
+    size = math.prod(shape)
+    slices = np.array(draw(st.lists(_NODE_VALUES, min_size=2 * size, max_size=2 * size)))
+    m = draw(st.integers(1, 12))
+    pts = np.empty((m, n))
+    for d, ax in enumerate(axes):
+        last = len(ax) - 1
+        at = st.one_of(
+            st.floats(-1.0, last + 1.0),
+            st.integers(0, last).map(float),
+            st.tuples(st.integers(0, last), st.floats(-2e-9, 2e-9)).map(sum),
+        )
+        pts[:, d] = ax[0] + (ax[1] - ax[0]) * np.array(draw(st.lists(at, min_size=m, max_size=m)))
+    return axes, slices.reshape((2,) + shape), pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_slices_and_points())
+def test_interpolation_matches_pointwise_reference_on_any_slice(case):
+    # every corner mixture a cell can hold (finite, +inf, -inf, NaN), on and
+    # off nodes and beyond the grid, through both entry points
+    axes, slices, pts = case
+    field = val.ValueField(relaxed=False, lam=1.0, t0=0.5, dt=0.25, T=0.75, axes=axes,
+                           values=slices, tail_bound=0.0, a1=0.0, a2=0.0, x0_bound=0.0,
+                           problem_name="slices", level=0, mixture_grid=1)
+    wants = [interp_clipped_pointwise(axes, s, pts) for s in slices]
+    for s, want in zip(slices, wants):
+        assert val._interp_clipped(axes, s, pts).tobytes() == want.tobytes()
+    out = np.zeros(len(pts), dtype=bool)
+    for ax, x in zip(axes, pts.T):
+        step = ax[1] - ax[0]
+        out |= (x < ax[0] - 1e-9 * step) | (x > ax[-1] + 1e-9 * step)
+    inside = pts[~out]
+    # t = 0.625 lies halfway between the slices: fr = 0.5 exactly
+    both = np.isfinite(wants[0]) & np.isfinite(wants[1])
+    mid = np.where(both, 0.5 * wants[0] + 0.5 * wants[1], np.inf)
+    for t, want in ((0.5, wants[0]), (0.75, wants[1]), (0.625, mid)):
+        if len(inside):
+            got = np.asarray(val.evaluate_value(field, t, inside), dtype=float).reshape(-1)
+            assert got.tobytes() == want[~out].tobytes()
+        if out.any():
+            with pytest.raises(OutOfGrid):
+                val.evaluate_value(field, t, pts)
 
 
 # --- backstep against the per-candidate reference ------------------------------------
@@ -699,6 +772,28 @@ def test_stencils_built_once_per_solve(corridor, monkeypatch):
                              horizon=horizon)
     assert steps == once
     assert np.array_equal(first.values, second.values)
+
+
+def test_sweep_pads_once_per_slice_and_applies_once_per_chunk(corridor, monkeypatch):
+    # the next slice is padded once per backstep and each chunk's terms are
+    # applied once: a per-term mask or pad copy would add calls here
+    calls = {"_padded": 0, "_apply_stencil": 0}
+    for name in calls:
+        monkeypatch.setattr(val, name, lambda *a, real=getattr(val, name), name=name:
+                            calls.__setitem__(name, calls[name] + 1) or real(*a))
+    g = _small_grid(corridor, 0.3, 1.2, 11)
+    nodes = g.nodes()
+    _, f_all = corridor.velocities(g.t0, nodes)
+    for relaxed, mg in ((False, 1), (True, 4)):
+        W = val._mixture_matrix(len(f_all), 3, mg)
+        distinct = len(np.unique(np.tensordot(W, f_all, axes=(1, 0))[:, 0], axis=0))
+        chunks = _chunk_sizes(distinct, len(nodes))
+        calls.update(_padded=0, _apply_stencil=0)
+        f = val.solve_value(corridor, corridor.lam, g, relaxed=relaxed, mixture_grid=mg,
+                            horizon=g.t0 + 6 * g.dt)
+        nt = f.values.shape[0] - 1
+        assert nt == 6 and calls == {"_padded": nt, "_apply_stencil": nt * len(chunks)}
+    assert len(chunks) > 1
 
 
 def test_velocities_met_once_build_no_stencil(monkeypatch):
