@@ -68,16 +68,21 @@ def _bisect(holds, s_in, s_out, iters: int) -> Array:
     """Batched bisection of parameters from ``s_in``, where ``holds`` is true,
     and ``s_out``, where it is false (the two broadcast to one shape).
 
-    Each of the ``iters`` levels halves every bracket with one call of
+    Each of up to ``iters`` levels halves every bracket with one call of
     ``holds`` on the array of midpoints, which says where it holds.  Returns
-    the final parameters where it holds.
+    the final parameters where it holds, after the first level that moves
+    no bracket end: every later level would repeat it exactly.
     """
     s_in, s_out = (np.array(s, dtype=float) for s in np.broadcast_arrays(s_in, s_out))
+    ends = None
     for _ in range(iters):
         mid = 0.5 * (s_in + s_out)
         ok = np.asarray(holds(mid))
         np.copyto(s_in, mid, where=ok)
         np.copyto(s_out, mid, where=~ok)
+        before, ends = ends, (s_in.tobytes(), s_out.tobytes())
+        if ends == before:
+            break
     return s_in
 
 

@@ -13,6 +13,16 @@ velocities are realized by deterministic proportional multiplexing of their
 support controls across consecutive steps (discrete chattering); for the
 shipped benchmarks the optimal margin mixtures are pure controls and the
 multiplexer degenerates to a constant choice.
+
+States have one to a few components, where a numpy call costs far more in
+dispatch than in arithmetic.  So each step's own arithmetic (RK4's stage
+points, its combination and blow-up test, the nearest-velocity mismatches
+and ties, the viability rule's tube test) runs on Python floats, while the
+velocity, cost and constraint kernels shared with the value sweep still take
+arrays.  The paths stay bit for bit those of the array code: IEEE ``+``,
+``*``, ``/`` and ``sqrt`` round the same in Python as in numpy when applied in
+the same order, and the float code keeps numpy's order, down to the order in
+which ``add.reduce`` sums a row (``_pairwise_sum``).
 """
 
 from __future__ import annotations
@@ -121,17 +131,39 @@ def _rk4_step(f: Callable, t: float, x: Array, u: Array, dt: float,
     when ``f`` computes each row alone (the convention in ``problem``); an
     ``f`` that does not still gives a step within ``TOL_ODE`` of the one
     evaluated here.
+
+    ``x`` is the ``(n,)`` state.  The stage points and the final combination
+    are formed on Python floats, component by component, in numpy's order
+    of operations (``((k1 + 2 k2) + 2 k3) + k4``, times ``dt / 6``, plus
+    ``x``): IEEE ``+`` and ``*`` round the same either way, so the step
+    equals the array expression bit for bit without a numpy dispatch per
+    operation on a 1- or 2-element state.  Each stage velocity is first
+    broadcast to ``x``'s shape, as the array expression would, so no
+    component is dropped.  ``f`` still sees arrays.
     """
     half = dt / 2
     t_half = t + half
-    k1 = np.asarray(f(t, x, u) if k1 is None else k1, dtype=float)
-    k2 = np.asarray(f(t_half, x + half * k1, u), dtype=float)
-    k3 = np.asarray(f(t_half, x + half * k2, u), dtype=float)
-    k4 = np.asarray(f(t + dt, x + dt * k3, u), dtype=float)
-    out = x + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.maximum.reduce(np.abs(out)) <= 1e12:  # NaN fails the comparison too
+    xs = x.tolist()
+    a = _components(f(t, x, u) if k1 is None else k1, x.shape)
+    b = _components(f(t_half, np.array([xi + half * ki for xi, ki in zip(xs, a)]), u), x.shape)
+    c = _components(f(t_half, np.array([xi + half * ki for xi, ki in zip(xs, b)]), u), x.shape)
+    d = _components(f(t + dt, np.array([xi + dt * ki for xi, ki in zip(xs, c)]), u), x.shape)
+    sixth = dt / 6
+    out = [xi + sixth * (ai + 2 * bi + 2 * ci + di)
+           for xi, ai, bi, ci, di in zip(xs, a, b, c, d)]
+    # every component, so that a NaN anywhere fails (max() would skip one)
+    if not all(abs(v) <= 1e12 for v in out):
         raise NonFiniteState(f"state blow-up near t={t}")
-    return out
+    return np.array(out)
+
+
+def _components(k, shape: tuple) -> list:
+    """A stage velocity as a list of floats, broadcast to the state's shape
+    as the array arithmetic would (a shape that does not broadcast raises)."""
+    k = np.asarray(k, dtype=float)
+    if k.shape != shape:
+        k = np.broadcast_to(k, shape)
+    return k.tolist()
 
 
 def _check_grid(dt: float, steps: int = 1) -> None:
@@ -160,12 +192,12 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float,
     if out is None:
         out = np.empty((steps + 1, p.n)), np.empty((steps, p.controls.dim))
     states, ctrl = out
-    states[0] = np.asarray(x0, dtype=float).reshape(-1)
+    states[0] = x = np.asarray(x0, dtype=float).reshape(-1)
     for i, j in enumerate(range(start, start + steps)):
         t = t0 + j * dt
-        u, k1 = choose(j, t, states[i])
+        u, k1 = choose(j, t, x)
         ctrl[i] = u
-        states[i + 1] = _rk4_step(p.f, t, states[i], u, dt, k1)
+        states[i + 1] = x = _rk4_step(p.f, t, x, u, dt, k1)
     return states, ctrl
 
 
@@ -196,9 +228,39 @@ def integrate_controls(p: ProblemDefinition, t0: float, x0, controls, dt: float)
 # velocity selection
 # ---------------------------------------------------------------------------
 
-def _row_norms(d: Array) -> Array:
-    """``np.linalg.norm(d, axis=1)`` as numpy computes it, without its dispatch."""
-    return np.sqrt(np.add.reduce(d * d, axis=1))
+def _row_norms(squares: list) -> list:
+    """``np.linalg.norm(D, axis=1)`` bit for bit, from the columns of ``D * D``
+    as lists of floats: each row's squares are summed in numpy's order, and
+    ``math.sqrt`` rounds as ``np.sqrt`` does."""
+    return [math.sqrt(s) for s in _pairwise_sum(squares)]
+
+
+def _add(a: list, b: list) -> list:
+    return [x + y for x, y in zip(a, b)]
+
+
+def _pairwise_sum(terms: list) -> list:
+    """Elementwise sum of equal-length lists of nonnegative floats in the
+    order of numpy's ``add.reduce``: one running sum below 8 terms, 8
+    interleaved running sums combined pairwise up to 128, halves split at a
+    multiple of 8 beyond."""
+    n = len(terms)
+    if n < 8:
+        total = terms[0]   # numpy starts from 0, which changes no sum of squares
+        for c in terms[1:]:
+            total = _add(total, c)
+        return total
+    if n > 128:
+        h = n // 2 - n // 2 % 8
+        return _add(_pairwise_sum(terms[:h]), _pairwise_sum(terms[h:]))
+    end = n - n % 8
+    r = terms[:8]
+    for i in range(8, end, 8):
+        r = [_add(a, b) for a, b in zip(r, terms[i:i + 8])]
+    total = _add(_add(_add(r[0], r[1]), _add(r[2], r[3])), _add(_add(r[4], r[5]), _add(r[6], r[7])))
+    for c in terms[end:]:
+        total = _add(total, c)
+    return total
 
 
 def _select_control(p, t, x, target_v, z_next, dt, level):
@@ -206,15 +268,27 @@ def _select_control(p, t, x, target_v, z_next, dt, level):
 
     Ties in velocity mismatch are broken by proximity of the induced next
     position to the target path node (this is what lets opposing controls
-    cancel drift around an unrealizable target), then by lowest index.
+    cancel drift around an unrealizable target), then by lowest index.  The
+    mismatches and the ties are computed on Python floats in numpy's order
+    (``_row_norms``).  A NaN velocity raises ``NonFiniteState``: no nearest
+    velocity can be told apart from it.
     """
     u, vels = p.velocities(t, x, level)
-    mism = _row_norms(vels - target_v)
-    tie = (mism <= np.minimum.reduce(mism) + 1e-12).nonzero()[0]
-    if tie.size > 1:
-        pos = _row_norms(x + dt * vels[tie] - z_next)
-        tie = tie[pos <= pos.min() + 1e-12]
-    i = int(tie[0])
+    cols = vels.T.tolist()
+    mism = _row_norms([[(v - w) * (v - w) for v in c] for c, w in zip(cols, target_v.tolist())])
+    if math.isnan(sum(mism)):          # mismatches are >= 0, so only a NaN makes NaN
+        i = next(i for i, m in enumerate(mism) if math.isnan(m))
+        raise NonFiniteState(f"velocity of control {u[i].tolist()} at t={t}, x={x.tolist()} "
+                             f"is not finite: {vels[i].tolist()}")
+    lo = min(mism) + 1e-12
+    tie = [i for i, m in enumerate(mism) if m <= lo]
+    if len(tie) > 1:
+        diffs = [[xc + dt * c[i] - zc for i in tie]
+                 for c, xc, zc in zip(cols, x.tolist(), z_next.tolist())]
+        pos = _row_norms([[d * d for d in c] for c in diffs])
+        lo = min(pos) + 1e-12
+        tie = [i for i, q in zip(tie, pos) if q <= lo]
+    i = tie[0]
     return u[i], vels[i]
 
 
@@ -222,6 +296,7 @@ def _nearest_rule(p, x0: Array, w: Array, dt: float, level: int) -> Callable:
     """Step rule of the projection: the sampled velocity nearest ``w[j]``,
     ties toward the target path ``z[j + 1] = x0 + dt * sum_{i <= j} w[i]``."""
     z = x0 + np.vstack([np.zeros(w.shape[1]), np.cumsum(w * dt, axis=0)])
+    w = np.broadcast_to(w, (len(w), p.n))   # a one-column target spans the state
     return lambda j, t, x: _select_control(p, t, x, w[j], z[j + 1], dt, level)
 
 
@@ -300,17 +375,18 @@ def viable_trajectory(
     trig = tube_radius
     if trig is None:
         trig = min(cert.eta, 1.5 * (p.data.M + p.data.omega_lip) * dt)
-    near = -trig * np.maximum(p.grad_bounds(), 1e-12)   # h_i at or above: in the tube
-    m = p.m
+    # h_i at or above its entry: in the tube
+    near = (-trig * np.maximum(p.grad_bounds(), 1e-12)).tolist()
     mux = _MixtureMultiplexer(1)
     games = {} if games is None else games
 
     def choose(j, t, x):
         hv = geo.eval_constraints(p, t, x)
-        viol = float(hv.max()) if m else -math.inf
+        hs = hv.tolist()   # finite: constraint_values raises on a non-finite h
+        viol = max(hs, default=-math.inf)
         if viol > geo.TOL_FEAS:
             raise ViabilityLost(f"feasibility lost at t={t} (max h = {viol:.3e}); dt too coarse?")
-        if m and bool((hv >= near).any()):
+        if any(h >= c for h, c in zip(hs, near)):
             mr, u, vels = _margin(p, t, x, hv, cert.delta, level, games)
             if math.isfinite(mr.r) and mr.r <= 0:
                 raise ViabilityLost(f"nonpositive inward margin at t={t}")

@@ -645,9 +645,12 @@ def solve_value(
         # nodes means a feasible node without a finite candidate
         if np.count_nonzero(np.isfinite(vals)) != n_feas[i]:
             j = int(np.flatnonzero(feas[i] & ~np.isfinite(vals))[0])
-            if not vals[j] > 0.0:         # NaN or -inf: interpolation gives neither, the cost did
+            costs = p.costs(t, nodes[j], level)
+            # interpolation gives +inf at worst: a NaN or -inf value came from
+            # a cost, and a +inf one is the cost's, not the grid's, when a cost is +inf
+            if not np.isfinite(costs).all():
                 raise NonFiniteCost(f"running cost of {p.name} at feasible node {nodes[j]} at "
-                                    f"t={t} is not finite: {p.costs(t, nodes[j], level).tolist()}")
+                                    f"t={t} is not finite: {costs.tolist()}")
             raise GridTooCoarse(
                 f"feasible node {nodes[j]} at t={t} has no stencil-feasible velocity; "
                 + _coarse_hint(p, axes, constrained, grid.dt, t, nodes[j], level)

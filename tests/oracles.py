@@ -183,6 +183,17 @@ def segment_refine_loop(p, t, x, y, iters=60):
     return x + hi * (y - x)
 
 
+def bisect_all_levels(holds, s_in, s_out, iters):
+    """Batched bisection that runs every one of its ``iters`` levels."""
+    s_in, s_out = (np.array(s, dtype=float) for s in np.broadcast_arrays(s_in, s_out))
+    for _ in range(iters):
+        mid = 0.5 * (s_in + s_out)
+        ok = np.asarray(holds(mid))
+        np.copyto(s_in, mid, where=ok)
+        np.copyto(s_out, mid, where=~ok)
+    return s_in
+
+
 def distances_upper_loop(p, times, states):
     """Per-node bisection from a violating node toward the anchor (50 levels)."""
     out = np.zeros(len(times))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from feastube import geometry as geo
 from feastube import problem as pb
+from feastube import trajectory as tj
 from feastube.errors import EmptySourceSet, InfeasibleInput, NonFiniteConstraint
 
 import oracles
@@ -176,6 +177,42 @@ def test_distance_projection_failed_on_empty_set():
                        anchor=lambda t: np.array([0.0]))
     with pytest.raises(ProjectionFailed):
         geo.distance_to_omega(p, 0.0, [0.0], budget=64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(thr=st.lists(st.floats(-0.5, 1.5) | st.sampled_from([0.0, 0.5, 1.0, 1 / 3]),
+                    min_size=1, max_size=6),
+       hi=st.sampled_from([1.0, 0.078125, math.pi, 1e-300]),
+       iters=st.sampled_from([1, 5, 50, 200]))
+def test_bisect_equals_the_run_of_every_level(thr, hi, iters):
+    """Stopping at the first level that moves no bracket end changes no
+    bracket: the result is the one of all ``iters`` levels, byte for byte.
+    A bracket closing on a point at or above ``hi / 8`` stops moving within
+    60 levels (53 bits of mantissa and 3 of exponent); one closing on 0
+    runs down through the subnormals."""
+    thr = hi * np.array(thr)
+    calls = []
+
+    def holds(s):
+        calls.append(None)
+        return s <= thr
+
+    got = geo._bisect(holds, np.zeros(len(thr)), hi, iters)
+    want = oracles.bisect_all_levels(lambda s: s <= thr, np.zeros(len(thr)), hi, iters)
+    assert got.tobytes() == want.tobytes()
+    assert len(calls) <= min(iters, 60 if thr.min() >= hi / 8 else iters)
+
+
+@pytest.mark.parametrize("name", ["moving_wall", "corridor", "hover", "quadratic"])
+def test_nft_constants_equal_the_run_of_every_level(name, request, monkeypatch):
+    """The ledger's step cap bisects to the same double as the 200-level run."""
+    p = request.getfixturevalue(name)
+    cert = request.getfixturevalue({"moving_wall": "mw_cert"}.get(name, f"{name}_cert"))
+    for interval in (1.0, 2.0, 8.0):
+        got = tj.derive_nft_constants(p, cert, interval)
+        with monkeypatch.context() as m:
+            m.setattr(geo, "_bisect", oracles.bisect_all_levels)
+            assert tj.derive_nft_constants(p, cert, interval) == got
 
 
 @pytest.mark.parametrize("name", pb.registered_problems())

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feastube import geometry as geo
 from feastube import ipc
@@ -19,7 +21,15 @@ from feastube.simplex import solve_matrix_game
 
 import oracles
 from oracles import best_feasible_tracking
-from util import affine_constraint, drift_problem, simple_problem, sway_problem, zero_cost
+from util import (
+    affine_constraint,
+    drift_problem,
+    drift_velocity,
+    simple_problem,
+    sway_problem,
+    sway_walls,
+    zero_cost,
+)
 
 
 # --- integration -----------------------------------------------------------------
@@ -67,6 +77,42 @@ def test_rk4_step_rejects_nan_state():
 
     with pytest.raises(NonFiniteState, match="blow-up"):
         tj._rk4_step(f, 0.0, np.zeros(1), np.zeros(1), 0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rk4_step_rejects_nonfinite_second_component(bad):
+    # only the last component goes bad: a test that reduces with max() and
+    # meets a NaN after a finite value drops it
+    def f(t, x, u):
+        return np.array([0.0, bad])
+
+    with pytest.raises(NonFiniteState, match="blow-up"):
+        tj._rk4_step(f, 0.0, np.zeros(2), np.zeros(2), 0.1)
+    with pytest.raises(NonFiniteState, match="blow-up"):
+        tj._rk4_step(f, 0.0, np.zeros(2), np.zeros(2), 0.1, k1=np.zeros(2))
+
+
+# k / prime: no short binary fraction, so products with it round
+_TIMES = st.integers(0, 7000).map(lambda k: k / 997)
+_STEPS = st.integers(1, 2000).map(lambda k: k / 19937)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), kind=st.sampled_from(["sway", "drift"]),
+       t=_TIMES, dt=_STEPS, with_k1=st.booleans(), data=st.data())
+def test_rk4_step_matches_loop_reference(n, kind, t, dt, with_k1, data):
+    """One step equals the loop reference's byte for byte, for a velocity
+    that varies in x and t (sway) or in t alone (drift), with k1 evaluated
+    in the step or handed in as a row of a batch of controls."""
+    f = sway_problem().f if kind == "sway" else drift_velocity(n)
+    coords = st.lists(st.floats(-1.9, 1.9), min_size=n, max_size=n)
+    x = np.array(data.draw(coords))
+    u = np.array(data.draw(coords)) / 1.9
+    k1 = np.asarray(f(t, x, u[None, :]), dtype=float)[0] if with_k1 else None
+    got = tj._rk4_step(f, t, x, u, dt, k1)
+    want = oracles.rk4_step(f, t, x, u, dt)
+    assert got.shape == want.shape == (n,)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
@@ -454,6 +500,81 @@ def test_projection_matches_loop_reference_when_f_varies(name):
               np.tile(0.7 * p.controls.at(t0)[-1] + 0.05, (steps, 1))):
         _assert_same_path(tj.filippov_project(p, t0, x0, w, steps, dt),
                           *oracles.filippov_project_loop(p, t0, x0, w, steps, dt))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 17, 128, 129, 300])
+def test_row_norms_equal_numpy_bit_for_bit(n):
+    """The float mismatch norm sums squares in numpy's order for any state
+    size: one running sum below 8 terms, pairwise blocks from 8 on."""
+    D = np.random.default_rng(n).standard_normal((6, n)) * np.logspace(-3, 3, n)
+    got = tj._row_norms((D * D).T.tolist())
+    assert np.array(got).tobytes() == np.linalg.norm(D, axis=1).tobytes()
+
+
+_SELECTING = {**_PROJECTED, "corridor-2d": lambda: pb.get_problem("corridor-2d")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_SELECTING)), t=_TIMES, dt=_STEPS,
+       target=st.sampled_from(["random", "midpoint"]),
+       z_next=st.sampled_from(["random", "along"]), data=st.data())
+def test_select_control_matches_loop_reference(name, t, dt, target, z_next, data):
+    """The nearest-velocity rule picks the loop reference's control row, also
+    for a target exactly between two sampled velocities, where the tie is
+    broken by the next position and then by the lowest index."""
+    p = _SELECTING[name]()
+    coords = st.lists(st.floats(-1.4, 1.4), min_size=p.n, max_size=p.n)
+    x = np.array(data.draw(coords))
+    _, vels = p.velocities(t, x)
+    if target == "random":
+        w = np.array(data.draw(coords))
+    else:
+        pair = st.lists(st.integers(0, len(vels) - 1), min_size=2, max_size=2, unique=True)
+        a, b = data.draw(pair)
+        w = (vels[a] + vels[b]) / 2
+    z = x + dt * w if z_next == "along" else np.array(data.draw(coords))
+    u, v = tj._select_control(p, t, x, w, z, dt, 0)
+    want = oracles.nearest_control(p, t, x, w, z, dt, 0)
+    assert u.tobytes() == want.tobytes()
+    assert v.tobytes() == np.asarray(p.f(t, x, want), dtype=float).tobytes()
+
+
+def _drift_walls():
+    """``drift-2d`` between two walls ``|y - 0.2 sin t| <= 1``."""
+    walls = (affine_constraint("upper", [0.0, 1.0], lambda t: -(1.0 + 0.2 * np.sin(t))),
+             affine_constraint("lower", [0.0, -1.0], lambda t: -(1.0 - 0.2 * np.sin(t))))
+    return dataclasses.replace(drift_problem(2), constraints=walls, name="drift-walls-2d")
+
+
+@pytest.mark.parametrize("make", [sway_walls, _drift_walls], ids=["sway-walls", "drift-walls"])
+def test_viable_trajectory_matches_loop_reference_when_f_varies(make):
+    """The viability rule reproduces the loop reference bit for bit when f
+    depends on x and t (sway) or on t (drift), starting just inside the
+    upper wall while it moves down."""
+    p = make()
+    cert = ipc.verify_ipc(p, (0.0, 2 * math.pi), r_min=0.05, delta=0.5,
+                          n_time=24, n_dirs=8).certificate
+    t0, dt = 2.0, 0.01
+    xb = max(geo.sample_boundary_points(p, t0, 8), key=lambda q: q[-1])
+    x0 = xb - 0.03 * np.eye(p.n)[-1]
+    for radius in (None, 0.06):
+        traj = tj.viable_trajectory(p, cert, t0, x0, t0 + 1.0, dt, tube_radius=radius)
+        _assert_same_path(traj, *oracles.viable_trajectory_loop(
+            p, cert, t0, x0, t0 + 1.0, dt, tube_radius=radius))
+        # the rule acted: some steps left the default control
+        assert np.any(np.abs(traj.controls - p.default_control).max(axis=1) > 0)
+
+
+def test_nonfinite_sampled_velocity_is_named():
+    """A NaN among the sampled velocities stops the nearest-velocity rule
+    with the time, the state and the control row, not an IndexError."""
+    def f(t, x, u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u < 0, np.nan, 0.0) + u + 0.0 * np.asarray(x, dtype=float)
+
+    p = simple_problem(f, zero_cost, name="nan-velocity")
+    with pytest.raises(NonFiniteState, match=r"control \[-1\.0\] at t=0\.0, x=\[0\.0\]"):
+        tj.filippov_project(p, 0.0, [0.0], np.full((10, 1), 1.0), 10, 0.01)
 
 
 def _batch_dependent_problem():

@@ -231,15 +231,16 @@ def test_grid_too_coarse_names_the_short_axis(corridor):
 
 
 def test_nonfinite_running_cost_is_named_not_grid_too_coarse(hover):
-    # a cost that is NaN or -inf near x = 0 reaches the node 0 at the first
-    # backstep; the sweep names the cost there, not the grid
+    # a cost that is NaN or +-inf near x = 0 reaches the node 0 at the first
+    # backstep; the sweep names the cost there, not the grid.  (A relaxed
+    # sweep mixes a +-inf cost with weight 0 into NaN, which numpy warns of.)
     def spoiled(bad):
         def cost(t, x, u):
             near = np.abs(np.asarray(x, dtype=float)[..., 0]) < 0.01
             return np.where(near, bad, hover.running_cost(t, x, u))
         return dataclasses.replace(hover, running_cost=cost)
 
-    for bad, relaxed in ((np.nan, False), (np.nan, True), (-np.inf, False)):
+    for bad, relaxed in ((np.nan, False), (np.nan, True), (-np.inf, False), (np.inf, False)):
         p = spoiled(bad)
         with pytest.raises(NonFiniteCost) as err:
             val.solve_value(p, p.lam, val.grid_for(p, 61, 0.01), relaxed=relaxed, horizon=0.1)

@@ -138,18 +138,26 @@ def sway_walls():
     return dataclasses.replace(sway_problem(), constraints=walls)
 
 
-def drift_problem(n):
-    """Velocity ``0.7 u + (0.1 sin t, 0.05)`` (first entry alone in 1-D): the
-    same at every node, changing with time, and not dyadic, so that mixture
-    weights such as 1/3 give products that round.  The 1-D problem keeps the
-    three default controls; the 2-D one has 9 random controls, one near each
-    point of {-0.9, 0, 0.9}^2, so that every corner of the box has an inward
-    velocity.  No constraints: every node is feasible."""
-    drift = np.array([0.0, 0.05])[:n]
+def drift_velocity(n):
+    """``0.7 u + (0.1 sin t, 0.05, -0.03)``, cut to its first ``n`` entries
+    (``n <= 3``): the same at every node, changing with time."""
+    drift = np.array([0.0, 0.05, -0.03])[:n]
 
     def f(t, x, u):
         shift = drift + np.where(np.arange(n) == 0, 0.1 * np.sin(t), 0.0)
         return 0.7 * np.asarray(u, dtype=float) + shift + 0.0 * np.asarray(x, dtype=float)
+
+    return f
+
+
+def drift_problem(n):
+    """Velocity ``drift_velocity(n)`` for ``n`` of 1 or 2: not dyadic, so
+    that mixture weights such as 1/3 give products that round.
+    The 1-D problem keeps the three default controls; the 2-D one has 9
+    random controls, one near each point of {-0.9, 0, 0.9}^2, so that every
+    corner of the box has an inward velocity.  No constraints: every node is
+    feasible."""
+    f = drift_velocity(n)
 
     def cost(t, x, u):
         x = np.asarray(x, dtype=float)[..., 0]
