@@ -35,7 +35,7 @@ but not bit-identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
@@ -237,6 +237,7 @@ class ProblemDefinition:
     default_control: Array
     anchor: Callable[[float], Array]
     box: Array
+    _grad_bounds: Array = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.lam <= 0:
@@ -248,6 +249,9 @@ class ProblemDefinition:
         box.setflags(write=False)
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        gb = np.array([c.grad_bound for c in self.constraints], dtype=float)
+        gb.setflags(write=False)
+        object.__setattr__(self, "_grad_bounds", gb)
 
     @property
     def m(self) -> int:
@@ -298,7 +302,8 @@ class ProblemDefinition:
         return out
 
     def grad_bounds(self) -> Array:
-        return np.array([c.grad_bound for c in self.constraints], dtype=float)
+        """``grad_bound`` of every constraint, read-only, built once."""
+        return self._grad_bounds
 
 
 def _per_control(fn, t, X, u: Array, tail: tuple) -> Array:

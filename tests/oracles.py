@@ -5,7 +5,9 @@ enumerates equalizing square subsystems and simplex grids instead of running
 a simplex method; the value oracle walks the full control tree; the repair
 oracle enumerates every coarse control sequence; the geometry references
 evaluate one constraint at one point at a time and bisect one ray at a time,
-and the value sweep's feasibility takes one call per time slice;
+the reduction references take numpy's max and min over the trailing
+constraint axis, and the value sweep's feasibility takes one call per time
+slice;
 the step-loop references write out one RK4 loop per trajectory construction;
 the repair reference re-projects the whole tail after every corrected piece;
 the backstep reference builds its candidates one control at a time and
@@ -169,6 +171,22 @@ def clearance_loop(p, times, states):
                 for c in p.constraints]
         out.append(min(vals) if vals else np.inf)
     return np.array(out)
+
+
+def worst_trailing_axis(p, t, X):
+    """max_i h_i as numpy's reduction over the trailing constraint axis.
+
+    Unlike ``max_h``, it keeps numpy's sign of a tie between zeros: Python's
+    ``max(-0.0, 0.0)`` is -0.0, numpy's is 0.0."""
+    return p.constraint_values(t, X).max(axis=-1, initial=-np.inf)
+
+
+def clearance_trailing_axis(p, t, x):
+    """min_i (-h_i) / grad_bound_i as numpy's reduction over the trailing axis;
+    a float for one point."""
+    gb = np.maximum([c.grad_bound for c in p.constraints], 1e-12)
+    clear = np.min(-p.constraint_values(t, x) / gb, axis=-1, initial=np.inf)
+    return float(clear) if clear.ndim == 0 else clear
 
 
 def segment_refine_loop(p, t, x, y, iters=60):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -252,6 +253,97 @@ def test_geometry_matches_scalar_references(name):
             continue
         y = oracles.segment_refine_loop(p, float(t), x, a)
         assert geo.distance_upper(p, float(t), x) == float(np.linalg.norm(y - x))
+
+
+# Constraint values a reduction must keep exactly: zeros of both signs, so
+# that ties come in both orders, the smallest subnormals and magnitudes near
+# the top of the double range.  Not 1e308: ``constraint_values`` proves its
+# values finite by their sum, which warns once finite values sum past the
+# double range.  Times scale the values, -0.0 and 0.0 included.
+_EDGE_VALUES = (-0.0, 0.0, 1.0, -1.0, 5e-324, -5e-324, 1e305, -1e305)
+_EDGE_TIMES = (1.0, -1.0, 0.5, 0.0, -0.0)
+
+
+def _coordinate_walls(m, grad_bounds=(1.0, 1.0, 1.0)):
+    """``m`` walls on R^max(m, 1), wall i being ``x_i * t``: at t = 1 a point's
+    coordinates are its constraint values.  m = 0 is the constraint-free
+    problem."""
+    def wall(i, gb):
+        return pb.ConstraintFunction(
+            h=lambda t, x: np.asarray(x, dtype=float)[..., i] * t,
+            grad=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
+            holder_theta=0.5, holder_const=0.0, grad_bound=gb, name=f"x{i}")
+
+    return simple_problem(unit_velocity, zero_cost, n=max(m, 1),
+                          constraints=[wall(i, gb) for i, gb in zip(range(m), grad_bounds)])
+
+
+def _assert_same_bytes(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _assert_reductions_match(p, t, X):
+    """``_worst``, ``violations_along``, ``feasible_mask`` and
+    ``clearance_proxy`` equal numpy's trailing-axis reductions byte for byte,
+    types included."""
+    worst = oracles.worst_trailing_axis(p, t, X)
+    _assert_same_bytes(geo._worst(p, t, X), worst)
+    _assert_same_bytes(geo.violations_along(p, t, X),
+                       oracles.worst_trailing_axis(p, np.asarray(t, dtype=float), X))
+    _assert_same_bytes(geo.feasible_mask(p, t, X), worst <= geo.TOL_FEAS)
+    _assert_same_bytes(geo.clearance_proxy(p, t, X), oracles.clearance_trailing_axis(p, t, X))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(0, 3),
+       grad_bounds=st.lists(st.sampled_from([1.0, 1.5, 3.0]), min_size=3, max_size=3),
+       layout=st.sampled_from(["point", "rows", "rows-times", "slices"]),
+       size=st.integers(1, 70), slices=st.integers(1, 4), data=st.data())
+def test_reductions_equal_the_trailing_axis_reductions(m, grad_bounds, layout, size, slices,
+                                                       data):
+    """The worst-constraint and clearance reductions equal numpy's max and
+    min over the trailing constraint axis byte for byte, so a tie between
+    -0.0 and 0.0 keeps numpy's sign (``maxh`` prints it).  Leads: one point,
+    N rows (N on both sides of the SIMD width) at one time or at N times,
+    and T slices of P points with times of shape (T, 1), as the sweep asks."""
+    p = _coordinate_walls(m, grad_bounds)
+    n = p.n
+
+    def draw(pool, count):
+        return np.array(data.draw(st.lists(st.sampled_from(pool), min_size=count,
+                                           max_size=count)), dtype=float)
+
+    pts = draw(_EDGE_VALUES, size * n).reshape(size, n)
+    if layout == "point":
+        t, X = data.draw(st.sampled_from(_EDGE_TIMES)), pts[0]
+    elif layout == "rows":
+        t, X = data.draw(st.sampled_from(_EDGE_TIMES)), pts
+    elif layout == "rows-times":
+        t, X = draw(_EDGE_TIMES, size), pts
+    else:
+        t, X = draw(_EDGE_TIMES, slices)[:, None], pts[None]
+    _assert_reductions_match(p, t, X)
+    if layout == "point":
+        assert type(geo.clearance_proxy(p, t, X)) is float
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_reductions_keep_numpys_sign_of_a_zero_tie(m):
+    """Every row of -0.0, 0.0 and -1.0, as one batch and one point at a time.
+    numpy's max and min return the later of two tied zeros, where Python's
+    ``max(-0.0, 0.0)`` returns the first."""
+    p = _coordinate_walls(m)
+    rows = np.array(list(itertools.product([-0.0, 0.0, -1.0], repeat=m)))
+    _assert_reductions_match(p, 1.0, rows)
+    for x in rows:
+        _assert_reductions_match(p, 1.0, x)
+    if m == 2:
+        ties = np.array([[-0.0, 0.0], [0.0, -0.0]])
+        assert np.signbit(geo._worst(p, 1.0, ties)).tolist() == [False, True]
+        assert np.signbit(geo.clearance_proxy(p, 1.0, ties)).tolist() == [True, False]
 
 
 def _time_scalar_only(name):
