@@ -19,6 +19,7 @@ from util import (
     constant_cost_problem,
     drift_problem,
     simple_problem,
+    steady_sway_problem,
     sway_problem,
     two_wall_1d,
     unit_velocity,
@@ -264,7 +265,7 @@ def test_kernel_matches_per_point_and_per_control_calls(name):
 _ROWWISE = {
     **{name: (lambda name=name: pb.get_problem(name)) for name in pb.registered_problems()},
     "const-cost-1d": constant_cost_problem, "thin-corridor-1d": two_wall_1d,
-    "x2u": x2u_problem, "sway-1d": sway_problem,
+    "x2u": x2u_problem, "sway-1d": sway_problem, "steady-sway-1d": steady_sway_problem,
     "drift-1d": lambda: drift_problem(1), "drift-2d": lambda: drift_problem(2),
 }
 
@@ -272,7 +273,8 @@ _ROWWISE = {
 @st.composite
 def _rowwise_cases(draw):
     """A problem (each one above, or 2-D walls with random coefficients), a
-    time, a batch of points in its box and per-point times."""
+    time, a batch of points in its box, per-point times and a block of one
+    to six times."""
     name = draw(st.sampled_from(sorted(_ROWWISE) + ["random-walls-2d"]))
     if name == "random-walls-2d":
         coeff = st.floats(-2, 2, allow_subnormal=False)
@@ -287,7 +289,8 @@ def _rowwise_cases(draw):
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     X = p.box[:, 0] + rng.random((P, p.n)) * (p.box[:, 1] - p.box[:, 0])
-    return p, draw(st.floats(0, 7)), X, rng.uniform(0, 7, P)
+    block = rng.uniform(0, 7, draw(st.integers(1, 6)))
+    return p, draw(st.floats(0, 7)), X, rng.uniform(0, 7, P), block
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,9 +298,13 @@ def _rowwise_cases(draw):
 def test_batched_rows_equal_rows_evaluated_alone(case):
     """Each row of a batched evaluation is byte for byte the row evaluated
     alone: constraint values over a batch of points (at one time and at
-    per-point times), and velocity row j against f(t, x, u_j).  The repair's
-    RK4 reuses the chosen velocity row as its first stage on this basis."""
-    p, t, X, ts = case
+    per-point times), velocity row j against f(t, x, u_j), and the
+    velocities and running costs of a block of times, with f given t of
+    shape (T, 1, 1) and the cost t of shape (T, 1) on the points broadcast to
+    (T, P, n), against each time's own call.  The repair's RK4 reuses the
+    chosen velocity row as its first stage on this basis, and the value
+    sweep evaluates its slices in blocks of times."""
+    p, t, X, ts, block = case
     H, Ht = p.constraint_values(t, X), p.constraint_values(ts, X)
     for q, x in enumerate(X):
         assert H[q].tobytes() == p.constraint_values(t, x).tobytes()
@@ -305,6 +312,13 @@ def test_batched_rows_equal_rows_evaluated_alone(case):
         u, V = p.velocities(t, x)
         for j, uj in enumerate(u):
             assert V[j].tobytes() == np.asarray(p.f(t, x, uj), dtype=float).tobytes()
+    XT = np.broadcast_to(X, block.shape + X.shape)
+    _, VT = p.velocities(block[:, None, None], XT)
+    CT = p.costs(block[:, None], XT)
+    for i, ti in enumerate(block):
+        u, V = p.velocities(ti, X)
+        assert VT[:, i].tobytes() == V.tobytes()
+        assert CT[:, i].tobytes() == p.costs(ti, X, 0, u).tobytes()
 
 
 def test_assumptions_failures_monotone_in_density():
