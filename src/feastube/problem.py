@@ -12,19 +12,23 @@ Dynamics, costs, constraint values and gradients must broadcast over leading
 axes: ``f(t, X, U)`` with ``X`` of shape ``(..., n)`` and ``U`` of shape
 ``(..., d)`` returns shape ``(..., n)``.  A constraint ``h(t, X)`` must also
 broadcast over an array ``t`` whose shape broadcasts against the leading axes
-of ``X``, returning exactly that broadcast shape.  The shipped benchmarks
-follow these conventions.  Only ``ProblemDefinition`` methods evaluate the
+of ``X``, returning exactly that broadcast shape.  So must the running cost
+``L(t, X, U)``, and ``f`` over such a ``t`` with a trailing axis appended
+(the value sweep evaluates a block of time slices in one call); one that
+does not raises ``ValueError`` naming it.  The shipped benchmarks follow
+these conventions.  Only ``ProblemDefinition`` methods evaluate the
 data: ``velocities`` and ``costs`` put the sampled controls on a leading axis
 (``(k, ..., n)`` and ``(k, ...)``), ``constraint_values`` stacks every ``h``
 on a last axis.  A result of the wrong shape raises ``ValueError``; a
 non-finite constraint value, ``-inf`` included, raises ``NonFiniteConstraint``.
 
 Each row of a batched evaluation should be byte for byte the same row
-evaluated alone: row ``j`` of ``velocities(t, x)`` is ``f(t, x, u_j)``, and
+evaluated alone: row ``j`` of ``velocities(t, x)`` is ``f(t, x, u_j)``,
 each point's row of ``constraint_values`` over a batch is that point's
-values.  The repair march reuses the chosen velocity row as RK4's first
-stage, and the batched geometry kernels stand in for per-point loops, on
-this basis.  Elementwise numpy code has it.  A BLAS product such as
+values, and each time's rows of ``velocities`` and ``costs`` over a block of
+times are that time's own call.  The repair march reuses the chosen velocity
+row as RK4's first stage, and the batched geometry kernels and the value
+sweep's blocks stand in for per-point and per-slice loops, on this basis.  Elementwise numpy code has it.  A BLAS product such as
 ``x @ c`` may round a row differently in a batch; ``(x * c).sum(axis=-1)``
 does not.  The shipped walls keep ``x @ c``, because their coefficients
 are 0 and +-1: every product is exact, so no summation order can change a
@@ -176,6 +180,8 @@ class ControlSamples:
     sampler: Callable[[float, int], Array]
 
     def at(self, t: float, level: int = 0) -> Array:
+        if getattr(t, "ndim", 0):
+            raise ValueError(f"control samples are drawn at one time, got t of shape {t.shape}")
         u = np.atleast_2d(np.asarray(self.sampler(t, int(level)), dtype=float))
         if u.size == 0:
             raise EmptyControlSet(f"no control samples at t={t}, level={level}")
@@ -257,18 +263,24 @@ class ProblemDefinition:
     def m(self) -> int:
         return len(self.constraints)
 
-    def velocities(self, t: float, X, level: int = 0) -> tuple[Array, Array]:
+    def velocities(self, t, X, level: int = 0, u: Array | None = None) -> tuple[Array, Array]:
         """Sampled controls and their velocities at points ``X`` of shape
-        ``(..., n)``: ``(k, d)`` and ``(k, ..., n)``; one point gives ``(k, n)``."""
-        u = self.controls.at(t, level)
-        return u, _per_control(self.f, t, X, u, (self.n,))
+        ``(..., n)``: ``(k, d)`` and ``(k, ..., n)``; one point gives ``(k, n)``.
 
-    def costs(self, t: float, X, level: int = 0, u: Array | None = None) -> Array:
-        """Running costs of the sampled controls at points ``X`` of shape
-        ``(..., n)``: ``(k, ...)``.  A caller that holds the samples from
-        ``velocities`` at the same ``(t, level)`` passes them as ``u``."""
+        ``t`` is a scalar, or an array broadcasting against the leading axes
+        of ``X`` together with the samples ``u`` that all its times share;
+        ``f`` then receives ``t`` with a trailing axis, so that it broadcasts
+        against ``x``.  A caller that holds the samples at the same
+        ``(t, level)`` passes them as ``u``."""
         u = self.controls.at(t, level) if u is None else u
-        return _per_control(self.running_cost, t, X, u, ())
+        return u, _per_control(self.f, t, X, u, (self.n,), "f", self.name)
+
+    def costs(self, t, X, level: int = 0, u: Array | None = None) -> Array:
+        """Running costs of the sampled controls at points ``X`` of shape
+        ``(..., n)``: ``(k, ...)``.  ``t`` and ``u`` are as for
+        ``velocities``; the cost receives an array ``t`` as it is."""
+        u = self.controls.at(t, level) if u is None else u
+        return _per_control(self.running_cost, t, X, u, (), "running cost", self.name)
 
     def constraint_values(self, t, X) -> Array:
         """``h_i(t, X)`` stacked on a last axis: ``X`` of shape ``(..., n)`` gives ``(..., m)``.
@@ -306,10 +318,23 @@ class ProblemDefinition:
         return self._grad_bounds
 
 
-def _per_control(fn, t, X, u: Array, tail: tuple) -> Array:
+def _per_control(fn, t, X, u: Array, tail: tuple, what: str, name: str) -> Array:
     """``fn(t, X, u_j)`` for every control row, controls on a leading axis,
-    assigned into a fresh array (a result that does not broadcast raises)."""
+    assigned into a fresh array (a result that does not broadcast raises).
+    An array ``t`` broadcasts against the leading axes of ``X`` and reaches
+    ``fn`` with ``tail``'s axes appended; a ``fn`` that fails over it raises
+    ValueError naming it as ``what`` of problem ``name``."""
     X = np.asarray(X, dtype=float)
+    if getattr(t, "ndim", 0):
+        lead = np.broadcast_shapes(t.shape, X.shape[:-1])
+        out = np.empty(u.shape[:1] + lead + tail)
+        u = u.reshape(u.shape[:1] + (1,) * len(lead) + u.shape[1:])
+        try:
+            out[...] = fn(t.reshape(t.shape + (1,) * len(tail)), X, u)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{what} of {name} does not broadcast over t of shape {t.shape} and x of "
+                             f"shape {X.shape}: {exc}") from exc
+        return out
     out = np.empty(u.shape[:1] + X.shape[:-1] + tail)
     if X.ndim > 1:
         u = u.reshape(u.shape[:1] + (1,) * (X.ndim - 1) + u.shape[1:])

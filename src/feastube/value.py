@@ -14,10 +14,10 @@ Every spatial interpolation goes through one kernel.  ``_terms`` turns
 points, given as per-axis coordinate arrays, into terms: each point's
 contributing corners in corner order, as flat indices into the slice and
 weights, with pads that mark a point off the grid or short of terms.
-``_apply_stencil`` gathers a slice padded by ``_padded`` once for all terms
-and adds them in order; +inf at a node or pad flows through the weighted
-sum.  ``evaluate_value`` builds the terms of its points once for both
-bracketing slices.
+``_apply_stencil`` gathers a slice followed by the pads 0.0 and +inf (as
+``_padded`` pads a copy) once for all terms and adds them in order; +inf at
+a node or pad flows through the weighted sum.  ``evaluate_value`` builds the
+terms of its points once for both bracketing slices.
 
 Each backward step interpolates once per distinct candidate velocity array:
 candidates whose velocity arrays have equal bytes share one interpolation
@@ -33,8 +33,15 @@ keep one row per group.
 
 A sweep decides the feasibility of every node at every time slice before
 it steps: one constraint-kernel call per chunk of whole slices, of at most
-``_FEAS_CHUNK`` points each.  Each slice then pays only for the work that
-depends on its values.
+``_FEAS_CHUNK`` points each.  It evaluates the dynamics and the running
+cost the same way, one ``velocities`` and one ``costs`` call per block of
+slices whose control samples are equal, of at most ``_FEAS_CHUNK`` velocity
+values (``_sweep_rows``); each block also decides, for all its slices,
+whether a slice's velocities repeat the last slice's and whether a feasible
+node's cost is not finite.  The sweep keeps its slices end to end in one
+array, and each step pads the next slice in place.  Each slice then pays
+only for the work that depends on the next slice's values: mixing, the
+stencil apply and the minimum.
 """
 
 from __future__ import annotations
@@ -454,10 +461,22 @@ def _groups(vel: Array, P: int) -> _Groups:
     return _Groups(vel, merges, [reps[lo:lo + per_call] for lo in range(0, len(reps), per_call)])
 
 
+@dataclass(eq=False)
+class _Rows:
+    """What a backstep needs of its own slice that does not depend on the
+    next one (``_sweep_rows``)."""
+
+    f_all: Array          # (k, P, n) velocities of the sampled controls
+    cost: Array           # (k, P) their running costs
+    seen: bool            # f_all has the bytes of the slice stepped before
+    bad: int | None = None    # the first feasible node with a non-finite cost
+
+
 def _backstep(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed,
-              mixture_grid, memo=None):
+              mixture_grid, memo=None, rows=None):
     """Minimum over candidates of discounted running cost plus the next slice
     interpolated at the candidate's foot point; +inf off ``feas_now``.
+    ``next_slice`` is the next slice padded as ``_padded`` pads it.
 
     Candidates with equal velocity arrays share their foot points, so each
     such group is interpolated once, against its per-node minimum cost.  This
@@ -465,49 +484,90 @@ def _backstep(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed,
     interpolated together, ``_INTERP_CHUNK`` points at a time, each chunk's
     terms built from its feet (``_terms``).
 
-    The sweep's ``memo`` (one grid and dt) holds the last sampled velocities
-    and their groups, and serves a slice whose sampled velocities have the
-    same bytes.  Such a slice stores each chunk's terms in the groups, and
-    later slices apply them; a slice that meets its velocities for the first
-    time builds its terms without storing them.  Groups whose mixture
-    velocities are the same at every node keep one row each.  Without a
-    ``memo`` (one slice alone) every term is built.
+    ``rows`` holds the slice's velocities and costs from the sweep
+    (``_sweep_rows``); the plain sweep's cost rows are scaled in place.
+    Without ``rows`` they are evaluated at ``t`` alone.  The sweep's ``memo``
+    (one grid and dt) holds the groups of the last velocities met, and serves
+    a slice whose velocities have the same bytes.  Such a slice stores each
+    chunk's terms in the groups, and later slices apply them; a slice that
+    meets its velocities for the first time builds its terms without storing
+    them.  Groups whose mixture velocities are the same at every node keep
+    one row each.
     """
     memo = {} if memo is None else memo
-    u, f_all = p.velocities(t, nodes, level)
-    W = _mixture_matrix(len(f_all), p.n + 1, mixture_grid) if relaxed else None
-    last = memo.get("f_all")
-    seen = (last is not None and last.shape == f_all.shape
-            and bool((last.view(np.uint64) == f_all.view(np.uint64)).all()))
-    if seen:
+    if rows is None:
+        u, f_all = p.velocities(t, nodes, level)
+        rows = _Rows(f_all, p.costs(t, nodes, level, u), False)
+    W = _mixture_matrix(len(rows.f_all), p.n + 1, mixture_grid) if relaxed else None
+    if rows.seen:
         groups = memo["groups"]
     else:
         memo.clear()                      # drop the last groups before forming these
-        f = _mix(W, f_all)             # a product over one row may round differently
+        f = _mix(W, rows.f_all)        # a product over one row may round differently
         groups = _groups(f[:, :1].copy() if _node_independent(f) else f, nodes.shape[0])
         del f
-        memo.update(f_all=f_all, groups=groups)
+        memo["groups"] = groups
     terms = groups.terms
     if terms is None:
         terms = (_terms(axes, np.moveaxis(nodes + dt * groups.vel[chunk], -1, 0))
                  for chunk in groups.chunks)
-        if seen:                          # met again: store them, before the costs exist
+        if rows.seen:                     # met again: store them, before the costs exist
             terms = groups.terms = list(terms)
-    # formed after grouping, when a node-independent set's full velocity
+    # mixed after grouping, when a node-independent set's full velocity
     # mixtures are already dropped: the two never coexist
-    cost = _mix(W, p.costs(t, nodes, level, u))
+    cost = _mix(W, rows.cost)
     cost *= math.exp(-lam * t)            # disc * L * dt, rounded in that order
     cost *= dt
     for g, r in groups.merges:
         np.minimum(cost[g], cost[r], out=cost[g])
 
-    padded = _padded(next_slice)
     best = None
     for chunk, chunk_terms in zip(groups.chunks, terms):
-        low = (cost[chunk] + _apply_stencil(chunk_terms, padded)).min(axis=0)
+        low = (cost[chunk] + _apply_stencil(chunk_terms, next_slice)).min(axis=0)
         best = low if best is None else np.minimum(best, low, out=best)
     best[~feas_now] = np.inf
     return best
+
+
+def _sweep_rows(p: ProblemDefinition, times: Array, nodes: Array, feas: Array, level: int):
+    """``(i, _Rows)`` for every slice ``i`` of ``times`` (T,), latest first,
+    from one ``velocities`` and one ``costs`` call per block of slices.
+
+    ``ControlSamples.at`` runs once per time, and a block holds only times
+    whose samples have equal bytes, at most ``_FEAS_CHUNK`` velocity values.
+    Each block also decides, once for all its slices, whether a slice's
+    velocities have the bytes of the slice stepped before it (the one after
+    it in time) and which feasible node (``feas`` (T, P)) first has a
+    non-finite cost.  Each slice's rows are contiguous, as one slice's own
+    call gives them.
+    """
+    P, n = nodes.shape
+    hi, u = len(times), None
+    last = None                           # the velocities of the slice stepped last
+    while hi > 0:
+        u = p.controls.at(float(times[hi - 1]), level) if u is None else u
+        per_block = max(1, _FEAS_CHUNK // (len(u) * P * n))
+        lo, nxt = hi - 1, None
+        while lo > max(0, hi - per_block):
+            nxt = p.controls.at(float(times[lo - 1]), level)
+            if nxt.shape != u.shape or nxt.tobytes() != u.tobytes():
+                break
+            lo, nxt = lo - 1, None
+        block = times[lo:hi, None]
+        X = np.broadcast_to(nodes, (hi - lo, P, n))
+        F = np.ascontiguousarray(np.moveaxis(p.velocities(block, X, level, u)[1], 1, 0))
+        C = np.ascontiguousarray(np.moveaxis(p.costs(block, X, level, u), 1, 0))
+        bits = F.reshape(hi - lo, -1).view(np.uint64)
+        seen = np.empty(hi - lo, dtype=bool)
+        seen[:-1] = (bits[:-1] == bits[1:]).all(axis=1)
+        seen[-1] = (last is not None and last.shape == F[-1].shape
+                    and bool((last.view(np.uint64) == F[-1].view(np.uint64)).all()))
+        last = F[0]                       # rebound now, so that the last block is freed
+        bad = feas[lo:hi] & ~np.isfinite(C).all(axis=1)
+        first = np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
+        for j in range(hi - lo - 1, -1, -1):
+            yield lo + j, _Rows(F[j], C[j], bool(seen[j]), None if first[j] < 0 else int(first[j]))
+        hi, u = lo, nxt
 
 
 def _axis_speeds(p: ProblemDefinition, t: float, x: Array, level: int) -> Array:
@@ -609,7 +669,15 @@ def solve_value(
     fastest sampled speed along each constrained axis times ``dt`` at or
     above that axis's space step when constraints sweep the grid), and
     ValueError when a feasible node lies within ``M*dt`` of the box edge
-    along a constrained axis (``_check_margin``).
+    along a constrained axis (``_check_margin``).  Raises NonFiniteCost,
+    naming the node and time, when a sampled control's running cost is NaN
+    or infinite at a feasible node, at that slice's turn in the sweep: a
+    GridTooCoarse at a later time is met first.
+
+    ``f`` and the running cost are evaluated for a block of slices at a time
+    (``_sweep_rows``), so they must broadcast over an array ``t``; one that
+    does not raises ValueError naming it.  The returned ``values`` are a
+    contiguous view of the sweep's own array of slices.
     """
     if x0_bound is None:
         x0_bound = float(np.max(np.abs(np.concatenate([grid.lo, grid.hi]))))
@@ -631,26 +699,33 @@ def solve_value(
     constrained = _constrained_axes(p, times[:: max(1, nt // 8)])
     _check_margin(p, grid, nodes, times, feas, constrained)
 
-    values = np.full((nt + 1, nodes.shape[0]), np.inf)
-    values[nt][feas[nt]] = 0.0
+    P = nodes.shape[0]
+    # the slices end to end, then the last one's two pads (_padded's pads);
+    # each backstep pads the next slice in place with the two entries after
+    # it, which the slice after that lends for the step and gets back
+    flat = np.empty((nt + 1) * P + 2)
+    values = flat[:-2].reshape(nt + 1, P)
+    flat[-2:] = _PADS
+    values[nt] = np.where(feas[nt], 0.0, np.inf)
     n_feas = np.count_nonzero(feas, axis=1)
     memo: dict = {}
-    for i in range(nt - 1, -1, -1):
+    for i, rows in _sweep_rows(p, times[:nt], nodes, feas[:nt], level):
         t = float(times[i])
+        if rows.bad is not None:
+            raise NonFiniteCost(f"running cost of {p.name} at feasible node {nodes[rows.bad]} "
+                                f"at t={t} is not finite: {rows.cost[:, rows.bad].tolist()}")
+        nxt = flat[(i + 1) * P:(i + 2) * P + 2]
+        lent = nxt[P], nxt[P + 1]
+        nxt[P], nxt[P + 1] = 0.0, np.inf
         vals = _backstep(
-            p, lam, axes, nodes, t, grid.dt, values[i + 1], feas[i],
-            level, relaxed, mixture_grid, memo,
+            p, lam, axes, nodes, t, grid.dt, nxt, feas[i],
+            level, relaxed, mixture_grid, memo, rows,
         )
+        nxt[P], nxt[P + 1] = lent
         # vals is +inf off feas[i], so fewer finite values than feasible
         # nodes means a feasible node without a finite candidate
         if np.count_nonzero(np.isfinite(vals)) != n_feas[i]:
             j = int(np.flatnonzero(feas[i] & ~np.isfinite(vals))[0])
-            costs = p.costs(t, nodes[j], level)
-            # interpolation gives +inf at worst: a NaN or -inf value came from
-            # a cost, and a +inf one is the cost's, not the grid's, when a cost is +inf
-            if not np.isfinite(costs).all():
-                raise NonFiniteCost(f"running cost of {p.name} at feasible node {nodes[j]} at "
-                                    f"t={t} is not finite: {costs.tolist()}")
             raise GridTooCoarse(
                 f"feasible node {nodes[j]} at t={t} has no stencil-feasible velocity; "
                 + _coarse_hint(p, axes, constrained, grid.dt, t, nodes[j], level)
@@ -676,7 +751,7 @@ def bellman_residual(p: ProblemDefinition, field: ValueField, i: int) -> float:
     feas_now = np.isfinite(flat)
     vals = _backstep(
         p, field.lam, field.axes, nodes, t, field.dt,
-        field.values[i + 1].ravel(), feas_now, field.level, field.relaxed,
+        _padded(field.values[i + 1]), feas_now, field.level, field.relaxed,
         field.mixture_grid,
     )
     both = feas_now & np.isfinite(vals)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feastube import problem as pb
+from feastube import value as val
 from feastube.errors import (
     InvalidOverrideValue,
     UnknownOverrideKey,
@@ -313,12 +315,41 @@ def test_batched_rows_equal_rows_evaluated_alone(case):
         for j, uj in enumerate(u):
             assert V[j].tobytes() == np.asarray(p.f(t, x, uj), dtype=float).tobytes()
     XT = np.broadcast_to(X, block.shape + X.shape)
-    _, VT = p.velocities(block[:, None, None], XT)
-    CT = p.costs(block[:, None], XT)
+    u = p.controls.at(float(block[0]))
+    _, VT = p.velocities(block[:, None], XT, 0, u)
+    CT = p.costs(block[:, None], XT, 0, u)
     for i, ti in enumerate(block):
         u, V = p.velocities(ti, X)
         assert VT[:, i].tobytes() == V.tobytes()
         assert CT[:, i].tobytes() == p.costs(ti, X, 0, u).tobytes()
+
+
+def test_model_that_does_not_broadcast_over_times_is_named():
+    # f and the running cost take an array t only through numpy; math.sin
+    # and math.cos take one time, and a ravelled t lines up with the nodes
+    def f(t, x, u):
+        return np.asarray(u, dtype=float) * math.sin(t) + 0.0 * np.asarray(x, dtype=float)
+
+    def cost(t, x, u):
+        return 0.0 * np.asarray(x, dtype=float)[..., 0] + np.cos(np.ravel(t))
+
+    block, X = np.array([[0.1], [0.2], [0.3]]), np.zeros((3, 5, 1))
+    for p, method, what in (
+            (simple_problem(f, zero_cost, name="sine-drive"), "velocities", "f of sine-drive"),
+            (simple_problem(unit_velocity, cost, name="cosine-cost"), "costs",
+             "running cost of cosine-cost")):
+        assert np.isfinite(getattr(p, method)(0.1, X[0])[-1]).all()     # one time is fine
+        with pytest.raises(ValueError) as err:
+            getattr(p, method)(block, X, 0, p.controls.at(0.1))
+        assert f"{what} does not broadcast over t of shape (3, 1) and x of shape (3, 5, 1)" \
+            in str(err.value)
+        g = val.grid_for(p, 21, 0.1)
+        with pytest.raises(ValueError) as err:
+            val.solve_value(p, p.lam, g, relaxed=False, horizon=0.5)
+        assert f"{what} does not broadcast over t of shape (5, 1) and x of shape (5, 21, 1)" \
+            in str(err.value)
+    with pytest.raises(ValueError, match=r"drawn at one time, got t of shape \(3, 1\)"):
+        p.costs(block, X)
 
 
 def test_assumptions_failures_monotone_in_density():

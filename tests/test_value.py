@@ -232,20 +232,42 @@ def test_grid_too_coarse_names_the_short_axis(corridor):
 
 def test_nonfinite_running_cost_is_named_not_grid_too_coarse(hover):
     # a cost that is NaN or +-inf near x = 0 reaches the node 0 at the first
-    # backstep; the sweep names the cost there, not the grid.  (A relaxed
-    # sweep mixes a +-inf cost with weight 0 into NaN, which numpy warns of.)
-    def spoiled(bad):
+    # backstep; the sweep names the cost there, not the grid, before it mixes
+    # or adds any cost
+    def spoiled(bad, where=lambda u: True):
         def cost(t, x, u):
             near = np.abs(np.asarray(x, dtype=float)[..., 0]) < 0.01
-            return np.where(near, bad, hover.running_cost(t, x, u))
+            return np.where(near & where(np.asarray(u)[..., 0]), bad,
+                            hover.running_cost(t, x, u))
         return dataclasses.replace(hover, running_cost=cost)
 
-    for bad, relaxed in ((np.nan, False), (np.nan, True), (-np.inf, False), (np.inf, False)):
-        p = spoiled(bad)
-        with pytest.raises(NonFiniteCost) as err:
-            val.solve_value(p, p.lam, val.grid_for(p, 61, 0.01), relaxed=relaxed, horizon=0.1)
-        assert (f"running cost of hover-1d at feasible node [0.] at t=0.09 is not finite: "
-                f"[{bad}, {bad}]") in str(err.value)
+    for bad in (np.nan, -np.inf, np.inf):
+        for relaxed in (False, True):
+            p = spoiled(bad)
+            with pytest.raises(NonFiniteCost) as err:
+                val.solve_value(p, p.lam, val.grid_for(p, 61, 0.01), relaxed=relaxed,
+                                horizon=0.1)
+            assert (f"running cost of hover-1d at feasible node [0.] at t=0.09 is not finite: "
+                    f"[{bad}, {bad}]") in str(err.value)
+    # one control's cost is enough, though the other's is finite
+    p = spoiled(np.inf, lambda u: u > 0)
+    with pytest.raises(NonFiniteCost) as err:
+        val.solve_value(p, p.lam, val.grid_for(p, 61, 0.01), relaxed=False, horizon=0.1)
+    assert "at feasible node [0.] at t=0.09 is not finite: [0.0, inf]" in str(err.value)
+
+
+def test_grid_too_coarse_met_first_wins_over_a_later_nonfinite_cost(moving_wall):
+    # the sweep meets the stranded node at t = 2.888 before the costs that
+    # are +inf before t = 2.8, in the same block of slices
+    def cost(t, x, u):
+        return np.where(t < 2.8, np.inf, moving_wall.running_cost(t, x, u))
+
+    p = dataclasses.replace(moving_wall, running_cost=cost)
+    g = val.GridSpec(lo=[-2.5], hi=[2.0], shape=(46,), dt=0.002, t0=2.0)
+    for relaxed in (False, True):
+        with pytest.raises(GridTooCoarse) as err:
+            val.solve_value(p, 2.0, g, relaxed=relaxed, horizon=3.0)
+        assert "feasible node [1.1] at t=2.888 has no stencil-feasible velocity" in str(err.value)
 
 
 # --- evaluation ---------------------------------------------------------------------
@@ -525,6 +547,15 @@ _TEST_PROBLEMS = {"sway-1d": sway_problem, "drift-1d": lambda: drift_problem(1),
                   "drift-2d": lambda: drift_problem(2)}
 
 
+def _loop_in_sweep(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed,
+                   mixture_grid, memo=None, rows=None):
+    """``backstep_loop`` in ``value._backstep``'s place in a sweep: it gets
+    the next slice without its two pads, and evaluates its own candidates
+    at ``t``, so the sweep's memo and block rows go unused."""
+    return backstep_loop(p, lam, axes, nodes, t, dt, next_slice[:-2], feas_now, level,
+                         relaxed, mixture_grid)
+
+
 @pytest.mark.parametrize("name", pb.registered_problems() + tuple(_TEST_PROBLEMS))
 def test_backstep_matches_loop_reference(name, monkeypatch):
     p = _TEST_PROBLEMS[name]() if name in _TEST_PROBLEMS else pb.get_problem(name)
@@ -545,11 +576,12 @@ def test_backstep_matches_loop_reference(name, monkeypatch):
             nxt = np.where(rng.random(P) < 0.2, np.inf, rng.uniform(0.0, 2.0, P))
             feas = rng.random(P) < 0.9
             args = (p, p.lam, axes, nodes, float(g.t0 + g.dt), g.dt, nxt, feas, 0, relaxed, mg)
-            step = val._backstep(*args)
+            padded = args[:6] + (val._padded(nxt),) + args[7:]
+            step = val._backstep(*padded)
             with monkeypatch.context() as m:
                 m.setattr(val, "_INTERP_CHUNK", 1)      # one velocity group per call
-                assert np.array_equal(val._backstep(*args), step)
-                m.setattr(val, "_backstep", backstep_loop)
+                assert np.array_equal(val._backstep(*padded), step)
+                m.setattr(val, "_backstep", _loop_in_sweep)
                 ref = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg,
                                       horizon=horizon)
                 assert [val.bellman_residual(p, noisy, i) for i in range(5)] == residuals
@@ -588,7 +620,7 @@ def test_mixture_products_match_tensordot_reference(name, monkeypatch):
                 assert val._mix(W, costs).tobytes() == mixtures_tensordot(W, costs).tobytes()
                 grouped.clear()
                 val._backstep(p, p.lam, g.axes(), nodes, float(t), g.dt,
-                              np.zeros(P), np.ones(P, dtype=bool), 0, True, mg)
+                              val._padded(np.zeros(P)), np.ones(P, dtype=bool), 0, True, mg)
                 if val._node_independent(want):
                     want = want[:, :1]
                 assert [(v.shape, v.tobytes()) for v in grouped] == [(want.shape, want.tobytes())]
@@ -776,8 +808,10 @@ def test_stencils_built_once_per_solve(corridor, monkeypatch):
 
 
 def test_sweep_pads_once_per_slice_and_applies_once_per_chunk(corridor, monkeypatch):
-    # the next slice is padded once per backstep and each chunk's terms are
-    # applied once: a per-term mask or pad copy would add calls here
+    # the sweep keeps its slices end to end in one array, each padded in
+    # place for its step, so no backstep copies the next slice to pad it, and
+    # each chunk's terms are applied once: a per-term mask or pad copy would
+    # add calls here
     calls = {"_padded": 0, "_apply_stencil": 0}
     for name in calls:
         monkeypatch.setattr(val, name, lambda *a, real=getattr(val, name), name=name:
@@ -793,8 +827,75 @@ def test_sweep_pads_once_per_slice_and_applies_once_per_chunk(corridor, monkeypa
         f = val.solve_value(corridor, corridor.lam, g, relaxed=relaxed, mixture_grid=mg,
                             horizon=g.t0 + 6 * g.dt)
         nt = f.values.shape[0] - 1
-        assert nt == 6 and calls == {"_padded": nt, "_apply_stencil": nt * len(chunks)}
+        assert nt == 6 and calls == {"_padded": 0, "_apply_stencil": nt * len(chunks)}
+        # the field is the sweep's one array but the last slice's two pads
+        assert f.values.flags.c_contiguous
+        assert f.values.base.shape == ((nt + 1) * len(nodes) + 2,)
+        assert f.values.base[-2] == 0.0 and f.values.base[-1] == np.inf
     assert len(chunks) > 1
+
+
+def _counted_model(p):
+    """``p`` with its ``f``, running cost and control sampler counting their calls."""
+    calls = {"f": 0, "cost": 0, "samples": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+        return call
+
+    controls = dataclasses.replace(p.controls, sampler=counted("samples", p.controls.sampler))
+    return dataclasses.replace(p, f=counted("f", p.f), running_cost=counted("cost", p.running_cost),
+                               controls=controls), calls
+
+
+def test_sweep_evaluates_model_once_per_block_of_slices(hover, monkeypatch):
+    # hover-1d at 241 nodes holds 2 * 241 velocity values per slice, so a
+    # block holds 32768 // 482 = 67 slices: 200 slices make 3 blocks.  The
+    # samples are drawn once per time.
+    p, calls = _counted_model(hover)
+    g = val.grid_for(p, 241, 0.0025)
+    for relaxed in (False, True):
+        calls.update(f=0, cost=0, samples=0)
+        f = val.solve_value(p, p.lam, g, relaxed=relaxed, horizon=0.5)
+        assert f.values.shape[0] == 201 and np.isfinite(f.values).any()
+        assert calls == {"f": 3, "cost": 3, "samples": 200}
+    # one slice per block: one call per slice, and the same field
+    monkeypatch.setattr(val, "_FEAS_CHUNK", 1)
+    calls.update(f=0, cost=0, samples=0)
+    again = val.solve_value(p, p.lam, g, relaxed=True, horizon=0.5)
+    assert calls == {"f": 200, "cost": 200, "samples": 200}
+    assert again.values.tobytes() == f.values.tobytes()
+
+
+def test_blocks_end_where_the_samples_change(monkeypatch):
+    # sway-1d (time-dependent velocities) with two controls before t = 0.5
+    # and three from then on: a block never spans the change, and every
+    # field, at every block size, equals the per-candidate reference
+    def sampler(t, level):
+        return np.array([[-1.0], [1.0]]) if t < 0.5 else np.array([[-1.0], [0.0], [1.0]])
+
+    p, calls = _counted_model(dataclasses.replace(
+        sway_problem(), controls=pb.ControlSamples(1, sampler)))
+    g = _small_grid(p, 0.0, 1.2, 41)
+    horizon = 1.0 + g.dt / 2
+    nt = int(round(horizon / g.dt))
+    change = int(np.searchsorted(g.t0 + g.dt * np.arange(nt), 0.5))
+    for relaxed in (False, True):
+        with monkeypatch.context() as m:
+            m.setattr(val, "_backstep", _loop_in_sweep)
+            ref = val.solve_value(p, p.lam, g, relaxed=relaxed, horizon=horizon)
+        assert np.isfinite(ref.values).any() and 0 < change < nt
+        for chunk in (val._FEAS_CHUNK, 2 * 41 * 4, 1):
+            with monkeypatch.context() as m:
+                m.setattr(val, "_FEAS_CHUNK", chunk)
+                calls.update(f=0, cost=0, samples=0)
+                f = val.solve_value(p, p.lam, g, relaxed=relaxed, horizon=horizon)
+            per_block = (max(1, chunk // (3 * 41)), max(1, chunk // (2 * 41)))
+            blocks = -(-(nt - change) // per_block[0]) - (-change // per_block[1])
+            assert calls == {"f": blocks, "cost": blocks, "samples": nt}
+            assert f.values.tobytes() == ref.values.tobytes()
 
 
 def test_velocities_met_once_build_no_stencil(monkeypatch):
@@ -821,7 +922,8 @@ def test_velocities_met_once_build_no_stencil(monkeypatch):
 def test_steady_node_dependent_velocities_store_terms_once(monkeypatch):
     # sway-1d without its time term: velocity arrays that differ from node to
     # node and recur from slice to slice.  Every field equals the per-candidate
-    # reference, and a sweep stores each chunk's terms once.
+    # reference, and a sweep stores each chunk's terms once, whether its
+    # slices share one block or each slice is a block of its own.
     p = steady_sway_problem()
     g = _small_grid(p, 0.4, 1.2, 41)
     horizon = g.t0 + 6 * g.dt
@@ -831,20 +933,22 @@ def test_steady_node_dependent_velocities_store_terms_once(monkeypatch):
     for relaxed, mg in ((False, 4),) + tuple((True, k) for k in range(1, 6)):
         f = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg, horizon=horizon)
         with monkeypatch.context() as m:
-            m.setattr(val, "_backstep", backstep_loop)
+            m.setattr(val, "_backstep", _loop_in_sweep)
             ref = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg,
                                   horizon=horizon)
         assert f.values.tobytes() == ref.values.tobytes()
         assert np.isfinite(f.values).all()
-        with monkeypatch.context() as m:
-            m.setattr(val, "_INTERP_CHUNK", 2 * len(nodes))     # two groups per chunk
-            steps = _count_terms(m)
-            again = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg,
-                                    horizon=horizon)
-            W = val._mixture_matrix(len(u), 2, mg) if relaxed else None
-            chunks = _chunk_sizes(len({v.tobytes() for v in val._mix(W, f_all)}), len(nodes))
-        assert steps == [(chunks, False), (chunks, True)] + [([], True)] * 4 and len(chunks) > 1
-        assert again.values.tobytes() == f.values.tobytes()
+        for block in (val._FEAS_CHUNK, 1):
+            with monkeypatch.context() as m:
+                m.setattr(val, "_INTERP_CHUNK", 2 * len(nodes))     # two groups per chunk
+                m.setattr(val, "_FEAS_CHUNK", block)
+                steps = _count_terms(m)
+                again = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg,
+                                        horizon=horizon)
+                W = val._mixture_matrix(len(u), 2, mg) if relaxed else None
+                chunks = _chunk_sizes(len({v.tobytes() for v in val._mix(W, f_all)}), len(nodes))
+            assert steps == [(chunks, False), (chunks, True)] + [([], True)] * 4
+            assert len(chunks) > 1 and again.values.tobytes() == f.values.tobytes()
 
 
 _REGISTERED = {name: pb.get_problem(name) for name in pb.registered_problems()}
