@@ -547,7 +547,7 @@ def _sweep_rows(p: ProblemDefinition, times: Array, nodes: Array, feas: Array, l
     while hi > 0:
         u = p.controls.at(float(times[hi - 1]), level) if u is None else u
         per_block = max(1, _FEAS_CHUNK // (len(u) * P * n))
-        lo, nxt = hi - 1, None
+        lo, nxt = hi - 1, None            # nxt: the samples that end the block
         while lo > max(0, hi - per_block):
             nxt = p.controls.at(float(times[lo - 1]), level)
             if nxt.shape != u.shape or nxt.tobytes() != u.tobytes():

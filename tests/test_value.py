@@ -828,7 +828,8 @@ def test_sweep_pads_once_per_slice_and_applies_once_per_chunk(corridor, monkeypa
                             horizon=g.t0 + 6 * g.dt)
         nt = f.values.shape[0] - 1
         assert nt == 6 and calls == {"_padded": 0, "_apply_stencil": nt * len(chunks)}
-        # the field is the sweep's one array but the last slice's two pads
+        # the field is a contiguous view of the sweep's one array, which ends
+        # with the last slice's two pads
         assert f.values.flags.c_contiguous
         assert f.values.base.shape == ((nt + 1) * len(nodes) + 2,)
         assert f.values.base[-2] == 0.0 and f.values.base[-1] == np.inf
