@@ -28,12 +28,13 @@ each point's row of ``constraint_values`` over a batch is that point's
 values, and each time's rows of ``velocities`` and ``costs`` over a block of
 times are that time's own call.  The repair march reuses the chosen velocity
 row as RK4's first stage, and the batched geometry kernels and the value
-sweep's blocks stand in for per-point and per-slice loops, on this basis.  Elementwise numpy code has it.  A BLAS product such as
-``x @ c`` may round a row differently in a batch; ``(x * c).sum(axis=-1)``
-does not.  The shipped walls keep ``x @ c``, because their coefficients
-are 0 and +-1: every product is exact, so no summation order can change a
-row.  Data without the property keep every guarantee within its tolerance,
-but not bit-identity.
+sweep's blocks stand in for per-point and per-slice loops, on this basis.
+Elementwise numpy code has it.  A BLAS product such as ``x @ c`` may round
+a row differently in a batch; ``(x * c).sum(axis=-1)`` does not.  The
+shipped walls keep ``x @ c``, because their coefficients are 0 and +-1:
+every product is exact, so no summation order can change a row.  Data
+without the property keep every guarantee within its tolerance, but not
+bit-identity.
 """
 
 from __future__ import annotations
@@ -332,8 +333,8 @@ def _per_control(fn, t, X, u: Array, tail: tuple, what: str, name: str) -> Array
         try:
             out[...] = fn(t.reshape(t.shape + (1,) * len(tail)), X, u)
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{what} of {name} does not broadcast over t of shape {t.shape} and x of "
-                             f"shape {X.shape}: {exc}") from exc
+            raise ValueError(f"{what} of {name} does not broadcast over t of shape {t.shape} "
+                             f"and x of shape {X.shape}: {exc}") from exc
         return out
     out = np.empty(u.shape[:1] + X.shape[:-1] + tail)
     if X.ndim > 1:

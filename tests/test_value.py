@@ -847,8 +847,8 @@ def _counted_model(p):
         return call
 
     controls = dataclasses.replace(p.controls, sampler=counted("samples", p.controls.sampler))
-    return dataclasses.replace(p, f=counted("f", p.f), running_cost=counted("cost", p.running_cost),
-                               controls=controls), calls
+    return dataclasses.replace(p, f=counted("f", p.f), controls=controls,
+                               running_cost=counted("cost", p.running_cost)), calls
 
 
 def test_sweep_evaluates_model_once_per_block_of_slices(hover, monkeypatch):
