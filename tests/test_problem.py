@@ -300,17 +300,27 @@ def _rowwise_cases(draw):
 def test_batched_rows_equal_rows_evaluated_alone(case):
     """Each row of a batched evaluation is byte for byte the row evaluated
     alone: constraint values over a batch of points (at one time and at
-    per-point times), velocity row j against f(t, x, u_j), and the
-    velocities and running costs of a block of times, with f given t of
-    shape (T, 1, 1) and the cost t of shape (T, 1) on the points broadcast to
-    (T, P, n), against each time's own call.  The repair's RK4 reuses the
-    chosen velocity row as its first stage on this basis, and the value
-    sweep evaluates its slices in blocks of times."""
+    per-point times), velocity row j against f(t, x, u_j), the velocities of
+    the sampled controls at per-point times, f in the per-row form
+    f(t[:, None], X, U) with one control row per point against f(t, x, u),
+    and the velocities and running costs of a block of times, with f given t
+    of shape (T, 1, 1) and the cost t of shape (T, 1) on the points
+    broadcast to (T, P, n), against each time's own call.  The repair's RK4
+    reuses the chosen velocity row as its first stage, its march evaluates a
+    block of steps at once, and the value sweep evaluates its slices in
+    blocks of times, on this basis."""
     p, t, X, ts, block = case
     H, Ht = p.constraint_values(t, X), p.constraint_values(ts, X)
+    u = p.controls.at(t)
+    _, Vt = p.velocities(ts, X, 0, u)
+    U = np.random.default_rng(len(X)).uniform(-1.0, 1.0, (len(X), p.controls.dim))
+    FU = np.broadcast_to(np.asarray(p.f(ts[:, None], X, U), dtype=float), X.shape)
     for q, x in enumerate(X):
         assert H[q].tobytes() == p.constraint_values(t, x).tobytes()
         assert Ht[q].tobytes() == p.constraint_values(ts[q], x).tobytes()
+        assert Vt[:, q].tobytes() == p.velocities(ts[q], x, 0, u)[1].tobytes()
+        assert FU[q].tobytes() == np.broadcast_to(
+            np.asarray(p.f(ts[q], x, U[q]), dtype=float), x.shape).tobytes()
         u, V = p.velocities(t, x)
         for j, uj in enumerate(u):
             assert V[j].tobytes() == np.asarray(p.f(t, x, uj), dtype=float).tobytes()
