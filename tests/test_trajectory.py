@@ -577,6 +577,67 @@ def test_nonfinite_sampled_velocity_is_named():
         tj.filippov_project(p, 0.0, [0.0], np.full((10, 1), 1.0), 10, 0.01)
 
 
+def _first_state(states, bad):
+    """Index of the first row of ``states`` for which ``bad`` holds."""
+    return next(j for j, x in enumerate(states) if bad(x))
+
+
+def test_nonfinite_velocity_is_named_at_its_step():
+    """A velocity that turns NaN only once the path has moved stops the
+    projection at that step, with that step's time and state."""
+    def f(t, x, u):
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        return np.where((u < 0) & (x > 0.05), np.nan, 0.0) + u + 0.0 * x
+
+    p = simple_problem(f, zero_cost, name="late-nan-velocity")
+    steps, dt = 40, 0.01
+    states, _ = oracles.integrate_loop(p, 0.0, [0.0], [2] * steps, steps, dt)
+    j = _first_state(states, lambda x: x[0] > 0.05)
+    assert j > 3
+    t, x = j * dt, states[j]
+    msg = (f"velocity of control [-1.0] at t={t}, x={x.tolist()} is not finite: "
+           f"{[math.nan]}")
+    with pytest.raises(NonFiniteState) as err:
+        tj.filippov_project(p, 0.0, [0.0], np.full((steps, 1), 1.0), steps, dt)
+    assert str(err.value) == msg
+
+
+@pytest.mark.parametrize("construction", ["integrate", "project"])
+def test_blow_up_is_named_at_its_step(construction):
+    """A state that leaves every bound stops the march at the step that
+    produced it, named by that step's start time."""
+    def f(t, x, u):
+        x = np.asarray(x, dtype=float)
+        return x ** 2 + 1.0 + 0.0 * np.asarray(u, dtype=float)
+
+    p = simple_problem(f, zero_cost, name="blowup")
+    steps, dt = 400, 0.01
+    with np.errstate(over="ignore", invalid="ignore"):
+        states, _ = oracles.integrate_loop(p, 0.0, [1.0], [2] * steps, steps, dt)
+    j = _first_state(states, lambda x: not abs(x[0]) <= 1e12) - 1
+    assert j > 10
+    with pytest.raises(NonFiniteState) as err:
+        if construction == "integrate":
+            tj.integrate(p, 0.0, [1.0], [2] * steps, steps, dt)
+        else:
+            tj.filippov_project(p, 0.0, [1.0], np.zeros((steps, 1)), steps, dt)
+    assert str(err.value) == f"state blow-up near t={j * dt}"
+
+
+def test_viability_loss_is_named_at_its_step(hover, hover_cert):
+    """A default control that carries the path through the wall between
+    two nodes of a thin acting tube stops the march at the first node past
+    the wall, with its time and violation."""
+    steps, dt = 100, 0.007
+    states, _ = oracles.integrate_loop(hover, 0.0, [0.0], [1] * steps, steps, dt)
+    j = _first_state(states, lambda x: geo.max_violation(hover, 0.0, x) > geo.TOL_FEAS)
+    viol = geo.max_violation(hover, j * dt, states[j])
+    assert j > 10 and viol > 1e-4
+    with pytest.raises(ViabilityLost) as err:
+        tj.viable_trajectory(hover, hover_cert, 0.0, [0.0], steps * dt, dt, tube_radius=1e-6)
+    assert str(err.value) == f"feasibility lost at t={j * dt} (max h = {viol:.3e}); dt too coarse?"
+
+
 def _batch_dependent_problem():
     """Velocity ``u @ B.T`` with a non-dyadic ``B``: a BLAS product that may
     round a control's row differently in a batch than alone, between two
