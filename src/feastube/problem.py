@@ -25,10 +25,13 @@ non-finite constraint value, ``-inf`` included, raises ``NonFiniteConstraint``.
 Each row of a batched evaluation should be byte for byte the same row
 evaluated alone: row ``j`` of ``velocities(t, x)`` is ``f(t, x, u_j)``,
 each point's row of ``constraint_values`` over a batch is that point's
-values, and each time's rows of ``velocities`` and ``costs`` over a block of
-times are that time's own call.  The repair march reuses the chosen velocity
-row as RK4's first stage, and the batched geometry kernels and the value
-sweep's blocks stand in for per-point and per-slice loops, on this basis.
+values, each time's rows of ``velocities`` and ``costs`` over a block of
+times are that time's own call, and row ``i`` of ``f(t[:, None], X, U)``
+(one time, state and control per row, as a path's march calls it) is
+``f(t[i], X[i], U[i])``.  The march reuses the chosen velocity row as RK4's
+first stage and evaluates a block of steps at once, and the batched geometry
+kernels and the value sweep's blocks stand in for per-point and per-slice
+loops, on this basis.
 Elementwise numpy code has it.  A BLAS product such as ``x @ c`` may round
 a row differently in a batch; ``(x * c).sum(axis=-1)`` does not.  The
 shipped walls keep ``x @ c``, because their coefficients are 0 and +-1:
@@ -183,7 +186,9 @@ class ControlSamples:
     def at(self, t: float, level: int = 0) -> Array:
         if getattr(t, "ndim", 0):
             raise ValueError(f"control samples are drawn at one time, got t of shape {t.shape}")
-        u = np.atleast_2d(np.asarray(self.sampler(t, int(level)), dtype=float))
+        u = self.sampler(t, int(level))
+        if type(u) is not np.ndarray or u.dtype != np.float64 or u.ndim != 2:
+            u = np.atleast_2d(np.asarray(u, dtype=float))
         if u.size == 0:
             raise EmptyControlSet(f"no control samples at t={t}, level={level}")
         if u.shape[1] != self.dim:
@@ -302,8 +307,7 @@ class ProblemDefinition:
             if getattr(hv, "shape", ()) != lead:
                 raise _no_broadcast(c, i, t, X, f"h returned shape {np.shape(hv)}, expected {lead}")
             out[..., i] = hv
-        # a finite sum proves every value finite; only an overflow needs the full test
-        if not math.isfinite(out.sum()) and not np.isfinite(out).all():
+        if not np.isfinite(out).all():
             *node, i = (int(k) for k in np.argwhere(~np.isfinite(out))[0])
             node = tuple(node)
             x = np.broadcast_to(X, lead + X.shape[-1:])[node]

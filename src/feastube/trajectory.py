@@ -2,32 +2,44 @@
 
 All constructed paths live on a uniform time grid with one sampled control
 per step, so the per-step dynamics residual contract is exact.  Every path is
-one RK4 march (``_march``) under a per-step control rule: a control index, an
-explicit control row, the nearest velocity to a target, or the viability
-rule.  A rule that has already evaluated the chosen control's velocity at
-the step's start hands that row to RK4 as its first stage, so the step
-costs one velocity evaluation fewer.  A march can be continued from a later
-step into given arrays, which is how the repair extends its projection one
-piece, or one doubling chunk, at a time in a single forward sweep.  Mixture
-velocities are realized by deterministic proportional multiplexing of their
-support controls across consecutive steps (discrete chattering); for the
-shipped benchmarks the optimal margin mixtures are pure controls and the
-multiplexer degenerates to a constant choice.
+one RK4 march (``_march``) under a step rule: a control index, an explicit
+control row, the nearest velocity to a target, or the viability rule.  A
+rule that has already evaluated the chosen control's velocity at the step's
+start hands that row to RK4 as its first stage, so the step costs one
+velocity evaluation fewer.  A march can be continued from a later step into
+given arrays, which is how the repair extends its projection one piece at a
+time in a single forward sweep.  Mixture velocities are realized by
+deterministic proportional multiplexing of their support controls across
+consecutive steps (discrete chattering); for the shipped benchmarks the
+optimal margin mixtures are pure controls and the multiplexer degenerates to
+a constant choice.
 
 States have one to a few components, where a numpy call costs far more in
-dispatch than in arithmetic.  So each step's own arithmetic (RK4's stage
-points, its combination and blow-up test, the nearest-velocity mismatches
-and ties, the viability rule's tube test) runs on Python floats, while the
-velocity, cost and constraint kernels shared with the value sweep still take
-arrays.  The paths stay bit for bit those of the array code: IEEE ``+``,
-``*``, ``/`` and ``sqrt`` round the same in Python as in numpy when applied in
-the same order, and the float code keeps numpy's order, down to the order in
-which ``add.reduce`` sums a row (``_pairwise_sum``).
+dispatch than in arithmetic, so the march pays its calls once per block of
+steps, not once per step.  It guesses the states of a block of up to
+``_BLOCK`` steps.  The rule decides every step's control at its guessed
+state with one call over the block, ``f`` evaluates each of RK4's stages
+with one call over the block's rows, and ``cumsum`` adds the increments to
+the block's start in the order a step loop adds them.  The block keeps its
+longest prefix whose guessed states equal the computed ones bit for bit.
+Every kept step was then decided and evaluated at its true state, so the
+kept steps are exactly those of a loop of one-step calls: ``problem``'s
+convention makes each batched row of ``f``, the velocities and the
+constraints that row's own.  The next block starts at the first step that
+differed and guesses the states just computed, so each block keeps at least
+one step (parallel-in-time integration, Nievergelt 1964, with a fixed point
+checked bit for bit).  Steps run alone, from their true state, where the
+rule can decide a step only there (a step in the viability rule's acting
+tube, a push step that advances the mixture credit), and where a block's
+evaluation at its guesses raises or warns.  A step alone is ``_rk4_step``,
+whose arithmetic runs on Python floats in numpy's order.  So every error,
+message and warning is the loop's, at the loop's step.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,6 +61,17 @@ Array = np.ndarray
 
 TOL_ODE = 1e-9
 _RHO_FLOOR = 1e-8
+_BLOW_UP = 1e12          # a state component beyond this stops the march
+# Steps per speculative block.  A block iteration costs a fixed ~60 numpy
+# calls whatever its length, and a state-dependent velocity keeps only a few
+# steps per iteration however long the block is; 64 covers a repair piece
+# (69 steps at the benchmark's dt) in about two iterations.
+_BLOCK = 64
+
+# Test seam: when set, ``_guesses(j, G)`` replaces the guessed states ``G``
+# of the block that starts at step ``j`` (row 0 is the true state, which the
+# march keeps); the rows it returns set the block's length.
+_guesses = None
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +146,7 @@ class Trajectory:
 
 def _rk4_step(f: Callable, t: float, x: Array, u: Array, dt: float,
               k1: Array | None = None) -> Array:
-    """One classical RK4 step under the held control ``u``.
+    """One classical RK4 step under the held control ``u``: a step run alone.
 
     ``k1`` is ``f(t, x, u)`` when the caller already holds it, for instance
     as row ``j`` of ``ProblemDefinition.velocities(t, x)`` for ``u = u_j``;
@@ -133,13 +156,13 @@ def _rk4_step(f: Callable, t: float, x: Array, u: Array, dt: float,
     evaluated here.
 
     ``x`` is the ``(n,)`` state.  The stage points and the final combination
-    are formed on Python floats, component by component, in numpy's order
-    of operations (``((k1 + 2 k2) + 2 k3) + k4``, times ``dt / 6``, plus
-    ``x``): IEEE ``+`` and ``*`` round the same either way, so the step
-    equals the array expression bit for bit without a numpy dispatch per
-    operation on a 1- or 2-element state.  Each stage velocity is first
-    broadcast to ``x``'s shape, as the array expression would, so no
-    component is dropped.  ``f`` still sees arrays.
+    are formed on Python floats, component by component, in the order of
+    ``_rk4_increments`` (``((k1 + 2 k2) + 2 k3) + k4``, times ``dt / 6``,
+    plus ``x``): IEEE ``+`` and ``*`` round the same either way, so the step
+    is that kernel's one-row case bit for bit, without a numpy dispatch per
+    operation, and never warns.  Each stage velocity is first broadcast to
+    ``x``'s shape, as the array expression would, so no component is
+    dropped.  ``f`` still sees arrays.
     """
     half = dt / 2
     t_half = t + half
@@ -152,7 +175,7 @@ def _rk4_step(f: Callable, t: float, x: Array, u: Array, dt: float,
     out = [xi + sixth * (ai + 2 * bi + 2 * ci + di)
            for xi, ai, bi, ci, di in zip(xs, a, b, c, d)]
     # every component, so that a NaN anywhere fails (max() would skip one)
-    if not all(abs(v) <= 1e12 for v in out):
+    if not all(abs(v) <= _BLOW_UP for v in out):
         raise NonFiniteState(f"state blow-up near t={t}")
     return np.array(out)
 
@@ -166,6 +189,28 @@ def _components(k, shape: tuple) -> list:
     return k.tolist()
 
 
+def _rk4_increments(f: Callable, T: Array, X: Array, U: Array, dt: float,
+                    K1: Array | None = None) -> Array:
+    """RK4 increments ``dt / 6 * (((k1 + 2 k2) + 2 k3) + k4)`` of the steps
+    from the states ``X`` (b, n) at the times ``T`` (b,) under the controls
+    ``U`` (b, d): one call ``f(T[:, None], X, U)`` per stage, whose rows are
+    each step's own (``problem``'s convention).  ``K1`` holds the first
+    stage when the rule has evaluated it.  ``X`` plus a row is
+    ``_rk4_step``'s step bit for bit."""
+    half = dt / 2
+    t_half = (T + half)[:, None]
+
+    def stage(t, Y):
+        k = np.asarray(f(t, Y, U), dtype=float)
+        return k if k.shape == X.shape else np.broadcast_to(k, X.shape)
+
+    k1 = stage(T[:, None], X) if K1 is None else K1
+    k2 = stage(t_half, X + half * k1)
+    k3 = stage(t_half, X + half * k2)
+    k4 = stage((T + dt)[:, None], X + dt * k3)
+    return (dt / 6) * (((k1 + 2 * k2) + 2 * k3) + k4)
+
+
 def _check_grid(dt: float, steps: int = 1) -> None:
     if not dt > 0:
         raise ValueError(f"need dt > 0, got dt={dt}")
@@ -173,32 +218,124 @@ def _check_grid(dt: float, steps: int = 1) -> None:
         raise ValueError(f"need steps >= 1, got steps={steps}")
 
 
-def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float,
-           choose: Callable[[int, float, Array], tuple[Array, Array | None]],
+def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
            start: int = 0,
            out: tuple[Array, Array] | None = None) -> tuple[Array, Array]:
     """Fixed-step RK4 from ``x0`` over steps ``j`` from ``start`` on, at
-    ``t = t0 + j * dt``.
+    ``t = t0 + j * dt``, under a step rule.
 
-    ``choose(j, t, x)`` returns the control ``u`` held over step ``j`` and
-    the velocity ``f(t, x, u)`` when the rule has already evaluated it
-    (``None`` otherwise); ``_rk4_step`` uses that row as its first stage.
+    ``rule.step(j, t, x)`` returns the control held over step ``j`` from its
+    true state ``x`` and the velocity ``f(t, x, u)`` when the rule has
+    already evaluated it (``None`` otherwise).  ``rule.block(j, T, G)``, if
+    the rule has one, decides the steps from ``j`` at the times ``T`` and
+    guessed states ``G`` in one go: it returns their controls, their
+    velocities or ``None``, and how many leading steps it decided.
+    ``rule.guess(j, k)`` returns guesses of the states at the ``k`` steps
+    from ``j``, or ``None`` to extrapolate the last step's increment.
 
-    Returns the ``(steps + 1, n)`` states and the ``(steps, d)`` controls,
-    written into ``out`` when given.  A march continued from its own state
-    at a later ``start`` is bit-identical to the one long march.
+    Blocks keep their prefix proven exact (module docstring), so the march
+    equals the loop ``x = _rk4_step(f, t, x, *rule.step(j, t, x))`` bit for
+    bit, whatever the guesses and block ends.  Returns the ``(steps + 1, n)``
+    states and the ``(steps, d)`` controls, written into ``out`` when given.
+    A march continued from its own state at a later ``start`` is
+    bit-identical to the one long march.
     """
     _check_grid(dt, steps)
     if out is None:
         out = np.empty((steps + 1, p.n)), np.empty((steps, p.controls.dim))
     states, ctrl = out
-    states[0] = x = np.asarray(x0, dtype=float).reshape(-1)
-    for i, j in enumerate(range(start, start + steps)):
-        t = t0 + j * dt
-        u, k1 = choose(j, t, x)
-        ctrl[i] = u
-        states[i + 1] = x = _rk4_step(p.f, t, x, u, dt, k1)
+    states[0] = np.asarray(x0, dtype=float).reshape(-1)
+    times = t0 + np.arange(start, start + steps) * dt      # t0 + j * dt, as a step computes it
+    ahead = np.empty((0, p.n))   # states computed past the last kept step: guesses from step i on
+    incr = np.zeros(p.n)         # the last increment computed, to extrapolate guesses
+    i = 0
+    while i < steps:
+        x = states[i]
+        block = None
+        if rule.block is not None and steps - i > 1:
+            G = _guess(rule, start + i, min(steps - i, _BLOCK), x, ahead, incr)
+            try:
+                # a block that raises or warns at its guesses is redone alone,
+                # where the step at fault, if any, raises or warns itself
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    block = _speculate(p.f, rule, start + i, times[i:i + len(G)], G, dt)
+            except Exception:
+                block = None
+        if block is not None and block[0]:
+            kept, C, U, incr = block
+            states[i + 1:i + kept + 1] = C[1:kept + 1]
+            ctrl[i:i + kept] = U[:kept]
+            ahead = C[kept:]
+        else:
+            t = float(times[i])
+            u, k1 = rule.step(start + i, t, x)
+            ctrl[i] = u
+            states[i + 1] = _rk4_step(p.f, t, x, u, dt, k1)
+            kept, ahead = 1, ahead[1:]
+        i += kept
     return states, ctrl
+
+
+def _guess(rule, j: int, b: int, x: Array, ahead: Array, incr: Array) -> Array:
+    """Guessed states of the ``b`` steps from step ``j`` at state ``x``: the
+    states computed ahead by the last block, then the rule's guesses, or
+    else ``incr`` added step by step."""
+    G = np.empty((b, len(x)))
+    G[0] = x
+    a = min(max(len(ahead), 1), b)
+    G[1:a] = ahead[1:a]
+    if a < b:
+        more = rule.guess(j + a, b - a)
+        if more is None:
+            G[a:] = incr
+            np.cumsum(G[a - 1:], axis=0, out=G[a - 1:])
+        else:
+            G[a:] = more
+    if _guesses is not None:
+        G = np.array(_guesses(j, G.copy()), dtype=float).reshape(-1, len(x))[:b]
+        G[0] = x
+    return G
+
+
+def _speculate(f: Callable, rule, j: int, T: Array, G: Array, dt: float):
+    """One block from step ``j``: ``(kept, C, U, incr)``, where ``C`` holds
+    the block's start and the states computed from the guesses ``G``, ``U``
+    the controls, ``incr`` the last increment, and ``kept`` how many leading
+    steps are proven exact.  ``kept`` is 0 when the rule decides fewer than
+    two steps, which then run alone (``None``)."""
+    U, K1, q = rule.block(j, T, G)
+    if q < 2:
+        return None
+    G = G[:q]
+    incr = _rk4_increments(f, T[:q], G, U[:q], dt, K1)
+    C = np.empty((q + 1, G.shape[1]))
+    C[0] = G[0]
+    C[1:] = incr
+    np.cumsum(C, axis=0, out=C)
+    # step i is kept while every guess before it was exact and its result is bounded
+    stop = np.greater_equal(G.view(np.int64) != C[:-1].view(np.int64),
+                            np.abs(C[1:]) <= _BLOW_UP)
+    first = int(stop.argmax())
+    kept = first // G.shape[1] if stop.flat[first] else q
+    return kept, C, U, incr[-1]
+
+
+class _Held:
+    """Step rule of controls fixed in advance: ``rows(j, T)`` are those of
+    the steps from ``j`` at the times ``T``."""
+
+    def __init__(self, rows: Callable[[int, Array], Array]):
+        self.rows = rows
+
+    def step(self, j, t, x):
+        return self.rows(j, np.array([t]))[0], None
+
+    def block(self, j, T, G):
+        return self.rows(j, T), None, len(T)
+
+    def guess(self, j, k):
+        return None
 
 
 def integrate(
@@ -211,93 +348,108 @@ def integrate(
     level: int = 0,
 ) -> Trajectory:
     """Fixed-step RK4 under a per-step sequence of control indices."""
-    return Trajectory(t0 + dt * np.arange(steps + 1), *_march(
-        p, t0, x0, steps, dt, lambda j, t, x: (p.controls.at(t, level)[int(schedule[j])], None)
-    ), dt)
+    def rows(j, T):
+        return np.array([p.controls.at(t, level)[int(schedule[j + k])]
+                         for k, t in enumerate(T.tolist())])
+
+    return Trajectory(t0 + dt * np.arange(steps + 1),
+                      *_march(p, t0, x0, steps, dt, _Held(rows)), dt)
 
 
 def integrate_controls(p: ProblemDefinition, t0: float, x0, controls, dt: float) -> Trajectory:
     """RK4 under explicit per-step control vectors (shape (N, d))."""
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     steps = len(controls)
-    return Trajectory(t0 + dt * np.arange(steps + 1),
-                      *_march(p, t0, x0, steps, dt, lambda j, t, x: (controls[j], None)), dt)
+    rule = _Held(lambda j, T: controls[j:j + len(T)])
+    return Trajectory(t0 + dt * np.arange(steps + 1), *_march(p, t0, x0, steps, dt, rule), dt)
 
 
 # ---------------------------------------------------------------------------
 # velocity selection
 # ---------------------------------------------------------------------------
 
-def _row_norms(squares: list) -> list:
-    """``np.linalg.norm(D, axis=1)`` bit for bit, from the columns of ``D * D``
-    as lists of floats: each row's squares are summed in numpy's order, and
-    ``math.sqrt`` rounds as ``np.sqrt`` does."""
-    return [math.sqrt(s) for s in _pairwise_sum(squares)]
+def _row_norms(D: Array) -> Array:
+    """Euclidean norms over the last axis, as ``np.linalg.norm(D, axis=-1)``
+    forms them: each row's squares are summed by ``add.reduce`` alone, so a
+    step's norms in a block are its norms alone."""
+    return np.sqrt(np.add.reduce(D * D, axis=-1))
 
 
-def _add(a: list, b: list) -> list:
-    return [x + y for x, y in zip(a, b)]
-
-
-def _pairwise_sum(terms: list) -> list:
-    """Elementwise sum of equal-length lists of nonnegative floats in the
-    order of numpy's ``add.reduce``: one running sum below 8 terms, 8
-    interleaved running sums combined pairwise up to 128, halves split at a
-    multiple of 8 beyond."""
-    n = len(terms)
-    if n < 8:
-        total = terms[0]   # numpy starts from 0, which changes no sum of squares
-        for c in terms[1:]:
-            total = _add(total, c)
-        return total
-    if n > 128:
-        h = n // 2 - n // 2 % 8
-        return _add(_pairwise_sum(terms[:h]), _pairwise_sum(terms[h:]))
-    end = n - n % 8
-    r = terms[:8]
-    for i in range(8, end, 8):
-        r = [_add(a, b) for a, b in zip(r, terms[i:i + 8])]
-    total = _add(_add(_add(r[0], r[1]), _add(r[2], r[3])), _add(_add(r[4], r[5]), _add(r[6], r[7])))
-    for c in terms[end:]:
-        total = _add(total, c)
-    return total
-
-
-def _select_control(p, t, x, target_v, z_next, dt, level):
-    """Sampled control with the nearest velocity to the target, and that velocity.
+def _select(V: Array, G: Array, W: Array, Z: Array, dt: float) -> tuple[Array, int]:
+    """Per step, the sampled control with the nearest velocity to the target:
+    indices into ``V`` (k, b, n) for the steps at the states ``G`` (b, n)
+    with target velocities ``W`` and next target positions ``Z`` (b, n), and
+    how many leading steps have no NaN velocity.
 
     Ties in velocity mismatch are broken by proximity of the induced next
     position to the target path node (this is what lets opposing controls
-    cancel drift around an unrealizable target), then by lowest index.  The
-    mismatches and the ties are computed on Python floats in numpy's order
-    (``_row_norms``).  A NaN velocity raises ``NonFiniteState``: no nearest
-    velocity can be told apart from it.
+    cancel drift around an unrealizable target), then by lowest index.  Each
+    step's mismatches and ties are its own rows (``_row_norms``).  The
+    arithmetic never warns, as Python floats would not.
     """
-    u, vels = p.velocities(t, x, level)
-    cols = vels.T.tolist()
-    mism = _row_norms([[(v - w) * (v - w) for v in c] for c, w in zip(cols, target_v.tolist())])
-    if math.isnan(sum(mism)):          # mismatches are >= 0, so only a NaN makes NaN
-        i = next(i for i, m in enumerate(mism) if math.isnan(m))
-        raise NonFiniteState(f"velocity of control {u[i].tolist()} at t={t}, x={x.tolist()} "
-                             f"is not finite: {vels[i].tolist()}")
-    lo = min(mism) + 1e-12
-    tie = [i for i, m in enumerate(mism) if m <= lo]
-    if len(tie) > 1:
-        diffs = [[xc + dt * c[i] - zc for i in tie]
-                 for c, xc, zc in zip(cols, x.tolist(), z_next.tolist())]
-        pos = _row_norms([[d * d for d in c] for c in diffs])
-        lo = min(pos) + 1e-12
-        tie = [i for i, q in zip(tie, pos) if q <= lo]
-    i = tie[0]
-    return u[i], vels[i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mism = _row_norms(V - W)
+        lo = mism.min(axis=0)          # NaN where a velocity is NaN
+        nan = np.isnan(lo)
+        q = int(nan.argmax()) if nan.any() else len(lo)
+        tie = mism <= lo + 1e-12
+        idx = tie.argmax(axis=0)
+        if np.count_nonzero(tie[:, :q]) > q:     # some step has tied controls
+            pos = np.where(tie, _row_norms(G + dt * V - Z), np.inf)
+            near = (tie & (pos <= pos.min(axis=0) + 1e-12)).argmax(axis=0)
+            idx = np.where(tie.sum(axis=0) > 1, near, idx)
+    return idx, q
 
 
-def _nearest_rule(p, x0: Array, w: Array, dt: float, level: int) -> Callable:
+class _Nearest:
     """Step rule of the projection: the sampled velocity nearest ``w[j]``,
-    ties toward the target path ``z[j + 1] = x0 + dt * sum_{i <= j} w[i]``."""
-    z = x0 + np.vstack([np.zeros(w.shape[1]), np.cumsum(w * dt, axis=0)])
-    w = np.broadcast_to(w, (len(w), p.n))   # a one-column target spans the state
-    return lambda j, t, x: _select_control(p, t, x, w[j], z[j + 1], dt, level)
+    ties toward the target path ``z[j + 1] = x0 + dt * sum_{i <= j} w[i]``,
+    which is also the first guess of the path.  A rule serves marches from
+    one origin ``t0``: it keeps which steps' samples share their bytes."""
+
+    def __init__(self, p: ProblemDefinition, x0: Array, w: Array, dt: float, level: int):
+        self.p, self.dt, self.level = p, dt, level
+        self.z = x0 + np.vstack([np.zeros(w.shape[1]), np.cumsum(w * dt, axis=0)])
+        self.w = np.broadcast_to(w, (len(w), p.n))   # a one-column target spans the state
+        self.span = (0, 0, None)     # steps [lo, hi) whose samples have the bytes of u
+
+    def _samples(self, j: int, T: Array) -> tuple[Array, int]:
+        """The samples at step ``j`` and how many steps from it, at the times
+        ``T``, have samples with the same bytes."""
+        at, level = self.p.controls.at, self.level
+        lo, hi, u = self.span
+        if not lo <= j < hi:
+            lo, hi, u = j, j + 1, at(float(T[0]), level)
+        ts = T.tolist()
+        while hi < j + len(ts):
+            v = at(ts[hi - j], level)
+            if v is not u and (v.shape != u.shape or v.tobytes() != u.tobytes()):
+                break
+            hi += 1
+        self.span = lo, hi, u
+        return u, min(hi - j, len(ts))
+
+    def block(self, j, T, G):
+        u, q = self._samples(j, T)
+        _, V = self.p.velocities(T[:q], G[:q], self.level, u)
+        idx, q = _select(V, G[:q], self.w[j:j + q], self.z[j + 1:j + q + 1], self.dt)
+        return u[idx[:q]], V[idx[:q], np.arange(q)], q
+
+    def step(self, j, t, x):
+        u, vels = self.p.velocities(t, x, self.level)
+        idx, q = _select(vels[:, None], x[None], self.w[j:j + 1], self.z[j + 1:j + 2], self.dt)
+        if not q:
+            i = int(np.flatnonzero(np.isnan(vels).any(axis=1))[0])
+            raise NonFiniteState(f"velocity of control {u[i].tolist()} at t={t}, x={x.tolist()} "
+                                 f"is not finite: {vels[i].tolist()}")
+        return u[idx[0]], vels[idx[0]]
+
+    def guess(self, j, k):
+        return self.z[j:j + k]
+
+
+def _nearest_rule(p, x0: Array, w: Array, dt: float, level: int) -> _Nearest:
+    return _Nearest(p, x0, w, dt, level)
 
 
 class _MixtureMultiplexer:
@@ -344,6 +496,59 @@ def filippov_project(
 # viability
 # ---------------------------------------------------------------------------
 
+class _Viable:
+    """Step rule of ``viable_trajectory``: the margin mixture where some
+    constraint is within the acting tube of radius ``trig``, the default
+    control elsewhere.  A block decides its steps outside the tube from one
+    ``constraint_values`` call.  A step in the tube, or past the wall, runs
+    alone.  In the tube the path chatters: one step in, a few out, one in.
+    So after a step in the tube the steps out of it run alone too, until the
+    path has been out longer than the last time, and blocks resume."""
+
+    def __init__(self, p: ProblemDefinition, cert: IpcCertificate, level: int, trig: float,
+                 games: dict):
+        self.p, self.cert, self.level, self.games = p, cert, level, games
+        near = -trig * np.maximum(p.grad_bounds(), 1e-12)   # h_i at or above its entry: in the tube
+        self.near = near.tolist()
+        self.stop = np.minimum(near, geo.TOL_FEAS)            # in the tube, or past the wall
+        self.defaults = np.broadcast_to(p.default_control, (_BLOCK, p.controls.dim))
+        self.mux = _MixtureMultiplexer(1)
+        self.first = None          # (j, h) of the last block's first step, at its true state
+        self.tube, self.out = -1, 0    # the last step in the tube, and the steps out before it
+        self.block = self._block
+
+    def _block(self, j, T, G):
+        H = self.p.constraint_values(T, G)
+        self.first = j, H[0]
+        stop = H >= self.stop
+        k = int(stop.argmax()) if stop.size else 0
+        q = k // H.shape[1] if stop.size and stop.flat[k] else len(T)
+        return self.defaults[:q], None, q
+
+    def step(self, j, t, x):
+        p = self.p
+        hv = self.first[1] if self.first and self.first[0] == j else geo.eval_constraints(p, t, x)
+        hs = hv.tolist()   # finite: constraint_values raises on a non-finite h
+        viol = max(hs, default=-math.inf)
+        if viol > geo.TOL_FEAS:
+            raise ViabilityLost(f"feasibility lost at t={t} (max h = {viol:.3e}); dt too coarse?")
+        if not any(h >= c for h, c in zip(hs, self.near)):
+            if j - self.tube > self.out:
+                self.block = self._block
+            return p.default_control, None
+        self.tube, self.out, self.block = j, j - self.tube - 1, None
+        mr, u, vels = _margin(p, t, x, hv, self.cert.delta, self.level, self.games)
+        if math.isfinite(mr.r) and mr.r <= 0:
+            raise ViabilityLost(f"nonpositive inward margin at t={t}")
+        if math.isfinite(mr.r):
+            k = self.mux.pick(mr.alpha)
+            return u[k], vels[k]
+        return p.default_control, None
+
+    def guess(self, j, k):
+        return None
+
+
 def viable_trajectory(
     p: ProblemDefinition,
     cert: IpcCertificate,
@@ -375,27 +580,8 @@ def viable_trajectory(
     trig = tube_radius
     if trig is None:
         trig = min(cert.eta, 1.5 * (p.data.M + p.data.omega_lip) * dt)
-    # h_i at or above its entry: in the tube
-    near = (-trig * np.maximum(p.grad_bounds(), 1e-12)).tolist()
-    mux = _MixtureMultiplexer(1)
-    games = {} if games is None else games
-
-    def choose(j, t, x):
-        hv = geo.eval_constraints(p, t, x)
-        hs = hv.tolist()   # finite: constraint_values raises on a non-finite h
-        viol = max(hs, default=-math.inf)
-        if viol > geo.TOL_FEAS:
-            raise ViabilityLost(f"feasibility lost at t={t} (max h = {viol:.3e}); dt too coarse?")
-        if any(h >= c for h, c in zip(hs, near)):
-            mr, u, vels = _margin(p, t, x, hv, cert.delta, level, games)
-            if math.isfinite(mr.r) and mr.r <= 0:
-                raise ViabilityLost(f"nonpositive inward margin at t={t}")
-            if math.isfinite(mr.r):
-                k = mux.pick(mr.alpha)
-                return u[k], vels[k]
-        return p.default_control, None
-
-    states, ctrl = _march(p, t0, x, steps, dt, choose)
+    rule = _Viable(p, cert, level, trig, {} if games is None else games)
+    states, ctrl = _march(p, t0, x, steps, dt, rule)
     if not geo.is_feasible(p, t0 + steps * dt, states[-1]):
         raise ViabilityLost("feasibility lost at the final node; dt too coarse?")
     return Trajectory(t0 + dt * np.arange(steps + 1), states, ctrl, dt)
@@ -547,22 +733,18 @@ def _measure_rho(p, times, states) -> float:
     return float(geo.distances_upper_along(p, times, states).max())
 
 
-def _march_while(p, t0, times, dt, choose, start, out, holds) -> bool:
-    """``_march`` continued into ``out`` in chunks of 1, 2, 4, ... steps while
-    ``holds(times, states)`` is true of each chunk's nodes, its start node
-    included.  ``out`` holds the start state in its first row and ``times``
-    its node times.  Returns False at the first chunk where ``holds`` fails,
-    with the steps after that chunk left unmarched."""
-    states, ctrl = out
-    a, size, steps = 0, 1, len(ctrl)
-    while a < steps:
-        b = min(a + size, steps)
-        _march(p, t0, states[a], b - a, dt, choose, start=start + a,
-               out=(states[a:b + 1], ctrl[a:b]))
-        if not holds(times[a:b + 1], states[a:b + 1]):
-            return False
-        a, size = b, 2 * size
-    return True
+class _Push:
+    """Step rule of the push: the support controls of the inward mixture
+    ``alpha``, each step advancing the mixture credit, so each runs alone."""
+
+    block = None
+
+    def __init__(self, p: ProblemDefinition, level: int, alpha: Array):
+        self.p, self.level, self.alpha = p, level, alpha
+        self.mux = _MixtureMultiplexer(len(alpha))
+
+    def step(self, j, t, x):
+        return self.p.controls.at(t, self.level)[self.mux.pick(self.alpha)], None
 
 
 def _case_push_and_replay(p, cert, cons, t_a, ref_states, rho_c, dt, level, games=None):
@@ -578,15 +760,14 @@ def _case_push_and_replay(p, cert, cons, t_a, ref_states, rho_c, dt, level, game
     if math.isfinite(mr.r):
         s = min(int(math.ceil(cons.k_shift * rho_c / dt)), steps)
     w = np.vstack([np.repeat(mr.v[None, :], s, axis=0), refvel[: steps - s]])
-    replay = _nearest_rule(p, start, w, dt, level)
-    mux = _MixtureMultiplexer(len(mr.alpha))
-
-    def choose(j, t, x):
-        if j < s:
-            return p.controls.at(t, level)[mux.pick(mr.alpha)], None
-        return replay(j, t, x)
-
-    return _march(p, t_a, start, steps, dt, choose)
+    states, ctrl = np.empty((steps + 1, p.n)), np.empty((steps, p.controls.dim))
+    states[0] = start
+    if s:
+        _march(p, t_a, start, s, dt, _Push(p, level, mr.alpha), out=(states[:s + 1], ctrl[:s]))
+    if s < steps:
+        _march(p, t_a, states[s], steps - s, dt, _nearest_rule(p, start, w, dt, level),
+               start=s, out=(states[s:], ctrl[s:]))
+    return states, ctrl
 
 
 def nft_correct(
@@ -606,11 +787,10 @@ def nft_correct(
     piece the path follows the reference's velocities (nearest sampled
     velocity), marched one piece ahead of the sweep, and the running
     violation is the largest distance measured on that projection so far.
-    The violation is measured only while a push is still possible: once it
-    exceeds ``rho_bar``, and on a piece that starts deep inside, a projected
-    piece either passes or restarts.  Such a piece is marched in chunks of
-    1, 2, 4, ... steps and stops at the first chunk that cannot pass; the
-    restart overwrites it.  So a skipped tail or measurement cannot raise.
+    The violation is measured only while a push is still possible: not once
+    it exceeds ``rho_bar``, nor on a piece that starts deep inside and does
+    not pass, which restarts.  A projected piece is marched whole, also one
+    that restarts; the restart overwrites it.
     The output shares the reference's start, is strictly inside on the open
     interval, and stays within ``beta * rho`` of the reference.
     """
@@ -653,31 +833,20 @@ def nft_correct(
     for ja, jb in zip(bounds[:-1], bounds[1:]):
         t_a = float(times[ja])
         deep = geo.clearance_proxy(p, t_a, cur[ja]) > cons.eta_hat / 2
-        projected = True   # whether cur[ja:jb + 1] holds the whole piece
         if project is not None:
-            out = (cur[ja:jb + 1], ctrl[ja:jb])
+            _march(p, float(times[origin]), cur[ja], jb - ja, dt, project, start=ja - origin,
+                   out=(cur[ja:jb + 1], ctrl[ja:jb]))
             have_ctrl[ja:jb] = True
-            if deep or rho_prev > cons.rho_bar:
-                # the piece passes or restarts: stop at the first chunk that
-                # cannot pass, and the restart overwrites it
-                def holds(ts, xs):
-                    if deep:
-                        return geo.violations_along(p, ts, xs).max() <= geo.TOL_FEAS
-                    return _strictly_inside(p, ts, xs)
-
-                projected = _march_while(p, float(times[origin]), times[ja:jb + 1], dt,
-                                         project, ja - origin, out, holds)
-            else:
-                _march(p, float(times[origin]), cur[ja], jb - ja, dt, project,
-                       start=ja - origin, out=out)
-            if projected and rho_prev <= cons.rho_bar:   # above rho_bar it cannot matter
-                rho_prev = max(rho_prev, _measure_rho(p, times[ja + 1:jb + 1], cur[ja + 1:jb + 1]))
-        if projected:
-            piece_clear = _strictly_inside(p, times[ja:jb + 1], cur[ja:jb + 1])
-            feas_now = geo.violations_along(p, times[ja:jb + 1], cur[ja:jb + 1]).max() <= geo.TOL_FEAS
-            if feas_now and (piece_clear or deep):
-                pieces["pass"] += 1
-                continue
+        piece_clear = _strictly_inside(p, times[ja:jb + 1], cur[ja:jb + 1])
+        feas_now = geo.violations_along(p, times[ja:jb + 1], cur[ja:jb + 1]).max() <= geo.TOL_FEAS
+        passes = feas_now and (piece_clear or deep)
+        # the violation matters only while a push is possible: above rho_bar,
+        # or on a deep piece that does not pass, the piece restarts
+        if project is not None and rho_prev <= cons.rho_bar and (passes or not deep):
+            rho_prev = max(rho_prev, _measure_rho(p, times[ja + 1:jb + 1], cur[ja + 1:jb + 1]))
+        if passes:
+            pieces["pass"] += 1
+            continue
         if deep or rho_prev > cons.rho_bar:
             # violation too large for the push construction: restart the piece
             # from a viable path with (numerically) zero violation

@@ -538,8 +538,9 @@ def _sweep_rows(p: ProblemDefinition, times: Array, nodes: Array, feas: Array, l
     Each block also decides, once for all its slices, whether a slice's
     velocities have the bytes of the slice stepped before it (the one after
     it in time) and which feasible node (``feas`` (T, P)) first has a
-    non-finite cost.  Each slice's rows are contiguous, as one slice's own
-    call gives them.
+    non-finite cost.  A non-finite cost at an infeasible node is set to 0,
+    so that no mixture of it warns; the node's value is +inf either way.
+    Each slice's rows are contiguous, as one slice's own call gives them.
     """
     P, n = nodes.shape
     hi, u = len(times), None
@@ -563,7 +564,11 @@ def _sweep_rows(p: ProblemDefinition, times: Array, nodes: Array, feas: Array, l
         seen[-1] = (last is not None and last.shape == F[-1].shape
                     and bool((last.view(np.uint64) == F[-1].view(np.uint64)).all()))
         last = F[0]                       # rebound now, so that the last block is freed
-        bad = feas[lo:hi] & ~np.isfinite(C).all(axis=1)
+        finite = np.isfinite(C)
+        ok = finite.all(axis=1)
+        bad = feas[lo:hi] & ~ok
+        if not ok.all():              # an infeasible node's value is +inf whatever its cost
+            C[~finite & ~feas[lo:hi, None]] = 0.0
         first = np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
         for j in range(hi - lo - 1, -1, -1):
             yield lo + j, _Rows(F[j], C[j], bool(seen[j]), None if first[j] < 0 else int(first[j]))

@@ -256,11 +256,10 @@ def test_geometry_matches_scalar_references(name):
 
 
 # Constraint values a reduction must keep exactly: zeros of both signs, so
-# that ties come in both orders, the smallest subnormals and magnitudes near
-# the top of the double range.  Not 1e308: ``constraint_values`` proves its
-# values finite by their sum, which warns once finite values sum past the
-# double range.  Times scale the values, -0.0 and 0.0 included.
-_EDGE_VALUES = (-0.0, 0.0, 1.0, -1.0, 5e-324, -5e-324, 1e305, -1e305)
+# that ties come in both orders, the smallest subnormals and magnitudes at
+# the top of the double range.  Times scale the values, -0.0 and 0.0
+# included.
+_EDGE_VALUES = (-0.0, 0.0, 1.0, -1.0, 5e-324, -5e-324, 1e308, -1e308)
 _EDGE_TIMES = (1.0, -1.0, 0.5, 0.0, -0.0)
 
 
@@ -295,6 +294,15 @@ def _assert_reductions_match(p, t, X):
                        oracles.worst_trailing_axis(p, np.asarray(t, dtype=float), X))
     _assert_same_bytes(geo.feasible_mask(p, t, X), worst <= geo.TOL_FEAS)
     _assert_same_bytes(geo.clearance_proxy(p, t, X), oracles.clearance_trailing_axis(p, t, X))
+
+
+def test_finite_values_whose_sum_overflows_do_not_warn():
+    """Every value is finite, though their sum is not: no overflow warning,
+    which the suite's settings would raise."""
+    p = _coordinate_walls(2)
+    for X in (np.array([1e308, 1e308]), np.full((3, 2), -1e308)):
+        H = p.constraint_values(1.0, X)
+        assert np.array_equal(H, X)
 
 
 @settings(max_examples=300, deadline=None)

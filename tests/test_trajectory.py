@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -99,20 +101,26 @@ _STEPS = st.integers(1, 2000).map(lambda k: k / 19937)
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.sampled_from([1, 2, 3]), kind=st.sampled_from(["sway", "drift"]),
-       t=_TIMES, dt=_STEPS, with_k1=st.booleans(), data=st.data())
-def test_rk4_step_matches_loop_reference(n, kind, t, dt, with_k1, data):
+       t=_TIMES, dt=_STEPS, with_k1=st.booleans(), rows=st.integers(1, 5), data=st.data())
+def test_rk4_step_matches_loop_reference(n, kind, t, dt, with_k1, rows, data):
     """One step equals the loop reference's byte for byte, for a velocity
     that varies in x and t (sway) or in t alone (drift), with k1 evaluated
-    in the step or handed in as a row of a batch of controls."""
+    in the step or handed in as a row of a batch of controls.  The block
+    kernel's rows, over steps at different times, states and controls, are
+    those steps, each taken alone."""
     f = sway_problem().f if kind == "sway" else drift_velocity(n)
     coords = st.lists(st.floats(-1.9, 1.9), min_size=n, max_size=n)
-    x = np.array(data.draw(coords))
-    u = np.array(data.draw(coords)) / 1.9
-    k1 = np.asarray(f(t, x, u[None, :]), dtype=float)[0] if with_k1 else None
-    got = tj._rk4_step(f, t, x, u, dt, k1)
-    want = oracles.rk4_step(f, t, x, u, dt)
-    assert got.shape == want.shape == (n,)
-    assert got.tobytes() == want.tobytes()
+    T = t + dt * np.arange(rows)
+    X = np.array([data.draw(coords) for _ in range(rows)])
+    U = np.array([data.draw(coords) for _ in range(rows)]) / 1.9
+    K1 = np.asarray(f(T[:, None], X, U), dtype=float) if with_k1 else None
+    C = X + tj._rk4_increments(f, T, X, U, dt, K1)
+    for i in range(rows):
+        k1 = np.asarray(f(T[i], X[i], U[i][None, :]), dtype=float)[0] if with_k1 else None
+        got = tj._rk4_step(f, float(T[i]), X[i], U[i], dt, k1)
+        want = oracles.rk4_step(f, float(T[i]), X[i], U[i], dt)
+        assert got.shape == want.shape == (n,)
+        assert got.tobytes() == want.tobytes() == C[i].tobytes()
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
@@ -459,29 +467,31 @@ def test_constructions_match_loop_references(name, request):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-# --- one velocity evaluation per step -------------------------------------------------
+# --- velocity evaluations per step -------------------------------------------------
 
 def _counting_f(p):
-    """Copy of ``p`` whose ``f`` counts its batched calls (a ``(k, d)`` control
-    array) and its single-control calls."""
-    calls = {"batched": 0, "single": 0}
+    """Copy of ``p`` whose ``f`` counts the velocity rows it evaluates."""
+    rows = [0]
 
     def f(t, x, u):
-        calls["batched" if np.ndim(u) == 2 else "single"] += 1
-        return p.f(t, x, u)
+        v = np.asarray(p.f(t, x, u), dtype=float)
+        rows[0] += v.size // p.n
+        return v
 
-    return dataclasses.replace(p, f=f), calls
+    return dataclasses.replace(p, f=f), rows
 
 
 @pytest.mark.parametrize("name", sorted(_CERT_OF))
-def test_projection_evaluates_velocities_once_per_step(name, request):
-    # each step: one velocities call for the nearest rule, whose chosen row is
-    # RK4's first stage, and three single-control stages
-    p, calls = _counting_f(request.getfixturevalue(name))
+def test_projection_evaluates_few_f_rows_per_kept_step(name, request):
+    # a block's iteration evaluates the k sampled velocities for the nearest
+    # rule, whose chosen rows are RK4's first stage, and three stages, for
+    # each of its steps; the target path's guesses cost one iteration more
+    p, rows = _counting_f(request.getfixturevalue(name))
     steps = 37
     w = np.full((steps, p.n), 0.3)
     tj.filippov_project(p, 0.2, p.anchor(0.2), w, steps, 0.01)
-    assert calls == {"batched": steps, "single": 3 * steps}
+    k = len(p.controls.at(0.2))
+    assert rows[0] <= 2 * (k + 3) * steps
 
 
 _PROJECTED = {"sway-1d": sway_problem, "drift-1d": lambda: drift_problem(1),
@@ -504,11 +514,13 @@ def test_projection_matches_loop_reference_when_f_varies(name):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 17, 128, 129, 300])
 def test_row_norms_equal_numpy_bit_for_bit(n):
-    """The float mismatch norm sums squares in numpy's order for any state
-    size: one running sum below 8 terms, pairwise blocks from 8 on."""
-    D = np.random.default_rng(n).standard_normal((6, n)) * np.logspace(-3, 3, n)
-    got = tj._row_norms((D * D).T.tolist())
-    assert np.array(got).tobytes() == np.linalg.norm(D, axis=1).tobytes()
+    """The selection's norms over a block of steps sum each step's squares
+    in numpy's order for any state size (one running sum below 8 terms,
+    pairwise blocks from 8 on), as that step's own norm does."""
+    D = np.random.default_rng(n).standard_normal((6, 5, n)) * np.logspace(-3, 3, n)
+    got = tj._row_norms(D)
+    for s in range(5):
+        assert got[:, s].tobytes() == np.linalg.norm(D[:, s], axis=1).tobytes()
 
 
 _SELECTING = {**_PROJECTED, "corridor-2d": lambda: pb.get_problem("corridor-2d")}
@@ -517,26 +529,33 @@ _SELECTING = {**_PROJECTED, "corridor-2d": lambda: pb.get_problem("corridor-2d")
 @settings(max_examples=200, deadline=None)
 @given(name=st.sampled_from(sorted(_SELECTING)), t=_TIMES, dt=_STEPS,
        target=st.sampled_from(["random", "midpoint"]),
-       z_next=st.sampled_from(["random", "along"]), data=st.data())
-def test_select_control_matches_loop_reference(name, t, dt, target, z_next, data):
+       z_next=st.sampled_from(["random", "along"]), rows=st.integers(1, 4), data=st.data())
+def test_select_control_matches_loop_reference(name, t, dt, target, z_next, rows, data):
     """The nearest-velocity rule picks the loop reference's control row, also
     for a target exactly between two sampled velocities, where the tie is
-    broken by the next position and then by the lowest index."""
+    broken by the next position and then by the lowest index; over a block
+    of steps at different times and states, each step's as if alone."""
     p = _SELECTING[name]()
     coords = st.lists(st.floats(-1.4, 1.4), min_size=p.n, max_size=p.n)
-    x = np.array(data.draw(coords))
-    _, vels = p.velocities(t, x)
-    if target == "random":
-        w = np.array(data.draw(coords))
-    else:
-        pair = st.lists(st.integers(0, len(vels) - 1), min_size=2, max_size=2, unique=True)
-        a, b = data.draw(pair)
-        w = (vels[a] + vels[b]) / 2
-    z = x + dt * w if z_next == "along" else np.array(data.draw(coords))
-    u, v = tj._select_control(p, t, x, w, z, dt, 0)
-    want = oracles.nearest_control(p, t, x, w, z, dt, 0)
-    assert u.tobytes() == want.tobytes()
-    assert v.tobytes() == np.asarray(p.f(t, x, want), dtype=float).tobytes()
+    T = t + dt * np.arange(rows)
+    X = np.array([data.draw(coords) for _ in range(rows)])
+    u = p.controls.at(t)          # the same at every time for these problems
+    _, V = p.velocities(T, X, 0, u)
+    W, Z = np.empty_like(X), np.empty_like(X)
+    for i in range(rows):
+        if target == "random":
+            W[i] = data.draw(coords)
+        else:
+            pair = st.lists(st.integers(0, len(V) - 1), min_size=2, max_size=2, unique=True)
+            a, b = data.draw(pair)
+            W[i] = (V[a, i] + V[b, i]) / 2
+        Z[i] = X[i] + dt * W[i] if z_next == "along" else data.draw(coords)
+    idx, q = tj._select(V, X, W, Z, dt)
+    assert q == rows
+    for i in range(rows):
+        want = oracles.nearest_control(p, float(T[i]), X[i], W[i], Z[i], dt, 0)
+        assert u[idx[i]].tobytes() == want.tobytes()
+        assert V[idx[i], i].tobytes() == np.asarray(p.f(T[i], X[i], want), dtype=float).tobytes()
 
 
 def _drift_walls():
@@ -673,3 +692,143 @@ def test_residual_contract_when_rows_depend_on_the_batch():
     # the viable path met the wall: some steps took the margin mixture
     assert np.any(np.abs(paths[1].controls - p.default_control).max(axis=1) > 0)
     assert stepped == 2 * steps
+
+
+# --- blocks of steps, kept only where proven exact -------------------------------------
+
+def _scrambled_guesses(rng, calls):
+    """A ``tj._guesses`` hook: each block cut at a random length, its guesses
+    kept, moved by one ulp, moved at random, sent to +-inf, or made NaN."""
+    def hook(j, G):
+        calls.append(j)
+        G = G[:rng.integers(1, len(G) + 1)]
+        kind = rng.integers(6)
+        if kind == 1:
+            G[1:] = np.nextafter(G[1:], np.inf)
+        elif kind == 2:
+            G[1:] += rng.normal(0.0, 0.05, G[1:].shape)
+        elif kind == 3:
+            G[1:] = rng.uniform(-3.0, 3.0, G[1:].shape)
+        elif kind == 4:
+            G[1:] = np.inf * rng.choice([-1.0, 1.0], G[1:].shape)
+        elif kind == 5:
+            G[1:] = np.nan
+        return G
+    return hook
+
+
+_WALLED = {"sway-walls": sway_walls, "drift-walls": lambda: _drift_walls()}
+_MARCHED = {**_PROJECTED, **_WALLED}
+
+
+@functools.lru_cache(maxsize=None)
+def _walled_case(name):
+    p = _WALLED[name]()
+    cert = ipc.verify_ipc(p, (0.0, 2 * math.pi), r_min=0.05, delta=0.5,
+                          n_time=24, n_dirs=8).certificate
+    return p, cert
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(_CERT_OF) + sorted(_MARCHED)),
+       construction=st.sampled_from(["integrate", "controls", "project", "viable", "push"]),
+       steps=st.integers(2, 150), seed=st.integers(0, 2 ** 32 - 1))
+def test_march_equals_loop_reference_from_any_guesses(
+        name, construction, steps, seed, moving_wall, corridor, hover, quadratic,
+        mw_cert, corridor_cert, hover_cert, quadratic_cert):
+    """Whatever a block guesses and wherever it ends, every construction is
+    its step loop bit for bit: only steps proven exact are kept, and a block
+    that raises or warns at its guesses (an inf guess makes f's 0 * x NaN)
+    is redone alone."""
+    fixtures = {"moving_wall": (moving_wall, mw_cert), "corridor": (corridor, corridor_cert),
+                "hover": (hover, hover_cert), "quadratic": (quadratic, quadratic_cert)}
+    if name in fixtures:
+        p, cert = fixtures[name]
+    elif name in _WALLED:
+        p, cert = _walled_case(name)
+    else:
+        p, cert = _PROJECTED[name](), None
+    if cert is None and construction in ("viable", "push"):
+        construction = "project"
+    rng = np.random.default_rng(seed)
+    t0, dt = float(rng.uniform(0.0, 6.0)), float(rng.choice([0.01, 0.02, 1e-3]))
+    if p.m:
+        xb = max(geo.sample_boundary_points(p, t0, 8), key=lambda q: q[-1])
+        x0 = xb - 0.03 * np.eye(p.n)[-1]
+    else:
+        x0 = rng.uniform(-0.5, 0.5, p.n)
+    u0 = p.controls.at(t0, 0)
+    idx = rng.integers(0, len(u0), steps)
+    calls = []
+    with mock.patch.object(tj, "_guesses", _scrambled_guesses(rng, calls)):
+        if construction == "integrate":
+            got = tj.integrate(p, t0, x0, idx.tolist(), steps, dt)
+            want = oracles.integrate_loop(p, t0, x0, idx, steps, dt)
+        elif construction == "controls":
+            U = rng.uniform(-1.0, 1.0, (steps, p.controls.dim))
+            got = tj.integrate_controls(p, t0, x0, U, dt)
+            want = oracles.integrate_controls_loop(p, t0, x0, U, dt)
+        elif construction == "project":
+            w = rng.choice([0.0, 0.3, 1.0]) * rng.standard_normal((steps, p.n))
+            got = tj.filippov_project(p, t0, x0, w, steps, dt)
+            want = oracles.filippov_project_loop(p, t0, x0, w, steps, dt)
+        elif construction == "viable":
+            radius = rng.choice([None, 0.06])
+            got = tj.viable_trajectory(p, cert, t0, x0, t0 + steps * dt, dt, tube_radius=radius)
+            want = oracles.viable_trajectory_loop(p, cert, t0, x0, t0 + steps * dt, dt,
+                                                  tube_radius=radius)
+        else:
+            ref = oracles.integrate_loop(p, t0, x0, idx, steps, dt)[0]
+            cons = tj.derive_nft_constants(p, cert, 1.0)
+            got = tj.Trajectory(t0 + dt * np.arange(steps + 1), *tj._case_push_and_replay(
+                p, cert, cons, t0, ref, 1e-3, dt, 0), dt)
+            want = oracles.push_and_replay_loop(p, cert, cons, t0, ref, 1e-3, dt)
+    assert calls or construction == "push"
+    _assert_same_path(got, *want)
+
+
+def test_residual_contract_from_any_guesses():
+    """With velocity rows that depend on the batch, a march from any guesses
+    still meets the residual contract at every step."""
+    p = _batch_dependent_problem()
+    cert = ipc.verify_ipc(p, (0.0, 2.0), r_min=0.1, delta=0.3, n_time=4, n_dirs=8).certificate
+    t0, dt, steps = 0.0, 0.01, 150
+    x0 = np.array([0.1, 0.45])
+    w = np.tile([0.2, 1.0], (steps, 1))
+    for seed in range(4):
+        with mock.patch.object(tj, "_guesses", _scrambled_guesses(np.random.default_rng(seed), [])):
+            paths = [tj.filippov_project(p, t0, x0, w, steps, dt),
+                     tj.viable_trajectory(p, cert, t0, x0, t0 + steps * dt, dt, tube_radius=0.05)]
+        for traj in paths:
+            for j in range(traj.n_steps):
+                want = oracles.rk4_step(p.f, float(traj.times[j]), traj.states[j],
+                                        traj.controls[j], dt)
+                assert np.abs(traj.states[j + 1] - want).max() <= tj.TOL_ODE
+
+
+def test_velocity_that_overflows_off_the_path_does_not_warn():
+    """A velocity that overflows, and warns, only far from the path (|x| > 1.7)
+    gives the loop's path: the blocks whose guesses go there are redone
+    alone, and no warning reaches the caller (the suite makes one an error)."""
+    def f(t, x, u):
+        x = np.asarray(x, dtype=float)
+        return np.asarray(u, dtype=float) + 0.0 * np.exp(400.0 * np.abs(x))
+
+    p = simple_problem(f, zero_cost, name="overflow-off-path")
+    steps, dt = 120, 0.01
+    rng = np.random.default_rng(3)
+    idx = rng.integers(0, 3, steps)
+    w = rng.uniform(-0.5, 0.5, (steps, 1))
+    calls = []
+
+    def far(j, G):
+        calls.append(j)
+        G[1:] = 3.0
+        return G
+
+    with mock.patch.object(tj, "_guesses", far):
+        _assert_same_path(tj.integrate(p, 0.0, [0.0], idx.tolist(), steps, dt),
+                          *oracles.integrate_loop(p, 0.0, [0.0], idx, steps, dt))
+        _assert_same_path(tj.filippov_project(p, 0.0, [0.0], w, steps, dt),
+                          *oracles.filippov_project_loop(p, 0.0, [0.0], w, steps, dt))
+    assert len(calls) >= 2 * steps / tj._BLOCK

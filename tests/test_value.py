@@ -256,6 +256,21 @@ def test_nonfinite_running_cost_is_named_not_grid_too_coarse(hover):
     assert "at feasible node [0.] at t=0.09 is not finite: [0.0, inf]" in str(err.value)
 
 
+def test_nonfinite_cost_off_the_feasible_set_is_not_mixed(hover):
+    """A cost of +inf where |x| > 0.4, outside hover's walls, changes no value:
+    the relaxed sweep solves without warning, and its finite values sit at
+    the plain sweep's finite nodes."""
+    def cost(t, x, u):
+        far = np.abs(np.asarray(x, dtype=float)[..., 0]) > 0.4
+        return np.where(far, np.inf, hover.running_cost(t, x, u))
+
+    p = dataclasses.replace(hover, running_cost=cost)
+    g = val.grid_for(p, 61, 0.01)
+    plain, relaxed = (val.solve_value(p, p.lam, g, relaxed=r, horizon=0.1) for r in (False, True))
+    assert np.count_nonzero(np.isfinite(plain.values)) == 341
+    assert np.array_equal(np.isfinite(relaxed.values), np.isfinite(plain.values))
+
+
 def test_grid_too_coarse_met_first_wins_over_a_later_nonfinite_cost(moving_wall):
     # the sweep meets the stranded node at t = 2.888 before the costs that
     # are +inf before t = 2.8, in the same block of slices
