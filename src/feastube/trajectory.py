@@ -67,6 +67,11 @@ _BLOW_UP = 1e12          # a state component beyond this stops the march
 # steps per iteration however long the block is; 64 covers a repair piece
 # (69 steps at the benchmark's dt) in about two iterations.
 _BLOCK = 64
+_STEPS = np.arange(_BLOCK)
+# Steps out of the viability rule's acting tube that run alone after a step
+# in it.  A block costs about as much as 8 steps alone, and between two steps
+# in the tube the path is mostly out for 1 to 4 steps.
+_TUBE_ALONE = 8
 
 # Test seam: when set, ``_guesses(j, G)`` replaces the guessed states ``G``
 # of the block that starts at step ``j`` (row 0 is the true state, which the
@@ -226,12 +231,12 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
 
     ``rule.step(j, t, x)`` returns the control held over step ``j`` from its
     true state ``x`` and the velocity ``f(t, x, u)`` when the rule has
-    already evaluated it (``None`` otherwise).  ``rule.block(j, T, G)``, if
-    the rule has one, decides the steps from ``j`` at the times ``T`` and
-    guessed states ``G`` in one go: it returns their controls, their
-    velocities or ``None``, and how many leading steps it decided.
-    ``rule.guess(j, k)`` returns guesses of the states at the ``k`` steps
-    from ``j``, or ``None`` to extrapolate the last step's increment.
+    already evaluated it (``None`` otherwise).  While ``rule.blocking`` is
+    true, ``rule.block(j, T, G)`` decides the steps from ``j`` at the times
+    ``T`` and guessed states ``G`` in one go: it returns their controls,
+    their velocities or ``None``, and how many leading steps it decided.
+    ``rule.path``, if not ``None``, holds first guesses of the states at
+    every step; without it the march extrapolates the last increment.
 
     Blocks keep their prefix proven exact (module docstring), so the march
     equals the loop ``x = _rk4_step(f, t, x, *rule.step(j, t, x))`` bit for
@@ -245,21 +250,21 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
         out = np.empty((steps + 1, p.n)), np.empty((steps, p.controls.dim))
     states, ctrl = out
     states[0] = np.asarray(x0, dtype=float).reshape(-1)
-    times = t0 + np.arange(start, start + steps) * dt      # t0 + j * dt, as a step computes it
-    ahead = np.empty((0, p.n))   # states computed past the last kept step: guesses from step i on
+    ahead = None                 # states computed past the last kept step: guesses from step i on
     incr = np.zeros(p.n)         # the last increment computed, to extrapolate guesses
     i = 0
     while i < steps:
-        x = states[i]
+        j, x = start + i, states[i]
         block = None
-        if rule.block is not None and steps - i > 1:
-            G = _guess(rule, start + i, min(steps - i, _BLOCK), x, ahead, incr)
+        if rule.blocking and steps - i > 1:
+            G = _guess(rule, j, min(steps - i, _BLOCK), x, ahead, incr)
+            T = t0 + (j + _STEPS[:len(G)]) * dt      # t0 + j * dt, as a step alone computes it
             try:
                 # a block that raises or warns at its guesses is redone alone,
                 # where the step at fault, if any, raises or warns itself
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    block = _speculate(p.f, rule, start + i, times[i:i + len(G)], G, dt)
+                    block = _speculate(p.f, rule, j, T, G, dt)
             except Exception:
                 block = None
         if block is not None and block[0]:
@@ -268,30 +273,30 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
             ctrl[i:i + kept] = U[:kept]
             ahead = C[kept:]
         else:
-            t = float(times[i])
-            u, k1 = rule.step(start + i, t, x)
+            t = t0 + j * dt
+            u, k1 = rule.step(j, t, x)
             ctrl[i] = u
             states[i + 1] = _rk4_step(p.f, t, x, u, dt, k1)
-            kept, ahead = 1, ahead[1:]
+            kept, ahead = 1, None
         i += kept
     return states, ctrl
 
 
-def _guess(rule, j: int, b: int, x: Array, ahead: Array, incr: Array) -> Array:
+def _guess(rule, j: int, b: int, x: Array, ahead: Array | None, incr: Array) -> Array:
     """Guessed states of the ``b`` steps from step ``j`` at state ``x``: the
-    states computed ahead by the last block, then the rule's guesses, or
-    else ``incr`` added step by step."""
+    states computed ahead by the last block, then the rule's path, or else
+    ``incr`` added step by step."""
     G = np.empty((b, len(x)))
     G[0] = x
-    a = min(max(len(ahead), 1), b)
-    G[1:a] = ahead[1:a]
-    if a < b:
-        more = rule.guess(j + a, b - a)
-        if more is None:
-            G[a:] = incr
-            np.cumsum(G[a - 1:], axis=0, out=G[a - 1:])
-        else:
-            G[a:] = more
+    a = 1
+    if ahead is not None:
+        a = min(len(ahead), b)
+        G[1:a] = ahead[1:a]
+    if a < b and rule.path is not None:
+        G[a:] = rule.path[j + a:j + b]
+    elif a < b:
+        G[a:] = incr
+        np.cumsum(G[a - 1:], axis=0, out=G[a - 1:])
     if _guesses is not None:
         G = np.array(_guesses(j, G.copy()), dtype=float).reshape(-1, len(x))[:b]
         G[0] = x
@@ -302,8 +307,8 @@ def _speculate(f: Callable, rule, j: int, T: Array, G: Array, dt: float):
     """One block from step ``j``: ``(kept, C, U, incr)``, where ``C`` holds
     the block's start and the states computed from the guesses ``G``, ``U``
     the controls, ``incr`` the last increment, and ``kept`` how many leading
-    steps are proven exact.  ``kept`` is 0 when the rule decides fewer than
-    two steps, which then run alone (``None``)."""
+    steps are proven exact; ``None`` when the rule decides fewer than two
+    steps, which then run alone."""
     U, K1, q = rule.block(j, T, G)
     if q < 2:
         return None
@@ -313,7 +318,8 @@ def _speculate(f: Callable, rule, j: int, T: Array, G: Array, dt: float):
     C[0] = G[0]
     C[1:] = incr
     np.cumsum(C, axis=0, out=C)
-    # step i is kept while every guess before it was exact and its result is bounded
+    # a step is kept if it and every step before it started from an exact
+    # guess and ended within bounds
     stop = np.greater_equal(G.view(np.int64) != C[:-1].view(np.int64),
                             np.abs(C[1:]) <= _BLOW_UP)
     first = int(stop.argmax())
@@ -325,6 +331,9 @@ class _Held:
     """Step rule of controls fixed in advance: ``rows(j, T)`` are those of
     the steps from ``j`` at the times ``T``."""
 
+    blocking = True
+    path = None
+
     def __init__(self, rows: Callable[[int, Array], Array]):
         self.rows = rows
 
@@ -333,9 +342,6 @@ class _Held:
 
     def block(self, j, T, G):
         return self.rows(j, T), None, len(T)
-
-    def guess(self, j, k):
-        return None
 
 
 def integrate(
@@ -403,13 +409,15 @@ def _select(V: Array, G: Array, W: Array, Z: Array, dt: float) -> tuple[Array, i
 
 class _Nearest:
     """Step rule of the projection: the sampled velocity nearest ``w[j]``,
-    ties toward the target path ``z[j + 1] = x0 + dt * sum_{i <= j} w[i]``,
-    which is also the first guess of the path.  A rule serves marches from
+    ties toward the target path ``path[j + 1] = x0 + dt * sum_{i <= j} w[i]``,
+    which is also the first guess of the states.  A rule serves marches from
     one origin ``t0``: it keeps which steps' samples share their bytes."""
+
+    blocking = True
 
     def __init__(self, p: ProblemDefinition, x0: Array, w: Array, dt: float, level: int):
         self.p, self.dt, self.level = p, dt, level
-        self.z = x0 + np.vstack([np.zeros(w.shape[1]), np.cumsum(w * dt, axis=0)])
+        self.path = x0 + np.vstack([np.zeros(w.shape[1]), np.cumsum(w * dt, axis=0)])
         self.w = np.broadcast_to(w, (len(w), p.n))   # a one-column target spans the state
         self.span = (0, 0, None)     # steps [lo, hi) whose samples have the bytes of u
 
@@ -431,25 +439,20 @@ class _Nearest:
 
     def block(self, j, T, G):
         u, q = self._samples(j, T)
+        if q < 2:
+            return None, None, q
         _, V = self.p.velocities(T[:q], G[:q], self.level, u)
-        idx, q = _select(V, G[:q], self.w[j:j + q], self.z[j + 1:j + q + 1], self.dt)
+        idx, q = _select(V, G[:q], self.w[j:j + q], self.path[j + 1:j + q + 1], self.dt)
         return u[idx[:q]], V[idx[:q], np.arange(q)], q
 
     def step(self, j, t, x):
         u, vels = self.p.velocities(t, x, self.level)
-        idx, q = _select(vels[:, None], x[None], self.w[j:j + 1], self.z[j + 1:j + 2], self.dt)
+        idx, q = _select(vels[:, None], x[None], self.w[j:j + 1], self.path[j + 1:j + 2], self.dt)
         if not q:
             i = int(np.flatnonzero(np.isnan(vels).any(axis=1))[0])
             raise NonFiniteState(f"velocity of control {u[i].tolist()} at t={t}, x={x.tolist()} "
                                  f"is not finite: {vels[i].tolist()}")
         return u[idx[0]], vels[idx[0]]
-
-    def guess(self, j, k):
-        return self.z[j:j + k]
-
-
-def _nearest_rule(p, x0: Array, w: Array, dt: float, level: int) -> _Nearest:
-    return _Nearest(p, x0, w, dt, level)
 
 
 class _MixtureMultiplexer:
@@ -489,7 +492,7 @@ def filippov_project(
     if not np.all(np.isfinite(w)):
         raise ValueError("reference velocities must be finite")
     return Trajectory(t0 + dt * np.arange(steps + 1),
-                      *_march(p, t0, x0, steps, dt, _nearest_rule(p, x0, w, dt, level)), dt)
+                      *_march(p, t0, x0, steps, dt, _Nearest(p, x0, w, dt, level)), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +505,9 @@ class _Viable:
     control elsewhere.  A block decides its steps outside the tube from one
     ``constraint_values`` call.  A step in the tube, or past the wall, runs
     alone.  In the tube the path chatters: one step in, a few out, one in.
-    So after a step in the tube the steps out of it run alone too, until the
-    path has been out longer than the last time, and blocks resume."""
+    So the ``_TUBE_ALONE`` steps after a step in the tube run alone too."""
+
+    path = None
 
     def __init__(self, p: ProblemDefinition, cert: IpcCertificate, level: int, trig: float,
                  games: dict):
@@ -514,10 +518,10 @@ class _Viable:
         self.defaults = np.broadcast_to(p.default_control, (_BLOCK, p.controls.dim))
         self.mux = _MixtureMultiplexer(1)
         self.first = None          # (j, h) of the last block's first step, at its true state
-        self.tube, self.out = -1, 0    # the last step in the tube, and the steps out before it
-        self.block = self._block
+        self.tube = -_TUBE_ALONE     # the last step in the tube
+        self.blocking = True
 
-    def _block(self, j, T, G):
+    def block(self, j, T, G):
         H = self.p.constraint_values(T, G)
         self.first = j, H[0]
         stop = H >= self.stop
@@ -533,10 +537,9 @@ class _Viable:
         if viol > geo.TOL_FEAS:
             raise ViabilityLost(f"feasibility lost at t={t} (max h = {viol:.3e}); dt too coarse?")
         if not any(h >= c for h, c in zip(hs, self.near)):
-            if j - self.tube > self.out:
-                self.block = self._block
+            self.blocking = j - self.tube >= _TUBE_ALONE
             return p.default_control, None
-        self.tube, self.out, self.block = j, j - self.tube - 1, None
+        self.tube, self.blocking = j, False
         mr, u, vels = _margin(p, t, x, hv, self.cert.delta, self.level, self.games)
         if math.isfinite(mr.r) and mr.r <= 0:
             raise ViabilityLost(f"nonpositive inward margin at t={t}")
@@ -544,9 +547,6 @@ class _Viable:
             k = self.mux.pick(mr.alpha)
             return u[k], vels[k]
         return p.default_control, None
-
-    def guess(self, j, k):
-        return None
 
 
 def viable_trajectory(
@@ -737,7 +737,7 @@ class _Push:
     """Step rule of the push: the support controls of the inward mixture
     ``alpha``, each step advancing the mixture credit, so each runs alone."""
 
-    block = None
+    blocking = False
 
     def __init__(self, p: ProblemDefinition, level: int, alpha: Array):
         self.p, self.level, self.alpha = p, level, alpha
@@ -765,7 +765,7 @@ def _case_push_and_replay(p, cert, cons, t_a, ref_states, rho_c, dt, level, game
     if s:
         _march(p, t_a, start, s, dt, _Push(p, level, mr.alpha), out=(states[:s + 1], ctrl[:s]))
     if s < steps:
-        _march(p, t_a, states[s], steps - s, dt, _nearest_rule(p, start, w, dt, level),
+        _march(p, t_a, states[s], steps - s, dt, _Nearest(p, start, w, dt, level),
                start=s, out=(states[s:], ctrl[s:]))
     return states, ctrl
 
@@ -871,7 +871,7 @@ def nft_correct(
         cur[ja:jb + 1] = piece_states
         ctrl[ja:jb] = piece_ctrl
         have_ctrl[ja:jb] = True
-        origin, project = jb, _nearest_rule(p, cur[jb], refvel[jb:], dt, level)
+        origin, project = jb, _Nearest(p, cur[jb], refvel[jb:], dt, level)
         rho_prev = rho_eff
 
     worst = geo.violations_along(p, times, cur)

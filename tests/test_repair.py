@@ -130,7 +130,7 @@ def test_march_split_at_pieces_equals_full_march(name, request):
     rng = np.random.default_rng(5)
     t0, dt, steps = 0.4, 1e-3, 60
     x0 = np.asarray(p.anchor(t0), dtype=float)
-    rule = tj._nearest_rule(p, x0, rng.uniform(-1.0, 1.0, (steps, p.n)), dt, 0)
+    rule = tj._Nearest(p, x0, rng.uniform(-1.0, 1.0, (steps, p.n)), dt, 0)
     full = tj._march(p, t0, x0, steps, dt, rule)
     states = np.empty_like(full[0])
     ctrl = np.empty_like(full[1])
