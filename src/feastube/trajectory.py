@@ -16,23 +16,17 @@ a constant choice.
 
 States have one to a few components, where a numpy call costs far more in
 dispatch than in arithmetic, so the march pays its calls once per block of
-steps, not once per step.  It guesses the states of a block of up to
-``_BLOCK`` steps.  The rule decides every step's control at its guessed
-state with one call over the block, ``f`` evaluates each of RK4's stages
-with one call over the block's rows, and ``cumsum`` adds the increments to
-the block's start in the order a step loop adds them.  The block keeps its
-longest prefix whose guessed states equal the computed ones bit for bit.
-Every kept step was then decided and evaluated at its true state, so the
-kept steps are exactly those of a loop of one-step calls: ``problem``'s
-convention makes each batched row of ``f``, the velocities and the
-constraints that row's own.  The next block starts at the first step that
-differed and guesses the states just computed, so each block keeps at least
-one step (parallel-in-time integration, Nievergelt 1964, with a fixed point
-checked bit for bit).  Steps run alone, from their true state, where the
-rule can decide a step only there (a step in the viability rule's acting
-tube, a push step that advances the mixture credit), and where a block's
-evaluation at its guesses raises or warns.  A step alone is ``_rk4_step``,
-whose arithmetic runs on Python floats in numpy's order.  So every error,
+up to ``_BLOCK`` steps (parallel-in-time integration, Nievergelt 1964).  It
+guesses the block's states; the rule decides every step's control at its
+guess in one call, ``f`` evaluates each RK4 stage in one call over the
+block's rows, and ``cumsum`` adds the increments in a step loop's order.
+The block keeps its longest prefix whose guesses equal the computed states
+bit for bit: each kept step was decided and evaluated at its true state, so
+it is the step loop's (``problem``'s convention makes each batched row that
+row's own).  The next block starts at the first differing step.  A step the
+rule can decide only at its true state (in the viability rule's acting
+tube, a push step), and a block that raises or warns at its guesses, runs
+alone: ``_rk4_step``, on Python floats in numpy's order.  So every error,
 message and warning is the loop's, at the loop's step.
 """
 
@@ -62,20 +56,15 @@ Array = np.ndarray
 TOL_ODE = 1e-9
 _RHO_FLOOR = 1e-8
 _BLOW_UP = 1e12          # a state component beyond this stops the march
-# Steps per speculative block.  A block iteration costs a fixed ~60 numpy
-# calls whatever its length, and a state-dependent velocity keeps only a few
-# steps per iteration however long the block is; 64 covers a repair piece
-# (69 steps at the benchmark's dt) in about two iterations.
+# Steps per block: an iteration costs ~60 numpy calls at any length, and a
+# state-dependent f keeps only a few steps per iteration.
 _BLOCK = 64
 _STEPS = np.arange(_BLOCK)
-# Steps out of the viability rule's acting tube that run alone after a step
-# in it.  A block costs about as much as 8 steps alone, and between two steps
-# in the tube the path is mostly out for 1 to 4 steps.
+# Steps run alone after one in the viability tube: a block costs about 8
+# steps alone, and the path leaves the tube for 1 to 4 steps at a time.
 _TUBE_ALONE = 8
-
-# Test seam: when set, ``_guesses(j, G)`` replaces the guessed states ``G``
-# of the block that starts at step ``j`` (row 0 is the true state, which the
-# march keeps); the rows it returns set the block's length.
+# Test seam: ``_guesses(j, G)`` replaces the guesses of the block from step
+# ``j`` (the march keeps row 0); its rows set the block's length.
 _guesses = None
 
 
@@ -161,13 +150,12 @@ def _rk4_step(f: Callable, t: float, x: Array, u: Array, dt: float,
     evaluated here.
 
     ``x`` is the ``(n,)`` state.  The stage points and the final combination
-    are formed on Python floats, component by component, in the order of
-    ``_rk4_increments`` (``((k1 + 2 k2) + 2 k3) + k4``, times ``dt / 6``,
-    plus ``x``): IEEE ``+`` and ``*`` round the same either way, so the step
-    is that kernel's one-row case bit for bit, without a numpy dispatch per
-    operation, and never warns.  Each stage velocity is first broadcast to
-    ``x``'s shape, as the array expression would, so no component is
-    dropped.  ``f`` still sees arrays.
+    are formed on Python floats, component by component, in numpy's order
+    (``((k1 + 2 k2) + 2 k3) + k4``, times ``dt / 6``, plus ``x``): IEEE ``+``
+    and ``*`` round the same either way, so the step is ``_rk4_increments``'
+    one-row case bit for bit, without a dispatch per operation, and never
+    warns.  Each stage velocity is first broadcast to ``x``'s shape, as the
+    array expression would.  ``f`` still sees arrays.
     """
     half = dt / 2
     t_half = t + half
@@ -198,10 +186,8 @@ def _rk4_increments(f: Callable, T: Array, X: Array, U: Array, dt: float,
                     K1: Array | None = None) -> Array:
     """RK4 increments ``dt / 6 * (((k1 + 2 k2) + 2 k3) + k4)`` of the steps
     from the states ``X`` (b, n) at the times ``T`` (b,) under the controls
-    ``U`` (b, d): one call ``f(T[:, None], X, U)`` per stage, whose rows are
-    each step's own (``problem``'s convention).  ``K1`` holds the first
-    stage when the rule has evaluated it.  ``X`` plus a row is
-    ``_rk4_step``'s step bit for bit."""
+    ``U`` (b, d), one call ``f(T[:, None], X, U)`` per stage; ``K1`` is the
+    first stage when the rule has it.  ``X`` plus a row is ``_rk4_step``."""
     half = dt / 2
     t_half = (T + half)[:, None]
 
@@ -230,20 +216,18 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
     ``t = t0 + j * dt``, under a step rule.
 
     ``rule.step(j, t, x)`` returns the control held over step ``j`` from its
-    true state ``x`` and the velocity ``f(t, x, u)`` when the rule has
-    already evaluated it (``None`` otherwise).  While ``rule.blocking`` is
-    true, ``rule.block(j, T, G)`` decides the steps from ``j`` at the times
-    ``T`` and guessed states ``G`` in one go: it returns their controls,
-    their velocities or ``None``, and how many leading steps it decided.
-    ``rule.path``, if not ``None``, holds first guesses of the states at
-    every step; without it the march extrapolates the last increment.
+    true state and the velocity ``f(t, x, u)`` if the rule evaluated it
+    (else ``None``).  While ``rule.blocking``, ``rule.block(j, T, G)``
+    decides the steps from ``j`` at the times ``T`` and guessed states
+    ``G``: their controls, their velocities or ``None``, and how many it
+    decided.  ``rule.path``, if not ``None``, guesses every step's state;
+    else the march extrapolates the last increment.
 
-    Blocks keep their prefix proven exact (module docstring), so the march
-    equals the loop ``x = _rk4_step(f, t, x, *rule.step(j, t, x))`` bit for
-    bit, whatever the guesses and block ends.  Returns the ``(steps + 1, n)``
-    states and the ``(steps, d)`` controls, written into ``out`` when given.
-    A march continued from its own state at a later ``start`` is
-    bit-identical to the one long march.
+    The march equals the loop ``x = _rk4_step(f, t, x, *rule.step(j, t, x))``
+    bit for bit, whatever the guesses and block ends (module docstring).
+    Returns the ``(steps + 1, n)`` states and the ``(steps, d)`` controls,
+    written into ``out`` when given.  A march continued from its own state
+    at a later ``start`` is bit-identical to the one long march.
     """
     _check_grid(dt, steps)
     if out is None:
@@ -283,9 +267,8 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
 
 
 def _guess(rule, j: int, b: int, x: Array, ahead: Array | None, incr: Array) -> Array:
-    """Guessed states of the ``b`` steps from step ``j`` at state ``x``: the
-    states computed ahead by the last block, then the rule's path, or else
-    ``incr`` added step by step."""
+    """Guesses of the ``b`` states from step ``j`` at ``x``: those the last
+    block computed ahead, then the rule's path or ``incr`` added per step."""
     G = np.empty((b, len(x)))
     G[0] = x
     a = 1
@@ -304,11 +287,10 @@ def _guess(rule, j: int, b: int, x: Array, ahead: Array | None, incr: Array) -> 
 
 
 def _speculate(f: Callable, rule, j: int, T: Array, G: Array, dt: float):
-    """One block from step ``j``: ``(kept, C, U, incr)``, where ``C`` holds
-    the block's start and the states computed from the guesses ``G``, ``U``
-    the controls, ``incr`` the last increment, and ``kept`` how many leading
-    steps are proven exact; ``None`` when the rule decides fewer than two
-    steps, which then run alone."""
+    """One block from step ``j``: ``(kept, C, U, incr)`` with the states
+    ``C`` computed from the guesses ``G`` (row 0 the start), the controls,
+    the last increment, and how many leading steps are proven exact; ``None``
+    when the rule decides fewer than two steps, which then run alone."""
     U, K1, q = rule.block(j, T, G)
     if q < 2:
         return None
@@ -375,8 +357,7 @@ def integrate_controls(p: ProblemDefinition, t0: float, x0, controls, dt: float)
 # ---------------------------------------------------------------------------
 
 def _row_norms(D: Array) -> Array:
-    """Euclidean norms over the last axis, as ``np.linalg.norm(D, axis=-1)``
-    forms them: each row's squares are summed by ``add.reduce`` alone, so a
+    """``np.linalg.norm(D, axis=-1)``: each row's squares summed alone, so a
     step's norms in a block are its norms alone."""
     return np.sqrt(np.add.reduce(D * D, axis=-1))
 
@@ -389,8 +370,7 @@ def _select(V: Array, G: Array, W: Array, Z: Array, dt: float) -> tuple[Array, i
 
     Ties in velocity mismatch are broken by proximity of the induced next
     position to the target path node (this is what lets opposing controls
-    cancel drift around an unrealizable target), then by lowest index.  Each
-    step's mismatches and ties are its own rows (``_row_norms``).  The
+    cancel drift around an unrealizable target), then by lowest index.  The
     arithmetic never warns, as Python floats would not.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -409,9 +389,9 @@ def _select(V: Array, G: Array, W: Array, Z: Array, dt: float) -> tuple[Array, i
 
 class _Nearest:
     """Step rule of the projection: the sampled velocity nearest ``w[j]``,
-    ties toward the target path ``path[j + 1] = x0 + dt * sum_{i <= j} w[i]``,
-    which is also the first guess of the states.  A rule serves marches from
-    one origin ``t0``: it keeps which steps' samples share their bytes."""
+    ties toward the target path ``path[j + 1] = x0 + dt * sum_{i <= j} w[i]``.
+    It serves marches from one ``t0``: it keeps which steps' samples share
+    their bytes."""
 
     blocking = True
 
@@ -422,8 +402,8 @@ class _Nearest:
         self.span = (0, 0, None)     # steps [lo, hi) whose samples have the bytes of u
 
     def _samples(self, j: int, T: Array) -> tuple[Array, int]:
-        """The samples at step ``j`` and how many steps from it, at the times
-        ``T``, have samples with the same bytes."""
+        """The samples at step ``j`` and how many steps from it (at the
+        times ``T``) have samples with their bytes."""
         at, level = self.p.controls.at, self.level
         lo, hi, u = self.span
         if not lo <= j < hi:
@@ -503,9 +483,8 @@ class _Viable:
     """Step rule of ``viable_trajectory``: the margin mixture where some
     constraint is within the acting tube of radius ``trig``, the default
     control elsewhere.  A block decides its steps outside the tube from one
-    ``constraint_values`` call.  A step in the tube, or past the wall, runs
-    alone.  In the tube the path chatters: one step in, a few out, one in.
-    So the ``_TUBE_ALONE`` steps after a step in the tube run alone too."""
+    ``constraint_values`` call.  A step in the tube or past the wall runs
+    alone, and so do the ``_TUBE_ALONE`` steps after a step in the tube."""
 
     path = None
 
@@ -734,8 +713,8 @@ def _measure_rho(p, times, states) -> float:
 
 
 class _Push:
-    """Step rule of the push: the support controls of the inward mixture
-    ``alpha``, each step advancing the mixture credit, so each runs alone."""
+    """Step rule of the push: the inward mixture's support controls; each
+    step advances the mixture credit, so it runs alone."""
 
     blocking = False
 
