@@ -60,9 +60,6 @@ _BLOW_UP = 1e12          # a state component beyond this stops the march
 # state-dependent f keeps only a few steps per iteration.
 _BLOCK = 64
 _STEPS = np.arange(_BLOCK)
-# Steps run alone after one in the viability tube: a block costs about 8
-# steps alone, and the path leaves the tube for 1 to 4 steps at a time.
-_TUBE_ALONE = 8
 # Test seam: ``_guesses(j, G)`` replaces the guesses of the block from step
 # ``j`` (the march keeps row 0); its rows set the block's length.
 _guesses = None
@@ -484,7 +481,9 @@ class _Viable:
     constraint is within the acting tube of radius ``trig``, the default
     control elsewhere.  A block decides its steps outside the tube from one
     ``constraint_values`` call.  A step in the tube or past the wall runs
-    alone, and so do the ``_TUBE_ALONE`` steps after a step in the tube."""
+    alone, and so do the ``_BLOCK`` steps after it: near the tube the path
+    chatters, out for a few steps and in for one, and a block would keep
+    only the steps before the next step in the tube."""
 
     path = None
 
@@ -497,7 +496,7 @@ class _Viable:
         self.defaults = np.broadcast_to(p.default_control, (_BLOCK, p.controls.dim))
         self.mux = _MixtureMultiplexer(1)
         self.first = None          # (j, h) of the last block's first step, at its true state
-        self.tube = -_TUBE_ALONE     # the last step in the tube
+        self.tube = -_BLOCK          # the last step in the tube
         self.blocking = True
 
     def block(self, j, T, G):
@@ -516,7 +515,7 @@ class _Viable:
         if viol > geo.TOL_FEAS:
             raise ViabilityLost(f"feasibility lost at t={t} (max h = {viol:.3e}); dt too coarse?")
         if not any(h >= c for h, c in zip(hs, self.near)):
-            self.blocking = j - self.tube >= _TUBE_ALONE
+            self.blocking = j - self.tube >= _BLOCK
             return p.default_control, None
         self.tube, self.blocking = j, False
         mr, u, vels = _margin(p, t, x, hv, self.cert.delta, self.level, self.games)
