@@ -299,11 +299,15 @@ def _speculate(f: Callable, rule, j: int, T: Array, G: Array, dt: float):
     np.cumsum(C, axis=0, out=C)
     # a step is kept if it and every step before it started from an exact
     # guess and ended within bounds
-    stop = np.greater_equal(G.view(np.int64) != C[:-1].view(np.int64),
-                            np.abs(C[1:]) <= _BLOW_UP)
-    first = int(stop.argmax())
-    kept = first // G.shape[1] if stop.flat[first] else q
+    kept = _first_row(np.greater_equal(G.view(np.int64) != C[:-1].view(np.int64),
+                                       np.abs(C[1:]) <= _BLOW_UP))
     return kept, C, U, incr[-1]
+
+
+def _first_row(mask: Array) -> int:
+    """The first row of ``mask`` (b, m) with a true entry, or b."""
+    k = int(mask.argmax()) if mask.size else 0
+    return k // mask.shape[1] if mask.size and mask.flat[k] else len(mask)
 
 
 class _Held:
@@ -379,8 +383,7 @@ def _select(V: Array, G: Array, W: Array, Z: Array, dt: float) -> tuple[Array, i
         idx = tie.argmax(axis=0)
         if np.count_nonzero(tie[:, :q]) > q:     # some step has tied controls
             pos = np.where(tie, _row_norms(G + dt * V - Z), np.inf)
-            near = (tie & (pos <= pos.min(axis=0) + 1e-12)).argmax(axis=0)
-            idx = np.where(tie.sum(axis=0) > 1, near, idx)
+            idx = (tie & (pos <= pos.min(axis=0) + 1e-12)).argmax(axis=0)
     return idx, q
 
 
@@ -502,9 +505,7 @@ class _Viable:
     def block(self, j, T, G):
         H = self.p.constraint_values(T, G)
         self.first = j, H[0]
-        stop = H >= self.stop
-        k = int(stop.argmax()) if stop.size else 0
-        q = k // H.shape[1] if stop.size and stop.flat[k] else len(T)
+        q = _first_row(H >= self.stop)
         return self.defaults[:q], None, q
 
     def step(self, j, t, x):

@@ -717,7 +717,7 @@ def _scrambled_guesses(rng, calls):
     return hook
 
 
-_WALLED = {"sway-walls": sway_walls, "drift-walls": lambda: _drift_walls()}
+_WALLED = {"sway-walls": sway_walls, "drift-walls": _drift_walls}
 _MARCHED = {**_PROJECTED, **_WALLED}
 
 
