@@ -832,3 +832,21 @@ def test_velocity_that_overflows_off_the_path_does_not_warn():
         _assert_same_path(tj.filippov_project(p, 0.0, [0.0], w, steps, dt),
                           *oracles.filippov_project_loop(p, 0.0, [0.0], w, steps, dt))
     assert len(calls) >= 2 * steps / tj._BLOCK
+
+
+def test_blocks_end_where_the_samples_change():
+    """Control samples that change every few steps, in values and in count:
+    each block's velocities use only the samples its steps share, so the
+    projection is its loop reference bit for bit."""
+    def sampler(t, level):
+        phase = int(t / 0.047)
+        return np.linspace(-1.0, 1.0, 3 + phase % 3)[:, None] * (1.0 + 0.1 * phase)
+
+    p = simple_problem(sway_problem().f, zero_cost, controls=pb.ControlSamples(1, sampler),
+                       name="shifting-samples")
+    steps, dt = 120, 0.01
+    w = np.random.default_rng(8).uniform(-1.0, 1.0, (steps, 1))
+    want = oracles.filippov_project_loop(p, 0.0, [0.2], w, steps, dt)
+    _assert_same_path(tj.filippov_project(p, 0.0, [0.2], w, steps, dt), *want)
+    with mock.patch.object(tj, "_guesses", _scrambled_guesses(np.random.default_rng(9), [])):
+        _assert_same_path(tj.filippov_project(p, 0.0, [0.2], w, steps, dt), *want)
