@@ -25,15 +25,18 @@ bit for bit: each kept step was decided and evaluated at its true state, so
 it is the step loop's (``problem``'s convention makes each batched row that
 row's own).  The next block starts at the first differing step.  A step the
 rule can decide only at its true state (in the viability rule's acting
-tube, a push step), and a block that raises or warns at its guesses, runs
-alone: ``_rk4_step``, on Python floats in numpy's order.  So every error,
-message and warning is the loop's, at the loop's step.
+tube, a push step), and a block that raises at its guesses, runs alone:
+``_rk4_step``, on Python floats in numpy's order.  A block runs under
+``np.errstate`` with every floating-point error numpy would report made to
+raise, so a numpy warning it would give is the loop's too, at the loop's
+step; the warning filters are left alone, so a repeated warning is shown as
+often as the loop shows it.  A warning ``f`` issues itself through
+``warnings`` at a guess is not held back.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -207,8 +210,8 @@ def _check_grid(dt: float, steps: int = 1) -> None:
 
 
 def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
-           start: int = 0,
-           out: tuple[Array, Array] | None = None) -> tuple[Array, Array]:
+           start: int = 0, out: tuple[Array, Array] | None = None,
+           holds: Callable[[int, int], bool] | None = None) -> tuple[Array, Array] | None:
     """Fixed-step RK4 from ``x0`` over steps ``j`` from ``start`` on, at
     ``t = t0 + j * dt``, under a step rule.
 
@@ -225,6 +228,9 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
     Returns the ``(steps + 1, n)`` states and the ``(steps, d)`` controls,
     written into ``out`` when given.  A march continued from its own state
     at a later ``start`` is bit-identical to the one long march.
+    ``holds(a, b)``, if given, is asked after each run of kept steps, which
+    filled state rows ``a + 1`` to ``b``, whether to go on; at the first
+    False the march returns None, with the later steps unmarched.
     """
     _check_grid(dt, steps)
     if out is None:
@@ -241,10 +247,10 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
             G = _guess(rule, j, min(steps - i, _BLOCK), x, ahead, incr)
             T = t0 + (j + _STEPS[:len(G)]) * dt      # t0 + j * dt, as a step alone computes it
             try:
-                # a block that raises or warns at its guesses is redone alone,
-                # where the step at fault, if any, raises or warns itself
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
+                # a block that raises or would warn at its guesses is redone
+                # alone, where the step at fault, if any, raises or warns itself
+                with np.errstate(**{k: "ignore" if v == "ignore" else "raise"
+                                    for k, v in np.geterr().items()}):
                     block = _speculate(p.f, rule, j, T, G, dt)
             except Exception:
                 block = None
@@ -259,6 +265,8 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
             ctrl[i] = u
             states[i + 1] = _rk4_step(p.f, t, x, u, dt, k1)
             kept, ahead = 1, None
+        if holds is not None and not holds(i, i + kept):
+            return None
         i += kept
     return states, ctrl
 
@@ -498,19 +506,16 @@ class _Viable:
         self.stop = np.minimum(near, geo.TOL_FEAS)            # in the tube, or past the wall
         self.defaults = np.broadcast_to(p.default_control, (_BLOCK, p.controls.dim))
         self.mux = _MixtureMultiplexer(1)
-        self.first = None          # (j, h) of the last block's first step, at its true state
         self.tube = -_BLOCK          # the last step in the tube
         self.blocking = True
 
     def block(self, j, T, G):
-        H = self.p.constraint_values(T, G)
-        self.first = j, H[0]
-        q = _first_row(H >= self.stop)
+        q = _first_row(self.p.constraint_values(T, G) >= self.stop)
         return self.defaults[:q], None, q
 
     def step(self, j, t, x):
         p = self.p
-        hv = self.first[1] if self.first and self.first[0] == j else geo.eval_constraints(p, t, x)
+        hv = geo.eval_constraints(p, t, x)
         hs = hv.tolist()   # finite: constraint_values raises on a non-finite h
         viol = max(hs, default=-math.inf)
         if viol > geo.TOL_FEAS:
@@ -768,8 +773,9 @@ def nft_correct(
     violation is the largest distance measured on that projection so far.
     The violation is measured only while a push is still possible: not once
     it exceeds ``rho_bar``, nor on a piece that starts deep inside and does
-    not pass, which restarts.  A projected piece is marched whole, also one
-    that restarts; the restart overwrites it.
+    not pass, which restarts.  Such a piece either passes or restarts, so
+    its projection stops after the first run of kept steps that cannot pass;
+    the restart overwrites it.  So a skipped tail or measurement cannot raise.
     The output shares the reference's start, is strictly inside on the open
     interval, and stays within ``beta * rho`` of the reference.
     """
@@ -812,13 +818,25 @@ def nft_correct(
     for ja, jb in zip(bounds[:-1], bounds[1:]):
         t_a = float(times[ja])
         deep = geo.clearance_proxy(p, t_a, cur[ja]) > cons.eta_hat / 2
+        projected = True   # whether cur[ja:jb + 1] holds the whole piece
         if project is not None:
-            _march(p, float(times[origin]), cur[ja], jb - ja, dt, project, start=ja - origin,
-                   out=(cur[ja:jb + 1], ctrl[ja:jb]))
+            holds = None
+            if deep or rho_prev > cons.rho_bar:
+                # the piece passes or restarts: stop at the first kept run
+                # of steps that cannot pass, and the restart overwrites it
+                def holds(a, b):
+                    ts, xs = times[ja + a:ja + b + 1], cur[ja + a:ja + b + 1]
+                    if deep:
+                        return geo.violations_along(p, ts, xs).max() <= geo.TOL_FEAS
+                    return _strictly_inside(p, ts, xs)
+
+            projected = _march(p, float(times[origin]), cur[ja], jb - ja, dt, project,
+                               start=ja - origin, out=(cur[ja:jb + 1], ctrl[ja:jb]),
+                               holds=holds) is not None
             have_ctrl[ja:jb] = True
-        piece_clear = _strictly_inside(p, times[ja:jb + 1], cur[ja:jb + 1])
-        feas_now = geo.violations_along(p, times[ja:jb + 1], cur[ja:jb + 1]).max() <= geo.TOL_FEAS
-        passes = feas_now and (piece_clear or deep)
+        passes = projected and (
+            geo.violations_along(p, times[ja:jb + 1], cur[ja:jb + 1]).max() <= geo.TOL_FEAS
+            and (deep or _strictly_inside(p, times[ja:jb + 1], cur[ja:jb + 1])))
         # the violation matters only while a push is possible: above rho_bar,
         # or on a deep piece that does not pass, the piece restarts
         if project is not None and rho_prev <= cons.rho_bar and (passes or not deep):

@@ -144,19 +144,25 @@ def test_march_split_at_pieces_equals_full_march(name, request):
 # --- work: RK4 steps per path node ---------------------------------------------------
 
 def _steps_per_node(p, cert, ref, cons, monkeypatch):
-    """RK4 steps the repair keeps per reference node: every march keeps all
-    of its steps, whichever blocks computed them."""
-    steps = []
-    march = tj._march
+    """RK4 steps the repair keeps per reference node: the steps run alone
+    and the proven prefix of every block."""
+    kept = []
+    speculate, step = tj._speculate, tj._rk4_step
 
-    def counted(*args, **kwargs):
-        steps.append(args[3])
-        return march(*args, **kwargs)
+    def block(*args):
+        out = speculate(*args)
+        kept.append(out[0] if out else 0)
+        return out
+
+    def alone(*args):
+        kept.append(1)
+        return step(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(tj, "_march", counted)
+        m.setattr(tj, "_speculate", block)
+        m.setattr(tj, "_rk4_step", alone)
         tj.nft_correct(p, cert, ref, constants=cons)
-    return sum(steps) / len(ref.times)
+    return sum(kept) / len(ref.times)
 
 
 @pytest.mark.parametrize("name", sorted(_CERT_OF))
@@ -180,9 +186,7 @@ def test_hold_repair_work_per_node_does_not_grow(moving_wall, mw_cert, monkeypat
         ref = hold_reference(moving_wall, np.random.default_rng(steps), steps)
         cons = tj.derive_nft_constants(moving_wall, mw_cert, steps * ref.step)
         per_node.append(_steps_per_node(moving_wall, mw_cert, ref, cons, monkeypatch))
-    # that sweep's steps: 3,348, 6,106 and 9,872 over 2,001, 4,001 and 8,001 nodes
-    caps = (3348 / 2001, 6106 / 4001, 9872 / 8001)
-    assert all(w <= cap for w, cap in zip(per_node, caps)), per_node
+    assert all(w <= cap for w, cap in zip(per_node, (1.6731, 1.5261, 1.2338))), per_node
     assert per_node[2] <= per_node[0], per_node
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -832,6 +833,28 @@ def test_velocity_that_overflows_off_the_path_does_not_warn():
         _assert_same_path(tj.filippov_project(p, 0.0, [0.0], w, steps, dt),
                           *oracles.filippov_project_loop(p, 0.0, [0.0], w, steps, dt))
     assert len(calls) >= 2 * steps / tj._BLOCK
+
+
+def test_velocity_that_warns_on_the_path_warns_as_the_loop_does():
+    """A velocity whose evaluation overflows, and warns, at every step past
+    |x| = 0.89 warns as often as the loop under the "default" action: once
+    per location.  The blocks that meet the overflow are redone alone, and
+    catching it there leaves the warnings registry as it was."""
+    def f(t, x, u):
+        x = np.asarray(x, dtype=float)
+        return np.asarray(u, dtype=float) + 1.0 / (1.0 + np.exp(800.0 * np.abs(x)))
+
+    p = simple_problem(f, zero_cost, name="overflow-on-path")
+    steps, dt = 150, 0.01
+    idx = [2] * steps
+    paths, shown = [], []
+    for march in (tj.integrate, oracles.integrate_loop):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            paths.append(march(p, 0.0, [0.8], idx, steps, dt))
+        shown.append([(w.category, str(w.message), w.lineno) for w in caught])
+    _assert_same_path(paths[0], *paths[1])
+    assert shown[0] == shown[1] and len(shown[0]) == 1, shown
 
 
 def test_blocks_end_where_the_samples_change():
