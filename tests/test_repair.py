@@ -210,12 +210,12 @@ def test_piece_counts_cover_every_piece(moving_wall, mw_cert, mw_nft_constants):
     hold = [1] * 1000
     # 0.002 above the wall's lowest level: under rho_bar, so the push case;
     # 0.05 above it: over rho_bar, so the piece restarts from a viable path,
-    # and the projection of the next piece stops at its first chunk that
+    # and the projection of the next piece stops after its first kept run that
     # cannot pass
     refs = [(t_cross - 1.0, 0.902, hold, "push"), (t_cross - 1.0, 0.95, hold, "restart")]
     # from the wall's lowest point: a peak 0.0005 over the wall, a fall 0.15
     # deep, then a rise 0.0022 over the rising wall: push, passes (the deep
-    # ones marched chunk by chunk to their end), push.  The two steps held
+    # ones marched run by run to their end), push.  The two steps held
     # after the first peak leave the projection 0.002 below the reference,
     # so a push that read unprojected nodes would differ.
     t_low = 1.5 * math.pi
