@@ -256,6 +256,36 @@ def test_nonfinite_running_cost_is_named_not_grid_too_coarse(hover):
     assert "at feasible node [0.] at t=0.09 is not finite: [0.0, inf]" in str(err.value)
 
 
+def test_nonfinite_cost_mid_block_is_named_with_its_raw_costs(hover):
+    # hover-1d at 241 nodes holds 67 slices per block, so the sweep's first
+    # block holds slices 133 to 199.  A cost that is +inf at one node up to
+    # t* = times[150] is met mid-block, after 49 slices of the block have
+    # stepped: the error names t* and the costs as the model gave them, not
+    # discounted, scaled or mixed ones.  At x = 0.1 the finite cost x**2 is
+    # not a fixed point of scaling, as 0.0 and +inf are.
+    g = val.grid_for(hover, 241, 0.0025)
+    nodes = g.nodes()
+    t_star = float(g.t0 + g.dt * np.arange(200)[150])
+    x_far = float(nodes[140, 0])
+
+    def spoiled(at, where=lambda u: True):
+        def cost(t, x, u):
+            near = np.abs(np.asarray(x, dtype=float)[..., 0] - at) < 1e-3
+            return np.where(near & (t <= t_star) & where(np.asarray(u)[..., 0]), np.inf,
+                            hover.running_cost(t, x, u))
+        return dataclasses.replace(hover, running_cost=cost)
+
+    cases = ((spoiled(0.0), 0.0, [math.inf, math.inf]),
+             (spoiled(0.0, lambda u: u > 0), 0.0, [0.0, math.inf]),
+             (spoiled(x_far, lambda u: u > 0), x_far, [x_far ** 2, math.inf]))
+    for p, at, raw in cases:
+        for relaxed in (False, True):
+            with pytest.raises(NonFiniteCost) as err:
+                val.solve_value(p, p.lam, g, relaxed=relaxed, horizon=0.5)
+            assert str(err.value) == (f"running cost of hover-1d at feasible node {np.array([at])} "
+                                      f"at t={t_star} is not finite: {raw}")
+
+
 def test_nonfinite_cost_off_the_feasible_set_is_not_mixed(hover):
     """A cost of +inf where |x| > 0.4, outside hover's walls, changes no value:
     the relaxed sweep solves without warning, and its finite values sit at
@@ -639,6 +669,19 @@ def test_mixture_products_match_tensordot_reference(name, monkeypatch):
                 if val._node_independent(want):
                     want = want[:, :1]
                 assert [(v.shape, v.tobytes()) for v in grouped] == [(want.shape, want.tobytes())]
+        # a block of T slices' costs (T, k, P), as a sweep evaluates them,
+        # mixed by one stacked product: each slice's mixtures are its own
+        for T in (1, 2, 67):
+            times = float(rng.uniform(0.0, 2 * math.pi)) + g.dt * np.arange(T)
+            u = p.controls.at(float(times[0]), 0)
+            X = np.broadcast_to(nodes, (T,) + nodes.shape)
+            C = np.ascontiguousarray(np.moveaxis(p.costs(times[:, None], X, 0, u), 1, 0))
+            for mg in range(1, 6):
+                W = val._mixture_matrix(len(u), p.n + 1, mg)
+                mixed = W @ C
+                assert mixed.shape == (T, len(W), P)
+                for j in range(T):
+                    assert mixed[j].tobytes() == mixtures_tensordot(W, C[j]).tobytes()
 
 
 # --- feasibility of every slice, batched ---------------------------------------------
@@ -885,15 +928,19 @@ def test_sweep_evaluates_model_once_per_block_of_slices(hover, monkeypatch):
     assert again.values.tobytes() == f.values.tobytes()
 
 
-def test_blocks_end_where_the_samples_change(monkeypatch):
-    # sway-1d (time-dependent velocities) with two controls before t = 0.5
-    # and three from then on: a block never spans the change, and every
-    # field, at every block size, equals the per-candidate reference
+def _changing_samples():
+    """sway-1d (time-dependent velocities) with two controls before t = 0.5
+    and three from then on."""
     def sampler(t, level):
         return np.array([[-1.0], [1.0]]) if t < 0.5 else np.array([[-1.0], [0.0], [1.0]])
 
-    p, calls = _counted_model(dataclasses.replace(
-        sway_problem(), controls=pb.ControlSamples(1, sampler)))
+    return dataclasses.replace(sway_problem(), controls=pb.ControlSamples(1, sampler))
+
+
+def test_blocks_end_where_the_samples_change(monkeypatch):
+    # a block never spans the change of samples, and every field, at every
+    # block size, equals the per-candidate reference
+    p, calls = _counted_model(_changing_samples())
     g = _small_grid(p, 0.0, 1.2, 41)
     horizon = 1.0 + g.dt / 2
     nt = int(round(horizon / g.dt))
@@ -912,6 +959,51 @@ def test_blocks_end_where_the_samples_change(monkeypatch):
             blocks = -(-(nt - change) // per_block[0]) - (-change // per_block[1])
             assert calls == {"f": blocks, "cost": blocks, "samples": nt}
             assert f.values.tobytes() == ref.values.tobytes()
+
+
+# Problems whose blocks differ from slice to slice: moving-wall-1d's cost has
+# a 0.4 (1 - cos t) term, so every slice's cost rows differ; sway-1d's and
+# drift's velocities change every slice; steady-sway-1d's recur but differ
+# from node to node; the samples change at t = 0.5 in the last.  Each has one
+# grid of 8 slices: (problem, t0, size).
+_BLOCKED = {
+    "moving-wall-1d": (lambda: pb.get_problem("moving-wall-1d"), 0.3, 17),
+    "sway-1d": (sway_problem, 0.2, 17),
+    "steady-sway-1d": (steady_sway_problem, 0.4, 17),
+    "drift-1d": (lambda: drift_problem(1), 0.1, 17),
+    "drift-2d": (lambda: drift_problem(2), 0.1, 9),
+    "changing-samples-1d": (_changing_samples, 0.1, 17),
+}
+_BLOCKED_REFS: dict = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_BLOCKED)),
+       mixture=st.sampled_from(((False, 4),) + tuple((True, k) for k in range(1, 6))),
+       per_block=st.integers(1, 8), per_chunk=st.sampled_from((1, 2, 3, None)))
+def test_fields_at_any_block_size_match_loop_reference(name, mixture, per_block, per_chunk):
+    # a block of 1 slice up to the whole sweep, and velocity groups split
+    # over interpolation chunks of 1 to 3 groups (None: the default chunk)
+    make, t0, size = _BLOCKED[name]
+    p = make()
+    g = _small_grid(p, t0, 1.2, size)
+    horizon = g.t0 + 8 * g.dt
+    relaxed, mg = mixture
+    key = (name, relaxed, mg)
+    if key not in _BLOCKED_REFS:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(val, "_backstep", _loop_in_sweep)
+            _BLOCKED_REFS[key] = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg,
+                                                 horizon=horizon).values
+    ref = _BLOCKED_REFS[key]
+    assert ref.shape[0] == 9 and np.isfinite(ref).any()
+    P = g.nodes().shape[0]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(val, "_FEAS_CHUNK", per_block * len(p.controls.at(g.t0, 0)) * P * p.n)
+        if per_chunk is not None:
+            m.setattr(val, "_INTERP_CHUNK", per_chunk * P)
+        f = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg, horizon=horizon)
+    assert f.values.tobytes() == ref.tobytes()
 
 
 def test_velocities_met_once_build_no_stencil(monkeypatch):
