@@ -36,12 +36,16 @@ it steps: one constraint-kernel call per chunk of whole slices, of at most
 ``_FEAS_CHUNK`` points each.  It evaluates the dynamics and the running
 cost the same way, one ``velocities`` and one ``costs`` call per block of
 slices whose control samples are equal, of at most ``_FEAS_CHUNK`` velocity
-values (``_sweep_rows``); each block also decides, for all its slices,
-whether a slice's velocities repeat the last slice's and whether a feasible
-node's cost is not finite.  The sweep keeps its slices end to end in one
-array, and each step pads the next slice in place.  Each slice then pays
-only for the work that depends on the next slice's values: mixing, the
-stencil apply and the minimum.
+values (``_sweep_blocks``), and steps a block's slices in one loop.  What
+does not read the next slice is done once per block (``_block``): whether
+a slice's velocities repeat the last slice's, whether a feasible node's
+cost is not finite, the infeasible masks, and the costs a step adds, mixed
+by one stacked product, discounted and scaled by dt (``_block_costs``).
+The sweep keeps its slices end to end in one array, and each step pads the
+next slice in place and writes its minimum straight into its own slice.  A
+slice then pays for the stencil apply, the add of its prepared costs, the
+minimum, its mask and the check for a stranded node, and for grouping its
+velocities when they are new.
 """
 
 from __future__ import annotations
@@ -304,15 +308,17 @@ def _padded(slice_vals: Array) -> Array:
 
 def _apply_stencil(terms: tuple[Array, Array], vals: Array) -> Array:
     """The interpolation of one slice, padded by ``_padded``, at the points of
-    ``terms`` (``_terms``), gathered once and added term by term in order.  A
-    term that reads +inf weighs above 1e-15, so the sum is +inf there and no
-    ``inf * 0`` or ``inf - inf`` arises; a term that reads pad ``P`` adds +0.0.
+    ``terms`` (``_terms``), gathered once and added term by term in order,
+    from +0.0, into the first term's rows.  A term that reads +inf weighs
+    above 1e-15, so the sum is +inf there and no ``inf * 0`` or
+    ``inf - inf`` arises; a term that reads pad ``P`` adds +0.0.
     """
     flat, w = terms
     part = vals.take(flat)
     part *= w
-    total = np.zeros(w.shape[1:])
-    for term in part:
+    total = part[0]
+    total += 0.0                          # 0.0 + term, as a sum from +0.0 starts: -0.0 turns +0.0
+    for term in part[1:]:
         total += term
     return total
 
@@ -435,13 +441,14 @@ class _Groups:
 
     vel: Array                # (R, P, n), or (R, 1, n) when the same at every node
     merges: list[tuple[int, int]]  # (group, candidate) for each candidate after a group's first
-    chunks: list[list[int]]   # groups' first candidates, _INTERP_CHUNK foot points each
+    chunks: list[slice | list[int]]   # groups' first candidates, _INTERP_CHUNK foot points each
     terms: list | None = None     # terms per chunk, once a sweep meets the velocities again
 
 
 def _groups(vel: Array, P: int) -> _Groups:
     """Group candidates whose velocity arrays have equal bytes (bucketed by
-    the hash of the bytes)."""
+    the hash of the bytes).  A chunk of consecutive candidates is a slice,
+    so that indexing a chunk's rows gives a view."""
     merges: list[tuple[int, int]] = []
     reps: list[int] = []
     buckets: dict[int, list[int]] = {}    # hash of velocity bytes -> its reps
@@ -458,25 +465,81 @@ def _groups(vel: Array, P: int) -> _Groups:
         if g != r:
             merges.append((g, r))
     per_call = max(1, _INTERP_CHUNK // P)
-    return _Groups(vel, merges, [reps[lo:lo + per_call] for lo in range(0, len(reps), per_call)])
+    chunks = [reps[lo:lo + per_call] for lo in range(0, len(reps), per_call)]
+    return _Groups(vel, merges, [slice(c[0], c[-1] + 1) if c[-1] - c[0] < len(c) else c
+                                 for c in chunks])
 
 
 @dataclass(eq=False)
-class _Rows:
-    """What a backstep needs of its own slice that does not depend on the
-    next one (``_sweep_rows``)."""
+class _Block:
+    """A block of consecutive slices with equal control samples: what their
+    backsteps need that does not depend on the next slice (``_block``)."""
 
-    f_all: Array          # (k, P, n) velocities of the sampled controls
-    cost: Array           # (k, P) their running costs
-    seen: bool            # f_all has the bytes of the slice stepped before
-    bad: int | None = None    # the first feasible node with a non-finite cost
+    times: Array          # (T,)
+    F: Array              # (T, k, P, n) velocities of the sampled controls
+    C: Array              # (T, k, P) their running costs, 0 where not finite
+    infeas: Array         # (T, P) nodes off the feasible set
+    seen: list[bool]      # slice j's velocities have the bytes of the slice stepped before it
+    bad: dict[int, tuple[int, list]]    # slice -> (feasible node, its costs), first non-finite
+    cost: Array | None = None   # (T, R, P) the costs a backstep adds (_block_costs), once prepared
+
+
+def _block(p: ProblemDefinition, times: Array, nodes: Array, feas: Array, level: int,
+           u: Array, last: Array | None = None) -> _Block:
+    """The slices at ``times`` (T,), whose samples are ``u``, from one
+    ``velocities`` and one ``costs`` call; ``feas`` (T, P) is their
+    feasibility.  Each slice's rows are contiguous, as one slice's own call
+    gives them.
+
+    Decides for all the slices whether a slice's velocities have the bytes of
+    the slice stepped before it (the one after it in time; ``last`` for the
+    last slice) and which feasible node first has a non-finite cost, whose
+    costs it keeps as the model gave them.  Then every non-finite cost is set
+    to 0, so that no mixture of it warns: an infeasible node's value is +inf
+    whatever its cost, and a slice with such a cost at a feasible node is
+    never stepped.
+    """
+    T, (P, n) = len(times), nodes.shape
+    X = np.broadcast_to(nodes, (T, P, n))
+    F = np.ascontiguousarray(np.moveaxis(p.velocities(times[:, None], X, level, u)[1], 1, 0))
+    C = np.ascontiguousarray(np.moveaxis(p.costs(times[:, None], X, level, u), 1, 0))
+    bits = F.reshape(T, -1).view(np.uint64)
+    seen = np.empty(T, dtype=bool)
+    seen[:-1] = (bits[:-1] == bits[1:]).all(axis=1)
+    seen[-1] = (last is not None and last.shape == F[-1].shape
+                and bool((last.view(np.uint64) == F[-1].view(np.uint64)).all()))
+    finite = np.isfinite(C)
+    bad = {}
+    if not finite.all():
+        hit = feas & ~finite.all(axis=1)
+        for j in np.flatnonzero(hit.any(axis=1)).tolist():
+            node = int(hit[j].argmax())
+            bad[j] = (node, C[j, :, node].tolist())
+        C[~finite] = 0.0
+    return _Block(times, F, C, ~feas, seen.tolist(), bad)
+
+
+def _block_costs(block: _Block, W: Array | None, lam: float, dt: float) -> Array:
+    """The costs a backstep adds for every slice of ``block``, (T, R, P):
+    mixed under ``W`` by one stacked product (the sampled controls' own
+    costs when ``W`` is None), discounted by each slice's ``exp(-lam t)``
+    and scaled by ``dt``, rounded in that order."""
+    disc = np.array([math.exp(-lam * t) for t in block.times.tolist()])[:, None, None]
+    if W is None:
+        cost = block.C * disc
+    else:
+        cost = W @ block.C
+        cost *= disc
+    cost *= dt
+    return cost
 
 
 def _backstep(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed,
-              mixture_grid, memo=None, rows=None):
+              mixture_grid, memo=None, block=None, j=0, out=None):
     """Minimum over candidates of discounted running cost plus the next slice
     interpolated at the candidate's foot point; +inf off ``feas_now``.
-    ``next_slice`` is the next slice padded as ``_padded`` pads it.
+    ``next_slice`` is the next slice padded as ``_padded`` pads it.  Writes
+    the slice into ``out`` (a new array when None) and returns it.
 
     Candidates with equal velocity arrays share their foot points, so each
     such group is interpolated once, against its per-node minimum cost.  This
@@ -484,26 +547,43 @@ def _backstep(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed,
     interpolated together, ``_INTERP_CHUNK`` points at a time, each chunk's
     terms built from its feet (``_terms``).
 
-    ``rows`` holds the slice's velocities and costs from the sweep
-    (``_sweep_rows``); the plain sweep's cost rows are scaled in place.
-    Without ``rows`` they are evaluated at ``t`` alone.  The sweep's ``memo``
-    (one grid and dt) holds the groups of the last velocities met, and serves
-    a slice whose velocities have the same bytes.  Such a slice stores each
-    chunk's terms in the groups, and later slices apply them; a slice that
-    meets its velocities for the first time builds its terms without storing
-    them.  Groups whose mixture velocities are the same at every node keep
-    one row each.
+    The slice is slice ``j`` of the sweep's ``block`` (``_block``); without
+    one it is a block of its own, evaluated at ``t``.  Everything that does
+    not read the next slice is done once per block: its velocities and costs,
+    their checks, its infeasible masks, and the costs it adds, mixed,
+    discounted and scaled (``_block_costs``).  Those costs are prepared after
+    the block's first slice has grouped its velocities, so that a block of
+    one slice, the only kind whose slices are large, never holds its mixed
+    costs beside its velocity mixtures; in a block of several slices both
+    stay within ``_FEAS_CHUNK`` velocity values times R/k.  A slice then pays
+    for the stencil apply, the add of its costs, the minimum and its mask,
+    and for its groups when its velocities are new.  Raises NonFiniteCost,
+    naming the node, the time and the model's costs there, for a slice whose
+    running cost is not finite at a feasible node.
+
+    The sweep's ``memo`` (one grid and dt) holds the groups of the last
+    velocities met, and serves a slice whose velocities have the same bytes.
+    Such a slice stores each chunk's terms in the groups, and later slices
+    apply them; a slice that meets its velocities for the first time builds
+    its terms without storing them.  Groups whose mixture velocities are the
+    same at every node keep one row each.
     """
     memo = {} if memo is None else memo
-    if rows is None:
-        u, f_all = p.velocities(t, nodes, level)
-        rows = _Rows(f_all, p.costs(t, nodes, level, u), False)
-    W = _mixture_matrix(len(rows.f_all), p.n + 1, mixture_grid) if relaxed else None
-    if rows.seen:
+    if block is None:
+        block = _block(p, np.array([float(t)]), nodes, feas_now[None], level,
+                       p.controls.at(float(t), level))
+    if j in block.bad:
+        node, costs = block.bad[j]
+        raise NonFiniteCost(f"running cost of {p.name} at feasible node {nodes[node]} "
+                            f"at t={t} is not finite: {costs}")
+    seen, W = block.seen[j], None
+    if relaxed and (not seen or block.cost is None):     # to group, or to mix the costs
+        W = _mixture_matrix(block.F.shape[1], p.n + 1, mixture_grid)
+    if seen:
         groups = memo["groups"]
     else:
         memo.clear()                      # drop the last groups before forming these
-        f = _mix(W, rows.f_all)        # a product over one row may round differently
+        f = _mix(W, block.F[j])        # a product over one row may round differently
         groups = _groups(f[:, :1].copy() if _node_independent(f) else f, nodes.shape[0])
         del f
         memo["groups"] = groups
@@ -511,67 +591,53 @@ def _backstep(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed,
     if terms is None:
         terms = (_terms(axes, np.moveaxis(nodes + dt * groups.vel[chunk], -1, 0))
                  for chunk in groups.chunks)
-        if rows.seen:                     # met again: store them, before the costs exist
+        if seen:                          # met again: store them, before the costs exist
             terms = groups.terms = list(terms)
-    # mixed after grouping, when a node-independent set's full velocity
-    # mixtures are already dropped: the two never coexist
-    cost = _mix(W, rows.cost)
-    cost *= math.exp(-lam * t)            # disc * L * dt, rounded in that order
-    cost *= dt
+    if block.cost is None:
+        # after grouping, when a node-independent set's full velocity
+        # mixtures are already dropped: the two never coexist
+        block.cost = _block_costs(block, W, lam, dt)
+    cost = block.cost[j]
     for g, r in groups.merges:
         np.minimum(cost[g], cost[r], out=cost[g])
 
-    best = None
-    for chunk, chunk_terms in zip(groups.chunks, terms):
-        low = (cost[chunk] + _apply_stencil(chunk_terms, next_slice)).min(axis=0)
-        best = low if best is None else np.minimum(best, low, out=best)
-    best[~feas_now] = np.inf
-    return best
+    out = np.empty(nodes.shape[0]) if out is None else out
+    for k, (chunk, chunk_terms) in enumerate(zip(groups.chunks, terms)):
+        part = _apply_stencil(chunk_terms, next_slice)
+        part += cost[chunk]
+        if k == 0:
+            np.minimum.reduce(part, axis=0, out=out)
+        else:
+            np.minimum(out, np.minimum.reduce(part, axis=0), out=out)
+    np.copyto(out, np.inf, where=block.infeas[j])
+    return out
 
 
-def _sweep_rows(p: ProblemDefinition, times: Array, nodes: Array, feas: Array, level: int):
-    """``(i, _Rows)`` for every slice ``i`` of ``times`` (T,), latest first,
-    from one ``velocities`` and one ``costs`` call per block of slices.
+def _sweep_blocks(p: ProblemDefinition, times: Array, nodes: Array, feas: Array, level: int):
+    """``(lo, _Block)`` for blocks of the slices ``times`` (T,), latest
+    first, where ``lo`` is the block's first slice: one ``velocities`` and
+    one ``costs`` call per block (``_block``).
 
     ``ControlSamples.at`` runs once per time, and a block holds only times
     whose samples have equal bytes, at most ``_FEAS_CHUNK`` velocity values.
-    Each block also decides, once for all its slices, whether a slice's
-    velocities have the bytes of the slice stepped before it (the one after
-    it in time) and which feasible node (``feas`` (T, P)) first has a
-    non-finite cost.  A non-finite cost at an infeasible node is set to 0,
-    so that no mixture of it warns; the node's value is +inf either way.
-    Each slice's rows are contiguous, as one slice's own call gives them.
+    A block's prepared costs are dropped before the next block is formed.
     """
     P, n = nodes.shape
-    hi, u = len(times), None
+    ts, hi, u = times.tolist(), len(times), None
     last = None                           # the velocities of the slice stepped last
     while hi > 0:
-        u = p.controls.at(float(times[hi - 1]), level) if u is None else u
+        u = p.controls.at(ts[hi - 1], level) if u is None else u
         per_block = max(1, _FEAS_CHUNK // (len(u) * P * n))
-        lo, nxt = hi - 1, None            # nxt: the samples that end the block
+        lo, nxt, bits = hi - 1, None, u.tobytes()   # nxt: the samples that end the block
         while lo > max(0, hi - per_block):
-            nxt = p.controls.at(float(times[lo - 1]), level)
-            if nxt.shape != u.shape or nxt.tobytes() != u.tobytes():
+            nxt = p.controls.at(ts[lo - 1], level)
+            if nxt.shape != u.shape or nxt.tobytes() != bits:
                 break
             lo, nxt = lo - 1, None
-        block = times[lo:hi, None]
-        X = np.broadcast_to(nodes, (hi - lo, P, n))
-        F = np.ascontiguousarray(np.moveaxis(p.velocities(block, X, level, u)[1], 1, 0))
-        C = np.ascontiguousarray(np.moveaxis(p.costs(block, X, level, u), 1, 0))
-        bits = F.reshape(hi - lo, -1).view(np.uint64)
-        seen = np.empty(hi - lo, dtype=bool)
-        seen[:-1] = (bits[:-1] == bits[1:]).all(axis=1)
-        seen[-1] = (last is not None and last.shape == F[-1].shape
-                    and bool((last.view(np.uint64) == F[-1].view(np.uint64)).all()))
-        last = F[0]                       # rebound now, so that the last block is freed
-        finite = np.isfinite(C)
-        ok = finite.all(axis=1)
-        bad = feas[lo:hi] & ~ok
-        if not ok.all():              # an infeasible node's value is +inf whatever its cost
-            C[~finite & ~feas[lo:hi, None]] = 0.0
-        first = np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
-        for j in range(hi - lo - 1, -1, -1):
-            yield lo + j, _Rows(F[j], C[j], bool(seen[j]), None if first[j] < 0 else int(first[j]))
+        block = _block(p, times[lo:hi], nodes, feas[lo:hi], level, u, last)
+        last = block.F[0]
+        yield lo, block
+        block.cost = None                 # before the next block's first slice mixes velocities
         hi, u = lo, nxt
 
 
@@ -680,9 +746,13 @@ def solve_value(
     GridTooCoarse at a later time is met first.
 
     ``f`` and the running cost are evaluated for a block of slices at a time
-    (``_sweep_rows``), so they must broadcast over an array ``t``; one that
-    does not raises ValueError naming it.  The returned ``values`` are a
-    contiguous view of the sweep's own array of slices.
+    (``_sweep_blocks``), so they must broadcast over an array ``t``; one that
+    does not raises ValueError naming it.  A block's costs are mixed,
+    discounted and scaled once (``_block_costs``), and each slice of it
+    then pays for its stencil apply, the add of its costs, the minimum,
+    written straight into its slice, its mask and the stranded-node check.
+    The returned ``values`` are a contiguous view of the sweep's own array
+    of slices.
     """
     if x0_bound is None:
         x0_bound = float(np.max(np.abs(np.concatenate([grid.lo, grid.hi]))))
@@ -712,30 +782,27 @@ def solve_value(
     values = flat[:-2].reshape(nt + 1, P)
     flat[-2:] = _PADS
     values[nt] = np.where(feas[nt], 0.0, np.inf)
-    n_feas = np.count_nonzero(feas, axis=1)
+    n_feas, ts = np.count_nonzero(feas, axis=1).tolist(), times.tolist()
     memo: dict = {}
-    for i, rows in _sweep_rows(p, times[:nt], nodes, feas[:nt], level):
-        t = float(times[i])
-        if rows.bad is not None:
-            raise NonFiniteCost(f"running cost of {p.name} at feasible node {nodes[rows.bad]} "
-                                f"at t={t} is not finite: {rows.cost[:, rows.bad].tolist()}")
-        nxt = flat[(i + 1) * P:(i + 2) * P + 2]
-        lent = nxt[P], nxt[P + 1]
-        nxt[P], nxt[P + 1] = 0.0, np.inf
-        vals = _backstep(
-            p, lam, axes, nodes, t, grid.dt, nxt, feas[i],
-            level, relaxed, mixture_grid, memo, rows,
-        )
-        nxt[P], nxt[P + 1] = lent
-        # vals is +inf off feas[i], so fewer finite values than feasible
-        # nodes means a feasible node without a finite candidate
-        if np.count_nonzero(np.isfinite(vals)) != n_feas[i]:
-            j = int(np.flatnonzero(feas[i] & ~np.isfinite(vals))[0])
-            raise GridTooCoarse(
-                f"feasible node {nodes[j]} at t={t} has no stencil-feasible velocity; "
-                + _coarse_hint(p, axes, constrained, grid.dt, t, nodes[j], level)
-            )
-        values[i] = vals
+    for lo, block in _sweep_blocks(p, times[:nt], nodes, feas[:nt], level):
+        for j in range(len(block.times) - 1, -1, -1):
+            i = lo + j
+            t = ts[i]
+            nxt = flat[(i + 1) * P:(i + 2) * P + 2]
+            lent = nxt[P], nxt[P + 1]
+            nxt[P], nxt[P + 1] = 0.0, np.inf
+            row = values[i]
+            _backstep(p, lam, axes, nodes, t, grid.dt, nxt, feas[i], level, relaxed,
+                      mixture_grid, memo, block, j, row)
+            nxt[P], nxt[P + 1] = lent
+            # the row is +inf off feas[i], so fewer finite values than
+            # feasible nodes means a feasible node without a finite candidate
+            if np.count_nonzero(np.isfinite(row)) != n_feas[i]:
+                k = int(np.flatnonzero(feas[i] & ~np.isfinite(row))[0])
+                raise GridTooCoarse(
+                    f"feasible node {nodes[k]} at t={t} has no stencil-feasible velocity; "
+                    + _coarse_hint(p, axes, constrained, grid.dt, t, nodes[k], level)
+                )
 
     return ValueField(
         relaxed=relaxed, lam=float(lam), t0=float(grid.t0), dt=float(grid.dt),

@@ -512,6 +512,19 @@ def interp_clipped_pointwise(axes, grid_vals, pts):
     return np.where(infmask, np.inf, total)
 
 
+def apply_stencil_loop(terms, vals):
+    """``value._apply_stencil`` as a term loop into a fresh sum of zeros:
+    the padded slice ``vals`` gathered at every term, weighted, and added
+    term by term in order to +0.0."""
+    flat, w = terms
+    part = vals.take(flat)
+    part *= w
+    total = np.zeros(w.shape[1:])
+    for term in part:
+        total += term
+    return total
+
+
 def backstep_loop(p, lam, axes, nodes, t, dt, next_slice, feas_now, level,
                   relaxed, mixture_grid, memo=None):
     """Semi-Lagrangian backstep with the signature of ``value._backstep``:

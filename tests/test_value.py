@@ -19,6 +19,7 @@ from feastube.errors import (
 )
 
 from oracles import (
+    apply_stencil_loop,
     backstep_loop,
     feasible_slices_loop,
     interp_clipped_pointwise,
@@ -538,6 +539,29 @@ def _slices_and_points(draw):
     return axes, slices.reshape((2,) + shape), pts
 
 
+@pytest.mark.parametrize("K", [1, 2, 4, 8])
+def test_stencil_sum_matches_term_loop(K):
+    # the sum accumulates into the first term's rows; on slices holding
+    # +-0.0, subnormals and +inf, read through both pads, it must equal a
+    # sum from a fresh +0.0, bit for bit (-0.0 + -0.0 is -0.0, 0.0 + -0.0
+    # is 0.0): K = 1, 2, 4 and 8 terms are the corners of 0- to 3-D cells
+    rng = np.random.default_rng(K)
+    P = 64
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.5, np.inf])
+    for _ in range(20):
+        vals = np.concatenate((np.where(rng.random(P) < 0.6, rng.choice(special, P),
+                                        rng.normal(0.0, 1.0, P)), val._PADS))
+        flat = rng.integers(0, P + 2, (K, 3, 17))
+        w = np.where(rng.random((K, 3, 17)) < 0.3, rng.choice([1.0, 0.5, 2e-15], (K, 3, 17)),
+                     rng.uniform(1e-15, 1.0, (K, 3, 17)))
+        w[flat == P] = 0.0                    # a point short of terms reads pad P at weight 0
+        flat[:, :, :2] = P                    # every term of two points reads pad P: 0.0
+        w[:, :, :2] = 0.0
+        got = val._apply_stencil((flat, w), vals)
+        assert got.shape == (3, 17)
+        assert got.tobytes() == apply_stencil_loop((flat, w), vals).tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_slices_and_points())
 def test_interpolation_matches_pointwise_reference_on_any_slice(case):
@@ -593,12 +617,28 @@ _TEST_PROBLEMS = {"sway-1d": sway_problem, "drift-1d": lambda: drift_problem(1),
 
 
 def _loop_in_sweep(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed,
-                   mixture_grid, memo=None, rows=None):
+                   mixture_grid, memo=None, block=None, j=0, out=None):
     """``backstep_loop`` in ``value._backstep``'s place in a sweep: it gets
     the next slice without its two pads, and evaluates its own candidates
-    at ``t``, so the sweep's memo and block rows go unused."""
-    return backstep_loop(p, lam, axes, nodes, t, dt, next_slice[:-2], feas_now, level,
+    at ``t``, so the sweep's memo and block go unused; it writes the slice
+    into ``out`` as ``_backstep`` does."""
+    step = backstep_loop(p, lam, axes, nodes, t, dt, next_slice[:-2], feas_now, level,
                          relaxed, mixture_grid)
+    if out is None:
+        return step
+    out[...] = step
+    return out
+
+
+def _loop_reference(m, p, grid, **solve):
+    """``solve_value(p, p.lam, grid, **solve)`` with ``_loop_in_sweep`` in
+    ``_backstep``'s place, set through the monkeypatch ``m``.  The sweep must
+    reach it once per slice, so that no reference is the sweep itself."""
+    calls = []
+    m.setattr(val, "_backstep", lambda *a, **k: calls.append(a[4]) or _loop_in_sweep(*a, **k))
+    f = val.solve_value(p, p.lam, grid, **solve)
+    assert calls == f.times[:-1][::-1].tolist()
+    return f
 
 
 @pytest.mark.parametrize("name", pb.registered_problems() + tuple(_TEST_PROBLEMS))
@@ -626,9 +666,7 @@ def test_backstep_matches_loop_reference(name, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(val, "_INTERP_CHUNK", 1)      # one velocity group per call
                 assert np.array_equal(val._backstep(*padded), step)
-                m.setattr(val, "_backstep", _loop_in_sweep)
-                ref = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg,
-                                      horizon=horizon)
+                ref = _loop_reference(m, p, g, relaxed=relaxed, mixture_grid=mg, horizon=horizon)
                 assert [val.bellman_residual(p, noisy, i) for i in range(5)] == residuals
             assert np.array_equal(f.values, ref.values)
             assert max(residuals) > 0.0
@@ -912,19 +950,26 @@ def _counted_model(p):
 def test_sweep_evaluates_model_once_per_block_of_slices(hover, monkeypatch):
     # hover-1d at 241 nodes holds 2 * 241 velocity values per slice, so a
     # block holds 32768 // 482 = 67 slices: 200 slices make 3 blocks.  The
-    # samples are drawn once per time.
+    # samples are drawn once per time.  A block's costs are mixed, discounted
+    # and scaled once, and each slice applies its one chunk's terms once.
     p, calls = _counted_model(hover)
+    for name in ("_block_costs", "_apply_stencil"):
+        calls[name] = 0
+        monkeypatch.setattr(val, name, lambda *a, real=getattr(val, name), name=name:
+                            calls.__setitem__(name, calls[name] + 1) or real(*a))
     g = val.grid_for(p, 241, 0.0025)
     for relaxed in (False, True):
-        calls.update(f=0, cost=0, samples=0)
+        calls.update(f=0, cost=0, samples=0, _block_costs=0, _apply_stencil=0)
         f = val.solve_value(p, p.lam, g, relaxed=relaxed, horizon=0.5)
         assert f.values.shape[0] == 201 and np.isfinite(f.values).any()
-        assert calls == {"f": 3, "cost": 3, "samples": 200}
+        assert calls == {"f": 3, "cost": 3, "samples": 200, "_block_costs": 3,
+                         "_apply_stencil": 200}
     # one slice per block: one call per slice, and the same field
     monkeypatch.setattr(val, "_FEAS_CHUNK", 1)
-    calls.update(f=0, cost=0, samples=0)
+    calls.update(f=0, cost=0, samples=0, _block_costs=0, _apply_stencil=0)
     again = val.solve_value(p, p.lam, g, relaxed=True, horizon=0.5)
-    assert calls == {"f": 200, "cost": 200, "samples": 200}
+    assert calls == {"f": 200, "cost": 200, "samples": 200, "_block_costs": 200,
+                     "_apply_stencil": 200}
     assert again.values.tobytes() == f.values.tobytes()
 
 
@@ -947,8 +992,7 @@ def test_blocks_end_where_the_samples_change(monkeypatch):
     change = int(np.searchsorted(g.t0 + g.dt * np.arange(nt), 0.5))
     for relaxed in (False, True):
         with monkeypatch.context() as m:
-            m.setattr(val, "_backstep", _loop_in_sweep)
-            ref = val.solve_value(p, p.lam, g, relaxed=relaxed, horizon=horizon)
+            ref = _loop_reference(m, p, g, relaxed=relaxed, horizon=horizon)
         assert np.isfinite(ref.values).any() and 0 < change < nt
         for chunk in (val._FEAS_CHUNK, 2 * 41 * 4, 1):
             with monkeypatch.context() as m:
@@ -992,8 +1036,7 @@ def test_fields_at_any_block_size_match_loop_reference(name, mixture, per_block,
     key = (name, relaxed, mg)
     if key not in _BLOCKED_REFS:
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(val, "_backstep", _loop_in_sweep)
-            _BLOCKED_REFS[key] = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg,
+            _BLOCKED_REFS[key] = _loop_reference(m, p, g, relaxed=relaxed, mixture_grid=mg,
                                                  horizon=horizon).values
     ref = _BLOCKED_REFS[key]
     assert ref.shape[0] == 9 and np.isfinite(ref).any()
@@ -1041,9 +1084,7 @@ def test_steady_node_dependent_velocities_store_terms_once(monkeypatch):
     for relaxed, mg in ((False, 4),) + tuple((True, k) for k in range(1, 6)):
         f = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg, horizon=horizon)
         with monkeypatch.context() as m:
-            m.setattr(val, "_backstep", _loop_in_sweep)
-            ref = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg,
-                                  horizon=horizon)
+            ref = _loop_reference(m, p, g, relaxed=relaxed, mixture_grid=mg, horizon=horizon)
         assert f.values.tobytes() == ref.values.tobytes()
         assert np.isfinite(f.values).all()
         for block in (val._FEAS_CHUNK, 1):
