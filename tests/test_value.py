@@ -708,18 +708,23 @@ def test_mixture_products_match_tensordot_reference(name, monkeypatch):
                     want = want[:, :1]
                 assert [(v.shape, v.tobytes()) for v in grouped] == [(want.shape, want.tobytes())]
         # a block of T slices' costs (T, k, P), as a sweep evaluates them,
-        # mixed by one stacked product: each slice's mixtures are its own
+        # mixed by one stacked product: each slice's mixtures are its own,
+        # and so are its costs once discounted and scaled, in that order
         for T in (1, 2, 67):
             times = float(rng.uniform(0.0, 2 * math.pi)) + g.dt * np.arange(T)
             u = p.controls.at(float(times[0]), 0)
-            X = np.broadcast_to(nodes, (T,) + nodes.shape)
-            C = np.ascontiguousarray(np.moveaxis(p.costs(times[:, None], X, 0, u), 1, 0))
+            block = val._block(p, times, nodes, np.ones((T, P), dtype=bool), 0, u)
+            C = block.C
             for mg in range(1, 6):
                 W = val._mixture_matrix(len(u), p.n + 1, mg)
-                mixed = W @ C
-                assert mixed.shape == (T, len(W), P)
+                mixed, prepared = W @ C, val._block_costs(block, W, p.lam, g.dt)
+                assert mixed.shape == prepared.shape == (T, len(W), P)
                 for j in range(T):
-                    assert mixed[j].tobytes() == mixtures_tensordot(W, C[j]).tobytes()
+                    want = mixtures_tensordot(W, C[j])
+                    assert mixed[j].tobytes() == want.tobytes()
+                    want *= math.exp(-p.lam * float(times[j]))
+                    want *= g.dt
+                    assert prepared[j].tobytes() == want.tobytes()
 
 
 # --- feasibility of every slice, batched ---------------------------------------------
