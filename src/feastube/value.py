@@ -477,7 +477,8 @@ class _Block:
 
     times: Array          # (T,)
     F: Array              # (T, k, P, n) velocities of the sampled controls
-    C: Array              # (T, k, P) their running costs, 0 where not finite
+    C: Array              # (T, k, P) their running costs, 0 where not finite (scaled in place
+                          # once the plain sweep prepares them)
     infeas: Array         # (T, P) nodes off the feasible set
     seen: list[bool]      # slice j's velocities have the bytes of the slice stepped before it
     bad: dict[int, tuple[int, list]]    # slice -> (feasible node, its costs), first non-finite
@@ -521,15 +522,13 @@ def _block(p: ProblemDefinition, times: Array, nodes: Array, feas: Array, level:
 
 def _block_costs(block: _Block, W: Array | None, lam: float, dt: float) -> Array:
     """The costs a backstep adds for every slice of ``block``, (T, R, P):
-    mixed under ``W`` by one stacked product (the sampled controls' own
-    costs when ``W`` is None), discounted by each slice's ``exp(-lam t)``
-    and scaled by ``dt``, rounded in that order."""
+    mixed under ``W`` by one stacked product, discounted by each slice's
+    ``exp(-lam t)`` and scaled by ``dt``, rounded in that order.  When
+    ``W`` is None they are the block's own costs, scaled in place (the
+    costs an error names are kept apart, in ``bad``)."""
     disc = np.array([math.exp(-lam * t) for t in block.times.tolist()])[:, None, None]
-    if W is None:
-        cost = block.C * disc
-    else:
-        cost = W @ block.C
-        cost *= disc
+    cost = block.C if W is None else W @ block.C
+    cost *= disc
     cost *= dt
     return cost
 
@@ -609,6 +608,7 @@ def _backstep(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed,
             np.minimum.reduce(part, axis=0, out=out)
         else:
             np.minimum(out, np.minimum.reduce(part, axis=0), out=out)
+        del part                          # its gathered terms go before the next chunk's
     np.copyto(out, np.inf, where=block.infeas[j])
     return out
 

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+import weakref
 from itertools import product
 
 import numpy as np
@@ -906,6 +908,35 @@ def test_stencils_built_once_per_solve(corridor, monkeypatch):
                              horizon=horizon)
     assert steps == once
     assert np.array_equal(first.values, second.values)
+
+
+def test_relaxed_sweep_never_holds_velocity_mixtures_beside_mixed_costs(corridor, monkeypatch):
+    # corridor-2d at 41 x 61 nodes holds one slice per block.  Its relaxed
+    # sweep forms the first slice's (R, P, n) velocity mixtures to group
+    # them, and each block mixes its (R, P) costs; the second slice stores
+    # the groups' terms.  The mixtures go before the first block's costs
+    # are mixed, and a block's costs before the next block is formed, so
+    # the traced peak stays below the mixtures and the costs together.
+    blocks, real = [], val._block
+
+    def forming(*args):
+        assert all(b() is None or b().cost is None for b in blocks)
+        block = real(*args)
+        blocks.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(val, "_block", forming)
+    g = val.GridSpec(corridor.box[:, 0], corridor.box[:, 1], (41, 61), 0.1, 0.3)
+    P = 41 * 61
+    R = len(val._mixture_matrix(len(corridor.controls.at(0.3)), corridor.n + 1, 4))
+    tracemalloc.start()
+    try:
+        f = val.solve_value(corridor, 6.0, g, relaxed=True, mixture_grid=4, horizon=0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.values.shape[0] == 5 and np.isfinite(f.values).any() and len(blocks) == 4
+    assert R == 369 and peak < R * P * (corridor.n + 1) * 8
 
 
 def test_sweep_pads_once_per_slice_and_applies_once_per_chunk(corridor, monkeypatch):
