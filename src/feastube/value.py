@@ -477,8 +477,8 @@ class _Block:
 
     times: Array          # (T,)
     F: Array              # (T, k, P, n) velocities of the sampled controls
-    C: Array              # (T, k, P) their running costs, 0 where not finite (scaled in place
-                          # once the plain sweep prepares them)
+    C: Array              # (T, k, P) their running costs, 0 where not finite; the plain
+                          # sweep scales them in place (_block_costs)
     infeas: Array         # (T, P) nodes off the feasible set
     seen: list[bool]      # slice j's velocities have the bytes of the slice stepped before it
     bad: dict[int, tuple[int, list]]    # slice -> (feasible node, its costs), first non-finite
@@ -546,17 +546,18 @@ def _backstep(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed,
     interpolated together, ``_INTERP_CHUNK`` points at a time, each chunk's
     terms built from its feet (``_terms``).
 
-    The slice is slice ``j`` of the sweep's ``block`` (``_block``); without
-    one it is a block of its own, evaluated at ``t``.  Everything that does
-    not read the next slice is done once per block: its velocities and costs,
-    their checks, its infeasible masks, and the costs it adds, mixed,
-    discounted and scaled (``_block_costs``).  Those costs are prepared after
-    the block's first slice has grouped its velocities, so that a block of
-    one slice, the only kind whose slices are large, never holds its mixed
-    costs beside its velocity mixtures; in a block of several slices both
-    stay within ``_FEAS_CHUNK`` velocity values times R/k.  A slice then pays
-    for the stencil apply, the add of its costs, the minimum and its mask,
-    and for its groups when its velocities are new.  Raises NonFiniteCost,
+    The slice is slice ``j`` of the sweep's ``block`` (``_block``), whose
+    masks stand for ``feas_now``; without one it is a block of its own,
+    evaluated at ``t`` on ``feas_now``.  Everything that does not read the
+    next slice is done once per block: its velocities and costs, their
+    checks, its infeasible masks, and the costs it adds, mixed, discounted
+    and scaled (``_block_costs``).  Those costs are prepared after the
+    block's first slice has grouped its velocities, so that a block of one
+    slice, the only kind whose slices are large, never holds its mixed costs
+    beside its velocity mixtures; in a block of several slices both stay
+    within ``_FEAS_CHUNK`` velocity values times R/k.  A slice then pays for
+    the stencil apply, the add of its costs, the minimum and its mask, and
+    for its groups when its velocities are new.  Raises NonFiniteCost,
     naming the node, the time and the model's costs there, for a slice whose
     running cost is not finite at a feasible node.
 
@@ -620,7 +621,8 @@ def _sweep_blocks(p: ProblemDefinition, times: Array, nodes: Array, feas: Array,
 
     ``ControlSamples.at`` runs once per time, and a block holds only times
     whose samples have equal bytes, at most ``_FEAS_CHUNK`` velocity values.
-    A block's prepared costs are dropped before the next block is formed.
+    A block's prepared costs are dropped before the next block is formed, so
+    that they never sit beside the next block's.
     """
     P, n = nodes.shape
     ts, hi, u = times.tolist(), len(times), None
@@ -637,7 +639,7 @@ def _sweep_blocks(p: ProblemDefinition, times: Array, nodes: Array, feas: Array,
         block = _block(p, times[lo:hi], nodes, feas[lo:hi], level, u, last)
         last = block.F[0]
         yield lo, block
-        block.cost = None                 # before the next block's first slice mixes velocities
+        block.cost = None                 # dropped before the next block is formed
         hi, u = lo, nxt
 
 
