@@ -540,6 +540,22 @@ def backstep_loop(p, lam, axes, nodes, t, dt, next_slice, feas_now, level,
     return np.where(feas_now, best, np.inf)
 
 
+def sweep_loop(p, field):
+    """The slices of ``field`` rebuilt from its own times alone: zero on the
+    feasible nodes of the last slice, then one ``backstep_loop`` per slice,
+    latest first, on the feasibility of ``feasible_slices_loop``.  Shares no
+    horizon, feasibility, block or pad code with ``value.solve_value``."""
+    times, nodes = field.times, field.grid_nodes()
+    feas = feasible_slices_loop(p, times, nodes)
+    vals = np.empty(feas.shape)
+    vals[-1] = np.where(feas[-1], 0.0, np.inf)
+    for i in range(len(times) - 2, -1, -1):
+        vals[i] = backstep_loop(p, field.lam, field.axes, nodes, float(times[i]), field.dt,
+                                vals[i + 1], feas[i], field.level, field.relaxed,
+                                field.mixture_grid)
+    return vals.reshape(field.values.shape)
+
+
 # ---------------------------------------------------------------------------
 # assumption reference: one (f, L) evaluation per sampled point
 # ---------------------------------------------------------------------------

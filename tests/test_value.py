@@ -26,6 +26,7 @@ from oracles import (
     feasible_slices_loop,
     interp_clipped_pointwise,
     mixtures_tensordot,
+    sweep_loop,
     tree_value,
 )
 from util import (
@@ -148,13 +149,6 @@ def test_tiny_instance_matches_control_tree(moving_wall):
             assert math.isinf(got)
         else:
             assert abs(got - want) <= 1e-9
-
-
-def test_bellman_residual_zero(moving_wall):
-    g = val.GridSpec(lo=[-2.5], hi=[2.0], shape=(46,), dt=0.1)
-    f = val.solve_value(moving_wall, 2.0, g, relaxed=False, horizon=1.0)
-    for i in (0, 3, 7):
-        assert val.bellman_residual(moving_wall, f, i) <= val.TOL_DP
 
 
 def test_truncation_stability(moving_wall):
@@ -618,29 +612,33 @@ _TEST_PROBLEMS = {"sway-1d": sway_problem, "drift-1d": lambda: drift_problem(1),
                   "drift-2d": lambda: drift_problem(2)}
 
 
-def _loop_in_sweep(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed,
-                   mixture_grid, memo=None, block=None, j=0, out=None):
-    """``backstep_loop`` in ``value._backstep``'s place in a sweep: it gets
-    the next slice without its two pads, and evaluates its own candidates
-    at ``t``, so the sweep's memo and block go unused; it writes the slice
-    into ``out`` as ``_backstep`` does."""
-    step = backstep_loop(p, lam, axes, nodes, t, dt, next_slice[:-2], feas_now, level,
-                         relaxed, mixture_grid)
-    if out is None:
-        return step
-    out[...] = step
-    return out
+# (problem, grid, slices) of test_bellman_residual_zero: hover-1d at 241
+# nodes holds 67 slices per block, corridor-2d at 21 x 31 two, and
+# moving-wall-1d at 46 nodes all ten
+_RESIDUAL_CASES = {
+    "hover-1d": (lambda: pb.get_problem("hover-1d"),
+                 lambda p: val.grid_for(p, 241, 0.0025, 0.4), 80),
+    "moving-wall-1d": (lambda: pb.get_problem("moving-wall-1d"),
+                       lambda p: val.GridSpec(lo=[-2.5], hi=[2.0], shape=(46,), dt=0.1), 10),
+    "corridor-2d": (lambda: pb.get_problem("corridor-2d"),
+                    lambda p: val.grid_for(p, (21, 31), 1.2 * 0.2 / p.data.M, 0.3), 6),
+    "sway-1d": (sway_problem, lambda p: _small_grid(p, 0.2, 1.2, 41), 8),
+    "drift-1d": (lambda: drift_problem(1), lambda p: _small_grid(p, 0.1, 1.2, 41), 8),
+    "drift-2d": (lambda: drift_problem(2), lambda p: _small_grid(p, 0.1, 1.2, 13), 8),
+}
 
 
-def _loop_reference(m, p, grid, **solve):
-    """``solve_value(p, p.lam, grid, **solve)`` with ``_loop_in_sweep`` in
-    ``_backstep``'s place, set through the monkeypatch ``m``.  The sweep must
-    reach it once per slice, so that no reference is the sweep itself."""
-    calls = []
-    m.setattr(val, "_backstep", lambda *a, **k: calls.append(a[4]) or _loop_in_sweep(*a, **k))
-    f = val.solve_value(p, p.lam, grid, **solve)
-    assert calls == f.times[:-1][::-1].tolist()
-    return f
+def test_bellman_residual_zero():
+    # a lone step is a block of one slice, a sweep's block holds several:
+    # both step a slice to the same bytes, plain and at every mixture grid
+    for make, grid, slices in _RESIDUAL_CASES.values():
+        p = make()
+        g = grid(p)
+        for relaxed, mg in ((False, 4),) + tuple((True, k) for k in range(1, 6)):
+            f = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg,
+                                horizon=g.t0 + slices * g.dt)
+            assert f.values.shape[0] == slices + 1 and np.isfinite(f.values[0]).any()
+            assert [val.bellman_residual(p, f, i) for i in range(slices)] == [0.0] * slices
 
 
 @pytest.mark.parametrize("name", pb.registered_problems() + tuple(_TEST_PROBLEMS))
@@ -668,9 +666,8 @@ def test_backstep_matches_loop_reference(name, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(val, "_INTERP_CHUNK", 1)      # one velocity group per call
                 assert np.array_equal(val._backstep(*padded), step)
-                ref = _loop_reference(m, p, g, relaxed=relaxed, mixture_grid=mg, horizon=horizon)
                 assert [val.bellman_residual(p, noisy, i) for i in range(5)] == residuals
-            assert np.array_equal(f.values, ref.values)
+            assert np.array_equal(f.values, sweep_loop(p, f))
             assert max(residuals) > 0.0
             assert np.array_equal(step, backstep_loop(*args))
 
@@ -1027,9 +1024,8 @@ def test_blocks_end_where_the_samples_change(monkeypatch):
     nt = int(round(horizon / g.dt))
     change = int(np.searchsorted(g.t0 + g.dt * np.arange(nt), 0.5))
     for relaxed in (False, True):
-        with monkeypatch.context() as m:
-            ref = _loop_reference(m, p, g, relaxed=relaxed, horizon=horizon)
-        assert np.isfinite(ref.values).any() and 0 < change < nt
+        ref = sweep_loop(p, val.solve_value(p, p.lam, g, relaxed=relaxed, horizon=horizon))
+        assert np.isfinite(ref).any() and 0 < change < nt
         for chunk in (val._FEAS_CHUNK, 2 * 41 * 4, 1):
             with monkeypatch.context() as m:
                 m.setattr(val, "_FEAS_CHUNK", chunk)
@@ -1038,7 +1034,7 @@ def test_blocks_end_where_the_samples_change(monkeypatch):
             per_block = (max(1, chunk // (3 * 41)), max(1, chunk // (2 * 41)))
             blocks = -(-(nt - change) // per_block[0]) - (-change // per_block[1])
             assert calls == {"f": blocks, "cost": blocks, "samples": nt}
-            assert f.values.tobytes() == ref.values.tobytes()
+            assert f.values.tobytes() == ref.tobytes()
 
 
 # Problems whose blocks differ from slice to slice: moving-wall-1d's cost has
@@ -1071,9 +1067,8 @@ def test_fields_at_any_block_size_match_loop_reference(name, mixture, per_block,
     relaxed, mg = mixture
     key = (name, relaxed, mg)
     if key not in _BLOCKED_REFS:
-        with pytest.MonkeyPatch.context() as m:
-            _BLOCKED_REFS[key] = _loop_reference(m, p, g, relaxed=relaxed, mixture_grid=mg,
-                                                 horizon=horizon).values
+        _BLOCKED_REFS[key] = sweep_loop(p, val.solve_value(p, p.lam, g, relaxed=relaxed,
+                                                           mixture_grid=mg, horizon=horizon))
     ref = _BLOCKED_REFS[key]
     assert ref.shape[0] == 9 and np.isfinite(ref).any()
     P = g.nodes().shape[0]
@@ -1119,9 +1114,7 @@ def test_steady_node_dependent_velocities_store_terms_once(monkeypatch):
     assert not val._node_independent(f_all)
     for relaxed, mg in ((False, 4),) + tuple((True, k) for k in range(1, 6)):
         f = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg, horizon=horizon)
-        with monkeypatch.context() as m:
-            ref = _loop_reference(m, p, g, relaxed=relaxed, mixture_grid=mg, horizon=horizon)
-        assert f.values.tobytes() == ref.values.tobytes()
+        assert f.values.tobytes() == sweep_loop(p, f).tobytes()
         assert np.isfinite(f.values).all()
         for block in (val._FEAS_CHUNK, 1):
             with monkeypatch.context() as m:
