@@ -62,7 +62,7 @@ def eval_constraints(p: ProblemDefinition, t: float, x) -> Array:
 
 def max_violation(p: ProblemDefinition, t: float, x) -> float:
     """max_i h_i(t, x); -inf when there are no constraints."""
-    return float(p.constraint_values(t, x).max()) if p.m else -math.inf
+    return float(_worst(p, t, x))
 
 
 def is_feasible(p: ProblemDefinition, t: float, x, tol: float = TOL_FEAS) -> bool:

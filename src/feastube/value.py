@@ -36,16 +36,19 @@ it steps: one constraint-kernel call per chunk of whole slices, of at most
 ``_FEAS_CHUNK`` points each.  It evaluates the dynamics and the running
 cost the same way, one ``velocities`` and one ``costs`` call per block of
 slices whose control samples are equal, of at most ``_FEAS_CHUNK`` velocity
-values (``_sweep_blocks``), and steps a block's slices in one loop.  What
-does not read the next slice is done once per block (``_block``): whether
-a slice's velocities repeat the last slice's, whether a feasible node's
-cost is not finite, the infeasible masks, and the costs a step adds, mixed
-by one stacked product, discounted and scaled by dt (``_block_costs``).
-The sweep keeps its slices end to end in one array, and each step pads the
-next slice in place and writes its minimum straight into its own slice.  A
-slice then pays for the stencil apply, the add of its prepared costs, the
-minimum, its mask and the check for a stranded node, and for grouping its
-velocities when they are new.
+values (``_sweep_blocks``).  What does not read the next slice is done
+once per block (``_block``): whether a slice's velocities repeat the last
+slice's, whether a feasible node's cost is not finite, and the infeasible
+masks.  One generator, ``_sweep``, steps the slices latest first and keeps
+what its steps share as its own locals: the groups of the last velocities
+met, each block's mixture matrix, and the costs the block's steps add,
+mixed by one stacked product, discounted and scaled by dt
+(``_block_costs``).  It writes every slice into one array that holds the
+slices end to end, padding the next slice in place for each step.
+``solve_value`` checks each slice it yields for a stranded node, and
+``bellman_residual`` drives it over two slices.  A slice pays for the
+stencil apply, the add of its prepared costs, the minimum, its mask and
+the check, and for grouping its velocities when they are new.
 """
 
 from __future__ import annotations
@@ -482,15 +485,15 @@ class _Block:
     infeas: Array         # (T, P) nodes off the feasible set
     seen: list[bool]      # slice j's velocities have the bytes of the slice stepped before it
     bad: dict[int, tuple[int, list]]    # slice -> (feasible node, its costs), first non-finite
-    cost: Array | None = None   # (T, R, P) the costs a backstep adds (_block_costs), once prepared
 
 
 def _block(p: ProblemDefinition, times: Array, nodes: Array, feas: Array, level: int,
            u: Array, last: Array | None = None) -> _Block:
     """The slices at ``times`` (T,), whose samples are ``u``, from one
-    ``velocities`` and one ``costs`` call; ``feas`` (T, P) is their
-    feasibility.  Each slice's rows are contiguous, as one slice's own call
-    gives them.
+    ``velocities`` and one ``costs`` call over ``times[:, None]`` and
+    ``nodes[None]``, so that a term that does not read t is computed once;
+    ``feas`` (T, P) is their feasibility.  Each slice's rows are contiguous,
+    as one slice's own call gives them.
 
     Decides for all the slices whether a slice's velocities have the bytes of
     the slice stepped before it (the one after it in time; ``last`` for the
@@ -500,10 +503,9 @@ def _block(p: ProblemDefinition, times: Array, nodes: Array, feas: Array, level:
     whatever its cost, and a slice with such a cost at a feasible node is
     never stepped.
     """
-    T, (P, n) = len(times), nodes.shape
-    X = np.broadcast_to(nodes, (T, P, n))
-    F = np.ascontiguousarray(np.moveaxis(p.velocities(times[:, None], X, level, u)[1], 1, 0))
-    C = np.ascontiguousarray(np.moveaxis(p.costs(times[:, None], X, level, u), 1, 0))
+    T, t, x = len(times), times[:, None], nodes[None]
+    F = np.ascontiguousarray(np.moveaxis(p.velocities(t, x, level, u)[1], 1, 0))
+    C = np.ascontiguousarray(np.moveaxis(p.costs(t, x, level, u), 1, 0))
     bits = F.reshape(T, -1).view(np.uint64)
     seen = np.empty(T, dtype=bool)
     seen[:-1] = (bits[:-1] == bits[1:]).all(axis=1)
@@ -533,85 +535,86 @@ def _block_costs(block: _Block, W: Array | None, lam: float, dt: float) -> Array
     return cost
 
 
-def _backstep(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed,
-              mixture_grid, memo=None, block=None, j=0, out=None):
-    """Minimum over candidates of discounted running cost plus the next slice
-    interpolated at the candidate's foot point; +inf off ``feas_now``.
-    ``next_slice`` is the next slice padded as ``_padded`` pads it.  Writes
-    the slice into ``out`` (a new array when None) and returns it.
+def _sweep(p, lam, axes, nodes, dt, times, feas, flat, level, relaxed, mixture_grid):
+    """Step the slices at ``times`` (T,), latest first, and yield each
+    slice's index once its row of ``flat`` is written.  ``flat`` holds the
+    T + 1 slices of the P ``nodes`` end to end and then two entries, with the
+    last slice and the two entries already set; ``feas`` (T, P) is the
+    feasibility of the slices stepped.
+
+    A slice is the minimum over candidates of discounted running cost plus
+    the next slice interpolated at the candidate's foot point, and +inf off
+    the feasible set.  Each step pads the next slice in place with the two
+    entries after it, which it lends for the step (``_padded``'s pads), and
+    writes its minimum straight into its own row.
 
     Candidates with equal velocity arrays share their foot points, so each
     such group is interpolated once, against its per-node minimum cost.  This
     is exact: ``fl(c + v)`` is monotone in ``c``.  The groups' foot points are
     interpolated together, ``_INTERP_CHUNK`` points at a time, each chunk's
-    terms built from its feet (``_terms``).
-
-    The slice is slice ``j`` of the sweep's ``block`` (``_block``), whose
-    masks stand for ``feas_now``; without one it is a block of its own,
-    evaluated at ``t`` on ``feas_now``.  Everything that does not read the
-    next slice is done once per block: its velocities and costs, their
-    checks, its infeasible masks, and the costs it adds, mixed, discounted
-    and scaled (``_block_costs``).  Those costs are prepared after the
-    block's first slice has grouped its velocities, so that a block of one
-    slice, the only kind whose slices are large, never holds its mixed costs
-    beside its velocity mixtures; in a block of several slices both stay
-    within ``_FEAS_CHUNK`` velocity values times R/k.  A slice then pays for
-    the stencil apply, the add of its costs, the minimum and its mask, and
-    for its groups when its velocities are new.  Raises NonFiniteCost,
-    naming the node, the time and the model's costs there, for a slice whose
-    running cost is not finite at a feasible node.
-
-    The sweep's ``memo`` (one grid and dt) holds the groups of the last
-    velocities met, and serves a slice whose velocities have the same bytes.
-    Such a slice stores each chunk's terms in the groups, and later slices
-    apply them; a slice that meets its velocities for the first time builds
-    its terms without storing them.  Groups whose mixture velocities are the
+    terms built from its feet (``_terms``).  The sweep keeps the groups of
+    the last velocities it met, and a slice whose velocities have the same
+    bytes reuses them: the first such slice stores each chunk's terms, and
+    later slices only apply them.  Groups whose mixture velocities are the
     same at every node keep one row each.
-    """
-    memo = {} if memo is None else memo
-    if block is None:
-        block = _block(p, np.array([float(t)]), nodes, feas_now[None], level,
-                       p.controls.at(float(t), level))
-    if j in block.bad:
-        node, costs = block.bad[j]
-        raise NonFiniteCost(f"running cost of {p.name} at feasible node {nodes[node]} "
-                            f"at t={t} is not finite: {costs}")
-    seen, W = block.seen[j], None
-    if relaxed and (not seen or block.cost is None):     # to group, or to mix the costs
-        W = _mixture_matrix(block.F.shape[1], p.n + 1, mixture_grid)
-    if seen:
-        groups = memo["groups"]
-    else:
-        memo.clear()                      # drop the last groups before forming these
-        f = _mix(W, block.F[j])        # a product over one row may round differently
-        groups = _groups(f[:, :1].copy() if _node_independent(f) else f, nodes.shape[0])
-        del f
-        memo["groups"] = groups
-    terms = groups.terms
-    if terms is None:
-        terms = (_terms(axes, np.moveaxis(nodes + dt * groups.vel[chunk], -1, 0))
-                 for chunk in groups.chunks)
-        if seen:                          # met again: store them, before the costs exist
-            terms = groups.terms = list(terms)
-    if block.cost is None:
-        # after grouping, when a node-independent set's full velocity
-        # mixtures are already dropped: the two never coexist
-        block.cost = _block_costs(block, W, lam, dt)
-    cost = block.cost[j]
-    for g, r in groups.merges:
-        np.minimum(cost[g], cost[r], out=cost[g])
 
-    out = np.empty(nodes.shape[0]) if out is None else out
-    for k, (chunk, chunk_terms) in enumerate(zip(groups.chunks, terms)):
-        part = _apply_stencil(chunk_terms, next_slice)
-        part += cost[chunk]
-        if k == 0:
-            np.minimum.reduce(part, axis=0, out=out)
-        else:
-            np.minimum(out, np.minimum.reduce(part, axis=0), out=out)
-        del part                          # its gathered terms go before the next chunk's
-    np.copyto(out, np.inf, where=block.infeas[j])
-    return out
+    Everything that does not read the next slice is done once per block of
+    slices (``_sweep_blocks``): the velocities and costs, their checks, the
+    infeasible masks, the mixture matrix, and the costs the steps add,
+    mixed, discounted and scaled (``_block_costs``).  Those costs are
+    prepared after the block's first slice has grouped its velocities, so
+    that a block of one slice, the only kind whose slices are large, never
+    holds its mixed costs beside its velocity mixtures (in a block of several
+    slices both stay within ``_FEAS_CHUNK`` velocity values times R/k), and
+    dropped before the next block is formed.  Raises NonFiniteCost, naming
+    the node, the time and the model's costs there, at the turn of a slice
+    whose running cost is not finite at a feasible node.
+    """
+    P = nodes.shape[0]
+    for lo, block in _sweep_blocks(p, times, nodes, feas, level):
+        W = _mixture_matrix(block.F.shape[1], p.n + 1, mixture_grid) if relaxed else None
+        cost = None
+        for j in range(len(block.times) - 1, -1, -1):
+            i = lo + j
+            if j in block.bad:
+                node, costs = block.bad[j]
+                raise NonFiniteCost(f"running cost of {p.name} at feasible node {nodes[node]} "
+                                    f"at t={float(block.times[j])} is not finite: {costs}")
+            seen = block.seen[j]
+            if not seen:
+                groups = terms = None      # drop the last groups before forming these
+                f = _mix(W, block.F[j])    # a product over one row may round differently
+                groups = _groups(f[:, :1].copy() if _node_independent(f) else f, P)
+                del f
+            terms = groups.terms
+            if terms is None:
+                terms = (_terms(axes, np.moveaxis(nodes + dt * groups.vel[chunk], -1, 0))
+                         for chunk in groups.chunks)
+                if seen:                   # met again: store them, before the costs exist
+                    terms = groups.terms = list(terms)
+            if cost is None:
+                # after grouping, when a node-independent set's full velocity
+                # mixtures are already dropped: the two never coexist
+                cost = _block_costs(block, W, lam, dt)
+            row = cost[j]
+            for g, r in groups.merges:
+                np.minimum(row[g], row[r], out=row[g])
+
+            out, nxt = flat[i * P:(i + 1) * P], flat[(i + 1) * P:(i + 2) * P + 2]
+            lent = nxt[P], nxt[P + 1]
+            nxt[P], nxt[P + 1] = 0.0, np.inf
+            for k, (chunk, chunk_terms) in enumerate(zip(groups.chunks, terms)):
+                part = _apply_stencil(chunk_terms, nxt)
+                part += row[chunk]
+                if k == 0:
+                    np.minimum.reduce(part, axis=0, out=out)
+                else:
+                    np.minimum(out, np.minimum.reduce(part, axis=0), out=out)
+                del part                   # its gathered terms go before the next chunk's
+            nxt[P], nxt[P + 1] = lent
+            np.copyto(out, np.inf, where=block.infeas[j])
+            yield i
+        cost = row = None                  # dropped before the next block is formed
 
 
 def _sweep_blocks(p: ProblemDefinition, times: Array, nodes: Array, feas: Array, level: int):
@@ -621,8 +624,6 @@ def _sweep_blocks(p: ProblemDefinition, times: Array, nodes: Array, feas: Array,
 
     ``ControlSamples.at`` runs once per time, and a block holds only times
     whose samples have equal bytes, at most ``_FEAS_CHUNK`` velocity values.
-    A block's prepared costs are dropped before the next block is formed, so
-    that they never sit beside the next block's.
     """
     P, n = nodes.shape
     ts, hi, u = times.tolist(), len(times), None
@@ -639,7 +640,6 @@ def _sweep_blocks(p: ProblemDefinition, times: Array, nodes: Array, feas: Array,
         block = _block(p, times[lo:hi], nodes, feas[lo:hi], level, u, last)
         last = block.F[0]
         yield lo, block
-        block.cost = None                 # dropped before the next block is formed
         hi, u = lo, nxt
 
 
@@ -748,13 +748,12 @@ def solve_value(
     GridTooCoarse at a later time is met first.
 
     ``f`` and the running cost are evaluated for a block of slices at a time
-    (``_sweep_blocks``), so they must broadcast over an array ``t``; one that
-    does not raises ValueError naming it.  A block's costs are mixed,
-    discounted and scaled once (``_block_costs``), and each slice of it
-    then pays for its stencil apply, the add of its costs, the minimum,
-    written straight into its slice, its mask and the stranded-node check.
-    The returned ``values`` are a contiguous view of the sweep's own array
-    of slices.
+    (``_sweep_blocks``), at ``t`` of shape (T, 1) and ``x`` of shape
+    (1, P, n), so they must broadcast over an array ``t``; one that does not
+    raises ValueError naming it.  ``_sweep`` steps the slices into one array
+    and yields each in turn, and each yielded slice is checked for a
+    stranded node.  The returned ``values`` are a contiguous view of that
+    array.
     """
     if x0_bound is None:
         x0_bound = float(np.max(np.abs(np.concatenate([grid.lo, grid.hi]))))
@@ -777,34 +776,23 @@ def solve_value(
     _check_margin(p, grid, nodes, times, feas, constrained)
 
     P = nodes.shape[0]
-    # the slices end to end, then the last one's two pads (_padded's pads);
-    # each backstep pads the next slice in place with the two entries after
-    # it, which the slice after that lends for the step and gets back
+    # the slices end to end, then the last one's two pads (_padded's pads),
+    # which _sweep lends to each step in turn
     flat = np.empty((nt + 1) * P + 2)
     values = flat[:-2].reshape(nt + 1, P)
     flat[-2:] = _PADS
     values[nt] = np.where(feas[nt], 0.0, np.inf)
-    n_feas, ts = np.count_nonzero(feas, axis=1).tolist(), times.tolist()
-    memo: dict = {}
-    for lo, block in _sweep_blocks(p, times[:nt], nodes, feas[:nt], level):
-        for j in range(len(block.times) - 1, -1, -1):
-            i = lo + j
-            t = ts[i]
-            nxt = flat[(i + 1) * P:(i + 2) * P + 2]
-            lent = nxt[P], nxt[P + 1]
-            nxt[P], nxt[P + 1] = 0.0, np.inf
-            row = values[i]
-            _backstep(p, lam, axes, nodes, t, grid.dt, nxt, feas[i], level, relaxed,
-                      mixture_grid, memo, block, j, row)
-            nxt[P], nxt[P + 1] = lent
-            # the row is +inf off feas[i], so fewer finite values than
-            # feasible nodes means a feasible node without a finite candidate
-            if np.count_nonzero(np.isfinite(row)) != n_feas[i]:
-                k = int(np.flatnonzero(feas[i] & ~np.isfinite(row))[0])
-                raise GridTooCoarse(
-                    f"feasible node {nodes[k]} at t={t} has no stencil-feasible velocity; "
-                    + _coarse_hint(p, axes, constrained, grid.dt, t, nodes[k], level)
-                )
+    n_feas = np.count_nonzero(feas, axis=1).tolist()
+    for i in _sweep(p, lam, axes, nodes, grid.dt, times[:nt], feas[:nt], flat, level, relaxed,
+                    mixture_grid):
+        # the row is +inf off feas[i], so fewer finite values than
+        # feasible nodes means a feasible node without a finite candidate
+        if np.count_nonzero(np.isfinite(values[i])) != n_feas[i]:
+            k, t = int(np.flatnonzero(feas[i] & ~np.isfinite(values[i]))[0]), float(times[i])
+            raise GridTooCoarse(
+                f"feasible node {nodes[k]} at t={t} has no stencil-feasible velocity; "
+                + _coarse_hint(p, axes, constrained, grid.dt, t, nodes[k], level)
+            )
 
     return ValueField(
         relaxed=relaxed, lam=float(lam), t0=float(grid.t0), dt=float(grid.dt),
@@ -816,19 +804,20 @@ def solve_value(
 
 
 def bellman_residual(p: ProblemDefinition, field: ValueField, i: int) -> float:
-    """Re-apply one backward step at slice i; max change over finite nodes."""
+    """Re-apply one backward step at slice i, on the nodes where the slice is
+    finite, and return the largest change there: +inf when the step strands
+    such a node.  The step is ``_sweep`` over two slices, slice i and a
+    padded copy of slice i + 1, so it is the sweep's own step."""
     if not (0 <= i < field.values.shape[0] - 1):
         raise ValueError("need an interior slice index")
     nodes = field.grid_nodes()
-    t = float(field.times[i])
-    flat = field.values[i].ravel()
-    feas_now = np.isfinite(flat)
-    vals = _backstep(
-        p, field.lam, field.axes, nodes, t, field.dt,
-        _padded(field.values[i + 1]), feas_now, field.level, field.relaxed,
-        field.mixture_grid,
-    )
-    both = feas_now & np.isfinite(vals)
-    if not both.any():
+    P = nodes.shape[0]
+    now = field.values[i].ravel()
+    feas = np.isfinite(now)
+    flat = np.concatenate((np.empty(P), _padded(field.values[i + 1])))
+    for _ in _sweep(p, field.lam, field.axes, nodes, field.dt, field.times[i:i + 1], feas[None],
+                    flat, field.level, field.relaxed, field.mixture_grid):
+        pass
+    if not feas.any():
         return 0.0
-    return float(np.max(np.abs(vals[both] - flat[both])))
+    return float(np.max(np.abs(flat[:P][feas] - now[feas])))

@@ -12,9 +12,10 @@ the step-loop references write out one RK4 loop per trajectory construction;
 the repair reference re-projects the whole tail after every corrected piece;
 the backstep reference builds its candidates one control at a time and
 interpolates once per velocity/cost candidate, with a pinned copy of the
-point-by-point multilinear interpolation; the assumption reference
-evaluates the data one sampled point at a time; the certify references take
-one Lipschitz quotient per node pair and write one CSV row at a time;
+point-by-point multilinear interpolation, and the sweep reference takes
+one such backstep per slice; the assumption reference evaluates the data
+one sampled point at a time; the certify references take one Lipschitz
+quotient per node pair and write one CSV row at a time;
 the certificate reference samples the boundary one time at a time and solves
 one LP per boundary point; the CLI references keep ``analyze`` and
 ``pipeline`` as two separate copies of the four value-function checks.
@@ -527,9 +528,9 @@ def apply_stencil_loop(terms, vals):
 
 def backstep_loop(p, lam, axes, nodes, t, dt, next_slice, feas_now, level,
                   relaxed, mixture_grid, memo=None):
-    """Semi-Lagrangian backstep with the signature of ``value._backstep``:
-    every candidate's foot points are interpolated on their own.  ``memo`` is
-    accepted and ignored."""
+    """Semi-Lagrangian backstep at ``t`` from ``next_slice`` (P,), +inf off
+    ``feas_now``: every candidate's foot points are interpolated on their
+    own.  ``memo`` is accepted and ignored."""
     f_all, L_all = candidates_loop(p, t, nodes, level, relaxed, mixture_grid)
     best = np.full(nodes.shape[0], np.inf)
     disc = math.exp(-lam * t)

@@ -356,7 +356,7 @@ def test_model_that_does_not_broadcast_over_times_is_named():
         g = val.grid_for(p, 21, 0.1)
         with pytest.raises(ValueError) as err:
             val.solve_value(p, p.lam, g, relaxed=False, horizon=0.5)
-        assert f"{what} does not broadcast over t of shape (5, 1) and x of shape (5, 21, 1)" \
+        assert f"{what} does not broadcast over t of shape (5, 1) and x of shape (1, 21, 1)" \
             in str(err.value)
     with pytest.raises(ValueError, match=r"drawn at one time, got t of shape \(3, 1\)"):
         p.costs(block, X)

@@ -612,6 +612,16 @@ _TEST_PROBLEMS = {"sway-1d": sway_problem, "drift-1d": lambda: drift_problem(1),
                   "drift-2d": lambda: drift_problem(2)}
 
 
+def _step(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed, mixture_grid):
+    """One backstep at ``t`` from ``next_slice`` (P,), +inf off ``feas_now``,
+    with ``backstep_loop``'s signature: ``value._sweep`` over two slices."""
+    P = nodes.shape[0]
+    flat = np.concatenate((np.empty(P), val._padded(next_slice)))
+    assert list(val._sweep(p, lam, axes, nodes, dt, np.array([t]), feas_now[None], flat,
+                           level, relaxed, mixture_grid)) == [0]
+    return flat[:P]
+
+
 # (problem, grid, slices) of test_bellman_residual_zero: hover-1d at 241
 # nodes holds 67 slices per block, corridor-2d at 21 x 31 two, and
 # moving-wall-1d at 46 nodes all ten
@@ -641,6 +651,17 @@ def test_bellman_residual_zero():
             assert [val.bellman_residual(p, f, i) for i in range(slices)] == [0.0] * slices
 
 
+def test_bellman_residual_reports_a_node_the_step_strands(hover):
+    # +inf on nodes 25-35 of slice 4 leaves some node that is finite in
+    # slice 3 without a finite candidate: its residual is +inf, not skipped
+    g = val.grid_for(hover, 61, 0.01)
+    f = val.solve_value(hover, 6.0, g, relaxed=False, horizon=0.2)
+    holed = f.values.copy()
+    holed[4, 25:36] = np.inf
+    assert val.bellman_residual(hover, f, 3) == 0.0
+    assert val.bellman_residual(hover, dataclasses.replace(f, values=holed), 3) == math.inf
+
+
 @pytest.mark.parametrize("name", pb.registered_problems() + tuple(_TEST_PROBLEMS))
 def test_backstep_matches_loop_reference(name, monkeypatch):
     p = _TEST_PROBLEMS[name]() if name in _TEST_PROBLEMS else pb.get_problem(name)
@@ -661,11 +682,10 @@ def test_backstep_matches_loop_reference(name, monkeypatch):
             nxt = np.where(rng.random(P) < 0.2, np.inf, rng.uniform(0.0, 2.0, P))
             feas = rng.random(P) < 0.9
             args = (p, p.lam, axes, nodes, float(g.t0 + g.dt), g.dt, nxt, feas, 0, relaxed, mg)
-            padded = args[:6] + (val._padded(nxt),) + args[7:]
-            step = val._backstep(*padded)
+            step = _step(*args)
             with monkeypatch.context() as m:
                 m.setattr(val, "_INTERP_CHUNK", 1)      # one velocity group per call
-                assert np.array_equal(val._backstep(*padded), step)
+                assert np.array_equal(_step(*args), step)
                 assert [val.bellman_residual(p, noisy, i) for i in range(5)] == residuals
             assert np.array_equal(f.values, sweep_loop(p, f))
             assert max(residuals) > 0.0
@@ -701,8 +721,8 @@ def test_mixture_products_match_tensordot_reference(name, monkeypatch):
                 assert val._mix(W, f_all).tobytes() == want.tobytes()
                 assert val._mix(W, costs).tobytes() == mixtures_tensordot(W, costs).tobytes()
                 grouped.clear()
-                val._backstep(p, p.lam, g.axes(), nodes, float(t), g.dt,
-                              val._padded(np.zeros(P)), np.ones(P, dtype=bool), 0, True, mg)
+                _step(p, p.lam, g.axes(), nodes, float(t), g.dt, np.zeros(P),
+                      np.ones(P, dtype=bool), 0, True, mg)
                 if val._node_independent(want):
                     want = want[:, :1]
                 assert [(v.shape, v.tobytes()) for v in grouped] == [(want.shape, want.tobytes())]
@@ -855,26 +875,30 @@ def test_margin_error_names_time_node_and_axis(corridor):
 
 
 def _count_terms(monkeypatch):
-    """Record every backstep from now on as ``(built, stored)``: the group
-    count of each chunk whose terms it built, and whether the sweep's memo
-    holds stored terms after it (False without a memo)."""
-    steps = []
-    build, backstep = val._terms, val._backstep
+    """Record every slice a sweep yields from now on as ``(built, stored)``:
+    the group count of each chunk whose terms it built, and whether the
+    groups it stepped on hold stored terms after it."""
+    steps, built, formed = [], [], []
+    build, group, sweep = val._terms, val._groups, val._sweep
 
     def counting(axes, coords):
-        steps[-1][0].append(len(coords[0]))
+        built.append(len(coords[0]))
         return build(axes, coords)
 
-    def recording(*args):
-        steps.append(([], False))
-        with monkeypatch.context() as m:
-            m.setattr(val, "_terms", counting)
-            out = backstep(*args)
-        memo = args[11] if len(args) > 11 else None
-        steps[-1] = (steps[-1][0], bool(memo) and memo["groups"].terms is not None)
-        return out
+    def grouping(vel, P):
+        formed[:] = [group(vel, P)]
+        return formed[0]
 
-    monkeypatch.setattr(val, "_backstep", recording)
+    def recording(*args):
+        built.clear()
+        for i in sweep(*args):
+            steps.append((built[:], formed[0].terms is not None))
+            built.clear()
+            yield i
+
+    monkeypatch.setattr(val, "_terms", counting)
+    monkeypatch.setattr(val, "_groups", grouping)
+    monkeypatch.setattr(val, "_sweep", recording)
     return steps
 
 
@@ -914,14 +938,20 @@ def test_relaxed_sweep_never_holds_velocity_mixtures_beside_mixed_costs(corridor
     # the groups' terms.  The mixtures go before the first block's costs
     # are mixed, and a block's costs before the next block is formed, so
     # the traced peak stays below the mixtures and the costs together.
-    blocks, real = [], val._block
+    costs, blocks, prepare, real = [], [], val._block_costs, val._block
+
+    def preparing(*args):
+        cost = prepare(*args)
+        costs.append(weakref.ref(cost))
+        return cost
 
     def forming(*args):
-        assert all(b() is None or b().cost is None for b in blocks)
+        assert all(c() is None for c in costs)
         block = real(*args)
         blocks.append(weakref.ref(block))
         return block
 
+    monkeypatch.setattr(val, "_block_costs", preparing)
     monkeypatch.setattr(val, "_block", forming)
     g = val.GridSpec(corridor.box[:, 0], corridor.box[:, 1], (41, 61), 0.1, 0.3)
     P = 41 * 61
@@ -932,7 +962,8 @@ def test_relaxed_sweep_never_holds_velocity_mixtures_beside_mixed_costs(corridor
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert f.values.shape[0] == 5 and np.isfinite(f.values).any() and len(blocks) == 4
+    assert f.values.shape[0] == 5 and np.isfinite(f.values).any()
+    assert len(blocks) == len(costs) == 4
     assert R == 369 and peak < R * P * (corridor.n + 1) * 8
 
 
