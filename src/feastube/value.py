@@ -610,7 +610,7 @@ def _sweep(p, lam, axes, nodes, dt, times, feas, flat, level, relaxed, mixture_g
                     np.minimum.reduce(part, axis=0, out=out)
                 else:
                     np.minimum(out, np.minimum.reduce(part, axis=0), out=out)
-                del part                   # its gathered terms go before the next chunk's
+                del part, chunk_terms      # they go before the next chunk's terms are built
             nxt[P], nxt[P + 1] = lent
             np.copyto(out, np.inf, where=block.infeas[j])
             yield i
