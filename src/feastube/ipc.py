@@ -54,33 +54,42 @@ def inward_margin(
     Every result owns its ``alpha``.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    return _margin(p, t, x, eval_constraints(p, t, x), delta, level, games)[0]
-
-
-def _margin(p: ProblemDefinition, t: float, x: Array, hv: Array, delta: float,
-            level: int, games: dict | None) -> tuple[MarginResult, Array, Array]:
-    """``inward_margin`` at the point ``x`` of shape ``(n,)`` whose constraint
-    values ``hv`` the caller already holds, together with the sampled
-    controls ``(k, d)`` and velocities ``(k, n)`` the game was built from."""
-    u, vels = p.velocities(t, x, level)
-    act = _active_indices(p, hv, delta)
+    r, alpha, u, vels, act = _game(p, t, x, eval_constraints(p, t, x), delta, level, games)
     if not act:
         alpha = np.zeros(u.shape[0])
         alpha[0] = 1.0
-        return MarginResult(math.inf, alpha, vels[0], ()), u, vels
+        return MarginResult(math.inf, alpha, vels[0], ())
+    alpha = alpha.copy()
+    return MarginResult(r, alpha, alpha @ vels, tuple(act))
+
+
+def _game(p: ProblemDefinition, t: float, x: Array, hv: Array, delta: float, level: int,
+          games: dict | None, solve: bool = True):
+    """The margin game at the point ``x`` of shape ``(n,)`` whose constraint
+    values ``hv`` the caller already holds: ``(r, alpha, u, vels, active)``,
+    with the sampled controls ``(k, d)`` and velocities ``(k, n)`` it was
+    built from.  ``r`` is +inf and ``alpha`` None when no constraint is
+    delta-active.  The payoff matrix's bytes key the memo ``games``;
+    ``alpha`` is the memo's own array, not to be written.  With ``solve``
+    False a game not yet in the memo gives None."""
+    u, vels = p.velocities(t, x, level)
+    act = _active_indices(p, hv, delta)
+    if not act:
+        return math.inf, None, u, vels, act
     grads = np.stack(
         [np.asarray(p.constraints[i].grad(t, x), dtype=float).reshape(-1) for i in act]
     )
     Q = -grads @ vels.T  # rows: active constraints, cols: sampled controls
-    if games is None:
-        r, alpha = solve_matrix_game(Q)
-    else:
-        key = (Q.shape, Q.tobytes())
-        if key not in games:
-            games[key] = solve_matrix_game(Q)
-        r, alpha = games[key]
-        alpha = alpha.copy()
-    return MarginResult(float(r), alpha, alpha @ vels, tuple(act)), u, vels
+    key = (Q.shape, Q.tobytes())
+    game = None if games is None else games.get(key)
+    if game is None:
+        if not solve:
+            return None
+        game = solve_matrix_game(Q)
+        if games is not None:
+            games[key] = game
+    r, alpha = game
+    return float(r), alpha, u, vels, act
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,15 +23,19 @@ block's rows, and ``cumsum`` adds the increments in a step loop's order.
 The block keeps its longest prefix whose guesses equal the computed states
 bit for bit: each kept step was decided and evaluated at its true state, so
 it is the step loop's (``problem``'s convention makes each batched row that
-row's own).  The next block starts at the first differing step.  A step the
-rule can decide only at its true state (in the viability rule's acting
-tube, a push step), and a block that raises at its guesses, runs alone:
-``_rk4_step``, on Python floats in numpy's order.  A block runs under
-``np.errstate`` with every floating-point error numpy would report made to
-raise, so a numpy warning it would give is the loop's too, at the loop's
-step; the warning filters are left alone, so a repeated warning is shown as
-often as the loop shows it.  A warning ``f`` issues itself through
-``warnings`` at a guess is not held back.
+row's own).  The next block starts at the first differing step.  The
+viability rule decides a step in its acting tube in a block when the
+step's memoised margin game is pure at a zero mixture credit (``_Viable``).
+What runs alone, ``_rk4_step`` on Python floats in numpy's order, is a step
+the rule can decide only at its true state (a viable step in the tube whose
+game is mixed, nonpositive or not yet solved, or that meets a nonzero
+credit, the ``_BLOCK`` steps after a mixed one, a push step) and a block
+that raises at its guesses.  A block runs under ``np.errstate`` with every
+floating-point error numpy would report made to raise, so a numpy warning
+it would give is the loop's too, at the loop's step; the warning filters
+are left alone, so a repeated warning is shown as often as the loop shows
+it.  A warning ``f`` issues itself through ``warnings`` at a guess is not
+held back.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .errors import (
     NonFiniteState,
     ViabilityLost,
 )
-from .ipc import IpcCertificate, _margin, inward_margin
+from .ipc import IpcCertificate, _game, inward_margin
 from .problem import ProblemDefinition
 
 Array = np.ndarray
@@ -139,8 +143,9 @@ class Trajectory:
 
 
 def _rk4_step(f: Callable, t: float, x: Array, u: Array, dt: float,
-              k1: Array | None = None) -> Array:
+              k1: Array | None = None) -> tuple[Array, list]:
     """One classical RK4 step under the held control ``u``: a step run alone.
+    Returns the state after it and its increment, a list of floats.
 
     ``k1`` is ``f(t, x, u)`` when the caller already holds it, for instance
     as row ``j`` of ``ProblemDefinition.velocities(t, x)`` for ``u = u_j``;
@@ -165,12 +170,12 @@ def _rk4_step(f: Callable, t: float, x: Array, u: Array, dt: float,
     c = _components(f(t_half, np.array([xi + half * ki for xi, ki in zip(xs, b)]), u), x.shape)
     d = _components(f(t + dt, np.array([xi + dt * ki for xi, ki in zip(xs, c)]), u), x.shape)
     sixth = dt / 6
-    out = [xi + sixth * (ai + 2 * bi + 2 * ci + di)
-           for xi, ai, bi, ci, di in zip(xs, a, b, c, d)]
+    inc = [sixth * (ai + 2 * bi + 2 * ci + di) for ai, bi, ci, di in zip(a, b, c, d)]
+    out = [xi + di for xi, di in zip(xs, inc)]
     # every component, so that a NaN anywhere fails (max() would skip one)
     if not all(abs(v) <= _BLOW_UP for v in out):
         raise NonFiniteState(f"state blow-up near t={t}")
-    return np.array(out)
+    return np.array(out), inc
 
 
 def _components(k, shape: tuple) -> list:
@@ -217,11 +222,13 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
 
     ``rule.step(j, t, x)`` returns the control held over step ``j`` from its
     true state and the velocity ``f(t, x, u)`` if the rule evaluated it
-    (else ``None``).  While ``rule.blocking``, ``rule.block(j, T, G)``
-    decides the steps from ``j`` at the times ``T`` and guessed states
-    ``G``: their controls, their velocities or ``None``, and how many it
-    decided.  ``rule.path``, if not ``None``, guesses every step's state;
-    else the march extrapolates the last increment.
+    (else ``None``).  While ``rule.blocking``, ``rule.guess`` guesses the
+    states of the steps from ``j`` at the times ``T`` (``_Rule.guess``) and
+    ``rule.block(j, T, G)`` decides those steps at the guesses ``G``: their
+    controls, their velocities or ``None``, and how many it decided.
+    ``rule.kept(D, k)`` then receives the exact increments ``D`` of the
+    steps computed, of which the first ``k`` were kept: a block's, or the
+    one of a step run alone.
 
     The march equals the loop ``x = _rk4_step(f, t, x, *rule.step(j, t, x))``
     bit for bit, whatever the guesses and block ends (module docstring).
@@ -244,58 +251,42 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
         j, x = start + i, states[i]
         block = None
         if rule.blocking and steps - i > 1:
-            G = _guess(rule, j, min(steps - i, _BLOCK), x, ahead, incr)
-            T = t0 + (j + _STEPS[:len(G)]) * dt      # t0 + j * dt, as a step alone computes it
+            T = t0 + (j + _STEPS[:min(steps - i, _BLOCK)]) * dt   # t0 + j * dt, as a step alone computes it
             try:
                 # a block that raises or would warn at its guesses is redone
                 # alone, where the step at fault, if any, raises or warns itself
                 with np.errstate(**{k: "ignore" if v == "ignore" else "raise"
                                     for k, v in np.geterr().items()}):
+                    G = rule.guess(j, T, x, ahead, incr)
+                    if _guesses is not None:
+                        G = np.array(_guesses(j, G.copy()), dtype=float).reshape(-1, len(x))[:len(T)]
+                        G[0], T = x, T[:len(G)]
                     block = _speculate(p.f, rule, j, T, G, dt)
             except Exception:
                 block = None
         if block is not None and block[0]:
-            kept, C, U, incr = block
+            kept, C, U, D = block
             states[i + 1:i + kept + 1] = C[1:kept + 1]
             ctrl[i:i + kept] = U[:kept]
-            ahead = C[kept:]
+            ahead, incr = C[kept:], D[-1]
         else:
             t = t0 + j * dt
             u, k1 = rule.step(j, t, x)
             ctrl[i] = u
-            states[i + 1] = _rk4_step(p.f, t, x, u, dt, k1)
-            kept, ahead = 1, None
+            states[i + 1], inc = _rk4_step(p.f, t, x, u, dt, k1)
+            kept, ahead, D = 1, None, [inc]
+        rule.kept(D, kept)
         if holds is not None and not holds(i, i + kept):
             return None
         i += kept
     return states, ctrl
 
 
-def _guess(rule, j: int, b: int, x: Array, ahead: Array | None, incr: Array) -> Array:
-    """Guesses of the ``b`` states from step ``j`` at ``x``: those the last
-    block computed ahead, then the rule's path or ``incr`` added per step."""
-    G = np.empty((b, len(x)))
-    G[0] = x
-    a = 1
-    if ahead is not None:
-        a = min(len(ahead), b)
-        G[1:a] = ahead[1:a]
-    if a < b and rule.path is not None:
-        G[a:] = rule.path[j + a:j + b]
-    elif a < b:
-        G[a:] = incr
-        np.cumsum(G[a - 1:], axis=0, out=G[a - 1:])
-    if _guesses is not None:
-        G = np.array(_guesses(j, G.copy()), dtype=float).reshape(-1, len(x))[:b]
-        G[0] = x
-    return G
-
-
 def _speculate(f: Callable, rule, j: int, T: Array, G: Array, dt: float):
-    """One block from step ``j``: ``(kept, C, U, incr)`` with the states
-    ``C`` computed from the guesses ``G`` (row 0 the start), the controls,
-    the last increment, and how many leading steps are proven exact; ``None``
-    when the rule decides fewer than two steps, which then run alone."""
+    """One block from step ``j``: ``(kept, C, U, D)`` with the states ``C``
+    computed from the guesses ``G`` (row 0 the start), the controls, the
+    increments, and how many leading steps are proven exact; ``None`` when
+    the rule decides fewer than two steps, which then run alone."""
     U, K1, q = rule.block(j, T, G)
     if q < 2:
         return None
@@ -309,7 +300,7 @@ def _speculate(f: Callable, rule, j: int, T: Array, G: Array, dt: float):
     # guess and ended within bounds
     kept = _first_row(np.greater_equal(G.view(np.int64) != C[:-1].view(np.int64),
                                        np.abs(C[1:]) <= _BLOW_UP))
-    return kept, C, U, incr[-1]
+    return kept, C, U, incr
 
 
 def _first_row(mask: Array) -> int:
@@ -318,12 +309,39 @@ def _first_row(mask: Array) -> int:
     return k // mask.shape[1] if mask.size and mask.flat[k] else len(mask)
 
 
-class _Held:
-    """Step rule of controls fixed in advance: ``rows(j, T)`` are those of
-    the steps from ``j`` at the times ``T``."""
+class _Rule:
+    """What a step rule of ``_march`` does unless it says otherwise: it
+    decides blocks, guesses by ``guess`` and has no use for the increments
+    kept."""
 
     blocking = True
     path = None
+
+    def guess(self, j: int, T: Array, x: Array, ahead: Array | None, incr) -> Array:
+        """Guesses of the states of the steps from ``j`` at ``x`` and the
+        times ``T``: those the last block computed ``ahead``, then the
+        rule's ``path`` or ``incr`` added per step."""
+        b = len(T)
+        G = np.empty((b, len(x)))
+        G[0] = x
+        a = 1
+        if ahead is not None:
+            a = min(len(ahead), b)
+            G[1:a] = ahead[1:a]
+        if a < b and self.path is not None:
+            G[a:] = self.path[j + a:j + b]
+        elif a < b:
+            G[a:] = incr
+            np.cumsum(G[a - 1:], axis=0, out=G[a - 1:])
+        return G
+
+    def kept(self, D, k: int) -> None:
+        pass
+
+
+class _Held(_Rule):
+    """Step rule of controls fixed in advance: ``rows(j, T)`` are those of
+    the steps from ``j`` at the times ``T``."""
 
     def __init__(self, rows: Callable[[int, Array], Array]):
         self.rows = rows
@@ -395,13 +413,11 @@ def _select(V: Array, G: Array, W: Array, Z: Array, dt: float) -> tuple[Array, i
     return idx, q
 
 
-class _Nearest:
+class _Nearest(_Rule):
     """Step rule of the projection: the sampled velocity nearest ``w[j]``,
     ties toward the target path ``path[j + 1] = x0 + dt * sum_{i <= j} w[i]``.
     It serves marches from one ``t0``: it keeps which steps' samples share
     their bytes."""
-
-    blocking = True
 
     def __init__(self, p: ProblemDefinition, x0: Array, w: Array, dt: float, level: int):
         self.p, self.dt, self.level = p, dt, level
@@ -487,31 +503,160 @@ def filippov_project(
 # viability
 # ---------------------------------------------------------------------------
 
-class _Viable:
+def _pure(alpha: Array) -> int | None:
+    """The index of the one weight of ``alpha`` that is exactly 1 while every
+    other is 0, else None: from a zero credit the multiplexer picks that
+    control and leaves the credit at zero."""
+    a = alpha.tolist()
+    return a.index(1.0) if 1.0 in a and a.count(0.0) == len(a) - 1 else None
+
+
+class _Viable(_Rule):
     """Step rule of ``viable_trajectory``: the margin mixture where some
     constraint is within the acting tube of radius ``trig``, the default
-    control elsewhere.  A block decides its steps outside the tube from one
-    ``constraint_values`` call.  A step in the tube or past the wall runs
-    alone, and so do the ``_BLOCK`` steps after it: near the tube the path
-    chatters, out for a few steps and in for one, and a block would keep
-    only the steps before the next step in the tube."""
+    control elsewhere.
 
-    path = None
+    A block decides its steps from one ``constraint_values`` call, and a
+    step in the tube from its memoised margin game.  Where that game is
+    pure and the mixture credit is zero, the multiplexer picks the game's
+    control and leaves the credit at zero, so the block takes the control.
+    The block ends before a step past the wall, and before a step in the
+    tube whose game is mixed or nonpositive, or that meets a nonzero
+    credit; that step runs alone, where it advances the credit or raises.
+    A game not yet solved is solved at the block's first step in the tube,
+    whose guess follows from the default increments alone, and the block
+    ends after that step; later in the block such a step ends it and runs
+    alone.  After a step with a mixed game the ``_BLOCK`` steps that follow
+    run alone too: the credit then moves at every step in the tube, and a
+    block would end at each.
+
+    The rule guesses its own states.  From the block's start the path
+    drifts under the last kept increment of the default control.  After
+    each step in the tube it moves by the last kept increment of a step in
+    the tube and drifts again, which costs one ``constraint_values`` call
+    on the rows after it.  For a step that the last block also computed,
+    with a control of the same kind, the guess takes that block's
+    increment instead: exact when the velocity changes with time only.
+    """
 
     def __init__(self, p: ProblemDefinition, cert: IpcCertificate, level: int, trig: float,
                  games: dict):
         self.p, self.cert, self.level, self.games = p, cert, level, games
-        near = -trig * np.maximum(p.grad_bounds(), 1e-12)   # h_i at or above its entry: in the tube
-        self.near = near.tolist()
-        self.stop = np.minimum(near, geo.TOL_FEAS)            # in the tube, or past the wall
+        self.entry = -trig * np.maximum(p.grad_bounds(), 1e-12)   # h_i at or above it: in the tube
+        self.near = self.entry.tolist()
+        self.stop = np.minimum(self.entry, geo.TOL_FEAS)            # in the tube, or past the wall
         self.defaults = np.broadcast_to(p.default_control, (_BLOCK, p.controls.dim))
         self.mux = _MixtureMultiplexer(1)
-        self.tube = -_BLOCK          # the last step in the tube
+        self.drift = np.zeros(p.n)   # the last kept increment of the default control
+        self.push = None             # the last kept increment of a step in the tube
+        self.last = (0, [], ())      # the last block: its first step, increments, steps in the tube
+        self.G = None                # the last guesses, their controls U and how many decided
+        self.tubes = []              # the steps in the tube among those last decided
+        self.tube = -_BLOCK          # the last step with a mixed game
         self.blocking = True
 
+    def guess(self, j, T, x, ahead, incr):
+        G = np.empty((len(T), len(x)))
+        G[0], self.j, self.G = x, j, G
+        if j - self.last[0] < len(self.last[1]):
+            self._drift(G, 0)
+        else:
+            G[1:] = self.drift
+        np.cumsum(G, axis=0, out=G)
+        self._decide(T, G, True)
+        return G
+
+    def _drift(self, G: Array, a: int) -> None:
+        """Writes into ``G[a + 1:]`` the increments guessed for the steps
+        from row ``a`` on under the default control: the last block's,
+        where it took the default control at the same step, else the last
+        kept one."""
+        j0, D, tubes = self.last
+        lo = self.j - j0 + a             # step a's row in the last block
+        m = min(len(D) - lo, len(G) - 1 - a)
+        if m > 0:
+            G[a + 1:a + 1 + m] = D[lo:lo + m]
+            alike = [r - lo + a + 1 for r in tubes if lo <= r < lo + m] if tubes else None
+            if alike:
+                G[alike] = self.drift
+        G[a + 1 + max(m, 0):] = self.drift
+
     def block(self, j, T, G):
-        q = _first_row(self.p.constraint_values(T, G) >= self.stop)
-        return self.defaults[:q], None, q
+        if G is not self.G:          # guesses replaced: decide them as they are
+            self._decide(T, G, False)
+        return self.U, None, self.q
+
+    def _decide(self, T: Array, G: Array, walk: bool) -> None:
+        """Sets the controls ``U`` of the steps at the guesses ``G``, how
+        many of them ``q`` a block decides, and which of those took the
+        game's control.  With ``walk``, the rows of ``G`` after each of
+        these are guessed again."""
+        p, stop = self.p, self.stop
+        b = q = len(G)
+        U, tubes = self.defaults[:b], []
+        H = p.constraint_values(T, G)
+        r = _first_row(H >= stop)
+        while r < b:
+            q = r + _first_row(H[r:] > geo.TOL_FEAS)          # the first step past the wall
+            rows = (r + np.flatnonzero((H[r:q] >= self.entry).any(axis=1))).tolist()
+            solved = len(self.games)
+            for k in rows[:1] if walk else rows:
+                u = self._take(float(T[k]), G[k], H[k], walk and not tubes)
+                if u is None:
+                    q = k
+                    break
+                if u is not p.default_control:
+                    if not tubes:
+                        U = U.copy()
+                    U[k] = u
+                    tubes.append(k)
+            if not walk or not rows or q == rows[0]:
+                break
+            a = rows[0] + 1
+            if tubes and tubes[-1] == rows[0] and a < b:
+                j0, D, last = self.last
+                push = D[self.j - j0 + a - 1] if self.j - j0 + a - 1 in last else self.push
+                if push is None or len(self.games) > solved:
+                    q = a          # no increment kept under this game to guess by
+                    break
+                G[a] = push
+                self._drift(G, a)
+                np.cumsum(G[a - 1:], axis=0, out=G[a - 1:])
+                H[a:] = p.constraint_values(T[a:], G[a:])
+            q, r = b, a + _first_row(H[a:] >= stop)
+        self.U, self.q, self.tubes = U, q, tubes
+
+    def _take(self, t: float, x: Array, hv: Array, solve: bool) -> Array | None:
+        """The control of the step in the tube at ``x``, ``hv`` its
+        constraint values, if a block may take it; else None.  A game not
+        yet in the memo is solved only with ``solve``."""
+        game = _game(self.p, t, x, hv, self.cert.delta, self.level, self.games, solve)
+        if game is None:
+            return None
+        r, alpha, u, _, _ = game
+        if r == math.inf:
+            return self.p.default_control
+        i = _pure(alpha)
+        if r <= 0 or i is None or self.mux.credit.any():
+            return None
+        return u[i]
+
+    def kept(self, D, k):
+        if self.q > 1:
+            self.last = self.j, D, self.tubes
+        if not self.tubes:
+            if self.tubes is not None:           # else alone, with a mixed pick
+                self.drift = D[k - 1]
+            return
+        tubes = [r for r in self.tubes if r < k]
+        r = k - 1
+        if tubes:
+            self.push = D[tubes[-1]]
+            while tubes and tubes[-1] == r:
+                tubes.pop()
+                r -= 1
+        if r >= 0:
+            self.drift = D[r]
 
     def step(self, j, t, x):
         p = self.p
@@ -520,17 +665,18 @@ class _Viable:
         viol = max(hs, default=-math.inf)
         if viol > geo.TOL_FEAS:
             raise ViabilityLost(f"feasibility lost at t={t} (max h = {viol:.3e}); dt too coarse?")
-        if not any(h >= c for h, c in zip(hs, self.near)):
-            self.blocking = j - self.tube >= _BLOCK
-            return p.default_control, None
-        self.tube, self.blocking = j, False
-        mr, u, vels = _margin(p, t, x, hv, self.cert.delta, self.level, self.games)
-        if math.isfinite(mr.r) and mr.r <= 0:
-            raise ViabilityLost(f"nonpositive inward margin at t={t}")
-        if math.isfinite(mr.r):
-            k = self.mux.pick(mr.alpha)
-            return u[k], vels[k]
-        return p.default_control, None
+        u, k1, self.q, self.tubes = p.default_control, None, 1, []
+        if any(h >= c for h, c in zip(hs, self.near)):
+            r, alpha, us, vels, _ = _game(p, t, x, hv, self.cert.delta, self.level, self.games)
+            if r <= 0:
+                raise ViabilityLost(f"nonpositive inward margin at t={t}")
+            if r < math.inf:
+                k, i = self.mux.pick(alpha), _pure(alpha)
+                if i is None:
+                    self.tube = j
+                u, k1, self.tubes = us[k], vels[k], [0] if k == i else None
+        self.blocking = j - self.tube >= _BLOCK
+        return u, k1
 
 
 def viable_trajectory(
@@ -717,7 +863,7 @@ def _measure_rho(p, times, states) -> float:
     return float(geo.distances_upper_along(p, times, states).max())
 
 
-class _Push:
+class _Push(_Rule):
     """Step rule of the push: the inward mixture's support controls; each
     step advances the mixture credit, so it runs alone."""
 

@@ -2,8 +2,10 @@
 reference loop, its guarantees where the two may differ (velocity that
 depends on the state), linear work, and the branch taken per piece."""
 
+import dataclasses
 import itertools
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -188,6 +190,79 @@ def test_hold_repair_work_per_node_does_not_grow(moving_wall, mw_cert, monkeypat
         per_node.append(_steps_per_node(moving_wall, mw_cert, ref, cons, monkeypatch))
     assert all(w <= cap for w, cap in zip(per_node, (1.6731, 1.5261, 1.2338))), per_node
     assert per_node[2] <= per_node[0], per_node
+
+
+def _viable_work(run, monkeypatch):
+    """Blocks, steps kept by blocks, and steps run alone in the viable marches
+    that ``run()`` makes, with the steps those marches took."""
+    counts, inside = Counter(), [False]
+    viable, speculate, step = tj.viable_trajectory, tj._speculate, tj._rk4_step
+
+    def marching(*args, **kwargs):
+        inside[0] = True
+        try:
+            traj = viable(*args, **kwargs)
+        finally:
+            inside[0] = False
+        counts["steps"] += traj.n_steps
+        return traj
+
+    def block(*args):
+        out = speculate(*args)
+        if inside[0]:
+            counts["blocks"] += 1
+            counts["kept"] += out[0] if out else 0
+        return out
+
+    def alone(*args):
+        counts["alone"] += inside[0]
+        return step(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(tj, "viable_trajectory", marching)
+        m.setattr(tj, "_speculate", block)
+        m.setattr(tj, "_rk4_step", alone)
+        run()
+    return counts
+
+
+def test_hold_repair_decides_its_steps_in_the_tube_in_blocks(moving_wall, mw_cert, monkeypatch):
+    """The viable marches of a hold repair chatter at the acting tube, and
+    the tube's game is pure: blocks take its control, and only a handful of
+    steps run alone; a block keeps many steps, as its guesses follow the
+    chattering.  A rule that runs every step in the tube alone, and the
+    steps near it, runs about 90% of them alone here."""
+    for steps in (2000, 4000, 8000):
+        ref = hold_reference(moving_wall, np.random.default_rng(steps), steps)
+        cons = tj.derive_nft_constants(moving_wall, mw_cert, steps * ref.step)
+        work = _viable_work(lambda: tj.nft_correct(moving_wall, mw_cert, ref, constants=cons),
+                            monkeypatch)
+        assert work["steps"] > 1000 and work["alone"] <= 5, work
+        assert 10 * work["blocks"] <= work["steps"], work
+        assert work["kept"] + work["alone"] == work["steps"], work
+
+
+@pytest.mark.parametrize("steps", [2, 64, 65, 1000, 3000])
+def test_viable_march_off_the_tube_takes_one_block_per_64_steps(moving_wall, mw_cert,
+                                                                 steps, monkeypatch):
+    """A viable march that never reaches the tube keeps whole blocks of 64
+    steps from one ``constraint_values`` call each (two more check the path's
+    ends); a lone last step runs alone."""
+    calls = Counter()
+
+    def counted(c):
+        def h(t, x):
+            calls[c.name] += 1
+            return c.h(t, x)
+        return dataclasses.replace(c, h=h)
+
+    p = dataclasses.replace(moving_wall, constraints=tuple(map(counted, moving_wall.constraints)))
+    t0, dt = 1.0, 1e-3
+    work = _viable_work(lambda: tj.viable_trajectory(p, mw_cert, t0, p.anchor(t0),
+                                                     t0 + steps * dt, dt), monkeypatch)
+    assert work["blocks"] + work["alone"] == math.ceil(steps / 64), work
+    assert work["alone"] == (steps % 64 == 1)
+    assert calls["wall"] == calls["floor"] == work["blocks"] + 2 + work["alone"]
 
 
 # --- the branch taken per piece ------------------------------------------------------

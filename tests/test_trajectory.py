@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feastube import geometry as geo
@@ -26,11 +26,13 @@ import oracles
 from oracles import best_feasible_tracking
 from util import (
     affine_constraint,
+    corner_problem,
     drift_problem,
     drift_velocity,
     simple_problem,
     sway_problem,
     sway_walls,
+    unit_velocity,
     zero_cost,
 )
 
@@ -70,7 +72,7 @@ def test_trajectory_residual_contract(moving_wall):
     traj = tj.integrate(moving_wall, 0.3, [0.1], [0, 1, 2, 2, 0] * 4, 20, 0.05)
     for j in range(traj.n_steps):
         t = float(traj.times[j])
-        step = tj._rk4_step(moving_wall.f, t, traj.states[j], traj.controls[j], traj.step)
+        step, _ = tj._rk4_step(moving_wall.f, t, traj.states[j], traj.controls[j], traj.step)
         assert np.linalg.norm(traj.states[j + 1] - step) <= tj.TOL_ODE
 
 
@@ -108,20 +110,22 @@ def test_rk4_step_matches_loop_reference(n, kind, t, dt, with_k1, rows, data):
     that varies in x and t (sway) or in t alone (drift), with k1 evaluated
     in the step or handed in as a row of a batch of controls.  The block
     kernel's rows, over steps at different times, states and controls, are
-    those steps, each taken alone."""
+    those steps, each taken alone, and so are its increments."""
     f = sway_problem().f if kind == "sway" else drift_velocity(n)
     coords = st.lists(st.floats(-1.9, 1.9), min_size=n, max_size=n)
     T = t + dt * np.arange(rows)
     X = np.array([data.draw(coords) for _ in range(rows)])
     U = np.array([data.draw(coords) for _ in range(rows)]) / 1.9
     K1 = np.asarray(f(T[:, None], X, U), dtype=float) if with_k1 else None
-    C = X + tj._rk4_increments(f, T, X, U, dt, K1)
+    D = tj._rk4_increments(f, T, X, U, dt, K1)
+    C = X + D
     for i in range(rows):
         k1 = np.asarray(f(T[i], X[i], U[i][None, :]), dtype=float)[0] if with_k1 else None
-        got = tj._rk4_step(f, float(T[i]), X[i], U[i], dt, k1)
+        got, inc = tj._rk4_step(f, float(T[i]), X[i], U[i], dt, k1)
         want = oracles.rk4_step(f, float(T[i]), X[i], U[i], dt)
         assert got.shape == want.shape == (n,)
         assert got.tobytes() == want.tobytes() == C[i].tobytes()
+        assert np.array(inc).tobytes() == D[i].tobytes()
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
@@ -422,14 +426,21 @@ def _assert_same_path(traj, ref_states, ref_ctrl):
     assert np.array_equal(traj.controls, ref_ctrl)
 
 
-@pytest.mark.parametrize("name", sorted(_CERT_OF))
+@pytest.mark.parametrize("name", sorted(_CERT_OF) + ["corner-2d"])
 def test_constructions_match_loop_references(name, request):
     """Every step-loop construction reproduces its hand-written RK4 sweep bit
-    for bit, starting a small depth inside the boundary and drifting out."""
-    p = request.getfixturevalue(name)
-    cert = request.getfixturevalue(_CERT_OF[name])
+    for bit, starting a small depth inside the boundary and drifting out.
+    On corner-2d the viable path reaches the corner, where its game is
+    mixed and the mixture credit picks the controls."""
+    if name in _WALLED:
+        p, cert = _walled_case(name)
+        dt = 1e-3
+    else:
+        p = request.getfixturevalue(name)
+        cert = request.getfixturevalue(_CERT_OF[name])
+        dt = 0.01
     rng = np.random.default_rng(47)
-    t0, dt, steps = 0.4, 0.01, 60
+    t0, steps = 0.4, 60
     xb = geo.sample_boundary_points(p, t0, 8)[0]
     hv = geo.eval_constraints(p, t0, xb)
     g = np.asarray(p.constraints[int(np.argmax(hv))].grad(t0, xb), dtype=float).reshape(-1)
@@ -658,6 +669,26 @@ def test_viability_loss_is_named_at_its_step(hover, hover_cert):
     assert str(err.value) == f"feasibility lost at t={j * dt} (max h = {viol:.3e}); dt too coarse?"
 
 
+@pytest.mark.parametrize("radius", [0.05, 0.2])
+def test_nonpositive_margin_is_named_at_its_step(hover_cert, radius):
+    """Controls that all point out through the wall give a pure margin game
+    of negative value: the march stops at its first step in the acting
+    tube, with that step's time, though a block meets the step first."""
+    wall = affine_constraint("wall", [1.0], lambda t: -0.5 + 0.0 * t)
+    p = simple_problem(unit_velocity, zero_cost, constraints=(wall,),
+                       controls=pb.ControlSamples(1, lambda t, l: np.array([[0.5], [1.0]])),
+                       name="outward-1d")
+    p = dataclasses.replace(p, default_control=np.array([0.5]))
+    assert ipc.inward_margin(p, 0.0, [0.5], hover_cert.delta).r == -0.5
+    steps, dt = 200, 0.01
+    states, _ = oracles.integrate_loop(p, 0.0, [0.0], [0] * steps, steps, dt)
+    j = _first_state(states, lambda x: x[0] - 0.5 >= -radius)
+    assert j > 10
+    with pytest.raises(ViabilityLost) as err:
+        tj.viable_trajectory(p, hover_cert, 0.0, [0.0], steps * dt, dt, tube_radius=radius)
+    assert str(err.value) == f"nonpositive inward margin at t={j * dt}"
+
+
 def _batch_dependent_problem():
     """Velocity ``u @ B.T`` with a non-dyadic ``B``: a BLAS product that may
     round a control's row differently in a batch than alone, between two
@@ -718,7 +749,7 @@ def _scrambled_guesses(rng, calls):
     return hook
 
 
-_WALLED = {"sway-walls": sway_walls, "drift-walls": _drift_walls}
+_WALLED = {"sway-walls": sway_walls, "drift-walls": _drift_walls, "corner-2d": corner_problem}
 _MARCHED = {**_PROJECTED, **_WALLED}
 
 
@@ -734,6 +765,12 @@ def _walled_case(name):
 @given(name=st.sampled_from(sorted(_CERT_OF) + sorted(_MARCHED)),
        construction=st.sampled_from(["integrate", "controls", "project", "viable", "push"]),
        steps=st.integers(2, 150), seed=st.integers(0, 2 ** 32 - 1))
+# corner-2d at dt = 1e-3 (the seeds' draw): the viable path reaches the
+# corner, whose mixed game runs on the mixture credit
+@example(name="corner-2d", construction="viable", steps=150, seed=1)
+@example(name="corner-2d", construction="viable", steps=120, seed=4)
+@example(name="corner-2d", construction="viable", steps=150, seed=7)
+@example(name="corner-2d", construction="push", steps=100, seed=9)
 def test_march_equals_loop_reference_from_any_guesses(
         name, construction, steps, seed, moving_wall, corridor, hover, quadratic,
         mw_cert, corridor_cert, hover_cert, quadratic_cert):

@@ -171,3 +171,19 @@ def drift_problem(n):
     u.setflags(write=False)
     return simple_problem(f, cost, lam=3.0, n=2, M=1.2, controls=ControlSamples(2, lambda t, l: u),
                           box=[[-2.0, 2.0], [-1.5, 1.5]], name="drift-2d")
+
+
+def corner_problem():
+    """Two walls that meet at a corner, ``x1 <= 0.5 + 0.1 sin t`` and
+    ``x2 <= 0.5``, and a default control (0.8, 0.8) that drives into it.
+    With both walls active the margin game of the controls (-1, 0.5),
+    (0.5, -1) and (0.8, 0.8) has value 0.25 at alpha = (1/2, 1/2, 0), so the
+    viability rule chatters between the first two by its mixture credit."""
+    walls = (affine_constraint("right", [1.0, 0.0], lambda t: -(0.5 + 0.1 * np.sin(t))),
+             affine_constraint("top", [0.0, 1.0], lambda t: -0.5 + 0.0 * t))
+    u = np.array([[-1.0, 0.5], [0.5, -1.0], [0.8, 0.8]])
+    u.setflags(write=False)
+    p = simple_problem(unit_velocity, zero_cost, constraints=walls, n=2, M=1.2, omega_lip=0.1,
+                       controls=ControlSamples(2, lambda t, l: u),
+                       box=[[-2.0, 2.0], [-2.0, 2.0]], name="corner-2d")
+    return dataclasses.replace(p, default_control=u[2])
