@@ -76,7 +76,7 @@ def _game(p: ProblemDefinition, t: float, x: Array, hv: Array, delta: float, lev
     act = _active_indices(p, hv, delta)
     if not act:
         return math.inf, None, u, vels, act
-    grads = np.stack(
+    grads = np.array(
         [np.asarray(p.constraints[i].grad(t, x), dtype=float).reshape(-1) for i in act]
     )
     Q = -grads @ vels.T  # rows: active constraints, cols: sampled controls

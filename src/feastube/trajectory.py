@@ -230,7 +230,7 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
     steps computed, of which the first ``k`` were kept: a block's, or the
     one of a step run alone.
 
-    The march equals the loop ``x = _rk4_step(f, t, x, *rule.step(j, t, x))``
+    The march equals the loop ``x = _rk4_step(f, t, x, *rule.step(j, t, x))[0]``
     bit for bit, whatever the guesses and block ends (module docstring).
     Returns the ``(steps + 1, n)`` states and the ``(steps, d)`` controls,
     written into ``out`` when given.  A march continued from its own state
