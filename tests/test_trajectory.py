@@ -27,6 +27,7 @@ from oracles import best_feasible_tracking
 from util import (
     affine_constraint,
     corner_problem,
+    credit_problem,
     drift_problem,
     drift_velocity,
     simple_problem,
@@ -687,6 +688,27 @@ def test_nonpositive_margin_is_named_at_its_step(hover_cert, radius):
     with pytest.raises(ViabilityLost) as err:
         tj.viable_trajectory(p, hover_cert, 0.0, [0.0], steps * dt, dt, tube_radius=radius)
     assert str(err.value) == f"nonpositive inward margin at t={j * dt}"
+
+
+def test_pure_step_at_a_nonzero_credit_follows_the_credit():
+    """The viable path's first step is a mixed pick at a box corner; 500
+    steps later it meets the first wall alone, whose game is pure, but the
+    credit left by that pick makes the multiplexer choose another control.
+    A block may take a pure step only at a zero credit, so the path is
+    still the loop's."""
+    p = credit_problem()
+    cert = dataclasses.replace(_walled_case("corner-2d")[1], delta=0.1)
+    x0, dt, steps = [0.499, 0.499, 0.499], 1e-3, 700
+    want = oracles.viable_trajectory_loop(p, cert, 0.0, x0, steps * dt, dt, steps=steps,
+                                          tube_radius=0.003)
+    u = p.controls.at(0.0)
+    taken = np.flatnonzero(np.abs(want[1] - p.default_control).max(axis=1) > 0)
+    assert taken[0] == 0 and taken[1] > 64
+    assert ipc.inward_margin(p, taken[1] * dt, want[0][taken[1]], cert.delta).alpha.tolist() == \
+        [1.0, 0.0, 0.0, 0.0]
+    assert np.array_equal(want[1][taken[1]], u[1])
+    _assert_same_path(tj.viable_trajectory(p, cert, 0.0, x0, steps * dt, dt, steps=steps,
+                                           tube_radius=0.003), *want)
 
 
 def _batch_dependent_problem():

@@ -187,3 +187,23 @@ def corner_problem():
                        controls=ControlSamples(2, lambda t, l: u),
                        box=[[-2.0, 2.0], [-2.0, 2.0]], name="corner-2d")
     return dataclasses.replace(p, default_control=u[2])
+
+
+def credit_problem():
+    """A box corner in 3-D, ``x_i <= 0.5`` at t = 0, whose walls recede:
+    ``x1`` to 1.0 by t = 0.1, ``x2`` and ``x3`` to 2.5 by t = 0.4.  At the
+    corner the margin game of the controls ``-e_i + 0.2`` is uniform over
+    the three, and its first pick leaves the credit (-2/3, 1/3, 1/3).  The
+    default control ``e_1`` then carries the path back to the first wall
+    alone, whose game is pure for ``-e_1 + 0.2``; from that credit the
+    multiplexer picks the second control instead (``-2/3 + 1`` rounds
+    below ``1/3``)."""
+    walls = (affine_constraint("x1", [1.0, 0.0, 0.0], lambda t: -(0.5 + 5.0 * np.clip(t, 0.0, 0.1))),
+             affine_constraint("x2", [0.0, 1.0, 0.0], lambda t: -(0.5 + 5.0 * np.clip(t, 0.0, 0.4))),
+             affine_constraint("x3", [0.0, 0.0, 1.0], lambda t: -(0.5 + 5.0 * np.clip(t, 0.0, 0.4))))
+    u = np.vstack([-np.eye(3) + 0.2, [[1.0, 0.0, 0.0]]])
+    u.setflags(write=False)
+    p = simple_problem(unit_velocity, zero_cost, constraints=walls, n=3, M=1.5,
+                       controls=ControlSamples(3, lambda t, l: u),
+                       box=[[-2.0, 3.0]] * 3, name="credit-3d")
+    return dataclasses.replace(p, default_control=u[3])
