@@ -642,6 +642,8 @@ class _Viable(_Rule):
         return u[i]
 
     def kept(self, D, k):
+        """Keeps a block's increments for the next guesses, and the last
+        kept increments off and in the tube."""
         if self.q > 1:
             self.last = self.j, D, self.tubes
         if not self.tubes:
