@@ -32,6 +32,8 @@ from oracles import (
 from util import (
     affine_constraint,
     constant_cost_problem,
+    corner_problem,
+    credit_problem,
     drift_problem,
     simple_problem,
     steady_sway_problem,
@@ -694,38 +696,78 @@ def test_backstep_matches_loop_reference(name, monkeypatch):
 
 def _mixture_grids(p):
     """A small and a large grid of each problem: 1-D 13 and 241 nodes,
-    2-D 9 x 13 and 21 x 31 (wide products round their last columns apart)."""
-    small = val.grid_for(p, (13,) if p.n == 1 else (9, 13), 0.1)
-    return small, val.grid_for(p, (241,) if p.n == 1 else (21, 31), 0.1)
+    2-D 9 x 13 and 21 x 31 (wide products round their last columns apart),
+    3-D 5 x 5 x 5 and 9 x 9 x 9."""
+    small, large = {1: ((13,), (241,)), 2: ((9, 13), (21, 31)), 3: ((5,) * 3, (9,) * 3)}[p.n]
+    return val.grid_for(p, small, 0.1), val.grid_for(p, large, 0.1)
 
 
-@pytest.mark.parametrize("name", pb.registered_problems() + tuple(_TEST_PROBLEMS))
+def _same_at_every_node(a):
+    """Whether every per-control array of ``a`` (k, P, ...) has the bytes of
+    its first node at every node, so that -0.0 and 0.0 stay apart."""
+    bits = a.view(np.uint64)
+    return bool((bits == bits[:, :1]).all())
+
+
+_MIXED_PROBLEMS = {**_TEST_PROBLEMS, "corner-2d": corner_problem, "credit-3d": credit_problem}
+
+# Where a wide product's columns of node-independent data do not all agree:
+# (grid shape, mixture grid, "f" for velocities or "L" for costs).  A gemm
+# rounds its last few columns in another order, so these mixtures depend on
+# the node; the velocity and cost mixtures of every other case do not.
+_COLUMNS_APART = {
+    "corridor-2d": {((9, 13), 5, "f"), ((21, 31), 5, "f"), ((21, 31), 5, "L"),
+                    ((41, 61), 5, "f"), ((41, 61), 5, "L")},
+    "drift-2d": {((9, 13), 5, "f")} | {(shape, mg, "f") for shape in ((21, 31), (41, 61))
+                                       for mg in (3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("name", pb.registered_problems() + tuple(_MIXED_PROBLEMS))
 def test_mixture_products_match_tensordot_reference(name, monkeypatch):
     # The field tests cannot see a last-bit change in a mixture velocity (a
     # foot point absorbs it), so the mixtures themselves are compared: every
-    # velocity (R, P, n) and cost (R, P) product, and the velocities the
-    # backstep groups its candidates on.
-    p = _TEST_PROBLEMS[name]() if name in _TEST_PROBLEMS else pb.get_problem(name)
+    # velocity (R, P, n) and cost (R, P) product, the product of two copies of
+    # one node's column when the data are the same at every node, and the
+    # velocities the backstep groups its candidates on.
+    p = _MIXED_PROBLEMS[name]() if name in _MIXED_PROBLEMS else pb.get_problem(name)
     rng = np.random.default_rng(sum(map(ord, name)) + 1)
     grouped = []
     groups = val._groups
     monkeypatch.setattr(val, "_groups", lambda vel, P: grouped.append(vel) or groups(vel, P))
-    for g in _mixture_grids(p):
+    apart = set()
+    grids = _mixture_grids(p) + ((val.grid_for(p, (41, 61), 0.1),) if p.n == 2 else ())
+    for g in grids:
         nodes, P = g.nodes(), g.nodes().shape[0]
         for t in (0.0, *rng.uniform(0.0, 2 * math.pi, 2)):
             u, f_all = p.velocities(t, nodes)
             costs = p.costs(t, nodes, 0, u)
             for mg in range(1, 6):
                 W = val._mixture_matrix(len(u), p.n + 1, mg)
-                want = mixtures_tensordot(W, f_all)
-                assert val._mix(W, f_all).tobytes() == want.tobytes()
-                assert val._mix(W, costs).tobytes() == mixtures_tensordot(W, costs).tobytes()
+                for key, a in (("f", f_all), ("L", costs)):
+                    want = mixtures_tensordot(W, a)
+                    assert val._mix(W, a).tobytes() == want.tobytes()
+                    if not _same_at_every_node(a):
+                        continue
+                    # two columns go to gemm; one would go to gemv, which
+                    # rounds apart from the wide product
+                    narrow = val._mix(W, a[:, :2])[:, :1]
+                    if _same_at_every_node(want):
+                        assert narrow.tobytes() == want[:, :1].tobytes()
+                    else:
+                        apart.add((g.shape, mg, key))
+                if len(grids) == 3 and g is grids[-1]:
+                    continue                    # the products alone on the widest grid
                 grouped.clear()
                 _step(p, p.lam, g.axes(), nodes, float(t), g.dt, np.zeros(P),
                       np.ones(P, dtype=bool), 0, True, mg)
+                want = mixtures_tensordot(W, f_all)
                 if val._node_independent(want):
                     want = want[:, :1]
                 assert [(v.shape, v.tobytes()) for v in grouped] == [(want.shape, want.tobytes())]
+    assert apart == _COLUMNS_APART.get(name, set())
+    for g in _mixture_grids(p):
+        nodes, P = g.nodes(), g.nodes().shape[0]
         # a block of T slices' costs (T, k, P), as a sweep evaluates them,
         # mixed by one stacked product: each slice's mixtures are its own,
         # and so are its costs once discounted and scaled, in that order
