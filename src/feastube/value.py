@@ -27,9 +27,16 @@ batches of a bounded point count, and every batch's terms are built from its
 feet (``_terms``).  A sweep keeps the groups of the last sampled velocities
 it met; a slice whose sampled velocities have the same bytes reuses them,
 and the second such slice stores each batch's terms, which later slices
-only apply.  Groups whose velocities are the same at every node, as in the
-semi-Lagrangian scheme on a structured grid (Falcone & Ferretti, SIAM 2013),
-keep one row per group.
+only apply.
+
+Model data that are the same at every node, as in the semi-Lagrangian
+scheme on a structured grid (Falcone & Ferretti, SIAM 2013), are found by
+their bytes and kept on one node: a new slice's sampled velocities, and a
+block's running costs.  They are mixed over two copies of that node
+(``_mix``): a product over one node goes to gemv, which rounds apart from a
+wide product.  Their groups keep one velocity row each, and a group's
+minimum cost is one number per slice, folded from its candidates' by one
+``np.minimum.reduceat`` and added to its interpolated row by broadcasting.
 
 A sweep decides the feasibility of every node at every time slice before
 it steps: one constraint-kernel call per chunk of whole slices, of at most
@@ -38,13 +45,14 @@ cost the same way, one ``velocities`` and one ``costs`` call per block of
 slices whose control samples are equal, of at most ``_FEAS_CHUNK`` velocity
 values (``_sweep_blocks``).  What does not read the next slice is done
 once per block (``_block``): whether a slice's velocities repeat the last
-slice's, whether a feasible node's cost is not finite, and the infeasible
-masks.  One generator, ``_sweep``, steps the slices latest first and keeps
-what its steps share as its own locals: the groups of the last velocities
-met, each block's mixture matrix, and the costs the block's steps add,
-mixed by one stacked product, discounted and scaled by dt
-(``_block_costs``).  It writes every slice into one array that holds the
-slices end to end, padding the next slice in place for each step.
+slice's, whether a feasible node's cost is not finite, whether the costs
+are the same at every node, and the infeasible masks.  One generator,
+``_sweep``, steps the slices latest first and keeps what its steps share as
+its own locals: the groups of the last velocities met, each block's mixture
+matrix, and the costs the block's steps add, mixed by one stacked product,
+discounted and scaled by dt (``_block_costs``).  It writes every slice into
+one array that holds the slices end to end, padding the next slice in place
+for each step.
 ``solve_value`` checks each slice it yields for a stranded node, and
 ``bellman_residual`` drives it over two slices.  A slice pays for the
 stencil apply, the add of its prepared costs, the minimum, its mask and
@@ -326,15 +334,6 @@ def _apply_stencil(terms: tuple[Array, Array], vals: Array) -> Array:
     return total
 
 
-def _interp_clipped(axes: tuple[Array, ...], grid_vals: Array, pts: Array) -> Array:
-    """Multilinear interpolation of the slice ``grid_vals`` at the rows of
-    ``pts`` (m, n); +inf wherever a contributing corner is not finite or the
-    point leaves the grid by more than 1e-9 of a step.  Fractions within
-    1e-9 of a node snap to it, and corners of weight at or below 1e-15 do
-    not contribute."""
-    return _apply_stencil(_terms(axes, pts.T), _padded(grid_vals))
-
-
 @dataclass(frozen=True, eq=False)
 class ValueField:
     """Backward-solved discounted value on a space-time grid.
@@ -416,61 +415,80 @@ def evaluate_value(field: ValueField, t: float, x) -> float:
 _INTERP_CHUNK = 8192
 
 
-def _mix(W: Array | None, a: Array) -> Array:
-    """Mixtures of per-control arrays ``a`` (k, ...) under weights ``W`` (R, k);
-    the sampled controls' own arrays when ``W`` is None.  One gemm, the one
-    ``np.tensordot`` makes, without its wrapper."""
+def _mix(W: Array | None, a: Array, axis: int = 0) -> Array:
+    """Mixtures under weights ``W`` (R, k) of the per-control arrays that
+    ``a`` holds along ``axis``: (..., k, ...) gives (..., R, ...), one gemm
+    (the one ``np.tensordot`` makes, without its wrapper) per array of the
+    axes before ``axis``.  The sampled controls' own arrays when ``W`` is
+    None.  A gemm rounds a column by where it lies, and a product over one
+    column goes to gemv, which rounds apart again: ``_same_at_every_node``
+    data are mixed over two copies of their column, and the first is kept."""
     if W is None:
         return a
-    return (W @ a.reshape(len(a), -1)).reshape(W.shape[:1] + a.shape[1:])
+    lead = a.shape[:axis]
+    return (W @ a.reshape(lead + (a.shape[axis], -1))).reshape(lead + W.shape[:1]
+                                                                + a.shape[axis + 1:])
 
 
-def _node_independent(f: Array) -> bool:
-    """Whether every candidate's velocity array (``f`` is (R, P, n)) is the
-    same at every node, compared by bytes so that -0.0 and 0.0 stay apart;
-    ``_INTERP_CHUNK`` values at a time."""
-    bits = f.view(np.uint64)
-    rows = max(1, _INTERP_CHUNK // (f.shape[1] * f.shape[2]))
-    for lo in range(0, len(bits), rows):
-        if not (bits[lo:lo + rows] == bits[lo:lo + rows, :1]).all():
-            return False
-    return True
+def _same_at_every_node(a: Array, axis: int) -> bool:
+    """Whether ``a`` has the bytes of its first node at every node along its
+    node ``axis``, so that -0.0 and 0.0 stay apart.  The first two nodes are
+    compared first: data that differ there cost one node's compare."""
+    m = math.prod(a.shape[axis + 1:])          # values per node
+    flat = a.view(np.uint64).reshape(math.prod(a.shape[:axis]), -1)
+    if not (flat[:, m:2 * m] == flat[:, :m]).all():
+        return False
+    if m == 1:                                  # the least and greatest bytes, without a compare array
+        return bool((flat.min(axis=1) == flat.max(axis=1)).all())
+    return bool((flat[:, 2 * m:] == flat[:, m:-m]).all())    # each node against the one before
 
 
 @dataclass(eq=False)
 class _Groups:
     """Candidates grouped by equal velocity arrays, in chunks interpolated
-    together; a sweep keeps them while its sampled velocities recur."""
+    together; a sweep keeps them while its sampled velocities recur.  A
+    group's cost is the minimum of its candidates', folded into its first
+    candidate's row: by one ``np.minimum.reduceat`` over the candidates in
+    ``order`` when the costs are on one node, where it is one number per
+    slice, added to the group's interpolated row by broadcasting.  Costs on
+    P nodes are folded one merged candidate at a time, since reduceat calls
+    its loop once per group and node."""
 
     vel: Array                # (R, P, n), or (R, 1, n) when the same at every node
     merges: list[tuple[int, int]]  # (group, candidate) for each candidate after a group's first
+    order: Array | None       # candidates by group, each group's in turn; None: no merges
+    starts: Array | None      # where each group's candidates start in ``order``
     chunks: list[slice | list[int]]   # groups' first candidates, _INTERP_CHUNK foot points each
     terms: list | None = None     # terms per chunk, once a sweep meets the velocities again
 
 
 def _groups(vel: Array, P: int) -> _Groups:
     """Group candidates whose velocity arrays have equal bytes (bucketed by
-    the hash of the bytes).  A chunk of consecutive candidates is a slice,
-    so that indexing a chunk's rows gives a view."""
-    merges: list[tuple[int, int]] = []
-    reps: list[int] = []
-    buckets: dict[int, list[int]] = {}    # hash of velocity bytes -> its reps
+    the hash of the bytes), in the order of their first candidates.  A chunk
+    of consecutive candidates is a slice, so that indexing a chunk's rows
+    gives a view."""
+    members: list[list[int]] = []
+    buckets: dict[int, list[list[int]]] = {}    # hash of velocity bytes -> its groups
     for r in range(vel.shape[0]):
         here = vel[r].tobytes()
         bucket = buckets.setdefault(hash(here), [])
-        for g in bucket:
-            if vel[g].tobytes() == here:
+        for group in bucket:
+            if vel[group[0]].tobytes() == here:
+                group.append(r)
                 break
         else:
-            g = r
-            bucket.append(r)
-            reps.append(r)
-        if g != r:
-            merges.append((g, r))
+            bucket.append([r])
+            members.append(bucket[-1])
+    merges = [(group[0], r) for group in members for r in group[1:]]
+    order = starts = None
+    if merges:
+        order = np.array([r for group in members for r in group])
+        starts = np.cumsum([0] + [len(group) for group in members[:-1]])
+    reps = [group[0] for group in members]
     per_call = max(1, _INTERP_CHUNK // P)
     chunks = [reps[lo:lo + per_call] for lo in range(0, len(reps), per_call)]
-    return _Groups(vel, merges, [slice(c[0], c[-1] + 1) if c[-1] - c[0] < len(c) else c
-                                 for c in chunks])
+    return _Groups(vel, merges, order, starts,
+                   [slice(c[0], c[-1] + 1) if c[-1] - c[0] < len(c) else c for c in chunks])
 
 
 @dataclass(eq=False)
@@ -480,8 +498,9 @@ class _Block:
 
     times: Array          # (T,)
     F: Array              # (T, k, P, n) velocities of the sampled controls
-    C: Array              # (T, k, P) their running costs, 0 where not finite; the plain
-                          # sweep scales them in place (_block_costs)
+    C: Array              # (T, k, P) their running costs, 0 where not finite, or (T, k, 1)
+                          # when the same at every node; the plain sweep scales them in
+                          # place (_block_costs)
     infeas: Array         # (T, P) nodes off the feasible set
     seen: list[bool]      # slice j's velocities have the bytes of the slice stepped before it
     bad: dict[int, tuple[int, list]]    # slice -> (feasible node, its costs), first non-finite
@@ -501,7 +520,8 @@ def _block(p: ProblemDefinition, times: Array, nodes: Array, feas: Array, level:
     costs it keeps as the model gave them.  Then every non-finite cost is set
     to 0, so that no mixture of it warns: an infeasible node's value is +inf
     whatever its cost, and a slice with such a cost at a feasible node is
-    never stepped.
+    never stepped.  Costs that then have the same bytes at every node
+    (``_same_at_every_node``) are kept on one node, (T, k, 1).
     """
     T, t, x = len(times), times[:, None], nodes[None]
     F = np.ascontiguousarray(np.moveaxis(p.velocities(t, x, level, u)[1], 1, 0))
@@ -519,17 +539,23 @@ def _block(p: ProblemDefinition, times: Array, nodes: Array, feas: Array, level:
             node = int(hit[j].argmax())
             bad[j] = (node, C[j, :, node].tolist())
         C[~finite] = 0.0
+    if _same_at_every_node(C, 2):
+        C = C[:, :, :1].copy()
     return _Block(times, F, C, ~feas, seen.tolist(), bad)
 
 
 def _block_costs(block: _Block, W: Array | None, lam: float, dt: float) -> Array:
-    """The costs a backstep adds for every slice of ``block``, (T, R, P):
-    mixed under ``W`` by one stacked product, discounted by each slice's
-    ``exp(-lam t)`` and scaled by ``dt``, rounded in that order.  When
-    ``W`` is None they are the block's own costs, scaled in place (the
-    costs an error names are kept apart, in ``bad``)."""
+    """The costs a backstep adds for every slice of ``block``, (T, R, P), or
+    (T, R, 1) when the block's costs are the same at every node: mixed under
+    ``W`` by one stacked product, discounted by each slice's ``exp(-lam t)``
+    and scaled by ``dt``, rounded in that order.  Costs on one node are
+    mixed over two copies of it (``_mix``).  When ``W`` is None they are the
+    block's own costs, scaled in place (the costs an error names are kept
+    apart, in ``bad``)."""
     disc = np.array([math.exp(-lam * t) for t in block.times.tolist()])[:, None, None]
-    cost = block.C if W is None else W @ block.C
+    C = block.C
+    cost = C if W is None else _mix(W, C if C.shape[2] > 1 else np.repeat(C, 2, axis=2),
+                                    axis=1)[..., :C.shape[2]]
     cost *= disc
     cost *= dt
     return cost
@@ -555,17 +581,18 @@ def _sweep(p, lam, axes, nodes, dt, times, feas, flat, level, relaxed, mixture_g
     terms built from its feet (``_terms``).  The sweep keeps the groups of
     the last velocities it met, and a slice whose velocities have the same
     bytes reuses them: the first such slice stores each chunk's terms, and
-    later slices only apply them.  Groups whose mixture velocities are the
-    same at every node keep one row each.
+    later slices only apply them.  Sampled velocities that are the same at
+    every node (``_same_at_every_node``) are mixed on two nodes and keep one
+    row per group; no (R, P, n) product is formed for them.  A group's cost
+    is the minimum of its candidates' (``_Groups``): one number per slice
+    when the block's costs are the same at every node.
 
     Everything that does not read the next slice is done once per block of
     slices (``_sweep_blocks``): the velocities and costs, their checks, the
     infeasible masks, the mixture matrix, and the costs the steps add,
     mixed, discounted and scaled (``_block_costs``).  Those costs are
-    prepared after the block's first slice has grouped its velocities, so
-    that a block of one slice, the only kind whose slices are large, never
-    holds its mixed costs beside its velocity mixtures (in a block of several
-    slices both stay within ``_FEAS_CHUNK`` velocity values times R/k), and
+    prepared once the block's first slice has grouped its velocities, so
+    that they are not held while grouping forms its velocity products, and
     dropped before the next block is formed.  Raises NonFiniteCost, naming
     the node, the time and the model's costs there, at the turn of a slice
     whose running cost is not finite at a feasible node.
@@ -583,22 +610,26 @@ def _sweep(p, lam, axes, nodes, dt, times, feas, flat, level, relaxed, mixture_g
             seen = block.seen[j]
             if not seen:
                 groups = terms = None      # drop the last groups before forming these
-                f = _mix(W, block.F[j])    # a product over one row may round differently
-                groups = _groups(f[:, :1].copy() if _node_independent(f) else f, P)
-                del f
+                F = block.F[j]
+                if _same_at_every_node(F, 1):
+                    groups = _groups(_mix(W, F[:, :2])[:, :1].copy(), P)
+                else:
+                    groups = _groups(_mix(W, F), P)
             terms = groups.terms
             if terms is None:
                 terms = (_terms(axes, np.moveaxis(nodes + dt * groups.vel[chunk], -1, 0))
                          for chunk in groups.chunks)
                 if seen:                   # met again: store them, before the costs exist
                     terms = groups.terms = list(terms)
-            if cost is None:
-                # after grouping, when a node-independent set's full velocity
-                # mixtures are already dropped: the two never coexist
+            if cost is None:               # once grouping has formed its products
                 cost = _block_costs(block, W, lam, dt)
             row = cost[j]
-            for g, r in groups.merges:
-                np.minimum(row[g], row[r], out=row[g])
+            if groups.order is not None and row.shape[1] == 1:
+                row[groups.order[groups.starts]] = np.minimum.reduceat(
+                    row[groups.order], groups.starts, axis=0)
+            elif groups.order is not None:
+                for g, r in groups.merges:
+                    np.minimum(row[g], row[r], out=row[g])
 
             out, nxt = flat[i * P:(i + 1) * P], flat[(i + 1) * P:(i + 2) * P + 2]
             lent = nxt[P], nxt[P + 1]

@@ -476,14 +476,23 @@ def mixtures_tensordot(W, a):
     return np.tensordot(W, a, axes=(1, 0))
 
 
+def interp_clipped(axes, grid_vals, pts):
+    """Multilinear interpolation of the slice ``grid_vals`` at the rows of
+    ``pts`` (m, n) through the value module's one kernel: the points' terms
+    (``value._terms``) applied to the padded slice (``value._padded``,
+    ``value._apply_stencil``).  +inf wherever a contributing corner is not
+    finite or the point leaves the grid by more than 1e-9 of a step."""
+    return val._apply_stencil(val._terms(axes, pts.T), val._padded(grid_vals))
+
+
 def interp_clipped_pointwise(axes, grid_vals, pts):
     """Multilinear interpolation of ``grid_vals`` at each row of ``pts`` from
     the point's own coordinates: +inf wherever a contributing corner is not
     finite or the point leaves the grid by more than 1e-9 of a step.
     Fractions within 1e-9 of a node snap to it, and corners of weight at or
-    below 1e-15 do not contribute.  A pinned copy of
-    ``value._interp_clipped`` as it was before node-independent velocities
-    got shared per-axis stencils."""
+    below 1e-15 do not contribute.  A pinned copy of the value module's
+    interpolation as it was before node-independent velocities got shared
+    per-axis stencils."""
     n = len(axes)
     P = len(pts)
     idx, frac = [], []

@@ -24,6 +24,7 @@ from oracles import (
     apply_stencil_loop,
     backstep_loop,
     feasible_slices_loop,
+    interp_clipped,
     interp_clipped_pointwise,
     mixtures_tensordot,
     sweep_loop,
@@ -35,6 +36,7 @@ from util import (
     corner_problem,
     credit_problem,
     drift_problem,
+    signed_zero_problem,
     simple_problem,
     steady_sway_problem,
     sway_problem,
@@ -464,7 +466,7 @@ def test_interpolation_matches_pointwise_reference(shape):
     grid = np.where(rng.random(shape) < 0.15, np.inf, rng.uniform(-1.0, 1.0, shape))
     V = _shifts(axes, rng)
     want = np.stack([interp_clipped_pointwise(axes, grid, nodes + 0.1 * v) for v in V])
-    got = np.stack([val._interp_clipped(axes, grid, nodes + 0.1 * v) for v in V])
+    got = np.stack([interp_clipped(axes, grid, nodes + 0.1 * v) for v in V])
     assert np.array_equal(got, want)
     # the backstep's terms of the feet of all shifts at once, as one row per
     # group and as full rows, and of each shift alone
@@ -495,7 +497,7 @@ def test_interpolation_matches_pointwise_reference(shape):
                            problem_name="slices", level=0, mixture_grid=1)
     wants = [interp_clipped_pointwise(axes, s, pts) for s in slices]
     for t, s, want in zip(field.times, slices, wants):
-        assert val._interp_clipped(axes, s, pts).tobytes() == want.tobytes()
+        assert interp_clipped(axes, s, pts).tobytes() == want.tobytes()
         assert np.asarray(val.evaluate_value(field, float(t), inside)).tobytes() == \
             want[:len(inside)].tobytes()
         for x, w in zip(inside, want):
@@ -571,7 +573,7 @@ def test_interpolation_matches_pointwise_reference_on_any_slice(case):
                            problem_name="slices", level=0, mixture_grid=1)
     wants = [interp_clipped_pointwise(axes, s, pts) for s in slices]
     for s, want in zip(slices, wants):
-        assert val._interp_clipped(axes, s, pts).tobytes() == want.tobytes()
+        assert interp_clipped(axes, s, pts).tobytes() == want.tobytes()
     out = np.zeros(len(pts), dtype=bool)
     for ax, x in zip(axes, pts.T):
         step = ax[1] - ax[0]
@@ -736,7 +738,8 @@ def test_mixture_products_match_tensordot_reference(name, monkeypatch):
     groups = val._groups
     monkeypatch.setattr(val, "_groups", lambda vel, P: grouped.append(vel) or groups(vel, P))
     apart = set()
-    grids = _mixture_grids(p) + ((val.grid_for(p, (41, 61), 0.1),) if p.n == 2 else ())
+    grouped_on = _mixture_grids(p)
+    grids = grouped_on + ((val.grid_for(p, (41, 61), 0.1),) if p.n == 2 else ())
     for g in grids:
         nodes, P = g.nodes(), g.nodes().shape[0]
         for t in (0.0, *rng.uniform(0.0, 2 * math.pi, 2)):
@@ -756,36 +759,44 @@ def test_mixture_products_match_tensordot_reference(name, monkeypatch):
                         assert narrow.tobytes() == want[:, :1].tobytes()
                     else:
                         apart.add((g.shape, mg, key))
-                if len(grids) == 3 and g is grids[-1]:
+                if g not in grouped_on:
                     continue                    # the products alone on the widest grid
                 grouped.clear()
                 _step(p, p.lam, g.axes(), nodes, float(t), g.dt, np.zeros(P),
                       np.ones(P, dtype=bool), 0, True, mg)
-                want = mixtures_tensordot(W, f_all)
-                if val._node_independent(want):
-                    want = want[:, :1]
+                if _same_at_every_node(f_all):
+                    want = val._mix(W, f_all[:, :2])[:, :1]
+                else:
+                    want = mixtures_tensordot(W, f_all)
                 assert [(v.shape, v.tobytes()) for v in grouped] == [(want.shape, want.tobytes())]
     assert apart == _COLUMNS_APART.get(name, set())
     for g in _mixture_grids(p):
         nodes, P = g.nodes(), g.nodes().shape[0]
         # a block of T slices' costs (T, k, P), as a sweep evaluates them,
         # mixed by one stacked product: each slice's mixtures are its own,
-        # and so are its costs once discounted and scaled, in that order
+        # and so are its costs once discounted and scaled, in that order.
+        # Costs the same at every node are kept and mixed on one node, (T, R, 1).
         for T in (1, 2, 67):
             times = float(rng.uniform(0.0, 2 * math.pi)) + g.dt * np.arange(T)
             u = p.controls.at(float(times[0]), 0)
             block = val._block(p, times, nodes, np.ones((T, P), dtype=bool), 0, u)
-            C = block.C
+            C = np.moveaxis(p.costs(times[:, None], nodes[None], 0, u), 1, 0)
+            one = _same_at_every_node(np.moveaxis(C, 2, 1))
+            assert block.C.tobytes() == (C[:, :, :1] if one else C).tobytes()
             for mg in range(1, 6):
                 W = val._mixture_matrix(len(u), p.n + 1, mg)
                 mixed, prepared = W @ C, val._block_costs(block, W, p.lam, g.dt)
-                assert mixed.shape == prepared.shape == (T, len(W), P)
+                assert mixed.shape == (T, len(W), P)
+                assert prepared.shape == (T, len(W), 1 if one else P)
                 for j in range(T):
                     want = mixtures_tensordot(W, C[j])
                     assert mixed[j].tobytes() == want.tobytes()
+                    if one and not _same_at_every_node(want):
+                        assert (g.shape, mg, "L") in _COLUMNS_APART[name]
+                        continue
                     want *= math.exp(-p.lam * float(times[j]))
                     want *= g.dt
-                    assert prepared[j].tobytes() == want.tobytes()
+                    assert prepared[j].tobytes() == want[:, :prepared.shape[2]].tobytes()
 
 
 # --- feasibility of every slice, batched ---------------------------------------------
@@ -973,14 +984,16 @@ def test_stencils_built_once_per_solve(corridor, monkeypatch):
     assert np.array_equal(first.values, second.values)
 
 
-def test_relaxed_sweep_never_holds_velocity_mixtures_beside_mixed_costs(corridor, monkeypatch):
-    # corridor-2d at 41 x 61 nodes holds one slice per block.  Its relaxed
-    # sweep forms the first slice's (R, P, n) velocity mixtures to group
-    # them, and each block mixes its (R, P) costs; the second slice stores
-    # the groups' terms.  The mixtures go before the first block's costs
-    # are mixed, and a block's costs before the next block is formed, so
-    # the traced peak stays below the mixtures and the costs together.
+def test_relaxed_sweep_forms_no_product_over_candidates_and_nodes(corridor, hover, monkeypatch):
+    # corridor-2d at 41 x 61 nodes holds one slice per block.  Its velocities
+    # and costs are the same at every node, so its relaxed sweep mixes them
+    # on two nodes and never forms an (R, P, n) velocity or (R, P) cost
+    # product; the second slice stores the groups' terms.  A block's costs
+    # go before the next block is formed, so the traced peak stays below
+    # one (R, P, n) product.  hover-1d's cost x^2 differs from node to node:
+    # its costs are still mixed on all P nodes.
     costs, blocks, prepare, real = [], [], val._block_costs, val._block
+    mixed, mix = set(), val._mix
 
     def preparing(*args):
         cost = prepare(*args)
@@ -993,11 +1006,17 @@ def test_relaxed_sweep_never_holds_velocity_mixtures_beside_mixed_costs(corridor
         blocks.append(weakref.ref(block))
         return block
 
+    def mixing(W, a, axis=0):
+        if W is not None:
+            mixed.add((axis, a.shape[axis:]))
+        return mix(W, a, axis)
+
     monkeypatch.setattr(val, "_block_costs", preparing)
     monkeypatch.setattr(val, "_block", forming)
+    monkeypatch.setattr(val, "_mix", mixing)
     g = val.GridSpec(corridor.box[:, 0], corridor.box[:, 1], (41, 61), 0.1, 0.3)
-    P = 41 * 61
-    R = len(val._mixture_matrix(len(corridor.controls.at(0.3)), corridor.n + 1, 4))
+    P, n, k = 41 * 61, corridor.n, len(corridor.controls.at(0.3))
+    R = len(val._mixture_matrix(k, n + 1, 4))
     tracemalloc.start()
     try:
         f = val.solve_value(corridor, 6.0, g, relaxed=True, mixture_grid=4, horizon=0.7)
@@ -1006,7 +1025,14 @@ def test_relaxed_sweep_never_holds_velocity_mixtures_beside_mixed_costs(corridor
         tracemalloc.stop()
     assert f.values.shape[0] == 5 and np.isfinite(f.values).any()
     assert len(blocks) == len(costs) == 4
-    assert R == 369 and peak < R * P * (corridor.n + 1) * 8
+    assert R == 369 and peak < R * P * n * 8
+    # velocities (k, 2 nodes, n) and each block's costs (T, k, 2 nodes)
+    assert mixed == {(0, (k, 2, n)), (1, (k, 2))}
+    mixed.clear()
+    g = val.grid_for(hover, 241, 0.0025, 0.4)
+    val.solve_value(hover, hover.lam, g, relaxed=True, mixture_grid=4, horizon=0.5)
+    k = len(hover.controls.at(0.4))
+    assert mixed == {(0, (k, 2, 1)), (1, (k, 241))}
 
 
 def test_sweep_pads_once_per_slice_and_applies_once_per_chunk(corridor, monkeypatch):
@@ -1184,7 +1210,7 @@ def test_steady_node_dependent_velocities_store_terms_once(monkeypatch):
     horizon = g.t0 + 6 * g.dt
     nodes = g.nodes()
     u, f_all = p.velocities(g.t0, nodes)
-    assert not val._node_independent(f_all)
+    assert not _same_at_every_node(f_all)
     for relaxed, mg in ((False, 4),) + tuple((True, k) for k in range(1, 6)):
         f = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg, horizon=horizon)
         assert f.values.tobytes() == sweep_loop(p, f).tobytes()
@@ -1200,6 +1226,35 @@ def test_steady_node_dependent_velocities_store_terms_once(monkeypatch):
                 chunks = _chunk_sizes(len({v.tobytes() for v in val._mix(W, f_all)}), len(nodes))
             assert steps == [(chunks, False), (chunks, True)] + [([], True)] * 4
             assert len(chunks) > 1 and again.values.tobytes() == f.values.tobytes()
+
+
+@pytest.mark.parametrize("make", [signed_zero_problem, lambda: signed_zero_problem(reverse=True),
+                                  steady_sway_problem],
+                         ids=["signed-zero-1d", "signed-zero-1d-reversed", "steady-sway-1d"])
+def test_fold_order_of_a_group_cannot_reach_a_field(make):
+    # A group's cost on one node is one np.minimum.reduceat over its
+    # candidates, which may keep -0.0 or +0.0 of a tie apart from a
+    # sequential fold.  The
+    # interpolated row it is added to is never -0.0 (_apply_stencil sums
+    # from +0.0), and x + -0.0 == x + 0.0 for every other x, so every field
+    # equals the per-candidate reference, plain and relaxed, and with the
+    # signed zeros met in either order (the plain group's minimum is +0.0 in
+    # one and -0.0 in the other).  steady-sway-1d's costs and velocities
+    # differ from node to node.
+    p = make()
+    g = _small_grid(p, 0.3, 1.2, 17)
+    for relaxed, mg in ((False, 4),) + tuple((True, k) for k in range(1, 6)):
+        f = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg, horizon=g.t0 + 6 * g.dt)
+        assert np.isfinite(f.values).all()
+        assert f.values.tobytes() == sweep_loop(p, f).tobytes()
+        # moving pays where its foot stays on the grid, so the groups' costs reach it
+        assert p.name != "signed-zero-1d" or (f.values[0] < 0.0).any()
+    if p.name == "signed-zero-1d":
+        u = p.controls.at(g.t0, 0)
+        block = val._block(p, np.array([g.t0]), g.nodes(), np.ones((1, 17), dtype=bool), 0, u)
+        zeros = block.C[0, np.abs(u[:, 0]) == 0.5, 0]
+        assert block.C.shape == (1, 4, 1) and sorted(np.signbit(zeros)) == [False, True]
+        assert val._groups(block.F[0][:, :1], 17).starts.tolist() == [0, 2]   # two pairs
 
 
 _REGISTERED = {name: pb.get_problem(name) for name in pb.registered_problems()}

@@ -131,6 +131,27 @@ def steady_sway_problem():
     return dataclasses.replace(sway_problem(), f=f, name="steady-sway-1d")
 
 
+def signed_zero_problem(reverse=False):
+    """Velocity ``0.8 |u| - 0.4`` and a cost that is the same at every node,
+    for the controls -1, -0.5, 0.5 and 1 (in reverse order when asked):
+    u = -0.5 and u = 0.5 share velocity 0 and cost -0.0 and +0.0, and u = -1
+    and u = 1 share velocity 0.4 and cost 0.1 u - 0.3, so that moving pays
+    wherever its foot stays on the grid."""
+    u = np.array([[-1.0], [-0.5], [0.5], [1.0]])[::-1 if reverse else 1].copy()
+    u.setflags(write=False)
+
+    def f(t, x, u):
+        return 0.8 * np.abs(np.asarray(u, dtype=float)) - 0.4 + 0.0 * np.asarray(x, dtype=float)
+
+    def cost(t, x, u):
+        u = np.asarray(u, dtype=float)[..., 0]
+        at = np.where(np.abs(u) < 1.0, np.copysign(0.0, u), 0.1 * u - 0.3)
+        return at * np.ones_like(np.asarray(x, dtype=float)[..., 0])    # -0.0 * 1.0 is -0.0
+
+    return simple_problem(f, cost, lam=3.0, controls=ControlSamples(1, lambda t, l: u),
+                          name="signed-zero-1d")
+
+
 def sway_walls():
     """``sway-1d`` between two moving walls: its games differ from point to point."""
     walls = (affine_constraint("upper", [1.0], lambda t: -(0.8 + 0.4 * np.sin(t))),
