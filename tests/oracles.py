@@ -15,7 +15,8 @@ interpolates once per velocity/cost candidate, with a pinned copy of the
 point-by-point multilinear interpolation, and the sweep reference takes
 one such backstep per slice; the assumption reference evaluates the data
 one sampled point at a time; the certify references take one Lipschitz
-quotient per node pair and write one CSV row at a time;
+quotient per node pair, evaluate the field at one time and point per
+call along a path and at a probe, and write one CSV row at a time;
 the certificate reference samples the boundary one time at a time and solves
 one LP per boundary point; the CLI references keep ``analyze`` and
 ``pipeline`` as two separate copies of the four value-function checks.
@@ -33,7 +34,13 @@ from feastube import geometry as geo
 from feastube import ipc
 from feastube import trajectory as tj
 from feastube import value as val
-from feastube.errors import BoundarySamplingFailed, DiscountBelowThreshold, InfeasibleInput
+from feastube.errors import (
+    BoundarySamplingFailed,
+    DiscountBelowThreshold,
+    InfeasibleInput,
+    ProbeInfeasible,
+    TrajectoryOutOfGrid,
+)
 from feastube.problem import (
     AssumptionCheck,
     AssumptionReport,
@@ -679,7 +686,8 @@ def verify_data_assumptions_loop(p, samples=None, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# certify references: one Lipschitz quotient per pair, one CSV row at a time
+# certify references: one Lipschitz quotient per pair, one field evaluation
+# per time along a path or at a probe, one CSV row at a time
 # ---------------------------------------------------------------------------
 
 def slice_pairs_loop(field, i, budget, rng):
@@ -729,6 +737,72 @@ def lipschitz_profile_loop(field, constants, pair_budget=2000, tol=None, seed=0)
     bound = b * np.exp(-(field.lam - K) * times)
     passed = bool(np.all(emp <= bound * (1.0 + tol) + 1e-15))
     return ana.LipschitzProfile(times, emp, bound, b, constants.C, K, tol, passed)
+
+
+def decay_check_loop(p, field, traj, tol_decay=1e-2):
+    """``analysis.decay_check`` with one ``state_at`` and one
+    ``evaluate_value`` call per field time along the path."""
+    a1, a2, lam = field.a1, field.a2, field.lam
+    if lam <= a1:
+        raise DiscountBelowThreshold(f"need lambda > a1 ({a1})")
+    x0n = float(np.linalg.norm(traj.states[0]))
+    times = field.times[(field.times >= traj.t0 - 1e-9) & (field.times <= traj.t1 + 1e-9)]
+    if times.size == 0:
+        raise TrajectoryOutOfGrid("trajectory does not overlap the field horizon")
+    vals = np.empty(len(times))
+    for i, t in enumerate(times):
+        v = val.evaluate_value(field, float(t), traj.state_at(float(t)))
+        if not math.isfinite(v):
+            raise TrajectoryOutOfGrid(
+                f"field is infeasible along the path at t={t}; the path must "
+                "stay clear of the stencil-clipped boundary layer"
+            )
+        vals[i] = v
+    env = (1.0 + x0n) * math.exp(a2) * (a1 * times + a1 / (lam - a1) + a2) * np.exp(
+        -(lam - a1) * times
+    )
+    env = env + np.where(times > 1e-12, 1.0 / np.maximum(times, 1e-12), np.inf)
+    tol = ana.scheme_tolerance(field)
+    ok_env = bool(np.all(np.abs(vals) <= env + field.tail_bound + tol + 1e-15))
+    final = float(abs(vals[-1]))
+    passed = ok_env and final <= tol_decay
+    return ana.DecayResult(times, vals, env, field.tail_bound, tol, tol_decay, final, passed)
+
+
+def time_lipschitz_loop(field, p, constants, bound_N, probes, level=0):
+    """``analysis.time_lipschitz_check`` with one ``evaluate_value`` call per
+    field time at each probe."""
+    b, K = ana._envelope_rate(field, constants)
+    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    sup = ana.velocity_cost_sup(field, p, probes, level)
+    tol = ana.scheme_tolerance(field)
+    if bound_N < sup:
+        return ana.TimeLipschitzResult(False, sup, bound_N, probes, (), {}, tol)
+
+    times = field.times
+    strides = [s for s in (1, 2, 4) if s < len(times)]
+    passed = []
+    worst = {"slack": -math.inf}
+    for x in probes:
+        vals = np.array([val.evaluate_value(field, float(t), x) for t in times])
+        if not np.all(np.isfinite(vals)):
+            raise ProbeInfeasible(f"probe {x} leaves the feasible set")
+        ok = True
+        for s in strides:
+            for i in range(len(times) - s):
+                t_lo, t_hi = float(times[i]), float(times[i + s])
+                lhs = abs(vals[i + s] - vals[i])
+                rate = (b * math.exp(-(field.lam - K) * t_lo)
+                        + 2 * math.exp(-field.lam * t_lo)) * bound_N
+                rhs = rate * (t_hi - t_lo) + tol
+                if lhs - rhs > worst["slack"]:
+                    worst = {"slack": lhs - rhs, "t": t_lo, "t2": t_hi,
+                             "x": [float(a) for a in x],
+                             "lhs": float(lhs), "rhs": float(rhs)}
+                if lhs > rhs + 1e-15:
+                    ok = False
+        passed.append(ok)
+    return ana.TimeLipschitzResult(True, sup, bound_N, probes, tuple(passed), worst, tol)
 
 
 def write_csv_rows(path, columns):

@@ -10,12 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feastube import analysis as ana
+from feastube import cli
 from feastube import problem as pb
 from feastube import trajectory as tj
 from feastube import value as val
-from feastube.errors import DiscountBelowThreshold, ProbeInfeasible
+from feastube.errors import DiscountBelowThreshold, FeastubeError, ProbeInfeasible
 
-from oracles import lipschitz_profile_loop, write_csv_rows
+from oracles import (
+    decay_check_loop,
+    lipschitz_profile_loop,
+    time_lipschitz_loop,
+    write_csv_rows,
+)
 from util import constant_cost_problem, simple_problem, sway_problem, unit_velocity, zero_cost
 
 
@@ -229,6 +235,112 @@ def test_time_lipschitz_infeasible_probe(moving_wall, mw_tracking_constants):
     with pytest.raises(ProbeInfeasible):
         ana.time_lipschitz_check(f, moving_wall, mw_tracking_constants,
                                  bound_N=5.0, probes=[[1.35]])
+
+
+# --- decay and time checks against their per-time loops ------------------------------
+
+# ``--grid DX,DT`` and horizon length of each pipeline run in the benchmark's
+# certify workload (``bench/workloads.py:CERTIFY_RUNS``), at its lambda 120
+_CERTIFY_RUNS = {
+    "moving-wall-1d": ("0.05,0.05", 4.0),
+    "quadratic-cost-1d": ("0.05,0.05", 4.0),
+    "hover-1d": ("0.01,0.01", 2.0),
+    "corridor-2d": ("0.1,0.1", 1.0),
+}
+
+
+@pytest.fixture(scope="module")
+def certify_runs():
+    """The pipeline's inputs to the decay and time checks on each
+    ``_CERTIFY_RUNS`` problem: problem, relaxed field, viable path from the
+    anchor, tracking constants."""
+    runs = {}
+    for name, (grid, length) in _CERTIFY_RUNS.items():
+        t0 = 0.7
+        argv = ["pipeline", "--problem", name, "--lambda", "120", "--grid", grid,
+                "--horizon", repr(t0 + length), "--t0", repr(t0)]
+        run = cli._Run(cli.resolve_config(cli._build_parser().parse_args(argv)))
+        p, field = run.p, run.field(True)
+        traj = tj.viable_trajectory(p, run.ver.certificate, field.t0,
+                                    np.asarray(p.anchor(field.t0)), field.T, field.dt)
+        runs[name] = p, field, traj, run.tracking
+    return runs
+
+
+def _outcome(check, *args, **kwargs):
+    """A check's result as bytes (series columns, then its JSON), or the
+    type and message of the error it raised."""
+    try:
+        res = check(*args, **kwargs)
+    except FeastubeError as exc:
+        return type(exc).__name__, str(exc)
+    cols = res.series() if hasattr(res, "series") else {}
+    return [(k, np.asarray(v).tobytes()) for k, v in cols.items()], json.dumps(res.to_jsonable())
+
+
+@pytest.mark.parametrize("name", list(_CERTIFY_RUNS))
+def test_decay_and_time_checks_match_per_time_loops(certify_runs, name):
+    p, field, traj, tracking = certify_runs[name]
+    got = _outcome(ana.decay_check, p, field, traj)
+    assert got == _outcome(decay_check_loop, p, field, traj)
+    assert got[0] != "TrajectoryOutOfGrid"
+    # probes: the anchor, and points off it, between nodes and at a node
+    anchor = np.asarray(p.anchor(field.t0), dtype=float)
+    shifts = np.array([[0.0] * p.n, [0.013] * p.n, [-0.1] * p.n, [0.2] + [0.0] * (p.n - 1)])
+    probes = anchor + shifts
+    N = ana.velocity_cost_sup(field, p, probes) * 1.05 + 0.1
+    for bound_N in (N, 0.5 * N):           # the gate passes, then fails
+        got = _outcome(ana.time_lipschitz_check, field, p, tracking, bound_N, probes)
+        assert got == _outcome(time_lipschitz_loop, field, p, tracking, bound_N, probes)
+    # a probe that leaves the feasible set raises at the same probe
+    far = np.vstack([probes[:1], p.box[:, 1] - 1e-3])
+    N = ana.velocity_cost_sup(field, p, far) * 1.05 + 0.1
+    got = _outcome(ana.time_lipschitz_check, field, p, tracking, N, far)
+    assert got == _outcome(time_lipschitz_loop, field, p, tracking, N, far)
+    assert got[0] == "ProbeInfeasible"
+
+
+@pytest.mark.parametrize("name", list(_CERTIFY_RUNS))
+def test_decay_check_raises_at_the_first_hole_like_the_loop(certify_runs, name):
+    """+inf holes along the path, at the one node nearest the path or over a
+    whole slice, and a path that leaves the grid after or before a hole: the
+    same error, at the same time, with the same message as the loop."""
+    p, field, traj, _ = certify_runs[name]
+    times = field.times
+    k1, k2 = len(times) // 3, 2 * len(times) // 3
+    nodes = field.grid_nodes()
+    x1 = traj.state_at(float(times[k1]))
+    near = int(np.argmin(((nodes - x1) ** 2).sum(axis=1)))
+    one = field.values.copy()
+    one[k1].flat[near] = np.inf
+    whole = field.values.copy()
+    whole[k2] = np.inf
+    both = one.copy()
+    both[k2] = np.inf
+    for holes in (one, whole, both):
+        holed = dataclasses.replace(field, values=holes)
+        got = _outcome(ana.decay_check, p, holed, traj)
+        assert got == _outcome(decay_check_loop, p, holed, traj)
+        assert got[0] == "TrajectoryOutOfGrid"
+    # a straight path from the anchor to past the grid's upper corner, on the
+    # field made finite everywhere: OutOfGrid where it leaves the grid, unless
+    # a hole comes first
+    start = np.asarray(p.anchor(field.t0), dtype=float)
+    span = np.linspace(0.0, 1.0, len(times))[:, None]
+    states = start + span * (p.box[:, 1] + 0.5 - start)
+    off = tj.Trajectory(times=times, states=states, controls=None, step=field.dt)
+    finite = np.where(np.isfinite(field.values), field.values, 1.0)
+    early = finite.copy()
+    early[k1] = np.inf
+    late = finite.copy()
+    late[-1] = np.inf
+    kinds = []
+    for values in (finite, early, late):
+        holed = dataclasses.replace(field, values=values)
+        got = _outcome(ana.decay_check, p, holed, off)
+        assert got == _outcome(decay_check_loop, p, holed, off)
+        kinds.append(got[0])
+    assert kinds == ["OutOfGrid", "TrajectoryOutOfGrid", "OutOfGrid"]
 
 
 # --- report emission --------------------------------------------------------------------
