@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DiscountBelowThreshold,
     GridMismatch,
+    OutOfGrid,
     ProbeInfeasible,
     TrajectoryOutOfGrid,
 )
@@ -184,7 +185,12 @@ def decay_check(
     tol_decay: float = 1e-2,
 ) -> DecayResult:
     """Field values along a feasible path against the closed-form decay
-    envelope; the final sample must fall below ``tol_decay``."""
+    envelope; the final sample must fall below ``tol_decay``.
+
+    The path is read at the field's times by one ``state_at`` call, and the
+    field there by one ``evaluate_value`` call.  A +inf value raises
+    TrajectoryOutOfGrid naming its time, and a state off the grid raises
+    OutOfGrid, whichever comes first along the path."""
     a1, a2, lam = field.a1, field.a2, field.lam
     if lam <= a1:
         raise DiscountBelowThreshold(f"need lambda > a1 ({a1})")
@@ -192,15 +198,25 @@ def decay_check(
     times = field.times[(field.times >= traj.t0 - 1e-9) & (field.times <= traj.t1 + 1e-9)]
     if times.size == 0:
         raise TrajectoryOutOfGrid("trajectory does not overlap the field horizon")
-    vals = np.empty(len(times))
-    for i, t in enumerate(times):
-        v = evaluate_value(field, float(t), traj.state_at(float(t)))
-        if not math.isfinite(v):
+    states = traj.state_at(times)
+
+    def along(n: int) -> Array:
+        """The values at the first ``n`` times; TrajectoryOutOfGrid at the first +inf."""
+        vals = np.atleast_1d(evaluate_value(field, times[:n], states[:n]))
+        holes = ~np.isfinite(vals)
+        if holes.any():
             raise TrajectoryOutOfGrid(
-                f"field is infeasible along the path at t={t}; the path must "
-                "stay clear of the stencil-clipped boundary layer"
+                f"field is infeasible along the path at t={times[holes.argmax()]}; the path "
+                "must stay clear of the stencil-clipped boundary layer"
             )
-        vals[i] = v
+        return vals
+
+    try:
+        vals = along(len(times))
+    except OutOfGrid as exc:
+        if exc.row:                  # a hole before the path leaves the grid comes first
+            along(exc.row)
+        raise
     env = (1.0 + x0n) * math.exp(a2) * (a1 * times + a1 / (lam - a1) + a2) * np.exp(
         -(lam - a1) * times
     )
@@ -313,7 +329,8 @@ def time_lipschitz_check(
     ``(b exp(-(lam-K) t) + 2 exp(-lam t)) * N`` with window base ``t``.
 
     ``bound_N`` must dominate the sampled sup of |f| + |L|; otherwise the
-    gate fails and the probe checks are skipped.
+    gate fails and the probe checks are skipped.  A probe's values at the
+    field's times come from one ``evaluate_value`` call.
     """
     b, K = _envelope_rate(field, constants)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
@@ -327,7 +344,7 @@ def time_lipschitz_check(
     passed: list[bool] = []
     worst = {"slack": -math.inf}
     for x in probes:
-        vals = np.array([evaluate_value(field, float(t), x) for t in times])
+        vals = np.atleast_1d(evaluate_value(field, times, np.broadcast_to(x, (len(times), len(x)))))
         if not np.all(np.isfinite(vals)):
             raise ProbeInfeasible(f"probe {x} leaves the feasible set")
         ok = True

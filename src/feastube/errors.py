@@ -101,7 +101,12 @@ class NonFiniteCost(FeastubeError, ValueError):
 
 
 class OutOfGrid(FeastubeError, ValueError):
-    pass
+    """A query beyond a field's grid or times; ``row`` is the first such row
+    of the query."""
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class GridMismatch(FeastubeError, ValueError):

@@ -17,7 +17,8 @@ weights, with pads that mark a point off the grid or short of terms.
 ``_apply_stencil`` gathers a slice followed by the pads 0.0 and +inf (as
 ``_padded`` pads a copy) once for all terms and adds them in order; +inf at
 a node or pad flows through the weighted sum.  ``evaluate_value`` builds the
-terms of its points once for both bracketing slices.
+terms of its points once, at one time for all of them or one time per point,
+and applies them in one gather over the slices the points read, end to end.
 
 Each backward step interpolates once per distinct candidate velocity array:
 candidates whose velocity arrays have equal bytes share one interpolation
@@ -309,9 +310,9 @@ _PADS = np.array([0.0, np.inf])     # pads P and P + 1 of every padded slice
 
 
 def _padded(slice_vals: Array) -> Array:
-    """``_apply_stencil``'s ``vals`` for a slice of any shape, read flat: the
-    slice with +inf at its nodes that are not finite (NaN and -inf too), then
-    the pads 0.0 and +inf."""
+    """``_apply_stencil``'s ``vals`` for a slice of any shape, or slices end
+    to end, read flat: the values with +inf at nodes that are not finite
+    (NaN and -inf too), then the pads 0.0 and +inf."""
     vals = np.concatenate((slice_vals.ravel(), _PADS))
     vals[~(vals > -np.inf)] = np.inf
     return vals
@@ -379,36 +380,63 @@ class ValueField:
         )
 
 
-def evaluate_value(field: ValueField, t: float, x) -> float:
-    """Interpolated value; +inf sentinel when any stencil corner is infeasible.
+def evaluate_value(field: ValueField, t, x):
+    """Interpolated value at one point ``x`` of shape ``(n,)`` or at the rows
+    of ``x`` of shape ``(k, n)``: multilinear in space on the two bracketing
+    time slices, linear in time.  ``t`` is one time for every row, or an
+    array ``(k,)`` of one time per row; each row's value is the one it has
+    alone.  A time within 1e-9 of a step of a slice is that slice's.
 
-    Multilinear in space on the two bracketing time slices, linear in time.
-    Raises OutOfGrid, naming the point and the axis, for a point more than
-    1e-9 of a step beyond the grid along some axis.
+    The value is the +inf sentinel when a stencil term on a slice it reads
+    weighs above 1e-15 and reads a node that is not finite; a corner of
+    weight 1e-15 or less has no term.  So on the slice ``[0, 1, 2, inf, 4]``
+    over ``linspace(0, 1, 5)`` the value at x = 0.5 is 2.0 (the +inf corner
+    weighs 0) and at x = 0.6 it is +inf.  One point gives a float, several
+    an array.
+
+    Raises OutOfGrid for the first time more than 1e-9 outside the field's
+    times, else for the first point more than 1e-9 of a step beyond the grid
+    along some axis, naming the point and the axis; the error's ``row`` is
+    that time's or point's row.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     ts = field.times
-    if t < ts[0] - 1e-9 or t > ts[-1] + 1e-9:
-        raise OutOfGrid(f"t={t} outside [{ts[0]}, {ts[-1]}]")
+    given = np.broadcast_to(np.asarray(t), x.shape[:1])
+    t = given.astype(float)
+    late = ~((t >= ts[0] - 1e-9) & (t <= ts[-1] + 1e-9))
+    if late.any():
+        j = int(late.argmax())
+        raise OutOfGrid(f"t={given[j]} outside [{ts[0]}, {ts[-1]}]", row=j)
     pos = np.clip((t - ts[0]) / field.dt, 0.0, len(ts) - 1.0)
-    i = min(int(pos), len(ts) - 2)
-    fr = float(pos - i)
-    if fr < 1e-9:
-        fr = 0.0
-    if fr > 1 - 1e-9:
-        i, fr = i + 1, 0.0
+    i = np.minimum(pos.astype(int), len(ts) - 2)
+    fr = pos - i
+    fr[fr < 1e-9] = 0.0
+    up = fr > 1 - 1e-9
+    i[up] += 1
+    fr[up] = 0.0
     terms = _terms(field.axes, x.T)
-    off = terms[0][0] == field.values[0].size + 1
+    P = field.values[0].size
+    off = terms[0][0] == P + 1
     if off.any():
         j = int(off.argmax())
         d = next(d for d, ax in enumerate(field.axes) if _axis_cells(ax, x[j:j + 1, d])[2][0])
         ax = field.axes[d]
         raise OutOfGrid(f"x={x[j].tolist()} outside the grid along axis {d}, "
-                        f"[{float(ax[0])}, {float(ax[-1])}]")
-    out = _apply_stencil(terms, _padded(field.values[i]))
-    if fr > 0.0:                          # 0 < fr < 1: +inf in either slice stays +inf
-        out = (1 - fr) * out + fr * _apply_stencil(terms, _padded(field.values[i + 1]))
-    return float(out[0]) if out.size == 1 else out
+                        f"[{float(ax[0])}, {float(ax[-1])}]", row=j)
+    # 0 < fr < 1 blends the slice after too: the rows' terms on their slices,
+    # then the blending rows' terms on the next, all in one gather over the
+    # slices read, end to end, then the pads
+    mix = np.flatnonzero(fr)
+    read, slot = np.unique(np.concatenate((i, i[mix] + 1)), return_inverse=True)
+    flat, w = terms
+    flat = np.concatenate((flat, flat[:, mix]), axis=1)
+    flat += np.where(flat < P, slot * P, (len(read) - 1) * P)
+    out = _apply_stencil((flat, np.concatenate((w, w[:, mix]), axis=1)),
+                         _padded(field.values[read]))
+    vals = out[:len(i)]
+    # +inf in either slice stays +inf
+    vals[mix] = (1 - fr[mix]) * vals[mix] + fr[mix] * out[len(i):]
+    return float(vals[0]) if vals.size == 1 else vals
 
 
 # Foot points per interpolation in a backstep; bounds its temporaries.

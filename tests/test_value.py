@@ -509,6 +509,43 @@ def test_interpolation_matches_pointwise_reference(shape):
         assert np.isfinite(want[:len(inside)]).any() and np.isinf(want[:len(inside)]).any()
     # the NaN corners turn points that are finite on the first slice to +inf
     assert (np.isfinite(wants[0]) & np.isinf(wants[1])).any()
+    # one time per row: on a slice, within 1e-9 of a step of one, or between
+    # two (0 < fr < 1); in a batch each row has the value it has alone
+    ts, k = field.times, len(inside)
+    i = rng.integers(0, 3, k)
+    kind = rng.integers(0, 3, k)
+    near = rng.uniform(-9e-10, 9e-10, k) * field.dt
+    i[kind == 2] %= 2                             # between slices i and i + 1
+    frac = rng.uniform(0.05, 0.95, k)
+    t = np.where(kind == 0, ts[i], np.where(kind == 1, ts[i] + near,
+                                            ts[0] + field.dt * (i + frac)))
+    fr = np.where(kind == 2, (t - ts[0]) / field.dt - i, 0.0)
+    lo = np.stack(wants)[i, np.arange(k)]
+    hi = np.stack(wants)[np.minimum(i + 1, 2), np.arange(k)]
+    with np.errstate(invalid="ignore"):
+        want = np.where(kind == 2, (1 - fr) * lo + fr * hi, lo)
+    assert (0 < fr[kind == 2]).all() and (fr[kind == 2] < 1).all()
+    assert np.isinf(want).any() and np.isfinite(want[kind == 2]).any()
+    assert val.evaluate_value(field, t, inside).tobytes() == want.tobytes()
+    for tj, x, w in zip(t, inside, want):
+        assert np.float64(val.evaluate_value(field, float(tj), x)).tobytes() == w.tobytes()
+    # OutOfGrid names the first row out of range: a time before a point
+    bad = t.copy()
+    bad[[5, 9]] = ts[-1] + 2e-9, ts[0] - 0.5
+    for times, first in ((bad, 5), (bad[::-1], k - 10)):
+        with pytest.raises(OutOfGrid) as err:
+            val.evaluate_value(field, times, inside)
+        assert err.value.row == first
+        assert str(err.value) == f"t={times[first]} outside [{ts[0]}, {ts[-1]}]"
+    rows = np.concatenate((t, t[:len(out)]))
+    with pytest.raises(OutOfGrid) as err:
+        val.evaluate_value(field, rows, pts)
+    assert err.value.row == k and str(err.value).startswith(f"x={out[0].tolist()} outside")
+    bad_rows = rows.copy()
+    bad_rows[-1] = ts[-1] + 1.0
+    with pytest.raises(OutOfGrid) as err:
+        val.evaluate_value(field, bad_rows, pts)
+    assert err.value.row == len(pts) - 1 and str(err.value).startswith("t=")
 
 
 _NODE_VALUES = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([np.inf, -np.inf, np.nan]))
