@@ -13,6 +13,13 @@ distinct game once (a memo keyed on the payoff matrix's bytes that lives
 for that sweep only).  A positive uniform margin over sampled boundary
 points yields a certificate carrying the geometric constants (eps, eta)
 under which short inward moves from any near-boundary point stay feasible.
+
+``verify_ipc`` evaluates the margins one sampled time at a time: one
+``constraint_values`` call, one ``velocities`` call and one call of each
+constraint's ``grad`` over all of that time's boundary points.  Each point's
+game is then built by ``_game``, the one code that builds a payoff matrix,
+keys it and reads the memo, from that point's rows, so that it is the game
+the point has alone.
 """
 
 from __future__ import annotations
@@ -54,7 +61,8 @@ def inward_margin(
     Every result owns its ``alpha``.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    r, alpha, u, vels, act = _game(p, t, x, eval_constraints(p, t, x), delta, level, games)
+    u, vels = p.velocities(t, x, level)
+    r, alpha, act = _game(p, t, x, eval_constraints(p, t, x), vels, delta, games)
     if not act:
         alpha = np.zeros(u.shape[0])
         alpha[0] = 1.0
@@ -63,22 +71,26 @@ def inward_margin(
     return MarginResult(r, alpha, alpha @ vels, tuple(act))
 
 
-def _game(p: ProblemDefinition, t: float, x: Array, hv: Array, delta: float, level: int,
-          games: dict | None, solve: bool = True):
-    """The margin game at the point ``x`` of shape ``(n,)`` whose constraint
-    values ``hv`` the caller already holds: ``(r, alpha, u, vels, active)``,
-    with the sampled controls ``(k, d)`` and velocities ``(k, n)`` it was
-    built from.  ``r`` is +inf and ``alpha`` None when no constraint is
+def _game(p: ProblemDefinition, t: float, x: Array, hv: Array, vels: Array, delta: float,
+          games: dict | None, solve: bool = True, grads: Array | None = None):
+    """The margin game at the point ``x`` of shape ``(n,)``, from its
+    constraint values ``hv`` and its sampled velocities ``vels``, a
+    C-contiguous ``(k, n)`` array, that the caller holds: ``(r, alpha,
+    active)``.  ``grads`` holds every constraint's gradient at ``x``,
+    ``(m, n)``, when the caller has them; else the active constraints' are
+    evaluated here.  ``r`` is +inf and ``alpha`` None when no constraint is
     delta-active.  The payoff matrix's bytes key the memo ``games``;
     ``alpha`` is the memo's own array, not to be written.  With ``solve``
     False a game not yet in the memo gives None."""
-    u, vels = p.velocities(t, x, level)
     act = _active_indices(p, hv, delta)
     if not act:
-        return math.inf, None, u, vels, act
-    grads = np.array(
-        [np.asarray(p.constraints[i].grad(t, x), dtype=float).reshape(-1) for i in act]
-    )
+        return math.inf, None, act
+    if grads is None:
+        grads = np.array(
+            [np.asarray(p.constraints[i].grad(t, x), dtype=float).reshape(-1) for i in act]
+        )
+    else:
+        grads = grads[act]
     Q = -grads @ vels.T  # rows: active constraints, cols: sampled controls
     key = (Q.shape, Q.tobytes())
     game = None if games is None else games.get(key)
@@ -89,7 +101,7 @@ def _game(p: ProblemDefinition, t: float, x: Array, hv: Array, delta: float, lev
         if games is not None:
             games[key] = game
     r, alpha = game
-    return float(r), alpha, u, vels, act
+    return float(r), alpha, act
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,10 +271,19 @@ def verify_ipc(
     ts, X = boundary_samples(p, np.linspace(t0, t1, n_time), n_dirs)
     records: list[tuple[float, float, Array, Array, Array]] = []
     games: dict = {}
-    for t, x in zip(ts.tolist(), X):
-        mr = inward_margin(p, t, x, delta, level, games=games)
-        if math.isfinite(mr.r):
-            records.append((mr.r, t, x, mr.alpha, mr.v))
+    starts = np.flatnonzero(np.diff(ts, prepend=np.nan) != 0).tolist()
+    for a, b in zip(starts, starts[1:] + [len(ts)]):
+        # the model at all of one sampled time's boundary points in one call each
+        t, Xt = float(ts[a]), X[a:b]
+        H = p.constraint_values(t, Xt)
+        V = np.ascontiguousarray(np.moveaxis(p.velocities(t, Xt, level)[1], 1, 0))
+        G = np.stack([np.broadcast_to(np.asarray(c.grad(t, Xt), dtype=float), Xt.shape)
+                      for c in p.constraints], axis=1)
+        for x, hv, vels, grads in zip(Xt, H, V, G):
+            r, alpha, _ = _game(p, t, x, hv, vels, delta, games, grads=grads)
+            if math.isfinite(r):
+                alpha = alpha.copy()
+                records.append((r, t, x, alpha, alpha @ vels))
     if not records:
         raise BoundarySamplingFailed("boundary sampler found no boundary points")
     records.sort(key=lambda rec: rec[0])

@@ -24,14 +24,15 @@ non-finite constraint value, ``-inf`` included, raises ``NonFiniteConstraint``.
 
 Each row of a batched evaluation should be byte for byte the same row
 evaluated alone: row ``j`` of ``velocities(t, x)`` is ``f(t, x, u_j)``,
-each point's row of ``constraint_values`` over a batch is that point's
-values, each time's rows of ``velocities`` and ``costs`` over a block of
-times are that time's own call, and row ``i`` of ``f(t[:, None], X, U)``
-(one time, state and control per row, as a path's march calls it) is
-``f(t[i], X[i], U[i])``.  The march reuses the chosen velocity row as RK4's
-first stage and evaluates a block of steps at once, and the batched geometry
-kernels and the value sweep's blocks stand in for per-point and per-slice
-loops, on this basis.
+each point's row of ``constraint_values``, of ``velocities`` and of a
+constraint's ``grad`` over a batch is that point's own, each time's rows of
+``velocities`` and ``costs`` over a block of times are that time's own call,
+and row ``i`` of ``f(t[:, None], X, U)`` (one time, state and control per
+row, as a path's march calls it) is ``f(t[i], X[i], U[i])``.  The march
+reuses the chosen velocity row as RK4's first stage and evaluates a block of
+steps at once, and the batched geometry kernels, the margin check's calls
+per sampled time and the value sweep's blocks stand in for per-point and
+per-slice loops, on this basis.
 Elementwise numpy code has it.  A BLAS product such as ``x @ c`` may round
 a row differently in a batch; ``(x * c).sum(axis=-1)`` does not.  The
 shipped walls keep ``x @ c``, because their coefficients are 0 and +-1:

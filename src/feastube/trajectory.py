@@ -630,10 +630,11 @@ class _Viable(_Rule):
         """The control of the step in the tube at ``x``, ``hv`` its
         constraint values, if a block may take it; else None.  A game not
         yet in the memo is solved only with ``solve``."""
-        game = _game(self.p, t, x, hv, self.cert.delta, self.level, self.games, solve)
+        u, vels = self.p.velocities(t, x, self.level)
+        game = _game(self.p, t, x, hv, vels, self.cert.delta, self.games, solve)
         if game is None:
             return None
-        r, alpha, u, _, _ = game
+        r, alpha, _ = game
         if r == math.inf:
             return self.p.default_control
         i = _pure(alpha)
@@ -669,7 +670,8 @@ class _Viable(_Rule):
             raise ViabilityLost(f"feasibility lost at t={t} (max h = {viol:.3e}); dt too coarse?")
         u, k1, self.q, self.tubes = p.default_control, None, 1, []
         if any(h >= c for h, c in zip(hs, self.near)):
-            r, alpha, us, vels, _ = _game(p, t, x, hv, self.cert.delta, self.level, self.games)
+            us, vels = p.velocities(t, x, self.level)
+            r, alpha, _ = _game(p, t, x, hv, vels, self.cert.delta, self.games)
             if r <= 0:
                 raise ViabilityLost(f"nonpositive inward margin at t={t}")
             if r < math.inf:

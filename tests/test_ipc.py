@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ import oracles
 from oracles import game_value_enum, game_value_grid
 from util import (
     affine_constraint,
+    corner_problem,
+    credit_problem,
     simple_problem,
     sway_problem,
     sway_walls,
@@ -222,6 +226,88 @@ def test_verify_ipc_matches_reference_on_state_dependent_games():
 @pytest.mark.parametrize("name", ["moving-wall-1d", "corridor-2d"])
 def test_verify_ipc_matches_reference_at_level_1(name):
     _same_verification(pb.get_problem(name), (0.0, 2 * math.pi), level=1, **_CLI)
+
+
+def _tilted_corridor(angle=0.7):
+    """corridor-2d's moving walls turned by ``angle``: their normals lie off
+    the axes, and the shipped ``x @ c`` rounds a row differently in a batch."""
+    c = [math.cos(angle), math.sin(angle)]
+    walls = (pb._affine_constraint("upper", c, lambda t: -(0.5 + 0.2 * np.sin(t))),
+             pb._affine_constraint("lower", [-c[0], -c[1]], lambda t: -0.5 + 0.2 * np.sin(t)))
+    return dataclasses.replace(pb.get_problem("corridor-2d"), constraints=walls,
+                               name="tilted-corridor-2d")
+
+
+_MORE_WALLS = {"corner-2d": corner_problem, "credit-3d": credit_problem,
+               "tilted-corridor-2d": _tilted_corridor}
+
+
+@pytest.mark.parametrize("r_min", [0.5, 0.1])
+@pytest.mark.parametrize("n_time", [40, 1])
+@pytest.mark.parametrize("name", list(_MORE_WALLS))
+def test_verify_ipc_matches_reference_on_more_walls(name, n_time, r_min):
+    _same_verification(_MORE_WALLS[name](), (0.0, 2 * math.pi),
+                       **dict(_CLI, n_time=n_time, r_min=r_min))
+
+
+def test_tilted_walls_round_apart_in_a_batch():
+    # the case above is exercised: some boundary rows of a sampled time have
+    # constraint values in the batch that differ from the row's own
+    p = _tilted_corridor()
+    ts, X = geo.boundary_samples(p, np.linspace(0.0, 2 * math.pi, 40), 24)
+    t = float(ts[0])
+    rows = X[ts == ts[0]]
+    alone = np.array([p.constraint_values(t, x) for x in rows])
+    assert p.constraint_values(t, rows).tobytes() != alone.tobytes()
+
+
+@pytest.mark.parametrize("name", pb.registered_problems())
+def test_verify_ipc_matches_reference_at_one_time(name):
+    _same_verification(pb.get_problem(name), (2.5, 6.5), **dict(_CLI, n_time=1))
+
+
+def _model_calls(p, monkeypatch, run):
+    """Calls of ``velocities``, ``constraint_values`` and each constraint's
+    ``grad`` that ``run(q)`` makes outside ``boundary_samples``, where ``q``
+    is ``p`` with counted gradients."""
+    calls, sampling = Counter(), [False]
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += not sampling[0]
+            return fn(*args, **kwargs)
+        return call
+
+    def sample(*args, **kwargs):
+        sampling[0] = True
+        try:
+            return geo.boundary_samples(*args, **kwargs)
+        finally:
+            sampling[0] = False
+
+    q = dataclasses.replace(p, constraints=tuple(
+        dataclasses.replace(c, grad=counted(f"grad {i}", c.grad))
+        for i, c in enumerate(p.constraints)))
+    with monkeypatch.context() as m:
+        for name in ("velocities", "constraint_values"):
+            m.setattr(pb.ProblemDefinition, name,
+                      counted(name, getattr(pb.ProblemDefinition, name)))
+        m.setattr(ipc, "boundary_samples", sample)
+        run(q)
+    return calls
+
+
+@pytest.mark.parametrize("name", pb.registered_problems() + tuple(_MORE_WALLS))
+def test_verify_ipc_calls_the_model_once_per_sampled_time(name, monkeypatch):
+    p = _MORE_WALLS[name]() if name in _MORE_WALLS else pb.get_problem(name)
+    n_time = len(np.unique(geo.boundary_samples(p, np.linspace(0.0, 2 * math.pi, 40), 24)[0]))
+    # an r_min no margin reaches: no certificate, whose validation checks
+    # its witnesses one by one
+    calls = _model_calls(p, monkeypatch, lambda q: ipc.verify_ipc(
+        q, (0.0, 2 * math.pi), **dict(_CLI, r_min=1e3)))
+    want = {"velocities": n_time, "constraint_values": n_time}
+    want.update((f"grad {i}", n_time) for i in range(p.m))
+    assert n_time == 40 and dict(calls) == want
 
 
 def test_margin_results_share_no_alpha(moving_wall):
