@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -581,9 +581,11 @@ class _SubcommandParser(argparse.ArgumentParser):
         return known, extra
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     """Each subcommand's parser takes only the options it reads; a flag left
-    out leaves no attribute, so ``resolve_config`` sees only flags given."""
+    out leaves no attribute, so ``resolve_config`` sees only flags given.
+    Built once per process: a parse keeps nothing in the parser."""
     ap = argparse.ArgumentParser(prog="feastube", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     for command, (_, actions, summary) in _COMMANDS.items():

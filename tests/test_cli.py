@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from feastube import analysis as ana
 from feastube import cli
 from feastube.errors import GridTooCoarse
 from feastube.problem import ControlSamples, get_problem, registered_problems
@@ -128,6 +129,17 @@ def test_unread_flag_prints_the_subcommands_usage(capsys):
     assert "--dt" in err
     assert err.startswith("usage: feastube value ") and "--mixture-grid" in err
     assert "{geom," not in err
+
+
+def test_bad_flag_after_a_good_run_prints_the_subcommands_usage(tmp_path, capsys):
+    # the parser is built once per process; a good run leaves nothing in it
+    assert cli._build_parser() is cli._build_parser()
+    assert cli.run(["pipeline", *_certify_args("moving-wall-1d"), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert cli.run(["value", "solve", "--dt", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: feastube value ") and "--mixture-grid" in err
+    assert "--dt" in err and "{geom," not in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -301,6 +313,31 @@ def test_pipeline_deterministic(tmp_path, capsys):
     assert files1 and files1 == files2
     for rel in files1:
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+def test_pipeline_runs_alike_around_another_run(tmp_path, capsys):
+    # a run between two identical runs, with repeated and other flags, does
+    # not reach the second through the parser they share
+    args = ["pipeline", *_certify_args("hover-1d")]
+    assert cli.run(args + ["--out", str(tmp_path / "a")]) == 0
+    assert cli.run(["pipeline", "--problem", "hover-1d", "--lambda", "6", "--points", "41",
+                    "--set", "halfwidth=0.4", "--set", "lambda=3", "--probes", "0.1;-0.1",
+                    "--mixture-grid", "2", "--out", str(tmp_path / "other")]) in (0, 2)
+    assert cli.run(args + ["--out", str(tmp_path / "b")]) == 0
+    tree = _tree(tmp_path / "a")
+    assert "config.json" in tree and tree == _tree(tmp_path / "b")
+
+
+@pytest.mark.parametrize("probes", [None, "0.1;-0.1;0.0"])
+def test_hover_pipeline_evaluates_the_field_once_per_path_and_probe(probes, tmp_path,
+                                                                     monkeypatch, capsys):
+    calls = []
+    evaluate = ana.evaluate_value
+    monkeypatch.setattr(ana, "evaluate_value", lambda *a: calls.append(a) or evaluate(*a))
+    args = ["pipeline", *_certify_args("hover-1d"), "--out", str(tmp_path)]
+    assert cli.run(args + (["--probes", probes] if probes else [])) == 0
+    n_probes = 3 if probes else 1
+    assert 0 < len(calls) <= 1 + n_probes
 
 
 def test_pipeline_artifacts_parse_back(tmp_path, capsys):
