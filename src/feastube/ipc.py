@@ -275,10 +275,11 @@ def verify_ipc(
     for a, b in zip(starts, starts[1:] + [len(ts)]):
         # the model at all of one sampled time's boundary points in one call each
         t, Xt = float(ts[a]), X[a:b]
-        H = p.constraint_values(t, Xt)
-        V = np.ascontiguousarray(np.moveaxis(p.velocities(t, Xt, level)[1], 1, 0))
-        G = np.stack([np.broadcast_to(np.asarray(c.grad(t, Xt), dtype=float), Xt.shape)
-                      for c in p.constraints], axis=1)
+        H = p.constraint_values(t, Xt).tolist()
+        V = p.velocities(t, Xt, level)[1].transpose(1, 0, 2).copy()    # (points, k, n)
+        G = np.empty((b - a, p.m, p.n))
+        for i, c in enumerate(p.constraints):
+            G[:, i] = c.grad(t, Xt)
         for x, hv, vels, grads in zip(Xt, H, V, G):
             r, alpha, _ = _game(p, t, x, hv, vels, delta, games, grads=grads)
             if math.isfinite(r):

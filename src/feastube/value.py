@@ -380,7 +380,7 @@ class ValueField:
         )
 
 
-def evaluate_value(field: ValueField, t, x):
+def evaluate_value(field: ValueField, t: float | Array, x) -> float | Array:
     """Interpolated value at one point ``x`` of shape ``(n,)`` or at the rows
     of ``x`` of shape ``(k, n)``: multilinear in space on the two bracketing
     time slices, linear in time.  ``t`` is one time for every row, or an
