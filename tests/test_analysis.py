@@ -22,7 +22,15 @@ from oracles import (
     time_lipschitz_loop,
     write_csv_rows,
 )
-from util import constant_cost_problem, simple_problem, sway_problem, unit_velocity, zero_cost
+from util import (
+    CERTIFY_GRID,
+    certify_args,
+    constant_cost_problem,
+    simple_problem,
+    sway_problem,
+    unit_velocity,
+    zero_cost,
+)
 
 
 def _zero_cost_field(lam=3.0, horizon=2.0):
@@ -239,26 +247,14 @@ def test_time_lipschitz_infeasible_probe(moving_wall, mw_tracking_constants):
 
 # --- decay and time checks against their per-time loops ------------------------------
 
-# ``--grid DX,DT`` and horizon length of each pipeline run in the benchmark's
-# certify workload (``bench/workloads.py:CERTIFY_RUNS``), at its lambda 120
-_CERTIFY_RUNS = {
-    "moving-wall-1d": ("0.05,0.05", 4.0),
-    "quadratic-cost-1d": ("0.05,0.05", 4.0),
-    "hover-1d": ("0.01,0.01", 2.0),
-    "corridor-2d": ("0.1,0.1", 1.0),
-}
-
-
 @pytest.fixture(scope="module")
 def certify_runs():
-    """The pipeline's inputs to the decay and time checks on each
-    ``_CERTIFY_RUNS`` problem: problem, relaxed field, viable path from the
-    anchor, tracking constants."""
+    """The pipeline's inputs to the decay and time checks in the certify
+    benchmark's run on each problem: problem, relaxed field, viable path
+    from the anchor, tracking constants."""
     runs = {}
-    for name, (grid, length) in _CERTIFY_RUNS.items():
-        t0 = 0.7
-        argv = ["pipeline", "--problem", name, "--lambda", "120", "--grid", grid,
-                "--horizon", repr(t0 + length), "--t0", repr(t0)]
+    for name in CERTIFY_GRID:
+        argv = ["pipeline", *certify_args(name)]
         run = cli._Run(cli.resolve_config(cli._build_parser().parse_args(argv)))
         p, field = run.p, run.field(True)
         traj = tj.viable_trajectory(p, run.ver.certificate, field.t0,
@@ -278,7 +274,7 @@ def _outcome(check, *args, **kwargs):
     return [(k, np.asarray(v).tobytes()) for k, v in cols.items()], json.dumps(res.to_jsonable())
 
 
-@pytest.mark.parametrize("name", list(_CERTIFY_RUNS))
+@pytest.mark.parametrize("name", list(CERTIFY_GRID))
 def test_decay_and_time_checks_match_per_time_loops(certify_runs, name):
     p, field, traj, tracking = certify_runs[name]
     got = _outcome(ana.decay_check, p, field, traj)
@@ -300,7 +296,7 @@ def test_decay_and_time_checks_match_per_time_loops(certify_runs, name):
     assert got[0] == "ProbeInfeasible"
 
 
-@pytest.mark.parametrize("name", list(_CERTIFY_RUNS))
+@pytest.mark.parametrize("name", list(CERTIFY_GRID))
 def test_decay_check_raises_at_the_first_hole_like_the_loop(certify_runs, name):
     """+inf holes along the path, at the one node nearest the path or over a
     whole slice, and a path that leaves the grid after or before a hole: the

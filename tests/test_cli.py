@@ -15,26 +15,9 @@ from feastube import value as val
 
 import oracles
 from oracles import write_csv_rows
+from util import CERTIFY_GRID, certify_args
 
 ROOT = Path(__file__).resolve().parent.parent
-
-# The certify benchmark's settings: --lambda 120 (above every problem's
-# tracking rate, so no check is skipped) with an explicit grid and horizon.
-CERTIFY_GRID = {               # problem: (--grid DX,DT, horizon length)
-    "moving-wall-1d": ("0.05,0.05", 4.0),
-    "quadratic-cost-1d": ("0.05,0.05", 4.0),
-    "hover-1d": ("0.01,0.01", 2.0),
-    "corridor-2d": ("0.1,0.1", 1.0),
-}
-CERTIFY_T0 = 1.25
-
-
-def _certify_args(name):
-    grid, length = CERTIFY_GRID[name]
-    return ["--problem", name, "--lambda", "120", "--grid", grid,
-            "--t0", repr(CERTIFY_T0), "--horizon", repr(CERTIFY_T0 + length),
-            "--seed", "7"]
-
 
 # lambda 6 sits below moving-wall's tracking rate: lipschitz and time-lip skip.
 SKIPPING_ARGS = ["--problem", "moving-wall-1d", "--lambda", "6", "--points", "61"]
@@ -134,7 +117,7 @@ def test_unread_flag_prints_the_subcommands_usage(capsys):
 def test_bad_flag_after_a_good_run_prints_the_subcommands_usage(tmp_path, capsys):
     # the parser is built once per process; a good run leaves nothing in it
     assert cli._build_parser() is cli._build_parser()
-    assert cli.run(["pipeline", *_certify_args("moving-wall-1d"), "--out", str(tmp_path)]) == 0
+    assert cli.run(["pipeline", *certify_args("moving-wall-1d"), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert cli.run(["value", "solve", "--dt", "0.5"]) == 1
     err = capsys.readouterr().err
@@ -318,7 +301,7 @@ def test_pipeline_deterministic(tmp_path, capsys):
 def test_pipeline_runs_alike_around_another_run(tmp_path, capsys):
     # a run between two identical runs, with repeated and other flags, does
     # not reach the second through the parser they share
-    args = ["pipeline", *_certify_args("hover-1d")]
+    args = ["pipeline", *certify_args("hover-1d")]
     assert cli.run(args + ["--out", str(tmp_path / "a")]) == 0
     assert cli.run(["pipeline", "--problem", "hover-1d", "--lambda", "6", "--points", "41",
                     "--set", "halfwidth=0.4", "--set", "lambda=3", "--probes", "0.1;-0.1",
@@ -334,7 +317,7 @@ def test_hover_pipeline_evaluates_the_field_once_per_path_and_probe(probes, tmp_
     calls = []
     evaluate = ana.evaluate_value
     monkeypatch.setattr(ana, "evaluate_value", lambda *a: calls.append(a) or evaluate(*a))
-    args = ["pipeline", *_certify_args("hover-1d"), "--out", str(tmp_path)]
+    args = ["pipeline", *certify_args("hover-1d"), "--out", str(tmp_path)]
     assert cli.run(args + (["--probes", probes] if probes else [])) == 0
     n_probes = 3 if probes else 1
     assert 0 < len(calls) <= 1 + n_probes
@@ -356,7 +339,7 @@ def test_pipeline_artifacts_parse_back(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", registered_problems())
 def test_pipeline_deterministic_on_every_problem(name, tmp_path, capsys):
-    args = ["pipeline"] + _certify_args(name)
+    args = ["pipeline"] + certify_args(name)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.run(args + ["--out", str(out1)]) == 0
     assert cli.run(args + ["--out", str(out2)]) == 0
@@ -379,7 +362,7 @@ def test_pipeline_deterministic_on_every_problem(name, tmp_path, capsys):
 def test_analyze_action(action, lam, tmp_path, capsys):
     """Below the tracking rate the lipschitz and time-lip checks skip with a
     reason; decay and relax still run.  At lambda 120 every check runs."""
-    args = SKIPPING_ARGS if lam == "6" else _certify_args("moving-wall-1d")
+    args = SKIPPING_ARGS if lam == "6" else certify_args("moving-wall-1d")
     assert cli.run(["analyze", action] + args + ["--out", str(tmp_path)]) == 0
     line = _capture(capsys)
     assert line["cmd"] == f"analyze {action}" and line["ok"] is True
@@ -511,7 +494,7 @@ def _oracle_run(argv):
 def test_checks_match_separate_copies(case, command, tmp_path, capsys):
     """analyze and pipeline give the same exit code, stdout and artifact bytes
     as the reference copies in which each command carries its own checks."""
-    args = SKIPPING_ARGS if case == "skipping" else _certify_args(case)
+    args = SKIPPING_ARGS if case == "skipping" else certify_args(case)
     argv = command.split() + args
     want_code = _oracle_run(argv + ["--out", str(tmp_path / "old")])
     want_out = capsys.readouterr().out
@@ -528,7 +511,7 @@ def test_checks_match_separate_copies(case, command, tmp_path, capsys):
 def test_pipeline_honours_probes(tmp_path, capsys):
     """pipeline's time check runs at every --probes point, as analyze time-lip
     does; the reference copy checked the anchor only.  Nothing else moves."""
-    args = _certify_args("moving-wall-1d") + ["--probes", "0.1;-0.5"]
+    args = certify_args("moving-wall-1d") + ["--probes", "0.1;-0.5"]
     assert cli.run(["pipeline"] + args + ["--out", str(tmp_path / "pipe")]) == 0
     assert cli.run(["analyze", "time-lip"] + args + ["--out", str(tmp_path / "tl")]) == 0
     assert _oracle_run(["pipeline"] + args + ["--out", str(tmp_path / "old")]) == 0

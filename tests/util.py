@@ -13,6 +13,25 @@ from feastube.problem import (
 )
 
 
+# The certify benchmark's settings: --lambda 120 (above every problem's
+# tracking rate, so no check is skipped) with an explicit grid and horizon.
+CERTIFY_GRID = {               # problem: (--grid DX,DT, horizon length)
+    "moving-wall-1d": ("0.05,0.05", 4.0),
+    "quadratic-cost-1d": ("0.05,0.05", 4.0),
+    "hover-1d": ("0.01,0.01", 2.0),
+    "corridor-2d": ("0.1,0.1", 1.0),
+}
+CERTIFY_T0 = 1.25
+
+
+def certify_args(name):
+    """``pipeline`` flags of the certify benchmark's run on problem ``name``."""
+    grid, length = CERTIFY_GRID[name]
+    return ["--problem", name, "--lambda", "120", "--grid", grid,
+            "--t0", repr(CERTIFY_T0), "--horizon", repr(CERTIFY_T0 + length),
+            "--seed", "7"]
+
+
 def _affine(name, coeff, offset):
     cvec = np.asarray(coeff, dtype=float)
 
