@@ -304,9 +304,10 @@ class ProblemDefinition:
             try:
                 hv = c.h(t, X)
             except (TypeError, ValueError) as exc:
-                raise _no_broadcast(c, i, t, X, exc) from exc
+                raise _no_broadcast(f"constraint {c.name or i!r}", t, X, exc) from exc
             if getattr(hv, "shape", ()) != lead:
-                raise _no_broadcast(c, i, t, X, f"h returned shape {np.shape(hv)}, expected {lead}")
+                raise _no_broadcast(f"constraint {c.name or i!r}", t, X,
+                                   f"h returned shape {np.shape(hv)}, expected {lead}")
             out[..., i] = hv
         if np.count_nonzero(np.isfinite(out)) != out.size:   # faster than .all() on a point
             *node, i = (int(k) for k in np.argwhere(~np.isfinite(out))[0])
@@ -338,8 +339,7 @@ def _per_control(fn, t, X, u: Array, tail: tuple, what: str, name: str) -> Array
         try:
             out[...] = fn(t.reshape(t.shape + (1,) * len(tail)), X, u)
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{what} of {name} does not broadcast over t of shape {t.shape} "
-                             f"and x of shape {X.shape}: {exc}") from exc
+            raise _no_broadcast(f"{what} of {name}", t, X, exc) from exc
         return out
     out = np.empty(u.shape[:1] + X.shape[:-1] + tail)
     if X.ndim > 1:
@@ -348,9 +348,11 @@ def _per_control(fn, t, X, u: Array, tail: tuple, what: str, name: str) -> Array
     return out
 
 
-def _no_broadcast(c, i: int, t, X: Array, why) -> ValueError:
-    return ValueError(f"constraint {c.name or i!r} does not broadcast over t of shape "
-                      f"{np.shape(t)} and x of shape {X.shape}: {why}")
+def _no_broadcast(what: str, t, X, why) -> ValueError:
+    """The error for model data ``what`` that fails over the array ``t``
+    and the points ``X``, for the reason ``why``."""
+    return ValueError(f"{what} does not broadcast over t of shape {np.shape(t)} "
+                      f"and x of shape {np.shape(X)}: {why}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,23 +19,28 @@ dispatch than in arithmetic, so the march pays its calls once per block of
 up to ``_BLOCK`` steps (parallel-in-time integration, Nievergelt 1964).  It
 guesses the block's states; the rule decides every step's control at its
 guess in one call, ``f`` evaluates each RK4 stage in one call over the
-block's rows, and ``cumsum`` adds the increments in a step loop's order.
-The block keeps its longest prefix whose guesses equal the computed states
-bit for bit: each kept step was decided and evaluated at its true state, so
-it is the step loop's (``problem``'s convention makes each batched row that
-row's own).  The next block starts at the first differing step.  The
-viability rule decides a step in its acting tube in a block when the
-step's memoised margin game is pure at a zero mixture credit (``_Viable``).
-What runs alone, ``_rk4_step`` on Python floats in numpy's order, is a step
-the rule can decide only at its true state (a viable step in the tube whose
+block's rows, and ``np.add.accumulate`` (``cumsum`` without its call
+overhead) adds the increments in a step loop's order.  The block keeps its
+longest prefix whose guesses equal the computed states bit for bit: each
+kept step was decided and evaluated at its true state, so it is the step
+loop's (``problem``'s convention makes each batched row that row's own).  The next block starts at the first differing step.  Every rule
+guesses by ``_Rule.guess``: the increments the last block computed for the
+same steps, then the last kept one, or the rule's target path.  The
+viability rule decides a step in its acting tube in a block when the step's
+memoised margin game is pure at a zero mixture credit (``_Viable``).  What
+runs alone, ``_rk4_step`` on Python floats in numpy's order, is a step the
+rule can decide only at its true state (a viable step in the tube whose
 game is mixed, nonpositive or not yet solved, or that meets a nonzero
 credit, the ``_BLOCK`` steps after a mixed one, a push step) and a block
-that raises at its guesses.  A block runs under ``np.errstate`` with every
-floating-point error numpy would report made to raise, so a numpy warning
-it would give is the loop's too, at the loop's step; the warning filters
-are left alone, so a repeated warning is shown as often as the loop shows
-it.  A warning ``f`` issues itself through ``warnings`` at a guess is not
-held back.
+that raises what a wrong guess can cause: a floating-point error or a
+``FeastubeError`` (a non-finite constraint value or state, a failed LP).
+Any other error propagates, such as a defect in a rule's code or an ``f``
+that does not broadcast over a block's rows (named).  A block runs under
+``np.errstate`` with every floating-point error numpy would report made to
+raise, so a numpy warning it would give is the loop's too, at the loop's
+step; the warning filters are left alone, so a repeated warning is shown as
+often as the loop shows it.  A warning ``f`` issues itself through
+``warnings`` at a guess is not held back.
 """
 
 from __future__ import annotations
@@ -50,13 +55,14 @@ from . import geometry as geo
 from .errors import (
     ConstantsInfeasible,
     CorrectionFailed,
+    FeastubeError,
     InfeasibleInput,
     InfeasibleStart,
     NonFiniteState,
     ViabilityLost,
 )
 from .ipc import IpcCertificate, _game, inward_margin
-from .problem import ProblemDefinition
+from .problem import ProblemDefinition, _no_broadcast
 
 Array = np.ndarray
 
@@ -188,17 +194,22 @@ def _components(k, shape: tuple) -> list:
 
 
 def _rk4_increments(f: Callable, T: Array, X: Array, U: Array, dt: float,
-                    K1: Array | None = None) -> Array:
+                    K1: Array | None = None, what: str = "f") -> Array:
     """RK4 increments ``dt / 6 * (((k1 + 2 k2) + 2 k3) + k4)`` of the steps
     from the states ``X`` (b, n) at the times ``T`` (b,) under the controls
     ``U`` (b, d), one call ``f(T[:, None], X, U)`` per stage; ``K1`` is the
-    first stage when the rule has it.  ``X`` plus a row is ``_rk4_step``."""
+    first stage when the rule has it.  ``X`` plus a row is ``_rk4_step``.
+    An ``f`` that fails over these rows raises ValueError naming it as
+    ``what``."""
     half = dt / 2
     t_half = (T + half)[:, None]
 
     def stage(t, Y):
-        k = np.asarray(f(t, Y, U), dtype=float)
-        return k if k.shape == X.shape else np.broadcast_to(k, X.shape)
+        try:
+            k = np.asarray(f(t, Y, U), dtype=float)
+            return k if k.shape == X.shape else np.broadcast_to(k, X.shape)
+        except (TypeError, ValueError) as exc:
+            raise _no_broadcast(what, t, Y, exc) from exc
 
     k1 = stage(T[:, None], X) if K1 is None else K1
     k2 = stage(t_half, X + half * k1)
@@ -222,8 +233,8 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
 
     ``rule.step(j, t, x)`` returns the control held over step ``j`` from its
     true state and the velocity ``f(t, x, u)`` if the rule evaluated it
-    (else ``None``).  While ``rule.blocking``, ``rule.guess`` guesses the
-    states of the steps from ``j`` at the times ``T`` (``_Rule.guess``) and
+    (else ``None``).  While ``rule.blocking``, ``rule.guess(j, T, x)``
+    guesses the states of the steps from ``j`` at the times ``T`` and
     ``rule.block(j, T, G)`` decides those steps at the guesses ``G``: their
     controls, their velocities or ``None``, and how many it decided.
     ``rule.kept(D, k)`` then receives the exact increments ``D`` of the
@@ -244,8 +255,6 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
         out = np.empty((steps + 1, p.n)), np.empty((steps, p.controls.dim))
     states, ctrl = out
     states[0] = np.asarray(x0, dtype=float).reshape(-1)
-    ahead = None                 # states computed past the last kept step: guesses from step i on
-    incr = np.zeros(p.n)         # the last increment computed, to extrapolate guesses
     i = 0
     while i < steps:
         j, x = start + i, states[i]
@@ -253,28 +262,28 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
         if rule.blocking and steps - i > 1:
             T = t0 + (j + _STEPS[:min(steps - i, _BLOCK)]) * dt   # t0 + j * dt, as a step alone computes it
             try:
-                # a block that raises or would warn at its guesses is redone
-                # alone, where the step at fault, if any, raises or warns itself
+                # a block that meets a floating-point error or a toolkit
+                # error at its guesses is redone alone, where the step at
+                # fault, if any, raises or warns itself
                 with np.errstate(**{k: "ignore" if v == "ignore" else "raise"
                                     for k, v in np.geterr().items()}):
-                    G = rule.guess(j, T, x, ahead, incr)
+                    G = rule.guess(j, T, x)
                     if _guesses is not None:
                         G = np.array(_guesses(j, G.copy()), dtype=float).reshape(-1, len(x))[:len(T)]
                         G[0], T = x, T[:len(G)]
-                    block = _speculate(p.f, rule, j, T, G, dt)
-            except Exception:
+                    block = _speculate(p, rule, j, T, G, dt)
+            except (FloatingPointError, FeastubeError):
                 block = None
         if block is not None and block[0]:
             kept, C, U, D = block
             states[i + 1:i + kept + 1] = C[1:kept + 1]
             ctrl[i:i + kept] = U[:kept]
-            ahead, incr = C[kept:], D[-1]
         else:
             t = t0 + j * dt
             u, k1 = rule.step(j, t, x)
             ctrl[i] = u
             states[i + 1], inc = _rk4_step(p.f, t, x, u, dt, k1)
-            kept, ahead, D = 1, None, [inc]
+            kept, D = 1, [inc]
         rule.kept(D, kept)
         if holds is not None and not holds(i, i + kept):
             return None
@@ -282,7 +291,7 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
     return states, ctrl
 
 
-def _speculate(f: Callable, rule, j: int, T: Array, G: Array, dt: float):
+def _speculate(p: ProblemDefinition, rule, j: int, T: Array, G: Array, dt: float):
     """One block from step ``j``: ``(kept, C, U, D)`` with the states ``C``
     computed from the guesses ``G`` (row 0 the start), the controls, the
     increments, and how many leading steps are proven exact; ``None`` when
@@ -291,16 +300,16 @@ def _speculate(f: Callable, rule, j: int, T: Array, G: Array, dt: float):
     if q < 2:
         return None
     G = G[:q]
-    incr = _rk4_increments(f, T[:q], G, U[:q], dt, K1)
+    D = _rk4_increments(p.f, T[:q], G, U[:q], dt, K1, f"f of {p.name}")
     C = np.empty((q + 1, G.shape[1]))
     C[0] = G[0]
-    C[1:] = incr
-    np.cumsum(C, axis=0, out=C)
+    C[1:] = D
+    np.add.accumulate(C, axis=0, out=C)
     # a step is kept if it and every step before it started from an exact
     # guess and ended within bounds
     kept = _first_row(np.greater_equal(G.view(np.int64) != C[:-1].view(np.int64),
                                        np.abs(C[1:]) <= _BLOW_UP))
-    return kept, C, U, incr
+    return kept, C, U, D
 
 
 def _first_row(mask: Array) -> int:
@@ -311,32 +320,67 @@ def _first_row(mask: Array) -> int:
 
 class _Rule:
     """What a step rule of ``_march`` does unless it says otherwise: it
-    decides blocks, guesses by ``guess`` and has no use for the increments
-    kept."""
+    decides blocks, and guesses by ``guess`` from the increments kept.
+    ``tubes`` are the steps last decided under a control of another kind
+    (the viability rule's steps in the tube)."""
 
     blocking = True
-    path = None
+    path = None          # target states, guessed after the last block's rows
+    drift = 0.0          # the increment guessed per step past the last block's rows
+    push = None          # the last kept increment of a step in ``tubes``
+    last = (0, (), ())   # the last block: its first step, increments, ``tubes``
+    tubes = ()
 
-    def guess(self, j: int, T: Array, x: Array, ahead: Array | None, incr) -> Array:
+    def guess(self, j: int, T: Array, x: Array) -> Array:
         """Guesses of the states of the steps from ``j`` at ``x`` and the
-        times ``T``: those the last block computed ``ahead``, then the
-        rule's ``path`` or ``incr`` added per step."""
-        b = len(T)
-        G = np.empty((b, len(x)))
-        G[0] = x
-        a = 1
-        if ahead is not None:
-            a = min(len(ahead), b)
-            G[1:a] = ahead[1:a]
-        if a < b and self.path is not None:
-            G[a:] = self.path[j + a:j + b]
-        elif a < b:
-            G[a:] = incr
-            np.cumsum(G[a - 1:], axis=0, out=G[a - 1:])
+        times ``T``: ``x`` plus the increments of ``_drift``, or the rule's
+        ``path`` after the rows of the last block."""
+        G = np.empty((len(T), len(x)))
+        G[0], self.j = x, j
+        a = self._drift(G, 0) + 1
+        if self.path is None:
+            G[a:] = self.drift
+            a = len(G)
+        else:
+            G[a:] = self.path[j + a:j + len(G)]
+        if a > 1:
+            np.add.accumulate(G[:a], axis=0, out=G[:a])
         return G
 
+    def _drift(self, G: Array, a: int) -> int:
+        """Writes into ``G[a + 1:a + 1 + m]`` the increments guessed for the
+        ``m`` steps from row ``a`` on that the last block computed: its own,
+        where it took a control of the same kind, else ``drift``.  Returns
+        ``m``."""
+        j0, D, tubes = self.last
+        lo = self.j - j0 + a             # step a's row in the last block
+        m = max(0, min(len(D) - lo, len(G) - 1 - a)) if lo >= 0 else 0
+        if m:
+            G[a + 1:a + 1 + m] = D[lo:lo + m]
+            alike = [r - lo + a + 1 for r in tubes if lo <= r < lo + m] if tubes else None
+            if alike:
+                G[alike] = self.drift
+        return m
+
     def kept(self, D, k: int) -> None:
-        pass
+        """Keeps the increments ``D`` of a block (a step run alone has one)
+        for the next guesses.  ``drift`` becomes the last of ``D``, or with
+        ``tubes`` the last of the ``k`` kept not in them; ``push`` the last
+        of those kept in them."""
+        if len(D) > 1:
+            self.last = self.j, D, self.tubes
+        if not self.tubes:
+            if self.tubes is not None:           # else alone, with a mixed pick
+                self.drift = D[-1]
+            return
+        tubes, r = [r for r in self.tubes if r < k], k - 1
+        if tubes:
+            self.push = D[tubes[-1]]
+        while tubes and tubes[-1] == r:
+            tubes.pop()
+            r -= 1
+        if r >= 0:
+            self.drift = D[r]
 
 
 class _Held(_Rule):
@@ -530,13 +574,13 @@ class _Viable(_Rule):
     run alone too: the credit then moves at every step in the tube, and a
     block would end at each.
 
-    The rule guesses its own states.  From the block's start the path
-    drifts under the last kept increment of the default control.  After
-    each step in the tube it moves by the last kept increment of a step in
-    the tube and drifts again, which costs one ``constraint_values`` call
-    on the rows after it.  For a step that the last block also computed,
-    with a control of the same kind, the guess takes that block's
-    increment instead: exact when the velocity changes with time only.
+    The rule guesses as every rule does (``_Rule.guess``): from the
+    block's start the path drifts under the last increment of the default
+    control, or takes the last block's increment for a step that block
+    also computed with a control of the same kind (exact when the velocity
+    changes with time only).  After each step in the tube it
+    moves by the last kept increment of a step in the tube and drifts
+    again, which costs one ``constraint_values`` call on the rows after it.
     """
 
     def __init__(self, p: ProblemDefinition, cert: IpcCertificate, level: int, trig: float,
@@ -547,39 +591,13 @@ class _Viable(_Rule):
         self.stop = np.minimum(self.entry, geo.TOL_FEAS)            # in the tube, or past the wall
         self.defaults = np.broadcast_to(p.default_control, (_BLOCK, p.controls.dim))
         self.mux = _MixtureMultiplexer(1)
-        self.drift = np.zeros(p.n)   # the last kept increment of the default control
-        self.push = None             # the last kept increment of a step in the tube
-        self.last = (0, [], ())      # the last block: its first step, increments, steps in the tube
         self.G = None                # the last guesses, their controls U and how many decided
-        self.tubes = []              # the steps in the tube among those last decided
         self.tube = -_BLOCK          # the last step with a mixed game
-        self.blocking = True
 
-    def guess(self, j, T, x, ahead, incr):
-        G = np.empty((len(T), len(x)))
-        G[0], self.j, self.G = x, j, G
-        if j - self.last[0] < len(self.last[1]):
-            self._drift(G, 0)
-        else:
-            G[1:] = self.drift
-        np.cumsum(G, axis=0, out=G)
+    def guess(self, j, T, x):
+        G = self.G = super().guess(j, T, x)
         self._decide(T, G, True)
         return G
-
-    def _drift(self, G: Array, a: int) -> None:
-        """Writes into ``G[a + 1:]`` the increments guessed for the steps
-        from row ``a`` on under the default control: the last block's,
-        where it took the default control at the same step, else the last
-        kept one."""
-        j0, D, tubes = self.last
-        lo = self.j - j0 + a             # step a's row in the last block
-        m = min(len(D) - lo, len(G) - 1 - a)
-        if m > 0:
-            G[a + 1:a + 1 + m] = D[lo:lo + m]
-            alike = [r - lo + a + 1 for r in tubes if lo <= r < lo + m] if tubes else None
-            if alike:
-                G[alike] = self.drift
-        G[a + 1 + max(m, 0):] = self.drift
 
     def block(self, j, T, G):
         if G is not self.G:          # guesses replaced: decide them as they are
@@ -620,8 +638,8 @@ class _Viable(_Rule):
                     q = a          # no increment kept under this game to guess by
                     break
                 G[a] = push
-                self._drift(G, a)
-                np.cumsum(G[a - 1:], axis=0, out=G[a - 1:])
+                G[a + 1 + self._drift(G, a):] = self.drift
+                np.add.accumulate(G[a - 1:], axis=0, out=G[a - 1:])
                 H[a:] = p.constraint_values(T[a:], G[a:])
             q, r = b, a + _first_row(H[a:] >= stop)
         self.U, self.q, self.tubes = U, q, tubes
@@ -641,25 +659,6 @@ class _Viable(_Rule):
         if r <= 0 or i is None or self.mux.credit.any():
             return None
         return u[i]
-
-    def kept(self, D, k):
-        """Keeps a block's increments for the next guesses, and the last
-        kept increments off and in the tube."""
-        if self.q > 1:
-            self.last = self.j, D, self.tubes
-        if not self.tubes:
-            if self.tubes is not None:           # else alone, with a mixed pick
-                self.drift = D[k - 1]
-            return
-        tubes = [r for r in self.tubes if r < k]
-        r = k - 1
-        if tubes:
-            self.push = D[tubes[-1]]
-            while tubes and tubes[-1] == r:
-                tubes.pop()
-                r -= 1
-        if r >= 0:
-            self.drift = D[r]
 
     def step(self, j, t, x):
         p = self.p

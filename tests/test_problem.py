@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feastube import ipc
 from feastube import problem as pb
+from feastube import trajectory as tj
 from feastube import value as val
 from feastube.errors import (
     InvalidOverrideValue,
@@ -360,6 +362,18 @@ def test_model_that_does_not_broadcast_over_times_is_named():
             in str(err.value)
     with pytest.raises(ValueError, match=r"drawn at one time, got t of shape \(3, 1\)"):
         p.costs(block, X)
+    # a path's march evaluates f over a block of steps: every construction
+    # names the model there, instead of running each step alone
+    p = simple_problem(f, zero_cost, name="sine-drive")
+    steps, dt, w = 500, 0.01, np.full((500, 1), 0.5)
+    cert = ipc.IpcCertificate(r=1.0, delta=0.5, eps=0.5, eta=0.5, witnesses=(), n_samples=0)
+    for build in (lambda: tj.integrate(p, 0.0, [0.1], [2] * steps, steps, dt),
+                  lambda: tj.integrate_controls(p, 0.0, [0.1], w, dt),
+                  lambda: tj.filippov_project(p, 0.0, [0.1], w, steps, dt),
+                  lambda: tj.viable_trajectory(p, cert, 0.0, [0.1], steps * dt, dt)):
+        with pytest.raises(ValueError, match=r"f of sine-drive does not broadcast over t of "
+                                             r"shape \(64,( 1)?\) and x of shape \(64, 1\)"):
+            build()
 
 
 def test_assumptions_failures_monotone_in_density():

@@ -934,3 +934,25 @@ def test_blocks_end_where_the_samples_change():
     _assert_same_path(tj.filippov_project(p, 0.0, [0.2], w, steps, dt), *want)
     with mock.patch.object(tj, "_guesses", _scrambled_guesses(np.random.default_rng(9), [])):
         _assert_same_path(tj.filippov_project(p, 0.0, [0.2], w, steps, dt), *want)
+
+
+@pytest.mark.parametrize("error", [TypeError, AttributeError, IndexError, ValueError])
+@pytest.mark.parametrize("method", ["guess", "block"])
+@pytest.mark.parametrize("construction", ["integrate", "project", "viable"])
+def test_defect_in_a_rules_block_code_raises(construction, method, error, moving_wall, mw_cert):
+    """Only a floating-point error or a toolkit error at a block's guesses
+    sends the block's steps to run alone: an error of the rule's own code
+    in a block is raised, not hidden behind paths that are merely slower."""
+    rule = {"integrate": tj._Held, "project": tj._Nearest, "viable": tj._Viable}[construction]
+
+    def faulty(self, *args):
+        raise error("defect in the rule")
+
+    steps, dt = 200, 1e-3
+    with mock.patch.object(rule, method, faulty), pytest.raises(error, match="defect in the rule"):
+        if construction == "integrate":
+            tj.integrate(moving_wall, 0.0, [0.5], [1] * steps, steps, dt)
+        elif construction == "project":
+            tj.filippov_project(moving_wall, 0.0, [0.5], np.full((steps, 1), 0.3), steps, dt)
+        else:
+            tj.viable_trajectory(moving_wall, mw_cert, 0.0, [0.5], steps * dt, dt)
