@@ -333,8 +333,8 @@ class _Rule:
 
     def guess(self, j: int, T: Array, x: Array) -> Array:
         """Guesses of the states of the steps from ``j`` at ``x`` and the
-        times ``T``: ``x`` plus the increments of ``_drift``, or the rule's
-        ``path`` after the rows of the last block."""
+        times ``T``: ``x`` plus the last block's increments (``_drift``),
+        then ``drift`` added per step, or the rule's ``path``."""
         G = np.empty((len(T), len(x)))
         G[0], self.j = x, j
         a = self._drift(G, 0) + 1
