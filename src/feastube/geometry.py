@@ -273,23 +273,6 @@ def distance_to_omega(
     return DistanceResult(dist, best, certified)
 
 
-def distance_upper(p: ProblemDefinition, t: float, x) -> float:
-    """Cheap certified upper bound on the feasible-set distance.
-
-    Bisects the segment from x to the problem anchor; intended for inner
-    loops that only need an upper bound (which can only strengthen the
-    violation measure they feed).
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if is_feasible(p, t, x):
-        return 0.0
-    a = np.asarray(p.anchor(t), dtype=float)
-    if not is_feasible(p, t, a):  # anchor contract violated
-        return distance_to_omega(p, t, x).distance
-    y = _segment_refine(p, t, x, a[None, :])[0]
-    return float(np.linalg.norm(y - x))
-
-
 def _directions(n: int, count: int = 24) -> Array:
     if n == 1:
         return np.array([[1.0], [-1.0]])
@@ -367,7 +350,9 @@ def omega_lipschitz_estimate(
 
     L_hat = max over sampled (s, t, x in Omega(s)) of dist(x, Omega(t)) /
     |s - t|, compared against the declared rate with relative slack
-    ``tol``.
+    ``tol``.  The distances are ``distances_upper_along``'s upper bounds,
+    over a time pair's points at once; an infeasible anchor raises
+    ``InfeasibleInput`` naming its time.
     """
     t0, t1 = horizon
     if not t1 > t0:
@@ -383,13 +368,15 @@ def omega_lipschitz_estimate(
     for i, j in pairs:
         s, t = float(ts[i]), float(ts[j])
         sel = pts[feasible_mask(p, s, pts)]
-        for x in sel:
-            d = distance_upper(p, t, x)
-            ratio = d / abs(t - s)
-            if ratio > L_hat:
-                L_hat = ratio
-                worst = {"s": s, "t": t, "x": [float(v) for v in x],
-                         "distance": float(d), "ratio": float(ratio)}
+        if not len(sel):
+            continue
+        d = distances_upper_along(p, np.full(len(sel), t), sel)
+        ratios = d / abs(t - s)
+        k = int(np.argmax(ratios))       # the first worst point
+        if ratios[k] > L_hat:
+            L_hat = float(ratios[k])
+            worst = {"s": s, "t": t, "x": [float(v) for v in sel[k]],
+                     "distance": float(d[k]), "ratio": L_hat}
     passed = L_hat <= p.data.omega_lip * (1.0 + tol) + 1e-12
     return OmegaLipschitzReport(L_hat, p.data.omega_lip, passed, worst)
 

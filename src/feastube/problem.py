@@ -510,9 +510,11 @@ def _hover(params: Mapping[str, float]) -> ProblemDefinition:
         k=Modulus.constant(2.0),
         a1=1.0, a2=0.0, omega_lip=0.0, eta_tilde=0.3,
     )
+    samples = np.array([[-1.0], [1.0]])
+    samples.setflags(write=False)
     return ProblemDefinition(
         name="hover-1d", n=1, f=f, running_cost=cost, lam=lam,
-        controls=ControlSamples(1, lambda t, level: np.array([[-1.0], [1.0]])),
+        controls=ControlSamples(1, lambda t, level: samples),
         constraints=(upper, lower), data=data,
         default_control=np.array([1.0]),
         anchor=lambda t: np.array([0.0]),

@@ -23,22 +23,25 @@ block's rows, and ``np.add.accumulate`` (``cumsum`` without its call
 overhead) adds the increments in a step loop's order.  The block keeps its
 longest prefix whose guesses equal the computed states bit for bit: each
 kept step was decided and evaluated at its true state, so it is the step
-loop's (``problem``'s convention makes each batched row that row's own).  The next block starts at the first differing step.  Every rule
-guesses by ``_Rule.guess``: the increments the last block computed for the
-same steps, then the last kept one, or the rule's target path.  The
-viability rule decides a step in its acting tube in a block when the step's
-memoised margin game is pure at a zero mixture credit (``_Viable``).  What
-runs alone, ``_rk4_step`` on Python floats in numpy's order, is a step the
-rule can decide only at its true state (a viable step in the tube whose
-game is mixed, nonpositive or not yet solved, or that meets a nonzero
-credit, the ``_BLOCK`` steps after a mixed one, a push step) and a block
-that raises what a wrong guess can cause: a floating-point error or a
+loop's (``problem``'s convention makes each batched row that row's own).
+The next block starts at the first differing step.  Every rule guesses by
+``_Rule.guess``: the increments the last block computed for the same steps,
+then the last kept one, or the rule's target path.  Controls fixed in
+advance (``_Held``: a schedule, explicit rows, the push's multiplexed
+mixture) are decided in blocks, and so is a viable step in the acting tube
+when its memoised margin game is pure at a zero mixture credit
+(``_Viable``).  What runs alone, through the same kernel on one row, is a
+step the rule can decide only at its true state (a viable step in the tube
+whose game is mixed, nonpositive or not yet solved, or that meets a nonzero
+credit, the ``_BLOCK`` steps after a mixed one) and a block that raises
+what a wrong guess can cause: a floating-point error or a
 ``FeastubeError`` (a non-finite constraint value or state, a failed LP).
 Any other error propagates, such as a defect in a rule's code or an ``f``
 that does not broadcast over a block's rows (named).  A block runs under
 ``np.errstate`` with every floating-point error numpy would report made to
 raise, so a numpy warning it would give is the loop's too, at the loop's
-step; the warning filters are left alone, so a repeated warning is shown as
+step, where it runs alone under the caller's ``np.errstate`` as the loop
+does; the warning filters are left alone, so a repeated warning is shown as
 often as the loop shows it.  A warning ``f`` issues itself through
 ``warnings`` at a guess is not held back.
 """
@@ -148,58 +151,14 @@ class Trajectory:
         return (1 - frac) * self.states[j] + frac * self.states[j + 1]
 
 
-def _rk4_step(f: Callable, t: float, x: Array, u: Array, dt: float,
-              k1: Array | None = None) -> tuple[Array, list]:
-    """One classical RK4 step under the held control ``u``: a step run alone.
-    Returns the state after it and its increment, a list of floats.
-
-    ``k1`` is ``f(t, x, u)`` when the caller already holds it, for instance
-    as row ``j`` of ``ProblemDefinition.velocities(t, x)`` for ``u = u_j``;
-    it is then not evaluated again.  That row is bit for bit ``f(t, x, u)``
-    when ``f`` computes each row alone (the convention in ``problem``); an
-    ``f`` that does not still gives a step within ``TOL_ODE`` of the one
-    evaluated here.
-
-    ``x`` is the ``(n,)`` state.  The stage points and the final combination
-    are formed on Python floats, component by component, in numpy's order
-    (``((k1 + 2 k2) + 2 k3) + k4``, times ``dt / 6``, plus ``x``): IEEE ``+``
-    and ``*`` round the same either way, so the step is ``_rk4_increments``'
-    one-row case bit for bit, without a dispatch per operation, and never
-    warns.  Each stage velocity is first broadcast to ``x``'s shape, as the
-    array expression would.  ``f`` still sees arrays.
-    """
-    half = dt / 2
-    t_half = t + half
-    xs = x.tolist()
-    a = _components(f(t, x, u) if k1 is None else k1, x.shape)
-    b = _components(f(t_half, np.array([xi + half * ki for xi, ki in zip(xs, a)]), u), x.shape)
-    c = _components(f(t_half, np.array([xi + half * ki for xi, ki in zip(xs, b)]), u), x.shape)
-    d = _components(f(t + dt, np.array([xi + dt * ki for xi, ki in zip(xs, c)]), u), x.shape)
-    sixth = dt / 6
-    inc = [sixth * (ai + 2 * bi + 2 * ci + di) for ai, bi, ci, di in zip(a, b, c, d)]
-    out = [xi + di for xi, di in zip(xs, inc)]
-    # every component, so that a NaN anywhere fails (max() would skip one)
-    if not all(abs(v) <= _BLOW_UP for v in out):
-        raise NonFiniteState(f"state blow-up near t={t}")
-    return np.array(out), inc
-
-
-def _components(k, shape: tuple) -> list:
-    """A stage velocity as a list of floats, broadcast to the state's shape
-    as the array arithmetic would (a shape that does not broadcast raises)."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != shape:
-        k = np.broadcast_to(k, shape)
-    return k.tolist()
-
-
 def _rk4_increments(f: Callable, T: Array, X: Array, U: Array, dt: float,
                     K1: Array | None = None, what: str = "f") -> Array:
     """RK4 increments ``dt / 6 * (((k1 + 2 k2) + 2 k3) + k4)`` of the steps
     from the states ``X`` (b, n) at the times ``T`` (b,) under the controls
     ``U`` (b, d), one call ``f(T[:, None], X, U)`` per stage; ``K1`` is the
-    first stage when the rule has it.  ``X`` plus a row is ``_rk4_step``.
-    An ``f`` that fails over these rows raises ValueError naming it as
+    first stage when the rule has it.  ``X`` plus a row is the state after
+    that step, as a block and a step run alone (one row) both take it.  An
+    ``f`` that fails over these rows raises ValueError naming it as
     ``what``."""
     half = dt / 2
     t_half = (T + half)[:, None]
@@ -239,10 +198,13 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
     controls, their velocities or ``None``, and how many it decided.
     ``rule.kept(D, k)`` then receives the exact increments ``D`` of the
     steps computed, of which the first ``k`` were kept: a block's, or the
-    one of a step run alone.
+    one row of a step run alone.  Both take their increments from
+    ``_rk4_increments``; a state with a component beyond ``_BLOW_UP`` or
+    not finite raises ``NonFiniteState`` naming the step's time.
 
-    The march equals the loop ``x = _rk4_step(f, t, x, *rule.step(j, t, x))[0]``
-    bit for bit, whatever the guesses and block ends (module docstring).
+    The march equals the loop that runs every step alone under
+    ``rule.step`` bit for bit, whatever the guesses and block ends (module
+    docstring).
     Returns the ``(steps + 1, n)`` states and the ``(steps, d)`` controls,
     written into ``out`` when given.  A march continued from its own state
     at a later ``start`` is bit-identical to the one long march.
@@ -282,8 +244,12 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
             t = t0 + j * dt
             u, k1 = rule.step(j, t, x)
             ctrl[i] = u
-            states[i + 1], inc = _rk4_step(p.f, t, x, u, dt, k1)
-            kept, D = 1, [inc]
+            D = _rk4_increments(p.f, np.array([t]), x[None], u[None], dt,
+                                None if k1 is None else k1[None], f"f of {p.name}")
+            np.add(x, D[0], out=states[i + 1])
+            if not (np.abs(states[i + 1]) <= _BLOW_UP).all():     # a NaN fails too
+                raise NonFiniteState(f"state blow-up near t={t}")
+            kept = 1
         rule.kept(D, kept)
         if holds is not None and not holds(i, i + kept):
             return None
@@ -320,7 +286,8 @@ def _first_row(mask: Array) -> int:
 
 class _Rule:
     """What a step rule of ``_march`` does unless it says otherwise: it
-    decides blocks, and guesses by ``guess`` from the increments kept.
+    decides blocks, and guesses by ``guess`` from the increments kept, a
+    block's or the one row of a step run alone.
     ``tubes`` are the steps last decided under a control of another kind
     (the viability rule's steps in the tube)."""
 
@@ -384,17 +351,34 @@ class _Rule:
 
 
 class _Held(_Rule):
-    """Step rule of controls fixed in advance: ``rows(j, T)`` are those of
-    the steps from ``j`` at the times ``T``."""
+    """Step rule of controls fixed in advance: row ``j`` of the ``(steps,
+    d)`` array ``U`` is held over step ``j``."""
 
-    def __init__(self, rows: Callable[[int, Array], Array]):
-        self.rows = rows
+    def __init__(self, U: Array):
+        self.U = U
 
     def step(self, j, t, x):
-        return self.rows(j, np.array([t]))[0], None
+        return self.U[j], None
 
     def block(self, j, T, G):
-        return self.rows(j, T), None, len(T)
+        return self.U[j:j + len(T)], None, len(T)
+
+
+def _sampled_rows(p: ProblemDefinition, t0: float, dt: float, level: int, schedule,
+                  steps: int) -> Array:
+    """The ``(steps, d)`` controls ``p.controls.at(t, level)[schedule[j]]``
+    of the steps ``j`` at ``t = t0 + j * dt``; an index that is missing or
+    outside the samples at its step raises ValueError naming the step."""
+    rows = np.empty((steps, p.controls.dim))
+    for j in range(steps):
+        t = t0 + j * dt
+        u = p.controls.at(t, level)
+        i = int(schedule[j]) if j < len(schedule) else None
+        if i is None or not 0 <= i < len(u):
+            raise ValueError(f"schedule at step {j} (t={t}) is {'missing' if i is None else i}, "
+                             f"not an index into the {len(u)} control samples there")
+        rows[j] = u[i]
+    return rows
 
 
 def integrate(
@@ -407,20 +391,17 @@ def integrate(
     level: int = 0,
 ) -> Trajectory:
     """Fixed-step RK4 under a per-step sequence of control indices."""
-    def rows(j, T):
-        return np.array([p.controls.at(t, level)[int(schedule[j + k])]
-                         for k, t in enumerate(T.tolist())])
-
-    return Trajectory(t0 + dt * np.arange(steps + 1),
-                      *_march(p, t0, x0, steps, dt, _Held(rows)), dt)
+    _check_grid(dt, steps)
+    rule = _Held(_sampled_rows(p, t0, dt, level, schedule, steps))
+    return Trajectory(t0 + dt * np.arange(steps + 1), *_march(p, t0, x0, steps, dt, rule), dt)
 
 
 def integrate_controls(p: ProblemDefinition, t0: float, x0, controls, dt: float) -> Trajectory:
     """RK4 under explicit per-step control vectors (shape (N, d))."""
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     steps = len(controls)
-    rule = _Held(lambda j, T: controls[j:j + len(T)])
-    return Trajectory(t0 + dt * np.arange(steps + 1), *_march(p, t0, x0, steps, dt, rule), dt)
+    return Trajectory(t0 + dt * np.arange(steps + 1),
+                      *_march(p, t0, x0, steps, dt, _Held(controls)), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -866,20 +847,6 @@ def _measure_rho(p, times, states) -> float:
     return float(geo.distances_upper_along(p, times, states).max())
 
 
-class _Push(_Rule):
-    """Step rule of the push: the inward mixture's support controls; each
-    step advances the mixture credit, so it runs alone."""
-
-    blocking = False
-
-    def __init__(self, p: ProblemDefinition, level: int, alpha: Array):
-        self.p, self.level, self.alpha = p, level, alpha
-        self.mux = _MixtureMultiplexer(len(alpha))
-
-    def step(self, j, t, x):
-        return self.p.controls.at(t, self.level)[self.mux.pick(self.alpha)], None
-
-
 def _case_push_and_replay(p, cert, cons, t_a, ref_states, rho_c, dt, level, games=None):
     """Insert the inward mixture for k*rho time, then replay the reference
     derivative with that time shift; project onto sampled controls."""
@@ -896,7 +863,11 @@ def _case_push_and_replay(p, cert, cons, t_a, ref_states, rho_c, dt, level, game
     states, ctrl = np.empty((steps + 1, p.n)), np.empty((steps, p.controls.dim))
     states[0] = start
     if s:
-        _march(p, t_a, start, s, dt, _Push(p, level, mr.alpha), out=(states[:s + 1], ctrl[:s]))
+        # the multiplexer's picks depend on the mixture alone, not the state
+        mux = _MixtureMultiplexer(len(mr.alpha))
+        picks = [mux.pick(mr.alpha) for _ in range(s)]
+        _march(p, t_a, start, s, dt, _Held(_sampled_rows(p, t_a, dt, level, picks, s)),
+               out=(states[:s + 1], ctrl[:s]))
     if s < steps:
         _march(p, t_a, states[s], steps - s, dt, _Nearest(p, start, w, dt, level),
                start=s, out=(states[s:], ctrl[s:]))

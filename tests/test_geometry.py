@@ -247,12 +247,10 @@ def test_geometry_matches_scalar_references(name):
     assert np.array_equal(geo.clearance_proxy(p, times[inside], pts[inside]), want)
 
     for t, x in zip(times[:40], pts[:40]):
-        a = np.asarray(p.anchor(float(t)), dtype=float)
-        if geo.is_feasible(p, float(t), x):
-            assert geo.distance_upper(p, float(t), x) == 0.0
-            continue
-        y = oracles.segment_refine_loop(p, float(t), x, a)
-        assert geo.distance_upper(p, float(t), x) == float(np.linalg.norm(y - x))
+        if not geo.is_feasible(p, float(t), x):
+            a = np.asarray(p.anchor(float(t)), dtype=float)
+            y = geo._segment_refine(p, float(t), x, a[None, :])[0]
+            assert np.array_equal(y, oracles.segment_refine_loop(p, float(t), x, a))
 
 
 # Constraint values a reduction must keep exactly: zeros of both signs, so
@@ -430,9 +428,16 @@ def test_distances_upper_along_rejects_infeasible_anchor():
     # stop at x = 0.5 and report 1.0 from x = 1, below the true distance 1.5
     wall = affine_constraint("wall", [1.0], lambda t: 0.5 + 0.0 * np.asarray(t))
     p = simple_problem(unit_velocity, zero_cost, constraints=(wall,))
-    assert geo.distance_upper(p, 0.0, [1.0]) == pytest.approx(1.5)
+    with pytest.raises(InfeasibleInput, match=r"anchor infeasible at t=0\.0"):
+        geo.distances_upper_along(p, [0.0], [[1.0]])
     with pytest.raises(InfeasibleInput, match=r"anchor infeasible at t=0\.25"):
         geo.distances_upper_along(p, [0.0, 0.25], [[-1.0], [1.0]])
+    # so does the set's Lipschitz estimate, once the wall moves a feasible
+    # point out
+    wall = affine_constraint("wall", [1.0], lambda t: 0.5 + 0.3 * np.sin(t))
+    p = simple_problem(unit_velocity, zero_cost, constraints=(wall,), omega_lip=0.3)
+    with pytest.raises(InfeasibleInput, match=r"anchor infeasible at t="):
+        geo.omega_lipschitz_estimate(p, (0.0, 2 * math.pi))
 
 
 def _wall_3d():

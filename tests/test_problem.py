@@ -88,6 +88,17 @@ def test_control_samples_nested_refinement():
         assert all(any(abs(c - f) < 1e-12 for f in fine) for c in coarse)
 
 
+@pytest.mark.parametrize("name", pb.registered_problems())
+def test_control_samples_are_one_array(name):
+    """Each registered sampler returns one read-only array whatever the
+    time, so the projection finds the steps that share samples by identity
+    alone."""
+    p = pb.get_problem(name)
+    u = p.controls.at(0.1)
+    assert p.controls.at(2.3) is u
+    assert not u.flags.writeable
+
+
 def test_constraint_gradient_matches_finite_difference():
     p = pb.get_problem("moving-wall-1d")
     step = 1e-5

@@ -145,26 +145,51 @@ def test_march_split_at_pieces_equals_full_march(name, request):
 
 # --- work: RK4 steps per path node ---------------------------------------------------
 
+def _march_work(run, monkeypatch, rule=tj._Rule):
+    """Marches, the steps they were asked for, blocks, steps kept by blocks
+    and steps run alone in the marches under a rule of class ``rule`` that
+    ``run()`` makes.  A step alone is a call of the RK4 kernel outside a
+    block."""
+    counts, now = Counter(), {"march": False, "block": False}
+    march, speculate, kernel = tj._march, tj._speculate, tj._rk4_increments
+
+    def marching(p, t0, x0, steps, dt, r, *args, **kwargs):
+        now["march"] = isinstance(r, rule)
+        counts["marches"] += now["march"]
+        counts["steps"] += steps * now["march"]
+        try:
+            return march(p, t0, x0, steps, dt, r, *args, **kwargs)
+        finally:
+            now["march"] = False
+
+    def block(*args):
+        now["block"] = True
+        try:
+            out = speculate(*args)
+        finally:
+            now["block"] = False
+        if now["march"]:
+            counts["blocks"] += 1
+            counts["kept"] += out[0] if out else 0
+        return out
+
+    def increments(*args):
+        counts["alone"] += now["march"] and not now["block"]
+        return kernel(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(tj, "_march", marching)
+        m.setattr(tj, "_speculate", block)
+        m.setattr(tj, "_rk4_increments", increments)
+        run()
+    return counts
+
+
 def _steps_per_node(p, cert, ref, cons, monkeypatch):
     """RK4 steps the repair keeps per reference node: the steps run alone
     and the proven prefix of every block."""
-    kept = []
-    speculate, step = tj._speculate, tj._rk4_step
-
-    def block(*args):
-        out = speculate(*args)
-        kept.append(out[0] if out else 0)
-        return out
-
-    def alone(*args):
-        kept.append(1)
-        return step(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(tj, "_speculate", block)
-        m.setattr(tj, "_rk4_step", alone)
-        tj.nft_correct(p, cert, ref, constants=cons)
-    return sum(kept) / len(ref.times)
+    work = _march_work(lambda: tj.nft_correct(p, cert, ref, constants=cons), monkeypatch)
+    return (work["kept"] + work["alone"]) / len(ref.times)
 
 
 @pytest.mark.parametrize("name", sorted(_CERT_OF))
@@ -192,40 +217,6 @@ def test_hold_repair_work_per_node_does_not_grow(moving_wall, mw_cert, monkeypat
     assert per_node[2] <= per_node[0], per_node
 
 
-def _viable_work(run, monkeypatch):
-    """Blocks, steps kept by blocks, and steps run alone in the viable marches
-    that ``run()`` makes, with the steps those marches took."""
-    counts, inside = Counter(), [False]
-    viable, speculate, step = tj.viable_trajectory, tj._speculate, tj._rk4_step
-
-    def marching(*args, **kwargs):
-        inside[0] = True
-        try:
-            traj = viable(*args, **kwargs)
-        finally:
-            inside[0] = False
-        counts["steps"] += traj.n_steps
-        return traj
-
-    def block(*args):
-        out = speculate(*args)
-        if inside[0]:
-            counts["blocks"] += 1
-            counts["kept"] += out[0] if out else 0
-        return out
-
-    def alone(*args):
-        counts["alone"] += inside[0]
-        return step(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(tj, "viable_trajectory", marching)
-        m.setattr(tj, "_speculate", block)
-        m.setattr(tj, "_rk4_step", alone)
-        run()
-    return counts
-
-
 def test_hold_repair_decides_its_steps_in_the_tube_in_blocks(moving_wall, mw_cert, monkeypatch):
     """The viable marches of a hold repair chatter at the acting tube, and
     the tube's game is pure: blocks take its control, and only a handful of
@@ -235,8 +226,8 @@ def test_hold_repair_decides_its_steps_in_the_tube_in_blocks(moving_wall, mw_cer
     for steps in (2000, 4000, 8000):
         ref = hold_reference(moving_wall, np.random.default_rng(steps), steps)
         cons = tj.derive_nft_constants(moving_wall, mw_cert, steps * ref.step)
-        work = _viable_work(lambda: tj.nft_correct(moving_wall, mw_cert, ref, constants=cons),
-                            monkeypatch)
+        work = _march_work(lambda: tj.nft_correct(moving_wall, mw_cert, ref, constants=cons),
+                           monkeypatch, tj._Viable)
         assert work["steps"] > 1000 and work["alone"] <= 5, work
         assert 10 * work["blocks"] <= work["steps"], work
         assert work["kept"] + work["alone"] == work["steps"], work
@@ -258,11 +249,31 @@ def test_viable_march_off_the_tube_takes_one_block_per_64_steps(moving_wall, mw_
 
     p = dataclasses.replace(moving_wall, constraints=tuple(map(counted, moving_wall.constraints)))
     t0, dt = 1.0, 1e-3
-    work = _viable_work(lambda: tj.viable_trajectory(p, mw_cert, t0, p.anchor(t0),
-                                                     t0 + steps * dt, dt), monkeypatch)
+    work = _march_work(lambda: tj.viable_trajectory(p, mw_cert, t0, p.anchor(t0),
+                                                    t0 + steps * dt, dt), monkeypatch, tj._Viable)
     assert work["blocks"] + work["alone"] == math.ceil(steps / 64), work
     assert work["alone"] == (steps % 64 == 1)
     assert calls["wall"] == calls["floor"] == work["blocks"] + 2 + work["alone"]
+
+
+def test_push_keeps_its_steps_in_blocks(moving_wall, mw_cert, mw_nft_constants, monkeypatch):
+    """The push of the 0.902-level hold holds its multiplexed controls,
+    drawn in advance, so blocks keep all of its steps: the first block
+    guesses no motion and keeps one, the next keeps the rest.  No step of
+    the repair runs alone.  A push that draws each control at its step's
+    true state runs every step alone."""
+    t_cross = math.pi + math.asin(0.25)
+    ref = tj.integrate(moving_wall, t_cross - 1.0, [0.902], [1] * 1000, 1000, 1e-3)
+
+    def repair():
+        res = tj.nft_correct(moving_wall, mw_cert, ref, constants=mw_nft_constants)
+        assert res.pieces["push"] == 1, res.pieces
+
+    work = _march_work(repair, monkeypatch)
+    assert work["alone"] == 0 and work["kept"] == work["steps"], work
+    push = _march_work(repair, monkeypatch, tj._Held)
+    assert push["marches"] == 1 and push["steps"] >= 2, push
+    assert push["kept"] == push["steps"] and push["blocks"] <= 2, push
 
 
 # --- the branch taken per piece ------------------------------------------------------

@@ -50,6 +50,16 @@ def test_integrate_linear_exact(moving_wall):
     assert abs(traj.states[-1, 0] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("schedule, why", [
+    ([0, -1, 0], r"step 1 \(t=0\.1\) is -1, not an index into the 3 control samples there"),
+    ([0, 1], r"step 2 \(t=0\.2\) is missing, not an index into the 3 control samples there"),
+    ([0, 7, 0], r"step 1 \(t=0\.1\) is 7, not an index into the 3 control samples there"),
+])
+def test_integrate_rejects_a_schedule_index_without_a_sample(moving_wall, schedule, why):
+    with pytest.raises(ValueError, match=why):
+        tj.integrate(moving_wall, 0.0, [0.0], schedule, 3, 0.1)
+
+
 def test_integrate_exponential_decay():
     def f(t, x, u):
         return -np.asarray(x, dtype=float) + 0.0 * np.asarray(u, dtype=float)
@@ -73,7 +83,7 @@ def test_trajectory_residual_contract(moving_wall):
     traj = tj.integrate(moving_wall, 0.3, [0.1], [0, 1, 2, 2, 0] * 4, 20, 0.05)
     for j in range(traj.n_steps):
         t = float(traj.times[j])
-        step, _ = tj._rk4_step(moving_wall.f, t, traj.states[j], traj.controls[j], traj.step)
+        step = oracles.rk4_step(moving_wall.f, t, traj.states[j], traj.controls[j], traj.step)
         assert np.linalg.norm(traj.states[j + 1] - step) <= tj.TOL_ODE
 
 
@@ -81,21 +91,23 @@ def test_rk4_step_rejects_nan_state():
     def f(t, x, u):
         return np.full_like(np.asarray(x, dtype=float), np.nan)
 
-    with pytest.raises(NonFiniteState, match="blow-up"):
-        tj._rk4_step(f, 0.0, np.zeros(1), np.zeros(1), 0.1)
+    p = simple_problem(f, zero_cost, name="nan-velocity")
+    for steps in (1, 5):     # a step alone, and a block that keeps none
+        with pytest.raises(NonFiniteState, match=r"blow-up near t=0\.0"):
+            tj.integrate_controls(p, 0.0, [0.0], np.zeros((steps, 1)), 0.1)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rk4_step_rejects_nonfinite_second_component(bad):
     # only the last component goes bad: a test that reduces with max() and
     # meets a NaN after a finite value drops it
     def f(t, x, u):
         return np.array([0.0, bad])
 
-    with pytest.raises(NonFiniteState, match="blow-up"):
-        tj._rk4_step(f, 0.0, np.zeros(2), np.zeros(2), 0.1)
-    with pytest.raises(NonFiniteState, match="blow-up"):
-        tj._rk4_step(f, 0.0, np.zeros(2), np.zeros(2), 0.1, k1=np.zeros(2))
+    p = simple_problem(f, zero_cost, n=2, name="bad-second-component")
+    for steps in (1, 5):
+        with pytest.raises(NonFiniteState, match=r"blow-up near t=0\.0"):
+            tj.integrate_controls(p, 0.0, [0.0, 0.0], np.zeros((steps, 2)), 0.1)
 
 
 # k / prime: no short binary fraction, so products with it round
@@ -107,11 +119,11 @@ _STEPS = st.integers(1, 2000).map(lambda k: k / 19937)
 @given(n=st.sampled_from([1, 2, 3]), kind=st.sampled_from(["sway", "drift"]),
        t=_TIMES, dt=_STEPS, with_k1=st.booleans(), rows=st.integers(1, 5), data=st.data())
 def test_rk4_step_matches_loop_reference(n, kind, t, dt, with_k1, rows, data):
-    """One step equals the loop reference's byte for byte, for a velocity
-    that varies in x and t (sway) or in t alone (drift), with k1 evaluated
-    in the step or handed in as a row of a batch of controls.  The block
-    kernel's rows, over steps at different times, states and controls, are
-    those steps, each taken alone, and so are its increments."""
+    """One step, the kernel's one-row case plus the state, equals the loop
+    reference's byte for byte, for a velocity that varies in x and t (sway)
+    or in t alone (drift), with k1 evaluated in the step or handed in as a
+    row of a batch of controls.  The kernel's rows, over steps at different
+    times, states and controls, are those steps, each taken alone."""
     f = sway_problem().f if kind == "sway" else drift_velocity(n)
     coords = st.lists(st.floats(-1.9, 1.9), min_size=n, max_size=n)
     T = t + dt * np.arange(rows)
@@ -119,14 +131,14 @@ def test_rk4_step_matches_loop_reference(n, kind, t, dt, with_k1, rows, data):
     U = np.array([data.draw(coords) for _ in range(rows)]) / 1.9
     K1 = np.asarray(f(T[:, None], X, U), dtype=float) if with_k1 else None
     D = tj._rk4_increments(f, T, X, U, dt, K1)
-    C = X + D
     for i in range(rows):
-        k1 = np.asarray(f(T[i], X[i], U[i][None, :]), dtype=float)[0] if with_k1 else None
-        got, inc = tj._rk4_step(f, float(T[i]), X[i], U[i], dt, k1)
+        k1 = np.asarray(f(T[i], X[i], U[i][None, :]), dtype=float)[:1] if with_k1 else None
+        inc = tj._rk4_increments(f, T[i:i + 1], X[i:i + 1], U[i:i + 1], dt, k1)
+        got = X[i] + inc[0]
         want = oracles.rk4_step(f, float(T[i]), X[i], U[i], dt)
         assert got.shape == want.shape == (n,)
-        assert got.tobytes() == want.tobytes() == C[i].tobytes()
-        assert np.array(inc).tobytes() == D[i].tobytes()
+        assert got.tobytes() == want.tobytes() == (X[i] + D[i]).tobytes()
+        assert inc.tobytes() == D[i].tobytes()
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
