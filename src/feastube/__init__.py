@@ -29,7 +29,6 @@ from .problem import (
     SamplingSpec,
     get_problem,
     registered_problems,
-    theta_modulus,
     verify_data_assumptions,
 )
 from .trajectory import (

@@ -116,20 +116,20 @@ def lipschitz_profile(
     field: ValueField,
     constants: TrackingConstants,
     pair_budget: int = 2000,
-    tol: float | None = None,
     seed: int = 0,
 ) -> LipschitzProfile:
     """Per-time empirical Lipschitz quotients against the decay envelope.
 
     Quotients are maximized over feasible node pairs (nearest neighbors
     first, then seeded random pairs up to the budget) and must stay below
-    ``b * exp(-(lam - K) t) * (1 + tol)``.  A time with no pair at least
-    1e-14 apart scores 0.
+    ``b * exp(-(lam - K) t) * (1 + tol)``, with ``tol`` the field's
+    ``scheme_tolerance``.  A time with no pair at least 1e-14 apart
+    scores 0.
     """
     if pair_budget < 1:
         raise ValueError(f"need pair_budget >= 1, got pair_budget={pair_budget}")
     b, K = _envelope_rate(field, constants)
-    tol = scheme_tolerance(field) if tol is None else tol
+    tol = scheme_tolerance(field)
     rng = np.random.default_rng(seed)
     nodes = field.grid_nodes()
     times = field.times

@@ -65,12 +65,11 @@ def max_violation(p: ProblemDefinition, t: float, x) -> float:
     return float(_worst(p, t, x))
 
 
-def is_feasible(p: ProblemDefinition, t: float, x, tol: float = TOL_FEAS) -> bool:
-    return max_violation(p, t, x) <= tol
+def is_feasible(p: ProblemDefinition, t: float, x) -> bool:
+    return max_violation(p, t, x) <= TOL_FEAS
 
 
-def feasible_mask(p: ProblemDefinition, t: float | Array, pts: Array,
-                  tol: float = TOL_FEAS) -> Array:
+def feasible_mask(p: ProblemDefinition, t: float | Array, pts: Array) -> Array:
     """Vectorized membership over points of shape (..., n).
 
     ``t`` is a scalar or an array that broadcasts against the points' leading
@@ -78,7 +77,7 @@ def feasible_mask(p: ProblemDefinition, t: float | Array, pts: Array,
     ``pts`` of shape (1, P, n) gives the (k, P) membership of P points at k
     times.
     """
-    return _worst(p, t, pts) <= tol
+    return _worst(p, t, pts) <= TOL_FEAS
 
 
 def violations_along(p: ProblemDefinition, times, states) -> Array:
@@ -159,30 +158,23 @@ class ActiveSetReport:
         }
 
 
-def active_set(
-    p: ProblemDefinition,
-    t: float,
-    x,
-    delta: float,
-    tol_boundary: float = TOL_BOUNDARY,
-) -> ActiveSetReport:
+def active_set(p: ProblemDefinition, t: float, x, delta: float) -> ActiveSetReport:
     """Conservative superset of the constraints active within a delta-ball.
 
     Index i (0-based) is included iff ``h_i(t,x) + delta * grad_bound_i >=
-    -tol_boundary``; any constraint whose boundary meets B(x, delta) passes
+    -TOL_BOUNDARY``; any constraint whose boundary meets B(x, delta) passes
     this test, so the report is a superset of the exact delta-active set.
     """
-    idx = _active_indices(p, eval_constraints(p, t, x), delta, tol_boundary)
+    idx = _active_indices(p, eval_constraints(p, t, x), delta)
     return ActiveSetReport(frozenset(idx), float(delta))
 
 
-def _active_indices(p: ProblemDefinition, hv: Array, delta: float,
-                    tol_boundary: float = TOL_BOUNDARY) -> list[int]:
+def _active_indices(p: ProblemDefinition, hv: Array, delta: float) -> list[int]:
     """``active_set``'s indices, ascending, from the constraint values ``hv``."""
-    if delta < 0 or tol_boundary < 0:
-        raise ValueError("delta and tol_boundary must be nonnegative")
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got delta={delta}")
     return [i for i, c in enumerate(p.constraints)
-            if hv[i] + delta * c.grad_bound >= -tol_boundary]
+            if hv[i] + delta * c.grad_bound >= -TOL_BOUNDARY]
 
 
 @dataclass(frozen=True)
@@ -199,11 +191,11 @@ class DistanceResult:
         }
 
 
-def _segment_refine(p, t, x, Y, iters: int = 60) -> Array:
+def _segment_refine(p, t, x, Y) -> Array:
     """Pull feasible rows of Y toward x along their segments, staying feasible."""
     span = Y - x  # x + s*span: infeasible at s = 0, feasible at s = 1
     s = _bisect(lambda s: _worst(p, t, x + s[:, None] * span) <= TOL_FEAS,
-                np.ones(len(span)), 0.0, iters)
+                np.ones(len(span)), 0.0, 60)
     return x + s[:, None] * span
 
 
@@ -213,15 +205,15 @@ def distance_to_omega(
     x,
     budget: int = 400,
     oracle: bool = False,
-    oracle_points: int = 401,
 ) -> DistanceResult:
     """Upper bound on the distance from x to the feasible set at time t.
 
     Feasible inputs return distance 0 immediately.  Otherwise runs descent on
     the violation from 8 deterministic seeded starts, refines each feasible
     hit along the segment back to x, and keeps the best witness.  With
-    ``oracle=True`` a dense grid over the problem box confirms the result
-    (certified when the bound matches the grid optimum within one cell).
+    ``oracle=True`` a dense grid of 401 points per axis over the problem box
+    confirms the result (certified when the bound matches the grid optimum
+    within one cell).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if is_feasible(p, t, x):
@@ -258,7 +250,7 @@ def distance_to_omega(
     dist = float(np.linalg.norm(best - x))
     certified = False
     if oracle:
-        axes = [np.linspace(p.box[d, 0], p.box[d, 1], oracle_points) for d in range(p.n)]
+        axes = [np.linspace(p.box[d, 0], p.box[d, 1], 401) for d in range(p.n)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.column_stack([m.ravel() for m in mesh])
         feas = feasible_mask(p, t, pts)
@@ -342,17 +334,15 @@ def omega_lipschitz_estimate(
     p: ProblemDefinition,
     horizon: tuple[float, float],
     time_samples: int = 25,
-    space_samples: int = 60,
-    tol: float = 0.05,
     seed: int = 0,
 ) -> OmegaLipschitzReport:
     """Estimate the Lipschitz rate of the moving feasible set.
 
-    L_hat = max over sampled (s, t, x in Omega(s)) of dist(x, Omega(t)) /
-    |s - t|, compared against the declared rate with relative slack
-    ``tol``.  The distances are ``distances_upper_along``'s upper bounds,
-    over a time pair's points at once; an infeasible anchor raises
-    ``InfeasibleInput`` naming its time.
+    L_hat = max over sampled (s, t, x in Omega(s)), with 60 seeded points x
+    in the box, of dist(x, Omega(t)) / |s - t|, compared against the
+    declared rate with relative slack 0.05.  The distances are
+    ``distances_upper_along``'s upper bounds, over a time pair's points at
+    once; an infeasible anchor raises ``InfeasibleInput`` naming its time.
     """
     t0, t1 = horizon
     if not t1 > t0:
@@ -360,7 +350,7 @@ def omega_lipschitz_estimate(
     ts = np.linspace(t0, t1, time_samples)
     rng = np.random.default_rng(seed)
     lo, hi = p.box[:, 0], p.box[:, 1]
-    pts = lo + rng.random((space_samples, p.n)) * (hi - lo)
+    pts = lo + rng.random((60, p.n)) * (hi - lo)
 
     L_hat, worst = 0.0, {}
     pairs = [(i, i + k) for k in (1, 2, 4) for i in range(len(ts) - k)]
@@ -377,18 +367,16 @@ def omega_lipschitz_estimate(
             L_hat = float(ratios[k])
             worst = {"s": s, "t": t, "x": [float(v) for v in sel[k]],
                      "distance": float(d[k]), "ratio": L_hat}
-    passed = L_hat <= p.data.omega_lip * (1.0 + tol) + 1e-12
+    passed = L_hat <= p.data.omega_lip * 1.05 + 1e-12
     return OmegaLipschitzReport(L_hat, p.data.omega_lip, passed, worst)
 
 
-def boundary_samples(
-    p: ProblemDefinition, times, n_dirs: int = 24, ray_factor: float = 1.5
-) -> tuple[Array, Array]:
+def boundary_samples(p: ProblemDefinition, times, n_dirs: int = 24) -> tuple[Array, Array]:
     """Boundary points of the feasible set at every time in ``times``.
 
     Casts rays from the problem anchor at each time toward sampled
     directions and bisects the sign change of max_i h_i; rays that never
-    leave the set within ``ray_factor`` times the box diagonal are skipped.
+    leave the set within 1.5 times the box diagonal are skipped.
     Works for the star-shaped benchmark sets.  ``n_dirs`` is ignored in 1-D
     (always the two rays +-1); in 2-D it is the number of equally spaced
     angles; for n >= 3 the rays are the 2n axis directions plus
@@ -407,7 +395,7 @@ def boundary_samples(
     off = _worst(p, times, anchors) > TOL_FEAS
     if off.any():
         raise InfeasibleInput(f"anchor infeasible at t={times[np.argmax(off)]}")
-    R = ray_factor * float(np.linalg.norm(p.box[:, 1] - p.box[:, 0]))
+    R = 1.5 * float(np.linalg.norm(p.box[:, 1] - p.box[:, 0]))
     dirs = _directions(p.n, n_dirs)
     ts = np.repeat(times, len(dirs))
     base = np.repeat(anchors, len(dirs), axis=0)
@@ -419,9 +407,7 @@ def boundary_samples(
     return ts, base + s[:, None] * rays
 
 
-def sample_boundary_points(
-    p: ProblemDefinition, t: float, n_dirs: int = 24, ray_factor: float = 1.5
-) -> list[Array]:
+def sample_boundary_points(p: ProblemDefinition, t: float, n_dirs: int = 24) -> list[Array]:
     """Boundary points of the feasible set at time t, as a list of rows of
-    ``boundary_samples(p, [t], n_dirs, ray_factor)``."""
-    return list(boundary_samples(p, [t], n_dirs, ray_factor)[1])
+    ``boundary_samples(p, [t], n_dirs)``."""
+    return list(boundary_samples(p, [t], n_dirs)[1])

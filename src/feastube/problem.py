@@ -136,15 +136,6 @@ class Modulus:
         return total
 
 
-def theta_modulus(modulus: Modulus, sigma: float) -> float:
-    """Evaluate the local-integrability envelope of a closed-form modulus."""
-    if not isinstance(modulus, Modulus):
-        raise UnsupportedModulusForm(
-            f"expected a constant or piecewise-constant Modulus, got {type(modulus)!r}"
-        )
-    return modulus.theta(float(sigma))
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -327,24 +318,23 @@ class ProblemDefinition:
 
 def _per_control(fn, t, X, u: Array, tail: tuple, what: str, name: str) -> Array:
     """``fn(t, X, u_j)`` for every control row, controls on a leading axis,
-    assigned into a fresh array (a result that does not broadcast raises).
-    An array ``t`` broadcasts against the leading axes of ``X`` and reaches
-    ``fn`` with ``tail``'s axes appended; a ``fn`` that fails over it raises
-    ValueError naming it as ``what`` of problem ``name``."""
+    assigned into a fresh array.  An array ``t`` broadcasts against the
+    leading axes of ``X`` and reaches ``fn`` with ``tail``'s axes appended.
+    A ``fn`` that fails over the points and times, or whose result does not
+    broadcast to the output, raises ValueError naming it as ``what`` of
+    problem ``name``."""
     X = np.asarray(X, dtype=float)
+    lead, ts = X.shape[:-1], t
     if getattr(t, "ndim", 0):
-        lead = np.broadcast_shapes(t.shape, X.shape[:-1])
-        out = np.empty(u.shape[:1] + lead + tail)
+        lead = np.broadcast_shapes(t.shape, lead)
+        ts = t.reshape(t.shape + (1,) * len(tail))
+    out = np.empty(u.shape[:1] + lead + tail)
+    if lead:
         u = u.reshape(u.shape[:1] + (1,) * len(lead) + u.shape[1:])
-        try:
-            out[...] = fn(t.reshape(t.shape + (1,) * len(tail)), X, u)
-        except (TypeError, ValueError) as exc:
-            raise _no_broadcast(f"{what} of {name}", t, X, exc) from exc
-        return out
-    out = np.empty(u.shape[:1] + X.shape[:-1] + tail)
-    if X.ndim > 1:
-        u = u.reshape(u.shape[:1] + (1,) * (X.ndim - 1) + u.shape[1:])
-    out[...] = fn(t, X, u)
+    try:
+        out[...] = fn(ts, X, u)
+    except (TypeError, ValueError) as exc:
+        raise _no_broadcast(f"{what} of {name}", t, X, exc) from exc
     return out
 
 
@@ -375,8 +365,9 @@ def _dyadic_square(level: int) -> Array:
     return out
 
 
-def _affine_constraint(name, coeff, offset, theta=0.5):
-    """h(t, x) = <coeff, x> + offset(t) with constant gradient."""
+def _affine_constraint(name, coeff, offset):
+    """h(t, x) = <coeff, x> + offset(t) with constant gradient (Hoelder
+    exponent 0.5, constant 0)."""
     cvec = np.asarray(coeff, dtype=float)
 
     def h(t, x):
@@ -388,7 +379,7 @@ def _affine_constraint(name, coeff, offset, theta=0.5):
         return np.broadcast_to(cvec, x.shape).copy()
 
     return ConstraintFunction(
-        h=h, grad=grad, holder_theta=theta, holder_const=0.0,
+        h=h, grad=grad, holder_theta=0.5, holder_const=0.0,
         grad_bound=float(np.linalg.norm(cvec)), name=name,
     )
 

@@ -737,8 +737,7 @@ class NftConstants:
             4 * D * M <= self.eta_hat,
             delta_interval / self.m <= D * (1 + 1e-12),
         ]
-        tphi, tgam = p.data.phi.theta(D), p.data.gamma.theta(D)
-        drift = math.exp(tphi) * (tgam + tphi * M)
+        drift = _drift(p, D)
         checks += [drift < eps, 2 * drift * k < k * eps - 1]
         want = max(self.beta_tilde, _beta3(self.m, self.K_growth, self.beta_tilde))
         checks += [self.beta == want or abs(self.beta - want) <= 1e-9 * max(1.0, self.beta)]
@@ -748,6 +747,13 @@ class NftConstants:
     def to_jsonable(self) -> dict:
         return {k: (float(v) if not isinstance(v, int) else v)
                 for k, v in self.__dict__.items()}
+
+
+def _drift(p: ProblemDefinition, D: float) -> float:
+    """``exp(theta_phi(D)) * (theta_gamma(D) + theta_phi(D) * M)``, the drift
+    term of a repair step of length ``D``."""
+    tphi, tgam = p.data.phi.theta(D), p.data.gamma.theta(D)
+    return math.exp(tphi) * (tgam + tphi * p.data.M)
 
 
 def _beta3(m: int, K_growth: float, beta_tilde: float) -> float:
@@ -773,15 +779,13 @@ def derive_nft_constants(
     k = 2.0 / eps
     M = p.data.M
     eta_hat = min(cert.eta, p.data.eta_tilde)
-    phi, gamma = p.data.phi, p.data.gamma
 
     def ok(D: float) -> bool:
         if not D > 0 or D > eps:
             return False
         if M > 0 and (M * D >= eps or 4 * D * M > eta_hat):
             return False
-        tphi, tgam = phi.theta(D), gamma.theta(D)
-        drift = math.exp(tphi) * (tgam + tphi * M)
+        drift = _drift(p, D)
         return drift < eps and 2 * drift * k < k * eps - 1
 
     hi = eps
@@ -796,12 +800,10 @@ def derive_nft_constants(
 
     rho_bar = min((eps - M * D) / 2, eps / (2 * k))
     m = max(1, int(math.ceil(delta_interval / D)))
-    tphi, tgam = phi.theta(D), gamma.theta(D)
-    drift = math.exp(tphi) * (tgam + tphi * M)
-    beta1 = 2 * (M + drift) * k
+    beta1 = 2 * (M + _drift(p, D)) * k
     beta2 = 2 * M * D / rho_bar if M > 0 else 0.0
     beta_tilde = max(beta1, beta2)
-    K_growth = math.exp(phi.theta(delta_interval))
+    K_growth = math.exp(p.data.phi.theta(delta_interval))
     beta3 = _beta3(m, K_growth, beta_tilde)
     cons = NftConstants(
         eps=eps, k_shift=k, Delta=D, rho_bar=rho_bar, m=m,
@@ -838,9 +840,12 @@ class NftResult:
         }
 
 
-def _strictly_inside(p, times, states) -> bool:
-    """Positive clearance at every node after the first."""
-    return bool(np.all(geo.clearance_proxy(p, times[1:], states[1:]) > 1e-12))
+def _inside_clearance(p, times, states) -> float | None:
+    """The smallest clearance over the nodes after the first (inf when there
+    are none), or None when one of them is not strictly inside (clearance
+    not above 1e-12)."""
+    clear = float(geo.clearance_proxy(p, times[1:], states[1:]).min(initial=np.inf))
+    return clear if clear > 1e-12 else None
 
 
 def _measure_rho(p, times, states) -> float:
@@ -926,10 +931,10 @@ def nft_correct(
     pieces = {"pass": 0, "push": 0, "restart": 0}
 
     # Fast path: a strictly feasible input is already its own repair.
-    if rho_measured <= 0.0 and _strictly_inside(p, times, cur):
-        clear = np.min(geo.clearance_proxy(p, times[1:], cur[1:]))
+    clear = _inside_clearance(p, times, cur) if rho_measured <= 0.0 else None
+    if clear is not None:
         pieces["pass"] = len(bounds) - 1
-        return NftResult(xhat, rho_eff, 0.0, cons.beta, float(clear), cons, pieces)
+        return NftResult(xhat, rho_eff, 0.0, cons.beta, clear, cons, pieces)
 
     refvel = np.diff(ref0, axis=0) / dt
     rho_prev = rho_eff
@@ -948,7 +953,7 @@ def nft_correct(
                     ts, xs = times[ja + a:ja + b + 1], cur[ja + a:ja + b + 1]
                     if deep:
                         return geo.violations_along(p, ts, xs).max() <= geo.TOL_FEAS
-                    return _strictly_inside(p, ts, xs)
+                    return _inside_clearance(p, ts, xs) is not None
 
             projected = _march(p, float(times[origin]), cur[ja], jb - ja, dt, project,
                                start=ja - origin, out=(cur[ja:jb + 1], ctrl[ja:jb]),
@@ -956,7 +961,7 @@ def nft_correct(
             have_ctrl[ja:jb] = True
         passes = projected and (
             geo.violations_along(p, times[ja:jb + 1], cur[ja:jb + 1]).max() <= geo.TOL_FEAS
-            and (deep or _strictly_inside(p, times[ja:jb + 1], cur[ja:jb + 1])))
+            and (deep or _inside_clearance(p, times[ja:jb + 1], cur[ja:jb + 1]) is not None))
         # the violation matters only while a push is possible: above rho_bar,
         # or on a deep piece that does not pass, the piece restarts
         if project is not None and rho_prev <= cons.rho_bar and (passes or not deep):
@@ -994,7 +999,8 @@ def nft_correct(
     worst = geo.violations_along(p, times, cur)
     if worst.max() > geo.TOL_FEAS:
         raise CorrectionFailed(f"repair left a violation of {worst.max():.3e}")
-    if not _strictly_inside(p, times, cur):
+    clear = _inside_clearance(p, times, cur)
+    if clear is None:
         raise CorrectionFailed("repair is feasible but not strictly inside")
     sup_dist = float(np.max(np.linalg.norm(cur - ref0, axis=1)))
     if sup_dist > cons.beta * rho_eff * (1 + 1e-9):
@@ -1003,9 +1009,8 @@ def nft_correct(
         )
     if not np.array_equal(cur[0], ref0[0]):
         raise CorrectionFailed("repair moved the anchor point")
-    clear = np.min(geo.clearance_proxy(p, times[1:], cur[1:]))
     corrected = Trajectory(times, cur, ctrl if bool(have_ctrl.all()) else None, dt)
-    return NftResult(corrected, rho_eff, sup_dist, cons.beta, float(clear), cons, pieces)
+    return NftResult(corrected, rho_eff, sup_dist, cons.beta, clear, cons, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -1037,17 +1042,17 @@ class TrackingConstants:
 
 
 def derive_tracking_constants(
-    p: ProblemDefinition, beta: float, horizon: float, samples: int = 64
+    p: ProblemDefinition, beta: float, horizon: float
 ) -> TrackingConstants:
     """Fit the growth ledger from the repair factor and the Lipschitz modulus.
 
     K2 and k_tilde affinely majorize t -> integral of phi over [0, t+1]
     (least squares, then the intercept is lifted to a true majorant on the
-    sampled horizon).
+    horizon, sampled at 64 points).
     """
     if not math.isfinite(beta):
         raise ConstantsInfeasible("repair factor overflowed; tracking constants undefined")
-    ts = np.linspace(0.0, max(horizon, 1.0), samples)
+    ts = np.linspace(0.0, max(horizon, 1.0), 64)
     y = np.array([p.data.phi.integral(0.0, t + 1.0) for t in ts])
     a = float(np.linalg.lstsq(np.column_stack([ts, np.ones_like(ts)]), y, rcond=None)[0][0])
     K2 = max(a, 0.0)

@@ -790,15 +790,15 @@ def solve_value(
     level: int = 0,
     mixture_grid: int = 4,
     horizon: float | None = None,
-    x0_bound: float | None = None,
 ) -> ValueField:
     """Backward semi-Lagrangian sweep from the truncation horizon.
 
     ``horizon=None`` selects the horizon automatically from the tail
-    envelope at tolerance ``tol``.  Raises GridTooCoarse when some feasible
-    node has no candidate velocity whose interpolation stencil stays
-    feasible (one step must be able to reach the next grid cell: keep the
-    fastest sampled speed along each constrained axis times ``dt`` at or
+    envelope at tolerance ``tol``, with the initial states bounded by the
+    largest ``|coordinate|`` of the grid's box.  Raises GridTooCoarse when
+    some feasible node has no candidate velocity whose interpolation stencil
+    stays feasible (one step must be able to reach the next grid cell: keep
+    the fastest sampled speed along each constrained axis times ``dt`` at or
     above that axis's space step when constraints sweep the grid), and
     ValueError when a feasible node lies within ``M*dt`` of the box edge
     along a constrained axis (``_check_margin``).  Raises NonFiniteCost,
@@ -814,8 +814,7 @@ def solve_value(
     stranded node.  The returned ``values`` are a contiguous view of that
     array.
     """
-    if x0_bound is None:
-        x0_bound = float(np.max(np.abs(np.concatenate([grid.lo, grid.hi]))))
+    x0_bound = float(np.max(np.abs(np.concatenate([grid.lo, grid.hi]))))
     if horizon is None:
         T, tail = truncation_horizon(p, lam, x0_bound, tol, grid.t0, grid.dt)
     else:

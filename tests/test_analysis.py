@@ -174,6 +174,14 @@ def test_relaxation_gap_identical_fields(hover):
     assert gap.max_gap == 0.0 and gap.mean_gap == 0.0 and gap.passed
 
 
+def test_relaxation_gap_without_a_common_finite_node():
+    p, f = _zero_cost_field()
+    holes = dataclasses.replace(f, values=np.full_like(f.values, np.inf))
+    gap = ana.relaxation_gap(f, holes)
+    assert (gap.n_common, gap.max_gap, gap.mean_gap, gap.min_gap) == (0, 0.0, 0.0, 0.0)
+    assert gap.ordering_ok and gap.passed and gap.gap_tol is None
+
+
 def test_relaxation_gap_convex_velocities(moving_wall):
     # an interval control set sampled densely has nearly convex velocities:
     # mixtures add nothing beyond the solver tolerance
@@ -234,6 +242,19 @@ def test_time_lipschitz_gate_fails_on_nan_velocity():
     assert ana.velocity_cost_sup(f, nan_left, np.array([[0.0], [0.5]])) == math.inf
     res = ana.time_lipschitz_check(f, nan_left, _tc(), bound_N=2.0, probes=[[0.0], [0.5]])
     assert not res.gate_ok and not res.passed
+
+
+def test_time_lipschitz_probe_fails_on_a_jump_in_time():
+    # the gate holds (|f| + |L| = 1 <= N), but a step of 10 between two
+    # slices breaks the envelope at the probe
+    p, f = _zero_cost_field()
+    jump = f.values.copy()
+    jump[6:] += 10.0
+    res = ana.time_lipschitz_check(dataclasses.replace(f, values=jump), p, _tc(),
+                                   bound_N=2.0, probes=[[0.0]])
+    assert res.gate_ok and res.probe_passed == (False,) and not res.passed
+    assert (res.worst["t"], res.worst["t2"]) == (float(f.times[5]), float(f.times[6]))
+    assert res.worst["lhs"] == pytest.approx(10.0) and res.worst["slack"] > 9.0
 
 
 def test_time_lipschitz_infeasible_probe(moving_wall, mw_tracking_constants):

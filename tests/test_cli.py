@@ -229,6 +229,53 @@ def test_ipc_verify_pinched_corridor_fails(capsys):
     assert line["worst"]["r"] <= 1e-9
 
 
+# corridor-2d pinched to width 0.01: no inward margin at t = 0
+PINCHED = ["--problem", "corridor-2d", "--set", "width=0.01", "--delta", "0.1"]
+
+
+@pytest.mark.parametrize("argv", [["analyze", "decay", "--lambda", "6"],
+                                  ["nft", "run"], ["track", "run"]])
+def test_failed_margins_print_one_line_with_the_worst_sample(argv, capsys):
+    assert cli.run([*argv, *PINCHED]) == 2
+    [text] = capsys.readouterr().out.splitlines()
+    line = json.loads(text)
+    assert set(line) == {"cmd", "ok", "reason", "worst"}
+    assert line["cmd"] == " ".join(argv[:2]) and line["ok"] is False
+    assert line["reason"] == "margin verification failed"
+    assert line["worst"]["t"] == 0.0 and line["worst"]["r"] <= 1e-9
+
+
+def test_pipeline_stops_at_failed_margins(tmp_path, capsys):
+    assert cli.run(["pipeline", *PINCHED, "--out", str(tmp_path)]) == 2
+    verdicts = {"assumptions": True, "ipc": False}
+    assert _capture(capsys) == {"cmd": "pipeline", "ok": False, "verdicts": verdicts}
+    assert sorted(f.name for f in tmp_path.iterdir()) == \
+        ["assumptions.json", "certificate.json", "config.json", "verdicts.json"]
+    assert json.loads((tmp_path / "verdicts.json").read_text()) == verdicts
+    assert json.loads((tmp_path / "certificate.json").read_text())["ok"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["nft", "run", "--t0", "3.14", "--x0", "0.95"],
+    ["track", "run", "--horizon", "2"],
+])
+def test_failed_construction_names_what_to_change(argv, capsys):
+    assert cli.run([*argv, "--problem", "moving-wall-1d", "--dt", "0.2"]) == 2
+    assert _capture(capsys) == {
+        "cmd": " ".join(argv[:2]), "ok": False,
+        "reason": "grid step 0.2 exceeds the ledger step 0.0781; reduce dt"}
+
+
+def test_toolkit_error_prints_its_kind(capsys):
+    argv = ["value", "solve", "--problem", "corridor-2d", "--lambda", "6",
+            "--grid", "0.1,0.025", "--horizon", "0.2"]
+    assert cli.run(argv) == 2
+    line = _capture(capsys)
+    assert set(line) == {"error", "kind"} and line["kind"] == "GridTooCoarse"
+    assert line["error"].startswith(
+        "feasible node [-2.  -0.5] at t=0.0 has no stencil-feasible velocity")
+
+
 def test_unknown_problem_is_usage_error(capsys):
     assert cli.run(["geom", "dist", "--problem", "no-such"]) == 1
 

@@ -41,6 +41,8 @@ def test_active_set_examples(moving_wall):
     rep = geo.active_set(moving_wall, 0.0, [0.0], 10.0)
     assert sorted(rep.indices) == [0, 1]
     assert rep.conservative
+    with pytest.raises(ValueError, match=r"^delta must be nonnegative, got delta=-0.1$"):
+        geo.active_set(moving_wall, 0.0, [0.0], -0.1)
 
 
 def test_active_set_monotone_in_delta(moving_wall):

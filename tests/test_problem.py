@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,19 +127,20 @@ def test_constraint_sampled_regularity_bounds():
 
 def test_theta_modulus_constant():
     m = pb.Modulus.constant(2.0)
-    assert pb.theta_modulus(m, 0.5) == pytest.approx(1.0)
-    assert pb.theta_modulus(m, 0.0) == 0.0
+    assert m.theta(0.5) == pytest.approx(1.0)
+    assert m.theta(0.0) == 0.0
 
 
 def test_theta_modulus_piecewise_prefers_largest_levels():
     m = pb.Modulus.piecewise([0.0, 1.0], [3.0, 1.0])
-    assert pb.theta_modulus(m, 0.5) == pytest.approx(1.5)
-    assert pb.theta_modulus(m, 2.0) == pytest.approx(3.0 + 1.0)
+    assert m.theta(0.5) == pytest.approx(1.5)
+    assert m.theta(2.0) == pytest.approx(3.0 + 1.0)
 
 
 def test_theta_modulus_rejects_other_forms():
-    with pytest.raises(UnsupportedModulusForm):
-        pb.theta_modulus(lambda t: t, 0.5)
+    data = pb.get_problem("moving-wall-1d").data
+    with pytest.raises(UnsupportedModulusForm, match="phi must be a Modulus"):
+        dataclasses.replace(data, phi=lambda t: t)
 
 
 def test_modulus_integral_and_value():
@@ -180,6 +182,22 @@ def test_assumptions_pass_on_all_benchmarks():
     for name in pb.registered_problems():
         rep = pb.verify_data_assumptions(pb.get_problem(name), seed=1)
         assert rep.ok, f"{name}: {rep.to_jsonable()}"
+
+
+def test_assumptions_catch_an_a1_below_the_growth_integral():
+    # moving-wall's c is 2.8 throughout: a1 = 0.1 leaves int_0^t c above a1 t + a2
+    p = pb.get_problem("moving-wall-1d")
+    low = dataclasses.replace(p, data=dataclasses.replace(p.data, a1=0.1))
+    want, rep = pb.verify_data_assumptions(p, seed=0), pb.verify_data_assumptions(low, seed=0)
+    check = rep["affine-majorant"]
+    assert want["affine-majorant"].status == "pass" and check.status == "fail"
+    T = pb.SamplingSpec().horizon               # the slack grows with t: the last time
+    assert check.worst_witness["t"] == T
+    assert check.worst_witness["value"] == pytest.approx(2.8 * T)
+    assert check.worst_witness["bound"] == pytest.approx(0.1 * T)
+    assert want.ok and not rep.ok
+    assert [c.to_jsonable() for c in rep.checks if c is not check] == \
+        [c.to_jsonable() for c in want.checks if c.assumption_id != "affine-majorant"]
 
 
 def test_assumptions_catch_lipschitz_violation():
@@ -385,6 +403,27 @@ def test_model_that_does_not_broadcast_over_times_is_named():
         with pytest.raises(ValueError, match=r"f of sine-drive does not broadcast over t of "
                                              r"shape \(64,( 1)?\) and x of shape \(64, 1\)"):
             build()
+
+
+def test_model_that_fails_over_the_points_is_named_at_one_time_too():
+    # a result of the wrong shape raised numpy's bare broadcast error at a
+    # scalar t, and the named one only over an array t
+    def f(t, x, u):
+        return np.zeros((3, 7))
+
+    def cost(t, x, u):
+        return np.zeros((3, 7))
+
+    X, ts = np.zeros((2, 1)), np.array([0.1, 0.2])
+    for p, method, what in ((simple_problem(f, zero_cost, name="wide-f"), "velocities", "f"),
+                            (simple_problem(unit_velocity, cost, name="wide-cost"), "costs",
+                             "running cost")):
+        u = p.controls.at(0.1)
+        for t, shape in ((0.1, "()"), (ts, "(2,)")):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"{what} of {p.name} does not broadcast over t of shape {shape} "
+                    f"and x of shape (2, 1): ")):
+                getattr(p, method)(t, X, 0, u)
 
 
 def test_assumptions_failures_monotone_in_density():

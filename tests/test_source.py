@@ -1,12 +1,16 @@
-"""Checks on the package's source: no exception handler in ``src/feastube``
-catches every error.  A handler that catches ``Exception``,
-``BaseException`` or everything turns a defect into a fallback that no
-output shows."""
+"""Checks on the package's source.
+
+No exception handler in ``src/feastube`` catches every error: a handler
+that catches ``Exception``, ``BaseException`` or everything turns a defect
+into a fallback that no output shows.  No module-level function keeps a
+defaulted parameter that no call sets: such a parameter is a setting that
+nothing exercises."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "feastube"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "feastube"
 
 
 def _broad(handler: ast.ExceptHandler) -> list[str]:
@@ -38,3 +42,115 @@ def test_catch_all_handlers_are_found():
     for code, want in samples.items():
         handler = next(n for n in ast.walk(ast.parse(code)) if isinstance(n, ast.ExceptHandler))
         assert _broad(handler) == want, code
+
+
+# Defaulted parameters kept although no call sets them, each with its reason.
+_UNSET_KEPT = {
+    "trajectory.integrate(level)": "every construction takes a control level",
+    "value.relaxed_velocity_set(level)": "every construction takes a control level",
+    "analysis.relaxation_gap(gap_tol)": "its value is written into summary.json",
+}
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[str]:
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    names = [x.arg for x in pos[len(pos) - len(a.defaults):]] if a.defaults else []
+    return names + [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _calls(node: ast.AST, fn=None):
+    """``(call, fn)`` for every call under ``node``, ``fn`` the innermost
+    function definition the call is in (``None`` outside any)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, fn
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        yield from _calls(child, child if inner else fn)
+
+
+def _unset_parameters(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """``module.function(parameter)`` for every defaulted parameter of a
+    module-level function in ``modules`` that no call in ``modules`` or
+    ``callers`` sets.
+
+    A call matches a function by its name and sets a parameter by keyword,
+    by position, or by ``*``/``**`` unpacking.  It sets nothing when it
+    passes on, by name, an unset defaulted parameter of the module-level
+    function it is in, or the ``*args``/``**kwargs`` of the function it is
+    in (a wrapper's callers set what reaches the function).
+    """
+    funcs = {(m, fn.name): fn for m, tree in modules.items()
+             for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    by_name: dict[str, list] = {}
+    for key in funcs:
+        by_name.setdefault(key[1], []).append(key)
+    sites = [(call, fn, None) for tree in callers for call, fn in _calls(tree)]
+    sites += [(call, fn, m) for m, tree in modules.items() for call, fn in _calls(tree)]
+    sets = []   # (callee, parameter, the name passed on, the module-level caller)
+    for call, fn, m in sites:
+        f = call.func
+        callees = by_name.get(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None), [])
+        args = getattr(fn, "args", None)
+        passed = {v.arg for v in (getattr(args, "vararg", None), getattr(args, "kwarg", None))
+                  if v}
+        top = m and isinstance(fn, ast.FunctionDef) and funcs.get((m, fn.name)) is fn
+        caller = (m, fn.name) if top else None
+        for key in callees:
+            pos = [x.arg for x in funcs[key].args.posonlyargs + funcs[key].args.args]
+            given = []
+            for i, arg in enumerate(call.args):
+                if isinstance(arg, ast.Starred):
+                    if getattr(arg.value, "id", None) not in passed:
+                        given += [(p, None) for p in pos[i:]]
+                    break
+                if i < len(pos):
+                    given.append((pos[i], getattr(arg, "id", None)))
+            for k in call.keywords:
+                if k.arg:
+                    given.append((k.arg, getattr(k.value, "id", None)))
+                elif getattr(k.value, "id", None) not in passed:
+                    given += [(p, None) for p in _defaulted(funcs[key])]
+            sets += [(key, param, via, caller) for param, via in given]
+    is_set: set = set()
+    while True:
+        grown = {(key, param) for key, param, via, caller in sets
+                 if caller is None or via not in _defaulted(funcs[caller])
+                 or (caller, via) in is_set}
+        if grown == is_set:
+            break
+        is_set = grown
+    return sorted(f"{m}.{name}({param})" for (m, name), fn in funcs.items()
+                  for param in _defaulted(fn) if ((m, name), param) not in is_set)
+
+
+def test_no_defaulted_parameter_goes_unset():
+    modules = {path.stem: ast.parse(path.read_text(), str(path))
+               for path in sorted(SRC.rglob("*.py"))}
+    callers = [ast.parse(path.read_text(), str(path))
+               for d in ("tests", "bench", "demos") for path in sorted((ROOT / d).rglob("*.py"))]
+    assert len(modules) > 5 and len(callers) > 5, "the walk read no source"
+    unset = _unset_parameters(modules, callers)
+    never_set = [u for u in unset if u not in _UNSET_KEPT]
+    assert not never_set, f"{len(never_set)} defaulted parameters no call sets: {never_set}"
+    stale = sorted(set(_UNSET_KEPT) - set(unset))
+    assert not stale, f"kept as unset, but now set or gone: {stale}"
+
+
+def test_unset_parameters_are_found():
+    lib = ast.parse(
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n"
+        "def g(x, b=1):\n    return f(x, b)\n"
+        "def h(x, b=1):\n    return f(x, c=b)\n"
+    )
+    cases = {"pass": ["f(b)", "f(c)", "f(d)", "g(b)", "h(b)"],
+             "g(0, b=2)": ["f(c)", "f(d)", "h(b)"],       # g passes on a set b
+             "h(0, 5)": ["f(b)", "f(d)", "g(b)"],
+             "f(0, 1, 2, d=4)": ["g(b)", "h(b)"],
+             "f(*args); h(0, 1)": ["f(d)", "g(b)"],
+             "f(0, **kw); h(0, 1)": ["g(b)"],
+             "def w(*a, **k):\n    return f(*a, **k)\n": ["f(b)", "f(c)", "f(d)", "g(b)", "h(b)"],
+             "def w(*a):\n    return f(*args(), **kw)\n": ["g(b)", "h(b)"]}
+    for code, want in cases.items():
+        got = _unset_parameters({"lib": lib}, [ast.parse(code)])
+        assert got == [f"lib.{w}" for w in want], code
