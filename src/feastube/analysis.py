@@ -239,8 +239,10 @@ class GapResult:
     min_gap: float
     n_common: int
     ordering_ok: bool
-    passed: bool
-    gap_tol: float | None
+
+    @property
+    def passed(self) -> bool:
+        return self.ordering_ok
 
     def to_jsonable(self) -> dict:
         return {
@@ -250,28 +252,24 @@ class GapResult:
             "n_common": int(self.n_common),
             "ordering_ok": self.ordering_ok,
             "passed": self.passed,
-            "gap_tol": None if self.gap_tol is None else float(self.gap_tol),
+            "gap_tol": None,
         }
 
 
-def relaxation_gap(
-    fieldV: ValueField, fieldVstar: ValueField, gap_tol: float | None = None
-) -> GapResult:
+def relaxation_gap(fieldV: ValueField, fieldVstar: ValueField) -> GapResult:
     """Statistics of V - V* over common feasible nodes.
 
     Mixtures can only lower the minimum, so the gap must be nonnegative up
-    to the solver tolerance; an optional cap bounds how large it may be.
+    to the solver tolerance.
     """
     if not fieldV.compatible_with(fieldVstar):
         raise GridMismatch("fields must share grid, horizon, and discount")
     common = np.isfinite(fieldV.values) & np.isfinite(fieldVstar.values)
     if not common.any():
-        return GapResult(0.0, 0.0, 0.0, 0, True, True, gap_tol)
+        return GapResult(0.0, 0.0, 0.0, 0, True)
     d = fieldV.values[common] - fieldVstar.values[common]
-    ordering_ok = bool(d.min() >= -TOL_DP)
-    passed = ordering_ok and (gap_tol is None or float(d.max()) <= gap_tol)
     return GapResult(float(d.max()), float(d.mean()), float(d.min()),
-                     int(common.sum()), ordering_ok, passed, gap_tol)
+                     int(common.sum()), bool(d.min() >= -TOL_DP))
 
 
 # ---------------------------------------------------------------------------

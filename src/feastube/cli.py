@@ -35,7 +35,7 @@ from .errors import (
     FeastubeError,
     ViabilityLost,
 )
-from .ipc import IpcVerification, verify_ipc
+from .ipc import verify_ipc
 from .problem import SamplingSpec, get_problem, verify_data_assumptions
 from .value import GridSpec, ValueField
 
@@ -290,18 +290,6 @@ def _emit(line: dict) -> None:
     print(json.dumps(line, sort_keys=True))
 
 
-def _failed(cmd: str, cause: IpcVerification | FeastubeError) -> int:
-    """Print the line of a failed run and return its exit code, 2.  ``cause``
-    is the run's failed margin verification, whose worst sample the line
-    carries, or the error that stopped its construction."""
-    if isinstance(cause, IpcVerification):
-        why = {"reason": "margin verification failed", "worst": cause.worst}
-    else:
-        why = {"reason": str(cause)}
-    _emit({"cmd": cmd, "ok": False, **why})
-    return 2
-
-
 def _outdir(cfg: dict) -> Path:
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -364,11 +352,14 @@ def _cmd_nft(cfg: dict, args) -> int:
     ref = tj.integrate_controls(p, t0, x0, np.tile(uref, (steps, 1)), cfg["dt"])
     ver = _ipc_certificate(cfg, p, (t0, t1 + 1.0))
     if not ver.ok:
-        return _failed("nft run", ver)
+        _emit({"cmd": "nft run", "ok": False, "reason": "margin verification failed",
+               "worst": ver.worst})
+        return 2
     try:
         res = tj.nft_correct(p, ver.certificate, ref, level=cfg["level"])
     except (CorrectionFailed, ViabilityLost) as exc:
-        return _failed("nft run", exc)
+        _emit({"cmd": "nft run", "ok": False, "reason": str(exc)})
+        return 2
     if cfg["out"]:
         outdir = _outdir(cfg)
         write_trajectory_csv(outdir / "reference.csv", p, ref)
@@ -387,12 +378,15 @@ def _cmd_track(cfg: dict, args) -> int:
     x1 = _vector(cfg["x1"], p.n, "--x1", np.asarray(p.anchor(t0)) * 0.5)
     ver = _ipc_certificate(cfg, p, (t0, t0 + horizon + 1.0))
     if not ver.ok:
-        return _failed("track run", ver)
+        _emit({"cmd": "track run", "ok": False, "reason": "margin verification failed",
+               "worst": ver.worst})
+        return 2
     ref = tj.viable_trajectory(p, ver.certificate, t0, x0, t0 + horizon, cfg["dt"])
     try:
         run = tj.track_feasible(p, ver.certificate, ref, x1, horizon, level=cfg["level"])
     except (CorrectionFailed, ViabilityLost) as exc:
-        return _failed("track run", exc)
+        _emit({"cmd": "track run", "ok": False, "reason": str(exc)})
+        return 2
     bound = run.bound(run.trajectory.times)
     ok = bool(np.all(run.deviations <= bound + 1e-12))
     if cfg["out"]:
@@ -512,7 +506,9 @@ def _cmd_analyze(cfg: dict, args) -> int:
     cmd = f"analyze {args.action}"
     run = _Run(cfg)
     if not run.ver.ok:
-        return _failed(cmd, run.ver)
+        _emit({"cmd": cmd, "ok": False, "reason": "margin verification failed",
+               "worst": run.ver.worst})
+        return 2
     key, res, skipped = _run_stage(run, args.action)
     if cfg["out"]:
         ana.emit_report({"skipped": {"reason": skipped}} if skipped else {key: res},

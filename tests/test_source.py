@@ -48,7 +48,6 @@ def test_catch_all_handlers_are_found():
 _UNSET_KEPT = {
     "trajectory.integrate(level)": "every construction takes a control level",
     "value.relaxed_velocity_set(level)": "every construction takes a control level",
-    "analysis.relaxation_gap(gap_tol)": "its value is written into summary.json",
 }
 
 
