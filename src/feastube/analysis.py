@@ -413,8 +413,8 @@ def write_json(path: Path, obj) -> None:
 
 
 def emit_report(results: Mapping[str, object], path) -> list[Path]:
-    """Write a JSON summary, one CSV per series-bearing result, and one x-y
-    plot-data file per series column.  Byte-deterministic for equal inputs."""
+    """Write a JSON summary and one CSV per series-bearing result, whose
+    columns are its series.  Byte-deterministic for equal inputs."""
     outdir = Path(path)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -423,16 +423,9 @@ def emit_report(results: Mapping[str, object], path) -> list[Path]:
         res = results[name]
         summary[name] = res.to_jsonable() if hasattr(res, "to_jsonable") else res
         if hasattr(res, "series"):
-            cols = res.series()
             csv_path = outdir / f"{name}.csv"
-            write_csv(csv_path, cols)
+            write_csv(csv_path, res.series())
             written.append(csv_path)
-            names = list(cols)
-            xcol = names[0]
-            for ycol in names[1:]:
-                pp = outdir / f"plot_{name}_{ycol}.csv"
-                write_csv(pp, {xcol: cols[xcol], ycol: cols[ycol]})
-                written.append(pp)
     spath = outdir / "summary.json"
     write_json(spath, {"n_results": len(summary), "results": summary})
     written.append(spath)

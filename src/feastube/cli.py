@@ -92,14 +92,8 @@ def write_field(outdir: Path, name: str, field: ValueField) -> None:
         },
     }
     ana.write_json(outdir / f"{name}.json", header)
-    nodes = field.grid_nodes()
-    nt = field.values.shape[0]
-    P = nodes.shape[0]
-    cols = {"t": np.repeat(field.times, P)}
-    for d in range(nodes.shape[1]):
-        cols[f"x_{d + 1}"] = np.tile(nodes[:, d], nt)
-    cols["value"] = field.values.reshape(nt, P).ravel()
-    ana.write_csv(outdir / f"{name}.csv", cols)
+    np.save(outdir / f"{name}.npy", np.ascontiguousarray(field.values, dtype="<f8"),
+            allow_pickle=False)
 
 
 def read_field(outdir: Path, name: str) -> ValueField:
@@ -108,9 +102,12 @@ def read_field(outdir: Path, name: str) -> ValueField:
     axes = tuple(
         np.linspace(lo, hi, s) for lo, hi, s in zip(g["lo"], g["hi"], g["shape"])
     )
-    data = read_trajectory_like(outdir / f"{name}.csv")
+    path = outdir / f"{name}.npy"
+    values = np.load(path, allow_pickle=False)
     nt = int(round((header["T"] - header["t0"]) / header["dt"])) + 1
-    values = data["value"].reshape((nt,) + tuple(g["shape"]))
+    if values.shape != (nt, *g["shape"]):
+        raise ValueError(f"{path}: the header gives shape {(nt, *g['shape'])}, "
+                         f"the values have shape {values.shape}")
     return ValueField(
         relaxed=header["relaxed"], lam=header["lambda"], t0=header["t0"],
         dt=header["dt"], T=header["T"], axes=axes, values=values,

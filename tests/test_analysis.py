@@ -382,7 +382,8 @@ def test_emit_report_schema_and_determinism(tmp_path):
 
     header = (out1 / "lipschitz.csv").read_text().splitlines()[0]
     assert header == "t,empirical,bound"
-    assert (out1 / "plot_lipschitz_empirical.csv").exists()
+    # each series is written once, in its result's CSV: no plot_* copies
+    assert [str(rel) for rel in files1] == ["decay.csv", "lipschitz.csv", "summary.json"]
 
 
 # Values on both sides of repr's switch to exponent form (1e-05 and 1e16),

@@ -304,14 +304,73 @@ def test_track_run(tmp_path, capsys):
 
 
 def test_value_solve_field_roundtrip(tmp_path, capsys):
-    code = cli.run(["value", "solve", "--problem", "moving-wall-1d",
-                    "--lambda", "6", "--points", "46", "--horizon", "2",
-                    "--out", str(tmp_path)])
+    argv = ["value", "solve", "--problem", "moving-wall-1d",
+            "--lambda", "6", "--points", "46", "--horizon", "2"]
+    code = cli.run(argv + ["--out", str(tmp_path)])
     assert code == 0
     field = cli.read_field(tmp_path, "field")
     assert field.lam == 6.0
     v = val.evaluate_value(field, 0.0, [0.0])
     assert np.isfinite(v)
+    want = _solved_field(argv, relaxed=False)
+    assert field.values.shape == want.values.shape
+    assert np.array_equal(field.values.view(np.int64), want.values.view(np.int64))
+
+
+def _solved_field(argv, relaxed):
+    """The field ``solve_value`` returns at the settings of ``argv``."""
+    cfg = cli.resolve_config(cli._build_parser().parse_args(argv))
+    p = cli._problem_from(cfg)
+    return val.solve_value(p, cfg["lam"], cli._grid_from(cfg, p), relaxed=relaxed,
+                           tol=cfg["tol"], level=cfg["level"],
+                           mixture_grid=cfg["mixture_grid"], horizon=cli._horizon_arg(cfg))
+
+
+def _edge_field(ndim, relaxed):
+    axes = tuple(np.linspace(-1.0 - d, 0.5 + d, 5 + 2 * d) for d in range(ndim))
+    rng = np.random.default_rng(ndim)
+    values = rng.normal(size=(4, *(len(a) for a in axes)))
+    flat = values.reshape(-1)
+    flat[:4] = [-0.0, 0.0, np.inf, -np.inf]
+    flat[-1] = 5e-324
+    return val.ValueField(relaxed=relaxed, lam=6.5, t0=0.25, dt=0.1, T=0.55, axes=axes,
+                          values=values, tail_bound=1.0 / 3.0, a1=0.7, a2=2.0,
+                          x0_bound=1.5, problem_name="corridor-2d" if ndim == 2 else "hover-1d",
+                          level=1 if relaxed else 0, mixture_grid=4 if relaxed else 2)
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_field_roundtrip_is_bit_exact(ndim, relaxed, tmp_path):
+    field = _edge_field(ndim, relaxed)
+    cli.write_field(tmp_path, "f", field)
+    assert sorted(fp.name for fp in tmp_path.iterdir()) == ["f.json", "f.npy"]
+    back = cli.read_field(tmp_path, "f")
+    assert back.values.dtype == np.float64 and back.values.shape == field.values.shape
+    assert np.array_equal(back.values.view(np.int64), field.values.view(np.int64))
+    assert len(back.axes) == ndim
+    for a, b in zip(back.axes, field.axes):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    for f in dataclasses.fields(val.ValueField):
+        if f.name not in ("axes", "values"):
+            assert getattr(back, f.name) == getattr(field, f.name), f.name
+    # the values load without feastube, time first, in C order
+    raw = np.load(tmp_path / "f.npy", allow_pickle=False)
+    assert raw.dtype == np.dtype("<f8") and raw.flags.c_contiguous
+    assert np.array_equal(raw.view(np.int64), field.values.view(np.int64))
+    cli.write_field(tmp_path, "g", back)
+    assert (tmp_path / "g.npy").read_bytes() == (tmp_path / "f.npy").read_bytes()
+
+
+def test_read_field_names_a_shape_apart_from_its_header(tmp_path):
+    field = _edge_field(2, False)
+    cli.write_field(tmp_path, "f", field)
+    np.save(tmp_path / "f.npy", field.values[:, :-1], allow_pickle=False)
+    with pytest.raises(ValueError) as err:
+        cli.read_field(tmp_path, "f")
+    msg = str(err.value)
+    assert str(tmp_path / "f.npy") in msg
+    assert str((4, 5, 7)) in msg and str((4, 4, 7)) in msg
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -392,9 +451,17 @@ def test_pipeline_deterministic_on_every_problem(name, tmp_path, capsys):
     assert cli.run(args + ["--out", str(out2)]) == 0
     tree = _tree(out1)
     assert "summary.json" in tree and tree == _tree(out2)
+    # Each field is its header plus one .npy of the values solve_value returns.
+    assert not [rel for rel in tree if rel.startswith("field") and rel.endswith(".csv")]
+    for rel, relaxed in (("field", False), ("field_relaxed", True)):
+        assert f"{rel}.json" in tree and f"{rel}.npy" in tree
+        got = np.load(out1 / f"{rel}.npy", allow_pickle=False)
+        want = _solved_field(args, relaxed).values
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), rel
     # The bytes are those of the row-at-a-time writer, not only stable.
     csvs = [rel for rel in tree if rel.endswith(".csv")]
-    assert "field.csv" in csvs and "field_relaxed.csv" in csvs
+    assert csvs
     for rel in csvs:
         lines = tree[rel].decode().splitlines()
         names = lines[0].split(",")
@@ -402,6 +469,16 @@ def test_pipeline_deterministic_on_every_problem(name, tmp_path, capsys):
         data = np.array(rows).reshape(len(rows), len(names))
         write_csv_rows(tmp_path / "rows.csv", {c: data[:, j] for j, c in enumerate(names)})
         assert (tmp_path / "rows.csv").read_bytes() == tree[rel], rel
+
+
+def test_pipeline_writes_each_artifact_once(tmp_path, capsys):
+    assert cli.run(["pipeline", *certify_args("corridor-2d"), "--out", str(tmp_path)]) == 0
+    assert sorted(fp.name for fp in tmp_path.iterdir()) == [
+        "assumptions.json", "certificate.json", "config.json",
+        "decay.csv", "field.json", "field.npy", "field_relaxed.json",
+        "field_relaxed.npy", "lipschitz.csv", "nft_constants.json",
+        "summary.json", "tracking_constants.json", "verdicts.json",
+    ]
 
 
 @pytest.mark.parametrize("action", ["lipschitz", "decay", "relax", "time-lip"])

@@ -2,9 +2,9 @@
 
 No exception handler in ``src/feastube`` catches every error: a handler
 that catches ``Exception``, ``BaseException`` or everything turns a defect
-into a fallback that no output shows.  No module-level function keeps a
-defaulted parameter that no call sets: such a parameter is a setting that
-nothing exercises."""
+into a fallback that no output shows.  No module-level function, and no
+method of a module-level class, keeps a defaulted parameter that no call
+sets: such a parameter is a setting that nothing exercises."""
 
 import ast
 from pathlib import Path
@@ -48,6 +48,10 @@ def test_catch_all_handlers_are_found():
 _UNSET_KEPT = {
     "trajectory.integrate(level)": "every construction takes a control level",
     "value.relaxed_velocity_set(level)": "every construction takes a control level",
+    "cli._SubcommandParser.parse_known_args(args)": "overrides argparse's signature; "
+                                                    "argparse sets it",
+    "cli._SubcommandParser.parse_known_args(namespace)": "overrides argparse's signature; "
+                                                         "argparse sets it",
 }
 
 
@@ -68,35 +72,57 @@ def _calls(node: ast.AST, fn=None):
         yield from _calls(child, child if inner else fn)
 
 
+def _functions(modules: dict[str, ast.Module]):
+    """``(key, fn, names, skip)`` for every module-level function and every
+    method of a module-level class: ``key`` is ``(module, qualified name)``,
+    a call by one of ``names`` matches it, and the call's positional
+    arguments start at its ``skip``-th parameter."""
+    for m, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield (m, node.name), node, [node.name], 0
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in fn.decorator_list)
+                    names = [fn.name, node.name] if fn.name == "__init__" else [fn.name]
+                    yield (m, f"{node.name}.{fn.name}"), fn, names, 0 if static else 1
+
+
 def _unset_parameters(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
-    """``module.function(parameter)`` for every defaulted parameter of a
-    module-level function in ``modules`` that no call in ``modules`` or
+    """``module.function(parameter)`` (``module.Class.method(parameter)``)
+    for every defaulted parameter of a module-level function, or of a method
+    of a module-level class, in ``modules`` that no call in ``modules`` or
     ``callers`` sets.
 
-    A call matches a function by its name and sets a parameter by keyword,
-    by position, or by ``*``/``**`` unpacking.  It sets nothing when it
-    passes on, by name, an unset defaulted parameter of the module-level
-    function it is in, or the ``*args``/``**kwargs`` of the function it is
-    in (a wrapper's callers set what reaches the function).
+    A call matches a function by its name or its attribute name (a method by
+    its attribute name, ``__init__`` also by its class's name) and sets a
+    parameter by keyword, by position, or by ``*``/``**`` unpacking.  It sets
+    nothing when it passes on, by name, an unset defaulted parameter of the
+    function or method it is in, or the ``*args``/``**kwargs`` of the
+    function it is in (a wrapper's callers set what reaches the function).
     """
-    funcs = {(m, fn.name): fn for m, tree in modules.items()
-             for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    funcs, skips, owner = {}, {}, {}
     by_name: dict[str, list] = {}
-    for key in funcs:
-        by_name.setdefault(key[1], []).append(key)
-    sites = [(call, fn, None) for tree in callers for call, fn in _calls(tree)]
-    sites += [(call, fn, m) for m, tree in modules.items() for call, fn in _calls(tree)]
-    sets = []   # (callee, parameter, the name passed on, the module-level caller)
-    for call, fn, m in sites:
+    for key, fn, names, skip in _functions(modules):
+        funcs[key], skips[key], owner[id(fn)] = fn, skip, key
+        for name in names:
+            by_name.setdefault(name, []).append(key)
+    sites = [(call, fn) for tree in callers for call, fn in _calls(tree)]
+    sites += [(call, fn) for tree in modules.values() for call, fn in _calls(tree)]
+    sets = []   # (callee, parameter, the name passed on, the function it is in)
+    for call, fn in sites:
         f = call.func
         callees = by_name.get(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None), [])
         args = getattr(fn, "args", None)
         passed = {v.arg for v in (getattr(args, "vararg", None), getattr(args, "kwarg", None))
                   if v}
-        top = m and isinstance(fn, ast.FunctionDef) and funcs.get((m, fn.name)) is fn
-        caller = (m, fn.name) if top else None
+        caller = owner.get(id(fn))
         for key in callees:
             pos = [x.arg for x in funcs[key].args.posonlyargs + funcs[key].args.args]
+            pos = pos[skips[key]:]
             given = []
             for i, arg in enumerate(call.args):
                 if isinstance(arg, ast.Starred):
@@ -150,6 +176,29 @@ def test_unset_parameters_are_found():
              "f(0, **kw); h(0, 1)": ["g(b)"],
              "def w(*a, **k):\n    return f(*a, **k)\n": ["f(b)", "f(c)", "f(d)", "g(b)", "h(b)"],
              "def w(*a):\n    return f(*args(), **kw)\n": ["g(b)", "h(b)"]}
+    for code, want in cases.items():
+        got = _unset_parameters({"lib": lib}, [ast.parse(code)])
+        assert got == [f"lib.{w}" for w in want], code
+
+
+def test_unset_method_parameters_are_found():
+    lib = ast.parse(
+        "class E(Exception):\n"
+        "    def __init__(self, msg, row=None):\n        self.row = row\n"
+        "class C:\n"
+        "    def at(self, t, level=0):\n        return self.scale(t, level)\n"
+        "    def scale(self, t, level=0, k=1):\n        pass\n"
+        "    @staticmethod\n"
+        "    def make(n, m=2):\n        pass\n"
+    )
+    base = ["C.at(level)", "C.make(m)", "C.scale(k)", "C.scale(level)", "E.__init__(row)"]
+    cases = {"pass": base,
+             "E('no row', 3)": [w for w in base if w != "E.__init__(row)"],
+             "raise errors.E('m', row=1)": [w for w in base if w != "E.__init__(row)"],
+             "c.at(0.0, 1)": ["C.make(m)", "C.scale(k)", "E.__init__(row)"],
+             "c.scale(0.0, 1)": ["C.at(level)", "C.make(m)", "C.scale(k)", "E.__init__(row)"],
+             "C.make(1, 3)": [w for w in base if w != "C.make(m)"],
+             "C.make(1)": base}
     for code, want in cases.items():
         got = _unset_parameters({"lib": lib}, [ast.parse(code)])
         assert got == [f"lib.{w}" for w in want], code
