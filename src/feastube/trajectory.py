@@ -26,7 +26,12 @@ kept step was decided and evaluated at its true state, so it is the step
 loop's (``problem``'s convention makes each batched row that row's own).
 The next block starts at the first differing step.  Every rule guesses by
 ``_Rule.guess``: the increments the last block computed for the same steps,
-then the last kept one, or the rule's target path.  Controls fixed in
+then the last kept one, or the rule's target path.  The viability rule then
+guesses its steps in the acting tube: it predicts which steps take the
+margin game's control from the shift in the constraint values that one
+such step makes, and checks the whole predicted pattern with one
+``constraint_values`` call, guessing again only from a step the check
+finds wrong.  Controls fixed in
 advance (``_Held``: a schedule, explicit rows, the push's multiplexed
 mixture) are decided in blocks, and so is a viable step in the acting tube
 when its memoised margin game is pure at a zero mixture credit
@@ -559,9 +564,20 @@ class _Viable(_Rule):
     block's start the path drifts under the last increment of the default
     control, or takes the last block's increment for a step that block
     also computed with a control of the same kind (exact when the velocity
-    changes with time only).  After each step in the tube it
-    moves by the last kept increment of a step in the tube and drifts
-    again, which costs one ``constraint_values`` call on the rows after it.
+    changes with time only).  A step that takes the game's control moves
+    by the last kept increment of such a step instead.  The first such step
+    of a block is guessed again alone, which measures the shift it makes in
+    each later row's constraint values.  From then on the steps after a
+    step guessed wrong are guessed under a predicted pattern: each next
+    step that takes the game's control is where the values, moved by that
+    shift per such step, reach the tube again.  One ``np.add.accumulate``
+    builds the pattern's guesses and one ``constraint_values`` call checks
+    them; the steps in the tube up to the first row the check finds wrong
+    take their controls from one ``velocities`` call (per run of equal
+    samples) and their games from the memo row by row.  Any guess is safe,
+    as the march keeps only the prefix it proves exact; the prediction
+    only saves calls.  The pattern need not be periodic: the gaps between
+    such steps change as a moving wall's speed does.
     """
 
     def __init__(self, p: ProblemDefinition, cert: IpcCertificate, level: int, trig: float,
@@ -588,58 +604,129 @@ class _Viable(_Rule):
     def _decide(self, T: Array, G: Array, walk: bool) -> None:
         """Sets the controls ``U`` of the steps at the guesses ``G``, how
         many of them ``q`` a block decides, and which of those took the
-        game's control.  With ``walk``, the rows of ``G`` after each of
-        these are guessed again."""
-        p, stop = self.p, self.stop
+        game's control.  With ``walk``, the rows of ``G`` after the first
+        step whose guess took the other kind of control are guessed again,
+        under a predicted pattern of steps that take the game's control."""
+        p, entry = self.p, self.entry
         b = q = len(G)
         U, tubes = self.defaults[:b], []
         H = p.constraint_values(T, G)
-        r = _first_row(H >= stop)
-        while r < b:
-            q = r + _first_row(H[r:] > geo.TOL_FEAS)          # the first step past the wall
-            rows = (r + np.flatnonzero((H[r:q] >= self.entry).any(axis=1))).tolist()
-            solved = len(self.games)
-            for k in rows[:1] if walk else rows:
-                u = self._take(float(T[k]), G[k], H[k], walk and not tubes)
-                if u is None:
-                    q = k
+        guessed = np.zeros(b, dtype=bool)   # steps guessed under the game's control
+        shift = None                        # per row, the change in H of one more such step
+        v = _first_row(H >= self.stop)
+        while v < b:
+            inside = (H[v:] >= entry).any(axis=1)
+            w = v + _first_row(H[v:] > geo.TOL_FEAS)          # the first step past the wall
+            e = end = w
+            if walk:                        # the first step whose guess may be wrong
+                e = min(w, v + _first_row((inside != guessed[v:])[:, None]))
+                end = e + 1 if e < w and inside[e - v] else e
+            rows = (v + np.flatnonzero(inside[:end - v])).tolist()
+            solved, took = len(self.games), True
+            for k, took in zip(rows, self._takes(T, G, H, rows, walk, tubes)):
+                if took is None:
                     break
-                if u is not p.default_control:
+                if took is not p.default_control:
                     if not tubes:
                         U = U.copy()
-                    U[k] = u
+                    U[k] = took
                     tubes.append(k)
-            if not walk or not rows or q == rows[0]:
-                break
-            a = rows[0] + 1
-            if tubes and tubes[-1] == rows[0] and a < b:
-                j0, D, last = self.last
-                push = D[self.j - j0 + a - 1] if self.j - j0 + a - 1 in last else self.push
-                if push is None or len(self.games) > solved:
-                    q = a          # no increment kept under this game to guess by
+                if walk and (took is not p.default_control) != guessed[k]:
                     break
-                G[a] = push
-                G[a + 1 + self._drift(G, a):] = self.drift
-                np.add.accumulate(G[a - 1:], axis=0, out=G[a - 1:])
-                H[a:] = p.constraint_values(T[a:], G[a:])
-            q, r = b, a + _first_row(H[a:] >= stop)
+            else:
+                if e == w:                  # past the wall, or the block's end
+                    q = w
+                    break
+                if rows and rows[-1] == e:  # a step in the tube that keeps the default
+                    v = e + 1
+                    continue
+                k = e                       # guessed under the game's control, outside the tube
+            if took is None:
+                q = k
+                break
+            push = bool(tubes) and tubes[-1] == k
+            if push and len(self.games) > solved:
+                q = k + 1                   # a game solved here: the block ends after it
+                break
+            v = k + 1
+            if v < b:
+                shift = self._guess_after(T, G, H, k, push, guessed, shift)
+                if shift is None:
+                    q = v                   # no increment kept under this game to guess by
+                    break
         self.U, self.q, self.tubes = U, q, tubes
 
-    def _take(self, t: float, x: Array, hv: Array, solve: bool) -> Array | None:
-        """The control of the step in the tube at ``x``, ``hv`` its
-        constraint values, if a block may take it; else None.  A game not
-        yet in the memo is solved only with ``solve``."""
-        u, vels = self.p.velocities(t, x, self.level)
-        game = _game(self.p, t, x, hv, vels, self.cert.delta, self.games, solve)
-        if game is None:
-            return None
-        r, alpha, _ = game
-        if r == math.inf:
-            return self.p.default_control
-        i = _pure(alpha)
-        if r <= 0 or i is None or self.mux.credit.any():
-            return None
-        return u[i]
+    def _takes(self, T: Array, G: Array, H: Array, rows: list, walk: bool, tubes: list):
+        """Per step of ``rows`` in the tube, in order: the control a block
+        may take there, the default control where no constraint is active,
+        or None.  The velocities come from one call per run of steps whose
+        samples share their bytes, each step's as it is alone; each game
+        from the memo, solved only with ``walk`` while ``tubes`` is empty."""
+        p, level, at = self.p, self.level, self.p.controls.at
+        i = 0
+        while i < len(rows):
+            u = at(float(T[rows[i]]), level)
+            n = i + 1
+            while n < len(rows):
+                s = at(float(T[rows[n]]), level)
+                if s is not u and (s.shape != u.shape or s.tobytes() != u.tobytes()):
+                    break
+                n += 1
+            run = rows[i:n]
+            _, V = p.velocities(T[run], G[run], level, u)
+            for k, vels in zip(run, np.ascontiguousarray(V.transpose(1, 0, 2))):
+                game = _game(p, float(T[k]), G[k], H[k], vels, self.cert.delta, self.games,
+                             walk and not tubes)
+                if game is None:
+                    yield None
+                    return
+                r, alpha, _ = game
+                if r == math.inf:
+                    yield p.default_control
+                    continue
+                j = _pure(alpha)
+                yield None if r <= 0 or j is None or self.mux.credit.any() else u[j]
+            i = n
+
+    def _guess_after(self, T: Array, G: Array, H: Array, k: int, push: bool,
+                     guessed: Array, shift: Array | None) -> Array | None:
+        """Guesses the rows of ``G`` after row ``k`` again, step ``k`` under
+        the game's control if ``push``, and updates ``H`` and ``guessed``
+        there.  A later step is predicted to take the game's control where
+        ``H``, moved by ``shift`` per step of that kind gained since, first
+        reaches the tube again; with no ``shift`` none is, and the change
+        that this push makes in ``H`` is returned as the shift.  None when
+        no increment kept under the game's control guesses step ``k``."""
+        b, a = len(G), k + 1
+        j0, D, last = self.last
+        pred = [k] if push else []
+        if shift is not None:
+            gained = np.cumsum(guessed[k:b - 1])       # such steps guessed in [k, i)
+            base = H[a:] - gained[:, None] * shift[a:]
+            i = a
+            while i < b - 1:
+                i += _first_row(base[i - a:] + len(pred) * shift[i:] >= self.entry)
+                if i < b - 1:
+                    pred.append(i)
+                    i += 1
+        G[a + self._drift(G, k):] = self.drift
+        for n, s in enumerate(pred):
+            li = self.j - j0 + s
+            if li not in last and self.push is None:
+                if s == k:
+                    return None
+                del pred[n:]
+                break
+            G[s + 1] = D[li] if li in last else self.push
+        guessed[k:] = False
+        guessed[pred] = True
+        np.add.accumulate(G[k:], axis=0, out=G[k:])
+        before = H[a:].copy() if shift is None else None
+        H[a:] = self.p.constraint_values(T[a:], G[a:])
+        if shift is None:
+            shift = np.zeros_like(H)
+            shift[a:] = H[a:] - before
+        return shift
 
     def step(self, j, t, x):
         p = self.p
@@ -848,10 +935,6 @@ def _inside_clearance(p, times, states) -> float | None:
     return clear if clear > 1e-12 else None
 
 
-def _measure_rho(p, times, states) -> float:
-    return float(geo.distances_upper_along(p, times, states).max())
-
-
 def _case_push_and_replay(p, cert, cons, t_a, ref_states, rho_c, dt, level, games=None):
     """Insert the inward mixture for k*rho time, then replay the reference
     derivative with that time shift; project onto sampled controls."""
@@ -896,6 +979,10 @@ def nft_correct(
     piece the path follows the reference's velocities (nearest sampled
     velocity), marched one piece ahead of the sweep, and the running
     violation is the largest distance measured on that projection so far.
+    Each violation (``rho``) is the largest of the nodes' certified upper
+    distances (``geo.max_distance_upper_along``, equal to the maximum of
+    ``geo.distances_upper_along`` bit for bit), which bisects to the end
+    only the nodes that can hold it.
     The violation is measured only while a push is still possible: not once
     it exceeds ``rho_bar``, nor on a piece that starts deep inside and does
     not pass, which restarts.  Such a piece either passes or restarts, so
@@ -918,7 +1005,7 @@ def nft_correct(
             f"grid step {dt} exceeds the ledger step {cons.Delta:.3g}; reduce dt"
         )
 
-    rho_measured = _measure_rho(p, times, ref0)
+    rho_measured = geo.max_distance_upper_along(p, times, ref0)
     rho_eff = max(rho_measured, _RHO_FLOOR)
 
     cur = ref0.copy()
@@ -965,7 +1052,8 @@ def nft_correct(
         # the violation matters only while a push is possible: above rho_bar,
         # or on a deep piece that does not pass, the piece restarts
         if project is not None and rho_prev <= cons.rho_bar and (passes or not deep):
-            rho_prev = max(rho_prev, _measure_rho(p, times[ja + 1:jb + 1], cur[ja + 1:jb + 1]))
+            rho_prev = max(rho_prev, geo.max_distance_upper_along(p, times[ja + 1:jb + 1],
+                                                                  cur[ja + 1:jb + 1]))
         if passes:
             pieces["pass"] += 1
             continue

@@ -12,7 +12,8 @@ from feastube import trajectory as tj
 from feastube.errors import EmptySourceSet, InfeasibleInput, NonFiniteConstraint
 
 import oracles
-from util import simple_problem, unit_velocity, zero_cost, affine_constraint
+from util import (affine_constraint, repair_benchmark_references, simple_problem,
+                  unit_velocity, zero_cost)
 
 
 def test_eval_constraints_moving_wall(moving_wall):
@@ -440,6 +441,80 @@ def test_distances_upper_along_rejects_infeasible_anchor():
     p = simple_problem(unit_velocity, zero_cost, constraints=(wall,), omega_lip=0.3)
     with pytest.raises(InfeasibleInput, match=r"anchor infeasible at t="):
         geo.omega_lipschitz_estimate(p, (0.0, 2 * math.pi))
+
+
+# --- the largest distance, bisected to the end only where it can lie --------------------
+
+def _same_max(p, times, states):
+    """``max_distance_upper_along`` is the maximum of
+    ``distances_upper_along``, bit for bit; returns it."""
+    got = geo.max_distance_upper_along(p, times, states)
+    want = geo.distances_upper_along(p, times, states).max()
+    assert type(got) is float and np.float64(got).tobytes() == want.tobytes(), (got, want)
+    return got
+
+
+def _near_corner(p, rng, nodes, spread):
+    """A path of ``nodes`` points within ``spread`` of a corner of ``p``'s
+    box, which lies outside the set, at times within ``6 spread`` of one."""
+    lo, hi = p.box[:, 0], p.box[:, 1]
+    times = np.full(nodes, rng.uniform(0.0, 2 * math.pi)) + spread * rng.uniform(0.0, 6.0, nodes)
+    corner = np.where(rng.random(p.n) < 0.5, lo, hi)
+    return times, corner + spread * (rng.random((nodes, p.n)) - 0.5) * (hi - lo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(pb.registered_problems()), nodes=st.integers(1, 400),
+       spread=st.sampled_from([0.0, 0.01, 0.03, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_max_distance_equals_the_largest_distance(name, nodes, spread, seed):
+    """Random paths: over the box (``spread`` 1), or near one of its
+    corners, where the distances are close (0.01, 0.03) or tie (0)."""
+    p = pb.get_problem(name)
+    _same_max(p, *_near_corner(p, np.random.default_rng(seed), nodes, spread))
+
+
+def test_max_distance_at_near_ties(moving_wall, corridor):
+    """Paths whose largest distances lie within one bracket of the first
+    levels of each other.  Seven of these 60 paths give another maximum if
+    each lower bound is taken 2**-11 below its bracket's top, not 2**-8."""
+    rng = np.random.default_rng(8)
+    for p in (moving_wall, corridor):
+        for _ in range(30):
+            _same_max(p, *_near_corner(p, rng, 200, 0.03))
+
+
+def test_max_distance_at_ties_and_single_violations(moving_wall):
+    """Every violating node at one distance, a maximum held by several
+    nodes among lower ones, one violating node, and feasible paths."""
+    times = np.linspace(0.0, 1.0, 200)
+    wall = 1.0 + 0.4 * np.sin(times)
+    at = np.full(200, times[70])
+    assert _same_max(moving_wall, at, np.full((200, 1), wall[70] + 0.3)) > 0.29
+    peaks = np.where(np.arange(200) % 7 == 3, wall[70] + 0.2, wall[70] + 0.05)
+    assert _same_max(moving_wall, at, peaks[:, None]) > 0.19
+    single = wall - 0.1
+    single[123] = wall[123] + 0.01
+    assert _same_max(moving_wall, times, single[:, None]) > 0.0
+    assert _same_max(moving_wall, times, (wall - 0.1)[:, None]) == 0.0
+    assert _same_max(moving_wall, times[:1], [[0.0]]) == 0.0
+
+
+def test_max_distance_on_the_repair_benchmark_references():
+    """The 60 references that the ``repair`` benchmark repairs at seed 601."""
+    for p, ref in repair_benchmark_references(601):
+        assert _same_max(p, ref.times, ref.states) > 5e-3
+
+
+def test_max_distance_rejects_infeasible_anchor():
+    wall = affine_constraint("wall", [1.0], lambda t: 0.5 + 0.0 * np.asarray(t))
+    p = simple_problem(unit_velocity, zero_cost, constraints=(wall,))
+    for times, states in (([0.0], [[1.0]]), ([0.0, 0.25], [[-1.0], [1.0]])):
+        with pytest.raises(InfeasibleInput) as want:
+            geo.distances_upper_along(p, times, states)
+        with pytest.raises(InfeasibleInput) as got:
+            geo.max_distance_upper_along(p, times, states)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"anchor infeasible at t={times[-1]}"
 
 
 def _wall_3d():

@@ -1,8 +1,10 @@
 """Feasibility repair as one forward sweep: equal to the re-projecting
 reference loop, its guarantees where the two may differ (velocity that
-depends on the state), linear work, and the branch taken per piece."""
+depends on the state), linear work, the branch taken per piece, and the
+viable march's predicted steps in the tube."""
 
 import dataclasses
+import functools
 import itertools
 import math
 from collections import Counter
@@ -17,24 +19,12 @@ from feastube import geometry as geo
 from feastube import ipc
 from feastube import trajectory as tj
 from feastube.errors import CorrectionFailed, ViabilityLost
-from feastube.problem import ControlSamples
+from feastube.problem import ConstraintFunction, ControlSamples
 
 import oracles
 from test_acceptance import _violating_reference
 from test_trajectory import _CERT_OF
-from util import affine_constraint, simple_problem, zero_cost
-
-
-
-def hold_reference(p, rng, steps, dt=1e-3):
-    """Moving-wall path that holds about 0.05 above the level 0.9 while the
-    wall ``1 + 0.4 sin t`` sweeps down through it: one violation episode
-    early on, then a long tail."""
-    t_cross = math.pi + math.asin(0.25)
-    t0 = t_cross - 1.0 + float(rng.uniform(-0.01, 0.01))
-    level = 0.95 + float(rng.uniform(-0.01, 0.01))
-    hold = int(np.argmin(np.abs(p.controls.at(t0, 0)[:, 0])))
-    return tj.integrate(p, t0, [level], [hold] * steps, steps, dt)
+from util import affine_constraint, hold_reference, simple_problem, unit_velocity, zero_cost
 
 
 def sway_wall():
@@ -233,6 +223,44 @@ def test_hold_repair_decides_its_steps_in_the_tube_in_blocks(moving_wall, mw_cer
         assert work["kept"] + work["alone"] == work["steps"], work
 
 
+def test_hold_repair_checks_its_steps_in_the_tube_in_few_calls(moving_wall, mw_cert,
+                                                                monkeypatch):
+    """The viable marches of a hold repair evaluate each constraint about
+    2.2 times per block: once at the block's guesses, once after its first
+    step in the tube, which measures the shift of a push, and once to check
+    the predicted pattern of the block's later steps in the tube.  A walk
+    that evaluates the constraints again after every step in the tube
+    evaluates them 7 to 8 times per block here."""
+    calls, viable = Counter(), {"now": False}
+
+    def counted(c):
+        def h(t, x):
+            calls[c.name] += viable["now"]
+            return c.h(t, x)
+        return dataclasses.replace(c, h=h)
+
+    p = dataclasses.replace(moving_wall, constraints=tuple(map(counted, moving_wall.constraints)))
+    march = tj._march
+
+    def marching(q, t0, x0, steps, dt, rule, *args, **kwargs):
+        viable["now"] = isinstance(rule, tj._Viable)
+        try:
+            return march(q, t0, x0, steps, dt, rule, *args, **kwargs)
+        finally:
+            viable["now"] = False
+
+    for steps in (2000, 4000, 8000):
+        ref = hold_reference(p, np.random.default_rng(steps), steps)
+        cons = tj.derive_nft_constants(p, mw_cert, steps * ref.step)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(tj, "_march", marching)
+            work = _march_work(lambda: tj.nft_correct(p, mw_cert, ref, constants=cons),
+                               monkeypatch, tj._Viable)
+        assert work["blocks"] > 40, work
+        assert calls["wall"] == calls["floor"] <= 2.5 * work["blocks"], (calls, work)
+
+
 @pytest.mark.parametrize("steps", [2, 64, 65, 1000, 3000])
 def test_viable_march_off_the_tube_takes_one_block_per_64_steps(moving_wall, mw_cert,
                                                                  steps, monkeypatch):
@@ -340,8 +368,8 @@ def test_push_reads_the_violation_measured_on_the_projection(monkeypatch):
         x0 = x0 - (np.max(ref.states @ normal - 1.0) - target) * normal
     ref = tj.integrate(p, t0, x0, schedule, steps, dt)
     measured = []
-    measure = tj._measure_rho
-    monkeypatch.setattr(tj, "_measure_rho",
+    measure = geo.max_distance_upper_along
+    monkeypatch.setattr(geo, "max_distance_upper_along",
                         lambda *a: measured.append(measure(*a)) or measured[-1])
     res = _same_repair(p, ver.certificate, ref, cons)
     _assert_guarantees(p, ref, res)
@@ -352,6 +380,123 @@ def test_push_reads_the_violation_measured_on_the_projection(monkeypatch):
     assert measured[0] == res.rho_in
     assert res.rho_in < max(measured[1:]) <= cons.rho_bar
     assert math.ceil(cons.k_shift * max(measured[1:]) / dt) == 4
+
+
+# --- the viability rule's predicted steps in the tube -----------------------------------
+
+def _swinging_wall(omega, amp):
+    """The wall ``x <= 1 + amp sin(omega t)`` under the controls -1, 0 and
+    1, default 0: as the wall's speed changes within a block, so does the
+    gap between the steps that push off it."""
+    wall = affine_constraint("wall", [1.0], lambda t: -(1.0 + amp * np.sin(omega * t)))
+    return simple_problem(unit_velocity, zero_cost, constraints=(wall,), M=1.0,
+                          gamma=amp * omega, omega_lip=amp * omega,
+                          box=[[-2.0, 2.0]], name="swinging-wall-1d")
+
+
+def _bowl(kappa, amp):
+    """The curved constraint ``kappa (x^2 - (0.5 + amp sin t)^2) <= 0``
+    under hover-1d's controls -1 and 1, default 1.  A push changes ``h`` by
+    an amount that depends on ``x``, so the shift one push makes predicts
+    the next steps in the tube only approximately."""
+    def h(t, x):
+        x = np.asarray(x, dtype=float)[..., 0]
+        return kappa * (x * x - (0.5 + amp * np.sin(t)) ** 2)
+
+    def grad(t, x):
+        return 2.0 * kappa * np.asarray(x, dtype=float)
+
+    bowl = ConstraintFunction(h=h, grad=grad, holder_theta=0.5, holder_const=0.0,
+                              grad_bound=4.0 * kappa, name="bowl")
+    u = np.array([[-1.0], [1.0]])
+    u.setflags(write=False)
+    p = simple_problem(unit_velocity, zero_cost, constraints=(bowl,), M=1.0, gamma=amp,
+                       omega_lip=amp, controls=ControlSamples(1, lambda t, level: u),
+                       box=[[-2.0, 2.0]], name="bowl-1d")
+    return dataclasses.replace(p, default_control=u[1])
+
+
+@functools.lru_cache(maxsize=None)
+def _predicted_case(kind, a, b):
+    p = _swinging_wall(a, b) if kind == "wall" else _bowl(a, b)
+    ver = ipc.verify_ipc(p, (0.0, 2 * math.pi), r_min=0.05, delta=0.5, n_time=24, n_dirs=2)
+    assert ver.ok, ver.worst
+    return p, ver.certificate
+
+
+def _mispredicted(run, monkeypatch):
+    """How often ``run()``'s viable blocks guess their steps again after
+    the check disagreed with a pattern that predicted later steps under the
+    game's control."""
+    count = Counter()
+    decide, guess_after = tj._Viable._decide, tj._Viable._guess_after
+
+    def deciding(self, *args):
+        count["predicted"] = False
+        return decide(self, *args)
+
+    def guessing(self, T, G, H, k, push, guessed, shift):
+        count["wrong"] += count["predicted"]
+        out = guess_after(self, T, G, H, k, push, guessed, shift)
+        count["predicted"] = bool(guessed[k + 1:].any())
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(tj._Viable, "_decide", deciding)
+        m.setattr(tj._Viable, "_guess_after", guessing)
+        run()
+    return count["wrong"]
+
+
+@settings(max_examples=16, deadline=None)
+@given(case=st.sampled_from([("wall", 2.0, 0.3), ("wall", 3.0, 0.25), ("wall", 1.0, 0.4),
+                             ("bowl", 1.0, 0.0), ("bowl", 4.0, 0.1)]),
+       t0=st.floats(0.0, 2 * math.pi), dt=st.sampled_from([1e-3, 2e-3, 1e-2]),
+       radius=st.sampled_from([None, 0.01]), seed=st.integers(0, 2**16))
+def test_predicted_tube_steps_equal_the_loop(case, t0, dt, radius, seed):
+    """The viability rule, which guesses its steps in the tube under a
+    predicted pattern, is the step loop bit for bit, and so is the repair
+    against the re-projecting loop: on moving walls whose speed changes
+    within a block, and on a curved constraint, where the prediction errs."""
+    p, cert = _predicted_case(*case)
+    steps = 400
+    x0 = max(geo.sample_boundary_points(p, t0, 2), key=lambda q: q[0]) - 0.02
+    got = tj.viable_trajectory(p, cert, t0, x0, t0 + steps * dt, dt, tube_radius=radius)
+    want = oracles.viable_trajectory_loop(p, cert, t0, x0, t0 + steps * dt, dt,
+                                          tube_radius=radius)
+    assert np.array_equal(got.states, want[0]) and np.array_equal(got.controls, want[1])
+    # a reference that holds 0.85 of its steps on the outward control
+    rng = np.random.default_rng(seed)
+    idx = np.where(rng.random(steps) < 0.85, len(p.controls.at(t0)) - 1,
+                   rng.integers(0, len(p.controls.at(t0)), steps))
+    ref = tj.integrate(p, t0, x0 - 0.02, idx.tolist(), steps, dt)
+    cons = tj.derive_nft_constants(p, cert, steps * dt)
+    _assert_guarantees(p, ref, _same_repair(p, cert, ref, cons))
+
+
+@pytest.mark.parametrize("case", [("wall", 3.0, 0.25), ("bowl", 1.0, 0.0)])
+def test_predicted_tube_steps_are_checked(case, monkeypatch):
+    """On a wall that slows down as it sweeps in, the gaps between the
+    steps that push off it take three or more values within 64 steps; on
+    the curved constraint the check disagrees with some predicted patterns.
+    Both paths are the loop's."""
+    p, cert = _predicted_case(*case)
+    t0, dt, steps = 0.5, 1e-3, 1500
+    x0 = [1.0] if case[0] == "wall" else [0.2]
+    paths = []
+    wrong = _mispredicted(lambda: paths.append(tj.viable_trajectory(
+        p, cert, t0, x0, t0 + steps * dt, dt)), monkeypatch)
+    got = paths[0]
+    want = oracles.viable_trajectory_loop(p, cert, t0, x0, t0 + steps * dt, dt)
+    assert np.array_equal(got.states, want[0]) and np.array_equal(got.controls, want[1])
+    pushed = np.flatnonzero(np.abs(got.controls - p.default_control).max(axis=1) > 0)
+    assert len(pushed) > 100
+    if case[0] == "wall":
+        gaps = {tuple(np.diff(pushed[(pushed >= j) & (pushed < j + 64)]))
+                for j in range(0, steps, 64)}
+        assert any(len(set(g)) > 2 for g in gaps), gaps      # more than alternating
+    else:
+        assert wrong > 0
 
 
 # --- random affine moving walls ------------------------------------------------------

@@ -2,9 +2,10 @@
 
 No exception handler in ``src/feastube`` catches every error: a handler
 that catches ``Exception``, ``BaseException`` or everything turns a defect
-into a fallback that no output shows.  No module-level function, and no
-method of a module-level class, keeps a defaulted parameter that no call
-sets: such a parameter is a setting that nothing exercises."""
+into a fallback that no output shows.  No module-level function, no
+method of a module-level class, and no function nested in one of these
+keeps a defaulted parameter that no call sets: such a parameter is a
+setting that nothing exercises."""
 
 import ast
 from pathlib import Path
@@ -72,15 +73,30 @@ def _calls(node: ast.AST, fn=None):
         yield from _calls(child, child if inner else fn)
 
 
+def _nested(node: ast.AST):
+    """The functions defined under ``node``, not inside one of them."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield child
+        elif not isinstance(child, (ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            yield from _nested(child)
+
+
 def _functions(modules: dict[str, ast.Module]):
-    """``(key, fn, names, skip)`` for every module-level function and every
-    method of a module-level class: ``key`` is ``(module, qualified name)``,
-    a call by one of ``names`` matches it, and the call's positional
-    arguments start at its ``skip``-th parameter."""
+    """``(key, fn, names, skip)`` for every module-level function, every
+    method of a module-level class and every function nested in one of
+    these: ``key`` is ``(module, qualified name)``, a call by one of
+    ``names`` matches it, and the call's positional arguments start at its
+    ``skip``-th parameter."""
+    def with_nested(m, name, fn, names, skip):
+        yield (m, name), fn, names, skip
+        for inner in _nested(fn):
+            yield from with_nested(m, f"{name}.{inner.name}", inner, [inner.name], 0)
+
     for m, tree in modules.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                yield (m, node.name), node, [node.name], 0
+                yield from with_nested(m, node.name, node, [node.name], 0)
             elif isinstance(node, ast.ClassDef):
                 for fn in node.body:
                     if not isinstance(fn, ast.FunctionDef):
@@ -88,14 +104,15 @@ def _functions(modules: dict[str, ast.Module]):
                     static = any(getattr(d, "id", None) == "staticmethod"
                                  for d in fn.decorator_list)
                     names = [fn.name, node.name] if fn.name == "__init__" else [fn.name]
-                    yield (m, f"{node.name}.{fn.name}"), fn, names, 0 if static else 1
+                    yield from with_nested(m, f"{node.name}.{fn.name}", fn, names,
+                                           0 if static else 1)
 
 
 def _unset_parameters(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
-    """``module.function(parameter)`` (``module.Class.method(parameter)``)
-    for every defaulted parameter of a module-level function, or of a method
-    of a module-level class, in ``modules`` that no call in ``modules`` or
-    ``callers`` sets.
+    """``module.function(parameter)`` (``module.Class.method(parameter)``,
+    ``module.function.nested(parameter)``) for every defaulted parameter of
+    a function that ``_functions`` yields from ``modules`` that no call in
+    ``modules`` or ``callers`` sets.
 
     A call matches a function by its name or its attribute name (a method by
     its attribute name, ``__init__`` also by its class's name) and sets a
@@ -178,6 +195,21 @@ def test_unset_parameters_are_found():
              "def w(*a):\n    return f(*args(), **kw)\n": ["g(b)", "h(b)"]}
     for code, want in cases.items():
         got = _unset_parameters({"lib": lib}, [ast.parse(code)])
+        assert got == [f"lib.{w}" for w in want], code
+    # a function nested in another, as verify_data_assumptions' first_max
+    # is, and one nested in that: calls inside pass on the outer defaults
+    nested = ast.parse(
+        "def k(x, b=1):\n"
+        "    def inner(y, c=2, d=3):\n"
+        "        def deepest(z, e=4):\n            return z\n"
+        "        return deepest(y, e=c)\n"
+        "    return inner(x, d=b)\n"
+    )
+    cases = {"pass": ["k(b)", "k.inner(c)", "k.inner(d)", "k.inner.deepest(e)"],
+             "k(0, 5)": ["k.inner(c)", "k.inner.deepest(e)"],
+             "inner(0, 1)": ["k(b)", "k.inner(d)"]}
+    for code, want in cases.items():
+        got = _unset_parameters({"lib": nested}, [ast.parse(code)])
         assert got == [f"lib.{w}" for w in want], code
 
 

@@ -1,15 +1,20 @@
-"""Ad-hoc problem definitions used only by tests."""
+"""Ad-hoc problem definitions and reference paths used only by tests."""
 
 import dataclasses
+import math
 
 import numpy as np
 
+from feastube import geometry as geo
+from feastube import trajectory as tj
 from feastube.problem import (
     ConstraintFunction,
     ControlSamples,
     Modulus,
     ProblemData,
     ProblemDefinition,
+    get_problem,
+    registered_problems,
 )
 
 
@@ -247,3 +252,60 @@ def credit_problem():
                        controls=ControlSamples(3, lambda t, l: u),
                        box=[[-2.0, 3.0]] * 3, name="credit-3d")
     return dataclasses.replace(p, default_control=u[3])
+
+
+def hold_reference(p, rng, steps, dt=1e-3):
+    """Moving-wall path that holds about 0.05 above the level 0.9 while the
+    wall ``1 + 0.4 sin t`` sweeps down through it: one violation episode
+    early on, then a long tail."""
+    t_cross = math.pi + math.asin(0.25)
+    t0 = t_cross - 1.0 + float(rng.uniform(-0.01, 0.01))
+    level = 0.95 + float(rng.uniform(-0.01, 0.01))
+    hold = int(np.argmin(np.abs(p.controls.at(t0, 0)[:, 0])))
+    return tj.integrate(p, t0, [level], [hold] * steps, steps, dt)
+
+
+def _drifting_out(p, rng, t_mid, depth, side):
+    """A 1000-step path at dt 1e-3 that starts ``depth`` (jittered) inside
+    the boundary point ``side`` near the time ``t_mid`` and drifts out
+    across it; the jitter widens only to find one that violates by over
+    5e-3."""
+    u0 = p.controls.at(0.0, 0)
+    for attempt in range(20):
+        jitter = 0.02 if attempt == 0 else 0.2
+        t0 = float(t_mid + rng.uniform(-jitter, jitter))
+        pts = geo.sample_boundary_points(p, t0, 8)
+        if not pts:
+            continue
+        xb = pts[(side + attempt) % len(pts)]
+        hv = geo.eval_constraints(p, t0, xb)
+        g = np.asarray(p.constraints[int(np.argmax(hv))].grad(t0, xb), dtype=float).reshape(-1)
+        g = g / np.linalg.norm(g)
+        x0 = xb - (depth + 0.1 * float(rng.uniform(-jitter, jitter))) * g
+        if not geo.is_feasible(p, t0, x0) or geo.clearance_proxy(p, t0, x0) < 0.04:
+            continue
+        drift = int(np.argmax((u0 @ g) + 0.15 * rng.standard_normal(len(u0))))
+        idx = np.where(rng.random(1000) < 0.85, drift, rng.integers(0, len(u0), 1000))
+        ref = tj.integrate(p, t0, x0, idx.tolist(), 1000, 1e-3)
+        if geo.distances_upper_along(p, ref.times, ref.states).max() > 5e-3:
+            return ref
+    raise AssertionError(f"no violating path for {p.name}")
+
+
+def repair_benchmark_references(seed):
+    """``(problem, reference)`` for each of the 60 references that the
+    ``repair`` benchmark repairs at ``seed``, drawn by its recipe: 12 per
+    registered problem, at start times spread over one period and depths
+    spread over 0.05-0.35, then 12 moving-wall holds (ten of 2,000 steps,
+    one of 4,000 and one of 8,000)."""
+    rng = np.random.default_rng([seed, 0])
+    depth_rank = np.random.default_rng(0).permutation(12)
+    refs = []
+    for name in registered_problems():
+        p = get_problem(name)
+        refs += [(p, _drifting_out(p, rng, 2 * math.pi * (i + 0.5) / 12,
+                                   0.05 + 0.3 * (depth_rank[i] + 0.5) / 12, i))
+                 for i in range(12)]
+    wall = get_problem("moving-wall-1d")
+    return refs + [(wall, hold_reference(wall, rng, steps))
+                   for steps in (2000,) * 10 + (4000, 8000)]
