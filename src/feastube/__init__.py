@@ -6,10 +6,8 @@ from .geometry import (
     ActiveSetReport,
     DistanceResult,
     active_set,
-    boundary_tube_membership,
     distance_to_omega,
     eval_constraints,
-    excess,
     omega_lipschitz_estimate,
 )
 from .ipc import (

@@ -326,15 +326,15 @@ def time_lipschitz_check(
     """Difference quotients in time at fixed probes against the rate
     ``(b exp(-(lam-K) t) + 2 exp(-lam t)) * N`` with window base ``t``.
 
-    ``bound_N`` must dominate the sampled sup of |f| + |L|; otherwise the
-    gate fails and the probe checks are skipped.  A probe's values at the
-    field's times come from one ``evaluate_value`` call.
+    ``bound_N`` must be finite and dominate the sampled sup of |f| + |L|;
+    otherwise the gate fails and the probe checks are skipped.  A probe's
+    values at the field's times come from one ``evaluate_value`` call.
     """
     b, K = _envelope_rate(field, constants)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     sup = velocity_cost_sup(field, p, probes, level)
     tol = scheme_tolerance(field)
-    if bound_N < sup:
+    if not (math.isfinite(bound_N) and bound_N >= sup):
         return TimeLipschitzResult(False, sup, bound_N, probes, (), {}, tol)
 
     times = field.times

@@ -57,27 +57,6 @@ def write_trajectory_csv(path: Path, p, traj: tj.Trajectory) -> None:
     ana.write_csv(path, cols)
 
 
-def read_trajectory_like(path: Path) -> dict[str, np.ndarray]:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.array([[float(v) for v in line.split(",")] for line in fh])
-    return {name: data[:, j] for j, name in enumerate(header)}
-
-
-def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
-    cols = read_trajectory_like(path)
-    out = {
-        "t": cols["t"],
-        "states": np.column_stack([v for k, v in cols.items() if k.startswith("x_")]),
-        "maxh": cols["maxh"],
-        "dist": cols["dist"],
-    }
-    ucols = [v for k, v in cols.items() if k.startswith("u_")]
-    if ucols:
-        out["controls"] = np.column_stack(ucols)
-    return out
-
-
 def write_field(outdir: Path, name: str, field: ValueField) -> None:
     header = {
         "lambda": field.lam, "t0": field.t0, "dt": field.dt, "T": field.T,
@@ -94,27 +73,6 @@ def write_field(outdir: Path, name: str, field: ValueField) -> None:
     ana.write_json(outdir / f"{name}.json", header)
     np.save(outdir / f"{name}.npy", np.ascontiguousarray(field.values, dtype="<f8"),
             allow_pickle=False)
-
-
-def read_field(outdir: Path, name: str) -> ValueField:
-    header = json.loads((outdir / f"{name}.json").read_text())
-    g = header["grid"]
-    axes = tuple(
-        np.linspace(lo, hi, s) for lo, hi, s in zip(g["lo"], g["hi"], g["shape"])
-    )
-    path = outdir / f"{name}.npy"
-    values = np.load(path, allow_pickle=False)
-    nt = int(round((header["T"] - header["t0"]) / header["dt"])) + 1
-    if values.shape != (nt, *g["shape"]):
-        raise ValueError(f"{path}: the header gives shape {(nt, *g['shape'])}, "
-                         f"the values have shape {values.shape}")
-    return ValueField(
-        relaxed=header["relaxed"], lam=header["lambda"], t0=header["t0"],
-        dt=header["dt"], T=header["T"], axes=axes, values=values,
-        tail_bound=header["tail_bound"], a1=header["a1"], a2=header["a2"],
-        x0_bound=header["x0_bound"], problem_name=header["problem"],
-        level=header["level"], mixture_grid=header["mixture_grid"],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,6 @@ class InfeasibleInput(FeastubeError, ValueError):
     pass
 
 
-class EmptySourceSet(FeastubeError, ValueError):
-    pass
-
-
 # --- margin verification -----------------------------------------------------
 
 class LpFailure(FeastubeError, RuntimeError):

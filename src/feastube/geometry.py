@@ -19,11 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptySourceSet,
-    InfeasibleInput,
-    ProjectionFailed,
-)
+from .errors import InfeasibleInput, ProjectionFailed
 from .problem import ProblemDefinition
 
 TOL_FEAS = 1e-9
@@ -110,6 +106,16 @@ def _bisect(holds, s_in, s_out, iters: int) -> Array:
 _DISTANCE_LEVELS = 50
 
 
+def _anchors(p: ProblemDefinition, times: Array) -> Array:
+    """The anchors at ``times`` (T,), stacked (T, n).  An infeasible one
+    raises ``InfeasibleInput`` naming the first such time."""
+    anchors = np.stack([np.asarray(p.anchor(float(t)), dtype=float) for t in times])
+    off = _worst(p, times, anchors) > TOL_FEAS
+    if off.any():
+        raise InfeasibleInput(f"anchor infeasible at t={times[np.argmax(off)]}")
+    return anchors
+
+
 def _toward_anchors(p: ProblemDefinition, times, states):
     """The violating nodes of a path, the lengths of the spans from them to
     the anchors at their times, and ``holds(rows)``: the test of
@@ -120,13 +126,7 @@ def _toward_anchors(p: ProblemDefinition, times, states):
     states = np.asarray(states, dtype=float)
     bad = np.where(violations_along(p, times, states) > TOL_FEAS)[0]
     xs, ts = states[bad], times[bad]
-    span = np.empty_like(xs)
-    if bad.size:
-        anchors = np.stack([np.asarray(p.anchor(float(t)), dtype=float) for t in ts])
-        off = _worst(p, ts, anchors) > TOL_FEAS
-        if off.any():
-            raise InfeasibleInput(f"anchor infeasible at t={ts[np.argmax(off)]}")
-        span = anchors - xs
+    span = _anchors(p, ts) - xs if bad.size else np.empty_like(xs)
 
     def holds(rows):
         t, x, d = ts[rows], xs[rows], span[rows]
@@ -187,15 +187,17 @@ def clearance_proxy(p: ProblemDefinition, t, x):
 
 @dataclass(frozen=True)
 class ActiveSetReport:
+    """The indices of ``active_set``, always a superset of the exact
+    delta-active set (``conservative`` in its JSON)."""
+
     indices: frozenset[int]
     radius_delta: float
-    conservative: bool = True
 
     def to_jsonable(self) -> dict:
         return {
             "indices": sorted(self.indices),
             "radius_delta": float(self.radius_delta),
-            "conservative": self.conservative,
+            "conservative": True,
         }
 
 
@@ -318,47 +320,6 @@ def _directions(n: int, count: int = 24) -> Array:
     return np.vstack([np.eye(n), -np.eye(n), d])
 
 
-def boundary_tube_membership(p: ProblemDefinition, t: float, x, eta: float) -> bool:
-    """True iff a feasible x lies within eta of the constraint boundary.
-
-    The boundary is located by sign changes of max_i h_i along sampled rays
-    with bisection refinement; a sampled check, not a proof of absence.
-    """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    v0 = max_violation(p, t, x)
-    if v0 > TOL_FEAS:
-        raise InfeasibleInput(f"x is infeasible at t={t} (max h = {v0:.3e})")
-    if p.m == 0:
-        return False
-    if v0 >= -TOL_BOUNDARY:
-        return True  # already on the boundary
-    # Analytic prescreen: no boundary can be closer than min_i (-h_i)/L_i.
-    if clearance_proxy(p, t, x) > eta:
-        return False
-    return bool((_worst(p, t, x + eta * _directions(p.n)) > 0.0).any())
-
-
-def excess(A, B, t: float | None = None) -> float:
-    """One-sided set distance: max over a in A of dist(a, B).
-
-    ``B`` is either a finite point set (array-like of shape (k, n)) or a
-    constraint region given as a ProblemDefinition together with ``t``.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.size == 0:
-        raise EmptySourceSet("excess needs a nonempty source set")
-    if isinstance(B, ProblemDefinition):
-        if t is None:
-            raise ValueError("region excess needs the time t")
-        return max(distance_to_omega(B, t, a).distance for a in A)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if B.size == 0:
-        raise EmptySourceSet("excess target set is empty")
-    return float(max(np.min(np.linalg.norm(B - a, axis=1)) for a in A))
-
-
 @dataclass(frozen=True)
 class OmegaLipschitzReport:
     L_hat: float
@@ -432,10 +393,7 @@ def boundary_samples(p: ProblemDefinition, times, n_dirs: int = 24) -> tuple[Arr
     times = np.asarray(times, dtype=float).reshape(-1)
     if p.m == 0 or times.size == 0:
         return np.empty(0), np.empty((0, p.n))
-    anchors = np.stack([np.asarray(p.anchor(float(t)), dtype=float) for t in times])
-    off = _worst(p, times, anchors) > TOL_FEAS
-    if off.any():
-        raise InfeasibleInput(f"anchor infeasible at t={times[np.argmax(off)]}")
+    anchors = _anchors(p, times)
     R = 1.5 * float(np.linalg.norm(p.box[:, 1] - p.box[:, 0]))
     dirs = _directions(p.n, n_dirs)
     ts = np.repeat(times, len(dirs))

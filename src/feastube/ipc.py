@@ -111,7 +111,8 @@ class IpcCertificate:
     ``r`` is the smallest observed margin, ``delta`` the active-set ball
     radius, and ``(eps, eta)`` satisfy the four construction inequalities
     (checked by :meth:`validate`).  Verification is sampled falsification,
-    not a proof: ``n_samples`` records the evidence.
+    not a proof: ``n_samples`` records the evidence, and its JSON's
+    ``sampled`` is always true.
     """
 
     r: float
@@ -120,7 +121,6 @@ class IpcCertificate:
     eta: float
     witnesses: tuple
     n_samples: int
-    sampled: bool = True
 
     def validate(self, p: ProblemDefinition) -> None:
         eta_cap, eps_cap, eps_cap2, ball = _constant_caps(p, self.r, self.delta)
@@ -146,7 +146,7 @@ class IpcCertificate:
             "eps": float(self.eps),
             "eta": float(self.eta),
             "n_samples": int(self.n_samples),
-            "sampled": self.sampled,
+            "sampled": True,
             "witnesses": [
                 {
                     "t": float(t),

@@ -187,6 +187,21 @@ class ControlSamples:
             raise ValueError(f"sampler returned shape {u.shape}, expected (*, {self.dim})")
         return u
 
+    def shared(self, u: Array, times: list, level: int) -> tuple[int, Array | None]:
+        """How many leading ``times`` have samples that are ``u`` itself or
+        have its shape and bytes, the times at which ``velocities`` and
+        ``costs`` may take ``u``; and the samples at the first time that
+        does not (None when every time does).  ``at`` runs once per time up
+        to that one."""
+        bits = None
+        for q, t in enumerate(times):
+            v = self.at(t, level)
+            if v is not u:
+                bits = u.tobytes() if bits is None else bits
+                if v.shape != u.shape or v.tobytes() != bits:
+                    return q, v
+        return len(times), None
+
 
 @dataclass(frozen=True, eq=False)
 class ProblemData:
@@ -266,10 +281,10 @@ class ProblemDefinition:
         ``(..., n)``: ``(k, d)`` and ``(k, ..., n)``; one point gives ``(k, n)``.
 
         ``t`` is a scalar, or an array broadcasting against the leading axes
-        of ``X`` together with the samples ``u`` that all its times share;
-        ``f`` then receives ``t`` with a trailing axis, so that it broadcasts
-        against ``x``.  A caller that holds the samples at the same
-        ``(t, level)`` passes them as ``u``."""
+        of ``X`` together with the samples ``u`` that all its times share
+        (``ControlSamples.shared``); ``f`` then receives ``t`` with a
+        trailing axis, so that it broadcasts against ``x``.  A caller that
+        holds the samples at the same ``(t, level)`` passes them as ``u``."""
         u = self.controls.at(t, level) if u is None else u
         return u, _per_control(self.f, t, X, u, (self.n,), "f", self.name)
 

@@ -457,19 +457,15 @@ class _Nearest(_Rule):
 
     def _samples(self, j: int, T: Array) -> tuple[Array, int]:
         """The samples at step ``j`` and how many steps from it (at the
-        times ``T``) have samples with their bytes."""
-        at, level = self.p.controls.at, self.level
+        times ``T``) share them (``ControlSamples.shared``)."""
+        controls, level = self.p.controls, self.level
         lo, hi, u = self.span
         if not lo <= j < hi:
-            lo, hi, u = j, j + 1, at(float(T[0]), level)
-        ts = T.tolist()
-        while hi < j + len(ts):
-            v = at(ts[hi - j], level)
-            if v is not u and (v.shape != u.shape or v.tobytes() != u.tobytes()):
-                break
-            hi += 1
+            lo, hi, u = j, j + 1, controls.at(float(T[0]), level)
+        if hi < j + len(T):
+            hi += controls.shared(u, T[hi - j:].tolist(), level)[0]
         self.span = lo, hi, u
-        return u, min(hi - j, len(ts))
+        return u, min(hi - j, len(T))
 
     def block(self, j, T, G):
         u, q = self._samples(j, T)
@@ -659,20 +655,16 @@ class _Viable(_Rule):
     def _takes(self, T: Array, G: Array, H: Array, rows: list, walk: bool, tubes: list):
         """Per step of ``rows`` in the tube, in order: the control a block
         may take there, the default control where no constraint is active,
-        or None.  The velocities come from one call per run of steps whose
-        samples share their bytes, each step's as it is alone; each game
-        from the memo, solved only with ``walk`` while ``tubes`` is empty."""
-        p, level, at = self.p, self.level, self.p.controls.at
-        i = 0
+        or None.  The velocities come from one call per run of steps that
+        share their samples (``ControlSamples.shared``), each step's as it
+        is alone; each game from the memo, solved only with ``walk`` while
+        ``tubes`` is empty."""
+        p, level = self.p, self.level
+        ts, i, u = T[rows].tolist(), 0, None
         while i < len(rows):
-            u = at(float(T[rows[i]]), level)
-            n = i + 1
-            while n < len(rows):
-                s = at(float(T[rows[n]]), level)
-                if s is not u and (s.shape != u.shape or s.tobytes() != u.tobytes()):
-                    break
-                n += 1
-            run = rows[i:n]
+            u = p.controls.at(ts[i], level) if u is None else u
+            n, nxt = p.controls.shared(u, ts[i + 1:], level)
+            run = rows[i:i + 1 + n]
             _, V = p.velocities(T[run], G[run], level, u)
             for k, vels in zip(run, np.ascontiguousarray(V.transpose(1, 0, 2))):
                 game = _game(p, float(T[k]), G[k], H[k], vels, self.cert.delta, self.games,
@@ -686,7 +678,7 @@ class _Viable(_Rule):
                     continue
                 j = _pure(alpha)
                 yield None if r <= 0 or j is None or self.mux.credit.any() else u[j]
-            i = n
+            i, u = i + 1 + n, nxt
 
     def _guess_after(self, T: Array, G: Array, H: Array, k: int, push: bool,
                      guessed: Array, shift: Array | None) -> Array | None:

@@ -62,6 +62,7 @@ the check, and for grouping its velocities when they are new.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -487,7 +488,8 @@ class _Groups:
     order: Array | None       # candidates by group, each group's in turn; None: no merges
     starts: Array | None      # where each group's candidates start in ``order``
     chunks: list[slice | list[int]]   # groups' first candidates, _INTERP_CHUNK foot points each
-    terms: list | None = None     # terms per chunk, once a sweep meets the velocities again
+    # terms per chunk, once a sweep meets the velocities again
+    terms: list | None = dataclasses.field(default=None, init=False)
 
 
 def _groups(vel: Array, P: int) -> _Groups:
@@ -682,7 +684,8 @@ def _sweep_blocks(p: ProblemDefinition, times: Array, nodes: Array, feas: Array,
     one ``costs`` call per block (``_block``).
 
     ``ControlSamples.at`` runs once per time, and a block holds only times
-    whose samples have equal bytes, at most ``_FEAS_CHUNK`` velocity values.
+    that share their samples (``ControlSamples.shared``), at most
+    ``_FEAS_CHUNK`` velocity values.
     """
     P, n = nodes.shape
     ts, hi, u = times.tolist(), len(times), None
@@ -690,12 +693,8 @@ def _sweep_blocks(p: ProblemDefinition, times: Array, nodes: Array, feas: Array,
     while hi > 0:
         u = p.controls.at(ts[hi - 1], level) if u is None else u
         per_block = max(1, _FEAS_CHUNK // (len(u) * P * n))
-        lo, nxt, bits = hi - 1, None, u.tobytes()   # nxt: the samples that end the block
-        while lo > max(0, hi - per_block):
-            nxt = p.controls.at(ts[lo - 1], level)
-            if nxt.shape != u.shape or nxt.tobytes() != bits:
-                break
-            lo, nxt = lo - 1, None
+        q, nxt = p.controls.shared(u, ts[max(0, hi - per_block):hi - 1][::-1], level)
+        lo = hi - 1 - q                   # nxt: the samples that end the block, or None
         block = _block(p, times[lo:hi], nodes, feas[lo:hi], level, u, last)
         last = block.F[0]
         yield lo, block

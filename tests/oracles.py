@@ -776,7 +776,7 @@ def time_lipschitz_loop(field, p, constants, bound_N, probes, level=0):
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     sup = ana.velocity_cost_sup(field, p, probes, level)
     tol = ana.scheme_tolerance(field)
-    if bound_N < sup:
+    if not (math.isfinite(bound_N) and bound_N >= sup):
         return ana.TimeLipschitzResult(False, sup, bound_N, probes, (), {}, tol)
 
     times = field.times

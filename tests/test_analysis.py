@@ -244,6 +244,21 @@ def test_time_lipschitz_gate_fails_on_nan_velocity():
     assert not res.gate_ok and not res.passed
 
 
+def test_time_lipschitz_gate_fails_on_an_infinite_bound(hover):
+    # an infinite velocity at a probe makes the CLI's bound_N, sup * 1.05 +
+    # 0.1, infinite too: the gate must fail, or every rate is infinite and
+    # every probe passes.  A NaN bound fails it as well.
+    f = val.solve_value(hover, 120.0, val.grid_for(hover, 41, 0.01), relaxed=True, horizon=0.2)
+    inf_right = dataclasses.replace(
+        hover, f=lambda t, x, u: np.where(np.asarray(u) > 0, np.inf, hover.f(t, x, u)))
+    probes = np.array([[0.0]])
+    assert ana.velocity_cost_sup(f, inf_right, probes) * 1.05 + 0.1 == math.inf
+    for bound_N in (math.inf, math.nan):
+        for check in (ana.time_lipschitz_check, time_lipschitz_loop):
+            res = check(f, inf_right, _tc(), bound_N, probes)
+            assert not res.gate_ok and res.probe_passed == () and not res.passed, check
+
+
 def test_time_lipschitz_probe_fails_on_a_jump_in_time():
     # the gate holds (|f| + |L| = 1 <= N), but a step of 10 between two
     # slices breaks the envelope at the probe

@@ -15,7 +15,8 @@ from feastube import value as val
 
 import oracles
 from oracles import write_csv_rows
-from util import CERTIFY_GRID, certify_args
+from util import (CERTIFY_GRID, certify_args, read_field, read_trajectory_csv,
+                  read_trajectory_like)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -288,9 +289,9 @@ def test_nft_run_roundtrip(tmp_path, capsys):
     assert code == 0
     line = _capture(capsys)
     assert line["ok"]
-    data = cli.read_trajectory_csv(tmp_path / "corrected.csv")
+    data = read_trajectory_csv(tmp_path / "corrected.csv")
     assert np.all(data["maxh"] <= 1e-9)
-    ref = cli.read_trajectory_csv(tmp_path / "reference.csv")
+    ref = read_trajectory_csv(tmp_path / "reference.csv")
     assert np.max(ref["dist"]) == pytest.approx(line["rho_in"], rel=1e-6)
 
 
@@ -299,7 +300,7 @@ def test_track_run(tmp_path, capsys):
                     "--x0", "0.5", "--x1", "0.4", "--horizon", "2",
                     "--dt", "2e-3", "--out", str(tmp_path)])
     assert code == 0
-    dev = cli.read_trajectory_like(tmp_path / "deviations.csv")
+    dev = read_trajectory_like(tmp_path / "deviations.csv")
     assert np.all(dev["deviation"] <= dev["bound"] + 1e-12)
 
 
@@ -308,7 +309,7 @@ def test_value_solve_field_roundtrip(tmp_path, capsys):
             "--lambda", "6", "--points", "46", "--horizon", "2"]
     code = cli.run(argv + ["--out", str(tmp_path)])
     assert code == 0
-    field = cli.read_field(tmp_path, "field")
+    field = read_field(tmp_path, "field")
     assert field.lam == 6.0
     v = val.evaluate_value(field, 0.0, [0.0])
     assert np.isfinite(v)
@@ -345,7 +346,7 @@ def test_field_roundtrip_is_bit_exact(ndim, relaxed, tmp_path):
     field = _edge_field(ndim, relaxed)
     cli.write_field(tmp_path, "f", field)
     assert sorted(fp.name for fp in tmp_path.iterdir()) == ["f.json", "f.npy"]
-    back = cli.read_field(tmp_path, "f")
+    back = read_field(tmp_path, "f")
     assert back.values.dtype == np.float64 and back.values.shape == field.values.shape
     assert np.array_equal(back.values.view(np.int64), field.values.view(np.int64))
     assert len(back.axes) == ndim
@@ -367,7 +368,7 @@ def test_read_field_names_a_shape_apart_from_its_header(tmp_path):
     cli.write_field(tmp_path, "f", field)
     np.save(tmp_path / "f.npy", field.values[:, :-1], allow_pickle=False)
     with pytest.raises(ValueError) as err:
-        cli.read_field(tmp_path, "f")
+        read_field(tmp_path, "f")
     msg = str(err.value)
     assert str(tmp_path / "f.npy") in msg
     assert str((4, 5, 7)) in msg and str((4, 4, 7)) in msg
@@ -436,7 +437,7 @@ def test_pipeline_artifacts_parse_back(tmp_path, capsys):
     verdicts = json.loads((out / "verdicts.json").read_text())
     assert verdicts["assumptions"] is True
     assert verdicts["ipc"] is True
-    field = cli.read_field(out, "field_relaxed")
+    field = read_field(out, "field_relaxed")
     assert field.relaxed
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["ok"]

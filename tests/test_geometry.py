@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from feastube import geometry as geo
 from feastube import problem as pb
 from feastube import trajectory as tj
-from feastube.errors import EmptySourceSet, InfeasibleInput, NonFiniteConstraint
+from feastube.errors import InfeasibleInput, NonFiniteConstraint
 
 import oracles
 from util import (affine_constraint, repair_benchmark_references, simple_problem,
@@ -41,7 +41,7 @@ def test_active_set_examples(moving_wall):
     # a huge ball saturates the rule
     rep = geo.active_set(moving_wall, 0.0, [0.0], 10.0)
     assert sorted(rep.indices) == [0, 1]
-    assert rep.conservative
+    assert rep.to_jsonable()["conservative"] is True
     with pytest.raises(ValueError, match=r"^delta must be nonnegative, got delta=-0.1$"):
         geo.active_set(moving_wall, 0.0, [0.0], -0.1)
 
@@ -106,22 +106,6 @@ def test_distance_zero_iff_feasible(moving_wall):
         x = rng.uniform(-2.4, 1.9, size=1)
         d = geo.distance_to_omega(moving_wall, t, x).distance
         assert (d == 0.0) == geo.is_feasible(moving_wall, t, x)
-
-
-def test_boundary_tube_membership(moving_wall):
-    assert geo.boundary_tube_membership(moving_wall, 0.0, [0.95], 0.1)
-    assert not geo.boundary_tube_membership(moving_wall, 0.0, [0.0], 0.1)
-    assert geo.boundary_tube_membership(moving_wall, 0.0, [1.0], 0.05)
-    with pytest.raises(InfeasibleInput):
-        geo.boundary_tube_membership(moving_wall, 0.0, [1.5], 0.1)
-
-
-def test_excess(moving_wall):
-    assert geo.excess([[0.5]], moving_wall, t=0.0) == 0.0
-    assert geo.excess([[1.3], [0.0]], moving_wall, t=0.0) == pytest.approx(0.3, abs=1e-6)
-    assert geo.excess([[1.0, 2.0]], [[1.0, 2.0]]) == 0.0
-    with pytest.raises(EmptySourceSet):
-        geo.excess(np.empty((0, 1)), moving_wall, t=0.0)
 
 
 def test_omega_lipschitz_moving_wall(moving_wall):

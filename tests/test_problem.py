@@ -100,6 +100,50 @@ def test_control_samples_are_one_array(name):
     assert not u.flags.writeable
 
 
+def _sampler(kind, breaks):
+    """Samples that change at each time of ``breaks``, by ``kind``: one
+    cached array that never changes; fresh arrays with the same bytes; the
+    values' signs flip (a zero's too); the row count alternates 2 and 3."""
+    cached = np.array([[0.0], [1.0]])
+
+    def sampler(t, level):
+        piece = sum(t >= b for b in breaks)
+        if kind == "cached":
+            return cached
+        if kind == "fresh":
+            return cached.copy()
+        if kind == "values":
+            return cached * (-1.0) ** piece
+        return np.linspace(0.0, 1.0, 2 + piece % 2)[:, None]
+
+    return sampler
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["cached", "fresh", "values", "shape"]),
+       breaks=st.lists(st.floats(0.0, 1.0), max_size=3),
+       times=st.lists(st.floats(0.0, 1.0), max_size=12),
+       u_time=st.floats(0.0, 1.0), level=st.integers(0, 2))
+def test_shared_samples_equal_a_per_time_loop(kind, breaks, times, u_time, level):
+    """``ControlSamples.shared`` counts the leading times whose samples have
+    the bytes of ``u``, as one comparison per time does; it returns the
+    samples of the first time that does not, and draws no sample after it."""
+    drawn = []
+    sampler = _sampler(kind, breaks)
+    controls = pb.ControlSamples(1, lambda t, lv: drawn.append(t) or sampler(t, lv))
+    u = controls.at(u_time, level)
+    at = [controls.at(t, level) for t in times]
+    same = [v.shape == u.shape and v.tobytes() == u.tobytes() for v in at]
+    want = same.index(False) if False in same else len(times)
+    drawn.clear()
+    q, nxt = controls.shared(u, times, level)
+    assert q == want and drawn == times[:want + 1]
+    if want == len(times):
+        assert nxt is None
+    else:
+        assert nxt.shape == at[want].shape and nxt.tobytes() == at[want].tobytes()
+
+
 def test_constraint_gradient_matches_finite_difference():
     p = pb.get_problem("moving-wall-1d")
     step = 1e-5

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from feastube import geometry as geo
 from feastube import ipc
 from feastube import trajectory as tj
+from feastube import value as val
 from feastube.errors import CorrectionFailed, ViabilityLost
 from feastube.problem import ConstraintFunction, ControlSamples
 
@@ -497,6 +498,54 @@ def test_predicted_tube_steps_are_checked(case, monkeypatch):
         assert any(len(set(g)) > 2 for g in gaps), gaps      # more than alternating
     else:
         assert wrong > 0
+
+
+# --- shared control samples -------------------------------------------------------
+
+# ControlSamples.at calls before ControlSamples.shared held the rule of which
+# times share their samples, when the sweep and the two march rules each kept
+# a loop of their own: per swinging wall and start time, its viable march and
+# its repair.
+_AT_CALLS = {"sweep": 200, "relaxed sweep": 200, "hold": 2364,
+             (("wall", 2.0, 0.3), 4.0): (104, 835), (("wall", 3.0, 0.25), 0.5): (125, 818),
+             (("wall", 1.0, 0.4), 2.0): (76, 723)}
+
+
+def test_shared_samples_make_no_more_at_calls(hover, moving_wall, mw_cert, monkeypatch):
+    """The value sweep and the projection's and viability's march rules
+    decide which times share their samples with ``ControlSamples.shared``,
+    and draw samples no more often than their own loops did."""
+    calls = Counter()
+    at = ControlSamples.at
+
+    def counted(run):
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(ControlSamples, "at",
+                      lambda self, t, level=0: calls.update(["at"]) or at(self, t, level))
+            run()
+        return calls["at"]
+
+    g = val.grid_for(hover, 241, 0.0025)
+    got = {f"{'relaxed ' * r}sweep": counted(lambda: val.solve_value(
+        hover, hover.lam, g, relaxed=r, horizon=0.5)) for r in (False, True)}
+    ref = hold_reference(moving_wall, np.random.default_rng(2000), 2000)
+    cons = tj.derive_nft_constants(moving_wall, mw_cert, 2000 * ref.step)
+    got["hold"] = counted(lambda: tj.nft_correct(moving_wall, mw_cert, ref, constants=cons))
+    for case, t0 in [k for k in _AT_CALLS if isinstance(k, tuple)]:
+        p, cert = _predicted_case(*case)
+        steps, dt = 400, 1e-3
+        x0 = max(geo.sample_boundary_points(p, t0, 2), key=lambda q: q[0]) - 0.02
+        rng = np.random.default_rng(7)
+        k = len(p.controls.at(t0))
+        ref = tj.integrate(p, t0, x0 - 0.02, np.where(rng.random(steps) < 0.85, k - 1,
+                                                     rng.integers(0, k, steps)).tolist(),
+                           steps, dt)
+        cons = tj.derive_nft_constants(p, cert, steps * dt)
+        got[case, t0] = (counted(lambda: tj.viable_trajectory(p, cert, t0, x0, t0 + steps * dt,
+                                                              dt)),
+                         counted(lambda: tj.nft_correct(p, cert, ref, constants=cons)))
+    assert all(np.all(np.array(got[k]) <= np.array(v)) for k, v in _AT_CALLS.items()), got
 
 
 # --- random affine moving walls ------------------------------------------------------

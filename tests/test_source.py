@@ -3,11 +3,14 @@
 No exception handler in ``src/feastube`` catches every error: a handler
 that catches ``Exception``, ``BaseException`` or everything turns a defect
 into a fallback that no output shows.  No module-level function, no
-method of a module-level class, and no function nested in one of these
-keeps a defaulted parameter that no call sets: such a parameter is a
-setting that nothing exercises."""
+method of a module-level class, no function nested in one of these and no
+dataclass field keeps a default that no call sets: such a parameter is a
+setting that nothing exercises.  Every name the package exports is used by
+the package itself, the benchmark, the demos or README's examples, or is
+kept for a stated reason."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +52,7 @@ def test_catch_all_handlers_are_found():
 _UNSET_KEPT = {
     "trajectory.integrate(level)": "every construction takes a control level",
     "value.relaxed_velocity_set(level)": "every construction takes a control level",
+    "problem.SamplingSpec.__init__(level)": "every construction takes a control level",
     "cli._SubcommandParser.parse_known_args(args)": "overrides argparse's signature; "
                                                     "argparse sets it",
     "cli._SubcommandParser.parse_known_args(namespace)": "overrides argparse's signature; "
@@ -82,6 +86,30 @@ def _nested(node: ast.AST):
             yield from _nested(child)
 
 
+def _dataclass_init(cls: ast.ClassDef) -> ast.FunctionDef | None:
+    """The ``__init__`` that ``@dataclass`` writes for ``cls``: one
+    parameter per field it takes (not ``ClassVar``, not ``init=False``),
+    defaulted where the field has a default.  None when ``cls`` is no
+    dataclass or defines its own ``__init__``."""
+    if not any(ast.unparse(d).split("(")[0].split(".")[-1] == "dataclass"
+               for d in cls.decorator_list):
+        return None
+    params = []
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            return None
+        if not isinstance(node, ast.AnnAssign) or "ClassVar" in ast.unparse(node.annotation):
+            continue
+        value = node.value
+        kw = ({k.arg: k.value for k in value.keywords} if isinstance(value, ast.Call)
+              and ast.unparse(value.func).split(".")[-1] == "field" else None)
+        if kw is not None and getattr(kw.get("init"), "value", True) is False:
+            continue
+        default = value is not None and (kw is None or "default" in kw or "default_factory" in kw)
+        params.append(node.target.id + ("=0" if default else ""))
+    return ast.parse(f"def __init__(self, {', '.join(params)}):\n    pass\n").body[0]
+
+
 def _functions(modules: dict[str, ast.Module]):
     """``(key, fn, names, skip)`` for every module-level function, every
     method of a module-level class and every function nested in one of
@@ -98,7 +126,8 @@ def _functions(modules: dict[str, ast.Module]):
             if isinstance(node, ast.FunctionDef):
                 yield from with_nested(m, node.name, node, [node.name], 0)
             elif isinstance(node, ast.ClassDef):
-                for fn in node.body:
+                init = _dataclass_init(node)
+                for fn in node.body + ([init] if init else []):
                     if not isinstance(fn, ast.FunctionDef):
                         continue
                     static = any(getattr(d, "id", None) == "staticmethod"
@@ -234,3 +263,99 @@ def test_unset_method_parameters_are_found():
     for code, want in cases.items():
         got = _unset_parameters({"lib": lib}, [ast.parse(code)])
         assert got == [f"lib.{w}" for w in want], code
+
+    # a dataclass's fields are its __init__'s parameters: d takes none
+    # (init=False), nor does e; Own's own __init__ counts instead
+    lib = ast.parse(
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class D:\n"
+        "    a: int\n    b: int = 1\n    c: list = field(default_factory=list)\n"
+        "    d: list | None = dataclasses.field(default=None, init=False)\n"
+        "    e: ClassVar[int] = 3\n"
+        "@dataclass\n"
+        "class Own:\n    b: int = 1\n    def __init__(self, k=2):\n        pass\n"
+        "class Plain:\n    b: int = 1\n"
+    )
+    base = ["D.__init__(b)", "D.__init__(c)", "Own.__init__(k)"]
+    cases = {"pass": base,
+             "D(0, 2)": ["D.__init__(c)", "Own.__init__(k)"],
+             "lib.D(0, c=[])": ["D.__init__(b)", "Own.__init__(k)"],
+             "D(*xs); Own(3)": []}
+    for code, want in cases.items():
+        got = _unset_parameters({"lib": lib}, [ast.parse(code)])
+        assert got == [f"lib.{w}" for w in want], code
+
+
+# Exported names that nothing in src, bench, demos or README's code uses,
+# each with its reason.
+_EXPORTS_KEPT = {
+    "omega_lipschitz_estimate": "the one estimate of the moving set's rate until "
+                                "verify_data_assumptions checks omega_lip",
+}
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """The names, attribute names, imported names and imported modules'
+    names used under ``tree``."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.update(node.module.split("."))
+    return out
+
+
+def _unreferenced_exports(init: ast.Module, modules: list[ast.Module],
+                          callers: list[ast.Module], readme: str) -> list[str]:
+    """The names that ``init`` imports and that nothing refers to: no
+    module-level statement of ``modules`` but the name's own definition,
+    nothing in ``callers``, and no word of a fenced code block of
+    ``readme``."""
+    exported = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    used = set(re.findall(r"\w+", "\n".join(re.findall(r"```[^\n]*\n(.*?)```", readme, re.S))))
+    for tree in callers:
+        used |= _references(tree)
+    for tree in modules:
+        for node in tree.body:
+            used |= _references(node) - {getattr(node, "name", None)}
+    return sorted(exported - used)
+
+
+def test_every_export_is_used_or_kept():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    init = trees.pop("__init__.py")
+    callers = [ast.parse(path.read_text(), str(path))
+               for d in ("bench", "demos") for path in sorted((ROOT / d).rglob("*.py"))]
+    assert len(trees) > 5 and len(callers) > 5, "the walk read no source"
+    unused = _unreferenced_exports(init, list(trees.values()), callers,
+                                   (ROOT / "README.md").read_text())
+    unkept = [u for u in unused if u not in _EXPORTS_KEPT]
+    assert not unkept, f"exported, and used by nothing: {unkept}"
+    stale = sorted(set(_EXPORTS_KEPT) - set(unused))
+    assert not stale, f"kept as unused, but now used or gone: {stale}"
+
+
+def test_unreferenced_exports_are_found():
+    init = ast.parse("from .lib import Result, by_bench, in_docs, own_only, used\n")
+    lib = ast.parse(
+        "class Result:\n    def again(self):\n        return Result()\n"
+        "def own_only(n):\n    '''in_docs, used'''\n    return own_only(n - 1) or Result()\n"
+        "def used():\n    return 1\n"
+        "def other():\n    return used()\n"
+        "def in_docs():\n    pass\n"
+        "def by_bench():\n    pass\n"
+    )
+    # own_only uses Result, and other uses used; a docstring uses nothing,
+    # and README's words outside a code block use nothing
+    cases = {("pass", ""): ["by_bench", "in_docs", "own_only"],
+             ("lib.by_bench()", ""): ["in_docs", "own_only"],
+             ("from feastube import by_bench", "Call in_docs to ..."): ["in_docs", "own_only"],
+             ("pass", "Text\n```python\nx = in_docs()\n```\nown_only\n"): ["by_bench", "own_only"]}
+    for (code, readme), want in cases.items():
+        assert _unreferenced_exports(init, [lib], [ast.parse(code)], readme) == want, code

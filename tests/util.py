@@ -1,12 +1,15 @@
-"""Ad-hoc problem definitions and reference paths used only by tests."""
+"""Ad-hoc problem definitions, reference paths and artifact readers used
+only by tests."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 
 from feastube import geometry as geo
 from feastube import trajectory as tj
+from feastube.value import ValueField
 from feastube.problem import (
     ConstraintFunction,
     ControlSamples,
@@ -309,3 +312,52 @@ def repair_benchmark_references(seed):
     wall = get_problem("moving-wall-1d")
     return refs + [(wall, hold_reference(wall, rng, steps))
                    for steps in (2000,) * 10 + (4000, 8000)]
+
+
+# --- artifact readers -----------------------------------------------------------
+
+def read_trajectory_like(path):
+    """The columns of a CSV that ``analysis.write_csv`` wrote, by name."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        data = np.array([[float(v) for v in line.split(",")] for line in fh])
+    return {name: data[:, j] for j, name in enumerate(header)}
+
+
+def read_trajectory_csv(path):
+    """A trajectory CSV of ``cli.write_trajectory_csv``: times, states,
+    ``maxh``, ``dist`` and the controls when it has them."""
+    cols = read_trajectory_like(path)
+    out = {
+        "t": cols["t"],
+        "states": np.column_stack([v for k, v in cols.items() if k.startswith("x_")]),
+        "maxh": cols["maxh"],
+        "dist": cols["dist"],
+    }
+    ucols = [v for k, v in cols.items() if k.startswith("u_")]
+    if ucols:
+        out["controls"] = np.column_stack(ucols)
+    return out
+
+
+def read_field(outdir, name):
+    """The field ``cli.write_field(outdir, name, field)`` wrote, bit for bit;
+    a ValueError names a values file whose shape its header does not give."""
+    header = json.loads((outdir / f"{name}.json").read_text())
+    g = header["grid"]
+    axes = tuple(
+        np.linspace(lo, hi, s) for lo, hi, s in zip(g["lo"], g["hi"], g["shape"])
+    )
+    path = outdir / f"{name}.npy"
+    values = np.load(path, allow_pickle=False)
+    nt = int(round((header["T"] - header["t0"]) / header["dt"])) + 1
+    if values.shape != (nt, *g["shape"]):
+        raise ValueError(f"{path}: the header gives shape {(nt, *g['shape'])}, "
+                         f"the values have shape {values.shape}")
+    return ValueField(
+        relaxed=header["relaxed"], lam=header["lambda"], t0=header["t0"],
+        dt=header["dt"], T=header["T"], axes=axes, values=values,
+        tail_bound=header["tail_bound"], a1=header["a1"], a2=header["a2"],
+        x0_bound=header["x0_bound"], problem_name=header["problem"],
+        level=header["level"], mixture_grid=header["mixture_grid"],
+    )
