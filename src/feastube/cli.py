@@ -481,7 +481,8 @@ def _cmd_pipeline(cfg: dict, args) -> int:
     ana.write_json(outdir / "config.json",
                    {k: v for k, v in sorted(cfg.items()) if k != "out"})
 
-    report = verify_data_assumptions(run.p, SamplingSpec(), seed=cfg["seed"])
+    report = verify_data_assumptions(run.p, SamplingSpec(level=max(1, cfg["level"])),
+                                     seed=cfg["seed"])
     ana.write_json(outdir / "assumptions.json", report.to_jsonable())
     verdicts = {"assumptions": report.ok}
 

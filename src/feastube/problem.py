@@ -176,9 +176,17 @@ class ControlSamples:
     sampler: Callable[[float, int], Array]
 
     def at(self, t: float, level: int = 0) -> Array:
+        return self._checked(self._draw(t, level), t, level)
+
+    def _draw(self, t: float, level: int):
+        """The sampler's samples at one time, as it returns them."""
         if getattr(t, "ndim", 0):
             raise ValueError(f"control samples are drawn at one time, got t of shape {t.shape}")
-        u = self.sampler(t, int(level))
+        return self.sampler(t, int(level))
+
+    def _checked(self, u, t: float, level: int) -> Array:
+        """A draw as a ``(k, dim)`` float array with k >= 1, or the error naming
+        what it lacks."""
         if type(u) is not np.ndarray or u.dtype != np.float64 or u.ndim != 2:
             u = np.atleast_2d(np.asarray(u, dtype=float))
         if u.size == 0:
@@ -191,12 +199,15 @@ class ControlSamples:
         """How many leading ``times`` have samples that are ``u`` itself or
         have its shape and bytes, the times at which ``velocities`` and
         ``costs`` may take ``u``; and the samples at the first time that
-        does not (None when every time does).  ``at`` runs once per time up
-        to that one."""
+        does not (None when every time does), as ``at`` gives them.  The
+        sampler runs once per time up to that one; ``u`` comes from ``at``
+        or from this method, so a draw that is ``u`` itself is not checked
+        again."""
         bits = None
         for q, t in enumerate(times):
-            v = self.at(t, level)
+            v = self._draw(t, level)
             if v is not u:
+                v = self._checked(v, t, level)
                 bits = u.tobytes() if bits is None else bits
                 if v.shape != u.shape or v.tobytes() != bits:
                     return q, v

@@ -51,13 +51,18 @@ are the same at every node, and the infeasible masks.  One generator,
 ``_sweep``, steps the slices latest first and keeps what its steps share as
 its own locals: the groups of the last velocities met, each block's mixture
 matrix, and the costs the block's steps add, mixed by one stacked product,
-discounted and scaled by dt (``_block_costs``).  It writes every slice into
-one array that holds the slices end to end, padding the next slice in place
+discounted, scaled by dt and, where they differ from node to node, +inf
+at the infeasible nodes (``_block_costs``).  It writes every slice into one
+array that holds the slices end to end, padding the next slice in place
 for each step.
-``solve_value`` checks each slice it yields for a stranded node, and
-``bellman_residual`` drives it over two slices.  A slice pays for the
-stencil apply, the add of its prepared costs, the minimum, its mask and
-the check, and for grouping its velocities when they are new.
+A slice pays for its arithmetic alone: the pads, one gather and weighted
+sum per chunk of groups (``_apply_stencil``), the add of its prepared
+costs and the minimum, plus a mask where the costs are on one node, and
+for grouping its velocities when they are new.  The merge of each group's
+candidate costs is done once for the slices of a block that share their
+groups, and ``solve_value`` checks the rows of each block that ``_sweep``
+yields for a stranded node at once; ``bellman_residual`` drives ``_sweep``
+over two slices.
 """
 
 from __future__ import annotations
@@ -581,22 +586,30 @@ def _block_costs(block: _Block, W: Array | None, lam: float, dt: float) -> Array
     and scaled by ``dt``, rounded in that order.  Costs on one node are
     mixed over two copies of it (``_mix``).  When ``W`` is None they are the
     block's own costs, scaled in place (the costs an error names are kept
-    apart, in ``bad``)."""
+    apart, in ``bad``).
+
+    Costs on P nodes are then +inf at each slice's infeasible nodes, so that
+    every candidate there is +inf and the step needs no mask: a slice it
+    interpolates holds finite values and +inf alone, and its weights are
+    nonnegative, so no candidate reads -inf or NaN."""
     disc = np.array([math.exp(-lam * t) for t in block.times.tolist()])[:, None, None]
     C = block.C
     cost = C if W is None else _mix(W, C if C.shape[2] > 1 else np.repeat(C, 2, axis=2),
                                     axis=1)[..., :C.shape[2]]
     cost *= disc
     cost *= dt
+    if cost.shape[2] > 1:
+        np.copyto(cost, np.inf, where=block.infeas[:, None])
     return cost
 
 
 def _sweep(p, lam, axes, nodes, dt, times, feas, flat, level, relaxed, mixture_grid):
-    """Step the slices at ``times`` (T,), latest first, and yield each
-    slice's index once its row of ``flat`` is written.  ``flat`` holds the
-    T + 1 slices of the P ``nodes`` end to end and then two entries, with the
-    last slice and the two entries already set; ``feas`` (T, P) is the
-    feasibility of the slices stepped.
+    """Step the slices at ``times`` (T,), latest first, and yield ``(lo,
+    hi)`` once the rows lo..hi-1 of ``flat`` are written: once per block of
+    slices (``_sweep_blocks``).  ``flat`` holds the T + 1 slices of the P
+    ``nodes`` end to end and then two entries, with the last slice and the
+    two entries already set; ``feas`` (T, P) is the feasibility of the
+    slices stepped.
 
     A slice is the minimum over candidates of discounted running cost plus
     the next slice interpolated at the candidate's foot point, and +inf off
@@ -617,65 +630,80 @@ def _sweep(p, lam, axes, nodes, dt, times, feas, flat, level, relaxed, mixture_g
     is the minimum of its candidates' (``_Groups``): one number per slice
     when the block's costs are the same at every node.
 
-    Everything that does not read the next slice is done once per block of
-    slices (``_sweep_blocks``): the velocities and costs, their checks, the
-    infeasible masks, the mixture matrix, and the costs the steps add,
-    mixed, discounted and scaled (``_block_costs``).  Those costs are
-    prepared once the block's first slice has grouped its velocities, so
-    that they are not held while grouping forms its velocity products, and
-    dropped before the next block is formed.  Raises NonFiniteCost, naming
-    the node, the time and the model's costs there, at the turn of a slice
-    whose running cost is not finite at a feasible node.
+    Everything that does not read the next slice is done once per block:
+    the velocities and costs, their checks, the mixture matrix, and the
+    costs the steps add, mixed, discounted, scaled and, where they differ
+    from node to node, +inf at the infeasible nodes (``_block_costs``).
+    Those costs are prepared once the block's first slice has grouped its
+    velocities, so that they are not held while grouping forms its velocity
+    products, and dropped before the next block is formed.  The slices step
+    in runs that share their groups and stored terms (a slice that builds
+    its terms without storing them is a run of its own): a run's candidate
+    costs are folded into its groups' rows at once, and one loop steps its
+    slices, whose body is the pads, one ``_apply_stencil`` per chunk, the
+    add of the costs and the minimum, and the mask of a slice whose costs
+    are on one node.  Raises NonFiniteCost, naming the node, the time and
+    the model's costs there, at the turn of a slice whose running cost is
+    not finite at a feasible node, after yielding the rows stepped before
+    it.
     """
     P = nodes.shape[0]
+    groups = None
     for lo, block in _sweep_blocks(p, times, nodes, feas, level):
         W = _mixture_matrix(block.F.shape[1], p.n + 1, mixture_grid) if relaxed else None
-        cost = None
-        for j in range(len(block.times) - 1, -1, -1):
-            i = lo + j
-            if j in block.bad:
-                node, costs = block.bad[j]
-                raise NonFiniteCost(f"running cost of {p.name} at feasible node {nodes[node]} "
-                                    f"at t={float(block.times[j])} is not finite: {costs}")
-            seen = block.seen[j]
-            if not seen:
-                groups = terms = None      # drop the last groups before forming these
-                F = block.F[j]
+        stop = max(block.bad, default=-1) + 1   # slice stop - 1 is the first bad one in turn
+        cost = mask = None
+        top = len(block.times)
+        while top > stop:                  # a run: top - 1 down to end
+            if not block.seen[top - 1]:
+                groups = None              # drop the last groups before forming these
+                F = block.F[top - 1]
                 if _same_at_every_node(F, 1):
                     groups = _groups(_mix(W, F[:, :2])[:, :1].copy(), P)
                 else:
                     groups = _groups(_mix(W, F), P)
-            terms = groups.terms
+            terms, end = groups.terms, top - 1
             if terms is None:
                 terms = (_terms(axes, np.moveaxis(nodes + dt * groups.vel[chunk], -1, 0))
                          for chunk in groups.chunks)
-                if seen:                   # met again: store them, before the costs exist
+                if block.seen[top - 1]:    # met again: store them, before the costs exist
                     terms = groups.terms = list(terms)
+            if groups.terms is not None:   # the slices after it that share them
+                while end > stop and block.seen[end - 1]:
+                    end -= 1
             if cost is None:               # once grouping has formed its products
                 cost = _block_costs(block, W, lam, dt)
-            row = cost[j]
-            if groups.order is not None and row.shape[1] == 1:
-                row[groups.order[groups.starts]] = np.minimum.reduceat(
-                    row[groups.order], groups.starts, axis=0)
+                mask = block.infeas if cost.shape[2] == 1 else None
+            rows = cost[end:top]
+            if groups.order is not None and cost.shape[2] == 1:
+                rows[:, groups.order[groups.starts]] = np.minimum.reduceat(
+                    rows[:, groups.order], groups.starts, axis=1)
             elif groups.order is not None:
                 for g, r in groups.merges:
-                    np.minimum(row[g], row[r], out=row[g])
-
-            out, nxt = flat[i * P:(i + 1) * P], flat[(i + 1) * P:(i + 2) * P + 2]
-            lent = nxt[P], nxt[P + 1]
-            nxt[P], nxt[P + 1] = 0.0, np.inf
-            for k, (chunk, chunk_terms) in enumerate(zip(groups.chunks, terms)):
-                part = _apply_stencil(chunk_terms, nxt)
-                part += row[chunk]
-                if k == 0:
-                    np.minimum.reduce(part, axis=0, out=out)
-                else:
-                    np.minimum(out, np.minimum.reduce(part, axis=0), out=out)
-                del part, chunk_terms      # they go before the next chunk's terms are built
-            nxt[P], nxt[P + 1] = lent
-            np.copyto(out, np.inf, where=block.infeas[j])
-            yield i
-        cost = row = None                  # dropped before the next block is formed
+                    np.minimum(rows[:, g], rows[:, r], out=rows[:, g])
+            for j in range(top - 1, end - 1, -1):
+                i = lo + j
+                out, nxt = flat[i * P:(i + 1) * P], flat[(i + 1) * P:(i + 2) * P + 2]
+                lent = nxt[P], nxt[P + 1]
+                nxt[P], nxt[P + 1] = 0.0, np.inf
+                for k, (chunk, chunk_terms) in enumerate(zip(groups.chunks, terms)):
+                    part = _apply_stencil(chunk_terms, nxt)
+                    part += rows[j - end, chunk]
+                    if k == 0:
+                        np.minimum.reduce(part, axis=0, out=out)
+                    else:
+                        np.minimum(out, np.minimum.reduce(part, axis=0), out=out)
+                    del part, chunk_terms  # they go before the next chunk's terms are built
+                nxt[P], nxt[P + 1] = lent
+                if mask is not None:
+                    np.copyto(out, np.inf, where=mask[j])
+            top = end
+        cost = rows = None                 # dropped before the next block is formed
+        yield lo + stop, lo + len(block.times)
+        if stop:
+            node, costs = block.bad[stop - 1]
+            raise NonFiniteCost(f"running cost of {p.name} at feasible node {nodes[node]} "
+                                f"at t={float(block.times[stop - 1])} is not finite: {costs}")
 
 
 def _sweep_blocks(p: ProblemDefinition, times: Array, nodes: Array, feas: Array, level: int):
@@ -683,9 +711,9 @@ def _sweep_blocks(p: ProblemDefinition, times: Array, nodes: Array, feas: Array,
     first, where ``lo`` is the block's first slice: one ``velocities`` and
     one ``costs`` call per block (``_block``).
 
-    ``ControlSamples.at`` runs once per time, and a block holds only times
-    that share their samples (``ControlSamples.shared``), at most
-    ``_FEAS_CHUNK`` velocity values.
+    The samples are drawn once per time, and a block holds only times
+    that share them (``ControlSamples.shared``), at most ``_FEAS_CHUNK``
+    velocity values.
     """
     P, n = nodes.shape
     ts, hi, u = times.tolist(), len(times), None
@@ -809,9 +837,10 @@ def solve_value(
     (``_sweep_blocks``), at ``t`` of shape (T, 1) and ``x`` of shape
     (1, P, n), so they must broadcast over an array ``t``; one that does not
     raises ValueError naming it.  ``_sweep`` steps the slices into one array
-    and yields each in turn, and each yielded slice is checked for a
-    stranded node.  The returned ``values`` are a contiguous view of that
-    array.
+    and yields the rows of each block once they are written; they are
+    checked for a stranded node at once, and the error names the latest
+    slice that strands one, the first stepped.  The returned ``values`` are
+    a contiguous view of that array.
     """
     x0_bound = float(np.max(np.abs(np.concatenate([grid.lo, grid.hi]))))
     if horizon is None:
@@ -839,13 +868,15 @@ def solve_value(
     values = flat[:-2].reshape(nt + 1, P)
     flat[-2:] = _PADS
     values[nt] = np.where(feas[nt], 0.0, np.inf)
-    n_feas = np.count_nonzero(feas, axis=1).tolist()
-    for i in _sweep(p, lam, axes, nodes, grid.dt, times[:nt], feas[:nt], flat, level, relaxed,
-                    mixture_grid):
-        # the row is +inf off feas[i], so fewer finite values than
-        # feasible nodes means a feasible node without a finite candidate
-        if np.count_nonzero(np.isfinite(values[i])) != n_feas[i]:
-            k, t = int(np.flatnonzero(feas[i] & ~np.isfinite(values[i]))[0]), float(times[i])
+    for lo, hi in _sweep(p, lam, axes, nodes, grid.dt, times[:nt], feas[:nt], flat, level,
+                         relaxed, mixture_grid):
+        # the rows are +inf off feas, so fewer finite values than feasible
+        # nodes means a feasible node without a finite candidate
+        finite = np.isfinite(values[lo:hi])
+        if np.count_nonzero(finite) != np.count_nonzero(feas[lo:hi]):
+            stranded = feas[lo:hi] & ~finite
+            i = lo + int(np.flatnonzero(stranded.any(axis=1))[-1])    # the first stepped
+            k, t = int(stranded[i - lo].argmax()), float(times[i])
             raise GridTooCoarse(
                 f"feasible node {nodes[k]} at t={t} has no stencil-feasible velocity; "
                 + _coarse_hint(p, axes, constrained, grid.dt, t, nodes[k], level)

@@ -12,11 +12,13 @@ the step-loop references write out one RK4 loop per trajectory construction;
 the repair reference re-projects the whole tail after every corrected piece;
 the backstep reference builds its candidates one control at a time and
 interpolates once per velocity/cost candidate, with a pinned copy of the
-point-by-point multilinear interpolation, and the sweep reference takes
-one such backstep per slice; the assumption reference evaluates the data
-one sampled point at a time; the certify references take one Lipschitz
-quotient per node pair, evaluate the field at one time and point per
-call along a path and at a probe, and write one CSV row at a time;
+point-by-point multilinear interpolation, and the sweep references take
+one such backstep per slice, one of them checking each slice for a
+non-finite cost before it steps and for a stranded node after; the
+assumption reference evaluates the data one sampled point at a time;
+the certify references take one Lipschitz quotient per node pair,
+evaluate the field at one time and point per call along a path and at a
+probe, and write one CSV row at a time;
 the certificate reference samples the boundary one time at a time and solves
 one LP per boundary point; the CLI references keep ``analyze`` and
 ``pipeline`` as two separate copies of the four value-function checks.
@@ -37,7 +39,9 @@ from feastube import value as val
 from feastube.errors import (
     BoundarySamplingFailed,
     DiscountBelowThreshold,
+    GridTooCoarse,
     InfeasibleInput,
+    NonFiniteCost,
     ProbeInfeasible,
     TrajectoryOutOfGrid,
 )
@@ -573,6 +577,44 @@ def sweep_loop(p, field):
     return vals.reshape(field.values.shape)
 
 
+def solve_checked_per_slice(p, lam, grid, relaxed, mixture_grid, horizon, level=0):
+    """The slices ``value.solve_value`` gives at the explicit ``horizon``,
+    (steps + 1, P), stepped by one ``backstep_loop`` per slice, latest
+    first, and checked one slice at a time as the sweep once checked them:
+    a slice whose running cost is not finite at a feasible node raises
+    NonFiniteCost at its turn, before it steps, and a feasible node that a
+    slice leaves without a finite value raises GridTooCoarse right after
+    that slice.  The margin check, the constrained axes and the hint of the
+    GridTooCoarse message are the value module's own."""
+    steps = max(1, int(round((horizon - grid.t0) / grid.dt)))
+    times = grid.t0 + grid.dt * np.arange(steps + 1)
+    nodes, axes = grid.nodes(), grid.axes()
+    feas = feasible_slices_loop(p, times, nodes)
+    constrained = val._constrained_axes(p, times[::max(1, steps // 8)])
+    val._check_margin(p, grid, nodes, times, feas, constrained)
+    vals = np.empty(feas.shape)
+    vals[-1] = np.where(feas[-1], 0.0, np.inf)
+    for i in range(steps - 1, -1, -1):
+        t = float(times[i])
+        costs = [np.broadcast_to(np.asarray(p.running_cost(t, nodes, u), dtype=float),
+                                 nodes.shape[:1]) for u in p.controls.at(t, level)]
+        bad = feas[i] & ~np.all([np.isfinite(c) for c in costs], axis=0)
+        if bad.any():
+            k = int(bad.argmax())
+            raise NonFiniteCost(f"running cost of {p.name} at feasible node {nodes[k]} "
+                                f"at t={t} is not finite: {[float(c[k]) for c in costs]}")
+        with np.errstate(invalid="ignore"):     # a non-finite cost off the feasible set, mixed
+            vals[i] = backstep_loop(p, lam, axes, nodes, t, grid.dt, vals[i + 1], feas[i],
+                                    level, relaxed, mixture_grid)
+        stranded = feas[i] & ~np.isfinite(vals[i])
+        if stranded.any():
+            k = int(stranded.argmax())
+            raise GridTooCoarse(
+                f"feasible node {nodes[k]} at t={t} has no stencil-feasible velocity; "
+                + val._coarse_hint(p, axes, constrained, grid.dt, t, nodes[k], level))
+    return vals
+
+
 # ---------------------------------------------------------------------------
 # assumption reference: one (f, L) evaluation per sampled point
 # ---------------------------------------------------------------------------
@@ -987,7 +1029,8 @@ def cli_pipeline(cfg):
                    {k: (list(v) if isinstance(v, (list, tuple)) else v)
                     for k, v in sorted(cfg.items()) if k != "out"})
 
-    report = verify_data_assumptions(p, SamplingSpec(), seed=cfg["seed"])
+    report = verify_data_assumptions(p, SamplingSpec(level=max(1, cfg["level"])),
+                                     seed=cfg["seed"])
     ana.write_json(outdir / "assumptions.json", report.to_jsonable())
     verdicts = {"assumptions": report.ok}
 

@@ -10,7 +10,7 @@ import pytest
 from feastube import analysis as ana
 from feastube import cli
 from feastube.errors import GridTooCoarse
-from feastube.problem import ControlSamples, get_problem, registered_problems
+from feastube.problem import ControlSamples, SamplingSpec, get_problem, registered_problems
 from feastube import value as val
 
 import oracles
@@ -654,6 +654,26 @@ def test_pipeline_honours_probes(tmp_path, capsys):
     new_tree, old_tree = _tree(tmp_path / "pipe"), _tree(tmp_path / "old")
     assert sorted(new_tree) == sorted(old_tree)
     assert [k for k in new_tree if new_tree[k] != old_tree[k]] == ["summary.json"]
+
+
+def test_pipeline_checks_assumptions_at_its_own_level(tmp_path, monkeypatch):
+    """pipeline samples the controls for its assumption check at --level, and
+    at level 1 below that, so the default --level 0 checks level 1 as before."""
+    levels, real = [], cli.verify_data_assumptions
+
+    def recording(p, samples, seed):
+        levels.append(samples.level)
+        return real(p, samples, seed)
+
+    monkeypatch.setattr(cli, "verify_data_assumptions", recording)
+    for level, checked in ((2, 2), (0, 1), (1, 1)):
+        out = tmp_path / str(level)
+        args = ["pipeline", *certify_args("moving-wall-1d"), "--level", str(level)]
+        assert cli.run(args + ["--out", str(out)]) == 0
+        want = real(get_problem("moving-wall-1d"), SamplingSpec(level=checked), seed=7)
+        assert json.loads((out / "assumptions.json").read_text()) == \
+            json.loads(json.dumps(want.to_jsonable()))
+        assert levels.pop() == checked and not levels
 
 
 def _config_file(tmp_path, text):

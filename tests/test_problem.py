@@ -12,6 +12,7 @@ from feastube import problem as pb
 from feastube import trajectory as tj
 from feastube import value as val
 from feastube.errors import (
+    EmptyControlSet,
     InvalidOverrideValue,
     UnknownOverrideKey,
     UnknownProblem,
@@ -142,6 +143,31 @@ def test_shared_samples_equal_a_per_time_loop(kind, breaks, times, u_time, level
         assert nxt is None
     else:
         assert nxt.shape == at[want].shape and nxt.tobytes() == at[want].tobytes()
+
+
+def test_shared_checks_only_a_draw_that_is_not_u(monkeypatch):
+    """``ControlSamples.shared`` checks a draw only when it is not ``u``
+    itself, which ``at`` has checked; a bad draw raises what ``at`` raises
+    at that time."""
+    cached = np.array([[0.0], [1.0]])
+    bad = {0.6: np.empty((0, 1)), 0.8: np.zeros((2, 2))}
+    controls = pb.ControlSamples(1, lambda t, level: bad.get(t, cached))
+    u = controls.at(0.0, 0)
+    checked, check = [], pb.ControlSamples._checked
+    monkeypatch.setattr(pb.ControlSamples, "_checked",
+                        lambda self, v, t, level: checked.append(t) or check(self, v, t, level))
+    assert controls.shared(u, [0.1, 0.2, 0.3], 0) == (3, None) and checked == []
+    for t, err in ((0.6, EmptyControlSet), (0.8, ValueError)):
+        with pytest.raises(err) as want:
+            controls.at(t, 0)
+        with pytest.raises(err) as got:
+            controls.shared(u, [0.1, t, 0.2], 0)
+        assert str(got.value) == str(want.value)
+    fresh = pb.ControlSamples(1, lambda t, level: [[0.0], [1.0]] if t < 0.5 else [[1.0]])
+    checked.clear()
+    assert fresh.shared(fresh.at(0.0, 0), [0.1, 0.2], 0) == (2, None) and checked == [0.0, 0.1, 0.2]
+    q, nxt = fresh.shared(fresh.at(0.0, 0), [0.1, 0.7], 0)
+    assert q == 1 and nxt.tobytes() == fresh.at(0.7, 0).tobytes()
 
 
 def test_constraint_gradient_matches_finite_difference():

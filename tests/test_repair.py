@@ -502,10 +502,10 @@ def test_predicted_tube_steps_are_checked(case, monkeypatch):
 
 # --- shared control samples -------------------------------------------------------
 
-# ControlSamples.at calls before ControlSamples.shared held the rule of which
-# times share their samples, when the sweep and the two march rules each kept
-# a loop of their own: per swinging wall and start time, its viable march and
-# its repair.
+# Sampler draws (ControlSamples.at calls) before ControlSamples.shared held
+# the rule of which times share their samples, when the sweep and the two
+# march rules each kept a loop of their own: per swinging wall and start
+# time, its viable march and its repair.  Each such call drew once.
 _AT_CALLS = {"sweep": 200, "relaxed sweep": 200, "hold": 2364,
              (("wall", 2.0, 0.3), 4.0): (104, 835), (("wall", 3.0, 0.25), 0.5): (125, 818),
              (("wall", 1.0, 0.4), 2.0): (76, 723)}
@@ -516,15 +516,15 @@ def test_shared_samples_make_no_more_at_calls(hover, moving_wall, mw_cert, monke
     decide which times share their samples with ``ControlSamples.shared``,
     and draw samples no more often than their own loops did."""
     calls = Counter()
-    at = ControlSamples.at
+    draw = ControlSamples._draw
 
     def counted(run):
         calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(ControlSamples, "at",
-                      lambda self, t, level=0: calls.update(["at"]) or at(self, t, level))
+            m.setattr(ControlSamples, "_draw",
+                      lambda self, t, level: calls.update(["draw"]) or draw(self, t, level))
             run()
-        return calls["at"]
+        return calls["draw"]
 
     g = val.grid_for(hover, 241, 0.0025)
     got = {f"{'relaxed ' * r}sweep": counted(lambda: val.solve_value(

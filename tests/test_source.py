@@ -7,7 +7,8 @@ method of a module-level class, no function nested in one of these and no
 dataclass field keeps a default that no call sets: such a parameter is a
 setting that nothing exercises.  Every name the package exports is used by
 the package itself, the benchmark, the demos or README's examples, or is
-kept for a stated reason."""
+kept for a stated reason.  The one gather in the package is
+``value._apply_stencil``'s, so that the value sweep has one apply."""
 
 import ast
 import re
@@ -52,7 +53,6 @@ def test_catch_all_handlers_are_found():
 _UNSET_KEPT = {
     "trajectory.integrate(level)": "every construction takes a control level",
     "value.relaxed_velocity_set(level)": "every construction takes a control level",
-    "problem.SamplingSpec.__init__(level)": "every construction takes a control level",
     "cli._SubcommandParser.parse_known_args(args)": "overrides argparse's signature; "
                                                     "argparse sets it",
     "cli._SubcommandParser.parse_known_args(namespace)": "overrides argparse's signature; "
@@ -359,3 +359,30 @@ def test_unreferenced_exports_are_found():
              ("pass", "Text\n```python\nx = in_docs()\n```\nown_only\n"): ["by_bench", "own_only"]}
     for (code, readme), want in cases.items():
         assert _unreferenced_exports(init, [lib], [ast.parse(code)], readme) == want, code
+
+
+def _gathers(node: ast.AST, fn=None):
+    """The innermost function around each gather under ``node``, an
+    attribute named ``take`` (``a.take(i)``, ``np.take(a, i)``), in source
+    order; ``<module>`` outside any function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and child.attr == "take":
+            yield "<module>" if fn is None else getattr(fn, "name", "<lambda>")
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        yield from _gathers(child, child if inner else fn)
+
+
+def test_the_only_gather_is_the_stencil_apply():
+    found = [f"{path.stem}.{name}" for path in sorted(SRC.rglob("*.py"))
+             for name in _gathers(ast.parse(path.read_text(), str(path)))]
+    assert found == ["value._apply_stencil"]
+
+
+def test_gathers_are_found():
+    code = ("import numpy as np\n"
+            "first = np.arange(3).take(0)\n"
+            "def apply(a, i):\n    return a.take(i)\n"
+            "def outer(a, i):\n    def inner():\n        return np.take(a, i)\n    return inner\n"
+            "grab = lambda a: a.take([0])\n"
+            "def keep(a, take):\n    return a.taken, a[[0]], take(a), np.take_along_axis\n")
+    assert list(_gathers(ast.parse(code))) == ["<module>", "apply", "inner", "<lambda>"]

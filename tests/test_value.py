@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 import weakref
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -27,6 +28,7 @@ from oracles import (
     interp_clipped,
     interp_clipped_pointwise,
     mixtures_tensordot,
+    solve_checked_per_slice,
     sweep_loop,
     tree_value,
 )
@@ -659,7 +661,7 @@ def _step(p, lam, axes, nodes, t, dt, next_slice, feas_now, level, relaxed, mixt
     P = nodes.shape[0]
     flat = np.concatenate((np.empty(P), val._padded(next_slice)))
     assert list(val._sweep(p, lam, axes, nodes, dt, np.array([t]), feas_now[None], flat,
-                           level, relaxed, mixture_grid)) == [0]
+                           level, relaxed, mixture_grid)) == [(0, 1)]
     return flat[:P]
 
 
@@ -965,11 +967,13 @@ def test_margin_error_names_time_node_and_axis(corridor):
 
 
 def _count_terms(monkeypatch):
-    """Record every slice a sweep yields from now on as ``(built, stored)``:
+    """Record every slice a sweep steps from now on as ``(built, stored)``:
     the group count of each chunk whose terms it built, and whether the
-    groups it stepped on hold stored terms after it."""
-    steps, built, formed = [], [], []
-    build, group, sweep = val._terms, val._groups, val._sweep
+    groups it stepped on hold stored terms after it.  A slice applies each
+    chunk of its groups once (``_apply_stencil``), and the terms it builds
+    are built before its last apply."""
+    steps, built, formed, applied = [], [], [], [0]
+    build, group, apply = val._terms, val._groups, val._apply_stencil
 
     def counting(axes, coords):
         built.append(len(coords[0]))
@@ -979,16 +983,17 @@ def _count_terms(monkeypatch):
         formed[:] = [group(vel, P)]
         return formed[0]
 
-    def recording(*args):
-        built.clear()
-        for i in sweep(*args):
+    def applying(terms, vals):
+        applied[0] += 1
+        if applied[0] == len(formed[0].chunks):
             steps.append((built[:], formed[0].terms is not None))
             built.clear()
-            yield i
+            applied[0] = 0
+        return apply(terms, vals)
 
     monkeypatch.setattr(val, "_terms", counting)
     monkeypatch.setattr(val, "_groups", grouping)
-    monkeypatch.setattr(val, "_sweep", recording)
+    monkeypatch.setattr(val, "_apply_stencil", applying)
     return steps
 
 
@@ -1142,6 +1147,52 @@ def test_sweep_evaluates_model_once_per_block_of_slices(hover, monkeypatch):
     assert again.values.tobytes() == f.values.tobytes()
 
 
+class _CountingNumpy:
+    """numpy as the value module sees it, counting the calls of ``names`` by
+    the name and the dimension of their first argument."""
+
+    def __init__(self, names):
+        self.calls = Counter()
+        self.names = names
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in self.names:
+            return fn
+
+        def counted(a, *args, **kwargs):
+            self.calls[name, np.ndim(a)] += 1
+            return fn(a, *args, **kwargs)
+        return counted
+
+
+def test_sweep_checks_and_masks_once_per_block(hover, corridor, monkeypatch):
+    # hover-1d at 241 nodes: 200 slices in 3 blocks, and a cost x**2 that
+    # differs from node to node.  Per block, one isfinite over its costs
+    # (T, k, P) and one over its rows (T, P), the stranded-node check, and
+    # one mask of its prepared costs (T, R, P); no slice is masked alone.
+    # corridor-2d's costs are the same at every node, kept (T, R, 1), and
+    # each slice's row (P,) is masked alone.
+    counting = _CountingNumpy({"isfinite", "copyto"})
+    monkeypatch.setattr(val, "np", counting)
+    g = val.grid_for(hover, 241, 0.0025)
+    for relaxed, chunk in ((False, val._FEAS_CHUNK), (True, val._FEAS_CHUNK), (True, 1)):
+        blocks = 3 if chunk > 1 else 200
+        counting.calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(val, "_FEAS_CHUNK", chunk)
+            f = val.solve_value(hover, hover.lam, g, relaxed=relaxed, horizon=0.5)
+        assert f.values.shape[0] == 201 and np.isfinite(f.values).any()
+        assert {k: v for k, v in counting.calls.items() if k != ("copyto", 2)} == {
+            ("isfinite", 3): blocks, ("isfinite", 2): blocks, ("copyto", 3): blocks}
+    g = _small_grid(corridor, 0.3, 1.2, 11)
+    counting.calls.clear()
+    f = val.solve_value(corridor, corridor.lam, g, relaxed=True, horizon=g.t0 + 6 * g.dt)
+    assert f.values.shape[0] == 7
+    assert {k: v for k, v in counting.calls.items() if k != ("copyto", 2)} == {
+        ("isfinite", 3): 1, ("isfinite", 2): 1, ("copyto", 1): 6}
+
+
 def _changing_samples():
     """sway-1d (time-dependent velocities) with two controls before t = 0.5
     and three from then on."""
@@ -1214,6 +1265,94 @@ def test_fields_at_any_block_size_match_loop_reference(name, mixture, per_block,
             m.setattr(val, "_INTERP_CHUNK", per_chunk * P)
         f = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg, horizon=horizon)
     assert f.values.tobytes() == ref.tobytes()
+
+
+@st.composite
+def _walled_sweeps(draw):
+    """A sweep of 1 to 12 slices between walls ``|x_d - b_d sin(w_d t)| <=
+    r_d`` moving inside the box [-2, 2]^n, n = 1 or 2, with a node feasible
+    at a drawn slice stranded there (every node within one step and one
+    cell of it infeasible at the next slice) and a node feasible at a drawn
+    slice whose running cost is NaN or +-inf there, each or both left out;
+    a block of 1 to 4 slices.  Returns ``(p, grid, horizon, relaxed,
+    mixture grid, slices per block)``."""
+    n = draw(st.sampled_from([1, 2]))
+    points = draw(st.integers(3, 15 if n == 1 else 7))
+    dt = draw(st.floats(0.05, 0.5))
+    slices = draw(st.integers(1, 12))
+    t0 = draw(st.floats(-3.0, 3.0))
+    times = t0 + dt * np.arange(slices + 1)
+    walls = []
+    for d in range(n):
+        r, b, w = draw(st.floats(0.2, 1.0)), draw(st.floats(0.0, 0.3)), draw(st.floats(0.0, 5.0))
+        for s in (1.0, -1.0):
+            walls.append(affine_constraint(f"wall{d}{'+' if s > 0 else '-'}", s * np.eye(n)[d],
+                                           lambda t, r=r, b=b, w=w, s=s: -r - s * b * np.sin(w * t)))
+    walled = simple_problem(unit_velocity, zero_cost, constraints=walls, n=n)
+    nodes = val.grid_for(walled, points, dt, t0).nodes()
+    feas = feasible_slices_loop(walled, times, nodes)
+
+    def feasible_node():
+        """A slice stepped and a node feasible between the walls there, or None."""
+        i = draw(st.integers(0, slices - 1))
+        where = np.flatnonzero(feas[i])
+        return None if not where.size else (i, nodes[where[draw(st.integers(0, where.size - 1))]])
+
+    strand = feasible_node() if draw(st.booleans()) else None
+    if strand is not None:
+        at, near = float(times[strand[0] + 1]), strand[1]
+        reach = dt + 4.0 / (points - 1) + 1e-9     # one step at speed 1, and one cell
+
+        def h(t, x):
+            close = np.abs(np.asarray(x, dtype=float) - near).max(axis=-1) <= reach
+            return np.where((np.abs(t - at) < dt / 2) & close, 1.0, -1.0)
+
+        walls.append(pb.ConstraintFunction(h=h, grad=lambda t, x: np.zeros_like(x),
+                                           holder_theta=0.5, holder_const=0.0, grad_bound=0.0,
+                                           name="strand"))
+    spoil = feasible_node() if draw(st.booleans()) else None
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    spoiled_at, spoiled = (math.inf, nodes[0]) if spoil is None else (float(times[spoil[0]]),
+                                                                      spoil[1])
+
+    def cost(t, x, u):
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        hit = (np.abs(t - spoiled_at) < dt / 2) & (np.abs(x - spoiled).max(axis=-1) == 0.0)
+        return np.where(hit, bad, (x[..., 0] - 0.3) ** 2 + 0.25 * u[..., 0])
+
+    moves = np.vstack([np.zeros(n), np.eye(n), -np.eye(n)])
+    p = simple_problem(unit_velocity, cost, constraints=walls, n=n, lam=3.0,
+                       controls=pb.ControlSamples(n, lambda t, level: moves))
+    relaxed, mg = draw(st.sampled_from(MIXTURES))
+    return (p, val.grid_for(p, points, dt, t0), float(times[-1]), relaxed, mg,
+            draw(st.integers(1, 4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_walled_sweeps())
+def test_block_checks_name_what_per_slice_checks_name(case):
+    # the sweep checks a block of slices at once: where it solves, its field
+    # is the per-candidate reference's; where it raises, it raises what a
+    # check of each slice in turn raises, with the same message
+    p, g, horizon, relaxed, mg, per_block = case
+    want = got = None
+    try:
+        want = solve_checked_per_slice(p, p.lam, g, relaxed, mg, horizon)
+    except (GridTooCoarse, NonFiniteCost) as err:
+        want = err
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(val, "_FEAS_CHUNK", per_block * (2 * p.n + 1) * g.nodes().size)
+        try:
+            got = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg, horizon=horizon)
+        except (GridTooCoarse, NonFiniteCost) as err:
+            got = err
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert isinstance(got, val.ValueField)
+        with np.errstate(invalid="ignore"):     # a non-finite cost off the feasible set, mixed
+            assert got.values.tobytes() == sweep_loop(p, got).tobytes()
+        assert got.values.reshape(want.shape).tobytes() == want.tobytes()
 
 
 def test_velocities_met_once_build_no_stencil(monkeypatch):
