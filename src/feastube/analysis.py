@@ -5,6 +5,12 @@ with a scheme tolerance ``C_GRID * (dx + dt)`` absorbing the discretization
 error of the field (the constant is calibrated on the constant-cost closed
 form and pinned by a test).  Every verdict serializes all inputs of its
 inequality, so a pass can be re-derived from the emitted CSV alone.
+
+A check costs a fixed number of array calls per chunk of slices or per
+probe, not per slice or time: the Lipschitz profile takes its slices in
+chunks of about ``_PAIR_CHUNK`` pairs (only its seeded draws go slice by
+slice), and the time-regularity check evaluates the model once per run of
+times that share their control samples and its quotients once per stride.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping
 
@@ -24,7 +31,7 @@ from .errors import (
     ProbeInfeasible,
     TrajectoryOutOfGrid,
 )
-from .problem import ProblemDefinition
+from .problem import ProblemDefinition, row_norms
 from .trajectory import TrackingConstants, Trajectory
 from .value import TOL_DP, ValueField, evaluate_value
 
@@ -83,33 +90,87 @@ class LipschitzProfile:
         }
 
 
-def _slice_pairs(field: ValueField, i: int, budget: int, rng) -> tuple[Array, Array]:
-    """Node-index pairs ``(a, b)``: grid neighbors axis by axis, then seeded
-    random pairs up to the budget, cut to ``budget`` pairs in that order."""
-    flat = field.values[i].ravel()
-    fin = np.flatnonzero(np.isfinite(flat))
-    if fin.size < 2:
-        return fin[:0], fin[:0]
-    shape = field.values[i].shape
-    finite_set = np.zeros(flat.size, dtype=bool)
-    finite_set[fin] = True
-    firsts, seconds = [], []
+# Pairs (and nodes) that lipschitz_profile holds at a time: it takes the
+# slices in chunks of about this many, so memory stays flat in their number.
+_PAIR_CHUNK = 1 << 15
+
+
+def _neighbor_steps(shape: tuple, coords: Array) -> list[tuple[int, Array, Array, Array]]:
+    """Per axis of the grid ``shape``, in order, ``(stride, pair, dist, far)``
+    over the nodes ``a`` below ``P - stride``: whether ``(a, a + stride)`` are
+    neighbors along the axis, their distance, and whether it is at least
+    1e-14.  ``coords`` are the nodes as ``row_norms`` takes them: (P,) on a
+    1-D grid, (P, n) otherwise."""
+    P = len(coords)
+    steps = []
     for d in range(len(shape)):
         stride = int(np.prod(shape[d + 1:], dtype=int))
-        a = fin[(fin // stride) % shape[d] + 1 < shape[d]]
-        a = a[finite_set[a + stride]]
-        firsts.append(a)
-        seconds.append(a + stride)
-    n = sum(a.size for a in firsts)
-    while n < budget:
-        extra = rng.choice(fin, size=(budget - n, 2))
-        distinct = extra[:, 0] != extra[:, 1]
-        if not distinct.any():
-            break
-        firsts.append(extra[distinct, 0])
-        seconds.append(extra[distinct, 1])
-        n += int(distinct.sum())
-    return np.concatenate(firsts)[:budget], np.concatenate(seconds)[:budget]
+        pair = (np.arange(P - stride) // stride) % shape[d] + 1 < shape[d]
+        dist = row_norms(coords[:P - stride] - coords[stride:])
+        steps.append((stride, pair, dist, dist >= 1e-14))
+    return steps
+
+
+def _slice_pairs(m: list, n: list, budget: int, rng) -> tuple[Array, list, list]:
+    """Seeded random pairs of finite nodes, slice by slice in order.  A slice
+    with ``m`` finite nodes, at least two, and ``n`` neighbor pairs draws
+    pairs until it holds ``budget`` distinct ones, or until a draw has none.
+
+    Returns the pairs as positions in the list of every slice's finite
+    nodes, slice after slice (N, 2), with the coincident ones kept; the
+    slices that drew any; and how many rows each drew."""
+    draws, slices, counts = [], [], []
+    for c, (first, size, got) in enumerate(zip(accumulate(m, initial=0), m, n)):
+        if got >= budget or size < 2:
+            continue
+        total = 0
+        while got < budget:
+            # the stream of rng.choice over the slice's finite nodes
+            x = rng.integers(first, first + size, (budget - got, 2))
+            k = int(np.count_nonzero(x[:, 0] != x[:, 1]))
+            if not k:
+                break
+            draws.append(x)
+            got, total = got + k, total + len(x)
+        if total:
+            slices.append(c)
+            counts.append(total)
+    return (np.concatenate(draws) if draws else np.empty((0, 2), dtype=np.int64)), slices, counts
+
+
+def _slice_maxima(V: Array, coords: Array, steps: list, budget: int, rng) -> Array:
+    """The largest quotient of each slice of ``V`` (C, P), 0 where none.
+
+    A slice's pairs are its finite axis neighbors, axis by axis in node
+    order, then its random pairs (``_slice_pairs``), cut to ``budget``.  The
+    neighbor quotients of all slices come from one expression per axis, and
+    the random ones from one gather; a coincident pair is 0 apart and scores
+    0, like any pair under 1e-14 apart."""
+    C, P = V.shape
+    fin = np.isfinite(V)
+    best = np.zeros(C)
+    n = np.zeros(C, dtype=np.int64)                   # neighbor pairs per slice
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for stride, pair, dist, far in steps:
+            held = fin[:, :P - stride] & fin[:, stride:] & pair
+            count = np.count_nonzero(held, axis=1)
+            if (n + count > budget).any():           # pairs past the budget are cut
+                held &= np.cumsum(held, axis=1) + n[:, None] <= budget
+                count = np.minimum(count, budget - n)
+            q = np.abs(V[:, :P - stride] - V[:, stride:]) / dist
+            best = np.maximum(best, np.max(q, axis=1, where=held & far, initial=0.0))
+            n += count
+        ab, slices, counts = _slice_pairs(np.count_nonzero(fin, axis=1).tolist(), n.tolist(),
+                                          budget, rng)
+        if slices:
+            node = np.flatnonzero(fin)
+            vals, at = V.ravel()[node], coords[node % P]
+            a, b = ab[:, 0], ab[:, 1]
+            dist = row_norms(at[a] - at[b])
+            q = np.where(dist >= 1e-14, np.abs(vals[a] - vals[b]) / dist, 0.0)
+            starts = np.cumsum(counts) - counts
+            best[slices] = np.maximum(best[slices], np.maximum.reduceat(q, starts))
+    return best
 
 
 def lipschitz_profile(
@@ -124,7 +185,9 @@ def lipschitz_profile(
     first, then seeded random pairs up to the budget) and must stay below
     ``b * exp(-(lam - K) t) * (1 + tol)``, with ``tol`` the field's
     ``scheme_tolerance``.  A time with no pair at least 1e-14 apart
-    scores 0.
+    scores 0.  The slices are taken in chunks of many (``_slice_maxima``);
+    only the random draws are made slice by slice, in slice order, and each
+    distance rounds as the 1-D ``np.linalg.norm`` of its pair.
     """
     if pair_budget < 1:
         raise ValueError(f"need pair_budget >= 1, got pair_budget={pair_budget}")
@@ -132,18 +195,14 @@ def lipschitz_profile(
     tol = scheme_tolerance(field)
     rng = np.random.default_rng(seed)
     nodes = field.grid_nodes()
+    P, n = nodes.shape
+    coords = nodes[:, 0].copy() if n == 1 else nodes
+    steps = _neighbor_steps(field.values.shape[1:], coords)
     times = field.times
-    emp = np.zeros(len(times))
-    for i in range(len(times)):
-        flat = field.values[i].ravel()
-        a, bdx = _slice_pairs(field, i, pair_budget, rng)
-        diff = nodes[a] - nodes[bdx]
-        # Each squared length is one dot product, as in the 1-D
-        # np.linalg.norm; a sum of squares can round differently in 2-D.
-        dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
-        far = dist >= 1e-14
-        q = np.abs(flat[a[far]] - flat[bdx[far]]) / dist[far]
-        emp[i] = np.max(q, initial=0.0)
+    per = max(1, _PAIR_CHUNK // max(pair_budget, P))
+    emp = np.concatenate([
+        _slice_maxima(field.values[lo:lo + per].reshape(-1, P), coords, steps, pair_budget, rng)
+        for lo in range(0, len(times), per)])
     bound = b * np.exp(-(field.lam - K) * times)
     passed = bool(np.all(emp <= bound * (1.0 + tol) + 1e-15))
     return LipschitzProfile(times, emp, bound, b, constants.C, K, tol, passed)
@@ -305,11 +364,15 @@ class TimeLipschitzResult:
 def velocity_cost_sup(field: ValueField, p: ProblemDefinition, probes, level: int = 0) -> float:
     """Sampled sup of ``|f| + |L|`` over the probes (shape ``(k, n)``), the
     sampled controls and 9 times spanning the field's horizon; a NaN counts
-    as unbounded."""
+    as unbounded.  One ``velocities`` and one ``costs`` call per run of the
+    times that share their samples (``ControlSamples.runs``)."""
+    times = np.linspace(field.t0, field.T, 9)
+    X = np.asarray(probes, dtype=float)[None]
     sup = 0.0
-    for t in np.linspace(field.t0, field.T, 9):
-        _, fv = p.velocities(float(t), probes, level)
-        lv = p.costs(float(t), probes, level)
+    for a, b, u in p.controls.runs(times.tolist(), level):
+        ts = times[a:b, None]
+        _, fv = p.velocities(ts, X, level, u)
+        lv = p.costs(ts, X, level, u)
         mag = np.linalg.norm(fv, axis=-1) + np.abs(lv)
         sup = max(sup, float(np.where(np.isnan(mag), np.inf, mag).max()))
     return sup
@@ -328,7 +391,9 @@ def time_lipschitz_check(
 
     ``bound_N`` must be finite and dominate the sampled sup of |f| + |L|;
     otherwise the gate fails and the probe checks are skipped.  A probe's
-    values at the field's times come from one ``evaluate_value`` call.
+    values at the field's times come from one ``evaluate_value`` call, and
+    the quotients of all probes from one array expression per stride; the
+    witness is the first worst slack in (probe, stride, time) order.
     """
     b, K = _envelope_rate(field, constants)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
@@ -338,29 +403,31 @@ def time_lipschitz_check(
         return TimeLipschitzResult(False, sup, bound_N, probes, (), {}, tol)
 
     times = field.times
-    strides = [s for s in (1, 2, 4) if s < len(times)]
-    passed: list[bool] = []
-    worst = {"slack": -math.inf}
-    for x in probes:
-        vals = np.atleast_1d(evaluate_value(field, times, np.broadcast_to(x, (len(times), len(x)))))
-        if not np.all(np.isfinite(vals)):
+    vals = np.empty((len(probes), len(times)))
+    for row, x in zip(vals, probes):
+        row[:] = evaluate_value(field, times, np.broadcast_to(x, (len(times), len(x))))
+        if not np.all(np.isfinite(row)):
             raise ProbeInfeasible(f"probe {x} leaves the feasible set")
-        ok = True
-        for s in strides:
-            for i in range(len(times) - s):
-                t_lo, t_hi = float(times[i]), float(times[i + s])
-                lhs = abs(vals[i + s] - vals[i])
-                rate = (b * math.exp(-(field.lam - K) * t_lo)
-                        + 2 * math.exp(-field.lam * t_lo)) * bound_N
-                rhs = rate * (t_hi - t_lo) + tol
-                if lhs - rhs > worst["slack"]:
-                    worst = {"slack": lhs - rhs, "t": t_lo, "t2": t_hi,
-                             "x": [float(a) for a in x],
-                             "lhs": float(lhs), "rhs": float(rhs)}
-                if lhs > rhs + 1e-15:
-                    ok = False
-        passed.append(ok)
-    return TimeLipschitzResult(True, sup, bound_N, probes, tuple(passed), worst, tol)
+    strides = [s for s in (1, 2, 4) if s < len(times)]
+    worst = {"slack": -math.inf}
+    if not strides:
+        return TimeLipschitzResult(True, sup, bound_N, probes, (True,) * len(probes), worst, tol)
+    rate = np.array([(b * math.exp(-(field.lam - K) * t) + 2 * math.exp(-field.lam * t)) * bound_N
+                     for t in times.tolist()])
+    # every window (t_lo, t_hi), stride after stride: a column of lhs
+    t_lo = np.concatenate([times[:-s] for s in strides])
+    t_hi = np.concatenate([times[s:] for s in strides])
+    lhs = np.concatenate([np.abs(vals[:, s:] - vals[:, :-s]) for s in strides], axis=1)
+    rhs = np.concatenate([rate[:-s] for s in strides]) * (t_hi - t_lo) + tol
+    passed = tuple(bool(ok) for ok in ~(lhs > rhs + 1e-15).any(axis=1))
+    slack = lhs - rhs
+    j, i = np.unravel_index(int(np.argmax(np.where(np.isnan(slack), -math.inf, slack))),
+                            slack.shape)
+    if slack[j, i] > -math.inf:
+        worst = {"slack": slack[j, i], "t": float(t_lo[i]), "t2": float(t_hi[i]),
+                 "x": [float(a) for a in probes[j]],
+                 "lhs": float(lhs[j, i]), "rhs": float(rhs[i])}
+    return TimeLipschitzResult(True, sup, bound_N, probes, passed, worst, tol)
 
 
 # ---------------------------------------------------------------------------

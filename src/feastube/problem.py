@@ -31,8 +31,10 @@ and row ``i`` of ``f(t[:, None], X, U)`` (one time, state and control per
 row, as a path's march calls it) is ``f(t[i], X[i], U[i])``.  The march
 reuses the chosen velocity row as RK4's first stage and evaluates a block of
 steps at once, and the batched geometry kernels, the margin check's calls
-per sampled time and the value sweep's blocks stand in for per-point and
-per-slice loops, on this basis.
+per sampled time, the value sweep's blocks, and the calls of the
+assumption checks and of the time-regularity check over blocks of times
+that share their samples stand in for per-point, per-slice and per-time
+loops, on this basis.
 Elementwise numpy code has it.  A BLAS product such as ``x @ c`` may round
 a row differently in a batch; ``(x * c).sum(axis=-1)`` does not.  The
 shipped walls keep ``x @ c``, because their coefficients are 0 and +-1:
@@ -43,6 +45,7 @@ bit-identity.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -163,6 +166,12 @@ class ConstraintFunction:
             raise ValueError("holder_const and grad_bound must be nonnegative")
 
 
+# Velocity values that one evaluation over a block of times sharing their
+# control samples holds at most, in the value sweep and in
+# verify_data_assumptions: it bounds both blocks' temporaries.
+_SAMPLE_BLOCK = 32768
+
+
 @dataclass(frozen=True, eq=False)
 class ControlSamples:
     """Finite, nested control samples per time.
@@ -212,6 +221,17 @@ class ControlSamples:
                 if v.shape != u.shape or v.tobytes() != bits:
                     return q, v
         return len(times), None
+
+    def runs(self, times: list, level: int):
+        """``(lo, hi, u)`` for each run ``times[lo:hi]`` of consecutive times
+        that share their samples ``u`` (``shared``), in order.  The sampler
+        runs once per time."""
+        lo, u = 0, None
+        while lo < len(times):
+            u = self.at(times[lo], level) if u is None else u
+            n, nxt = self.shared(u, times[lo + 1:], level)
+            yield lo, lo + 1 + n, u
+            lo, u = lo + 1 + n, nxt
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,6 +382,23 @@ def _per_control(fn, t, X, u: Array, tail: tuple, what: str, name: str) -> Array
     except (TypeError, ValueError) as exc:
         raise _no_broadcast(f"{what} of {name}", t, X, exc) from exc
     return out
+
+
+def row_norms(D: Array) -> Array:
+    """The Euclidean length of each row of ``D`` (N, n), or of each entry of
+    a 1-D ``D``.  Each squared length is one dot product, as in the 1-D
+    ``np.linalg.norm`` of the row; a sum of squares (``summed_norms``) can
+    round differently in 2-D.  An entry's square is a one-term dot product."""
+    if D.ndim == 1:
+        return np.sqrt(D * D)
+    return np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+
+
+def summed_norms(D: Array) -> Array:
+    """``np.linalg.norm(D, axis=-1)``: the root of each last-axis row's
+    squares, summed alone in numpy's order, so that a row's norm in a stack
+    is its norm alone."""
+    return np.sqrt(np.add.reduce(D * D, axis=-1))
 
 
 def _no_broadcast(what: str, t, X, why) -> ValueError:
@@ -670,38 +707,69 @@ def verify_data_assumptions(
     of the running average of ``c + k``, and the affine majorant ``a1*t+a2``
     of the integral of ``c``; a non-finite constraint value at a sampled
     point fails the tube check, and a non-finite ``f`` or ``L`` fails the
-    first three, each naming its first failing sample.  Otherwise a witness
-    is the first worst sample in (t, x) order.  Failures are report entries,
-    never raises; sampling at a higher density keeps every failure found at
-    a lower one (point sequences are prefixes of a seeded stream).
+    first three, each naming its first failing sample in (t, x, u) order.
+    Otherwise a witness is the first worst sample in (t, x) order.  Failures
+    are report entries, never raises.  More ``space_points`` keep every
+    failure found with fewer at the same times (point sequences are
+    prefixes of a seeded stream); more ``time_points`` do not, as the
+    sampled times are ``np.linspace(0, horizon, time_points)``, and a grid
+    of ``N`` times lies in one of ``N'`` only when ``N' - 1`` is a multiple
+    of ``N - 1``.
+
+    A pass makes one ``velocities``, one ``costs`` and one
+    ``constraint_values`` call over all the points per block of times that
+    share their control samples (``ControlSamples.runs``), a block holding
+    at most ``_SAMPLE_BLOCK`` velocity values; ``f``, ``L`` and the
+    constraints must broadcast over an array ``t``, and a model that does
+    not raises the ``ValueError`` naming it.  Every check is a few array
+    expressions over those calls' results.
     """
     spec = samples or SamplingSpec()
     rng = np.random.default_rng(seed)
     lo, hi = p.box[:, 0], p.box[:, 1]
     times = np.linspace(0.0, spec.horizon, spec.time_points)
     pts = lo + rng.random((spec.space_points, p.n)) * (hi - lo)
-    # per time: the controls (k, d), f of shape (k, P, n) and L of shape (k, P)
-    fl = [(*p.velocities(t, pts, spec.level), p.costs(t, pts, spec.level)) for t in times]
+    # Per block of times sharing their samples, f of shape (k, R, P, n) and L
+    # of shape (k, R, P); each per-control score is reduced over the controls
+    # at once, to its largest value at each (t, x) and the first control there.
+    starts, controls, parts = [], [], {}
+
+    def keep(key: str, score: Array) -> None:
+        parts.setdefault(key, []).append((score.max(axis=0), score.argmax(axis=0)))
+
+    for lo_run, hi_run, u in p.controls.runs(times.tolist(), spec.level):
+        per = max(1, _SAMPLE_BLOCK // (len(u) * len(pts) * p.n))
+        for a in range(lo_run, hi_run, per):
+            ts = times[a:min(a + per, hi_run), None]
+            F = p.velocities(ts, pts[None], spec.level, u)[1]
+            L = p.costs(ts, pts[None], spec.level, u)
+            starts.append(a)
+            controls.append(u)
+            keep("nonfinite", ~(np.isfinite(F).all(axis=-1) & np.isfinite(L)))
+            keep("tube", np.abs(F).sum(axis=-1) + np.abs(L))              # |f|_1 + |L|
+            keep("lipschitz", summed_norms(F[:, :, :-1] - F[:, :, 1:])
+                 + np.abs(L[:, :, :-1] - L[:, :, 1:]))                     # consecutive points
+            keep("growth", summed_norms(F) + np.abs(L))
+    top = {key: np.concatenate([m for m, _ in kept]) for key, kept in parts.items()}
+    arg = {key: np.concatenate([j for _, j in kept]) for key, kept in parts.items()}
     checks: list[AssumptionCheck] = []
 
-    def nonfinite(where) -> dict | None:
-        """Witness at the first sample, in (t, x, u) order, with a non-finite f or
-        L among the points ``where`` selects at each time (a mask or True)."""
-        for t, w, (u, fv, lv) in zip(times, where, fl):
-            bad = ~(np.isfinite(fv).all(axis=-1) & np.isfinite(lv)) & w
-            if bad.any():
-                q = int(np.argmax(bad.any(axis=0)))
-                return _witness(t, pts[q], u[int(np.argmax(bad[:, q]))], math.inf)
-        return None
-
-    def first_max(score, per_control, value, bound=None, default=None) -> dict:
+    def first_max(score, key, value, bound=None, default=None) -> dict:
         """Witness at the first maximum of ``score`` (T, P) in (t, x) order and
-        the first worst control there under ``per_control`` (per time, (k, P))."""
+        the first worst control there under the per-control score ``key``."""
         i, q = np.unravel_index(int(np.argmax(score)), score.shape)
         if not score[i, q] > -math.inf:
             return default or _witness()
-        u = fl[i][0][int(np.argmax(per_control[i][:, q]))]
+        u = controls[bisect.bisect_right(starts, i) - 1][arg[key][i, q]]
         return _witness(times[i], pts[q], u, value[i, q], None if bound is None else bound[i, q])
+
+    def nonfinite(where) -> dict | None:
+        """Witness at the first sample, in (t, x, u) order, with a non-finite f or
+        L among the points ``where`` (T, P) selects."""
+        flagged = top["nonfinite"] & where
+        if not flagged.any():
+            return None
+        return first_max(flagged, "nonfinite", np.full(flagged.shape, math.inf))
 
     # (f, L) bounded on the alpha-tube around the constraint boundary.
     if p.m == 0:
@@ -709,46 +777,46 @@ def verify_data_assumptions(
     else:
         gb = np.maximum(p.grad_bounds(), 1e-12)
         tube, h_failure = np.zeros((len(times), len(pts)), dtype=bool), None
-        for i, t in enumerate(times):
+        for a, b in zip(starts, starts[1:] + [len(times)]):
             try:
-                hv = p.constraint_values(t, pts)
+                hv = p.constraint_values(times[a:b, None], pts[None])
             except NonFiniteConstraint as exc:  # a NaN h would drop the point from the tube
                 h_failure = _witness(exc.t, exc.x)
+                b = a + int(np.argmax(times[a:b] == exc.t))     # the times before it count
+                if b > a:
+                    tube[a:b] = np.min(np.abs(p.constraint_values(times[a:b, None], pts[None]))
+                                       / gb, axis=-1) <= p.data.alpha
                 break
-            tube[i] = np.min(np.abs(hv) / gb, axis=-1) <= p.data.alpha
+            tube[a:b] = np.min(np.abs(hv) / gb, axis=-1) <= p.data.alpha
         failure = nonfinite(tube) or h_failure
         if failure:
             checks.append(AssumptionCheck("tube-bounded", "fail", failure))
         else:
-            mag = [np.abs(fv).sum(axis=-1) + np.abs(lv) for _, fv, lv in fl]
-            top = np.array([m.max(axis=0) for m in mag])
-            checks.append(AssumptionCheck(
-                "tube-bounded", "pass", first_max(np.where(tube, top, -math.inf), mag, top)))
+            checks.append(AssumptionCheck("tube-bounded", "pass", first_max(
+                np.where(tube, top["tube"], -math.inf), "tube", top["tube"])))
 
-    failure = nonfinite([True] * len(times))
+    failure = nonfinite(True)
     if failure:
         checks += [AssumptionCheck(cid, "fail", failure) for cid in ("lipschitz-x", "growth")]
     else:
         # Lipschitz in x: |f(t,x,u)-f(t,y,u)| + |L(t,x,u)-L(t,y,u)| <= k(t)|x-y| over
         # consecutive sampled points (the witness names the first of a pair).  Each
-        # distance is a 1-D norm, rounded as for a single pair.
-        dist = np.array([np.linalg.norm(a - b) for a, b in zip(pts[:-1], pts[1:])])
-        kt = np.repeat([[p.data.k.value(t)] for t in times], len(dist), axis=1)
-        diff = [np.linalg.norm(fv[:, :-1] - fv[:, 1:], axis=-1) + np.abs(lv[:, :-1] - lv[:, 1:])
-                for _, fv, lv in fl]
-        ratio = np.array([np.divide(d.max(axis=0), dist, out=np.full(dist.shape, -math.inf),
-                                    where=dist >= 1e-12) for d in diff])
+        # distance rounds as the 1-D norm of a single pair.
+        dist = row_norms(pts[:-1] - pts[1:])
+        ratio = np.divide(top["lipschitz"], dist, out=np.full(top["lipschitz"].shape, -math.inf),
+                          where=dist >= 1e-12)
+        kt = np.broadcast_to(np.array([p.data.k.value(t) for t in times])[:, None], ratio.shape)
         checks.append(AssumptionCheck(
             "lipschitz-x", "fail" if (ratio > kt + 1e-9).any() else "pass",
-            first_max(ratio - kt, diff, ratio, kt, _witness(value=0.0, bound=p.data.k.sup()))))
+            first_max(ratio - kt, "lipschitz", ratio, kt,
+                      _witness(value=0.0, bound=p.data.k.sup()))))
 
         # Growth: |f| + |L| <= c(t)(1 + |x|).
-        mag = [np.linalg.norm(fv, axis=-1) + np.abs(lv) for _, fv, lv in fl]
-        top = np.array([m.max(axis=0) for m in mag])
-        bound = np.array([[p.data.c.value(t)] for t in times]) * (
-            1.0 + np.array([np.linalg.norm(x) for x in pts]))
-        checks.append(AssumptionCheck("growth", "fail" if (top - bound > 1e-9).any() else "pass",
-                                      first_max(top - bound, mag, top, bound)))
+        growth = top["growth"]
+        bound = np.array([p.data.c.value(t) for t in times])[:, None] * (1.0 + row_norms(pts))
+        checks.append(AssumptionCheck(
+            "growth", "fail" if (growth - bound > 1e-9).any() else "pass",
+            first_max(growth - bound, "growth", growth, bound)))
 
     # Running average of c + k stays bounded over the sampled horizon.
     avg_ts = times[times > 1e-9]

@@ -70,7 +70,7 @@ from .errors import (
     ViabilityLost,
 )
 from .ipc import IpcCertificate, _game, inward_margin
-from .problem import ProblemDefinition, _no_broadcast
+from .problem import ProblemDefinition, _no_broadcast, summed_norms
 
 Array = np.ndarray
 
@@ -413,12 +413,6 @@ def integrate_controls(p: ProblemDefinition, t0: float, x0, controls, dt: float)
 # velocity selection
 # ---------------------------------------------------------------------------
 
-def _row_norms(D: Array) -> Array:
-    """``np.linalg.norm(D, axis=-1)``: each row's squares summed alone, so a
-    step's norms in a block are its norms alone."""
-    return np.sqrt(np.add.reduce(D * D, axis=-1))
-
-
 def _select(V: Array, G: Array, W: Array, Z: Array, dt: float) -> tuple[Array, int]:
     """Per step, the sampled control with the nearest velocity to the target:
     indices into ``V`` (k, b, n) for the steps at the states ``G`` (b, n)
@@ -431,14 +425,14 @@ def _select(V: Array, G: Array, W: Array, Z: Array, dt: float) -> tuple[Array, i
     arithmetic never warns, as Python floats would not.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mism = _row_norms(V - W)
+        mism = summed_norms(V - W)
         lo = mism.min(axis=0)          # NaN where a velocity is NaN
         nan = np.isnan(lo)
         q = int(nan.argmax()) if nan.any() else len(lo)
         tie = mism <= lo + 1e-12
         idx = tie.argmax(axis=0)
         if np.count_nonzero(tie[:, :q]) > q:     # some step has tied controls
-            pos = np.where(tie, _row_norms(G + dt * V - Z), np.inf)
+            pos = np.where(tie, summed_norms(G + dt * V - Z), np.inf)
             idx = (tie & (pos <= pos.min(axis=0) + 1e-12)).argmax(axis=0)
     return idx, q
 
@@ -656,15 +650,12 @@ class _Viable(_Rule):
         """Per step of ``rows`` in the tube, in order: the control a block
         may take there, the default control where no constraint is active,
         or None.  The velocities come from one call per run of steps that
-        share their samples (``ControlSamples.shared``), each step's as it
+        share their samples (``ControlSamples.runs``), each step's as it
         is alone; each game from the memo, solved only with ``walk`` while
         ``tubes`` is empty."""
         p, level = self.p, self.level
-        ts, i, u = T[rows].tolist(), 0, None
-        while i < len(rows):
-            u = p.controls.at(ts[i], level) if u is None else u
-            n, nxt = p.controls.shared(u, ts[i + 1:], level)
-            run = rows[i:i + 1 + n]
+        for a, b, u in p.controls.runs(T[rows].tolist(), level):
+            run = rows[a:b]
             _, V = p.velocities(T[run], G[run], level, u)
             for k, vels in zip(run, np.ascontiguousarray(V.transpose(1, 0, 2))):
                 game = _game(p, float(T[k]), G[k], H[k], vels, self.cert.delta, self.games,
@@ -678,7 +669,6 @@ class _Viable(_Rule):
                     continue
                 j = _pure(alpha)
                 yield None if r <= 0 or j is None or self.mux.credit.any() else u[j]
-            i, u = i + 1 + n, nxt
 
     def _guess_after(self, T: Array, G: Array, H: Array, k: int, push: bool,
                      guessed: Array, shift: Array | None) -> Array | None:

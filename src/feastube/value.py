@@ -77,7 +77,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import DiscountTooSmall, GridTooCoarse, NonFiniteCost, OutOfGrid
-from .problem import ProblemDefinition
+from .problem import ProblemDefinition, _SAMPLE_BLOCK
 
 Array = np.ndarray
 
@@ -760,8 +760,9 @@ def _coarse_hint(p: ProblemDefinition, axes, constrained: Array, dt: float, t: f
                    f"to at least {need:.4g}, or refine {refine}")
 
 
-# Points per feasibility call in a sweep; bounds its temporaries.
-_FEAS_CHUNK = 4 * _INTERP_CHUNK
+# Points per feasibility call in a sweep, and velocity values per block of
+# slices that share their samples; bounds their temporaries.
+_FEAS_CHUNK = _SAMPLE_BLOCK
 
 
 def _feasible_slices(p: ProblemDefinition, times: Array, nodes: Array) -> Array:

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import tempfile
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from oracles import (
     decay_check_loop,
     lipschitz_profile_loop,
     time_lipschitz_loop,
+    velocity_cost_sup_loop,
     write_csv_rows,
 )
 from util import (
@@ -28,6 +31,7 @@ from util import (
     constant_cost_problem,
     simple_problem,
     sway_problem,
+    switching_problem,
     unit_velocity,
     zero_cost,
 )
@@ -121,6 +125,65 @@ def test_lipschitz_profile_rounds_distances_like_1d_norm(certify_fields):
             got = ana.lipschitz_profile(field, _tc(), pair_budget=budget, seed=seed)
             want = lipschitz_profile_loop(field, _tc(), pair_budget=budget, seed=seed)
             assert got.empirical.tobytes() == want.empirical.tobytes(), (budget, seed)
+
+
+class _RecordedRng:
+    """A seeded generator that logs each draw as (population size, shape):
+    ``integers(low, high, shape)`` draws from ``high - low`` values, and
+    ``choice(a, size=shape)`` from ``len(a)``, each by the same stream."""
+
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
+
+    def integers(self, low, high, size):
+        self.log.append((int(high - low), tuple(size)))
+        return self.rng.integers(low, high, size)
+
+    def choice(self, a, size):
+        self.log.append((len(a), tuple(size)))
+        return self.rng.choice(a, size=size)
+
+
+@pytest.mark.parametrize("budget", [1, 50, 400, 5000])
+def test_lipschitz_profile_draws_like_the_loop(certify_fields, budget, monkeypatch):
+    """The profile draws its random pairs slice by slice in slice order,
+    each draw of the loop's size from the loop's number of finite nodes, so
+    that it reads the generator's stream as the loop does: on every field,
+    the one thinned to 2, 1 and 0 finite nodes in its first slices included."""
+    real, log = np.random.default_rng, []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _RecordedRng(real(seed), log))
+    drawn = 0
+    for key, field in certify_fields.items():
+        for seed in range(2):
+            ana.lipschitz_profile(field, _tc(), pair_budget=budget, seed=seed)
+            got = log[:]
+            log.clear()
+            lipschitz_profile_loop(field, _tc(), pair_budget=budget, seed=seed)
+            assert got == log, (key, seed)
+            drawn += len(log)
+            log.clear()
+    assert drawn if budget > 1 else not drawn
+
+
+def test_lipschitz_profile_memory_is_flat_in_the_slice_count(certify_fields):
+    """The profile holds one chunk of slices' pairs at a time.  On 1-D fields
+    of 200 and 2,000 slices at budget 2000 (about 1,960 random pairs per
+    slice), its peak traced allocation grows by under 64 bytes per added
+    slice, the per-slice results, and stays under 4 MB; all pairs of the
+    200 slices held at once would take about 20 MB."""
+    base = certify_fields["sway-1d", False]
+    rng = np.random.default_rng(0)
+    peaks = []
+    for slices in (200, 2000):
+        field = dataclasses.replace(base, values=rng.random((slices,) + base.values.shape[1:]))
+        tracemalloc.start()
+        try:
+            ana.lipschitz_profile(field, _tc(), pair_budget=2000)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * 1800, peaks
+    assert peaks[1] < 4e6, peaks
 
 
 @pytest.mark.parametrize("budget", [0, -1])
@@ -257,6 +320,33 @@ def test_time_lipschitz_gate_fails_on_an_infinite_bound(hover):
         for check in (ana.time_lipschitz_check, time_lipschitz_loop):
             res = check(f, inf_right, _tc(), bound_N, probes)
             assert not res.gate_ok and res.probe_passed == () and not res.passed, check
+
+
+def test_velocity_cost_sup_evaluates_once_per_run_of_shared_samples(certify_runs,
+                                                                     monkeypatch):
+    """One ``velocities`` and one ``costs`` call per run of the 9 times that
+    share their samples, and the per-time loop's sup: on the certify runs'
+    problems (one run) and on samples whose row count switches at seeded
+    times (several)."""
+    calls = Counter()
+    for method in ("velocities", "costs"):
+        real = getattr(pb.ProblemDefinition, method)
+        monkeypatch.setattr(pb.ProblemDefinition, method,
+                            lambda self, *a, real=real, method=method:
+                            calls.update([method]) or real(self, *a))
+    cases = [(p, field, 1) for p, field, _, _ in certify_runs.values()]
+    p, field = switching_problem(), certify_runs["moving-wall-1d"][1]
+    field = dataclasses.replace(field, t0=0.0, values=field.values[:1 + int(2 * math.pi / field.dt)])
+    times = np.linspace(field.t0, field.T, 9)
+    rows = [len(p.controls.at(float(t), 1)) for t in times]
+    cases.append((p, field, 1 + sum(a != b for a, b in zip(rows, rows[1:]))))
+    assert cases[-1][2] >= 2
+    for p, field, runs in cases:
+        probes = p.box.mean(axis=1) + np.array([[0.0], [0.1], [-0.2]]) * (p.box[:, 1] - p.box[:, 0])
+        calls.clear()
+        got = ana.velocity_cost_sup(field, p, probes, 1)
+        assert calls == {"velocities": runs, "costs": runs}, p.name
+        assert got == velocity_cost_sup_loop(field, p, probes, 1), p.name
 
 
 def test_time_lipschitz_probe_fails_on_a_jump_in_time():

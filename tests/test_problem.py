@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from util import (
     simple_problem,
     steady_sway_problem,
     sway_problem,
+    switching_problem,
     two_wall_1d,
     unit_velocity,
     x2u_problem,
@@ -297,16 +299,83 @@ def test_assumptions_nan_constraint_fails_tube_check():
 
 
 def _problem(name):
-    return {"x2u": x2u_problem, "sway-1d": sway_problem}.get(name, lambda: pb.get_problem(name))()
+    return {"x2u": x2u_problem, "sway-1d": sway_problem, "switching-1d": switching_problem}.get(
+        name, lambda: pb.get_problem(name))()
 
 
-@pytest.mark.parametrize("name", pb.registered_problems() + ("x2u", "sway-1d"))
+@pytest.mark.parametrize("name", pb.registered_problems() + ("x2u", "sway-1d", "switching-1d"))
 def test_assumptions_match_loop_reference(name):
     p = _problem(name)
     for spec in (pb.SamplingSpec(), pb.SamplingSpec(horizon=3.0, time_points=5, space_points=17)):
         for seed in range(4):
             assert (pb.verify_data_assumptions(p, spec, seed).to_jsonable()
                     == verify_data_assumptions_loop(p, spec, seed).to_jsonable())
+
+
+def test_assumptions_evaluate_the_model_once_per_block_of_shared_samples(monkeypatch):
+    """One ``velocities``, one ``costs`` and one ``constraint_values`` call
+    per block of sampled times that share their samples: one block on each
+    registered 1-D problem (24 times of at most 5 controls at 96 points),
+    four on corridor-2d (25 controls, 2 components: 4,800 velocity values a
+    time, 6 times a block), and one per run when the row count switches at
+    seeded times."""
+    calls = Counter()
+    for method in ("velocities", "costs", "constraint_values"):
+        real = getattr(pb.ProblemDefinition, method)
+        monkeypatch.setattr(pb.ProblemDefinition, method,
+                            lambda self, *a, real=real, method=method:
+                            calls.update([method]) or real(self, *a))
+    spec = pb.SamplingSpec()
+    times = np.linspace(0.0, spec.horizon, spec.time_points)
+    for name in pb.registered_problems() + ("switching-1d",):
+        p = _problem(name)
+        rows = [len(p.controls.at(t, spec.level)) for t in times]
+        runs = 1 + sum(a != b for a, b in zip(rows, rows[1:]))
+        assert runs >= 2 if name == "switching-1d" else runs == 1
+        blocks = {"corridor-2d": 4}.get(name, runs)
+        calls.clear()
+        assert pb.verify_data_assumptions(p, spec, seed=1).ok
+        assert calls == {"velocities": blocks, "costs": blocks, "constraint_values": blocks}, name
+    # one time per block: one call per time, and the same report
+    monkeypatch.setattr(pb, "_SAMPLE_BLOCK", 1)
+    calls.clear()
+    p = pb.get_problem("corridor-2d")
+    assert pb.verify_data_assumptions(p, spec, seed=1).to_jsonable() == \
+        verify_data_assumptions_loop(p, spec, seed=1).to_jsonable()
+    assert calls == {"velocities": 24, "costs": 24, "constraint_values": 24}
+
+
+@pytest.mark.parametrize("name", ["moving-wall-1d", "switching-1d"])
+@pytest.mark.parametrize("i_h, i_f", [(9, 5), (5, 9), (9, 9), (12, 13), (13, 12)])
+def test_assumptions_failures_keep_their_sample_order(name, i_h, i_f):
+    """Constraints NaN from the ``i_h``-th sampled time on, and ``f`` NaN
+    left of x = -2 (in the floor's tube) from the ``i_f``-th: the tube check
+    names the NaN ``f`` when it comes at an earlier time than the NaN ``h``,
+    and the NaN ``h`` otherwise; lipschitz-x and growth name the NaN ``f``.
+    switching-1d's runs of shared samples start at times 0, 3, 12 and 14, so
+    the NaN ``h`` falls inside a run or at a run's start."""
+    base = _problem(name)
+    spec = pb.SamplingSpec()
+    times = np.linspace(0.0, spec.horizon, spec.time_points)
+    t_h, t_f = times[i_h], times[i_f]
+    cons = tuple(dataclasses.replace(
+        c, h=lambda t, x, h=c.h: np.where(np.asarray(t) >= t_h, np.nan, h(t, x)))
+        for c in base.constraints)
+
+    def f(t, x, u):
+        return np.where((np.asarray(x) < -2.0) & (np.asarray(t) >= t_f), np.nan, base.f(t, x, u))
+
+    rep = pb.verify_data_assumptions(dataclasses.replace(base, f=f, constraints=cons), spec, 0)
+    lo, hi = base.box[0]
+    pts = lo + np.random.default_rng(0).random(spec.space_points) * (hi - lo)
+    q = int(np.argmax(pts < -2.0))
+    nan_f = {"t": float(t_f), "x": float(pts[q]), "value": math.inf, "bound": None,
+             "u": float(base.controls.at(t_f, spec.level)[0, 0])}
+    nan_h = {"t": float(t_h), "x": float(pts[0]), "u": None, "value": None, "bound": None}
+    assert rep["tube-bounded"].worst_witness == (nan_f if i_f < i_h else nan_h)
+    for cid in ("tube-bounded", "lipschitz-x", "growth"):
+        assert rep[cid].status == "fail"
+    assert rep["lipschitz-x"].worst_witness == rep["growth"].worst_witness == nan_f
 
 
 @pytest.mark.parametrize("datum", ["f", "running_cost"])

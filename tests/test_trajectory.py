@@ -543,7 +543,7 @@ def test_row_norms_equal_numpy_bit_for_bit(n):
     in numpy's order for any state size (one running sum below 8 terms,
     pairwise blocks from 8 on), as that step's own norm does."""
     D = np.random.default_rng(n).standard_normal((6, 5, n)) * np.logspace(-3, 3, n)
-    got = tj._row_norms(D)
+    got = pb.summed_norms(D)
     for s in range(5):
         assert got[:, s].tobytes() == np.linalg.norm(D[:, s], axis=1).tobytes()
 

@@ -148,6 +148,20 @@ def sway_problem():
     return simple_problem(f, cost, M=3.0, name="sway-1d")
 
 
+def switching_problem(seed=11):
+    """moving-wall-1d whose control samples switch between 3 and 5 rows at
+    three seeded times in [0, 2 pi], so that its sampled times fall into
+    several runs of shared samples."""
+    base = get_problem("moving-wall-1d")
+    breaks = np.sort(np.random.default_rng(seed).uniform(0.0, 2 * math.pi, 3))
+
+    def sampler(t, level):
+        piece = int(np.searchsorted(breaks, t, side="right"))
+        return np.linspace(-1.0, 1.0, 3 + 2 * (piece % 2))[:, None]
+
+    return dataclasses.replace(base, controls=ControlSamples(1, sampler), name="switching-1d")
+
+
 def steady_sway_problem():
     """``sway-1d`` without the time term in its velocity: velocity arrays that
     differ from node to node and do not change with time."""
