@@ -570,12 +570,12 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command][0](resolve_config(args), args)
+    except FeastubeError as exc:
+        _emit({"error": str(exc), "kind": type(exc).__name__})
+        return 1 if isinstance(exc, (ValueError, KeyError, OSError)) else 2
     except (ValueError, KeyError, OSError) as exc:
         _emit({"error": str(exc)})
         return 1
-    except FeastubeError as exc:
-        _emit({"error": str(exc), "kind": type(exc).__name__})
-        return 2
 
 
 def main() -> None:

@@ -315,14 +315,21 @@ class ProblemDefinition:
         of ``X`` together with the samples ``u`` that all its times share
         (``ControlSamples.shared``); ``f`` then receives ``t`` with a
         trailing axis, so that it broadcasts against ``x``.  A caller that
-        holds the samples at the same ``(t, level)`` passes them as ``u``."""
+        holds the samples at the same ``(t, level)`` passes them as ``u``.
+
+        The velocities are read-only: a copy of what ``f`` returned,
+        broadcast to the full shape, so that an axis ``f`` did not give, as
+        the times when ``f`` does not read ``t``, has stride 0 and holds one
+        entry.  A caller that writes into them copies them first."""
         u = self.controls.at(t, level) if u is None else u
         return u, _per_control(self.f, t, X, u, (self.n,), "f", self.name)
 
     def costs(self, t, X, level: int = 0, u: Array | None = None) -> Array:
         """Running costs of the sampled controls at points ``X`` of shape
         ``(..., n)``: ``(k, ...)``.  ``t`` and ``u`` are as for
-        ``velocities``; the cost receives an array ``t`` as it is."""
+        ``velocities``; the cost receives an array ``t`` as it is.  The
+        costs are read-only, a broadcast of what the cost returned, as the
+        velocities are."""
         u = self.controls.at(t, level) if u is None else u
         return _per_control(self.running_cost, t, X, u, (), "running cost", self.name)
 
@@ -363,24 +370,33 @@ class ProblemDefinition:
 
 
 def _per_control(fn, t, X, u: Array, tail: tuple, what: str, name: str) -> Array:
-    """``fn(t, X, u_j)`` for every control row, controls on a leading axis,
-    assigned into a fresh array.  An array ``t`` broadcasts against the
-    leading axes of ``X`` and reaches ``fn`` with ``tail``'s axes appended.
-    A ``fn`` that fails over the points and times, or whose result does not
-    broadcast to the output, raises ValueError naming it as ``what`` of
-    problem ``name``."""
+    """``fn(t, X, u_j)`` for every control row, controls on a leading axis.
+    An array ``t`` broadcasts against the leading axes of ``X`` and reaches
+    ``fn`` with ``tail``'s axes appended.
+
+    The result is a float copy of what ``fn`` returned, at the shape it
+    returned, so that a ``fn`` that reuses an output buffer cannot change
+    it later; it is given read-only, broadcast to the full shape (controls,
+    leading axes, ``tail``): an axis ``fn`` left out or at length 1, such
+    as the times of data that do not read ``t``, has stride 0 there.  A
+    result of the full shape is the copy itself.  A ``fn`` that fails over
+    the points and times, or whose result does not broadcast to the full
+    shape, raises ValueError naming it as ``what`` of problem ``name``."""
     X = np.asarray(X, dtype=float)
     lead, ts = X.shape[:-1], t
     if getattr(t, "ndim", 0):
         lead = np.broadcast_shapes(t.shape, lead)
         ts = t.reshape(t.shape + (1,) * len(tail))
-    out = np.empty(u.shape[:1] + lead + tail)
+    full = u.shape[:1] + lead + tail
     if lead:
         u = u.reshape(u.shape[:1] + (1,) * len(lead) + u.shape[1:])
     try:
-        out[...] = fn(ts, X, u)
+        out = np.array(fn(ts, X, u), dtype=float)
+        if out.shape != full:
+            return np.broadcast_to(out, full)
     except (TypeError, ValueError) as exc:
         raise _no_broadcast(f"{what} of {name}", t, X, exc) from exc
+    out.setflags(write=False)
     return out
 
 

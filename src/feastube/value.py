@@ -26,9 +26,10 @@ under their per-node minimum cost, which leaves every field bit-identical to
 one interpolation per candidate.  The groups' foot points are interpolated in
 batches of a bounded point count, and every batch's terms are built from its
 feet (``_terms``).  A sweep keeps the groups of the last sampled velocities
-it met; a slice whose sampled velocities have the same bytes reuses them,
-and the second such slice stores each batch's terms, which later slices
-only apply.
+it met; a slice whose sampled velocities have the same bytes reuses them.
+The first slice of a velocity set stores each batch's terms when a later
+slice of its block reuses them (or a slice meets the set again), so each
+set's terms are built once, and later slices only apply them.
 
 Model data that are the same at every node, as in the semi-Lagrangian
 scheme on a structured grid (Falcone & Ferretti, SIAM 2013), are found by
@@ -43,18 +44,23 @@ A sweep decides the feasibility of every node at every time slice before
 it steps: one constraint-kernel call per chunk of whole slices, of at most
 ``_FEAS_CHUNK`` points each.  It evaluates the dynamics and the running
 cost the same way, one ``velocities`` and one ``costs`` call per block of
-slices whose control samples are equal, of at most ``_FEAS_CHUNK`` velocity
-values (``_sweep_blocks``).  What does not read the next slice is done
-once per block (``_block``): whether a slice's velocities repeat the last
-slice's, whether a feasible node's cost is not finite, whether the costs
-are the same at every node, and the infeasible masks.  One generator,
-``_sweep``, steps the slices latest first and keeps what its steps share as
-its own locals: the groups of the last velocities met, each block's mixture
-matrix, and the costs the block's steps add, mixed by one stacked product,
-discounted, scaled by dt and, where they differ from node to node, +inf
-at the infeasible nodes (``_block_costs``).  It writes every slice into one
-array that holds the slices end to end, padding the next slice in place
-for each step.
+slices whose control samples are equal (``_sweep_blocks``).  A block holds
+the results at the shape the model gave them: velocities that do not read
+t are one array for all its slices, and so are costs.  Its slice count
+follows what it holds: a cap of ``_FEAS_CHUNK`` velocity values, at least
+2 slices for the first block of a run of shared samples, and twice the
+last block's slices when that block held one velocity array and its costs
+on one node, since a longer block then holds no more.  What does not read
+the next slice is done once per block (``_block``): whether a slice's
+velocities repeat the last slice's, whether a feasible node's cost is not
+finite, whether the costs are the same at every node, and the infeasible
+masks.  One generator, ``_sweep``, steps the slices latest first and keeps
+what its steps share as its own locals: the groups of the last velocities
+met, each block's mixture matrix, and the costs the block's steps add,
+mixed by one stacked product, discounted, scaled by dt and, where they
+differ from node to node, +inf at the infeasible nodes (``_block_costs``).
+It writes every slice into one array that holds the slices end to end,
+padding the next slice in place for each step.
 A slice pays for its arithmetic alone: the pads, one gather and weighted
 sum per chunk of groups (``_apply_stencil``), the add of its prepared
 costs and the minimum, plus a mask where the costs are on one node, and
@@ -532,10 +538,11 @@ class _Block:
     backsteps need that does not depend on the next slice (``_block``)."""
 
     times: Array          # (T,)
-    F: Array              # (T, k, P, n) velocities of the sampled controls
-    C: Array              # (T, k, P) their running costs, 0 where not finite, or (T, k, 1)
-                          # when the same at every node; the plain sweep scales them in
-                          # place (_block_costs)
+    F: Array              # (T, k, P, n) velocities of the sampled controls, read-only; stride 0
+                          # along the times when the model's do not read t (one array)
+    C: Array              # their running costs, 0 where not finite: (T, k, P), or (1, k, P)
+                          # when they do not read t, and (T or 1, k, 1) when the same at
+                          # every node; never written in place (_block_costs)
     infeas: Array         # (T, P) nodes off the feasible set
     seen: list[bool]      # slice j's velocities have the bytes of the slice stepped before it
     bad: dict[int, tuple[int, list]]    # slice -> (feasible node, its costs), first non-finite
@@ -546,34 +553,41 @@ def _block(p: ProblemDefinition, times: Array, nodes: Array, feas: Array, level:
     """The slices at ``times`` (T,), whose samples are ``u``, from one
     ``velocities`` and one ``costs`` call over ``times[:, None]`` and
     ``nodes[None]``, so that a term that does not read t is computed once;
-    ``feas`` (T, P) is their feasibility.  Each slice's rows are contiguous,
-    as one slice's own call gives them.
+    ``feas`` (T, P) is their feasibility.  The results keep the shape the
+    model gave them: velocities that do not read t are one array, a view
+    with stride 0 along the times, and costs that do not read t are one
+    slice.  Velocities that read t are copied so that each slice's rows are
+    contiguous, as one slice's own call gives them.
 
     Decides for all the slices whether a slice's velocities have the bytes of
     the slice stepped before it (the one after it in time; ``last`` for the
-    last slice) and which feasible node first has a non-finite cost, whose
-    costs it keeps as the model gave them.  Then every non-finite cost is set
-    to 0, so that no mixture of it warns: an infeasible node's value is +inf
-    whatever its cost, and a slice with such a cost at a feasible node is
-    never stepped.  Costs that then have the same bytes at every node
-    (``_same_at_every_node``) are kept on one node, (T, k, 1).
+    last slice): each against the next only when they read t.  Then which
+    feasible node first has a non-finite cost, whose costs it keeps as the
+    model gave them.  Every non-finite cost is then 0, in a copy, so that no
+    mixture of it warns: an infeasible node's value is +inf whatever its
+    cost, and a slice with such a cost at a feasible node is never stepped.
+    Costs that then have the same bytes at every node
+    (``_same_at_every_node``) are kept on one node, (T or 1, k, 1).
     """
     T, t, x = len(times), times[:, None], nodes[None]
-    F = np.ascontiguousarray(np.moveaxis(p.velocities(t, x, level, u)[1], 1, 0))
-    C = np.ascontiguousarray(np.moveaxis(p.costs(t, x, level, u), 1, 0))
-    bits = F.reshape(T, -1).view(np.uint64)
-    seen = np.empty(T, dtype=bool)
-    seen[:-1] = (bits[:-1] == bits[1:]).all(axis=1)
+    F = np.moveaxis(p.velocities(t, x, level, u)[1], 1, 0)
+    seen = np.ones(T, dtype=bool)         # one array for every slice: each repeats the next
+    if T == 1 or F.strides[0]:
+        F = np.ascontiguousarray(F)
+        bits = F.reshape(T, -1).view(np.uint64)
+        seen[:-1] = (bits[:-1] == bits[1:]).all(axis=1)
     seen[-1] = (last is not None and last.shape == F[-1].shape
                 and bool((last.view(np.uint64) == F[-1].view(np.uint64)).all()))
+    raw = np.moveaxis(p.costs(t, x, level, u), 1, 0)
+    C = raw[:1] if T > 1 and raw.strides[0] == 0 else raw
     finite = np.isfinite(C)
     bad = {}
     if not finite.all():
         hit = feas & ~finite.all(axis=1)
         for j in np.flatnonzero(hit.any(axis=1)).tolist():
             node = int(hit[j].argmax())
-            bad[j] = (node, C[j, :, node].tolist())
-        C[~finite] = 0.0
+            bad[j] = (node, raw[j, :, node].tolist())
+        C = np.where(finite, C, 0.0)
     if _same_at_every_node(C, 2):
         C = C[:, :, :1].copy()
     return _Block(times, F, C, ~feas, seen.tolist(), bad)
@@ -583,10 +597,11 @@ def _block_costs(block: _Block, W: Array | None, lam: float, dt: float) -> Array
     """The costs a backstep adds for every slice of ``block``, (T, R, P), or
     (T, R, 1) when the block's costs are the same at every node: mixed under
     ``W`` by one stacked product, discounted by each slice's ``exp(-lam t)``
-    and scaled by ``dt``, rounded in that order.  Costs on one node are
-    mixed over two copies of it (``_mix``).  When ``W`` is None they are the
-    block's own costs, scaled in place (the costs an error names are kept
-    apart, in ``bad``).
+    and scaled by ``dt``, rounded in that order.  Costs that do not read t
+    are mixed once, for every slice.  Costs on one node are mixed over two
+    copies of it (``_mix``).  When ``W`` is None they are the block's own
+    costs.  The block's costs are never written: the discount makes a new
+    array unless the mixture did.
 
     Costs on P nodes are then +inf at each slice's infeasible nodes, so that
     every candidate there is +inf and the step needs no mask: a slice it
@@ -596,7 +611,10 @@ def _block_costs(block: _Block, W: Array | None, lam: float, dt: float) -> Array
     C = block.C
     cost = C if W is None else _mix(W, C if C.shape[2] > 1 else np.repeat(C, 2, axis=2),
                                     axis=1)[..., :C.shape[2]]
-    cost *= disc
+    if cost is C or len(cost) < len(disc):
+        cost = cost * disc
+    else:
+        cost *= disc
     cost *= dt
     if cost.shape[2] > 1:
         np.copyto(cost, np.inf, where=block.infeas[:, None])
@@ -623,17 +641,22 @@ def _sweep(p, lam, axes, nodes, dt, times, feas, flat, level, relaxed, mixture_g
     interpolated together, ``_INTERP_CHUNK`` points at a time, each chunk's
     terms built from its feet (``_terms``).  The sweep keeps the groups of
     the last velocities it met, and a slice whose velocities have the same
-    bytes reuses them: the first such slice stores each chunk's terms, and
-    later slices only apply them.  Sampled velocities that are the same at
-    every node (``_same_at_every_node``) are mixed on two nodes and keep one
-    row per group; no (R, P, n) product is formed for them.  A group's cost
+    bytes reuses them.  A slice that builds a set's terms stores them when a
+    later slice of its block reuses its groups (``_Block.seen``) or when it
+    meets the set again, so a set's terms are built once however its slices
+    fall into blocks; a slice met once, as in ``bellman_residual``, builds
+    them chunk by chunk and stores none.  Sampled velocities that are the
+    same at every node (``_same_at_every_node``) are mixed on two nodes and
+    keep one row per group; no (R, P, n) product is formed for them.  A group's cost
     is the minimum of its candidates' (``_Groups``): one number per slice
     when the block's costs are the same at every node.
 
-    Everything that does not read the next slice is done once per block:
-    the velocities and costs, their checks, the mixture matrix, and the
-    costs the steps add, mixed, discounted, scaled and, where they differ
-    from node to node, +inf at the infeasible nodes (``_block_costs``).
+    Everything that does not read the next slice is done once per block
+    (``_sweep_blocks`` sizes the blocks): the velocities and costs, held at
+    the shape the model gave them, their checks, the mixture matrix, and
+    the costs the steps add, mixed, discounted, scaled and, where they
+    differ from node to node, +inf at the infeasible nodes
+    (``_block_costs``), (T, R, P) or (T, R, 1).
     Those costs are prepared once the block's first slice has grouped its
     velocities, so that they are not held while grouping forms its velocity
     products, and dropped before the next block is formed.  The slices step
@@ -662,15 +685,16 @@ def _sweep(p, lam, axes, nodes, dt, times, feas, flat, level, relaxed, mixture_g
                     groups = _groups(_mix(W, F[:, :2])[:, :1].copy(), P)
                 else:
                     groups = _groups(_mix(W, F), P)
-            terms, end = groups.terms, top - 1
+            end = top - 1                  # the slices after it that share its groups
+            while end > stop and block.seen[end - 1]:
+                end -= 1
+            terms = groups.terms
             if terms is None:
                 terms = (_terms(axes, np.moveaxis(nodes + dt * groups.vel[chunk], -1, 0))
                          for chunk in groups.chunks)
-                if block.seen[top - 1]:    # met again: store them, before the costs exist
+                if end < top - 1 or block.seen[top - 1]:
+                    # used again, or met again: store them, before the costs exist
                     terms = groups.terms = list(terms)
-            if groups.terms is not None:   # the slices after it that share them
-                while end > stop and block.seen[end - 1]:
-                    end -= 1
             if cost is None:               # once grouping has formed its products
                 cost = _block_costs(block, W, lam, dt)
                 mask = block.infeas if cost.shape[2] == 1 else None
@@ -711,22 +735,38 @@ def _sweep_blocks(p: ProblemDefinition, times: Array, nodes: Array, feas: Array,
     first, where ``lo`` is the block's first slice: one ``velocities`` and
     one ``costs`` call per block (``_block``).
 
-    The samples are drawn once per time, and a block holds only times
-    that share them (``ControlSamples.shared``), at most ``_FEAS_CHUNK``
-    velocity values.
+    The samples are drawn once per time, and a block holds only times that
+    share them (``ControlSamples.shared``).  The cap is ``_FEAS_CHUNK``
+    velocity values, ``_FEAS_CHUNK // (k P n)`` slices.  The first block of
+    a run of shared samples holds ``max(2, cap)`` slices, so that velocities
+    that do not read t show.  A block that holds one velocity array and its
+    costs on one node holds no more for more slices, so the next block over
+    the same samples doubles its slices; any other block is followed by one
+    of the cap.  A model that starts to read t inside a doubled block makes
+    it hold at most twice the last block's slices times ``k P n`` velocity
+    values.
     """
     P, n = nodes.shape
-    ts, hi, u = times.tolist(), len(times), None
-    last = None                           # the velocities of the slice stepped last
+    ts, hi = times.tolist(), len(times)
+    u = p.controls.at(ts[-1], level) if hi else None
+    last = count = None                   # count: the next block's slices; None: the first
     while hi > 0:
-        u = p.controls.at(ts[hi - 1], level) if u is None else u
-        per_block = max(1, _FEAS_CHUNK // (len(u) * P * n))
-        q, nxt = p.controls.shared(u, ts[max(0, hi - per_block):hi - 1][::-1], level)
+        cap = max(1, _FEAS_CHUNK // (len(u) * P * n))
+        count = max(2, cap) if count is None else count
+        q, nxt = p.controls.shared(u, ts[max(0, hi - count):hi - 1][::-1], level)
         lo = hi - 1 - q                   # nxt: the samples that end the block, or None
         block = _block(p, times[lo:hi], nodes, feas[lo:hi], level, u, last)
         last = block.F[0]
         yield lo, block
-        hi, u = lo, nxt
+        if nxt is None and lo > 0:        # whether the next block's first slice shares them
+            nxt = p.controls.shared(u, ts[lo - 1:lo], level)[1]
+        if nxt is not None:
+            u, count = nxt, None
+        elif block.F.strides[0] == 0 and block.C.shape[2] == 1:    # one velocity array, one node
+            count = 2 * (hi - lo)
+        else:
+            count = cap
+        hi = lo
 
 
 def _axis_speeds(p: ProblemDefinition, t: float, x: Array, level: int) -> Array:

@@ -277,8 +277,26 @@ def test_toolkit_error_prints_its_kind(capsys):
         "feasible node [-2.  -0.5] at t=0.0 has no stencil-feasible velocity")
 
 
+@pytest.mark.parametrize("argv, kind, message", [
+    (["value", "solve", "--problem", "quadratic-cost-1d"], "DiscountTooSmall",
+     "need lambda > a1 (2.0), got 1.0: raise --lambda above quadratic-cost-1d's a1 = 2.0"),
+    (["nft", "run", "--problem", "moving-wall-1d", "--t0", "0", "--x0", "5"], "InfeasibleStart",
+     "reference start infeasible at t0=0.0"),
+])
+def test_toolkit_error_that_is_a_value_error_prints_its_kind(argv, kind, message, tmp_path,
+                                                             capsys):
+    # a toolkit error that also subclasses ValueError prints its kind and
+    # keeps the exit code of a setting to change
+    assert cli.run([*argv, "--out", str(tmp_path)]) == 1
+    line = _capture(capsys)
+    assert set(line) == {"error", "kind"} and line["kind"] == kind
+    assert line["error"].startswith(message)
+
+
 def test_unknown_problem_is_usage_error(capsys):
     assert cli.run(["geom", "dist", "--problem", "no-such"]) == 1
+    line = _capture(capsys)
+    assert set(line) == {"error", "kind"} and line["kind"] == "UnknownProblem"
 
 
 def test_nft_run_roundtrip(tmp_path, capsys):
@@ -543,7 +561,7 @@ def test_value_paths_at_defaults_run_or_name_lambda(cmd, name, tmp_path, capsys)
     line = _capture(capsys)
     if code != 0:
         a1 = get_problem(name).data.a1
-        assert code == 1
+        assert code == 1 and line["kind"] == "DiscountTooSmall"
         assert f"raise --lambda above {name}'s a1 = {a1}" in line["error"]
         assert "--horizon" in line["error"]
     else:

@@ -814,14 +814,17 @@ def test_mixture_products_match_tensordot_reference(name, monkeypatch):
         # a block of T slices' costs (T, k, P), as a sweep evaluates them,
         # mixed by one stacked product: each slice's mixtures are its own,
         # and so are its costs once discounted and scaled, in that order.
-        # Costs the same at every node are kept and mixed on one node, (T, R, 1).
+        # Costs the same at every node are kept and mixed on one node, (T, R, 1);
+        # costs that do not read t are kept as one slice.
         for T in (1, 2, 67):
             times = float(rng.uniform(0.0, 2 * math.pi)) + g.dt * np.arange(T)
             u = p.controls.at(float(times[0]), 0)
             block = val._block(p, times, nodes, np.ones((T, P), dtype=bool), 0, u)
             C = np.moveaxis(p.costs(times[:, None], nodes[None], 0, u), 1, 0)
             one = _same_at_every_node(np.moveaxis(C, 2, 1))
-            assert block.C.tobytes() == (C[:, :, :1] if one else C).tobytes()
+            kept = C[:, :, :1] if one else C
+            assert block.C.shape == (1 if T > 1 and C.strides[0] == 0 else T,) + kept.shape[1:]
+            assert np.broadcast_to(block.C, kept.shape).tobytes() == kept.tobytes()
             for mg in range(1, 6):
                 W = val._mixture_matrix(len(u), p.n + 1, mg)
                 mixed, prepared = W @ C, val._block_costs(block, W, p.lam, g.dt)
@@ -1012,9 +1015,9 @@ def test_stencils_built_once_per_solve(corridor, monkeypatch):
     mixtures = np.tensordot(val._mixture_matrix(len(f_all), 3, 4), f_all, axes=(1, 0))
     distinct = len(np.unique(mixtures[:, 0], axis=0))
     chunks = _chunk_sizes(distinct, len(nodes))
-    # the first slice builds every chunk's terms without storing them, the
-    # second builds and stores them, and the later slices only apply them
-    once = [(chunks, False), (chunks, True)] + [([], True)] * 4
+    # the first slice builds and stores every chunk's terms, since the next
+    # slice of its block reuses them, and the later slices only apply them
+    once = [(chunks, True)] + [([], True)] * 5
     first = val.solve_value(corridor, corridor.lam, g, relaxed=True, mixture_grid=4,
                             horizon=horizon)
     assert steps == once and len(chunks) > 1 and sum(chunks) == distinct
@@ -1027,12 +1030,13 @@ def test_stencils_built_once_per_solve(corridor, monkeypatch):
 
 
 def test_relaxed_sweep_forms_no_product_over_candidates_and_nodes(corridor, hover, monkeypatch):
-    # corridor-2d at 41 x 61 nodes holds one slice per block.  Its velocities
-    # and costs are the same at every node, so its relaxed sweep mixes them
-    # on two nodes and never forms an (R, P, n) velocity or (R, P) cost
-    # product; the second slice stores the groups' terms.  A block's costs
-    # go before the next block is formed, so the traced peak stays below
-    # one (R, P, n) product.  hover-1d's cost x^2 differs from node to node:
+    # corridor-2d at 41 x 61 nodes: a cap of one slice per block, so its
+    # first block holds 2 slices.  Its velocities do not read t and its costs
+    # are the same at every node, so the next block doubles: 4 slices in 2
+    # blocks.  Its relaxed sweep mixes them on two nodes and never forms an
+    # (R, P, n) velocity or (R, P) cost product; the first slice stores the
+    # groups' terms.  A block's costs go before the next block is formed, so
+    # the traced peak stays below one (R, P, n) product.  hover-1d's cost x^2 differs from node to node:
     # its costs are still mixed on all P nodes.
     costs, blocks, prepare, real = [], [], val._block_costs, val._block
     mixed, mix = set(), val._mix
@@ -1066,7 +1070,7 @@ def test_relaxed_sweep_forms_no_product_over_candidates_and_nodes(corridor, hove
     finally:
         tracemalloc.stop()
     assert f.values.shape[0] == 5 and np.isfinite(f.values).any()
-    assert len(blocks) == len(costs) == 4
+    assert len(blocks) == len(costs) == 2
     assert R == 369 and peak < R * P * n * 8
     # velocities (k, 2 nodes, n) and each block's costs (T, k, 2 nodes)
     assert mixed == {(0, (k, 2, n)), (1, (k, 2))}
@@ -1138,11 +1142,13 @@ def test_sweep_evaluates_model_once_per_block_of_slices(hover, monkeypatch):
         assert f.values.shape[0] == 201 and np.isfinite(f.values).any()
         assert calls == {"f": 3, "cost": 3, "samples": 200, "_block_costs": 3,
                          "_apply_stencil": 200}
-    # one slice per block: one call per slice, and the same field
+    # a cap of one slice per block: the first block holds 2 slices and, as
+    # hover's costs differ from node to node, every later block 1; one call
+    # per block, and the same field
     monkeypatch.setattr(val, "_FEAS_CHUNK", 1)
     calls.update(f=0, cost=0, samples=0, _block_costs=0, _apply_stencil=0)
     again = val.solve_value(p, p.lam, g, relaxed=True, horizon=0.5)
-    assert calls == {"f": 200, "cost": 200, "samples": 200, "_block_costs": 200,
+    assert calls == {"f": 199, "cost": 199, "samples": 200, "_block_costs": 199,
                      "_apply_stencil": 200}
     assert again.values.tobytes() == f.values.tobytes()
 
@@ -1177,7 +1183,7 @@ def test_sweep_checks_and_masks_once_per_block(hover, corridor, monkeypatch):
     monkeypatch.setattr(val, "np", counting)
     g = val.grid_for(hover, 241, 0.0025)
     for relaxed, chunk in ((False, val._FEAS_CHUNK), (True, val._FEAS_CHUNK), (True, 1)):
-        blocks = 3 if chunk > 1 else 200
+        blocks = 3 if chunk > 1 else 199     # a first block of 2 slices, then 1 each
         counting.calls.clear()
         with monkeypatch.context() as m:
             m.setattr(val, "_FEAS_CHUNK", chunk)
@@ -1218,10 +1224,112 @@ def test_blocks_end_where_the_samples_change(monkeypatch):
                 m.setattr(val, "_FEAS_CHUNK", chunk)
                 calls.update(f=0, cost=0, samples=0)
                 f = val.solve_value(p, p.lam, g, relaxed=relaxed, horizon=horizon)
-            per_block = (max(1, chunk // (3 * 41)), max(1, chunk // (2 * 41)))
-            blocks = -(-(nt - change) // per_block[0]) - (-change // per_block[1])
+            # sway-1d's velocities read t: a run's first block holds max(2,
+            # cap) slices and every later one the cap
+            blocks = 0
+            for run, k in ((nt - change, 3), (change, 2)):
+                cap = max(1, chunk // (k * 41))
+                blocks += 1 + max(0, -(-(run - max(2, cap)) // cap))
             assert calls == {"f": blocks, "cost": blocks, "samples": nt}
             assert f.values.tobytes() == ref.tobytes()
+
+
+def _recorded_blocks(monkeypatch):
+    """Record each block a sweep forms from now on as ``(slices, one velocity
+    array, costs on one node)``."""
+    blocks, real = [], val._block
+
+    def forming(*args):
+        block = real(*args)
+        blocks.append((len(block.times), block.F.strides[0] == 0, block.C.shape[2] == 1))
+        return block
+
+    monkeypatch.setattr(val, "_block", forming)
+    return blocks
+
+
+def _read_t_below(t_star, which):
+    """steady-sway-1d with the cost ``1 - u^2``, the same at every node,
+    whose velocities (``which`` "velocities": sway-1d's) or cost ("costs":
+    ``0.1 (1 + cos x)``, which differs from node to node) change below
+    ``t_star``.  Each reads t only when one of its times lies below
+    ``t_star``, so a call over later times alone has no time axis; every
+    time's rows are its own call's."""
+    base, sway = steady_sway_problem(), sway_problem().f
+
+    def flat(t, x, u):
+        return 1.0 - np.asarray(u, dtype=float)[..., 0] ** 2 + 0.0 * np.asarray(x)[..., 0]
+
+    def spread(t, x, u):
+        return 0.1 * (1.0 + np.cos(np.asarray(x)[..., 0])) + 0.0 * np.asarray(u)[..., 0]
+
+    def below(early, late):
+        def fn(t, x, u):
+            t = np.asarray(t, dtype=float)
+            if not (t < t_star).any():
+                return late(t, x, u)
+            return np.where(t < t_star, early(t, x, u), late(t, x, u))
+        return fn
+
+    if which == "velocities":
+        return dataclasses.replace(base, f=below(sway, base.f), running_cost=flat)
+    return dataclasses.replace(base, running_cost=below(spread, flat))
+
+
+@pytest.mark.parametrize("which", ["velocities", "costs"])
+def test_blocks_fall_back_to_the_cap_once_the_model_reads_t(which, monkeypatch):
+    # 30 slices stepped from t = 1.16 down to 0, a cap of 3 slices.  From
+    # t* = 0.6 down, the velocities read t (or the costs spread over the
+    # nodes): the blocks double while neither does, the block that meets t*
+    # is a doubled one, and every block after it holds the cap.  Every field
+    # equals the per-candidate reference, plain and relaxed.
+    p = _read_t_below(0.6, which)
+    g = _small_grid(p, 0.0, 1.2, 41)
+    horizon = 30 * g.dt
+    for relaxed, mg in MIXTURES:
+        with monkeypatch.context() as m:
+            m.setattr(val, "_FEAS_CHUNK", 3 * 3 * 41)
+            blocks = _recorded_blocks(m)
+            f = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg, horizon=horizon)
+        assert f.values.tobytes() == sweep_loop(p, f).tobytes()
+        assert np.isfinite(f.values).any()
+        # slices 29 down to 0: 3 and 6 that do not read t, 12 (slices 20 down
+        # to 9, the last six below t*), then 3, 3 and 3
+        assert [b[0] for b in blocks] == [3, 6, 12, 3, 3, 3]
+        steady = [b[1] and b[2] for b in blocks]
+        assert steady == [True, True, False, False, False, False]
+
+
+def test_a_model_that_reuses_its_output_buffer_is_copied(monkeypatch):
+    # sway-1d's velocities read t and its costs differ from node to node; here
+    # both write every result into one buffer per shape, which the next call
+    # overwrites.  The sweep keeps the last block's velocities to compare with
+    # the next block's, so it must hold copies: every field equals the
+    # per-candidate reference at every block size.
+    base, buffers = sway_problem(), {}
+
+    def into_buffer(fn):
+        def call(t, x, u):
+            out = np.asarray(fn(t, x, u))
+            buf = buffers.setdefault((fn, out.shape), np.empty(out.shape))
+            buf[...] = out
+            return buf
+        return call
+
+    p = dataclasses.replace(base, f=into_buffer(base.f), running_cost=into_buffer(base.running_cost))
+    g = _small_grid(p, 0.0, 1.2, 41)
+    for relaxed, mg in MIXTURES:
+        ref = sweep_loop(p, val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg,
+                                            horizon=12 * g.dt))
+        assert np.isfinite(ref).any()
+        for chunk in (val._FEAS_CHUNK, 1):
+            with monkeypatch.context() as m:
+                m.setattr(val, "_FEAS_CHUNK", chunk)
+                f = val.solve_value(p, p.lam, g, relaxed=relaxed, mixture_grid=mg,
+                                    horizon=12 * g.dt)
+            assert f.values.tobytes() == ref.tobytes()
+    _, V = p.velocities(np.array([[0.1], [0.2]]), g.nodes()[None], 0, p.controls.at(0.1))
+    assert not V.flags.writeable and not any(np.shares_memory(V, b) for b in buffers.values())
 
 
 # Problems whose blocks differ from slice to slice: moving-wall-1d's cost has
@@ -1355,6 +1463,39 @@ def test_block_checks_name_what_per_slice_checks_name(case):
         assert got.values.reshape(want.shape).tobytes() == want.tobytes()
 
 
+def test_sweep_memory_is_flat_in_the_slice_count(corridor, monkeypatch):
+    # corridor-2d at 41 x 61 nodes: its blocks double, to 6 slices of 12 and
+    # 18 of 48.  They hold one velocity array and costs on one node, so the
+    # peak traced allocation beyond the sweep's own arrays (the field, 8
+    # bytes per node and slice, and the feasibility mask, 1) grows by less
+    # than 128 KB from 12 to 48 slices (measured about 55 KB plain; the
+    # relaxed peak, set by the stored terms, falls).  Costs held over every
+    # node, (T, k, P), would add 9 * 2501 * 8 bytes per slice of the last
+    # block, about 2.2 MB.
+    g = val.GridSpec(corridor.box[:, 0], corridor.box[:, 1], (41, 61), 0.1, 0.3)
+    P = 41 * 61
+    for relaxed in (False, True):
+        beyond = []
+        for slices in (12, 48):
+            tracemalloc.start()
+            try:
+                f = val.solve_value(corridor, 6.0, g, relaxed=relaxed, mixture_grid=4,
+                                    horizon=g.t0 + slices * g.dt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert f.values.shape == (slices + 1, 41, 61) and np.isfinite(f.values).any()
+            beyond.append(peak - (slices + 1) * P * 9)
+        assert beyond[1] - beyond[0] < 128 * 1024
+    # a one-slice sweep stores no terms
+    formed, group = [], val._groups
+    monkeypatch.setattr(val, "_groups", lambda vel, P: formed.append(group(vel, P)) or formed[-1])
+    field = val.solve_value(corridor, 6.0, g, relaxed=True, mixture_grid=4, horizon=g.t0 + 0.3)
+    formed.clear()
+    assert val.bellman_residual(corridor, field, 1) <= val.TOL_DP
+    assert len(formed) == 1 and formed[0].terms is None
+
+
 def test_velocities_met_once_build_no_stencil(monkeypatch):
     # drift-1d's velocities change every slice: each slice builds its feet's
     # terms and stores none, and so does a lone backstep
@@ -1400,7 +1541,7 @@ def test_steady_node_dependent_velocities_store_terms_once(monkeypatch):
                                         horizon=horizon)
                 W = val._mixture_matrix(len(u), 2, mg) if relaxed else None
                 chunks = _chunk_sizes(len({v.tobytes() for v in val._mix(W, f_all)}), len(nodes))
-            assert steps == [(chunks, False), (chunks, True)] + [([], True)] * 4
+            assert steps == [(chunks, True)] + [([], True)] * 5
             assert len(chunks) > 1 and again.values.tobytes() == f.values.tobytes()
 
 
