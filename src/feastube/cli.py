@@ -257,7 +257,7 @@ def _outdir(cfg: dict) -> Path:
 
 def _cmd_geom(cfg: dict, args) -> int:
     p = _problem_from(cfg)
-    x = _vector(cfg["x0"], p.n, "--x0", np.asarray(p.anchor(cfg["t0"])))
+    x = _vector(cfg["x0"], p.n, "--x0", p.anchors(cfg["t0"]))
     if args.action == "dist":
         res = geo.distance_to_omega(p, cfg["t0"], x, oracle=p.n <= 2)
         _emit({"cmd": "geom dist", "t": cfg["t0"], "x": list(map(float, x)),
@@ -294,7 +294,7 @@ def _cmd_nft(cfg: dict, args) -> int:
     p = _problem_from(cfg)
     t0 = cfg["t0"]
     t1 = cfg["t1"] if cfg["t1"] is not None else t0 + 1.0
-    x0 = _vector(cfg["x0"], p.n, "--x0", np.asarray(p.anchor(t0)))
+    x0 = _vector(cfg["x0"], p.n, "--x0", p.anchors(t0))
     uref = _vector(cfg["uref"], p.controls.dim, "--uref", p.default_control)
     if not cfg["dt"] > 0:
         raise ValueError(f"need dt > 0, got dt={cfg['dt']}")
@@ -329,8 +329,8 @@ def _cmd_track(cfg: dict, args) -> int:
     p = _problem_from(cfg)
     t0 = cfg["t0"]
     horizon = cfg["horizon"]
-    x0 = _vector(cfg["x0"], p.n, "--x0", np.asarray(p.anchor(t0)))
-    x1 = _vector(cfg["x1"], p.n, "--x1", np.asarray(p.anchor(t0)) * 0.5)
+    x0 = _vector(cfg["x0"], p.n, "--x0", p.anchors(t0))
+    x1 = _vector(cfg["x1"], p.n, "--x1", p.anchors(t0) * 0.5)
     ver = _ipc_certificate(cfg, p, (t0, t0 + horizon + 1.0))
     if not ver.ok:
         _emit({"cmd": "track run", "ok": False, "reason": "margin verification failed",
@@ -421,7 +421,7 @@ def _check_lipschitz(run: _Run):
 def _check_decay(run: _Run):
     p, field = run.p, run.field(True)
     traj = tj.viable_trajectory(p, run.ver.certificate, field.t0,
-                                np.asarray(p.anchor(field.t0)), field.T, field.dt)
+                                p.anchors(field.t0), field.T, field.dt)
     return ana.decay_check(p, field, traj, tol_decay=run.cfg["tol_decay"])
 
 
@@ -433,7 +433,7 @@ def _check_time_lip(run: _Run):
     p, field, level = run.p, run.field(True), run.cfg["level"]
     probes = (np.array([_vector(s, p.n, "--probes")
                         for s in str(run.cfg["probes"]).split(";")])
-              if run.cfg["probes"] else np.asarray(p.anchor(field.t0))[None, :])
+              if run.cfg["probes"] else p.anchors(field.t0)[None, :])
     bound_N = ana.velocity_cost_sup(field, p, probes, level) * 1.05 + 0.1
     return ana.time_lipschitz_check(field, p, run.tracking, bound_N, probes, level=level)
 
@@ -571,11 +571,16 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command][0](resolve_config(args), args)
     except FeastubeError as exc:
-        _emit({"error": str(exc), "kind": type(exc).__name__})
+        _emit({"error": _message(exc), "kind": type(exc).__name__})
         return 1 if isinstance(exc, (ValueError, KeyError, OSError)) else 2
     except (ValueError, KeyError, OSError) as exc:
-        _emit({"error": str(exc)})
+        _emit({"error": _message(exc)})
         return 1
+
+
+def _message(exc: Exception) -> str:
+    """The error's own message: ``str`` of a ``KeyError`` quotes it."""
+    return str(exc.args[0]) if isinstance(exc, KeyError) and len(exc.args) == 1 else str(exc)
 
 
 def main() -> None:

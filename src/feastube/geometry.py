@@ -107,9 +107,10 @@ _DISTANCE_LEVELS = 50
 
 
 def _anchors(p: ProblemDefinition, times: Array) -> Array:
-    """The anchors at ``times`` (T,), stacked (T, n).  An infeasible one
-    raises ``InfeasibleInput`` naming the first such time."""
-    anchors = np.stack([np.asarray(p.anchor(float(t)), dtype=float) for t in times])
+    """The anchors at ``times`` (T,), stacked (T, n) by one ``anchors``
+    call.  An infeasible one raises ``InfeasibleInput`` naming the first
+    such time."""
+    anchors = p.anchors(times)
     off = _worst(p, times, anchors) > TOL_FEAS
     if off.any():
         raise InfeasibleInput(f"anchor infeasible at t={times[np.argmax(off)]}")
@@ -138,9 +139,10 @@ def _toward_anchors(p: ProblemDefinition, times, states):
 def distances_upper_along(p: ProblemDefinition, times, states) -> Array:
     """Per-node upper bound on the feasible-set distance along a path.
 
-    Violating nodes are bisected toward the anchor simultaneously (one
-    vectorized constraint evaluation per bisection level); an infeasible
-    anchor at one of their times raises ``InfeasibleInput``.
+    Violating nodes are bisected toward the anchor at their times
+    simultaneously (one ``anchors`` call for all of them, one vectorized
+    constraint evaluation per bisection level); an infeasible anchor at one
+    of their times raises ``InfeasibleInput``.
     """
     bad, length, holds = _toward_anchors(p, times, states)
     out = np.zeros(len(times))
@@ -267,7 +269,7 @@ def distance_to_omega(
     dirs = rng.standard_normal((7, p.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     starts = [x] + [x + r * d for r, d in zip(np.linspace(0.1, 0.9, 7) * extent, dirs)]
-    starts.append(np.asarray(p.anchor(t), dtype=float))
+    starts.append(p.anchors(t))
 
     hits = []
     per_start = max(budget // len(starts), 8)
@@ -278,7 +280,7 @@ def distance_to_omega(
             i = int(np.argmax(hv))
             if hv[i] <= 0.0:
                 break
-            g = np.asarray(p.constraints[i].grad(t, y), dtype=float).reshape(-1)
+            g = p.gradients(t, y)[i]
             gg = float(g @ g)
             if gg < 1e-16:
                 break
@@ -386,9 +388,11 @@ def boundary_samples(p: ProblemDefinition, times, n_dirs: int = 24) -> tuple[Arr
 
     Returns ``(ts, X)``: row ``j`` of ``X`` is a boundary point at time
     ``ts[j]``, in time-major order (all rays of the first time, in direction
-    order, then the next time).  Every ray of every time is bisected in one
-    row-batched ``_bisect``.  An infeasible anchor raises
-    ``InfeasibleInput`` naming the first such time.
+    order, then the next time).  The anchors of all the times come from one
+    ``anchors`` call, so ``anchor`` must broadcast over an array of times;
+    every ray of every time is bisected in one row-batched ``_bisect``.  An
+    infeasible anchor raises ``InfeasibleInput`` naming the first such
+    time.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if p.m == 0 or times.size == 0:

@@ -15,11 +15,10 @@ points yields a certificate carrying the geometric constants (eps, eta)
 under which short inward moves from any near-boundary point stay feasible.
 
 ``verify_ipc`` evaluates the margins one sampled time at a time: one
-``constraint_values`` call, one ``velocities`` call and one call of each
-constraint's ``grad`` over all of that time's boundary points.  Each point's
-game is then built by ``_game``, the one code that builds a payoff matrix,
-keys it and reads the memo, from that point's rows, so that it is the game
-the point has alone.
+``constraint_values``, one ``velocities`` and one ``gradients`` call over
+all of that time's boundary points.  Each point's game is then built by
+``_game``, the one code that builds a payoff matrix, keys it and reads the
+memo, from that point's rows, so that it is the game the point has alone.
 """
 
 from __future__ import annotations
@@ -77,20 +76,15 @@ def _game(p: ProblemDefinition, t: float, x: Array, hv: Array, vels: Array, delt
     constraint values ``hv`` and its sampled velocities ``vels``, a
     C-contiguous ``(k, n)`` array, that the caller holds: ``(r, alpha,
     active)``.  ``grads`` holds every constraint's gradient at ``x``,
-    ``(m, n)``, when the caller has them; else the active constraints' are
-    evaluated here.  ``r`` is +inf and ``alpha`` None when no constraint is
+    ``(m, n)``, when the caller has them; else one ``gradients`` call
+    reads them here.  ``r`` is +inf and ``alpha`` None when no constraint is
     delta-active.  The payoff matrix's bytes key the memo ``games``;
     ``alpha`` is the memo's own array, not to be written.  With ``solve``
     False a game not yet in the memo gives None."""
     act = _active_indices(p, hv, delta)
     if not act:
         return math.inf, None, act
-    if grads is None:
-        grads = np.array(
-            [np.asarray(p.constraints[i].grad(t, x), dtype=float).reshape(-1) for i in act]
-        )
-    else:
-        grads = grads[act]
+    grads = (p.gradients(t, x) if grads is None else grads)[act]
     Q = -grads @ vels.T  # rows: active constraints, cols: sampled controls
     key = (Q.shape, Q.tobytes())
     game = None if games is None else games.get(key)
@@ -134,9 +128,9 @@ class IpcCertificate:
         if not self.eta + self.eps * (ball + self.eps) <= self.delta * (1 + tol):
             raise ValueError("eta + eps*(M + r/4L + eps) exceeds delta")
         for t, x, alpha, v in self.witnesses:
+            grads = p.gradients(t, x)
             for i in active_set(p, t, x, self.delta).indices:
-                g = np.asarray(p.constraints[i].grad(t, x), dtype=float).reshape(-1)
-                if float(g @ v) > -self.r + 1e-9:
+                if float(grads[i] @ v) > -self.r + 1e-9:
                     raise ValueError("stored witness violates the margin inequality")
 
     def to_jsonable(self) -> dict:
@@ -277,10 +271,7 @@ def verify_ipc(
         t, Xt = float(ts[a]), X[a:b]
         H = p.constraint_values(t, Xt).tolist()
         V = p.velocities(t, Xt, level)[1].transpose(1, 0, 2).copy()    # (points, k, n)
-        G = np.empty((b - a, p.m, p.n))
-        for i, c in enumerate(p.constraints):
-            G[:, i] = c.grad(t, Xt)
-        for x, hv, vels, grads in zip(Xt, H, V, G):
+        for x, hv, vels, grads in zip(Xt, H, V, p.gradients(t, Xt)):
             r, alpha, _ = _game(p, t, x, hv, vels, delta, games, grads=grads)
             if math.isfinite(r):
                 alpha = alpha.copy()

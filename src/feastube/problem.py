@@ -13,28 +13,34 @@ axes: ``f(t, X, U)`` with ``X`` of shape ``(..., n)`` and ``U`` of shape
 ``(..., d)`` returns shape ``(..., n)``.  A constraint ``h(t, X)`` must also
 broadcast over an array ``t`` whose shape broadcasts against the leading axes
 of ``X``, returning exactly that broadcast shape.  So must the running cost
-``L(t, X, U)``, and ``f`` over such a ``t`` with a trailing axis appended
-(the value sweep evaluates a block of time slices in one call); one that
-does not raises ``ValueError`` naming it.  The shipped benchmarks follow
-these conventions.  Only ``ProblemDefinition`` methods evaluate the
+``L(t, X, U)``, and ``f`` and a constraint's ``grad`` over such a ``t``
+with a trailing axis appended (the value sweep evaluates a block of time
+slices in one call, the viability rule a run of steps); so must
+``anchor(t)`` over an array ``t``, returning shape ``t.shape + (n,)``.  One
+that does not raises ``ValueError`` naming it.  The shipped benchmarks
+follow these conventions.  Only ``ProblemDefinition`` methods evaluate the
 data: ``velocities`` and ``costs`` put the sampled controls on a leading axis
 (``(k, ..., n)`` and ``(k, ...)``), ``constraint_values`` stacks every ``h``
-on a last axis.  A result of the wrong shape raises ``ValueError``; a
-non-finite constraint value, ``-inf`` included, raises ``NonFiniteConstraint``.
+on a last axis, ``gradients`` every ``grad`` on the axis before the last
+(``(..., m, n)``), and ``anchors`` gives ``anchor``'s points.  A result of
+the wrong shape raises ``ValueError``; a non-finite constraint value,
+``-inf`` included, raises ``NonFiniteConstraint``.
 
 Each row of a batched evaluation should be byte for byte the same row
 evaluated alone: row ``j`` of ``velocities(t, x)`` is ``f(t, x, u_j)``,
-each point's row of ``constraint_values``, of ``velocities`` and of a
-constraint's ``grad`` over a batch is that point's own, each time's rows of
-``velocities`` and ``costs`` over a block of times are that time's own call,
-and row ``i`` of ``f(t[:, None], X, U)`` (one time, state and control per
-row, as a path's march calls it) is ``f(t[i], X[i], U[i])``.  The march
-reuses the chosen velocity row as RK4's first stage and evaluates a block of
-steps at once, and the batched geometry kernels, the margin check's calls
-per sampled time, the value sweep's blocks, and the calls of the
-assumption checks and of the time-regularity check over blocks of times
-that share their samples stand in for per-point, per-slice and per-time
-loops, on this basis.
+each point's row of ``constraint_values``, of ``velocities`` and of
+``gradients`` over a batch is that point's own, at one time or at per-point
+times, each time's row of ``anchors`` is that time's own call, each time's
+rows of ``velocities`` and ``costs`` over a block of times are that time's
+own call, and row ``i`` of ``f(t[:, None], X, U)`` (one time, state and
+control per row, as a path's march calls it) is ``f(t[i], X[i], U[i])``.
+The march reuses the chosen velocity row as RK4's first stage and evaluates
+a block of steps at once, and the batched geometry kernels, the anchors of
+the distance and boundary functions, the margin check's calls per sampled
+time, the viability rule's gradients per run of steps, the value sweep's
+blocks, and the calls of the assumption checks and of the time-regularity
+check over blocks of times that share their samples stand in for
+per-point, per-slice and per-time loops, on this basis.
 Elementwise numpy code has it.  A BLAS product such as ``x @ c`` may round
 a row differently in a batch; ``(x * c).sum(axis=-1)`` does not.  The
 shipped walls keep ``x @ c``, because their coefficients are 0 and +-1:
@@ -271,7 +277,8 @@ class ProblemDefinition:
     """Immutable problem bundle; see module docstring for conventions.
 
     ``anchor(t)`` must return a point in the interior of the constraint set
-    at every time (used to cast boundary-finding rays), ``box`` bounds the
+    at every time (used to cast boundary-finding rays), one row per time
+    over an array ``t`` (read through ``anchors``), ``box`` bounds the
     working region for sampling-based checks, and ``default_control`` is a
     member of the sampled control set used when no constraint is nearby.
     """
@@ -364,6 +371,49 @@ class ProblemDefinition:
             )
         return out
 
+    def anchors(self, t) -> Array:
+        """The anchor at each time: ``t`` a scalar gives ``(n,)``, an array
+        of shape ``S`` gives ``S + (n,)``, each row the anchor at its time.
+        ``anchor`` receives ``t`` as it is and must return exactly that
+        shape."""
+        shape = np.shape(t) + (self.n,)
+        try:
+            a = self.anchor(t)
+        except (TypeError, ValueError) as exc:
+            raise _no_broadcast(f"anchor of {self.name}", t, None, exc) from exc
+        if np.shape(a) != shape:
+            raise _no_broadcast(f"anchor of {self.name}", t, None,
+                                f"anchor returned shape {np.shape(a)}, expected {shape}")
+        return np.asarray(a, dtype=float)
+
+    def gradients(self, t, X) -> Array:
+        """Every constraint's spatial gradient at points ``X`` of shape
+        ``(..., n)``, stacked on the axis before the last: ``(..., m, n)``.
+
+        ``t`` is a scalar or an array broadcasting against the leading axes
+        of ``X``, as for ``constraint_values``; ``grad`` then receives ``t``
+        with a trailing axis, as ``f`` does from ``velocities``, and must
+        return exactly the broadcast leading shape plus ``(n,)``.
+        """
+        X = np.asarray(X, dtype=float)
+        lead, ts = X.shape[:-1], t
+        if getattr(t, "ndim", 0):
+            if t.shape != lead:
+                lead = np.broadcast_shapes(t.shape, lead)
+            ts = t[..., None]
+        shape = lead + (self.n,)
+        out = np.empty(lead + (self.m, self.n))
+        for i, c in enumerate(self.constraints):
+            try:
+                g = c.grad(ts, X)
+            except (TypeError, ValueError) as exc:
+                raise _no_broadcast(f"gradient of constraint {c.name or i!r}", t, X, exc) from exc
+            if np.shape(g) != shape:
+                raise _no_broadcast(f"gradient of constraint {c.name or i!r}", t, X,
+                                    f"grad returned shape {np.shape(g)}, expected {shape}")
+            out[..., i, :] = g
+        return out
+
     def grad_bounds(self) -> Array:
         """``grad_bound`` of every constraint, read-only, built once."""
         return self._grad_bounds
@@ -419,9 +469,10 @@ def summed_norms(D: Array) -> Array:
 
 def _no_broadcast(what: str, t, X, why) -> ValueError:
     """The error for model data ``what`` that fails over the array ``t``
-    and the points ``X``, for the reason ``why``."""
-    return ValueError(f"{what} does not broadcast over t of shape {np.shape(t)} "
-                      f"and x of shape {np.shape(X)}: {why}")
+    and the points ``X`` (None for data of the time alone), for the reason
+    ``why``."""
+    over = "" if X is None else f" and x of shape {np.shape(X)}"
+    return ValueError(f"{what} does not broadcast over t of shape {np.shape(t)}{over}: {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +505,9 @@ def _affine_constraint(name, coeff, offset):
         return x @ cvec + offset(t)
 
     def grad(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(cvec, x.shape).copy()
+        out = np.empty(np.broadcast(t, x).shape)
+        out[...] = cvec
+        return out
 
     return ConstraintFunction(
         h=h, grad=grad, holder_theta=0.5, holder_const=0.0,
@@ -489,7 +541,7 @@ def _moving_wall(params: Mapping[str, float]) -> ProblemDefinition:
         controls=ControlSamples(1, lambda t, level: _dyadic_interval(level)),
         constraints=(upper, lower), data=data,
         default_control=np.array([0.0]),
-        anchor=lambda t: np.array([-0.5]),
+        anchor=lambda t: np.full(np.shape(t) + (1,), -0.5),
         box=np.array([[-2.5, 2.0]]),
     )
 
@@ -523,7 +575,7 @@ def _corridor(params: Mapping[str, float]) -> ProblemDefinition:
         controls=ControlSamples(2, sampler),
         constraints=(upper, lower), data=data,
         default_control=np.array([0.0, 0.0]),
-        anchor=lambda t: np.array([0.0, 0.2 * np.sin(t)]),
+        anchor=lambda t: np.stack(np.broadcast_arrays(0.0, 0.2 * np.sin(t)), axis=-1),
         box=np.array([[-2.0, 2.0], [-1.5, 1.5]]),
     )
 
@@ -553,7 +605,7 @@ def _quadratic_cost(params: Mapping[str, float]) -> ProblemDefinition:
         controls=ControlSamples(1, lambda t, level: _dyadic_interval(level)),
         constraints=(upper, lower), data=data,
         default_control=np.array([0.0]),
-        anchor=lambda t: np.array([0.0]),
+        anchor=lambda t: np.zeros(np.shape(t) + (1,)),
         box=np.array([[-2.5, 2.5]]),
     )
 
@@ -587,7 +639,7 @@ def _hover(params: Mapping[str, float]) -> ProblemDefinition:
         controls=ControlSamples(1, lambda t, level: samples),
         constraints=(upper, lower), data=data,
         default_control=np.array([1.0]),
-        anchor=lambda t: np.array([0.0]),
+        anchor=lambda t: np.zeros(np.shape(t) + (1,)),
         box=np.array([[-2 * half, 2 * half]]),
     )
 

@@ -16,7 +16,9 @@ a constant choice.
 
 States have one to a few components, where a numpy call costs far more in
 dispatch than in arithmetic, so the march pays its calls once per block of
-up to ``_BLOCK`` steps (parallel-in-time integration, Nievergelt 1964).  It
+up to ``_BLOCK`` = 256 steps (parallel-in-time integration, Nievergelt
+1964), which holds a whole repair piece: a block costs about 60 numpy calls
+at any length, a row past the first wrong guess a few ns per call.  It
 guesses the block's states; the rule decides every step's control at its
 guess in one call, ``f`` evaluates each RK4 stage in one call over the
 block's rows, and ``np.add.accumulate`` (``cumsum`` without its call
@@ -31,15 +33,16 @@ guesses its steps in the acting tube: it predicts which steps take the
 margin game's control from the shift in the constraint values that one
 such step makes, and checks the whole predicted pattern with one
 ``constraint_values`` call, guessing again only from a step the check
-finds wrong.  Controls fixed in
-advance (``_Held``: a schedule, explicit rows, the push's multiplexed
-mixture) are decided in blocks, and so is a viable step in the acting tube
-when its memoised margin game is pure at a zero mixture credit
+finds wrong; the checked steps' velocities and constraint gradients come
+from one call each per run of steps that share their samples.  Controls
+fixed in advance (``_Held``: a schedule, explicit rows, the push's
+multiplexed mixture) are decided in blocks, and so is a viable step in the
+acting tube when its memoised margin game is pure at a zero mixture credit
 (``_Viable``).  What runs alone, through the same kernel on one row, is a
 step the rule can decide only at its true state (a viable step in the tube
 whose game is mixed, nonpositive or not yet solved, or that meets a nonzero
-credit, the ``_BLOCK`` steps after a mixed one) and a block that raises
-what a wrong guess can cause: a floating-point error or a
+credit, the ``_AFTER_MIXED`` steps after a mixed one) and a block that
+raises what a wrong guess can cause: a floating-point error or a
 ``FeastubeError`` (a non-finite constraint value or state, a failed LP).
 Any other error propagates, such as a defect in a rule's code or an ``f``
 that does not broadcast over a block's rows (named).  A block runs under
@@ -77,10 +80,18 @@ Array = np.ndarray
 TOL_ODE = 1e-9
 _RHO_FLOOR = 1e-8
 _BLOW_UP = 1e12          # a state component beyond this stops the march
-# Steps per block: an iteration costs ~60 numpy calls at any length, and a
-# state-dependent f keeps only a few steps per iteration.
-_BLOCK = 64
+# Steps per block: an iteration costs ~60 numpy calls at any length, while a
+# row past the first wrong guess costs a few ns per call; 256 holds a whole
+# repair piece (Delta / dt is under 100 steps on the shipped problems at
+# dt = 1e-3).
+_BLOCK = 256
 _STEPS = np.arange(_BLOCK)
+# Steps a viable march runs alone after a step whose margin game is mixed:
+# the credit then moves at every step in the tube, and a block would end at
+# each.  A longer window runs alone steps that blocks would keep: a 3,000-step
+# march of the credit-3d test problem runs 2,565 steps alone at 64, 2,757 at
+# 256 and all 3,000 at 1,024.
+_AFTER_MIXED = 64
 # Test seam: ``_guesses(j, G)`` replaces the guesses of the block from step
 # ``j`` (the march keeps row 0); its rows set the block's length.
 _guesses = None
@@ -209,7 +220,8 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
 
     The march equals the loop that runs every step alone under
     ``rule.step`` bit for bit, whatever the guesses and block ends (module
-    docstring).
+    docstring): a block holds up to ``_BLOCK`` steps and keeps only the
+    prefix it proves exact, whatever its length.
     Returns the ``(steps + 1, n)`` states and the ``(steps, d)`` controls,
     written into ``out`` when given.  A march continued from its own state
     at a later ``start`` is bit-identical to the one long march.
@@ -546,9 +558,9 @@ class _Viable(_Rule):
     A game not yet solved is solved at the block's first step in the tube,
     whose guess follows from the default increments alone, and the block
     ends after that step; later in the block such a step ends it and runs
-    alone.  After a step with a mixed game the ``_BLOCK`` steps that follow
-    run alone too: the credit then moves at every step in the tube, and a
-    block would end at each.
+    alone.  After a step with a mixed game the ``_AFTER_MIXED`` steps that
+    follow run alone too: the credit then moves at every step in the tube,
+    and a block would end at each.
 
     The rule guesses as every rule does (``_Rule.guess``): from the
     block's start the path drifts under the last increment of the default
@@ -563,10 +575,11 @@ class _Viable(_Rule):
     shift per such step, reach the tube again.  One ``np.add.accumulate``
     builds the pattern's guesses and one ``constraint_values`` call checks
     them; the steps in the tube up to the first row the check finds wrong
-    take their controls from one ``velocities`` call (per run of equal
-    samples) and their games from the memo row by row.  Any guess is safe,
-    as the march keeps only the prefix it proves exact; the prediction
-    only saves calls.  The pattern need not be periodic: the gaps between
+    take their controls from one ``velocities`` call and their games'
+    gradients from one ``gradients`` call (per run of equal samples), and
+    their games from the memo row by row.  Any guess is safe, as the march
+    keeps only the prefix it proves exact; the prediction only saves
+    calls.  The pattern need not be periodic: the gaps between
     such steps change as a moving wall's speed does.
     """
 
@@ -579,7 +592,7 @@ class _Viable(_Rule):
         self.defaults = np.broadcast_to(p.default_control, (_BLOCK, p.controls.dim))
         self.mux = _MixtureMultiplexer(1)
         self.G = None                # the last guesses, their controls U and how many decided
-        self.tube = -_BLOCK          # the last step with a mixed game
+        self.tube = -_AFTER_MIXED    # the last step with a mixed game
 
     def guess(self, j, T, x):
         G = self.G = super().guess(j, T, x)
@@ -649,17 +662,19 @@ class _Viable(_Rule):
     def _takes(self, T: Array, G: Array, H: Array, rows: list, walk: bool, tubes: list):
         """Per step of ``rows`` in the tube, in order: the control a block
         may take there, the default control where no constraint is active,
-        or None.  The velocities come from one call per run of steps that
-        share their samples (``ControlSamples.runs``), each step's as it
-        is alone; each game from the memo, solved only with ``walk`` while
-        ``tubes`` is empty."""
+        or None.  The velocities and the constraints' gradients come from
+        one call each per run of steps that share their samples
+        (``ControlSamples.runs``), each step's as it is alone; each game
+        from the memo, solved only with ``walk`` while ``tubes`` is
+        empty."""
         p, level = self.p, self.level
         for a, b, u in p.controls.runs(T[rows].tolist(), level):
             run = rows[a:b]
             _, V = p.velocities(T[run], G[run], level, u)
-            for k, vels in zip(run, np.ascontiguousarray(V.transpose(1, 0, 2))):
+            grads = p.gradients(T[run], G[run])
+            for k, vels, gk in zip(run, np.ascontiguousarray(V.transpose(1, 0, 2)), grads):
                 game = _game(p, float(T[k]), G[k], H[k], vels, self.cert.delta, self.games,
-                             walk and not tubes)
+                             walk and not tubes, grads=gk)
                 if game is None:
                     yield None
                     return
@@ -728,7 +743,7 @@ class _Viable(_Rule):
                 if i is None:
                     self.tube = j
                 u, k1, self.tubes = us[k], vels[k], [0] if k == i else None
-        self.blocking = j - self.tube >= _BLOCK
+        self.blocking = j - self.tube >= _AFTER_MIXED
         return u, k1
 
 

@@ -251,7 +251,7 @@ def cell_crossing_dt(p: ProblemDefinition, shape: tuple[int, ...], t0: float = 0
     ``(t0, anchor(t0))``.  Every axis counts when none is constrained.
     Raises ValueError naming a counted axis that no sampled control moves
     along."""
-    a = np.asarray(p.anchor(float(t0)), dtype=float)
+    a = p.anchors(float(t0))
     speed = _axis_speeds(p, float(t0), a, level)
     counted = _constrained_axes(p, [t0])
     axes = np.flatnonzero(counted) if counted.any() else range(p.n)
@@ -817,14 +817,11 @@ def _feasible_slices(p: ProblemDefinition, times: Array, nodes: Array) -> Array:
 
 def _constrained_axes(p: ProblemDefinition, times) -> Array:
     """Axes along which some constraint's gradient at the anchor is nonzero
-    at one of ``times``; the other axes are an artificial window."""
-    constrained = np.zeros(p.n, dtype=bool)
-    for t in times:
-        a = np.asarray(p.anchor(float(t)), dtype=float)
-        for c in p.constraints:
-            g = np.asarray(c.grad(float(t), a), dtype=float).reshape(-1)
-            constrained |= np.abs(g) > 1e-12
-    return constrained
+    at one of ``times``, from one ``anchors`` and one ``gradients`` call;
+    the other axes are an artificial window."""
+    times = np.asarray(times, dtype=float)
+    G = p.gradients(times, p.anchors(times))
+    return (np.abs(G) > 1e-12).reshape(-1, p.n).any(axis=0)
 
 
 def _check_margin(p: ProblemDefinition, grid: GridSpec, nodes: Array, times: Array,

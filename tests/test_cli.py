@@ -299,6 +299,20 @@ def test_unknown_problem_is_usage_error(capsys):
     assert set(line) == {"error", "kind"} and line["kind"] == "UnknownProblem"
 
 
+@pytest.mark.parametrize("argv, kind, message", [
+    (["--problem", "no-such"], "UnknownProblem",
+     "unknown problem 'no-such'; known: ['corridor-2d', 'hover-1d', 'moving-wall-1d', "
+     "'quadratic-cost-1d']"),
+    (["--problem", "hover-1d", "--set", "depth=2"], "UnknownOverrideKey",
+     "hover-1d has no override 'depth'; known: ['halfwidth', 'lambda']"),
+])
+def test_key_error_prints_its_own_message(argv, kind, message, capsys):
+    # str() of a KeyError wraps its message in quotes; the CLI prints the
+    # message itself
+    assert cli.run(["geom", "dist", *argv]) == 1
+    assert _capture(capsys) == {"error": message, "kind": kind}
+
+
 def test_nft_run_roundtrip(tmp_path, capsys):
     code = cli.run(["nft", "run", "--problem", "moving-wall-1d",
                     "--t0", str(math.pi), "--t1", str(math.pi + 1),

@@ -12,7 +12,7 @@ from feastube import trajectory as tj
 from feastube.errors import InfeasibleInput, NonFiniteConstraint
 
 import oracles
-from util import (affine_constraint, repair_benchmark_references, simple_problem,
+from util import (affine_constraint, over_times, repair_benchmark_references, simple_problem,
                   unit_velocity, zero_cost)
 
 
@@ -162,7 +162,7 @@ def test_distance_projection_failed_on_empty_set():
 
     nowhere = affine_constraint("nowhere", [0.0], lambda t: 10.0 + 0.0 * t)
     p = simple_problem(unit_velocity, zero_cost, constraints=(nowhere,),
-                       anchor=lambda t: np.array([0.0]))
+                       anchor=lambda t: np.zeros(np.shape(t) + (1,)))
     with pytest.raises(ProjectionFailed):
         geo.distance_to_omega(p, 0.0, [0.0], budget=64)
 
@@ -255,7 +255,7 @@ def _coordinate_walls(m, grad_bounds=(1.0, 1.0, 1.0)):
     def wall(i, gb):
         return pb.ConstraintFunction(
             h=lambda t, x: np.asarray(x, dtype=float)[..., i] * t,
-            grad=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
+            grad=lambda t, x: over_times(t, np.zeros_like(np.asarray(x, dtype=float))),
             holder_theta=0.5, holder_const=0.0, grad_bound=gb, name=f"x{i}")
 
     return simple_problem(unit_velocity, zero_cost, n=max(m, 1),
@@ -345,7 +345,7 @@ def _time_scalar_only(name):
         return np.asarray(x, dtype=float)[..., 0] - 1.0 - 0.4 * math.sin(t)
 
     def grad(t, x):
-        return np.ones_like(np.asarray(x, dtype=float))
+        return over_times(t, np.ones_like(np.asarray(x, dtype=float)))
 
     return pb.ConstraintFunction(h=h, grad=grad, holder_theta=0.5, holder_const=0.0,
                                  grad_bound=1.0, name=name)
@@ -357,7 +357,7 @@ def _first_node_only(name):
         return np.asarray(x, dtype=float).reshape(-1, 1)[0, 0] - 1.0 + 0.0 * np.sum(t)
 
     def grad(t, x):
-        return np.ones_like(np.asarray(x, dtype=float))
+        return over_times(t, np.ones_like(np.asarray(x, dtype=float)))
 
     return pb.ConstraintFunction(h=h, grad=grad, holder_theta=0.5, holder_const=0.0,
                                  grad_bound=1.0, name=name)
@@ -379,8 +379,9 @@ def test_feasible_mask_names_the_nonfinite_constraint():
         x = np.asarray(x, dtype=float)[..., 0]
         return np.where(x > 1.5, np.inf, x - 1.0) + 0.0 * t
 
-    bad = pb.ConstraintFunction(h=h, grad=lambda t, x: np.ones_like(x), holder_theta=0.5,
-                                holder_const=0.0, grad_bound=1.0, name="cliff")
+    bad = pb.ConstraintFunction(h=h, grad=lambda t, x: over_times(t, np.ones_like(x)),
+                                holder_theta=0.5, holder_const=0.0, grad_bound=1.0,
+                                name="cliff")
     p = simple_problem(unit_velocity, zero_cost, constraints=(bad,))
     pts = np.array([[0.0], [1.0], [1.75], [-0.5]])
     msg = r"'cliff' is inf at t=0\.25, x=array\(\[1\.75\]\)"

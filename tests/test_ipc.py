@@ -19,6 +19,7 @@ from util import (
     affine_constraint,
     corner_problem,
     credit_problem,
+    over_times,
     simple_problem,
     sway_problem,
     sway_walls,
@@ -397,7 +398,7 @@ def test_synthesize_both_vanish_with_curvature():
         x = np.asarray(x, dtype=float)
         g = np.zeros_like(x)
         g[..., 0] = 2.0 * x[..., 0]
-        return g
+        return over_times(t, g)
 
     cons = pb.ConstraintFunction(h=h, grad=grad, holder_theta=0.9,
                                  holder_const=4.0, grad_bound=4.0)
@@ -458,7 +459,7 @@ def test_constants_with_holder_curvature():
         x = np.asarray(x, dtype=float)
         g = np.zeros_like(x)
         g[..., 0] = 2.0 * x[..., 0]
-        return g
+        return over_times(t, g)
 
     cons = pb.ConstraintFunction(h=h, grad=grad, holder_theta=0.9,
                                  holder_const=4.0, grad_bound=4.0)

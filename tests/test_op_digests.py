@@ -1,5 +1,5 @@
 """The benchmark's op outputs, locked: one untimed pass of each workload at
-seed 601 gives the op digests recorded in ``data/op_digests.json``.
+seeds 601 and 7349 gives the op digests recorded in ``data/op_digests.json``.
 
 A speed change must leave every output bit-identical, and the digests are
 how the benchmark shows it.  Here the ops of ``bench/workloads.py`` run
@@ -7,9 +7,9 @@ outside its timed path (each op's call, then its check), so a change of
 output fails a test instead of waiting for a benchmark comparison.
 
 The digests depend on the numpy build and the machine, so the file holds
-one entry per ``(numpy version, machine)``.  Where none is recorded the
-test is skipped, naming the environment: nothing is compared there, and
-the skip says so.  Record an entry with
+one entry per ``(numpy version, machine)``, with the digests of every seed.
+Where none is recorded the test is skipped, naming the environment:
+nothing is compared there, and the skip says so.  Record an entry with
 
     PYTHONPATH=src python tests/test_op_digests.py
 
@@ -26,7 +26,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data" / "op_digests.json"
-SEED = 601
+SEEDS = (601, 7349)
 WORKLOADS = ("value", "certify", "repair")
 
 sys.path.insert(0, str(ROOT / "bench"))
@@ -38,20 +38,23 @@ def environment() -> dict:
 
 
 def digests(workload: str, workdir: Path) -> dict:
-    """Every op's digest from one untimed pass at ``SEED``, in op order; an
-    op whose check fails raises, naming it and its reason."""
+    """Every op's digest from one untimed pass at each of ``SEEDS``, per
+    seed (as a string) in op order; an op whose check fails raises, naming
+    it, its seed and its reason."""
     ctx = wl.prepare(workload, workdir)
     out = {}
-    for op in wl.make_ops(ctx, SEED):
-        outcome = op.check(op.call())
-        if not outcome.ok:
-            raise AssertionError(f"{op.name}: {outcome.reason}")
-        out[op.name] = outcome.digest
+    for seed in SEEDS:
+        got = out[str(seed)] = {}
+        for op in wl.make_ops(ctx, seed):
+            outcome = op.check(op.call())
+            if not outcome.ok:
+                raise AssertionError(f"{op.name} at seed {seed}: {outcome.reason}")
+            got[op.name] = outcome.digest
     return out
 
 
 def recorded() -> dict | None:
-    """This environment's digests per workload, or None."""
+    """This environment's digests per workload and seed, or None."""
     for entry in json.loads(DATA.read_text())["environments"]:
         if entry["environment"] == environment():
             return entry["digests"]
@@ -72,9 +75,11 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         got = {w: digests(w, Path(tmp) / w) for w in WORKLOADS}
-    data = json.loads(DATA.read_text()) if DATA.exists() else {"seed": SEED, "environments": []}
+    data = json.loads(DATA.read_text()) if DATA.exists() else {"environments": []}
+    data["seeds"] = list(SEEDS)
     data["environments"] = [e for e in data["environments"] if e["environment"] != environment()]
     data["environments"].append({"environment": environment(), "digests": got})
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {sum(map(len, got.values()))} op digests for {environment()} in {DATA}")
+    count = sum(len(ops) for per_seed in got.values() for ops in per_seed.values())
+    print(f"recorded {count} op digests for {environment()} in {DATA}")

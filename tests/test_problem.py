@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feastube import geometry as geo
 from feastube import ipc
 from feastube import problem as pb
 from feastube import trajectory as tj
@@ -475,12 +476,18 @@ def test_batched_rows_equal_rows_evaluated_alone(case):
     f(t[:, None], X, U) with one control row per point against f(t, x, u),
     and the velocities and running costs of a block of times, with f given t
     of shape (T, 1, 1) and the cost t of shape (T, 1) on the points
-    broadcast to (T, P, n), against each time's own call.  The repair's RK4
-    reuses the chosen velocity row as its first stage, its march evaluates a
-    block of steps at once, and the value sweep evaluates its slices in
-    blocks of times, on this basis."""
+    broadcast to (T, P, n), against each time's own call; the anchors over
+    per-point times and over the block, and the constraint gradients over a
+    batch of points at one time and at per-point times, against each one's
+    own call.  The repair's RK4 reuses the chosen velocity row as its first
+    stage, its march evaluates a block of steps at once, the value sweep
+    evaluates its slices in blocks of times, the distance and boundary
+    functions read their anchors in one call and the viability rule reads
+    the gradients of a run of steps in one call, on this basis."""
     p, t, X, ts, block = case
     H, Ht = p.constraint_values(t, X), p.constraint_values(ts, X)
+    A, D, Dt = p.anchors(ts), p.gradients(t, X), p.gradients(ts, X)
+    assert A.shape == X.shape and D.shape == Dt.shape == (len(X), p.m, p.n)
     u = p.controls.at(t)
     _, Vt = p.velocities(ts, X, 0, u)
     U = np.random.default_rng(len(X)).uniform(-1.0, 1.0, (len(X), p.controls.dim))
@@ -488,6 +495,9 @@ def test_batched_rows_equal_rows_evaluated_alone(case):
     for q, x in enumerate(X):
         assert H[q].tobytes() == p.constraint_values(t, x).tobytes()
         assert Ht[q].tobytes() == p.constraint_values(ts[q], x).tobytes()
+        assert A[q].tobytes() == p.anchors(ts[q]).tobytes()
+        assert D[q].tobytes() == p.gradients(t, x).tobytes()
+        assert Dt[q].tobytes() == p.gradients(ts[q], x).tobytes()
         assert Vt[:, q].tobytes() == p.velocities(ts[q], x, 0, u)[1].tobytes()
         assert FU[q].tobytes() == np.broadcast_to(
             np.asarray(p.f(ts[q], x, U[q]), dtype=float), x.shape).tobytes()
@@ -498,10 +508,12 @@ def test_batched_rows_equal_rows_evaluated_alone(case):
     u = p.controls.at(float(block[0]))
     _, VT = p.velocities(block[:, None], XT, 0, u)
     CT = p.costs(block[:, None], XT, 0, u)
+    AT = p.anchors(block)
     for i, ti in enumerate(block):
         u, V = p.velocities(ti, X)
         assert VT[:, i].tobytes() == V.tobytes()
         assert CT[:, i].tobytes() == p.costs(ti, X, 0, u).tobytes()
+        assert AT[i].tobytes() == p.anchors(ti).tobytes()
 
 
 def test_model_that_does_not_broadcast_over_times_is_named():
@@ -535,13 +547,57 @@ def test_model_that_does_not_broadcast_over_times_is_named():
     p = simple_problem(f, zero_cost, name="sine-drive")
     steps, dt, w = 500, 0.01, np.full((500, 1), 0.5)
     cert = ipc.IpcCertificate(r=1.0, delta=0.5, eps=0.5, eta=0.5, witnesses=(), n_samples=0)
+    B = tj._BLOCK
     for build in (lambda: tj.integrate(p, 0.0, [0.1], [2] * steps, steps, dt),
                   lambda: tj.integrate_controls(p, 0.0, [0.1], w, dt),
                   lambda: tj.filippov_project(p, 0.0, [0.1], w, steps, dt),
                   lambda: tj.viable_trajectory(p, cert, 0.0, [0.1], steps * dt, dt)):
-        with pytest.raises(ValueError, match=r"f of sine-drive does not broadcast over t of "
-                                             r"shape \(64,( 1)?\) and x of shape \(64, 1\)"):
+        with pytest.raises(ValueError, match=rf"f of sine-drive does not broadcast over t of "
+                                             rf"shape \({B},( 1)?\) and x of shape \({B}, 1\)"):
             build()
+
+    # anchor and grad take an array t only through numpy as well: every
+    # caller that reads the anchors or the gradients over an array of times
+    # names the datum instead of looping over the times
+    base = pb.get_problem("moving-wall-1d")
+    wall, floor = base.constraints
+
+    def grad(t, x):
+        return np.full(np.shape(x), 1.0 + 0.0 * math.sin(t))
+
+    p = dataclasses.replace(base, name="one-time-1d",
+                            anchor=lambda t: np.array([-0.5 + 0.0 * math.sin(t)]),
+                            constraints=(dataclasses.replace(wall, grad=grad), floor))
+    assert p.anchors(0.3).tolist() == [-0.5]
+    assert p.gradients(0.3, [0.2]).tolist() == [[1.0], [-1.0]]
+    anchor = r"anchor of one-time-1d does not broadcast over t of shape \(\d+,\): "
+    for call in (lambda: p.anchors(np.array([0.1, 0.2])),
+                 lambda: geo.max_distance_upper_along(p, [0.1, 0.2], [[1.5], [1.6]]),
+                 lambda: geo.boundary_samples(p, [0.1, 0.2])):
+        with pytest.raises(ValueError, match=anchor):
+            call()
+    gradient = (r"gradient of constraint 'wall' does not broadcast over t of shape \(\d+,\) "
+                r"and x of shape \(\d+, 1\): ")
+    for call in (lambda: p.gradients(np.array([0.1, 0.2]), np.zeros((2, 1))),
+                 lambda: tj.viable_trajectory(p, cert, 0.0, [0.999], 1.0, 0.01)):
+        with pytest.raises(ValueError, match=gradient):
+            call()
+
+
+def test_anchor_and_gradient_of_the_wrong_shape_are_named(moving_wall):
+    # a constant row over an array of times is the wrong shape: no per-time
+    # fallback repairs it
+    p = dataclasses.replace(moving_wall, name="flat-1d", anchor=lambda t: np.array([-0.5]))
+    with pytest.raises(ValueError, match=re.escape(
+            "anchor of flat-1d does not broadcast over t of shape (3,): "
+            "anchor returned shape (1,), expected (3, 1)")):
+        p.anchors(np.zeros(3))
+    wall = dataclasses.replace(moving_wall.constraints[0], grad=lambda t, x: np.ones(1))
+    q = dataclasses.replace(moving_wall, constraints=(wall,))
+    with pytest.raises(ValueError, match=re.escape(
+            "gradient of constraint 'wall' does not broadcast over t of shape () and x of "
+            "shape (4, 1): grad returned shape (1,), expected (4, 1)")):
+        q.gradients(0.0, np.zeros((4, 1)))
 
 
 def test_model_that_fails_over_the_points_is_named_at_one_time_too():

@@ -25,7 +25,8 @@ from feastube.problem import ConstraintFunction, ControlSamples
 import oracles
 from test_acceptance import _violating_reference
 from test_trajectory import _CERT_OF
-from util import affine_constraint, hold_reference, simple_problem, unit_velocity, zero_cost
+from util import (affine_constraint, hold_reference, over_times, simple_problem, unit_velocity,
+                  zero_cost)
 
 
 def sway_wall():
@@ -37,7 +38,8 @@ def sway_wall():
     wall = affine_constraint("wall", [1.0], lambda t: -(1.0 + 0.4 * np.sin(t)))
     floor = affine_constraint("floor", [-1.0], lambda t: -2.0 + 0.0 * t)
     return simple_problem(f, zero_cost, constraints=(wall, floor), M=1.8, phi=1.1,
-                          gamma=0.4, omega_lip=0.4, anchor=lambda t: np.array([-0.5]),
+                          gamma=0.4, omega_lip=0.4,
+                          anchor=lambda t: np.full(np.shape(t) + (1,), -0.5),
                           box=[[-2.5, 2.0]], name="sway-wall-1d")
 
 
@@ -196,16 +198,38 @@ def test_repair_work_per_node_is_bounded(name, request, monkeypatch):
 
 def test_hold_repair_work_per_node_does_not_grow(moving_wall, mw_cert, monkeypatch):
     """Each hold stays within the steps per node of the sweep that marched
-    every projected piece to its end, and the longest hold is the cheapest.
-    A sweep that re-projects the tail after every corrected piece grows
-    with the length and fails both."""
-    per_node = []
+    every projected piece to its end, computed here by marching without
+    ``holds``: a stopped projection keeps a prefix of its piece.  And the
+    longest hold is the cheapest: a sweep that re-projects the tail after
+    every corrected piece grows with the length and fails it."""
+    march = tj._march
+
+    def to_the_end(*args, holds=None, **kwargs):
+        return march(*args, **kwargs)
+
+    per_node, caps = [], []
     for steps in (2000, 4000, 8000):
         ref = hold_reference(moving_wall, np.random.default_rng(steps), steps)
         cons = tj.derive_nft_constants(moving_wall, mw_cert, steps * ref.step)
         per_node.append(_steps_per_node(moving_wall, mw_cert, ref, cons, monkeypatch))
-    assert all(w <= cap for w, cap in zip(per_node, (1.6731, 1.5261, 1.2338))), per_node
+        with monkeypatch.context() as m:
+            m.setattr(tj, "_march", to_the_end)
+            caps.append(_steps_per_node(moving_wall, mw_cert, ref, cons, monkeypatch))
+    assert all(w <= cap for w, cap in zip(per_node, caps)), (per_node, caps)
     assert per_node[2] <= per_node[0], per_node
+
+
+def test_hold_repair_projects_each_piece_in_one_block(moving_wall, mw_cert, monkeypatch):
+    """A block holds a whole repair piece (78 steps on moving-wall-1d at
+    dt = 1e-3), so each nearest-velocity march of a hold repair (its
+    projections and its replays) is one block: 29, 60 and 109 marches on
+    the 2k, 4k and 8k holds.  Blocks of 64 steps make 43, 101 and 201."""
+    for steps in (2000, 4000, 8000):
+        ref = hold_reference(moving_wall, np.random.default_rng(steps), steps)
+        cons = tj.derive_nft_constants(moving_wall, mw_cert, steps * ref.step)
+        work = _march_work(lambda: tj.nft_correct(moving_wall, mw_cert, ref, constants=cons),
+                           monkeypatch, tj._Nearest)
+        assert work["marches"] > 20 and work["blocks"] <= work["marches"], work
 
 
 def test_hold_repair_decides_its_steps_in_the_tube_in_blocks(moving_wall, mw_cert, monkeypatch):
@@ -224,21 +248,19 @@ def test_hold_repair_decides_its_steps_in_the_tube_in_blocks(moving_wall, mw_cer
         assert work["kept"] + work["alone"] == work["steps"], work
 
 
-def test_hold_repair_checks_its_steps_in_the_tube_in_few_calls(moving_wall, mw_cert,
-                                                                monkeypatch):
-    """The viable marches of a hold repair evaluate each constraint about
-    2.2 times per block: once at the block's guesses, once after its first
-    step in the tube, which measures the shift of a push, and once to check
-    the predicted pattern of the block's later steps in the tube.  A walk
-    that evaluates the constraints again after every step in the tube
-    evaluates them 7 to 8 times per block here."""
+def _viable_calls(moving_wall, mw_cert, monkeypatch, datum):
+    """Per hold (2k, 4k and 8k steps): the calls of each constraint's
+    ``datum`` (``h`` or ``grad``) made inside ``_Viable`` marches of its
+    repair, by constraint name, and ``_march_work`` of those marches."""
     calls, viable = Counter(), {"now": False}
 
     def counted(c):
-        def h(t, x):
+        fn = getattr(c, datum)
+
+        def call(t, x):
             calls[c.name] += viable["now"]
-            return c.h(t, x)
-        return dataclasses.replace(c, h=h)
+            return fn(t, x)
+        return dataclasses.replace(c, **{datum: call})
 
     p = dataclasses.replace(moving_wall, constraints=tuple(map(counted, moving_wall.constraints)))
     march = tj._march
@@ -258,16 +280,41 @@ def test_hold_repair_checks_its_steps_in_the_tube_in_few_calls(moving_wall, mw_c
             m.setattr(tj, "_march", marching)
             work = _march_work(lambda: tj.nft_correct(p, mw_cert, ref, constants=cons),
                                monkeypatch, tj._Viable)
-        assert work["blocks"] > 40, work
+        yield calls, work
+
+
+def test_hold_repair_checks_its_steps_in_the_tube_in_few_calls(moving_wall, mw_cert,
+                                                                monkeypatch):
+    """The viable marches of a hold repair evaluate each constraint about
+    2.0 times per block: once at the block's guesses, once after its first
+    step in the tube, which measures the shift of a push, and once to check
+    the predicted pattern of the block's later steps in the tube.  A walk
+    that evaluates the constraints again after every step in the tube
+    evaluates them 7 to 8 times per block here."""
+    for calls, work in _viable_calls(moving_wall, mw_cert, monkeypatch, "h"):
+        assert work["blocks"] >= 30, work
         assert calls["wall"] == calls["floor"] <= 2.5 * work["blocks"], (calls, work)
 
 
-@pytest.mark.parametrize("steps", [2, 64, 65, 1000, 3000])
+def test_hold_repair_reads_its_gradients_in_the_tube_in_few_calls(moving_wall, mw_cert,
+                                                                   monkeypatch):
+    """The viable marches of a hold repair read every constraint's gradient
+    once per run of checked steps in the tube, about 2.0 times per block.
+    Reading the active gradients at each step's game reads the wall's 6.4
+    to 7.4 times per block here, and the floor's never."""
+    for calls, work in _viable_calls(moving_wall, mw_cert, monkeypatch, "grad"):
+        assert work["blocks"] >= 30, work
+        assert calls["wall"] == calls["floor"] <= 2.5 * work["blocks"], (calls, work)
+
+
+@pytest.mark.parametrize("steps", [2, 64, 65, tj._BLOCK, tj._BLOCK + 1, 1000, 3000])
 def test_viable_march_off_the_tube_takes_one_block_per_64_steps(moving_wall, mw_cert,
                                                                  steps, monkeypatch):
-    """A viable march that never reaches the tube keeps whole blocks of 64
-    steps from one ``constraint_values`` call each (two more check the path's
-    ends); a lone last step runs alone."""
+    """A viable march that never reaches the tube keeps whole blocks of
+    ``_BLOCK`` steps from one ``constraint_values`` call each (two more
+    check the path's ends); a lone last step runs alone.  (The name keeps
+    the block length of its first version; 64 and 65 steps stay as cases
+    of a march shorter than a block.)"""
     calls = Counter()
 
     def counted(c):
@@ -280,8 +327,8 @@ def test_viable_march_off_the_tube_takes_one_block_per_64_steps(moving_wall, mw_
     t0, dt = 1.0, 1e-3
     work = _march_work(lambda: tj.viable_trajectory(p, mw_cert, t0, p.anchor(t0),
                                                     t0 + steps * dt, dt), monkeypatch, tj._Viable)
-    assert work["blocks"] + work["alone"] == math.ceil(steps / 64), work
-    assert work["alone"] == (steps % 64 == 1)
+    assert work["blocks"] + work["alone"] == math.ceil(steps / tj._BLOCK), work
+    assert work["alone"] == (steps % tj._BLOCK == 1)
     assert calls["wall"] == calls["floor"] == work["blocks"] + 2 + work["alone"]
 
 
@@ -405,7 +452,7 @@ def _bowl(kappa, amp):
         return kappa * (x * x - (0.5 + amp * np.sin(t)) ** 2)
 
     def grad(t, x):
-        return 2.0 * kappa * np.asarray(x, dtype=float)
+        return over_times(t, 2.0 * kappa * np.asarray(x, dtype=float))
 
     bowl = ConstraintFunction(h=h, grad=grad, holder_theta=0.5, holder_const=0.0,
                               grad_bound=4.0 * kappa, name="bowl")
@@ -502,19 +549,20 @@ def test_predicted_tube_steps_are_checked(case, monkeypatch):
 
 # --- shared control samples -------------------------------------------------------
 
-# Sampler draws (ControlSamples.at calls) before ControlSamples.shared held
-# the rule of which times share their samples, when the sweep and the two
-# march rules each kept a loop of their own: per swinging wall and start
-# time, its viable march and its repair.  Each such call drew once.
-_AT_CALLS = {"sweep": 200, "relaxed sweep": 200, "hold": 2364,
+# Sampler draws (ControlSamples.at calls), as measured with blocks of 256
+# steps: per swinging wall and start time, its viable march and its repair.
+# Each such call drew once.  The hold and the last repair draw more than
+# with blocks of 64 steps (2,364 and 723): a projection that stops at its
+# first run of steps that cannot pass has drawn its whole piece's samples.
+_AT_CALLS = {"sweep": 200, "relaxed sweep": 200, "hold": 2546,
              (("wall", 2.0, 0.3), 4.0): (104, 835), (("wall", 3.0, 0.25), 0.5): (125, 818),
-             (("wall", 1.0, 0.4), 2.0): (76, 723)}
+             (("wall", 1.0, 0.4), 2.0): (76, 779)}
 
 
 def test_shared_samples_make_no_more_at_calls(hover, moving_wall, mw_cert, monkeypatch):
     """The value sweep and the projection's and viability's march rules
     decide which times share their samples with ``ControlSamples.shared``,
-    and draw samples no more often than their own loops did."""
+    and draw samples no more often than ``_AT_CALLS`` records."""
     calls = Counter()
     draw = ControlSamples._draw
 

@@ -8,7 +8,10 @@ dataclass field keeps a default that no call sets: such a parameter is a
 setting that nothing exercises.  Every name the package exports is used by
 the package itself, the benchmark, the demos or README's examples, or is
 kept for a stated reason.  The one gather in the package is
-``value._apply_stencil``'s, so that the value sweep has one apply."""
+``value._apply_stencil``'s, so that the value sweep has one apply.  A
+problem's ``anchor`` and its constraints' ``grad`` are read only by
+``ProblemDefinition.anchors`` and ``gradients``, which check their shapes
+and take arrays of times."""
 
 import ast
 import re
@@ -386,3 +389,36 @@ def test_gathers_are_found():
             "grab = lambda a: a.take([0])\n"
             "def keep(a, take):\n    return a.taken, a[[0]], take(a), np.take_along_axis\n")
     assert list(_gathers(ast.parse(code))) == ["<module>", "apply", "inner", "<lambda>"]
+
+
+def _data_reads(node: ast.AST, where: tuple = ()):
+    """``(attribute, where)`` for each read of an attribute named ``anchor``
+    or ``grad`` under ``node`` (``p.anchor(t)``, ``fn = c.grad``), in source
+    order; ``where`` names the classes and functions around it, outermost
+    first, joined by dots (``<lambda>`` for a lambda, empty at module
+    level)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and child.attr in ("anchor", "grad"):
+            yield child.attr, ".".join(where)
+        scope = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda))
+        yield from _data_reads(child, where + (getattr(child, "name", "<lambda>"),)
+                               if scope else where)
+
+
+def test_anchor_and_grad_are_read_only_by_their_batched_methods():
+    found = [(attr, f"{path.stem}.{where}") for path in sorted(SRC.rglob("*.py"))
+             for attr, where in _data_reads(ast.parse(path.read_text(), str(path)))]
+    assert found == [("anchor", "problem.ProblemDefinition.anchors"),
+                     ("grad", "problem.ProblemDefinition.gradients")]
+
+
+def test_data_reads_are_found():
+    code = ("a = p.anchor(0.0)\n"
+            "class Rule:\n    def step(self, c):\n        return c.grad(0.0, self.x)\n"
+            "def outer(p):\n    def inner():\n        return p.anchor\n    return inner\n"
+            "near = lambda c, x: c.grad(1.0, x)\n"
+            "def keep(c, grad, anchor):\n"
+            "    return c.grad_bound, c.anchors(0.0), grad(0.0, 1.0), anchor, c.gradients\n")
+    assert list(_data_reads(ast.parse(code))) == [
+        ("anchor", ""), ("grad", "Rule.step"), ("anchor", "outer.inner"), ("grad", "<lambda>")]

@@ -38,6 +38,7 @@ from util import (
     corner_problem,
     credit_problem,
     drift_problem,
+    over_times,
     signed_zero_problem,
     simple_problem,
     steady_sway_problem,
@@ -943,8 +944,9 @@ def test_nonfinite_wall_named_as_the_per_slice_loop_named_it():
             hole[(np.broadcast_to(t, hole.shape) == tb) & (j == jb)] = np.nan
         return x - 1.5 + 0.0 * t + hole
 
-    wall = pb.ConstraintFunction(h=h, grad=lambda t, x: np.ones_like(x), holder_theta=0.5,
-                                 holder_const=0.0, grad_bound=1.0, name="leaky")
+    wall = pb.ConstraintFunction(h=h, grad=lambda t, x: over_times(t, np.ones_like(x)),
+                                 holder_theta=0.5, holder_const=0.0, grad_bound=1.0,
+                                 name="leaky")
     p = simple_problem(unit_velocity, zero_cost, constraints=(wall,), lam=3.0)
     g = val.grid_for(p, 41, 0.1, t0=0.3)
     with pytest.raises(NonFiniteConstraint) as loop:
@@ -1415,7 +1417,8 @@ def _walled_sweeps(draw):
             close = np.abs(np.asarray(x, dtype=float) - near).max(axis=-1) <= reach
             return np.where((np.abs(t - at) < dt / 2) & close, 1.0, -1.0)
 
-        walls.append(pb.ConstraintFunction(h=h, grad=lambda t, x: np.zeros_like(x),
+        walls.append(pb.ConstraintFunction(h=h,
+                                           grad=lambda t, x: over_times(t, np.zeros_like(x)),
                                            holder_theta=0.5, holder_const=0.0, grad_bound=0.0,
                                            name="strand"))
     spoil = feasible_node() if draw(st.booleans()) else None

@@ -40,6 +40,14 @@ def certify_args(name):
             "--seed", "7"]
 
 
+def over_times(t, g):
+    """A copy of the gradient rows ``g`` broadcast over the times ``t`` that
+    ``grad`` receives, so that a ``grad`` of the state alone broadcasts over
+    an array ``t`` as ``ProblemDefinition.gradients`` requires."""
+    g = np.asarray(g, dtype=float)
+    return np.broadcast_to(g, np.broadcast_shapes(np.shape(t), g.shape)).copy()
+
+
 def _affine(name, coeff, offset):
     cvec = np.asarray(coeff, dtype=float)
 
@@ -49,7 +57,7 @@ def _affine(name, coeff, offset):
         return (np.asarray(x, dtype=float) * cvec).sum(axis=-1) + offset(t)
 
     def grad(t, x):
-        return np.broadcast_to(cvec, np.asarray(x, dtype=float).shape).copy()
+        return over_times(t, np.broadcast_to(cvec, np.shape(x)))
 
     return ConstraintFunction(h=h, grad=grad, holder_theta=0.5, holder_const=0.0,
                               grad_bound=float(np.linalg.norm(cvec)), name=name)
@@ -91,7 +99,8 @@ def simple_problem(
         name=name, n=n, f=f, running_cost=running_cost, lam=lam,
         controls=controls, constraints=tuple(constraints), data=data,
         default_control=np.zeros(controls.dim),
-        anchor=(anchor or (lambda t: np.zeros(n))), box=np.asarray(box, dtype=float),
+        anchor=(anchor or (lambda t: np.zeros(np.shape(t) + (n,)))),
+        box=np.asarray(box, dtype=float),
     )
 
 
