@@ -8,7 +8,6 @@ from .geometry import (
     active_set,
     distance_to_omega,
     eval_constraints,
-    omega_lipschitz_estimate,
 )
 from .ipc import (
     IpcCertificate,

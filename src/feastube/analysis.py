@@ -256,7 +256,8 @@ def decay_check(
     x0n = float(np.linalg.norm(traj.states[0]))
     times = field.times[(field.times >= traj.t0 - 1e-9) & (field.times <= traj.t1 + 1e-9)]
     if times.size == 0:
-        raise TrajectoryOutOfGrid("trajectory does not overlap the field horizon")
+        raise TrajectoryOutOfGrid(f"trajectory does not overlap the field horizon: path "
+                                  f"[{traj.t0}, {traj.t1}], field [{field.t0}, {field.times[-1]}]")
     states = traj.state_at(times)
 
     def along(n: int) -> Array:
@@ -322,7 +323,9 @@ def relaxation_gap(fieldV: ValueField, fieldVstar: ValueField) -> GapResult:
     to the solver tolerance.
     """
     if not fieldV.compatible_with(fieldVstar):
-        raise GridMismatch("fields must share grid, horizon, and discount")
+        raise GridMismatch(
+            f"fields must share grid, horizon, and discount: (shape, lambda, t0, dt) "
+            f"{[(g.values.shape, g.lam, g.t0, g.dt) for g in (fieldV, fieldVstar)]}")
     common = np.isfinite(fieldV.values) & np.isfinite(fieldVstar.values)
     if not common.any():
         return GapResult(0.0, 0.0, 0.0, 0, True)

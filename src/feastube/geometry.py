@@ -1,4 +1,4 @@
-"""Constraint-set geometry: membership, active sets, distances, moving-set rate.
+"""Constraint-set geometry: membership, active sets, distances, boundary samples.
 
 The feasible set at time ``t`` is the intersection of the sublevel sets
 ``h_i(t, .) <= 0``.  Everything here derives from one kernel,
@@ -320,59 +320,6 @@ def _directions(n: int, count: int = 24) -> Array:
     d = rng.standard_normal((max(count, 4 * n), n))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     return np.vstack([np.eye(n), -np.eye(n), d])
-
-
-@dataclass(frozen=True)
-class OmegaLipschitzReport:
-    L_hat: float
-    bound: float
-    passed: bool
-    worst: dict
-
-    def to_jsonable(self) -> dict:
-        return {"L_hat": float(self.L_hat), "bound": float(self.bound),
-                "passed": self.passed, "worst": self.worst}
-
-
-def omega_lipschitz_estimate(
-    p: ProblemDefinition,
-    horizon: tuple[float, float],
-    time_samples: int = 25,
-    seed: int = 0,
-) -> OmegaLipschitzReport:
-    """Estimate the Lipschitz rate of the moving feasible set.
-
-    L_hat = max over sampled (s, t, x in Omega(s)), with 60 seeded points x
-    in the box, of dist(x, Omega(t)) / |s - t|, compared against the
-    declared rate with relative slack 0.05.  The distances are
-    ``distances_upper_along``'s upper bounds, over a time pair's points at
-    once; an infeasible anchor raises ``InfeasibleInput`` naming its time.
-    """
-    t0, t1 = horizon
-    if not t1 > t0:
-        raise ValueError("horizon must be nondegenerate")
-    ts = np.linspace(t0, t1, time_samples)
-    rng = np.random.default_rng(seed)
-    lo, hi = p.box[:, 0], p.box[:, 1]
-    pts = lo + rng.random((60, p.n)) * (hi - lo)
-
-    L_hat, worst = 0.0, {}
-    pairs = [(i, i + k) for k in (1, 2, 4) for i in range(len(ts) - k)]
-    pairs += [(j, i) for i, j in pairs]  # set-valued Lipschitz is two-sided
-    for i, j in pairs:
-        s, t = float(ts[i]), float(ts[j])
-        sel = pts[feasible_mask(p, s, pts)]
-        if not len(sel):
-            continue
-        d = distances_upper_along(p, np.full(len(sel), t), sel)
-        ratios = d / abs(t - s)
-        k = int(np.argmax(ratios))       # the first worst point
-        if ratios[k] > L_hat:
-            L_hat = float(ratios[k])
-            worst = {"s": s, "t": t, "x": [float(v) for v in sel[k]],
-                     "distance": float(d[k]), "ratio": L_hat}
-    passed = L_hat <= p.data.omega_lip * 1.05 + 1e-12
-    return OmegaLipschitzReport(L_hat, p.data.omega_lip, passed, worst)
 
 
 def boundary_samples(p: ProblemDefinition, times, n_dirs: int = 24) -> tuple[Array, Array]:

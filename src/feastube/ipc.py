@@ -161,7 +161,7 @@ def _constant_caps(p: ProblemDefinition, r: float, delta: float):
     """
     L = float(p.grad_bounds().max(initial=0.0))
     if L <= 0:
-        raise NoFeasibleConstants("no constraint with positive gradient bound")
+        raise NoFeasibleConstants(f"no constraint with positive gradient bound: {p.grad_bounds()}")
     M = p.data.M
     phi = p.data.phi.sup()
     kh = max((c.holder_const for c in p.constraints), default=0.0)
@@ -260,7 +260,7 @@ def verify_ipc(
     if not delta > 0:
         raise ValueError(f"delta must be positive, got delta={delta}")
     if p.m == 0:
-        raise BoundarySamplingFailed("no constraints: the margin condition is vacuous")
+        raise BoundarySamplingFailed(f"no constraints: the margin condition is vacuous ({p.name})")
     t0, t1 = horizon
     ts, X = boundary_samples(p, np.linspace(t0, t1, n_time), n_dirs)
     records: list[tuple[float, float, Array, Array, Array]] = []
@@ -277,7 +277,8 @@ def verify_ipc(
                 alpha = alpha.copy()
                 records.append((r, t, x, alpha, alpha @ vels))
     if not records:
-        raise BoundarySamplingFailed("boundary sampler found no boundary points")
+        raise BoundarySamplingFailed(f"boundary sampler found no boundary points: {n_time} times "
+                                     f"in [{t0}, {t1}], {n_dirs} directions")
     records.sort(key=lambda rec: rec[0])
     r_obs = records[0][0]
     worst = {

@@ -20,9 +20,11 @@ slices in one call, the viability rule a run of steps); so must
 that does not raises ``ValueError`` naming it.  The shipped benchmarks
 follow these conventions.  Only ``ProblemDefinition`` methods evaluate the
 data: ``velocities`` and ``costs`` put the sampled controls on a leading axis
-(``(k, ..., n)`` and ``(k, ...)``), ``constraint_values`` stacks every ``h``
-on a last axis, ``gradients`` every ``grad`` on the axis before the last
-(``(..., m, n)``), and ``anchors`` gives ``anchor``'s points.  A result of
+(``(k, ..., n)`` and ``(k, ...)``), ``velocity_rows`` gives ``f`` at one
+time, state and control per row (a path's steps), ``constraint_values``
+stacks every ``h`` on a last axis, ``gradients`` every ``grad`` on the axis
+before the last (``(..., m, n)``), and ``anchors`` gives ``anchor``'s
+points; ``ControlSamples`` alone calls the sampler.  A result of
 the wrong shape raises ``ValueError``; a non-finite constraint value,
 ``-inf`` included, raises ``NonFiniteConstraint``.
 
@@ -32,8 +34,9 @@ each point's row of ``constraint_values``, of ``velocities`` and of
 ``gradients`` over a batch is that point's own, at one time or at per-point
 times, each time's row of ``anchors`` is that time's own call, each time's
 rows of ``velocities`` and ``costs`` over a block of times are that time's
-own call, and row ``i`` of ``f(t[:, None], X, U)`` (one time, state and
-control per row, as a path's march calls it) is ``f(t[i], X[i], U[i])``.
+own call, and row ``i`` of ``velocity_rows(t[:, None], X, U)`` (one time,
+state and control per row, as a path's march calls it) is
+``f(t[i], X[i], U[i])``.
 The march reuses the chosen velocity row as RK4's first stage and evaluates
 a block of steps at once, and the batched geometry kernels, the anchors of
 the distance and boundary functions, the margin check's calls per sampled
@@ -47,6 +50,11 @@ shipped walls keep ``x @ c``, because their coefficients are 0 and +-1:
 every product is exact, so no summation order can change a row.  Data
 without the property keep every guarantee within its tolerance, but not
 bit-identity.
+
+``verify_data_assumptions`` falsifies the declared data on samples: the
+bounds and moduli of ``(f, L)``, each constraint's ``grad_bound`` and the
+rate ``omega_lip`` of the moving set, which the viability rule's tube
+trusts.  A failure names its witness; a pass is no proof.
 """
 
 from __future__ import annotations
@@ -298,7 +306,7 @@ class ProblemDefinition:
 
     def __post_init__(self) -> None:
         if self.lam <= 0:
-            raise InvalidOverrideValue("discount rate must be positive")
+            raise InvalidOverrideValue(f"discount rate must be positive, got lambda={self.lam}")
         dc = np.asarray(self.default_control, dtype=float).reshape(-1)
         dc.setflags(write=False)
         object.__setattr__(self, "default_control", dc)
@@ -330,6 +338,19 @@ class ProblemDefinition:
         entry.  A caller that writes into them copies them first."""
         u = self.controls.at(t, level) if u is None else u
         return u, _per_control(self.f, t, X, u, (self.n,), "f", self.name)
+
+    def velocity_rows(self, t: Array, X: Array, U: Array) -> Array:
+        """``f`` at one time, state and control per row, in one call, as a
+        path's march takes its steps: with ``t`` of shape (b, 1), ``X``
+        (b, n) and ``U`` (b, d), row ``i`` is ``f(t[i], X[i], U[i])``.  The
+        result has ``X``'s shape, a read-only broadcast where ``f`` left an
+        axis out.  An ``f`` that fails over these rows raises ValueError
+        naming it."""
+        try:
+            k = np.asarray(self.f(t, X, U), dtype=float)
+            return k if k.shape == X.shape else np.broadcast_to(k, X.shape)
+        except (TypeError, ValueError) as exc:
+            raise _no_broadcast(f"f of {self.name}", t, X, exc) from exc
 
     def costs(self, t, X, level: int = 0, u: Array | None = None) -> Array:
         """Running costs of the sampled controls at points ``X`` of shape
@@ -770,27 +791,57 @@ def verify_data_assumptions(
 ) -> AssumptionReport:
     """Sampled falsification of the standing data assumptions.
 
-    Checks boundedness of ``(f, L)`` on the boundary tube, the state-Lipschitz
-    ratio against ``k(t)``, the growth envelope ``c(t)(1+|x|)``, boundedness
-    of the running average of ``c + k``, and the affine majorant ``a1*t+a2``
-    of the integral of ``c``; a non-finite constraint value at a sampled
-    point fails the tube check, and a non-finite ``f`` or ``L`` fails the
-    first three, each naming its first failing sample in (t, x, u) order.
-    Otherwise a witness is the first worst sample in (t, x) order.  Failures
-    are report entries, never raises.  More ``space_points`` keep every
-    failure found with fewer at the same times (point sequences are
-    prefixes of a seeded stream); more ``time_points`` do not, as the
-    sampled times are ``np.linspace(0, horizon, time_points)``, and a grid
-    of ``N`` times lies in one of ``N'`` only when ``N' - 1`` is a multiple
-    of ``N - 1``.
+    The samples are the times ``np.linspace(0, horizon, time_points)``, the
+    first ``space_points`` points of a stream seeded by ``seed`` in the box,
+    and the controls of ``level`` at each time.  The checks, in report order:
 
-    A pass makes one ``velocities``, one ``costs`` and one
-    ``constraint_values`` call over all the points per block of times that
-    share their control samples (``ControlSamples.runs``), a block holding
-    at most ``_SAMPLE_BLOCK`` velocity values; ``f``, ``L`` and the
-    constraints must broadcast over an array ``t``, and a model that does
-    not raises the ``ValueError`` naming it.  Every check is a few array
-    expressions over those calls' results.
+    - ``tube-bounded``: ``|f|_1 + |L|`` at the points within ``alpha`` of
+      the boundary (by the proxy ``min_i |h_i| / grad_bound_i``);
+    - ``lipschitz-x``: ``|f(x)-f(y)| + |L(x)-L(y)| <= k(t)|x-y|`` over
+      consecutive sampled points;
+    - ``growth``: ``|f| + |L| <= c(t)(1+|x|)``;
+    - ``avg-modulus``: the running average of ``c + k`` stays finite;
+    - ``affine-majorant``: ``int_0^t c <= a1*t + a2`` at the sampled times;
+    - ``grad-bound``: ``|grad h_i(t, x)| <= grad_bound_i`` at every sampled
+      ``(t, x)``, with a relative slack of 1e-9; a non-finite gradient fails
+      it as ``|grad h_i| = inf``.  The witness is the first worst ``(t, x)``,
+      its ``value`` ``|grad h_i|`` and its ``bound`` ``grad_bound_i``;
+    - ``omega-lip``: the declared rate ``omega_lip`` of the moving set.  A
+      point ``x`` lies in ``Omega(s)`` when ``max_i h_i(s, x) <= 0``, and
+      ``dist(x, Omega(t)) >= max_i h_i(t, x)+ / grad_bound_i`` when every
+      gradient bound holds.  Over every ordered pair of sampled times with
+      ``x`` in ``Omega(s)`` but not in ``Omega(t)``, that lower bound over
+      ``|s - t|`` exceeds ``omega_lip + 1e-9`` only at a counterexample,
+      provided ``grad-bound`` passes.  The largest ratio is read at the
+      nearest such ``s`` (the earlier on a tie), from the tube check's
+      constraint values; its witness gives ``t`` as the pair ``[s, t]``,
+      ``x``, the ratio as ``value`` and ``omega_lip`` as ``bound``.  With no
+      such pair the witness is ``value`` 0 against the bound, so a static
+      set reads exactly 0.
+
+    A non-finite constraint value at a sampled point fails ``tube-bounded``
+    and ``omega-lip``, and a non-finite ``f`` or ``L`` fails the first
+    three, each naming its first failing sample in (t, x, u) order.
+    Otherwise a witness is the first worst sample in (t, x) order.  Without
+    constraints ``tube-bounded``, ``grad-bound`` and ``omega-lip`` are
+    vacuous.  Failures are report entries, never raises, and a pass is no
+    proof: every check reads only its samples.  More ``space_points`` keep
+    every failure found with fewer at the same times (point sequences are
+    prefixes of a seeded stream).  More ``time_points`` keep them when the
+    grid of ``N'`` times holds that of ``N``: ``N' - 1`` must be a multiple
+    of ``N - 1``, and ``np.linspace`` gives the shared times the same bits
+    when the multiple is a power of two (at other multiples it may round
+    some of them differently).  ``omega-lip`` then counts all pairs, and the
+    nearest time at which a point is feasible can only come closer.
+
+    A pass makes one ``velocities``, one ``costs``, one
+    ``constraint_values`` and one ``gradients`` call over all the points
+    per block of times that share their control samples
+    (``ControlSamples.runs``), a block holding at most ``_SAMPLE_BLOCK``
+    velocity values; ``f``, ``L``, the constraints and their gradients must
+    broadcast over an array ``t``, and a model that does not raises the
+    ``ValueError`` naming it.  Every check is a few array expressions over
+    those calls' results.
     """
     spec = samples or SamplingSpec()
     rng = np.random.default_rng(seed)
@@ -844,18 +895,23 @@ def verify_data_assumptions(
         checks.append(AssumptionCheck("tube-bounded", "vacuous", _witness()))
     else:
         gb = np.maximum(p.grad_bounds(), 1e-12)
-        tube, h_failure = np.zeros((len(times), len(pts)), dtype=bool), None
+        # H and the gradient norms (T, P, m) also serve grad-bound and omega-lip;
+        # H is laid out as (m, T, P), so that a reduction over the constraints is
+        # elementwise, and from the first non-finite h on it stays inf, out of the tube
+        H = np.moveaxis(np.full((p.m, len(times), len(pts)), math.inf), 0, -1)
+        norms, h_failure = np.empty(H.shape), None
         for a, b in zip(starts, starts[1:] + [len(times)]):
+            norms[a:b] = summed_norms(p.gradients(times[a:b, None], pts[None]))
+            if h_failure is not None:
+                continue
             try:
-                hv = p.constraint_values(times[a:b, None], pts[None])
+                H[a:b] = p.constraint_values(times[a:b, None], pts[None])
             except NonFiniteConstraint as exc:  # a NaN h would drop the point from the tube
                 h_failure = _witness(exc.t, exc.x)
                 b = a + int(np.argmax(times[a:b] == exc.t))     # the times before it count
                 if b > a:
-                    tube[a:b] = np.min(np.abs(p.constraint_values(times[a:b, None], pts[None]))
-                                       / gb, axis=-1) <= p.data.alpha
-                break
-            tube[a:b] = np.min(np.abs(hv) / gb, axis=-1) <= p.data.alpha
+                    H[a:b] = p.constraint_values(times[a:b, None], pts[None])
+        tube = np.min(np.abs(H) / gb, axis=-1) <= p.data.alpha
         failure = nonfinite(tube) or h_failure
         if failure:
             checks.append(AssumptionCheck("tube-bounded", "fail", failure))
@@ -893,22 +949,47 @@ def verify_data_assumptions(
     avgs = [(p.data.c.integral(0, t) + p.data.k.integral(0, t)) / t for t in avg_ts]
     j = int(np.argmax(avgs))
     ok = math.isfinite(avgs[j])
-    checks.append(
-        AssumptionCheck(
-            "avg-modulus", "pass" if ok else "fail",
-            _witness(avg_ts[j], None, None, avgs[j], None),
-        )
-    )
+    checks.append(AssumptionCheck("avg-modulus", "pass" if ok else "fail",
+                                  _witness(avg_ts[j], None, None, avgs[j], None)))
 
     # Affine majorant of the growth integral: int_0^t c <= a1*t + a2.
-    worst_slack, worst_w, ok = -math.inf, _witness(), True
-    for t in times:
-        lhs = p.data.c.integral(0, t)
-        rhs = p.data.a1 * t + p.data.a2
-        if lhs - rhs > worst_slack:
-            worst_slack, worst_w = lhs - rhs, _witness(t, None, None, lhs, rhs)
-        if lhs > rhs + 1e-9:
-            ok = False
-    checks.append(AssumptionCheck("affine-majorant", "pass" if ok else "fail", worst_w))
+    lhs = np.array([p.data.c.integral(0, t) for t in times])
+    rhs = p.data.a1 * times + p.data.a2
+    j = int(np.argmax(lhs - rhs))
+    checks.append(AssumptionCheck("affine-majorant", "fail" if (lhs > rhs + 1e-9).any()
+                                  else "pass", _witness(times[j], None, None, lhs[j], rhs[j])))
 
+    if p.m == 0:
+        checks += [AssumptionCheck(c, "vacuous", _witness()) for c in ("grad-bound", "omega-lip")]
+        return AssumptionReport(tuple(checks))
+
+    # |grad h_i| <= grad_bound_i; a non-finite gradient counts as |grad h_i| = inf.
+    norm, bounds = np.where(np.isfinite(norms), norms, math.inf), p.grad_bounds()
+    score = norm - bounds * (1 + 1e-9)
+    i, q, c = np.unravel_index(int(np.argmax(score)), score.shape)
+    checks.append(AssumptionCheck("grad-bound", "pass" if score[i, q, c] <= 0 else "fail",
+                                  _witness(times[i], pts[q], None, norm[i, q, c], bounds[c])))
+
+    # The moving set's rate: x in Omega(s) \ Omega(t) has dist(x, Omega(t)) at
+    # least max_i h_i(t, x)+ / grad_bound_i, over |s - t| at the nearest such s.
+    if h_failure:
+        checks.append(AssumptionCheck("omega-lip", "fail", h_failure))
+        return AssumptionReport(tuple(checks))
+    feas = H.max(axis=-1) <= 0.0
+    lower = np.max(np.maximum(H, 0.0) / gb, axis=-1)
+    # the last time at or before t at which x is feasible (-1 for none), the
+    # first at or after it (T for none) and the nearer of the two, the earlier
+    # on a tie: other times than t wherever x is infeasible at t
+    T, idx = len(times), np.arange(len(times))[:, None]
+    prev = np.maximum.accumulate(np.where(feas, idx, -1), axis=0)
+    nxt = np.minimum.accumulate(np.where(feas, idx, T)[::-1], axis=0)[::-1]
+    edge = np.concatenate(([-math.inf], times, [math.inf]))     # times[k] at k + 1
+    near = np.where(times[:, None] - edge[prev + 1] <= edge[nxt + 1] - times[:, None], prev, nxt)
+    gap = np.abs(times[:, None] - edge[near + 1])
+    ratio = np.divide(lower, gap, out=np.full_like(gap, -math.inf), where=~feas & (gap < math.inf))
+    i, q = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+    witness = (_witness(value=0.0, bound=p.data.omega_lip) if ratio[i, q] == -math.inf else
+               _witness(times[[near[i, q], i]], pts[q], None, ratio[i, q], p.data.omega_lip))
+    checks.append(AssumptionCheck(
+        "omega-lip", "fail" if ratio[i, q] > p.data.omega_lip + 1e-9 else "pass", witness))
     return AssumptionReport(tuple(checks))

@@ -25,7 +25,7 @@ def _run(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, max_iter: int) -> N
         col = T[:, j]
         rows = np.where(col > _PIVOT_TOL * max(1.0, float(np.abs(col).max())))[0]
         if rows.size == 0:
-            raise LpFailure("LP unbounded; the margin game must be bounded")
+            raise LpFailure(f"LP unbounded; the margin game must be bounded (column {j})")
         ratios = T[rows, -1] / col[rows]
         tie = rows[ratios <= ratios.min() + 1e-12]
         r = int(tie[np.argmin(basis[tie])])  # Bland: leave smallest basis index
@@ -34,7 +34,7 @@ def _run(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, max_iter: int) -> N
             if i != r and T[i, j] != 0.0:
                 T[i] -= T[i, j] * T[r]
         basis[r] = j
-    raise LpFailure("simplex iteration cap reached (cycling should be impossible)")
+    raise LpFailure(f"simplex iteration cap reached (cycling should be impossible): {max_iter}")
 
 
 def solve_matrix_game(Q) -> tuple[float, np.ndarray]:

@@ -73,7 +73,7 @@ from .errors import (
     ViabilityLost,
 )
 from .ipc import IpcCertificate, _game, inward_margin
-from .problem import ProblemDefinition, _no_broadcast, summed_norms
+from .problem import ProblemDefinition, summed_norms
 
 Array = np.ndarray
 
@@ -124,7 +124,8 @@ class Trajectory:
         if np.max(np.abs(np.diff(times) - self.step)) > 1e-9 * max(1.0, self.step):
             raise ValueError("time grid must be uniform with the declared step")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(states))):
-            raise NonFiniteState("non-finite trajectory data")
+            k = int(np.argmin(np.isfinite(times) & np.isfinite(states).all(axis=1)))
+            raise NonFiniteState(f"non-finite trajectory data at node {k}, t={times[k]}")
         controls = self.controls
         if controls is not None:
             controls = np.asarray(controls, dtype=float)
@@ -167,29 +168,19 @@ class Trajectory:
         return (1 - frac) * self.states[j] + frac * self.states[j + 1]
 
 
-def _rk4_increments(f: Callable, T: Array, X: Array, U: Array, dt: float,
-                    K1: Array | None = None, what: str = "f") -> Array:
+def _rk4_increments(p: ProblemDefinition, T: Array, X: Array, U: Array, dt: float,
+                    K1: Array | None = None) -> Array:
     """RK4 increments ``dt / 6 * (((k1 + 2 k2) + 2 k3) + k4)`` of the steps
     from the states ``X`` (b, n) at the times ``T`` (b,) under the controls
-    ``U`` (b, d), one call ``f(T[:, None], X, U)`` per stage; ``K1`` is the
+    ``U`` (b, d), one ``p.velocity_rows`` call per stage; ``K1`` is the
     first stage when the rule has it.  ``X`` plus a row is the state after
-    that step, as a block and a step run alone (one row) both take it.  An
-    ``f`` that fails over these rows raises ValueError naming it as
-    ``what``."""
+    that step, as a block and a step run alone (one row) both take it."""
     half = dt / 2
     t_half = (T + half)[:, None]
-
-    def stage(t, Y):
-        try:
-            k = np.asarray(f(t, Y, U), dtype=float)
-            return k if k.shape == X.shape else np.broadcast_to(k, X.shape)
-        except (TypeError, ValueError) as exc:
-            raise _no_broadcast(what, t, Y, exc) from exc
-
-    k1 = stage(T[:, None], X) if K1 is None else K1
-    k2 = stage(t_half, X + half * k1)
-    k3 = stage(t_half, X + half * k2)
-    k4 = stage((T + dt)[:, None], X + dt * k3)
+    k1 = p.velocity_rows(T[:, None], X, U) if K1 is None else K1
+    k2 = p.velocity_rows(t_half, X + half * k1, U)
+    k3 = p.velocity_rows(t_half, X + half * k2, U)
+    k4 = p.velocity_rows((T + dt)[:, None], X + dt * k3, U)
     return (dt / 6) * (((k1 + 2 * k2) + 2 * k3) + k4)
 
 
@@ -261,8 +252,8 @@ def _march(p: ProblemDefinition, t0: float, x0, steps: int, dt: float, rule,
             t = t0 + j * dt
             u, k1 = rule.step(j, t, x)
             ctrl[i] = u
-            D = _rk4_increments(p.f, np.array([t]), x[None], u[None], dt,
-                                None if k1 is None else k1[None], f"f of {p.name}")
+            D = _rk4_increments(p, np.array([t]), x[None], u[None], dt,
+                                None if k1 is None else k1[None])
             np.add(x, D[0], out=states[i + 1])
             if not (np.abs(states[i + 1]) <= _BLOW_UP).all():     # a NaN fails too
                 raise NonFiniteState(f"state blow-up near t={t}")
@@ -283,7 +274,7 @@ def _speculate(p: ProblemDefinition, rule, j: int, T: Array, G: Array, dt: float
     if q < 2:
         return None
     G = G[:q]
-    D = _rk4_increments(p.f, T[:q], G, U[:q], dt, K1, f"f of {p.name}")
+    D = _rk4_increments(p, T[:q], G, U[:q], dt, K1)
     C = np.empty((q + 1, G.shape[1]))
     C[0] = G[0]
     C[1:] = D
@@ -781,7 +772,8 @@ def viable_trajectory(
     rule = _Viable(p, cert, level, trig, {} if games is None else games)
     states, ctrl = _march(p, t0, x, steps, dt, rule)
     if not geo.is_feasible(p, t0 + steps * dt, states[-1]):
-        raise ViabilityLost("feasibility lost at the final node; dt too coarse?")
+        raise ViabilityLost(f"feasibility lost at the final node; dt too coarse? (dt={dt}, "
+                            f"t={t0 + steps * dt}, x={states[-1]})")
     return Trajectory(t0 + dt * np.arange(steps + 1), states, ctrl, dt)
 
 
@@ -859,7 +851,7 @@ def derive_nft_constants(
     if not (math.isfinite(eps) and eps > 0):
         raise ConstantsInfeasible(f"certificate eps must be positive, got {eps}")
     if delta_interval <= 0:
-        raise ConstantsInfeasible("delta_interval must be positive")
+        raise ConstantsInfeasible(f"delta_interval must be positive, got {delta_interval}")
     k = 2.0 / eps
     M = p.data.M
     eta_hat = min(cert.eta, p.data.eta_tilde)
@@ -880,7 +872,8 @@ def derive_nft_constants(
     else:
         D = float(geo._bisect(lambda D: ok(float(D)), 0.0, hi, 200)) * (1 - 1e-9)
     if not ok(D):
-        raise ConstantsInfeasible("no positive step length satisfies the repair conditions")
+        raise ConstantsInfeasible(f"no positive step length satisfies the repair conditions "
+                                  f"(eps={eps}, M={M}, eta_hat={eta_hat})")
 
     rho_bar = min((eps - M * D) / 2, eps / (2 * k))
     m = max(1, int(math.ceil(delta_interval / D)))
@@ -984,7 +977,11 @@ def nft_correct(
     it exceeds ``rho_bar``, nor on a piece that starts deep inside and does
     not pass, which restarts.  Such a piece either passes or restarts, so
     its projection stops after the first run of kept steps that cannot pass;
-    the restart overwrites it.  So a skipped tail or measurement cannot raise.
+    the restart overwrites it.  So a skipped tail or measurement cannot raise,
+    and the model is not evaluated on it: a projection that follows the
+    reference out of the set would otherwise march, and evaluate ``f``, where
+    the model may not be defined (a NaN ``f`` there raises
+    ``NonFiniteState``).  It saves no time: a piece is one block.
     The output shares the reference's start, is strictly inside on the open
     interval, and stays within ``beta * rho`` of the reference.
     """
@@ -1086,14 +1083,15 @@ def nft_correct(
         raise CorrectionFailed(f"repair left a violation of {worst.max():.3e}")
     clear = _inside_clearance(p, times, cur)
     if clear is None:
-        raise CorrectionFailed("repair is feasible but not strictly inside")
+        k = 1 + int(np.argmin(geo.clearance_proxy(p, times[1:], cur[1:])))
+        raise CorrectionFailed(f"repair is feasible but not strictly inside at t={times[k]}")
     sup_dist = float(np.max(np.linalg.norm(cur - ref0, axis=1)))
     if sup_dist > cons.beta * rho_eff * (1 + 1e-9):
         raise CorrectionFailed(
             f"distance {sup_dist:.3e} exceeds the certified bound {cons.beta * rho_eff:.3e}"
         )
     if not np.array_equal(cur[0], ref0[0]):
-        raise CorrectionFailed("repair moved the anchor point")
+        raise CorrectionFailed(f"repair moved the anchor point from {ref0[0]} to {cur[0]}")
     corrected = Trajectory(times, cur, ctrl if bool(have_ctrl.all()) else None, dt)
     return NftResult(corrected, rho_eff, sup_dist, cons.beta, clear, cons, pieces)
 
@@ -1136,7 +1134,8 @@ def derive_tracking_constants(
     horizon, sampled at 64 points).
     """
     if not math.isfinite(beta):
-        raise ConstantsInfeasible("repair factor overflowed; tracking constants undefined")
+        raise ConstantsInfeasible(f"repair factor overflowed; tracking constants undefined "
+                                  f"(beta={beta})")
     ts = np.linspace(0.0, max(horizon, 1.0), 64)
     y = np.array([p.data.phi.integral(0.0, t + 1.0) for t in ts])
     a = float(np.linalg.lstsq(np.column_stack([ts, np.ones_like(ts)]), y, rcond=None)[0][0])
@@ -1187,7 +1186,7 @@ def track_feasible(
     dt = ref.step
     x1 = np.asarray(x1, dtype=float).reshape(-1)
     if not geo.is_feasible(p, t0, x1):
-        raise InfeasibleInput("tracking start must be feasible")
+        raise InfeasibleInput(f"tracking start must be feasible: x1={x1} at t0={t0}")
     if ref.t1 + 1e-9 < t0 + horizon:
         raise ValueError("reference does not cover the requested horizon")
     cons = nft_constants or derive_nft_constants(p, cert, 1.0)

@@ -627,7 +627,7 @@ def verify_data_assumptions_loop(p, samples=None, seed=0):
     lo, hi = p.box[:, 0], p.box[:, 1]
     times = np.linspace(0.0, spec.horizon, spec.time_points)
     pts = lo + rng.random((spec.space_points, p.n)) * (hi - lo)
-    checks = []
+    checks, h_failure = [], None
 
     def eval_fl(t, x, u):
         fv = np.asarray(p.f(t, x, u), dtype=float)
@@ -646,6 +646,7 @@ def verify_data_assumptions_loop(p, samples=None, seed=0):
             )
             if not np.all(np.isfinite(hv)):
                 ok, worst_w = False, _witness(t, pts[np.argmin(np.isfinite(hv).all(axis=-1))])
+                h_failure = worst_w
                 break
             proxy = np.min(np.abs(hv) / np.maximum(gb, 1e-12), axis=-1)
             tube = pts[proxy <= p.data.alpha]
@@ -724,6 +725,44 @@ def verify_data_assumptions_loop(p, samples=None, seed=0):
         if lhs > rhs + 1e-9:
             ok = False
     checks.append(AssumptionCheck("affine-majorant", "pass" if ok else "fail", worst_w))
+
+    if p.m == 0:
+        checks += [AssumptionCheck(c, "vacuous", _witness()) for c in ("grad-bound", "omega-lip")]
+        return AssumptionReport(tuple(checks))
+
+    # |grad h_i| <= grad_bound_i: one grad call per time, point and constraint
+    worst, worst_w, ok = -math.inf, None, True
+    for t in times:
+        for x in pts:
+            for c, bound in zip(p.constraints, p.grad_bounds()):
+                norm = float(np.linalg.norm(c.grad(t, x)))
+                norm = norm if math.isfinite(norm) else math.inf
+                slack = norm - bound * (1 + 1e-9)
+                if slack > worst:
+                    worst, worst_w = slack, _witness(t, x, None, norm, bound)
+                ok = ok and slack <= 0
+    checks.append(AssumptionCheck("grad-bound", "pass" if ok else "fail", worst_w))
+
+    # omega-lip: every ordered pair of sampled times (s, t) and every point x
+    # feasible at s but not at t, with the lower bound max_i h_i(t, x)+ /
+    # grad_bound_i of dist(x, Omega(t)) over |s - t|
+    if h_failure is not None:
+        checks.append(AssumptionCheck("omega-lip", "fail", h_failure))
+        return AssumptionReport(tuple(checks))
+    hv = [[[float(c.h(t, x)) for c in p.constraints] for x in pts] for t in times]
+    gb = np.maximum(p.grad_bounds(), 1e-12)
+    worst, worst_w = -math.inf, _witness(value=0.0, bound=p.data.omega_lip)
+    for i, t in enumerate(times):
+        for q, x in enumerate(pts):
+            if max(hv[i][q]) <= 0.0:
+                continue
+            lower = max(max(h, 0.0) / g for h, g in zip(hv[i][q], gb))
+            for j, s in enumerate(times):
+                if j != i and max(hv[j][q]) <= 0.0 and lower / abs(t - s) > worst:
+                    worst = lower / abs(t - s)
+                    worst_w = _witness([s, t], x, None, worst, p.data.omega_lip)
+    checks.append(AssumptionCheck(
+        "omega-lip", "fail" if worst > p.data.omega_lip + 1e-9 else "pass", worst_w))
     return AssumptionReport(tuple(checks))
 
 
@@ -790,7 +829,8 @@ def decay_check_loop(p, field, traj, tol_decay=1e-2):
     x0n = float(np.linalg.norm(traj.states[0]))
     times = field.times[(field.times >= traj.t0 - 1e-9) & (field.times <= traj.t1 + 1e-9)]
     if times.size == 0:
-        raise TrajectoryOutOfGrid("trajectory does not overlap the field horizon")
+        raise TrajectoryOutOfGrid(f"trajectory does not overlap the field horizon: path "
+                                  f"[{traj.t0}, {traj.t1}], field [{field.t0}, {field.times[-1]}]")
     vals = np.empty(len(times))
     for i, t in enumerate(times):
         v = val.evaluate_value(field, float(t), traj.state_at(float(t)))

@@ -108,40 +108,6 @@ def test_distance_zero_iff_feasible(moving_wall):
         assert (d == 0.0) == geo.is_feasible(moving_wall, t, x)
 
 
-def test_omega_lipschitz_moving_wall(moving_wall):
-    rep = geo.omega_lipschitz_estimate(moving_wall, (0.0, 2 * math.pi), seed=0)
-    assert rep.L_hat <= 0.4 + 1e-6
-    assert rep.passed
-
-
-def test_omega_lipschitz_static(quadratic):
-    rep = geo.omega_lipschitz_estimate(quadratic, (0.0, 2 * math.pi), seed=0)
-    assert rep.L_hat == 0.0
-    assert rep.passed
-
-
-def test_omega_lipschitz_fails_with_small_declared_rate():
-    p = pb.get_problem("moving-wall-1d")
-    data = p.data.__class__(
-        M=p.data.M, alpha=p.data.alpha, phi=p.data.phi, gamma=p.data.gamma,
-        c=p.data.c, k=p.data.k, a1=p.data.a1, a2=p.data.a2,
-        omega_lip=0.1, eta_tilde=p.data.eta_tilde,
-    )
-    q = pb.ProblemDefinition(
-        name=p.name, n=p.n, f=p.f, running_cost=p.running_cost, lam=p.lam,
-        controls=p.controls, constraints=p.constraints, data=data,
-        default_control=p.default_control, anchor=p.anchor, box=p.box,
-    )
-    rep = geo.omega_lipschitz_estimate(q, (0.0, 2 * math.pi), time_samples=60, seed=0)
-    assert not rep.passed
-    # wall speed 0.4 |cos t| peaks at t in {0, pi, 2 pi}; the witness must
-    # clearly beat the declared 0.1 and come close to the true rate
-    assert rep.worst["ratio"] > 0.1 * 1.05
-    assert rep.worst["ratio"] > 0.3
-    peaks = np.array([0.0, math.pi, 2 * math.pi])
-    assert np.min(np.abs(rep.worst["s"] - peaks)) < 1.0
-
-
 def test_clearance_proxy_lower_bounds_distance(moving_wall):
     # exact for affine constraints: distance to the wall is |h| / |grad|
     assert geo.clearance_proxy(moving_wall, 0.0, [0.5]) == pytest.approx(0.5)
@@ -420,12 +386,6 @@ def test_distances_upper_along_rejects_infeasible_anchor():
         geo.distances_upper_along(p, [0.0], [[1.0]])
     with pytest.raises(InfeasibleInput, match=r"anchor infeasible at t=0\.25"):
         geo.distances_upper_along(p, [0.0, 0.25], [[-1.0], [1.0]])
-    # so does the set's Lipschitz estimate, once the wall moves a feasible
-    # point out
-    wall = affine_constraint("wall", [1.0], lambda t: 0.5 + 0.3 * np.sin(t))
-    p = simple_problem(unit_velocity, zero_cost, constraints=(wall,), omega_lip=0.3)
-    with pytest.raises(InfeasibleInput, match=r"anchor infeasible at t="):
-        geo.omega_lipschitz_estimate(p, (0.0, 2 * math.pi))
 
 
 # --- the largest distance, bisected to the end only where it can lie --------------------

@@ -26,6 +26,7 @@ from util import (
     _affine,
     constant_cost_problem,
     drift_problem,
+    over_times,
     simple_problem,
     steady_sway_problem,
     sway_problem,
@@ -297,6 +298,219 @@ def test_assumptions_nan_constraint_fails_tube_check():
     assert check.status == "fail" and not rep.ok
     assert check.worst_witness["t"] == 0.0
     assert check.worst_witness["x"] is not None
+
+
+# --- the constraints' gradient bounds and the moving set's rate -----------------
+
+def _declaring(p, omega_lip=None, grad_scale=1.0):
+    """``p`` with another declared ``omega_lip`` and every ``grad_bound``
+    scaled by ``grad_scale``."""
+    data = p.data if omega_lip is None else dataclasses.replace(p.data, omega_lip=omega_lip)
+    cons = tuple(dataclasses.replace(c, grad_bound=c.grad_bound * grad_scale)
+                 for c in p.constraints)
+    return dataclasses.replace(p, data=data, constraints=cons)
+
+
+def _disk(omega_lip=0.3):
+    """The disk of radius ``0.8 + 0.3 sin t`` about the origin, which moves at
+    ``0.3 |cos t|``; ``|grad h| = 2 |x|`` stays below the declared 3.2 on the
+    box, so ``h+ / 3.2`` bounds the distance to the disk from below."""
+    def h(t, x):
+        return (np.asarray(x, dtype=float) ** 2).sum(axis=-1) - (0.8 + 0.3 * np.sin(t)) ** 2
+
+    disk = pb.ConstraintFunction(h=h, grad=lambda t, x: over_times(t, 2 * np.asarray(x)),
+                                 holder_theta=0.5, holder_const=2.0, grad_bound=3.2, name="disk")
+    return simple_problem(unit_velocity, zero_cost, constraints=(disk,), n=2,
+                          box=[[-1.1, 1.1], [-1.1, 1.1]], omega_lip=omega_lip, name="disk-2d")
+
+
+_RATE_CASES = {
+    "corridor-2d": lambda: pb.get_problem("corridor-2d"),
+    "corridor-understated": lambda: _declaring(pb.get_problem("corridor-2d"), 0.1),
+    "moving-wall-halved-grad": lambda: _declaring(pb.get_problem("moving-wall-1d"),
+                                                  grad_scale=0.5),
+    "disk-2d": _disk,
+    "disk-understated": lambda: _declaring(_disk(0.1), grad_scale=0.9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RATE_CASES))
+def test_rate_and_gradient_checks_match_loop_reference(case):
+    p = _RATE_CASES[case]()
+    for spec in (pb.SamplingSpec(), pb.SamplingSpec(horizon=3.0, time_points=5, space_points=17)):
+        for seed in range(3):
+            assert (pb.verify_data_assumptions(p, spec, seed).to_jsonable()
+                    == verify_data_assumptions_loop(p, spec, seed).to_jsonable())
+
+
+def test_checks_keep_their_order():
+    rep = pb.verify_data_assumptions(pb.get_problem("moving-wall-1d"), seed=0)
+    assert [c.assumption_id for c in rep.checks] == [
+        "tube-bounded", "lipschitz-x", "growth", "avg-modulus", "affine-majorant",
+        "grad-bound", "omega-lip"]
+
+
+@pytest.mark.parametrize("name", pb.registered_problems())
+def test_rate_and_gradient_checks_pass_on_every_benchmark(name):
+    p = pb.get_problem(name)
+    for seed in (0, 1, 12345):
+        rep = pb.verify_data_assumptions(p, seed=seed)
+        grad, rate = rep["grad-bound"].worst_witness, rep["omega-lip"].worst_witness
+        assert rep["grad-bound"].status == rep["omega-lip"].status == "pass", (name, seed)
+        # the walls are affine: every gradient norm equals its bound
+        assert grad["value"] == grad["bound"] > 0
+        assert rate["bound"] == p.data.omega_lip and rate["value"] <= p.data.omega_lip
+        if p.data.omega_lip == 0.0:     # a static set reads exactly 0
+            assert rate["value"] == 0.0 and rate["t"] is None
+
+
+def test_omega_lip_passes_on_the_moving_wall():
+    # the wall moves at 0.4 |cos t|: no chord between sampled times beats 0.4
+    check = pb.verify_data_assumptions(pb.get_problem("moving-wall-1d"), seed=0)["omega-lip"]
+    assert check.status == "pass"
+    assert 0.3 < check.worst_witness["value"] <= 0.4
+
+
+def test_omega_lip_reads_zero_on_a_static_set():
+    check = pb.verify_data_assumptions(pb.get_problem("quadratic-cost-1d"), seed=0)["omega-lip"]
+    assert check.status == "pass"
+    assert check.worst_witness["value"] == 0.0 and check.worst_witness["bound"] == 0.0
+
+
+def test_omega_lip_fails_with_small_declared_rate():
+    p = pb.get_problem("moving-wall-1d")
+    q = dataclasses.replace(p, data=dataclasses.replace(p.data, omega_lip=0.1))
+    rep = pb.verify_data_assumptions(q, pb.SamplingSpec(time_points=60), seed=0)
+    assert rep["grad-bound"].status == "pass"
+    check = rep["omega-lip"]
+    assert check.status == "fail"
+    # wall speed 0.4 |cos t| peaks at t in {0, pi, 2 pi}; the witness must
+    # clearly beat the declared 0.1 and come close to the true rate
+    w = check.worst_witness
+    assert w["value"] > 0.3 and w["bound"] == 0.1
+    peaks = np.array([0.0, math.pi, 2 * math.pi])
+    assert np.min(np.abs(np.mean(w["t"]) - peaks)) < 0.5
+
+
+def test_omega_lip_reads_the_corridor_below_its_declared_rate():
+    """The estimate that divided upper distance bounds read 0.499 on
+    corridor-2d; the lower bounds stay below the walls' rate 0.2."""
+    p = pb.get_problem("corridor-2d")
+    values = [pb.verify_data_assumptions(p, seed=seed)["omega-lip"].worst_witness["value"]
+              for seed in (0, 1, 12345)]
+    assert all(0.18 < v <= 0.2 for v in values), values
+
+
+def test_understated_rate_fails_with_a_counterexample():
+    """At a declared 0.1 the corridor fails omega-lip with a witness pair:
+    x is feasible at s, and at t its distance to the set, at least the
+    largest h+ over the gradient bound, exceeds 0.1 |s - t|; the gradient
+    bounds hold, so the pair is a counterexample."""
+    p = _declaring(pb.get_problem("corridor-2d"), 0.1)
+    rep = pb.verify_data_assumptions(p, seed=0)
+    assert rep["grad-bound"].status == "pass"
+    check = rep["omega-lip"]
+    assert check.status == "fail" and not rep.ok
+    w = check.worst_witness
+    (s, t), x = w["t"], np.array(w["x"])
+    assert (round(s, 3), round(t, 3), round(w["value"], 3)) == (3.551, 2.732, 0.187)
+    assert w["bound"] == 0.1
+    assert geo.max_violation(p, s, x) <= 0.0 < geo.max_violation(p, t, x)
+    lower = np.max(np.maximum(geo.eval_constraints(p, t, x), 0.0) / p.grad_bounds())
+    assert w["value"] == lower / abs(t - s) > 0.1
+    # a wall of unit gradient: the bound is the distance, which the projection
+    # reads up to the feasibility tolerance
+    assert geo.distance_to_omega(p, t, x).distance == pytest.approx(lower, abs=2 * geo.TOL_FEAS)
+
+
+def test_halved_gradient_bound_fails_with_its_point():
+    p = _declaring(pb.get_problem("corridor-2d"), grad_scale=0.5)
+    rep = pb.verify_data_assumptions(p, seed=0)
+    check = rep["grad-bound"]
+    assert check.status == "fail" and not rep.ok
+    spec = pb.SamplingSpec()
+    lo, hi = p.box[:, 0], p.box[:, 1]
+    first = lo + np.random.default_rng(0).random((spec.space_points, p.n)) * (hi - lo)
+    assert check.worst_witness == {"t": 0.0, "x": first[0].tolist(), "u": None,
+                                   "value": 1.0, "bound": 0.5}
+
+
+def test_nonfinite_gradient_fails_grad_bound_at_its_point():
+    # the wall's gradient is NaN left of x = -2 from t = pi on
+    base = pb.get_problem("moving-wall-1d")
+    wall = base.constraints[0]
+    bad = dataclasses.replace(wall, grad=lambda t, x: np.where(
+        (np.asarray(x) < -2.0) & (np.asarray(t) >= math.pi), np.nan, wall.grad(t, x)))
+    p = dataclasses.replace(base, constraints=(bad,) + base.constraints[1:])
+    rep = pb.verify_data_assumptions(p, seed=0)
+    spec = pb.SamplingSpec()
+    times = np.linspace(0.0, spec.horizon, spec.time_points)
+    lo, hi = base.box[0]
+    pts = lo + np.random.default_rng(0).random(spec.space_points) * (hi - lo)
+    check = rep["grad-bound"]
+    assert check.status == "fail"
+    assert check.worst_witness == {"t": float(times[times >= math.pi][0]),
+                                   "x": float(pts[np.argmax(pts < -2.0)]), "u": None,
+                                   "value": math.inf, "bound": 1.0}
+    assert rep["omega-lip"].status == "pass"
+
+
+def test_nonfinite_constraint_fails_omega_lip_with_the_tube_witness():
+    base = pb.get_problem("moving-wall-1d")
+    cons = tuple(dataclasses.replace(
+        c, h=lambda t, x, h=c.h: np.where(np.asarray(t) >= 3.0, np.nan, h(t, x)))
+        for c in base.constraints)
+    rep = pb.verify_data_assumptions(dataclasses.replace(base, constraints=cons), seed=0)
+    assert rep["omega-lip"].status == rep["tube-bounded"].status == "fail"
+    assert rep["omega-lip"].worst_witness == rep["tube-bounded"].worst_witness
+    assert rep["omega-lip"].worst_witness["t"] >= 3.0
+    assert rep["grad-bound"].status == "pass"
+
+
+def test_rate_and_gradient_checks_are_vacuous_without_constraints():
+    rep = pb.verify_data_assumptions(simple_problem(unit_velocity, zero_cost), seed=0)
+    assert rep["grad-bound"].status == rep["omega-lip"].status == "vacuous"
+
+
+def test_gradient_bound_makes_one_gradients_call_per_block(monkeypatch):
+    """grad-bound reads the gradients in the blocks of the tube check, and
+    omega-lip reads the tube check's constraint values: corridor-2d's four
+    blocks make four calls of each."""
+    calls = Counter()
+    for method in ("gradients", "constraint_values"):
+        real = getattr(pb.ProblemDefinition, method)
+        monkeypatch.setattr(pb.ProblemDefinition, method,
+                            lambda self, *a, real=real, method=method:
+                            calls.update([method]) or real(self, *a))
+    assert pb.verify_data_assumptions(pb.get_problem("corridor-2d"), seed=1).ok
+    assert calls == {"gradients": 4, "constraint_values": 4}
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from(["moving-wall-1d", "corridor-2d", "disk-2d"]),
+       declared=st.floats(0.0, 0.45), grad_scale=st.floats(0.5, 1.2),
+       time_points=st.integers(2, 12), multiple=st.sampled_from([2, 4]),
+       space_points=st.integers(2, 30), extra=st.integers(1, 30), seed=st.integers(0, 99))
+def test_rate_and_gradient_failures_survive_denser_sampling(case, declared, grad_scale,
+                                                             time_points, multiple,
+                                                             space_points, extra, seed):
+    """More space points, and more time points whose grid holds the coarser
+    one, keep every failure of grad-bound and omega-lip, and omega-lip's
+    largest ratio does not fall: the points are a prefix of one seeded
+    stream, and at a shared time the nearest time at which a point is
+    feasible can only come closer.  ``np.linspace`` gives the shared times
+    the same bits when ``N' - 1`` is ``N - 1`` times a power of two."""
+    base = _disk() if case == "disk-2d" else pb.get_problem(case)
+    p = _declaring(base, declared, grad_scale)
+    spec = pb.SamplingSpec(time_points=time_points, space_points=space_points)
+    finer = [dataclasses.replace(spec, space_points=space_points + extra),
+             dataclasses.replace(spec, time_points=multiple * (time_points - 1) + 1)]
+    coarse = pb.verify_data_assumptions(p, spec, seed)
+    for fine in (pb.verify_data_assumptions(p, f, seed) for f in finer):
+        for cid in ("grad-bound", "omega-lip"):
+            assert coarse[cid].status == "pass" or fine[cid].status == "fail", cid
+        assert (fine["omega-lip"].worst_witness["value"]
+                >= coarse["omega-lip"].worst_witness["value"])
 
 
 def _problem(name):

@@ -219,6 +219,25 @@ def test_hold_repair_work_per_node_does_not_grow(moving_wall, mw_cert, monkeypat
     assert per_node[2] <= per_node[0], per_node
 
 
+def test_stopped_projection_evaluates_no_model_beyond_its_piece(moving_wall, mw_cert):
+    """A projection that cannot pass stops after its first run of kept
+    steps (``_march``'s ``holds``), and the restart overwrites it.  Marched
+    to its end, the projection of a hold repair follows the reference out
+    past the wall, where this ``f`` is NaN 0.01 beyond the wall: that tail
+    blows up with ``NonFiniteState`` (state blow-up near t=3.36 on the 2k
+    hold), while the stopped projections repair both holds."""
+    def f(t, x, u):
+        return np.where(np.asarray(x) > 1.01 + 0.4 * np.sin(t), np.nan, moving_wall.f(t, x, u))
+
+    p = dataclasses.replace(moving_wall, f=f)
+    for steps, restarts in ((2000, 15), (4000, 19)):
+        ref = hold_reference(moving_wall, np.random.default_rng(steps), steps)
+        cons = tj.derive_nft_constants(p, mw_cert, steps * ref.step)
+        res = tj.nft_correct(p, mw_cert, ref, constants=cons)
+        assert res.pieces["restart"] == restarts, res.pieces
+        _assert_guarantees(p, ref, res)
+
+
 def test_hold_repair_projects_each_piece_in_one_block(moving_wall, mw_cert, monkeypatch):
     """A block holds a whole repair piece (78 steps on moving-wall-1d at
     dt = 1e-3), so each nearest-velocity march of a hold repair (its

@@ -9,9 +9,11 @@ setting that nothing exercises.  Every name the package exports is used by
 the package itself, the benchmark, the demos or README's examples, or is
 kept for a stated reason.  The one gather in the package is
 ``value._apply_stencil``'s, so that the value sweep has one apply.  A
-problem's ``anchor`` and its constraints' ``grad`` are read only by
-``ProblemDefinition.anchors`` and ``gradients``, which check their shapes
-and take arrays of times."""
+problem's model data (``f``, ``running_cost``, ``anchor``, its sampler and
+its constraints' ``h`` and ``grad``) are read only by the
+``ProblemDefinition`` and ``ControlSamples`` methods that check their
+shapes and take arrays of times.  Every raise of a toolkit error formats
+a value into its message."""
 
 import ast
 import re
@@ -291,10 +293,7 @@ def test_unset_method_parameters_are_found():
 
 # Exported names that nothing in src, bench, demos or README's code uses,
 # each with its reason.
-_EXPORTS_KEPT = {
-    "omega_lipschitz_estimate": "the one estimate of the moving set's rate until "
-                                "verify_data_assumptions checks omega_lip",
-}
+_EXPORTS_KEPT: dict[str, str] = {}
 
 
 def _references(tree: ast.AST) -> set[str]:
@@ -391,14 +390,19 @@ def test_gathers_are_found():
     assert list(_gathers(ast.parse(code))) == ["<module>", "apply", "inner", "<lambda>"]
 
 
+# The model data a problem holds, read only by the ``ProblemDefinition`` and
+# ``ControlSamples`` methods that check their shapes.
+_DATA = ("anchor", "f", "grad", "h", "running_cost", "sampler")
+
+
 def _data_reads(node: ast.AST, where: tuple = ()):
-    """``(attribute, where)`` for each read of an attribute named ``anchor``
-    or ``grad`` under ``node`` (``p.anchor(t)``, ``fn = c.grad``), in source
+    """``(attribute, where)`` for each read of an attribute named in
+    ``_DATA`` under ``node`` (``p.anchor(t)``, ``fn = c.grad``), in source
     order; ``where`` names the classes and functions around it, outermost
     first, joined by dots (``<lambda>`` for a lambda, empty at module
     level)."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Attribute) and child.attr in ("anchor", "grad"):
+        if isinstance(child, ast.Attribute) and child.attr in _DATA:
             yield child.attr, ".".join(where)
         scope = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef,
                                    ast.Lambda))
@@ -409,7 +413,12 @@ def _data_reads(node: ast.AST, where: tuple = ()):
 def test_anchor_and_grad_are_read_only_by_their_batched_methods():
     found = [(attr, f"{path.stem}.{where}") for path in sorted(SRC.rglob("*.py"))
              for attr, where in _data_reads(ast.parse(path.read_text(), str(path)))]
-    assert found == [("anchor", "problem.ProblemDefinition.anchors"),
+    assert found == [("sampler", "problem.ControlSamples._draw"),
+                     ("f", "problem.ProblemDefinition.velocities"),
+                     ("f", "problem.ProblemDefinition.velocity_rows"),
+                     ("running_cost", "problem.ProblemDefinition.costs"),
+                     ("h", "problem.ProblemDefinition.constraint_values"),
+                     ("anchor", "problem.ProblemDefinition.anchors"),
                      ("grad", "problem.ProblemDefinition.gradients")]
 
 
@@ -419,6 +428,56 @@ def test_data_reads_are_found():
             "def outer(p):\n    def inner():\n        return p.anchor\n    return inner\n"
             "near = lambda c, x: c.grad(1.0, x)\n"
             "def keep(c, grad, anchor):\n"
-            "    return c.grad_bound, c.anchors(0.0), grad(0.0, 1.0), anchor, c.gradients\n")
+            "    return c.grad_bound, c.anchors(0.0), grad(0.0, 1.0), anchor, c.gradients\n"
+            "def stage(p, t, x, u):\n    return p.f(t, x, u) + p.running_cost(t, x, u)\n"
+            "worst = lambda c, t, x: c.h(t, x)\n"
+            "def draw(p, f, h):\n    return p.controls.sampler(0.0, 1), f(h), p.fine, c.hv\n")
     assert list(_data_reads(ast.parse(code))) == [
-        ("anchor", ""), ("grad", "Rule.step"), ("anchor", "outer.inner"), ("grad", "<lambda>")]
+        ("anchor", ""), ("grad", "Rule.step"), ("anchor", "outer.inner"), ("grad", "<lambda>"),
+        ("f", "stage"), ("running_cost", "stage"), ("h", "<lambda>"), ("sampler", "draw")]
+
+
+def _unformatted_raises(tree: ast.AST, errors: set[str]) -> list[int]:
+    """The lines, in order, of each ``raise`` under ``tree`` of a class
+    named in ``errors`` whose arguments format no value: no f-string field,
+    ``%`` or ``.format`` call."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            continue
+        func = node.exc.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) not in errors:
+            continue
+        args = node.exc.args + [k.value for k in node.exc.keywords]
+        if not any(isinstance(n, ast.FormattedValue)
+                   or (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod))
+                   or (isinstance(n, ast.Attribute) and n.attr == "format")
+                   for arg in args for n in ast.walk(arg)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_toolkit_error_names_a_value():
+    errors = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body
+              if isinstance(node, ast.ClassDef)}
+    raised, found = 0, []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        raised += sum(isinstance(n, ast.Raise) for n in ast.walk(tree))
+        found += [f"{path.name}:{line}" for line in _unformatted_raises(tree, errors)]
+    assert len(errors) > 10 and raised > 50, "the walk read no source"
+    assert not found, f"toolkit errors that name no value: {found}"
+
+
+def test_unformatted_raises_are_found():
+    code = ('raise Failed("no value")\n'
+            'raise errors.Failed("plain " "joined")\n'
+            'raise Failed(f"at t={t}")\n'
+            'raise Failed("x=%s" % x)\n'
+            'raise Failed("x={}".format(x))\n'
+            'raise Failed(f"fixed")\n'
+            'raise ValueError("not a toolkit error")\n'
+            'raise Failed(msg)\n'
+            'raise exc\n'
+            'def inner():\n    if bad:\n        raise Failed("nested")\n')
+    assert _unformatted_raises(ast.parse(code), {"Failed"}) == [1, 2, 6, 8, 12]

@@ -125,15 +125,16 @@ def test_rk4_step_matches_loop_reference(n, kind, t, dt, with_k1, rows, data):
     row of a batch of controls.  The kernel's rows, over steps at different
     times, states and controls, are those steps, each taken alone."""
     f = sway_problem().f if kind == "sway" else drift_velocity(n)
+    p = simple_problem(f, zero_cost, n=n)
     coords = st.lists(st.floats(-1.9, 1.9), min_size=n, max_size=n)
     T = t + dt * np.arange(rows)
     X = np.array([data.draw(coords) for _ in range(rows)])
     U = np.array([data.draw(coords) for _ in range(rows)]) / 1.9
     K1 = np.asarray(f(T[:, None], X, U), dtype=float) if with_k1 else None
-    D = tj._rk4_increments(f, T, X, U, dt, K1)
+    D = tj._rk4_increments(p, T, X, U, dt, K1)
     for i in range(rows):
         k1 = np.asarray(f(T[i], X[i], U[i][None, :]), dtype=float)[:1] if with_k1 else None
-        inc = tj._rk4_increments(f, T[i:i + 1], X[i:i + 1], U[i:i + 1], dt, k1)
+        inc = tj._rk4_increments(p, T[i:i + 1], X[i:i + 1], U[i:i + 1], dt, k1)
         got = X[i] + inc[0]
         want = oracles.rk4_step(f, float(T[i]), X[i], U[i], dt)
         assert got.shape == want.shape == (n,)
