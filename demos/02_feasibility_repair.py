@@ -16,7 +16,8 @@ import math
 from pathlib import Path
 
 from feastube import get_problem, integrate, nft_correct, verify_ipc
-from feastube.cli import write_trajectory_csv
+from feastube.analysis import write_series
+from feastube.cli import trajectory_columns
 from feastube.geometry import violations_along
 
 OUT = Path(__file__).parent / "out" / "repair"
@@ -38,8 +39,8 @@ for depth in (0.10, 0.05, 0.01):
           f"{res.sup_dist / res.rho_in:5.3f}   {res.interior_clearance:.2e}")
     if depth == 0.05:
         keep = res
-        write_trajectory_csv(OUT / "reference.csv", wall, ref)
-        write_trajectory_csv(OUT / "corrected.csv", wall, res.corrected)
+        write_series(OUT / "reference.npy", trajectory_columns(wall, ref))
+        write_series(OUT / "corrected.npy", trajectory_columns(wall, res.corrected))
 
 cons = keep.constants
 print(f"\nledger: eps={cons.eps}, k={cons.k_shift}, Delta={cons.Delta:.5f}, "

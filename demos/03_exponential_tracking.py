@@ -16,7 +16,7 @@ import math
 from pathlib import Path
 
 from feastube import get_problem, track_feasible, verify_ipc, viable_trajectory
-from feastube.analysis import write_csv
+from feastube.analysis import write_series
 from feastube.geometry import violations_along
 
 OUT = Path(__file__).parent / "out" / "tracking"
@@ -38,6 +38,6 @@ print(f"bound at horizon : {run.bound(times[-1]):.3e}")
 print("feasible everywhere:",
       float(violations_along(wall, times, run.trajectory.states).max()) <= 1e-9)
 
-write_csv(OUT / "deviations.csv",
-          {"t": times, "deviation": run.deviations, "bound": run.bound(times)})
+write_series(OUT / "deviations.npy",
+             {"t": times, "deviation": run.deviations, "bound": run.bound(times)})
 print(f"series written to {OUT}")

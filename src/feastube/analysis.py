@@ -4,7 +4,7 @@ Each check compares an empirical quantity against its closed-form envelope,
 with a scheme tolerance ``C_GRID * (dx + dt)`` absorbing the discretization
 error of the field (the constant is calibrated on the constant-cost closed
 form and pinned by a test).  Every verdict serializes all inputs of its
-inequality, so a pass can be re-derived from the emitted CSV alone.
+inequality, so a pass can be re-derived from the emitted series alone.
 
 A check costs a fixed number of array calls per chunk of slices or per
 probe, not per slice or time: the Lipschitz profile takes its slices in
@@ -437,6 +437,40 @@ def time_lipschitz_check(
 # deterministic report emission
 # ---------------------------------------------------------------------------
 
+def _columns(columns: Mapping[str, Array], writer: str) -> tuple[list[str], list[Array]]:
+    """The names and float arrays of ``columns``.  Raises ``ValueError`` when
+    there is none, or naming a column that is not 1-D or whose length differs
+    from the first column's."""
+    names = list(columns)
+    if not names:
+        raise ValueError(f"{writer} needs at least one column")
+    cols = [np.asarray(columns[c], dtype=float) for c in names]
+    for name, a in zip(names, cols):
+        if a.ndim != 1:
+            raise ValueError(f"column {name!r} has shape {a.shape}; need a 1-D column")
+        if a.size != cols[0].size:
+            raise ValueError(f"column {name!r} has {a.size} rows; "
+                             f"column {names[0]!r} has {cols[0].size}")
+    return names, cols
+
+
+def write_series(path: Path, columns: Mapping[str, Array]) -> None:
+    """Write equal-length 1-D columns as one ``.npy`` file at ``path``.
+
+    The file holds a 1-D structured array with one little-endian float64
+    field per column, named after it, in column order, saved without pickle;
+    the bytes are a function of the columns' bits.
+    ``np.load(path, allow_pickle=False)["t"]`` reads column ``t`` back bit
+    for bit.  Raises ``ValueError`` naming a column that is not 1-D or whose
+    length differs from the first column's.
+    """
+    names, cols = _columns(columns, "write_series")
+    arr = np.empty(cols[0].size, dtype=[(name, "<f8") for name in names])
+    for name, a in zip(names, cols):
+        arr[name] = a
+    np.save(path, arr, allow_pickle=False)
+
+
 # Rows formatted and written at a time, so that memory stays flat in the
 # length of the file.
 _CSV_BLOCK = 4096
@@ -457,17 +491,13 @@ def write_csv(path: Path, columns: Mapping[str, Array]) -> None:
     is one row, the Python ``repr`` of each value as a float joined by ``,``.
     Every line ends with ``\\n``.  Raises ``ValueError`` naming a column that
     is not 1-D or whose length differs from the first column's.
+
+    Text costs a ``repr`` per distinct value, so every other series goes
+    through ``write_series``.  ``track run``'s ``tracking.csv`` is the one
+    file written here, because the benchmark's ``certify`` check counts its
+    lines.
     """
-    names = list(columns)
-    if not names:
-        raise ValueError("write_csv needs at least one column")
-    cols = [np.asarray(columns[c], dtype=float) for c in names]
-    for name, a in zip(names, cols):
-        if a.ndim != 1:
-            raise ValueError(f"column {name!r} has shape {a.shape}; need a 1-D column")
-        if a.size != cols[0].size:
-            raise ValueError(f"column {name!r} has {a.size} rows; "
-                             f"column {names[0]!r} has {cols[0].size}")
+    names, cols = _columns(columns, "write_csv")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
         for start in range(0, cols[0].size, _CSV_BLOCK):
@@ -483,8 +513,9 @@ def write_json(path: Path, obj) -> None:
 
 
 def emit_report(results: Mapping[str, object], path) -> list[Path]:
-    """Write a JSON summary and one CSV per series-bearing result, whose
-    columns are its series.  Byte-deterministic for equal inputs."""
+    """Write a JSON summary and one ``{name}.npy`` (``write_series``) per
+    series-bearing result, whose columns are its series.  Byte-deterministic
+    for equal inputs."""
     outdir = Path(path)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -493,9 +524,9 @@ def emit_report(results: Mapping[str, object], path) -> list[Path]:
         res = results[name]
         summary[name] = res.to_jsonable() if hasattr(res, "to_jsonable") else res
         if hasattr(res, "series"):
-            csv_path = outdir / f"{name}.csv"
-            write_csv(csv_path, res.series())
-            written.append(csv_path)
+            series_path = outdir / f"{name}.npy"
+            write_series(series_path, res.series())
+            written.append(series_path)
     spath = outdir / "summary.json"
     write_json(spath, {"n_results": len(summary), "results": summary})
     written.append(spath)

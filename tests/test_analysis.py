@@ -29,6 +29,7 @@ from util import (
     CERTIFY_GRID,
     certify_args,
     constant_cost_problem,
+    read_series,
     simple_problem,
     sway_problem,
     switching_problem,
@@ -485,10 +486,9 @@ def test_emit_report_schema_and_determinism(tmp_path):
     for rel in files1:
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
 
-    header = (out1 / "lipschitz.csv").read_text().splitlines()[0]
-    assert header == "t,empirical,bound"
-    # each series is written once, in its result's CSV: no plot_* copies
-    assert [str(rel) for rel in files1] == ["decay.csv", "lipschitz.csv", "summary.json"]
+    assert read_series(out1 / "lipschitz.npy").dtype.names == ("t", "empirical", "bound")
+    # each series is written once, in its result's .npy: no plot_* copies
+    assert [str(rel) for rel in files1] == ["decay.npy", "lipschitz.npy", "summary.json"]
 
 
 # Values on both sides of repr's switch to exponent form (1e-05 and 1e16),
@@ -542,15 +542,59 @@ def test_write_csv_block_edges(block, tmp_path, monkeypatch):
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-@pytest.mark.parametrize("cols, named", [
+_MALFORMED = [
     ({"t": np.arange(3.0), "x": np.ones((3, 2))}, "'x' has shape (3, 2)"),
     ({"t": np.arange(3.0), "x": 1.0}, "'x' has shape ()"),
     ({"t": np.arange(3.0), "x": np.ones(2)}, "'x' has 2 rows; column 't' has 3"),
-])
+]
+
+
+@pytest.mark.parametrize("cols, named", _MALFORMED)
 def test_write_csv_rejects_malformed_column(cols, named, tmp_path):
     with pytest.raises(ValueError) as err:
         ana.write_csv(tmp_path / "bad.csv", cols)
     assert named in str(err.value)
+
+
+@pytest.mark.parametrize("cols, named", _MALFORMED + [({}, "needs at least one column")])
+def test_write_series_rejects_malformed_column(cols, named, tmp_path):
+    with pytest.raises(ValueError) as err:
+        ana.write_series(tmp_path / "bad.npy", cols)
+    assert named in str(err.value)
+    assert not (tmp_path / "bad.npy").exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_csv_columns())
+def test_write_series_roundtrip_is_bit_exact(cols):
+    """Every bit pattern survives, NaN payloads, signed zeros, infinities and
+    subnormals included, and equal columns give equal bytes."""
+    cols = {**cols, "edges": np.resize(_CSV_EDGES, len(cols["c0"]))}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "a.npy", Path(tmp) / "b.npy"]
+        for path in paths:
+            ana.write_series(path, cols)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        arr = read_series(paths[0])
+        raw = np.load(paths[0], allow_pickle=False)     # read without feastube
+    assert arr.shape == (len(cols["c0"]),) and arr.dtype.names == tuple(cols)
+    for name, col in cols.items():
+        assert np.array_equal(arr[name].view(np.int64), col.view(np.int64)), name
+        assert np.array_equal(raw[name].view(np.int64), col.view(np.int64)), name
+
+
+@pytest.mark.parametrize("arr, named", [
+    (np.zeros(3), "dtype float64"),
+    (np.zeros((2, 2), dtype=[("t", "<f8")]), "shape (2, 2)"),
+    (np.zeros(3, dtype=[("t", "<f8"), ("x", "<f4")]), "field 'x' has dtype '<f4'"),
+    (np.zeros(3, dtype=[("t", ">f8")]), "field 't' has dtype '>f8'"),
+])
+def test_read_series_names_the_file_and_field(arr, named, tmp_path):
+    path = tmp_path / "s.npy"
+    np.save(path, arr, allow_pickle=False)
+    with pytest.raises(ValueError) as err:
+        read_series(path)
+    assert str(path) in str(err.value) and named in str(err.value)
 
 
 def test_emit_report_empty(tmp_path):
@@ -559,15 +603,14 @@ def test_emit_report_empty(tmp_path):
     assert summary == {"n_results": 0, "results": {}}
 
 
-def test_pass_verdict_rederivable_from_csv(tmp_path, moving_wall, mw_tracking_constants):
+def test_pass_verdict_rederivable_from_series(tmp_path, moving_wall, mw_tracking_constants):
     g = val.GridSpec(lo=[-2.7], hi=[1.8], shape=(101,), dt=0.045)
     lam = 2 * max(mw_tracking_constants.K, moving_wall.data.a1) + 1
     f = val.solve_value(moving_wall, lam, g, relaxed=True, horizon=2.0)
     prof = ana.lipschitz_profile(f, mw_tracking_constants)
     ana.emit_report({"lipschitz": prof}, tmp_path)
-    rows = (tmp_path / "lipschitz.csv").read_text().splitlines()[1:]
-    data = np.array([[float(v) for v in r.split(",")] for r in rows])
+    data = np.load(tmp_path / "lipschitz.npy", allow_pickle=False)
     summary = json.loads((tmp_path / "summary.json").read_text())
     tol = summary["results"]["lipschitz"]["tol"]
-    rederived = bool(np.all(data[:, 1] <= data[:, 2] * (1 + tol) + 1e-15))
+    rederived = bool(np.all(data["empirical"] <= data["bound"] * (1 + tol) + 1e-15))
     assert rederived == summary["results"]["lipschitz"]["passed"] == prof.passed

@@ -9,14 +9,14 @@ import pytest
 
 from feastube import analysis as ana
 from feastube import cli
+from feastube import trajectory as tj
 from feastube.errors import GridTooCoarse
 from feastube.problem import ControlSamples, SamplingSpec, get_problem, registered_problems
 from feastube import value as val
 
 import oracles
 from oracles import write_csv_rows
-from util import (CERTIFY_GRID, certify_args, read_field, read_trajectory_csv,
-                  read_trajectory_like)
+from util import (CERTIFY_GRID, certify_args, read_field, read_series, read_trajectory)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -313,7 +313,31 @@ def test_key_error_prints_its_own_message(argv, kind, message, capsys):
     assert _capture(capsys) == {"error": message, "kind": kind}
 
 
-def test_nft_run_roundtrip(tmp_path, capsys):
+def _first_result(monkeypatch, module, name, into):
+    """Wrap ``module.name`` so that ``into[name]`` holds what its first call
+    returns."""
+    fn = getattr(module, name)
+
+    def call(*args, **kwargs):
+        return into.setdefault(name, fn(*args, **kwargs))
+
+    monkeypatch.setattr(module, name, call)
+
+
+def _assert_series(path, columns):
+    """The series file at ``path`` holds ``columns``: its fields are their
+    names in order, and its values their bits."""
+    arr = read_series(path)
+    assert arr.dtype.names == tuple(columns)
+    for name, col in columns.items():
+        want = np.asarray(col, dtype=float)
+        assert np.array_equal(arr[name].view(np.int64), want.view(np.int64)), (path, name)
+
+
+def test_nft_run_roundtrip(tmp_path, capsys, monkeypatch):
+    made = {}
+    _first_result(monkeypatch, tj, "integrate_controls", made)
+    _first_result(monkeypatch, tj, "nft_correct", made)
     code = cli.run(["nft", "run", "--problem", "moving-wall-1d",
                     "--t0", str(math.pi), "--t1", str(math.pi + 1),
                     "--x0", "0.95", "--uref", "0.0", "--dt", "2e-3",
@@ -321,19 +345,46 @@ def test_nft_run_roundtrip(tmp_path, capsys):
     assert code == 0
     line = _capture(capsys)
     assert line["ok"]
-    data = read_trajectory_csv(tmp_path / "corrected.csv")
+    assert sorted(fp.name for fp in tmp_path.iterdir()) == [
+        "corrected.npy", "nft_constants.json", "nft_result.json", "reference.npy"]
+    p = get_problem("moving-wall-1d")
+    for name, traj in (("reference", made["integrate_controls"]),
+                       ("corrected", made["nft_correct"].corrected)):
+        columns = cli.trajectory_columns(p, traj)
+        assert tuple(columns) == ("t", "x_1", "u_1", "maxh", "dist")
+        _assert_series(tmp_path / f"{name}.npy", columns)
+    data = read_trajectory(tmp_path / "corrected.npy")
     assert np.all(data["maxh"] <= 1e-9)
-    ref = read_trajectory_csv(tmp_path / "reference.csv")
+    ref = read_trajectory(tmp_path / "reference.npy")
     assert np.max(ref["dist"]) == pytest.approx(line["rho_in"], rel=1e-6)
 
 
-def test_track_run(tmp_path, capsys):
+def test_track_run(tmp_path, capsys, monkeypatch):
+    made = {}
+    _first_result(monkeypatch, tj, "viable_trajectory", made)
+    _first_result(monkeypatch, tj, "track_feasible", made)
+    out = tmp_path / "run"
     code = cli.run(["track", "run", "--problem", "moving-wall-1d",
                     "--x0", "0.5", "--x1", "0.4", "--horizon", "2",
-                    "--dt", "2e-3", "--out", str(tmp_path)])
+                    "--dt", "2e-3", "--out", str(out)])
     assert code == 0
-    dev = read_trajectory_like(tmp_path / "deviations.csv")
+    assert sorted(fp.name for fp in out.iterdir()) == [
+        "deviations.npy", "reference.npy", "tracking.csv", "tracking_constants.json"]
+    p, run = get_problem("moving-wall-1d"), made["track_feasible"]
+    times = run.trajectory.times
+    _assert_series(out / "reference.npy", cli.trajectory_columns(p, made["viable_trajectory"]))
+    _assert_series(out / "deviations.npy", {"t": times, "deviation": run.deviations,
+                                            "bound": run.bound(times)})
+    dev = read_series(out / "deviations.npy")
     assert np.all(dev["deviation"] <= dev["bound"] + 1e-12)
+    # tracking.csv is text: a header and one line per node, the bytes of the
+    # row-at-a-time writer
+    columns = cli.trajectory_columns(p, run.trajectory)
+    write_csv_rows(tmp_path / "rows.csv", columns)
+    text = (out / "tracking.csv").read_bytes()
+    assert text == (tmp_path / "rows.csv").read_bytes()
+    assert text.count(b"\n") == len(times) + 1
+    assert text.splitlines()[0] == b",".join(c.encode() for c in columns)
 
 
 def test_value_solve_field_roundtrip(tmp_path, capsys):
@@ -492,24 +543,41 @@ def test_pipeline_deterministic_on_every_problem(name, tmp_path, capsys):
         want = _solved_field(args, relaxed).values
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), rel
-    # The bytes are those of the row-at-a-time writer, not only stable.
-    csvs = [rel for rel in tree if rel.endswith(".csv")]
-    assert csvs
-    for rel in csvs:
-        lines = tree[rel].decode().splitlines()
-        names = lines[0].split(",")
-        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-        data = np.array(rows).reshape(len(rows), len(names))
-        write_csv_rows(tmp_path / "rows.csv", {c: data[:, j] for j, c in enumerate(names)})
-        assert (tmp_path / "rows.csv").read_bytes() == tree[rel], rel
+    # Every series is a .npy: a pipeline writes no text table.
+    assert not [rel for rel in tree if rel.endswith(".csv")]
+
+
+def _reports(monkeypatch):
+    """The results of each ``analysis.emit_report`` call, in order."""
+    calls = []
+    emit = ana.emit_report
+    monkeypatch.setattr(ana, "emit_report",
+                        lambda results, path: calls.append(results) or emit(results, path))
+    return calls
+
+
+# The series of each result that has one, and its columns.
+_SERIES = {"lipschitz": ("t", "empirical", "bound"), "decay": ("t", "value", "envelope")}
+
+
+@pytest.mark.parametrize("name", registered_problems())
+def test_pipeline_series_roundtrip(name, tmp_path, capsys, monkeypatch):
+    reports = _reports(monkeypatch)
+    assert cli.run(["pipeline", *certify_args(name), "--out", str(tmp_path)]) == 0
+    [results] = reports
+    assert sorted(fp.name for fp in tmp_path.glob("*.npy") if not fp.name.startswith("field")) \
+        == ["decay.npy", "lipschitz.npy"]
+    for key, columns in _SERIES.items():
+        assert tuple(results[key].series()) == columns
+        _assert_series(tmp_path / f"{key}.npy", results[key].series())
 
 
 def test_pipeline_writes_each_artifact_once(tmp_path, capsys):
     assert cli.run(["pipeline", *certify_args("corridor-2d"), "--out", str(tmp_path)]) == 0
     assert sorted(fp.name for fp in tmp_path.iterdir()) == [
         "assumptions.json", "certificate.json", "config.json",
-        "decay.csv", "field.json", "field.npy", "field_relaxed.json",
-        "field_relaxed.npy", "lipschitz.csv", "nft_constants.json",
+        "decay.npy", "field.json", "field.npy", "field_relaxed.json",
+        "field_relaxed.npy", "lipschitz.npy", "nft_constants.json",
         "summary.json", "tracking_constants.json", "verdicts.json",
     ]
 
@@ -531,6 +599,24 @@ def test_analyze_action(action, lam, tmp_path, capsys):
         assert "skipped" not in line
         [(key, entry)] = results.items()
         assert entry["passed"] is True
+
+
+@pytest.mark.parametrize("action", ["lipschitz", "decay", "relax", "time-lip"])
+def test_analyze_series_roundtrip(action, tmp_path, capsys, monkeypatch):
+    """An action whose result has a series writes it as ``{key}.npy`` beside
+    ``summary.json``; the others write the summary alone."""
+    reports = _reports(monkeypatch)
+    args = ["analyze", action, *certify_args("moving-wall-1d"), "--out", str(tmp_path)]
+    assert cli.run(args) == 0
+    [results] = reports
+    [(key, res)] = results.items()
+    if key in _SERIES:
+        assert sorted(fp.name for fp in tmp_path.iterdir()) == [f"{key}.npy", "summary.json"]
+        assert tuple(res.series()) == _SERIES[key]
+        _assert_series(tmp_path / f"{key}.npy", res.series())
+    else:
+        assert not hasattr(res, "series")
+        assert sorted(fp.name for fp in tmp_path.iterdir()) == ["summary.json"]
 
 
 @pytest.mark.parametrize("args, named", [

@@ -8,7 +8,9 @@ dataclass field keeps a default that no call sets: such a parameter is a
 setting that nothing exercises.  Every name the package exports is used by
 the package itself, the benchmark, the demos or README's examples, or is
 kept for a stated reason.  The one gather in the package is
-``value._apply_stencil``'s, so that the value sweep has one apply.  A
+``value._apply_stencil``'s, so that the value sweep has one apply.  The
+one text table is ``track run``'s ``tracking.csv``: every other numeric
+series is a ``.npy`` of ``analysis.write_series``.  A
 problem's model data (``f``, ``running_cost``, ``anchor``, its sampler and
 its constraints' ``h`` and ``grad``) are read only by the
 ``ProblemDefinition`` and ``ControlSamples`` methods that check their
@@ -388,6 +390,46 @@ def test_gathers_are_found():
             "grab = lambda a: a.take([0])\n"
             "def keep(a, take):\n    return a.taken, a[[0]], take(a), np.take_along_axis\n")
     assert list(_gathers(ast.parse(code))) == ["<module>", "apply", "inner", "<lambda>"]
+
+
+def _csv_writes(tree: ast.AST):
+    """``(where, path)`` for each reference under ``tree`` to a name
+    ``write_csv`` (``ana.write_csv``, ``write_csv``), in source order:
+    ``where`` is the innermost function around it (``<module>`` outside any),
+    and ``path`` the source of the first argument when the reference is
+    called with one, else None."""
+    args = {id(call.func): call.args for call, _ in _calls(tree)}
+
+    def walk(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if getattr(child, "attr", getattr(child, "id", None)) == "write_csv":
+                first = args.get(id(child))
+                yield ("<module>" if fn is None else getattr(fn, "name", "<lambda>"),
+                       ast.unparse(first[0]) if first else None)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            yield from walk(child, child if inner else fn)
+
+    yield from walk(tree, None)
+
+
+def test_the_only_csv_is_tracking_csv():
+    found = [(f"{path.stem}.{where}", arg) for path in sorted(SRC.rglob("*.py"))
+             for where, arg in _csv_writes(ast.parse(path.read_text(), str(path)))]
+    assert found == [("cli._cmd_track", "outdir / 'tracking.csv'")]
+
+
+def test_csv_writes_are_found():
+    code = ("from feastube import analysis as ana\n"
+            "from feastube.analysis import write_csv\n"
+            "def track(outdir, cols):\n    ana.write_csv(outdir / 'tracking.csv', cols)\n"
+            "def report(path, cols):\n    write_csv(path, cols)\n"
+            "dump = lambda p, c: ana.write_csv(p, c)\n"
+            "writer = ana.write_csv\n"
+            "def keep(a, write_csvs):\n"
+            "    return a.write_series(a), write_csvs(a), a.write_csv_rows\n")
+    assert list(_csv_writes(ast.parse(code))) == [
+        ("track", "outdir / 'tracking.csv'"), ("report", "path"), ("<lambda>", "p"),
+        ("<module>", None)]
 
 
 # The model data a problem holds, read only by the ``ProblemDefinition`` and

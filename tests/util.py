@@ -339,25 +339,35 @@ def repair_benchmark_references(seed):
 
 # --- artifact readers -----------------------------------------------------------
 
-def read_trajectory_like(path):
-    """The columns of a CSV that ``analysis.write_csv`` wrote, by name."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.array([[float(v) for v in line.split(",")] for line in fh])
-    return {name: data[:, j] for j, name in enumerate(header)}
+def read_series(path):
+    """The structured array ``analysis.write_series`` wrote at ``path``, bit
+    for bit, loaded without pickle.  A ValueError names the file, and the
+    field, when the array is not 1-D or a field is not ``<f8``."""
+    arr = np.load(path, allow_pickle=False)
+    if arr.ndim != 1:
+        raise ValueError(f"{path}: a series is 1-D, the array has shape {arr.shape}")
+    if arr.dtype.names is None:
+        raise ValueError(f"{path}: a series has one '<f8' field per column, "
+                         f"the array has dtype {arr.dtype}")
+    for name in arr.dtype.names:
+        dt = arr.dtype.fields[name][0]
+        if dt != np.dtype("<f8"):
+            raise ValueError(f"{path}: field {name!r} has dtype {dt.str!r}; need '<f8'")
+    return arr
 
 
-def read_trajectory_csv(path):
-    """A trajectory CSV of ``cli.write_trajectory_csv``: times, states,
+def read_trajectory(path):
+    """A trajectory series of ``cli.trajectory_columns``: times, states,
     ``maxh``, ``dist`` and the controls when it has them."""
-    cols = read_trajectory_like(path)
+    arr = read_series(path)
+    names = arr.dtype.names
     out = {
-        "t": cols["t"],
-        "states": np.column_stack([v for k, v in cols.items() if k.startswith("x_")]),
-        "maxh": cols["maxh"],
-        "dist": cols["dist"],
+        "t": arr["t"],
+        "states": np.column_stack([arr[k] for k in names if k.startswith("x_")]),
+        "maxh": arr["maxh"],
+        "dist": arr["dist"],
     }
-    ucols = [v for k, v in cols.items() if k.startswith("u_")]
+    ucols = [arr[k] for k in names if k.startswith("u_")]
     if ucols:
         out["controls"] = np.column_stack(ucols)
     return out
