@@ -5,9 +5,9 @@ The feasible set at time ``t`` is the intersection of the sublevel sets
 ``ProblemDefinition.constraint_values`` (see ``problem``), the only caller of
 ``h``.  Its ``(..., m)`` values are reduced to the worst constraint, or
 to the clearance, by m - 1 elementwise ``np.maximum`` (``np.minimum``)
-calls over the constraint columns (``_fold``): numpy's max over the short
-trailing axis cost several times the kernel itself on the value sweep's
-batches.  Distances are certified upper bounds (multi-start descent plus
+calls over the constraint columns (``problem._fold``): numpy's max over
+the short trailing axis cost several times the kernel itself on the value
+sweep's batches.  Distances are certified upper bounds (multi-start descent plus
 segment refinement); upper bounds only strengthen every downstream hypothesis
 that consumes them.
 """
@@ -20,30 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleInput, ProjectionFailed
-from .problem import ProblemDefinition
+from .problem import ProblemDefinition, _fold
 
 TOL_FEAS = 1e-9
 TOL_BOUNDARY = 1e-8
 
 Array = np.ndarray
-
-
-def _fold(ufunc, H: Array, empty: float):
-    """``ufunc`` folded over the columns of ``H``'s last axis, first to last;
-    ``empty`` when that axis has length 0.  One point gives a numpy scalar.
-
-    The fold makes m - 1 elementwise calls on column views.  numpy's
-    reduction over a short trailing axis runs one short inner loop per row:
-    1.7 ms on a 135 x 241 x 2 sweep chunk, against 25 us for the one
-    ``np.maximum`` (2-vCPU x86-64, numpy 2.4).  Both give the same bytes,
-    the sign of a tie between zeros included: both keep the later zero.
-    """
-    if H.shape[-1] == 0:
-        return np.full(H.shape[:-1], empty)[()]
-    out = H[..., 0]
-    for i in range(1, H.shape[-1]):
-        out = ufunc(out, H[..., i])
-    return out[()]
 
 
 def _worst(p: ProblemDefinition, t, X) -> Array:
@@ -210,16 +192,16 @@ def active_set(p: ProblemDefinition, t: float, x, delta: float) -> ActiveSetRepo
     -TOL_BOUNDARY``; any constraint whose boundary meets B(x, delta) passes
     this test, so the report is a superset of the exact delta-active set.
     """
-    idx = _active_indices(p, eval_constraints(p, t, x), delta)
-    return ActiveSetReport(frozenset(idx), float(delta))
+    idx = np.flatnonzero(_active_mask(p, eval_constraints(p, t, x), delta))
+    return ActiveSetReport(frozenset(idx.tolist()), float(delta))
 
 
-def _active_indices(p: ProblemDefinition, hv: Array, delta: float) -> list[int]:
-    """``active_set``'s indices, ascending, from the constraint values ``hv``."""
+def _active_mask(p: ProblemDefinition, H: Array, delta: float) -> Array:
+    """Which constraints ``active_set`` reports at each row of the
+    constraint values ``H`` (..., m): a boolean array of ``H``'s shape."""
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got delta={delta}")
-    return [i for i, c in enumerate(p.constraints)
-            if hv[i] + delta * c.grad_bound >= -TOL_BOUNDARY]
+    return H + delta * p.grad_bounds() >= -TOL_BOUNDARY
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,15 @@ for that sweep only).  A positive uniform margin over sampled boundary
 points yields a certificate carrying the geometric constants (eps, eta)
 under which short inward moves from any near-boundary point stay feasible.
 
-``verify_ipc`` evaluates the margins one sampled time at a time: one
-``constraint_values``, one ``velocities`` and one ``gradients`` call over
-all of that time's boundary points.  Each point's game is then built by
-``_game``, the one code that builds a payoff matrix, keys it and reads the
-memo, from that point's rows, so that it is the game the point has alone.
+``_games`` is the one code that builds payoff matrices, keys them and reads
+the memo.  It takes a stack of points: it groups them by active set, makes
+each group's matrices in one stacked product whose items are each point's
+own, and solves each distinct game once.  ``verify_ipc`` evaluates its
+boundary samples in blocks of at most ``problem._SAMPLE_BLOCK`` velocity
+values: one ``constraint_values``, one ``velocities`` and one ``gradients``
+call and one ``_games`` call per block, where a block holds points of
+sampled times that share their control samples.  ``inward_margin`` and the
+viability rule call ``_games`` with one point, or a run of steps.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundarySamplingFailed, NoFeasibleConstants
-from .geometry import _active_indices, _bisect, active_set, boundary_samples, eval_constraints
-from .problem import ProblemDefinition
+from .geometry import _active_mask, _bisect, boundary_samples, eval_constraints
+from .problem import _SAMPLE_BLOCK, ProblemDefinition
 from .simplex import solve_matrix_game
 
 Array = np.ndarray
@@ -61,7 +65,8 @@ def inward_margin(
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     u, vels = p.velocities(t, x, level)
-    r, alpha, act = _game(p, t, x, eval_constraints(p, t, x), vels, delta, games)
+    r, alpha, act = next(_games(p, t, x[None], eval_constraints(p, t, x)[None], vels[None],
+                                delta, games))
     if not act:
         alpha = np.zeros(u.shape[0])
         alpha[0] = 1.0
@@ -70,32 +75,58 @@ def inward_margin(
     return MarginResult(r, alpha, alpha @ vels, tuple(act))
 
 
-def _game(p: ProblemDefinition, t: float, x: Array, hv: Array, vels: Array, delta: float,
-          games: dict | None, solve: bool = True, grads: Array | None = None):
-    """The margin game at the point ``x`` of shape ``(n,)``, from its
-    constraint values ``hv`` and its sampled velocities ``vels``, a
-    C-contiguous ``(k, n)`` array, that the caller holds: ``(r, alpha,
-    active)``.  ``grads`` holds every constraint's gradient at ``x``,
-    ``(m, n)``, when the caller has them; else one ``gradients`` call
-    reads them here.  ``r`` is +inf and ``alpha`` None when no constraint is
-    delta-active.  The payoff matrix's bytes key the memo ``games``;
-    ``alpha`` is the memo's own array, not to be written.  With ``solve``
-    False a game not yet in the memo gives None."""
-    act = _active_indices(p, hv, delta)
-    if not act:
-        return math.inf, None, act
-    grads = (p.gradients(t, x) if grads is None else grads)[act]
-    Q = -grads @ vels.T  # rows: active constraints, cols: sampled controls
-    key = (Q.shape, Q.tobytes())
-    game = None if games is None else games.get(key)
-    if game is None:
-        if not solve:
-            return None
-        game = solve_matrix_game(Q)
-        if games is not None:
-            games[key] = game
-    r, alpha = game
-    return float(r), alpha, act
+def _games(p: ProblemDefinition, t, X: Array, H: Array, V: Array, delta: float,
+           games: dict | None, solve=None, grads: Array | None = None):
+    """The margin games of a stack of rows, one row per point: yields each
+    row's ``(r, alpha, active)`` in order.
+
+    Row ``i`` is the point ``X[i]`` at time ``t`` (a scalar, or ``t[i]``),
+    with its constraint values ``H[i]`` and its sampled velocities ``V[i]``
+    of shape ``(k, n)``.  ``grads`` holds every constraint's gradient at
+    every row, ``(N, m, n)``, when the caller has them; else one
+    ``gradients`` call reads them here, if some row has an active
+    constraint.  ``r`` is +inf and ``alpha`` None at a row where no
+    constraint is delta-active.
+
+    The rows are grouped by active set, and each group's payoff matrices
+    come from one ``np.matmul`` of the negated active gradients, stacked
+    ``(N_p, m_act, n)``, by the velocities, ``(N_p, n, k)``: each item has
+    the shape and strides of the product of one row alone, and so its
+    bytes.  The matrix's shape and bytes key the memo ``games`` (a memo of
+    this call alone when None), so each distinct game is solved once, at
+    its first row; ``alpha`` is the memo's own array, not to be written.
+    ``solve``, when given, is asked at a row whose game is not in the memo
+    whether to solve it; when it says no, the generator yields None and
+    stops.  The games are read as the rows are drawn, so the answer may
+    depend on what the caller did with the rows before."""
+    groups: dict = {}                         # active set: its rows, in order
+    for i, a in enumerate(_active_mask(p, H, delta).tolist()):
+        if True in a:
+            groups.setdefault(tuple(a), []).append(i)
+    if groups and grads is None:
+        grads = p.gradients(t, X)
+    rows_games: list = [None] * len(H)        # each row's (key, payoff matrix, active set)
+    for pattern, rows in groups.items():
+        on = [j for j, a in enumerate(pattern) if a]
+        idx = np.array(rows)
+        G = grads[idx[:, None], on]           # (N_p, m_act, n), C-contiguous
+        vels = np.ascontiguousarray(V[idx])
+        Q = np.matmul(np.negative(G, out=G), vels.transpose(0, 2, 1))
+        for i, q in zip(rows, Q):
+            rows_games[i] = (Q.shape[1:], q.tobytes()), q, on
+    games = {} if games is None else games
+    for row in rows_games:
+        if row is None:
+            yield math.inf, None, []
+            continue
+        key, Q, on = row
+        game = games.get(key)
+        if game is None:
+            if solve is not None and not solve():
+                yield None
+                return
+            game = games[key] = solve_matrix_game(Q)
+        yield float(game[0]), game[1], on
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +158,13 @@ class IpcCertificate:
             raise ValueError("eps exceeds the quadratic cap")
         if not self.eta + self.eps * (ball + self.eps) <= self.delta * (1 + tol):
             raise ValueError("eta + eps*(M + r/4L + eps) exceeds delta")
-        for t, x, alpha, v in self.witnesses:
-            grads = p.gradients(t, x)
-            for i in active_set(p, t, x, self.delta).indices:
+        if not self.witnesses:
+            return
+        T = np.array([t for t, _, _, _ in self.witnesses], dtype=float)
+        X = np.array([np.asarray(x, dtype=float).reshape(-1) for _, x, _, _ in self.witnesses])
+        act = _active_mask(p, p.constraint_values(T, X), self.delta)
+        for (_, _, _, v), grads, on in zip(self.witnesses, p.gradients(T, X), act):
+            for i in np.flatnonzero(on).tolist():
                 if float(grads[i] @ v) > -self.r + 1e-9:
                     raise ValueError("stored witness violates the margin inequality")
 
@@ -263,23 +298,35 @@ def verify_ipc(
         raise BoundarySamplingFailed(f"no constraints: the margin condition is vacuous ({p.name})")
     t0, t1 = horizon
     ts, X = boundary_samples(p, np.linspace(t0, t1, n_time), n_dirs)
-    records: list[tuple[float, float, Array, Array, Array]] = []
+    # the boundary points of each sampled time, rows [starts[i], starts[i + 1])
+    starts = np.append(np.flatnonzero(np.diff(ts, prepend=np.nan) != 0), len(ts))
+    keep = max(max_witnesses, 1)
     games: dict = {}
-    starts = np.flatnonzero(np.diff(ts, prepend=np.nan) != 0).tolist()
-    for a, b in zip(starts, starts[1:] + [len(ts)]):
-        # the model at all of one sampled time's boundary points in one call each
-        t, Xt = float(ts[a]), X[a:b]
-        H = p.constraint_values(t, Xt).tolist()
-        V = p.velocities(t, Xt, level)[1].transpose(1, 0, 2).copy()    # (points, k, n)
-        for x, hv, vels, grads in zip(Xt, H, V, p.gradients(t, Xt)):
-            r, alpha, _ = _game(p, t, x, hv, vels, delta, games, grads=grads)
-            if math.isfinite(r):
-                alpha = alpha.copy()
-                records.append((r, t, x, alpha, alpha @ vels))
-    if not records:
+    margins, kept = [], {}                   # each row's r; (alpha, v) of the rows kept
+    for lo, hi, u in p.controls.runs(ts[starts[:-1]].tolist(), level):
+        per = max(1, _SAMPLE_BLOCK // (len(u) * p.n))
+        for a in range(starts[lo], starts[hi], per):
+            # the model at a block of boundary points in one call each
+            b = min(a + per, starts[hi])
+            T, Xb = ts[a:b], X[a:b]
+            V = p.velocities(T, Xb, level, u)[1].transpose(1, 0, 2)        # (points, k, n)
+            r, alphas, _ = zip(*_games(p, T, Xb, p.constraint_values(T, Xb), V, delta, games,
+                                       grads=p.gradients(T, Xb)))
+            r = np.array(r)
+            margins.append(r)
+            # only a block's first rows by margin can be kept or be the worst
+            fin = np.flatnonzero(np.isfinite(r))
+            for i in fin[np.argsort(r[fin], kind="stable")][:keep].tolist():
+                alpha = alphas[i].copy()
+                kept[a + i] = alpha, alpha @ np.ascontiguousarray(V[i])
+    r = np.concatenate(margins) if margins else np.empty(0)
+    fin = np.flatnonzero(np.isfinite(r))
+    if not fin.size:
         raise BoundarySamplingFailed(f"boundary sampler found no boundary points: {n_time} times "
                                      f"in [{t0}, {t1}], {n_dirs} directions")
-    records.sort(key=lambda rec: rec[0])
+    # ties go to the earliest sample in time-major, direction order
+    order = fin[np.argsort(r[fin], kind="stable")][:keep].tolist()
+    records = [(float(r[i]), float(ts[i]), X[i], *kept[i]) for i in order]
     r_obs = records[0][0]
     worst = {
         "t": records[0][1],
@@ -289,7 +336,7 @@ def verify_ipc(
         "v": [float(a) for a in records[0][4]],
     }
     if r_obs < r_min:
-        return IpcVerification(False, None, worst, len(records), r_min)
+        return IpcVerification(False, None, worst, len(fin), r_min)
     eps, eta = synthesize_ipc_constants(p, r_obs, delta)
     cert = IpcCertificate(
         r=float(r_obs),
@@ -297,7 +344,7 @@ def verify_ipc(
         eps=eps,
         eta=eta,
         witnesses=tuple((t, x, al, v) for _, t, x, al, v in records[:max_witnesses]),
-        n_samples=len(records),
+        n_samples=len(fin),
     )
     cert.validate(p)
-    return IpcVerification(True, cert, worst, len(records), r_min)
+    return IpcVerification(True, cert, worst, len(fin), r_min)

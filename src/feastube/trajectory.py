@@ -72,7 +72,7 @@ from .errors import (
     NonFiniteState,
     ViabilityLost,
 )
-from .ipc import IpcCertificate, _game, inward_margin
+from .ipc import IpcCertificate, _games, inward_margin
 from .problem import ProblemDefinition, summed_norms
 
 Array = np.ndarray
@@ -566,9 +566,11 @@ class _Viable(_Rule):
     shift per such step, reach the tube again.  One ``np.add.accumulate``
     builds the pattern's guesses and one ``constraint_values`` call checks
     them; the steps in the tube up to the first row the check finds wrong
-    take their controls from one ``velocities`` call and their games'
-    gradients from one ``gradients`` call (per run of equal samples), and
-    their games from the memo row by row.  Any guess is safe, as the march
+    take their controls from one ``velocities`` call, their games'
+    gradients from one ``gradients`` call and their payoff matrices from one
+    stacked ``ipc._games`` call (per run of equal samples), and their games
+    from the memo row by row.  A step that runs alone builds its game
+    through the same kernel, on one row.  Any guess is safe, as the march
     keeps only the prefix it proves exact; the prediction only saves
     calls.  The pattern need not be periodic: the gaps between
     such steps change as a moving wall's speed does.
@@ -655,17 +657,17 @@ class _Viable(_Rule):
         may take there, the default control where no constraint is active,
         or None.  The velocities and the constraints' gradients come from
         one call each per run of steps that share their samples
-        (``ControlSamples.runs``), each step's as it is alone; each game
-        from the memo, solved only with ``walk`` while ``tubes`` is
-        empty."""
+        (``ControlSamples.runs``), each step's as it is alone, and the run's
+        payoff matrices from one ``ipc._games`` call.  Its games are read
+        from the memo step by step, as the block takes them: a game is
+        solved only with ``walk`` while ``tubes`` is empty."""
         p, level = self.p, self.level
         for a, b, u in p.controls.runs(T[rows].tolist(), level):
             run = rows[a:b]
             _, V = p.velocities(T[run], G[run], level, u)
-            grads = p.gradients(T[run], G[run])
-            for k, vels, gk in zip(run, np.ascontiguousarray(V.transpose(1, 0, 2)), grads):
-                game = _game(p, float(T[k]), G[k], H[k], vels, self.cert.delta, self.games,
-                             walk and not tubes, grads=gk)
+            for game in _games(p, T[run], G[run], H[run], V.transpose(1, 0, 2), self.cert.delta,
+                               self.games, lambda: walk and not tubes,
+                               p.gradients(T[run], G[run])):
                 if game is None:
                     yield None
                     return
@@ -726,7 +728,8 @@ class _Viable(_Rule):
         u, k1, self.q, self.tubes = p.default_control, None, 1, []
         if any(h >= c for h, c in zip(hs, self.near)):
             us, vels = p.velocities(t, x, self.level)
-            r, alpha, _ = _game(p, t, x, hv, vels, self.cert.delta, self.games)
+            r, alpha, _ = next(_games(p, t, x[None], hv[None], vels[None], self.cert.delta,
+                                      self.games))
             if r <= 0:
                 raise ViabilityLost(f"nonpositive inward margin at t={t}")
             if r < math.inf:

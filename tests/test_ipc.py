@@ -23,6 +23,7 @@ from util import (
     simple_problem,
     sway_problem,
     sway_walls,
+    switching_problem,
     two_wall_1d,
     unit_velocity,
     zero_cost,
@@ -270,12 +271,15 @@ def test_verify_ipc_matches_reference_at_one_time(name):
 def _model_calls(p, monkeypatch, run):
     """Calls of ``velocities``, ``constraint_values`` and each constraint's
     ``grad`` that ``run(q)`` makes outside ``boundary_samples``, where ``q``
-    is ``p`` with counted gradients."""
+    is ``p`` with counted gradients, and under ``"<name> points"`` the
+    points those calls take in all."""
     calls, sampling = Counter(), [False]
 
-    def counted(name, fn):
+    def counted(name, fn, at):
         def call(*args, **kwargs):
-            calls[name] += not sampling[0]
+            if not sampling[0]:
+                calls[name] += 1
+                calls[f"{name} points"] += math.prod(np.shape(args[at])[:-1])
             return fn(*args, **kwargs)
         return call
 
@@ -287,28 +291,78 @@ def _model_calls(p, monkeypatch, run):
             sampling[0] = False
 
     q = dataclasses.replace(p, constraints=tuple(
-        dataclasses.replace(c, grad=counted(f"grad {i}", c.grad))
+        dataclasses.replace(c, grad=counted(f"grad {i}", c.grad, 1))
         for i, c in enumerate(p.constraints)))
     with monkeypatch.context() as m:
         for name in ("velocities", "constraint_values"):
             m.setattr(pb.ProblemDefinition, name,
-                      counted(name, getattr(pb.ProblemDefinition, name)))
+                      counted(name, getattr(pb.ProblemDefinition, name), 2))
         m.setattr(ipc, "boundary_samples", sample)
         run(q)
     return calls
 
 
+def _per_call(names, count, points):
+    """The counts of ``_model_calls`` when each of ``names`` was called
+    ``count`` times over ``points`` points in all."""
+    return {key: value for name in names
+            for key, value in ((name, count), (f"{name} points", points))}
+
+
 @pytest.mark.parametrize("name", pb.registered_problems() + tuple(_MORE_WALLS))
 def test_verify_ipc_calls_the_model_once_per_sampled_time(name, monkeypatch):
+    """Each sampled time's boundary points are evaluated once: at the CLI's
+    40 times and 24 directions every boundary point of every time goes into
+    one call each of ``velocities``, ``constraint_values`` and every
+    ``grad``, since the samples are the same at every time and a block of
+    ``_SAMPLE_BLOCK`` velocity values holds them all."""
     p = _MORE_WALLS[name]() if name in _MORE_WALLS else pb.get_problem(name)
-    n_time = len(np.unique(geo.boundary_samples(p, np.linspace(0.0, 2 * math.pi, 40), 24)[0]))
-    # an r_min no margin reaches: no certificate, whose validation checks
-    # its witnesses one by one
+    ts = geo.boundary_samples(p, np.linspace(0.0, 2 * math.pi, 40), 24)[0]
+    # an r_min no margin reaches: no certificate, whose validation reads
+    # the model at its witnesses
     calls = _model_calls(p, monkeypatch, lambda q: ipc.verify_ipc(
         q, (0.0, 2 * math.pi), **dict(_CLI, r_min=1e3)))
-    want = {"velocities": n_time, "constraint_values": n_time}
-    want.update((f"grad {i}", n_time) for i in range(p.m))
-    assert n_time == 40 and dict(calls) == want
+    names = ["velocities", "constraint_values"] + [f"grad {i}" for i in range(p.m)]
+    assert len(np.unique(ts)) == 40 and dict(calls) == _per_call(names, 1, len(ts))
+
+
+@pytest.mark.parametrize("points", [None, 100, 7, 1])
+def test_verify_ipc_calls_the_model_once_per_block(points, monkeypatch):
+    """corridor-2d at the CLI's 40 times and 24 directions has 880 boundary
+    points and 9 sampled velocities of 2 components at each.  A block of at
+    most ``_SAMPLE_BLOCK`` velocity values holds 1,820 of them by default,
+    or ``points``: the check makes one ``velocities``, one
+    ``constraint_values`` and one ``gradients`` call per block, and its
+    certificate's validation one more of the last two over its 8
+    witnesses.  The verification is the same at every block size."""
+    p = pb.get_problem("corridor-2d")
+    n = len(geo.boundary_samples(p, np.linspace(0.0, 2 * math.pi, 40), 24)[0])
+    want = json.dumps(ipc.verify_ipc(p, (0.0, 2 * math.pi), **_CLI).to_jsonable())
+    if points:     # a block takes the whole points whose values fit
+        monkeypatch.setattr(ipc, "_SAMPLE_BLOCK", points * 9 * 2 + 17)
+    got = []
+    calls = _model_calls(p, monkeypatch, lambda q: got.append(
+        ipc.verify_ipc(q, (0.0, 2 * math.pi), **_CLI)))
+    blocks = math.ceil(n / (points or n))
+    want_calls = _per_call(["velocities"], blocks, n)
+    want_calls.update(_per_call(["constraint_values", "grad 0", "grad 1"], blocks + 1, n + 8))
+    assert json.dumps(got[0].to_jsonable()) == want
+    assert n == 880 and len(got[0].certificate.witnesses) == 8
+    assert dict(calls) == want_calls
+
+
+def test_verify_ipc_calls_velocities_once_per_run_of_shared_samples(monkeypatch):
+    """switching-1d's samples switch between 3 and 5 controls at three
+    times, so its 40 sampled times fall into 4 runs that share their
+    samples: one block, and one call of each kind, per run."""
+    p = switching_problem()
+    times = np.linspace(0.0, 2 * math.pi, 40).tolist()
+    runs = len(list(p.controls.runs(times, 0)))
+    calls = _model_calls(p, monkeypatch, lambda q: ipc.verify_ipc(
+        q, (0.0, 2 * math.pi), **dict(_CLI, r_min=1e3)))
+    names = ["velocities", "constraint_values", "grad 0", "grad 1"]
+    assert runs == 4 and dict(calls) == _per_call(names, runs, 80)
+    _same_verification(p, (0.0, 2 * math.pi), **_CLI)
 
 
 def test_margin_results_share_no_alpha(moving_wall):
@@ -531,18 +585,116 @@ def _one_wall_2d(turn, size, a, b):
                           controls=pb.ControlSamples(2, lambda t, l: _CIRCLE))
 
 
+def _corner_walls_2d():
+    """Two walls of a moving corner, ``x1 <= 0.3 + 0.2 sin t`` and
+    ``0.6 x1 + 0.8 x2 <= 0.5``: at delta 0.3 a boundary point near the
+    corner has both active, one farther along a wall only that wall."""
+    walls = [affine_constraint("right", [1.0, 0.0], lambda t: -(0.3 + 0.2 * np.sin(t))),
+             affine_constraint("slope", [0.6, 0.8], lambda t: -0.5 + 0.0 * t)]
+    return simple_problem(unit_velocity, zero_cost, constraints=walls, n=2, M=3.0,
+                          controls=pb.ControlSamples(2, lambda t, l: _CIRCLE))
+
+
+def test_corner_walls_change_their_active_set_between_samples():
+    # the example below is exercised: its boundary samples fall into every
+    # active set of the two walls
+    p = _corner_walls_2d()
+    ts, X = geo.boundary_samples(p, np.linspace(0.5, 3.5, 8), 12)
+    act = geo._active_mask(p, p.constraint_values(ts, X), 0.3)
+    assert {tuple(a) for a in act.tolist()} == {(True, False), (False, True), (True, True)}
+
+
 # one wall whose worst witness came out a last bit apart between the batched
 # sampler and the per-time reference while the wall was a BLAS product
 @example(p=_one_wall_2d(4.76095074766721, 0.5476804259388571, 0.6998306723345096,
                         0.45725712114209194),
-         t0=0.0, length=0.0, r_min=1.0, delta=1.0, n_time=2, n_dirs=3)
+         t0=0.0, length=0.0, r_min=1.0, delta=1.0, n_time=2, n_dirs=3, level=0)
+@example(p=_corner_walls_2d(), t0=0.5, length=3.0, r_min=0.1, delta=0.3, n_time=8, n_dirs=12,
+         level=1)
 @settings(max_examples=40, deadline=None)
 @given(p=_walled_problems(), t0=st.floats(0, 2 * math.pi), length=st.floats(0, 3),
        r_min=st.floats(0.01, 1), delta=st.floats(0.01, 1),
-       n_time=st.integers(1, 12), n_dirs=st.integers(1, 12))
+       n_time=st.integers(1, 12), n_dirs=st.integers(1, 12), level=st.sampled_from([0, 1]))
 def test_verify_ipc_matches_reference_on_random_walls(p, t0, length, r_min, delta,
-                                                      n_time, n_dirs):
-    kw = dict(r_min=r_min, delta=delta, n_time=n_time, n_dirs=n_dirs)
+                                                      n_time, n_dirs, level):
+    kw = dict(r_min=r_min, delta=delta, n_time=n_time, n_dirs=n_dirs, level=level)
     horizon = (t0, t0 + length)
     assert (_outcome(ipc.verify_ipc, p, horizon, **kw)
             == _outcome(oracles.verify_ipc_per_time, p, horizon, **kw))
+
+
+# --- the payoff kernel: a stack of rows against each row alone -----------------
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), m=st.integers(1, 4),
+       k=st.integers(1, 9), rows=st.integers(1, 40))
+def test_stacked_games_equal_each_row_alone(seed, n, m, k, rows):
+    """Each row of one ``_games`` call over a stack has the payoff bytes,
+    the active set and the game of that row called alone, on random
+    gradients off the axes, some entries zeros of either sign; rows drawn
+    from a small pool repeat, and each distinct game is solved once.  A
+    ``solve`` that says no stops the stack at its first active row."""
+    rng = np.random.default_rng(seed)
+    walls = [affine_constraint(f"wall{i}", rng.standard_normal(n), lambda t: 0.0 * t)
+             for i in range(m)]
+    p = simple_problem(unit_velocity, zero_cost, constraints=walls, n=n)
+    gb, delta = p.grad_bounds(), 0.5
+
+    def draw(shape):
+        a = rng.standard_normal(shape)
+        zero = rng.random(shape) < 0.15
+        a[zero] = np.copysign(0.0, rng.standard_normal(zero.sum()))
+        return a
+
+    pool = max(1, rows // 3)
+    pick = rng.integers(0, pool, rows)
+    G, V = draw((pool, m, n))[pick], draw((pool, k, n))[pick]
+    H = (rng.uniform(-1.5, 0.0, (pool, m)) * gb)[pick]     # about a third of them active
+    T, X = rng.uniform(0.0, 1.0, rows), np.zeros((rows, n))
+    memo, alone, solved = {}, {}, []
+
+    def counted(Q):
+        solved.append(np.asarray(Q).tobytes())
+        return solve_matrix_game(Q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ipc, "solve_matrix_game", counted)
+        stacked = list(ipc._games(p, T, X, H, V, delta, memo, grads=G))
+        assert len(solved) == len(set(solved)) == len(memo)
+        for i in range(rows):
+            one = next(ipc._games(p, T[i], X[i:i + 1], H[i:i + 1], V[i:i + 1], delta, alone,
+                                  grads=G[i:i + 1]))
+            act = [j for j in range(m) if H[i, j] + delta * walls[j].grad_bound
+                   >= -geo.TOL_BOUNDARY]
+            assert stacked[i][2] == one[2] == act
+            if not act:
+                assert stacked[i][:2] == one[:2] == (math.inf, None)
+                continue
+            Q = -G[i][act] @ V[i].T          # the product of this row alone
+            key = (Q.shape, Q.tobytes())
+            assert memo[key][1] is stacked[i][1] and alone[key][1] is one[1]
+            assert stacked[i][0] == one[0] == float(memo[key][0])
+            assert stacked[i][1].tobytes() == one[1].tobytes()
+    assert memo.keys() == alone.keys()
+    first = next((i for i, g in enumerate(stacked) if g[2]), rows)
+    assert (list(ipc._games(p, T, X, H, V, delta, {}, lambda: False, G))
+            == stacked[:first] + [None] * (first < rows))
+
+
+def test_certificate_validates_its_witnesses_in_one_call_each(monkeypatch):
+    """``validate`` reads the constraint values and every gradient at all
+    its witnesses in one call each; a witness whose velocity breaks the
+    margin at one of its active constraints fails it, word for word."""
+    p = sway_walls()
+    cert = ipc.verify_ipc(p, (0.0, 2 * math.pi), r_min=0.05, delta=0.5, n_time=40,
+                          max_witnesses=40).certificate
+    calls = _model_calls(p, monkeypatch, cert.validate)
+    names = ["constraint_values", "grad 0", "grad 1"]
+    assert dict(calls) == _per_call(names, 1, 40)
+    assert not _model_calls(p, monkeypatch, dataclasses.replace(cert, witnesses=()).validate)
+    for j in (0, 39):
+        bad = list(cert.witnesses)
+        t, x, alpha, v = bad[j]
+        bad[j] = t, x, alpha, -v
+        with pytest.raises(ValueError, match="^stored witness violates the margin inequality$"):
+            dataclasses.replace(cert, witnesses=tuple(bad)).validate(p)

@@ -10,7 +10,9 @@ the package itself, the benchmark, the demos or README's examples, or is
 kept for a stated reason.  The one gather in the package is
 ``value._apply_stencil``'s, so that the value sweep has one apply.  The
 one text table is ``track run``'s ``tracking.csv``: every other numeric
-series is a ``.npy`` of ``analysis.write_series``.  A
+series is a ``.npy`` of ``analysis.write_series``.  The one solve of a
+margin game is in ``ipc._games``, the kernel that builds every payoff
+matrix, and no ``_game`` remains beside it.  A
 problem's model data (``f``, ``running_cost``, ``anchor``, its sampler and
 its constraints' ``h`` and ``grad``) are read only by the
 ``ProblemDefinition`` and ``ControlSamples`` methods that check their
@@ -430,6 +432,40 @@ def test_csv_writes_are_found():
     assert list(_csv_writes(ast.parse(code))) == [
         ("track", "outdir / 'tracking.csv'"), ("report", "path"), ("<lambda>", "p"),
         ("<module>", None)]
+
+
+def _solver_calls(tree: ast.AST):
+    """The innermost function around each call under ``tree`` of a name
+    ``solve_matrix_game`` (``solve_matrix_game(Q)``,
+    ``simplex.solve_matrix_game(Q)``), in source order, ``<module>``
+    outside any; and ``_game`` for each use of that name, as a function,
+    a variable, an attribute or an import."""
+    for call, fn in _calls(tree):
+        f = call.func
+        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "solve_matrix_game":
+            yield "<module>" if fn is None else getattr(fn, "name", "<lambda>")
+    for node in ast.walk(tree):
+        if "_game" in [getattr(node, a, None) for a in ("id", "attr", "name", "asname")]:
+            yield "_game"
+
+
+def test_the_only_game_solve_is_the_payoff_kernel():
+    found = [f"{path.stem}.{name}" for path in sorted(SRC.rglob("*.py"))
+             for name in _solver_calls(ast.parse(path.read_text(), str(path)))]
+    assert found == ["ipc._games"]
+
+
+def test_game_solves_are_found():
+    code = ("from feastube import simplex\n"
+            "from feastube.ipc import _game\n"
+            "value = simplex.solve_matrix_game([[1.0]])\n"
+            "class Rule:\n    def step(self, Q):\n        return solve_matrix_game(Q)\n"
+            "solve = lambda Q: simplex.solve_matrix_game(Q)\n"
+            "def _game(Q):\n    return Q\n"
+            "def keep(ipc, solve_matrix_game, _games):\n"
+            "    return ipc._game, solve_matrix_game, _games(1), ipc.solve_matrix_games(1)\n")
+    assert list(_solver_calls(ast.parse(code))) == [
+        "<module>", "step", "<lambda>", "_game", "_game", "_game"]
 
 
 # The model data a problem holds, read only by the ``ProblemDefinition`` and
